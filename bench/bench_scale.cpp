@@ -4,8 +4,8 @@
 // Every point is resolved through the same ScenarioRegistry the CLIs use, so
 // the sweep measures the real end-to-end path: build the design (compile),
 // run the full static-check registry over it (lint), integrate the ODE
-// semantics for a fixed horizon (sim), and hold the compiled engine to
-// bitwise equivalence with the legacy paths for one seed (verify).
+// semantics for a fixed horizon (sim), and prove the kO1 compile pipeline
+// trajectory-preserving on the design with its ports pinned (verify).
 //
 // Writes BENCH_scale.json (path overridable via MRSC_BENCH_SCALE_JSON).
 #include <chrono>
@@ -18,7 +18,7 @@
 #include "lint/lint.hpp"
 #include "scenario/registry.hpp"
 #include "sim/ode.hpp"
-#include "verify/engine_equivalence.hpp"
+#include "verify/opt_equivalence.hpp"
 
 namespace {
 
@@ -76,15 +76,18 @@ Point measure(const std::string& generator, std::size_t n) {
   (void)run;
 
   start = std::chrono::steady_clock::now();
-  verify::EngineEquivalenceOptions equivalence;
+  std::vector<core::SpeciesId> roots;
+  for (const auto& [id, role] : resolved.design.info.roots) {
+    roots.push_back(id);
+  }
+  verify::OptEquivalenceOptions equivalence;
   equivalence.t_end = 1.0;
   equivalence.record_interval = 0.1;
-  equivalence.omega = 50.0;
-  equivalence.seed = 1;
-  const auto violations = verify::check_engine_equivalence(net, equivalence);
+  const auto violations =
+      verify::check_optimization_equivalence(net, roots, equivalence);
   point.verify_ms = elapsed_ms(start);
   if (!violations.empty()) {
-    std::fprintf(stderr, "engine equivalence violated on %s (%zu findings)\n",
+    std::fprintf(stderr, "opt equivalence violated on %s (%zu findings)\n",
                  point.spec.c_str(), violations.size());
   }
   return point;

@@ -16,7 +16,8 @@
 #include "core/network.hpp"
 #include "dsp/filters.hpp"
 #include "runtime/ensemble.hpp"
-#include "sim/mass_action.hpp"
+#include "scenario/registry.hpp"
+#include "sim/engine/compiled_system.hpp"
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
 #include "sync/clock.hpp"
@@ -38,7 +39,7 @@ core::ReactionNetwork chain_network(std::size_t elements) {
 void BM_RhsEvaluation(benchmark::State& state) {
   const core::ReactionNetwork net =
       chain_network(static_cast<std::size_t>(state.range(0)));
-  const sim::MassActionSystem system(net);
+  const sim::CompiledSystem system(net);
   std::vector<double> x = net.initial_state();
   std::vector<double> dxdt(x.size());
   for (auto _ : state) {
@@ -55,7 +56,7 @@ BENCHMARK(BM_RhsEvaluation)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 void BM_JacobianAssembly(benchmark::State& state) {
   const core::ReactionNetwork net =
       chain_network(static_cast<std::size_t>(state.range(0)));
-  const sim::MassActionSystem system(net);
+  const sim::CompiledSystem system(net);
   std::vector<double> x = net.initial_state();
   util::Matrix jac;
   for (auto _ : state) {
@@ -183,38 +184,36 @@ BENCHMARK(BM_SsaEnsemble)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Compiled-vs-legacy engine on the identical single-replicate workload (same
-// seed set, same method). The compiled engine's win is per-event: hoisted
-// omega^(1-order) scale factors, CSR propensity kernels, and one shared
-// dependency graph instead of a per-run rebuild.
-void BM_SsaEngineComparison(benchmark::State& state) {
-  const core::ReactionNetwork net = ensemble_network();
-  sim::SsaOptions options = ensemble_ssa_options();
-  options.engine.kind = state.range(0) == 0 ? sim::EngineKind::kLegacy
-                                            : sim::EngineKind::kCompiled;
-  std::uint64_t events = 0;
-  std::uint64_t seed = 1;
+// CompiledSystem construction on the registry's delay_chain(D) generator,
+// whose dense dependency graph (~68 edges per reaction at D = 16) is the
+// build's worst case. Serve compiles once per cold request, so this is a
+// per-request cost there.
+void BM_CompiledSystemBuild(benchmark::State& state) {
+  const scenario::ResolvedScenario resolved =
+      scenario::ScenarioRegistry::global().resolve(
+          "delay_chain(" + std::to_string(state.range(0)) + ")");
+  const core::ReactionNetwork& net = *resolved.design.network;
+  std::size_t edges = 0;
   for (auto _ : state) {
-    options.seed = seed++;
-    const sim::SsaResult result = simulate_ssa(net, options);
-    events += result.events;
-    benchmark::DoNotOptimize(result.final_counts.data());
+    const sim::CompiledSystem system(net);
+    edges = 0;
+    for (std::size_t j = 0; j < system.reaction_count(); ++j) {
+      edges += system.affected_reactions(j).size();
+    }
+    benchmark::DoNotOptimize(edges);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.SetLabel(to_string(options.engine.kind));
+  state.counters["reactions"] = static_cast<double>(net.reaction_count());
+  state.counters["dep_edges"] = static_cast<double>(edges);
 }
-BENCHMARK(BM_SsaEngineComparison)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CompiledSystemBuild)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Unit(benchmark::kMicrosecond);
 
-/// Measures a 64-replicate ensemble at 1/2/4/8 workers — under both the
-/// compiled and the legacy engine — and writes BENCH_runtime.json (path
-/// overridable via MRSC_BENCH_RUNTIME_JSON), so the perf trajectory of the
-/// batch runtime has a tracked baseline. The top-level keys (wall_seconds,
-/// jobs_per_sec, ok) are the compiled engine, which is the production
-/// default; the legacy_* keys and per-point speedup record what the engine
-/// rewrite buys on the identical workload.
+/// Measures a 64-replicate ensemble at 1/2/4/8 workers and writes
+/// BENCH_runtime.json (path overridable via MRSC_BENCH_RUNTIME_JSON), so the
+/// perf trajectory of the batch runtime has a tracked baseline.
 void write_runtime_baseline() {
   const char* path_env = std::getenv("MRSC_BENCH_RUNTIME_JSON");
   const std::string path = path_env ? path_env : "BENCH_runtime.json";
@@ -224,16 +223,14 @@ void write_runtime_baseline() {
     double wall = 0.0;
     std::size_t ok = 0;
   };
-  auto measure = [&](sim::EngineKind kind, std::size_t workers) {
-    sim::SsaOptions ssa = ensemble_ssa_options();
-    ssa.engine.kind = kind;
+  auto measure = [&](std::size_t workers) {
     runtime::EnsembleOptions options;
     options.replicates = 64;
     options.base_seed = 1;
     options.batch.threads = workers;
     const auto start = std::chrono::steady_clock::now();
     const runtime::EnsembleResult result =
-        runtime::run_ssa_ensemble(net, ssa, options);
+        runtime::run_ssa_ensemble(net, ensemble_ssa_options(), options);
     Measurement m;
     m.wall = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            start)
@@ -246,29 +243,18 @@ void write_runtime_baseline() {
                      "  \"replicates\": 64,\n  \"points\": [\n";
   const std::size_t worker_counts[] = {1, 2, 4, 8};
   bool first = true;
-  std::printf(
-      "\nbatch runtime baseline (64-replicate SSA ensemble, "
-      "compiled vs legacy engine):\n");
-  std::printf("  %-8s %-12s %-12s %-14s %s\n", "workers", "wall [s]",
-              "jobs/sec", "legacy [s]", "engine speedup");
+  std::printf("\nbatch runtime baseline (64-replicate SSA ensemble):\n");
+  std::printf("  %-8s %-12s %s\n", "workers", "wall [s]", "jobs/sec");
   for (const std::size_t workers : worker_counts) {
-    const Measurement compiled =
-        measure(sim::EngineKind::kCompiled, workers);
-    const Measurement legacy = measure(sim::EngineKind::kLegacy, workers);
-    const double throughput = 64.0 / compiled.wall;
-    const double legacy_throughput = 64.0 / legacy.wall;
-    const double speedup = legacy.wall / compiled.wall;
-    std::printf("  %-8zu %-12.3f %-12.1f %-14.3f %.2fx  (%zu ok)\n", workers,
-                compiled.wall, throughput, legacy.wall, speedup, compiled.ok);
-    char buffer[320];
-    std::snprintf(
-        buffer, sizeof buffer,
-        "%s    {\"workers\": %zu, \"wall_seconds\": %.6f, "
-        "\"jobs_per_sec\": %.3f, \"ok\": %zu,\n"
-        "     \"legacy_wall_seconds\": %.6f, \"legacy_jobs_per_sec\": %.3f, "
-        "\"speedup\": %.3f}",
-        first ? "" : ",\n", workers, compiled.wall, throughput, compiled.ok,
-        legacy.wall, legacy_throughput, speedup);
+    const Measurement m = measure(workers);
+    const double throughput = 64.0 / m.wall;
+    std::printf("  %-8zu %-12.3f %-12.1f (%zu ok)\n", workers, m.wall,
+                throughput, m.ok);
+    char buffer[200];
+    std::snprintf(buffer, sizeof buffer,
+                  "%s    {\"workers\": %zu, \"wall_seconds\": %.6f, "
+                  "\"jobs_per_sec\": %.3f, \"ok\": %zu}",
+                  first ? "" : ",\n", workers, m.wall, throughput, m.ok);
     json += buffer;
     first = false;
   }

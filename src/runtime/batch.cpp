@@ -80,11 +80,8 @@ JobResult BatchRunner::execute(const SimJob& job) const {
       ode.abort = abort_hook;
       std::vector<double> initial =
           job.initial.empty() ? job.network->initial_state() : job.initial;
-      const bool use_shared =
-          job.compiled != nullptr &&
-          ode.engine.kind == sim::EngineKind::kCompiled;
       sim::OdeResult run =
-          use_shared
+          job.compiled != nullptr
               ? sim::simulate_ode(*job.compiled, ode, std::move(initial))
               : sim::simulate_ode(*job.network, ode, std::move(initial));
       aborted = run.aborted;
@@ -98,11 +95,8 @@ JobResult BatchRunner::execute(const SimJob& job) const {
     } else {
       sim::SsaOptions ssa = job.ssa;
       ssa.abort = abort_hook;
-      const bool use_shared =
-          job.compiled != nullptr &&
-          ssa.engine.kind == sim::EngineKind::kCompiled;
       sim::SsaResult run;
-      if (use_shared) {
+      if (job.compiled != nullptr) {
         std::vector<double> initial =
             job.initial.empty() ? job.network->initial_state() : job.initial;
         run = sim::simulate_ssa(*job.compiled, ssa,

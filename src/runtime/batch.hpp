@@ -45,8 +45,7 @@ struct SimJob {
   /// Optional pre-compiled engine form of `network`, shared read-only across
   /// jobs so an ensemble compiles its design once instead of per replicate.
   /// Non-owning; must outlive the run and must have been compiled from
-  /// `network`. Honored only when the job's options select the compiled
-  /// engine; the fallback/retry path ignores it (each rung recompiles).
+  /// `network`. The fallback/retry path ignores it (each rung recompiles).
   const sim::CompiledSystem* compiled = nullptr;
   SimKind kind = SimKind::kSsa;
   sim::OdeOptions ode;  ///< used when kind == kOde

@@ -69,12 +69,11 @@ EnsembleResult run_ssa_ensemble(const core::ReactionNetwork& network,
 
   // Compile the design once and share it read-only across every replicate
   // instead of re-deriving the reaction structure per job. Results are
-  // unchanged (the compiled engine is bitwise-identical); only the
-  // per-replicate compile cost disappears. Retrying runs keep the per-job
-  // path: the fallback ladder rebuilds per rung anyway.
+  // unchanged (the compiled form is a pure function of the network); only
+  // the per-replicate compile cost disappears. Retrying runs keep the
+  // per-job path: the fallback ladder rebuilds per rung anyway.
   std::optional<sim::CompiledSystem> shared;
-  if (ssa.engine.kind == sim::EngineKind::kCompiled &&
-      options.batch.retry.max_attempts <= 1) {
+  if (options.batch.retry.max_attempts <= 1) {
     shared.emplace(network);
     for (SimJob& job : jobs) job.compiled = &*shared;
   }

@@ -56,7 +56,8 @@ struct LintBudget {
   bool werror = false;
 };
 
-/// Verification budget (@verify): engine-equivalence seeds.
+/// Verification budget (@verify): opt-equivalence seeds for
+/// `mrsc_verify --scenario`.
 struct VerifyBudget {
   std::optional<std::size_t> seeds;
   std::optional<std::uint64_t> start_seed;

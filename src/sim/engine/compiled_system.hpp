@@ -1,7 +1,7 @@
 // Compiled sparse simulation engine.
 //
-// `CompiledSystem` is the flat, read-only form of a reaction network that the
-// fast simulation paths run against:
+// `CompiledSystem` is the flat, read-only form of a reaction network that
+// every simulator runs against:
 //  * CSR (compressed-sparse-row) reactant and net-change tables in parallel
 //    structure-of-arrays layout, so derivative and propensity evaluation are
 //    tight loops over contiguous index/coefficient arrays;
@@ -12,16 +12,14 @@
 //    context emits (unimolecular gated transfer, bimolecular drain, dimeric
 //    indicator feedback) with a generic mass-action fallback;
 //  * hoisted propensity scale factors: `scaled_rates` precomputes
-//    k_j * omega^(1-order_j) once per run, removing the per-event std::pow
-//    calls of the legacy path.
+//    k_j * omega^(1-order_j) once per run instead of per event.
 //
-// Determinism contract: every evaluation here performs the same floating-
-// point operations in the same order as `MassActionSystem`, so results are
-// bitwise identical to the legacy engine — not merely close. The kernel
-// specializations are algebraic rewrites only where the operation sequence is
-// provably unchanged (left-associated products over species-sorted reactant
-// lists; early-exit zeros preserved). `test_engine.cpp` and the
-// `engine_equivalence` fuzz oracle hold this line.
+// The build is linear in the network size plus the dependency-graph edge
+// count. Evaluation is deterministic: a kernel specialization performs the
+// same floating-point operations in the same order as the generic loop
+// (left-associated products over species-sorted reactant lists, early-exit
+// zeros preserved), so specializing a reaction never changes a result bit.
+// `test_engine.cpp` holds both lines against in-test reference builds.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +27,6 @@
 #include <vector>
 
 #include "core/network.hpp"
-#include "sim/mass_action.hpp"
 #include "util/matrix.hpp"
 
 namespace mrsc::sim {
@@ -59,13 +56,11 @@ enum class ReactionKernel : std::uint8_t {
 
 class CompiledSystem {
  public:
-  /// Compiles `network` with its current rate policy. Flattens through
-  /// `MassActionSystem` so rates, reactant merging, ordering, and the
-  /// dependency graph are definitionally identical to the legacy engine.
+  /// Compiles `network` using its current rate policy and multipliers; this
+  /// is how rate-policy changes (robustness sweeps) take effect. Duplicate
+  /// reactant terms ("G + G") are merged. The compiled arrays are
+  /// self-contained: `network` need not outlive this object.
   explicit CompiledSystem(const core::ReactionNetwork& network);
-
-  /// Flattens an already-compiled legacy system.
-  explicit CompiledSystem(const MassActionSystem& system);
 
   [[nodiscard]] std::size_t species_count() const { return species_count_; }
   [[nodiscard]] std::size_t reaction_count() const { return rates_.size(); }
@@ -121,16 +116,14 @@ class CompiledSystem {
     return affects_own_[j] != 0;
   }
 
-  /// Deterministic flux of reaction j at concentrations x (bitwise equal to
-  /// MassActionSystem::flux).
+  /// Deterministic flux of reaction j at concentrations x:
+  /// k_j * prod_i x_i^s_ij.
   [[nodiscard]] double flux(std::size_t j, std::span<const double> x) const;
 
-  /// dx/dt at x; dxdt.size() must equal species_count(). Bitwise equal to
-  /// MassActionSystem::rhs.
+  /// dx/dt at x; dxdt.size() must equal species_count().
   void rhs(std::span<const double> x, std::span<double> dxdt) const;
 
-  /// Analytic Jacobian; jac is resized/overwritten to NxN. Bitwise equal to
-  /// MassActionSystem::jacobian.
+  /// Analytic Jacobian d(dx/dt)/dx; jac is resized/overwritten to NxN.
   void jacobian(std::span<const double> x, util::Matrix& jac) const;
 
   /// Hoisted propensity scale factor k_j * omega^(1-order_j) for every
@@ -139,14 +132,15 @@ class CompiledSystem {
   void scaled_rates(double omega, std::span<double> out) const;
 
   /// Stochastic propensity of reaction j at counts n given its hoisted scale
-  /// factor (an element of `scaled_rates` output). Bitwise equal to
-  /// MassActionSystem::propensity(j, n, omega).
+  /// factor (an element of `scaled_rates` output):
+  /// a_j = k_j * omega^(1 - order_j) * prod_i falling_factorial(n_i, s_ij).
+  /// (The s_i! from the combinatorial count C(n, s) cancels against the s_i!
+  /// of the deterministic<->stochastic rate conversion.)
   [[nodiscard]] double propensity_scaled(std::size_t j,
                                          std::span<const std::int64_t> n,
                                          double scaled) const;
 
-  /// Convenience form matching the legacy signature (recomputes the scale
-  /// factor; used by tests and one-shot callers).
+  /// Same, recomputing the scale factor from `omega` (one-shot callers).
   [[nodiscard]] double propensity(std::size_t j,
                                   std::span<const std::int64_t> n,
                                   double omega) const;

@@ -84,14 +84,10 @@ class RunContext {
   bool aborted_ = false;
 };
 
-// The integrators are templated over the system so the legacy
-// (MassActionSystem) and compiled (CompiledSystem) engines share one stepper;
-// both provide bitwise-identical rhs/jacobian, so the integrators produce
-// bitwise-identical trajectories under either engine. Stage temporaries come
-// from a per-run arena so a run's scratch arrays sit in one contiguous block.
+// Stage temporaries come from a per-run arena so a run's scratch arrays sit
+// in one contiguous block.
 
-template <class System>
-OdeResult run_rk4(const System& system, const OdeOptions& options,
+OdeResult run_rk4(const CompiledSystem& system, const OdeOptions& options,
                   std::vector<double> x, std::span<Observer* const> observers) {
   const std::size_t n = system.species_count();
   OdeResult result;
@@ -151,8 +147,7 @@ constexpr double kE1 = kB1 - 5179.0 / 57600.0, kE3 = kB3 - 7571.0 / 16695.0,
                  kE4 = kB4 - 393.0 / 640.0, kE5 = kB5 + 92097.0 / 339200.0,
                  kE6 = kB6 - 187.0 / 2100.0, kE7 = -1.0 / 40.0;
 
-template <class System>
-OdeResult run_dp45(const System& system, const OdeOptions& options,
+OdeResult run_dp45(const CompiledSystem& system, const OdeOptions& options,
                    std::vector<double> x,
                    std::span<Observer* const> observers) {
   const std::size_t n = system.species_count();
@@ -245,8 +240,8 @@ OdeResult run_dp45(const System& system, const OdeOptions& options,
   return result;
 }
 
-template <class System>
-OdeResult run_backward_euler(const System& system, const OdeOptions& options,
+OdeResult run_backward_euler(const CompiledSystem& system,
+                             const OdeOptions& options,
                              std::vector<double> x,
                              std::span<Observer* const> observers) {
   const std::size_t n = system.species_count();
@@ -311,8 +306,8 @@ OdeResult run_backward_euler(const System& system, const OdeOptions& options,
   return result;
 }
 
-template <class System>
-OdeResult dispatch_method(const System& system, const OdeOptions& options,
+OdeResult dispatch_method(const CompiledSystem& system,
+                          const OdeOptions& options,
                           std::vector<double> initial,
                           std::span<Observer* const> observers) {
   if (initial.size() != system.species_count()) {
@@ -339,18 +334,8 @@ OdeResult simulate_ode(const core::ReactionNetwork& network,
                        const OdeOptions& options, std::vector<double> initial,
                        std::span<Observer* const> observers) {
   if (initial.empty()) initial = network.initial_state();
-  if (options.engine.kind == EngineKind::kCompiled) {
-    const CompiledSystem system(network);
-    return simulate_ode(system, options, std::move(initial), observers);
-  }
-  const MassActionSystem system(network);
+  const CompiledSystem system(network);
   return simulate_ode(system, options, std::move(initial), observers);
-}
-
-OdeResult simulate_ode(const MassActionSystem& system,
-                       const OdeOptions& options, std::vector<double> initial,
-                       std::span<Observer* const> observers) {
-  return dispatch_method(system, options, std::move(initial), observers);
 }
 
 OdeResult simulate_ode(const CompiledSystem& system, const OdeOptions& options,

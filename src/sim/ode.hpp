@@ -21,8 +21,6 @@
 
 #include "core/network.hpp"
 #include "sim/engine/compiled_system.hpp"
-#include "sim/engine/engine.hpp"
-#include "sim/mass_action.hpp"
 #include "sim/observer.hpp"
 #include "sim/trajectory.hpp"
 
@@ -57,11 +55,6 @@ struct OdeOptions {
   std::uint32_t newton_max_iters = 12;
   double newton_tol = 1e-10;
 
-  /// Which simulation engine evaluates the rate law (see engine/engine.hpp).
-  /// Both engines produce bitwise-identical trajectories; kCompiled is the
-  /// fast default, kLegacy the differential-testing reference.
-  EngineOptions engine;
-
   /// Cooperative cancellation hook, polled after every accepted step. When it
   /// returns true the run stops and the result carries `aborted = true`. The
   /// batch runtime uses this for deadlines and cancel requests; the callback
@@ -88,20 +81,14 @@ struct OdeResult {
 
 /// Simulates `network` from `initial` (or the network's default initial state
 /// if empty). Observers are invoked after every accepted step in order.
-/// Dispatches on `options.engine.kind`.
+/// Compiles the network for this one run.
 [[nodiscard]] OdeResult simulate_ode(
     const core::ReactionNetwork& network, const OdeOptions& options,
     std::vector<double> initial = {},
     std::span<Observer* const> observers = {});
 
-/// Same, but reuses an already-compiled legacy system (always runs the legacy
-/// evaluation path).
-[[nodiscard]] OdeResult simulate_ode(
-    const MassActionSystem& system, const OdeOptions& options,
-    std::vector<double> initial, std::span<Observer* const> observers = {});
-
-/// Same, against the compiled engine. The `CompiledSystem` is read-only here
-/// and may be shared across concurrent jobs.
+/// Same, against an already-compiled network. The `CompiledSystem` is
+/// read-only here and may be shared across concurrent jobs.
 [[nodiscard]] OdeResult simulate_ode(
     const CompiledSystem& system, const OdeOptions& options,
     std::vector<double> initial, std::span<Observer* const> observers = {});

@@ -136,54 +136,10 @@ class SsaRecorder {
   double next_sample_ = 0.0;
 };
 
-// The three steppers below are templated over an evaluator so the legacy
-// (MassActionSystem) and compiled (CompiledSystem) engines share one stepper
-// implementation. Both evaluators perform identical floating-point operation
-// sequences; the engines differ only in data layout and in where the
-// propensity scale factor k * omega^(1-order) is computed (per call vs hoisted
-// per run), neither of which can change a bit of the result.
-
-/// Legacy evaluator: forwards to MassActionSystem, recomputing the propensity
-/// scale factor on every call exactly as the original code did.
-class LegacyEval {
- public:
-  LegacyEval(const MassActionSystem& system, double omega)
-      : system_(system), omega_(omega) {}
-
-  [[nodiscard]] std::size_t reaction_count() const {
-    return system_.reaction_count();
-  }
-  [[nodiscard]] std::size_t species_count() const {
-    return system_.species_count();
-  }
-  [[nodiscard]] double propensity(std::size_t j,
-                                  std::span<const std::int64_t> n) const {
-    return system_.propensity(j, n, omega_);
-  }
-  void apply(std::size_t j, std::span<std::int64_t> n) const {
-    system_.apply(j, n);
-  }
-  [[nodiscard]] std::span<const std::uint32_t> affected(std::size_t j) const {
-    return system_.affected_reactions(j);
-  }
-  [[nodiscard]] bool affects_own_reactants(std::size_t j) const {
-    return system_.affects_own_reactants(j);
-  }
-  template <class F>
-  void for_each_reactant(std::size_t j, F&& f) const {
-    for (const auto& [idx, stoich] : system_.compiled_reaction(j).reactants) {
-      f(idx, stoich);
-    }
-  }
-
- private:
-  const MassActionSystem& system_;
-  double omega_;
-};
-
-/// Compiled evaluator: CSR tables plus per-run hoisted scale factors carved
-/// from the run arena. The referenced CompiledSystem is strictly read-only,
-/// so one instance is safely shared across concurrent replicates.
+/// Propensity evaluator for one run: CSR tables plus per-run hoisted scale
+/// factors carved from the run arena. The referenced CompiledSystem is
+/// strictly read-only, so one instance is safely shared across concurrent
+/// replicates.
 class CompiledEval {
  public:
   CompiledEval(const CompiledSystem& system, double omega, Arena& arena)
@@ -225,8 +181,7 @@ class CompiledEval {
   std::span<double> scaled_;
 };
 
-template <class Eval>
-SsaResult run_direct(const Eval& eval, const SsaOptions& options,
+SsaResult run_direct(const CompiledEval& eval, const SsaOptions& options,
                      std::vector<std::int64_t> counts) {
   util::Rng rng(options.seed);
   const std::size_t m = eval.reaction_count();
@@ -280,8 +235,7 @@ SsaResult run_direct(const Eval& eval, const SsaOptions& options,
   return result;
 }
 
-template <class Eval>
-SsaResult run_next_reaction(const Eval& eval, const SsaOptions& options,
+SsaResult run_next_reaction(const CompiledEval& eval, const SsaOptions& options,
                             std::vector<std::int64_t> counts) {
   util::Rng rng(options.seed);
   const std::size_t m = eval.reaction_count();
@@ -360,8 +314,7 @@ SsaResult run_next_reaction(const Eval& eval, const SsaOptions& options,
   return result;
 }
 
-template <class Eval>
-SsaResult run_tau_leaping(const Eval& eval, const SsaOptions& options,
+SsaResult run_tau_leaping(const CompiledEval& eval, const SsaOptions& options,
                           std::vector<std::int64_t> counts) {
   util::Rng rng(options.seed);
   const std::size_t m = eval.reaction_count();
@@ -430,8 +383,7 @@ void validate_options(std::size_t species_count, const SsaOptions& options,
   }
 }
 
-template <class Eval>
-SsaResult dispatch_method(const Eval& eval, const SsaOptions& options,
+SsaResult dispatch_method(const CompiledEval& eval, const SsaOptions& options,
                           std::vector<std::int64_t> counts) {
   switch (options.method) {
     case SsaMethod::kDirect:
@@ -463,22 +415,9 @@ SsaResult simulate_ssa(const core::ReactionNetwork& network,
   if (initial_concentrations.empty()) {
     initial_concentrations = network.initial_state();
   }
-  if (options.engine.kind == EngineKind::kCompiled) {
-    const CompiledSystem system(network);
-    return simulate_ssa(system, options,
-                        to_counts(initial_concentrations, options.omega));
-  }
-  const MassActionSystem system(network);
+  const CompiledSystem system(network);
   return simulate_ssa(system, options,
                       to_counts(initial_concentrations, options.omega));
-}
-
-SsaResult simulate_ssa(const MassActionSystem& system,
-                       const SsaOptions& options,
-                       std::vector<std::int64_t> initial_counts) {
-  validate_options(system.species_count(), options, initial_counts);
-  const LegacyEval eval(system, options.omega);
-  return dispatch_method(eval, options, std::move(initial_counts));
 }
 
 SsaResult simulate_ssa(const CompiledSystem& system, const SsaOptions& options,

@@ -20,8 +20,6 @@
 
 #include "core/network.hpp"
 #include "sim/engine/compiled_system.hpp"
-#include "sim/engine/engine.hpp"
-#include "sim/mass_action.hpp"
 #include "sim/trajectory.hpp"
 
 namespace mrsc::sim {
@@ -56,11 +54,6 @@ struct SsaOptions {
   /// Leap length for kTauLeaping (time units).
   double tau = 0.01;
 
-  /// Which simulation engine evaluates propensities (see engine/engine.hpp).
-  /// Both engines produce bitwise-identical trajectories; kCompiled is the
-  /// fast default, kLegacy the differential-testing reference.
-  EngineOptions engine;
-
   /// Cooperative cancellation hook. Polled every `abort_check_events` events
   /// (every leap for kTauLeaping), so an abort lands within microseconds
   /// without taxing the per-event hot path. When it returns true the run
@@ -80,21 +73,16 @@ struct SsaResult {
 };
 
 /// Runs one stochastic realization starting from counts derived from
-/// `initial_concentrations` (or the network defaults if empty). Dispatches on
-/// `options.engine.kind`.
+/// `initial_concentrations` (or the network defaults if empty). Compiles
+/// the network for this one run.
 [[nodiscard]] SsaResult simulate_ssa(
     const core::ReactionNetwork& network, const SsaOptions& options,
     std::vector<double> initial_concentrations = {});
 
-/// Same, reusing a legacy-compiled system; `initial_counts` are raw molecule
-/// counts. Always runs the legacy evaluation path.
-[[nodiscard]] SsaResult simulate_ssa(const MassActionSystem& system,
-                                     const SsaOptions& options,
-                                     std::vector<std::int64_t> initial_counts);
-
-/// Same, against the compiled engine. The `CompiledSystem` is read-only here
-/// and may be shared across concurrent replicates (the ensemble runner builds
-/// it once per design).
+/// Same, against an already-compiled network; `initial_counts` are raw
+/// molecule counts. The `CompiledSystem` is read-only here and may be shared
+/// across concurrent replicates (the ensemble runner builds it once per
+/// design).
 [[nodiscard]] SsaResult simulate_ssa(const CompiledSystem& system,
                                      const SsaOptions& options,
                                      std::vector<std::int64_t> initial_counts);

@@ -24,9 +24,6 @@
 //   --method M         ensemble: ssa|nrm|tau      (default nrm)
 //                      sweep:    dp45|rk4|be      (default dp45)
 //   --omega W          molecules per concentration unit (ensemble)
-//   --engine E         compiled | legacy          (default compiled); both
-//                      engines are bitwise-identical, legacy is the
-//                      differential-testing reference path
 //   --record DT        sampling interval          (default t_end/200)
 //   --tau T            leap length for tau-leaping
 //   --ratios A,B,C     sweep ratios               (default 10,100,1000,10000)
@@ -76,7 +73,6 @@ struct CliOptions {
   double t_end = 100.0;
   std::string method;  // empty -> mode default
   double omega = 1000.0;
-  std::string engine = "compiled";
   double record = 0.0;  // 0 -> t_end / 200
   double tau = 0.01;
   double dt = 1e-3;
@@ -103,8 +99,7 @@ void usage() {
       "usage: mrsc_batch [FILE.crn | --scenario SPEC]\n"
       "       [--mode ensemble|sweep] [--jobs N]\n"
       "       [--replicates R] [--timeout S] [--seed S] [--t-end T]\n"
-      "       [--method ssa|nrm|tau|dp45|rk4|be] [--omega W]\n"
-      "       [--engine compiled|legacy] [--record DT]\n"
+      "       [--method ssa|nrm|tau|dp45|rk4|be] [--omega W] [--record DT]\n"
       "       [--tau T] [--dt H] [--ratios A,B,C] [--jitters A,B]\n"
       "       [--species A,B,C] [--retries N] [--opt] [--json PATH]\n");
 }
@@ -203,8 +198,6 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
     } else if (std::strcmp(arg, "--omega") == 0) {
       if (!parse_double(arg, value, options.omega)) return false;
       options.set_omega = true;
-    } else if (std::strcmp(arg, "--engine") == 0) {
-      options.engine = value;
     } else if (std::strcmp(arg, "--record") == 0) {
       if (!parse_double(arg, value, options.record)) return false;
       options.set_record = true;
@@ -258,13 +251,6 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
   }
   if (options.replicates == 0) {
     std::fprintf(stderr, "mrsc_batch: --replicates must be >= 1\n");
-    return false;
-  }
-  if (options.engine != "compiled" && options.engine != "legacy") {
-    std::fprintf(stderr,
-                 "mrsc_batch: --engine must be 'compiled' or 'legacy' "
-                 "(got '%s')\n",
-                 options.engine.c_str());
     return false;
   }
   for (const double ratio : options.ratios) {
@@ -323,8 +309,6 @@ int run_ensemble(const core::ReactionNetwork& network,
   ssa.t_end = cli.t_end;
   ssa.omega = cli.omega;
   ssa.tau = cli.tau;
-  ssa.engine.kind = cli.engine == "legacy" ? sim::EngineKind::kLegacy
-                                           : sim::EngineKind::kCompiled;
   ssa.record_interval = cli.record > 0.0 ? cli.record : cli.t_end / 200.0;
   const std::string method = cli.method.empty() ? "nrm" : cli.method;
   if (method == "ssa") {
@@ -458,8 +442,6 @@ int run_sweep(const core::ReactionNetwork& network, const CliOptions& cli) {
   sim::OdeOptions ode;
   ode.t_end = cli.t_end;
   ode.dt = cli.dt;
-  ode.engine.kind = cli.engine == "legacy" ? sim::EngineKind::kLegacy
-                                           : sim::EngineKind::kCompiled;
   ode.record_interval = cli.record > 0.0 ? cli.record : cli.t_end / 200.0;
   if (method == "dp45") {
     ode.method = sim::OdeMethod::kDormandPrince45;

@@ -17,9 +17,6 @@
 //   --tau T            leap length for tau-leaping     (default 0.01)
 //   --max-events N     event cap, stochastic methods; hitting it is an
 //                      error that names the method and seed
-//   --engine E         compiled | legacy               (default compiled)
-//                      both engines are bitwise-identical; legacy is the
-//                      differential-testing reference path
 //   --species A,B,C    which species to report         (default all)
 //   --csv PATH         write the trajectory as CSV
 //   --plot             render an ASCII waveform of the reported species
@@ -65,7 +62,6 @@ struct CliOptions {
   std::uint64_t seed = 1;
   double tau = 0.01;
   std::uint64_t max_events = 0;  // 0 keeps the SsaOptions default
-  std::string engine = "compiled";
   std::vector<std::string> species;
   std::string csv;
   bool plot = false;
@@ -86,8 +82,7 @@ void usage() {
                "[--method dp45|rk4|be|ssa|nrm|tau]\n"
                "       [--dt H] [--record DT] [--omega W] [--seed S] "
                "[--tau T]\n"
-               "       [--max-events N] [--engine compiled|legacy] "
-               "[--species A,B,C] [--csv PATH]\n"
+               "       [--max-events N] [--species A,B,C] [--csv PATH]\n"
                "       [--plot] [--laws] [--opt]\n"
                "       scenarios: %s; parametric counter(N), delay_chain(D), "
                "fsm_wide(S), cascade(L); or a .mrsc file\n",
@@ -182,10 +177,6 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
         std::fprintf(stderr, "mrsc_sim: --max-events must be >= 1\n");
         return false;
       }
-    } else if (std::strcmp(arg, "--engine") == 0) {
-      const char* v = need_value(i);
-      if (!v) return false;
-      options.engine = v;
     } else if (std::strcmp(arg, "--species") == 0) {
       const char* v = need_value(i);
       if (!v) return false;
@@ -240,13 +231,6 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
   if (options.record < 0.0) {
     std::fprintf(stderr, "mrsc_sim: --record must be >= 0 (got %g)\n",
                  options.record);
-    return false;
-  }
-  if (options.engine != "compiled" && options.engine != "legacy") {
-    std::fprintf(stderr,
-                 "mrsc_sim: --engine must be 'compiled' or 'legacy' "
-                 "(got '%s')\n",
-                 options.engine.c_str());
     return false;
   }
   return true;
@@ -353,16 +337,12 @@ int main(int argc, char** argv) {
             ? cli.record
             : std::max(cli.t_end / 200.0,
                        std::numeric_limits<double>::min());
-    const sim::EngineKind engine_kind = cli.engine == "legacy"
-                                            ? sim::EngineKind::kLegacy
-                                            : sim::EngineKind::kCompiled;
     sim::Trajectory trajectory;
     if (cli.method == "dp45" || cli.method == "rk4" || cli.method == "be") {
       sim::OdeOptions options;
       options.t_end = cli.t_end;
       options.dt = cli.dt;
       options.record_interval = record;
-      options.engine.kind = engine_kind;
       options.method = cli.method == "rk4" ? sim::OdeMethod::kRk4Fixed
                        : cli.method == "be"
                            ? sim::OdeMethod::kBackwardEuler
@@ -381,7 +361,6 @@ int main(int argc, char** argv) {
       options.tau = cli.tau;
       if (cli.max_events > 0) options.max_events = cli.max_events;
       options.record_interval = record;
-      options.engine.kind = engine_kind;
       options.method = cli.method == "ssa" ? sim::SsaMethod::kDirect
                        : cli.method == "nrm"
                            ? sim::SsaMethod::kNextReaction

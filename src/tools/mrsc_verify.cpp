@@ -14,10 +14,12 @@
 //   mrsc_verify --scenario SPEC [options]
 //
 // resolves the scenario ("counter", "cascade(3)", or a .mrsc file) through
-// the registry and sweeps the legacy-vs-compiled engine-equivalence oracle
-// over its network, one run per seed in [start-seed, start-seed + seeds).
-// The scenario's verify budget supplies default --seeds/--start-seed
-// (explicit flags win; bare specs default to seeds=3, start-seed=1).
+// the registry and sweeps the optimized-vs-unoptimized equivalence oracle
+// over its network with the design's ports pinned as roots, one run per
+// seed in [start-seed, start-seed + seeds); the seed is the base seed of the
+// run's SSA-ensemble leg. The scenario's verify budget supplies
+// default --seeds/--start-seed (explicit flags win; bare specs default to
+// seeds=3, start-seed=1).
 //
 //   --seeds N          number of cases              (default 50)
 //   --start-seed S     first seed                   (default 0)
@@ -29,7 +31,6 @@
 //   --no-shrink        report failures unshrunk
 //   --no-differential  skip the SSA-ensemble oracles on raw cases
 //   --no-opt-equivalence  skip the kO1 compile-pipeline equivalence oracle
-//   --no-engine-equivalence  skip the legacy-vs-compiled engine oracle
 //   --json PATH        machine-readable failure report
 //   --regen-golden DIR recompute the golden traces into DIR and exit
 //   --verbose          print every case, not just failures
@@ -44,8 +45,8 @@
 #include <vector>
 
 #include "scenario/registry.hpp"
-#include "verify/engine_equivalence.hpp"
 #include "verify/golden.hpp"
+#include "verify/opt_equivalence.hpp"
 #include "verify/verify.hpp"
 
 namespace {
@@ -72,8 +73,7 @@ void usage() {
       "       [--seeds N] [--start-seed S] [--kinds A,B,C]\n"
       "       [--cycles N] [--replicates R] [--omega W] [--threads N]\n"
       "       [--no-shrink] [--no-differential] [--no-opt-equivalence]\n"
-      "       [--no-engine-equivalence] [--json PATH]\n"
-      "       [--regen-golden DIR] [--verbose]\n"
+      "       [--json PATH] [--regen-golden DIR] [--verbose]\n"
       "       kinds: raw,sync,dual,fsm,counter\n");
 }
 
@@ -116,7 +116,6 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
     const bool is_flag = std::strcmp(arg, "--no-shrink") == 0 ||
                          std::strcmp(arg, "--no-differential") == 0 ||
                          std::strcmp(arg, "--no-opt-equivalence") == 0 ||
-                         std::strcmp(arg, "--no-engine-equivalence") == 0 ||
                          std::strcmp(arg, "--verbose") == 0;
     const bool takes_value = !is_flag && arg[0] == '-' && arg[1] == '-';
     const char* value = nullptr;
@@ -153,8 +152,6 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       options.verify.differential = false;
     } else if (std::strcmp(arg, "--no-opt-equivalence") == 0) {
       options.verify.opt_equivalence = false;
-    } else if (std::strcmp(arg, "--no-engine-equivalence") == 0) {
-      options.verify.engine_equivalence = false;
     } else if (std::strcmp(arg, "--verbose") == 0) {
       options.verbose = true;
     } else if (std::strcmp(arg, "--json") == 0) {
@@ -189,9 +186,10 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
   return true;
 }
 
-// --scenario mode: sweep the engine-equivalence oracle over one resolved
-// design, one run per seed. The scenario's sim budget shapes the oracle run
-// (horizon, sampling grid, omega); its verify budget sets the seed sweep.
+// --scenario mode: sweep the opt-equivalence oracle (with its SSA-ensemble
+// leg) over one resolved design, one run per seed. The scenario's sim budget
+// shapes the oracle run (horizon, sampling grid, omega); its verify budget
+// sets the seed sweep.
 int run_scenario_verify(const CliOptions& cli) {
   scenario::ResolvedScenario resolved;
   try {
@@ -207,14 +205,19 @@ int run_scenario_verify(const CliOptions& cli) {
   const std::uint64_t start_seed =
       cli.set_start_seed ? cli.verify.start_seed : budget.start_seed.value_or(1);
 
-  verify::EngineEquivalenceOptions oracle;
+  verify::OptEquivalenceOptions oracle;
+  oracle.ssa = true;
   const scenario::SimBudget& sim = resolved.scenario.sim;
   if (sim.t_end) oracle.t_end = *sim.t_end;
   if (sim.record) oracle.record_interval = *sim.record;
   if (sim.omega) oracle.omega = *sim.omega;
 
   const core::ReactionNetwork& network = *resolved.design.network;
-  std::printf("scenario %s: %zu species, %zu reactions; engine-equivalence "
+  std::vector<core::SpeciesId> roots;
+  for (const auto& [id, role] : resolved.design.info.roots) {
+    roots.push_back(id);
+  }
+  std::printf("scenario %s: %zu species, %zu reactions; opt-equivalence "
               "sweep over seeds [%llu, %llu)\n",
               resolved.scenario.name.c_str(), network.species_count(),
               network.reaction_count(),
@@ -222,24 +225,24 @@ int run_scenario_verify(const CliOptions& cli) {
               static_cast<unsigned long long>(start_seed + seeds));
   std::size_t failed = 0;
   for (std::size_t i = 0; i < seeds; ++i) {
-    oracle.seed = start_seed + i;
+    oracle.base_seed = start_seed + i;
     const std::vector<verify::Violation> violations =
-        verify::check_engine_equivalence(network, oracle);
+        verify::check_optimization_equivalence(network, roots, oracle);
     if (!violations.empty()) {
       ++failed;
       for (const verify::Violation& violation : violations) {
         std::printf("seed %llu: %s: %s\n",
-                    static_cast<unsigned long long>(oracle.seed),
+                    static_cast<unsigned long long>(oracle.base_seed),
                     violation.oracle.c_str(), violation.detail.c_str());
       }
     } else if (cli.verbose) {
       std::printf("seed %llu: ok\n",
-                  static_cast<unsigned long long>(oracle.seed));
+                  static_cast<unsigned long long>(oracle.base_seed));
     }
   }
   std::printf("%zu/%zu seeds clean: %s\n", seeds - failed, seeds,
-              failed == 0 ? "engines agree"
-                          : "ENGINE DIVERGENCE — see above");
+              failed == 0 ? "optimized and original networks agree"
+                          : "OPTIMIZATION DIVERGENCE — see above");
   return failed == 0 ? 0 : 1;
 }
 

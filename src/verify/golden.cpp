@@ -21,7 +21,7 @@ std::string format_double(double v) {
   return buffer;
 }
 
-GoldenTrace counter_trace(sim::EngineKind engine) {
+GoldenTrace counter_trace() {
   // Mirrors examples/counter.cpp: 3-bit counter starting at 2, 14 increments.
   core::ReactionNetwork net;
   dsp::CounterSpec spec;
@@ -31,7 +31,6 @@ GoldenTrace counter_trace(sim::EngineKind engine) {
 
   constexpr std::size_t kIncrements = 14;
   analysis::ClockedRunOptions options;
-  options.ode.engine.kind = engine;
   options.ode.t_end =
       analysis::suggest_t_end(spec.clock, net.rate_policy(), kIncrements);
   const auto run = analysis::run_counter(net, counter, kIncrements, options);
@@ -46,13 +45,12 @@ GoldenTrace counter_trace(sim::EngineKind engine) {
   return trace;
 }
 
-GoldenTrace moving_average_trace(sim::EngineKind engine) {
+GoldenTrace moving_average_trace() {
   // Mirrors examples/moving_average.cpp: y[n] = (x[n] + x[n-1]) / 2.
   auto design = dsp::make_moving_average();
   const std::vector<double> samples = {1.0, 1.0, 2.0, 0.0, 0.5, 1.5,
                                        1.5, 0.0, 0.0, 1.0, 1.0, 1.0};
   analysis::ClockedRunOptions options;
-  options.ode.engine.kind = engine;
   options.ode.t_end = analysis::suggest_t_end(
       {}, design.network->rate_policy(), samples.size());
   const auto run = analysis::run_clocked_circuit(
@@ -71,14 +69,13 @@ GoldenTrace moving_average_trace(sim::EngineKind engine) {
   return trace;
 }
 
-GoldenTrace sequence_detector_trace(sim::EngineKind engine) {
+GoldenTrace sequence_detector_trace() {
   // Mirrors examples/sequence_detector.cpp: the "101" KMP automaton.
   const fsm::FsmSpec spec = fsm::make_sequence_detector("101");
   core::ReactionNetwork net;
   const fsm::FsmHandles machine = fsm::build_fsm(net, spec);
   const std::vector<std::size_t> bits = {1, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1};
   analysis::ClockedRunOptions options;
-  options.ode.engine.kind = engine;
   options.ode.t_end =
       analysis::suggest_t_end(spec.clock, net.rate_policy(), bits.size());
   const auto run = analysis::run_fsm(net, machine, bits, options);
@@ -212,13 +209,8 @@ std::optional<std::string> compare_golden(
   return std::nullopt;
 }
 
-std::vector<GoldenTrace> compute_reference_traces(sim::EngineKind engine) {
-  return {counter_trace(engine), moving_average_trace(engine),
-          sequence_detector_trace(engine)};
-}
-
 std::vector<GoldenTrace> compute_reference_traces() {
-  return compute_reference_traces(sim::EngineKind::kCompiled);
+  return {counter_trace(), moving_average_trace(), sequence_detector_trace()};
 }
 
 }  // namespace mrsc::verify

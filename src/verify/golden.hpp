@@ -23,8 +23,6 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/engine/engine.hpp"
-
 namespace mrsc::verify {
 
 struct GoldenTrace {
@@ -54,13 +52,6 @@ void save_golden(const GoldenTrace& trace, const std::string& path);
 /// sequence_detector) by building and simulating the example circuits.
 /// Shared by `mrsc_verify --regen-golden` and test_golden.cpp, so the test
 /// and the regeneration command can never drift apart.
-///
-/// The `engine` overload recomputes the traces under a specific simulation
-/// engine; the committed files are regenerated with the default (compiled)
-/// engine, and test_golden.cpp replays both engines against the same files
-/// to pin the legacy/compiled bitwise-identity contract on real circuits.
-[[nodiscard]] std::vector<GoldenTrace> compute_reference_traces(
-    sim::EngineKind engine);
 [[nodiscard]] std::vector<GoldenTrace> compute_reference_traces();
 
 }  // namespace mrsc::verify

@@ -14,7 +14,6 @@
 #include "runtime/ensemble.hpp"
 #include "sim/ode.hpp"
 #include "sync/dual_rail.hpp"
-#include "verify/engine_equivalence.hpp"
 #include "verify/lint_oracle.hpp"
 #include "util/rng.hpp"
 
@@ -398,16 +397,6 @@ std::vector<Violation> check_case(const GeneratedCase& c,
         out = check_counter(std::get<CounterCase>(c.payload), options);
         break;
     }
-    if (options.engine_equivalence) {
-      // Kind-independent: the engines must agree on *any* network, so the
-      // oracle runs on the case's raw reaction system directly.
-      EngineEquivalenceOptions eq;
-      eq.seed = util::Rng::stream_seed(c.seed, 0xE6);
-      const std::vector<Violation> engine_violations =
-          check_engine_equivalence(c.network(), eq);
-      out.insert(out.end(), engine_violations.begin(),
-                 engine_violations.end());
-    }
     if (options.lint_cross) {
       const std::vector<Violation> lint_violations = check_lint_cross(c);
       out.insert(out.end(), lint_violations.begin(), lint_violations.end());
@@ -438,7 +427,6 @@ std::optional<ShrinkResult> shrink_case(const GeneratedCase& c,
   replay.robustness = oracle == "rate_robustness";
   replay.differential = !is_invariant_oracle(oracle);
   replay.opt_equivalence = oracle == "opt_equivalence";
-  replay.engine_equivalence = oracle == "engine_equivalence";
 
   ViolationPredicate violates;
   if (is_invariant_oracle(oracle)) {

@@ -46,10 +46,6 @@ struct VerifyOptions {
   /// (see opt_equivalence.hpp). Raw closed cases additionally get the SSA
   /// ensemble leg when `differential` is on.
   bool opt_equivalence = true;
-  /// Prove the compiled simulation engine bitwise-identical to the legacy
-  /// engine on every case (see engine_equivalence.hpp): SSA direct + NRM and
-  /// fixed-step RK4 exactly, adaptive DP45 within a band.
-  bool engine_equivalence = true;
   /// Re-run clocked circuits under an alternative k_fast/k_slow ratio on a
   /// subset of seeds (every 4th) and require the same logical output.
   bool robustness = true;

@@ -1,29 +1,27 @@
-// Differential harness for the compiled simulation engine.
+// Harness for the compiled simulation engine.
 //
-// The compiled engine (src/sim/engine/) claims *bitwise* identity with the
-// legacy MassActionSystem paths — same trajectories, same event counts, the
-// same bits. This file is the proof obligation behind that claim:
+// `CompiledSystem` is the one form every simulator runs against, so this file
+// pins both how it is built and how it evaluates:
 //
-//   * every built-in design, every SSA method, every sample: legacy ==
-//     compiled exactly (times, values, events, final counts);
-//   * fixed-step RK4 on every built-in design: exact;
-//   * shared-CompiledSystem ensembles at 1 and 8 workers: bitwise equal to a
-//     legacy serial ensemble, replicate by replicate;
-//   * a 25-seed x 4-kind sweep through the engine_equivalence fuzz oracle
-//     (the same oracle mrsc_verify runs on every generated case);
-//   * dependency-graph properties: the compiled CSR graph equals the legacy
-//     graph, contains an edge j->k exactly when j changes a reactant of k
-//     (or j == k), and has no spurious edges between independent reactions;
-//   * kernel classification and propensity/flux/rhs/jacobian bitwise checks
-//     on handcrafted and fuzz-generated networks;
+//   * the CSR tables built straight from the network (rates, orders, kernel
+//     tags, merged reactants, net changes, species incidence, the
+//     next-reaction dependency graph and the pure-catalysis flags) equal an
+//     in-test reference build over ordered maps and sets, on every built-in
+//     design, the scale catalog, and fuzz-generated networks;
+//   * the shape-specialized kernels are bitwise equal to the generic
+//     mass-action formulas (flux, rhs, propensity, apply);
 //   * the next-reaction stale-propensity skip, regressed against an in-test
-//     reference NRM that always recomputes (identical RNG draw order).
+//     reference NRM that always recomputes (identical RNG draw order);
+//   * a shared CompiledSystem across an ensemble gives the same bits at any
+//     worker count as compiling per replicate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -32,14 +30,9 @@
 #include "runtime/ensemble.hpp"
 #include "sim/engine/arena.hpp"
 #include "sim/engine/compiled_system.hpp"
-#include "sim/engine/engine.hpp"
-#include "sim/mass_action.hpp"
-#include "sim/ode.hpp"
 #include "sim/ssa.hpp"
 #include "tools/builtin_designs.hpp"
-#include "util/matrix.hpp"
 #include "util/rng.hpp"
-#include "verify/engine_equivalence.hpp"
 #include "verify/generator.hpp"
 
 namespace mrsc::sim {
@@ -58,210 +51,176 @@ ReactionNetwork builtin_network(const std::string& name) {
   return *design.network;
 }
 
-void expect_trajectories_bitwise(const Trajectory& a, const Trajectory& b,
-                                 const std::string& context) {
-  ASSERT_EQ(a.sample_count(), b.sample_count()) << context;
-  ASSERT_EQ(a.species_count(), b.species_count()) << context;
-  for (std::size_t k = 0; k < a.sample_count(); ++k) {
-    ASSERT_EQ(a.time(k), b.time(k)) << context << " sample " << k;
-    const auto sa = a.state(k);
-    const auto sb = b.state(k);
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-      ASSERT_EQ(sa[i], sb[i])
-          << context << " sample " << k << " species " << i;
-    }
-  }
-}
-
-void expect_ssa_results_bitwise(const SsaResult& a, const SsaResult& b,
-                                const std::string& context) {
-  EXPECT_EQ(a.events, b.events) << context;
-  EXPECT_EQ(a.exhausted, b.exhausted) << context;
-  EXPECT_EQ(a.hit_event_limit, b.hit_event_limit) << context;
-  EXPECT_EQ(a.end_time, b.end_time) << context;
-  ASSERT_EQ(a.final_counts, b.final_counts) << context;
-  expect_trajectories_bitwise(a.trajectory, b.trajectory, context);
+template <class T>
+std::vector<T> to_vector(std::span<const T> span) {
+  return {span.begin(), span.end()};
 }
 
 // ---------------------------------------------------------------------------
-// Bitwise identity on every built-in design.
+// Reference build: the textbook construction over ordered containers.
 
-TEST(EngineEquivalence, BuiltinDesignsBitwiseSsa) {
-  const std::vector<std::pair<SsaMethod, const char*>> methods = {
-      {SsaMethod::kDirect, "direct"},
-      {SsaMethod::kNextReaction, "nrm"},
-      {SsaMethod::kTauLeaping, "tau"}};
+struct ReferenceReaction {
+  double rate = 0.0;
+  std::uint32_t order = 0;
+  std::map<std::uint32_t, std::uint32_t> reactants;  // merged, species-sorted
+  std::map<std::uint32_t, std::int32_t> net;         // nonzero deltas only
+};
+
+struct ReferenceSystem {
+  std::vector<ReferenceReaction> reactions;
+  std::vector<std::set<std::uint32_t>> species_dependents;
+  std::vector<std::set<std::uint32_t>> affected;
+};
+
+ReferenceSystem reference_build(const ReactionNetwork& network) {
+  ReferenceSystem ref;
+  ref.species_dependents.resize(network.species_count());
+  for (const core::Reaction& r : network.reactions()) {
+    ReferenceReaction rr;
+    rr.rate = network.effective_rate(r);
+    rr.order = r.order();
+    for (const core::Term& t : r.reactants()) {
+      const auto idx = static_cast<std::uint32_t>(t.species.index());
+      rr.reactants[idx] += t.stoich;
+      rr.net[idx] -= static_cast<std::int32_t>(t.stoich);
+    }
+    for (const core::Term& t : r.products()) {
+      rr.net[static_cast<std::uint32_t>(t.species.index())] +=
+          static_cast<std::int32_t>(t.stoich);
+    }
+    std::erase_if(rr.net, [](const auto& entry) { return entry.second == 0; });
+    const auto j = static_cast<std::uint32_t>(ref.reactions.size());
+    for (const auto& [idx, stoich] : rr.reactants) {
+      ref.species_dependents[idx].insert(j);
+    }
+    ref.reactions.push_back(std::move(rr));
+  }
+  // j -> k iff j == k or j changes the count of one of k's reactants.
+  ref.affected.resize(ref.reactions.size());
+  for (std::uint32_t j = 0; j < ref.reactions.size(); ++j) {
+    ref.affected[j].insert(j);
+    for (const auto& [idx, delta] : ref.reactions[j].net) {
+      ref.affected[j].insert(ref.species_dependents[idx].begin(),
+                             ref.species_dependents[idx].end());
+    }
+  }
+  return ref;
+}
+
+ReactionKernel reference_kernel(const ReferenceReaction& rr) {
+  if (rr.reactants.size() == 1) {
+    const std::uint32_t stoich = rr.reactants.begin()->second;
+    if (stoich == 1) return ReactionKernel::kUnimolecular;
+    if (stoich == 2) return ReactionKernel::kDimer;
+  } else if (rr.reactants.size() == 2 &&
+             std::ranges::all_of(rr.reactants, [](const auto& entry) {
+               return entry.second == 1;
+             })) {
+    return ReactionKernel::kBimolecular;
+  }
+  return ReactionKernel::kGeneric;
+}
+
+void expect_tables_match_reference(const ReactionNetwork& network,
+                                   const std::string& context) {
+  const CompiledSystem sys(network);
+  const ReferenceSystem ref = reference_build(network);
+  ASSERT_EQ(sys.species_count(), network.species_count()) << context;
+  ASSERT_EQ(sys.reaction_count(), ref.reactions.size()) << context;
+  for (std::size_t j = 0; j < ref.reactions.size(); ++j) {
+    const ReferenceReaction& rr = ref.reactions[j];
+    const std::string where = context + " reaction " + std::to_string(j);
+    EXPECT_EQ(sys.rate(j), rr.rate) << where;
+    EXPECT_EQ(sys.order(j), rr.order) << where;
+    EXPECT_EQ(sys.kernel(j), reference_kernel(rr)) << where;
+
+    std::vector<std::uint32_t> species, stoich;
+    for (const auto& [idx, s] : rr.reactants) {
+      species.push_back(idx);
+      stoich.push_back(s);
+    }
+    EXPECT_EQ(to_vector(sys.reactant_species(j)), species) << where;
+    EXPECT_EQ(to_vector(sys.reactant_stoich(j)), stoich) << where;
+
+    std::vector<std::uint32_t> net_species;
+    std::vector<std::int32_t> net_delta;
+    bool own = false;
+    for (const auto& [idx, delta] : rr.net) {
+      net_species.push_back(idx);
+      net_delta.push_back(delta);
+      own = own || rr.reactants.contains(idx);
+    }
+    EXPECT_EQ(to_vector(sys.net_species(j)), net_species) << where;
+    EXPECT_EQ(to_vector(sys.net_delta(j)), net_delta) << where;
+    EXPECT_EQ(sys.affects_own_reactants(j), own) << where;
+
+    EXPECT_EQ(to_vector(sys.affected_reactions(j)),
+              std::vector<std::uint32_t>(ref.affected[j].begin(),
+                                         ref.affected[j].end()))
+        << where;
+  }
+  for (std::size_t i = 0; i < network.species_count(); ++i) {
+    const std::set<std::uint32_t>& deps = ref.species_dependents[i];
+    EXPECT_EQ(to_vector(sys.dependents_of_species(i)),
+              std::vector<std::uint32_t>(deps.begin(), deps.end()))
+        << context << " species " << i;
+  }
+}
+
+TEST(CompiledTables, MatchReferenceOnBuiltins) {
   for (const std::string& name : kBuiltinDesigns) {
-    const ReactionNetwork network = builtin_network(name);
-    for (const auto& [method, method_name] : methods) {
-      SsaOptions options;
-      options.t_end = 0.5;
-      options.omega = 150.0;
-      options.seed = 7;
-      options.tau = 0.01;
-      options.record_interval = 0.05;
-      options.max_events = 40'000;  // capped runs still compare exactly
-      options.method = method;
-
-      options.engine.kind = EngineKind::kLegacy;
-      const SsaResult legacy = simulate_ssa(network, options);
-      options.engine.kind = EngineKind::kCompiled;
-      const SsaResult compiled = simulate_ssa(network, options);
-      expect_ssa_results_bitwise(legacy, compiled,
-                                 name + "/" + method_name);
-    }
+    expect_tables_match_reference(builtin_network(name), name);
   }
 }
 
-TEST(EngineEquivalence, BuiltinDesignsBitwiseRk4) {
-  for (const std::string& name : kBuiltinDesigns) {
-    const ReactionNetwork network = builtin_network(name);
-    OdeOptions options;
-    options.method = OdeMethod::kRk4Fixed;
-    options.t_end = 0.5;
-    options.dt = 1e-3;
-    options.record_interval = 0.05;
-
-    options.engine.kind = EngineKind::kLegacy;
-    const OdeResult legacy = simulate_ode(network, options);
-    options.engine.kind = EngineKind::kCompiled;
-    const OdeResult compiled = simulate_ode(network, options);
-
-    EXPECT_EQ(legacy.steps_accepted, compiled.steps_accepted) << name;
-    EXPECT_EQ(legacy.end_time, compiled.end_time) << name;
-    expect_trajectories_bitwise(legacy.trajectory, compiled.trajectory,
-                                name + "/rk4");
+TEST(CompiledTables, MatchReferenceOnScaleCatalog) {
+  // The sizes bench_scale sweeps, including delay_chain(16): ~1000 reactions
+  // and the densest dependency graph in the catalog.
+  for (const char* spec :
+       {"counter(2)", "counter(8)", "delay_chain(2)", "delay_chain(16)",
+        "fsm_wide(4)", "fsm_wide(32)", "cascade(2)", "cascade(5)"}) {
+    expect_tables_match_reference(builtin_network(spec), spec);
   }
 }
 
-// ---------------------------------------------------------------------------
-// Shared CompiledSystem across an ensemble: bitwise independent of both the
-// engine and the worker count.
-
-TEST(EngineEquivalence, EnsembleSharedCompiledSystemBitwise) {
-  const ReactionNetwork network = builtin_network("counter");
-  SsaOptions ssa;
-  ssa.t_end = 0.3;
-  ssa.omega = 100.0;
-  ssa.method = SsaMethod::kNextReaction;
-  ssa.record_interval = 0.05;
-  ssa.max_events = 40'000;
-
-  auto run = [&](EngineKind kind, std::size_t threads) {
-    SsaOptions options = ssa;
-    options.engine.kind = kind;
-    runtime::EnsembleOptions ensemble;
-    ensemble.replicates = 8;
-    ensemble.base_seed = 11;
-    ensemble.batch.threads = threads;
-    return runtime::run_ssa_ensemble(network, options, ensemble);
-  };
-
-  const runtime::EnsembleResult legacy = run(EngineKind::kLegacy, 1);
-  const runtime::EnsembleResult serial = run(EngineKind::kCompiled, 1);
-  const runtime::EnsembleResult parallel = run(EngineKind::kCompiled, 8);
-
-  ASSERT_EQ(legacy.ok, legacy.replicates.size());
-  for (const runtime::EnsembleResult* other : {&serial, &parallel}) {
-    ASSERT_EQ(other->replicates.size(), legacy.replicates.size());
-    for (std::size_t i = 0; i < legacy.replicates.size(); ++i) {
-      const runtime::JobResult& ref = legacy.replicates[i];
-      const runtime::JobResult& got = other->replicates[i];
-      EXPECT_EQ(got.status, ref.status) << "replicate " << i;
-      EXPECT_EQ(got.seed, ref.seed) << "replicate " << i;
-      EXPECT_EQ(got.ssa_events, ref.ssa_events) << "replicate " << i;
-      EXPECT_EQ(got.end_time, ref.end_time) << "replicate " << i;
-      ASSERT_EQ(got.final_state.size(), ref.final_state.size());
-      for (std::size_t s = 0; s < ref.final_state.size(); ++s) {
-        EXPECT_EQ(got.final_state[s], ref.final_state[s])
-            << "replicate " << i << " species " << s;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// The fuzz oracle, swept the way mrsc_verify sweeps it.
-
-TEST(EngineEquivalence, FuzzSweepAllKinds) {
+TEST(CompiledTables, MatchReferenceOnFuzzedNetworks) {
   const std::vector<verify::CaseKind> kinds = {
       verify::CaseKind::kRawNetwork, verify::CaseKind::kSyncCircuit,
-      verify::CaseKind::kFsm, verify::CaseKind::kCounter};
-  for (std::uint64_t seed = 0; seed < 25; ++seed) {
-    for (const verify::CaseKind kind : kinds) {
+      verify::CaseKind::kDualRailCircuit, verify::CaseKind::kFsm,
+      verify::CaseKind::kCounter};
+  for (const verify::CaseKind kind : kinds) {
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
       const verify::GeneratedCase c = verify::generate_case(kind, seed);
-      verify::EngineEquivalenceOptions eq;
-      eq.t_end = 1.0;
-      eq.omega = 150.0;
-      eq.max_events = 60'000;
-      eq.seed = util::Rng::stream_seed(seed, 0xE6);
-      const std::vector<verify::Violation> violations =
-          verify::check_engine_equivalence(c.network(), eq);
-      for (const verify::Violation& v : violations) {
-        ADD_FAILURE() << "kind " << verify::to_string(kind) << " seed "
-                      << seed << ": [" << v.oracle << "] " << v.detail;
-      }
+      expect_tables_match_reference(c.network(),
+                                    std::string(verify::to_string(kind)) +
+                                        " seed " + std::to_string(seed));
     }
   }
 }
 
-// ---------------------------------------------------------------------------
-// Dependency-graph properties.
-
-// Naive recomputation of the next-reaction dependency predicate: j -> k iff
-// j == k or j changes the count of one of k's reactant species.
-bool naive_edge(const CompiledSystem& sys, std::size_t j, std::size_t k) {
-  if (j == k) return true;
-  for (const std::uint32_t changed : sys.net_species(j)) {
-    const auto reactants = sys.reactant_species(k);
-    if (std::find(reactants.begin(), reactants.end(), changed) !=
-        reactants.end()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void expect_dependency_graph_sound(const ReactionNetwork& network,
-                                   const std::string& context) {
-  const MassActionSystem legacy(network);
-  const CompiledSystem compiled(legacy);
-  ASSERT_EQ(compiled.reaction_count(), legacy.reaction_count()) << context;
-  for (std::size_t j = 0; j < compiled.reaction_count(); ++j) {
-    // CSR graph == legacy graph, element for element.
-    const auto span = compiled.affected_reactions(j);
-    const std::vector<std::uint32_t>& ref = legacy.affected_reactions(j);
-    ASSERT_EQ(std::vector<std::uint32_t>(span.begin(), span.end()), ref)
-        << context << " reaction " << j;
-    // Edge set == the naive predicate: every reaction changing a reactant of
-    // k is an edge into k, and nothing else is.
-    for (std::size_t k = 0; k < compiled.reaction_count(); ++k) {
-      const bool listed =
-          std::find(span.begin(), span.end(), static_cast<std::uint32_t>(k)) !=
-          span.end();
-      EXPECT_EQ(listed, naive_edge(compiled, j, k))
-          << context << " edge " << j << " -> " << k;
-    }
-    // The legacy and compiled pure-catalysis flags agree too.
-    EXPECT_EQ(compiled.affects_own_reactants(j),
-              legacy.affects_own_reactants(j))
-        << context << " reaction " << j;
-  }
-}
-
-TEST(DependencyGraph, MatchesLegacyAndNaivePredicateOnBuiltins) {
-  for (const std::string& name : kBuiltinDesigns) {
-    expect_dependency_graph_sound(builtin_network(name), name);
-  }
-}
-
-TEST(DependencyGraph, MatchesLegacyAndNaivePredicateOnFuzzedNetworks) {
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    const verify::GeneratedCase c =
-        verify::generate_case(verify::CaseKind::kRawNetwork, seed);
-    expect_dependency_graph_sound(c.network(),
-                                  "raw seed " + std::to_string(seed));
-  }
+TEST(CompiledTables, MergesDuplicateTermsAndDropsZeroNetChanges) {
+  ReactionNetwork net;
+  const SpeciesId a = net.add_species("A");
+  const SpeciesId b = net.add_species("B");
+  const SpeciesId c = net.add_species("C");
+  // B + A + A -> A + C: reactants merge to {A:2, B:1}; A's net change is -1,
+  // and a term listed on both sides with equal weight cancels out of the
+  // net-change table entirely (C + B -> C + B changes nothing).
+  net.add({{b, 1}, {a, 1}, {a, 1}}, {{a, 1}, {c, 1}},
+          core::RateCategory::kCustom, 1.0);
+  net.add({{c, 1}, {b, 1}}, {{c, 1}, {b, 1}}, core::RateCategory::kCustom,
+          1.0);
+  expect_tables_match_reference(net, "handcrafted");
+  const CompiledSystem sys(net);
+  EXPECT_EQ(to_vector(sys.reactant_species(0)),
+            (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(to_vector(sys.reactant_stoich(0)),
+            (std::vector<std::uint32_t>{2, 1}));
+  EXPECT_EQ(to_vector(sys.net_delta(0)), (std::vector<std::int32_t>{-1, -1, 1}));
+  EXPECT_TRUE(sys.net_species(1).empty());
+  // A reaction that changes nothing re-evaluates only itself.
+  EXPECT_EQ(to_vector(sys.affected_reactions(1)),
+            (std::vector<std::uint32_t>{1}));
 }
 
 TEST(DependencyGraph, NoSpuriousEdgesBetweenIndependentReactions) {
@@ -273,11 +232,9 @@ TEST(DependencyGraph, NoSpuriousEdgesBetweenIndependentReactions) {
   b.reaction("C -> D", 2.0);
   const CompiledSystem sys{net};
   ASSERT_EQ(sys.reaction_count(), 2u);
-  const auto dep0 = sys.affected_reactions(0);
-  const auto dep1 = sys.affected_reactions(1);
-  EXPECT_EQ(std::vector<std::uint32_t>(dep0.begin(), dep0.end()),
+  EXPECT_EQ(to_vector(sys.affected_reactions(0)),
             (std::vector<std::uint32_t>{0}));
-  EXPECT_EQ(std::vector<std::uint32_t>(dep1.begin(), dep1.end()),
+  EXPECT_EQ(to_vector(sys.affected_reactions(1)),
             (std::vector<std::uint32_t>{1}));
 }
 
@@ -326,13 +283,37 @@ TEST(CompiledSystem, KernelClassification) {
   EXPECT_EQ(sys.order(5), 3u);
 }
 
+// The generic mass-action formulas, evaluated left to right over the
+// species-sorted reactant list: the operation order every kernel must keep.
+double reference_flux(const ReferenceReaction& rr, std::span<const double> x) {
+  double f = rr.rate;
+  for (const auto& [idx, stoich] : rr.reactants) {
+    for (std::uint32_t s = 0; s < stoich; ++s) f *= x[idx];
+  }
+  return f;
+}
+
+double reference_propensity(const ReferenceReaction& rr,
+                            std::span<const std::int64_t> n, double omega) {
+  double a = rr.rate * std::pow(omega, 1.0 - static_cast<double>(rr.order));
+  for (const auto& [idx, stoich] : rr.reactants) {
+    std::int64_t count = n[idx];
+    for (std::uint32_t s = 0; s < stoich; ++s) {
+      if (count <= 0) return 0.0;
+      a *= static_cast<double>(count);
+      --count;
+    }
+  }
+  return a;
+}
+
 void expect_pointwise_bitwise(const ReactionNetwork& network,
                               std::uint64_t seed,
                               const std::string& context) {
-  const MassActionSystem legacy(network);
-  const CompiledSystem compiled(legacy);
-  const std::size_t ns = legacy.species_count();
-  const std::size_t m = legacy.reaction_count();
+  const CompiledSystem compiled(network);
+  const ReferenceSystem ref = reference_build(network);
+  const std::size_t ns = network.species_count();
+  const std::size_t m = ref.reactions.size();
   util::Rng rng(seed);
 
   for (int trial = 0; trial < 5; ++trial) {
@@ -341,27 +322,18 @@ void expect_pointwise_bitwise(const ReactionNetwork& network,
     for (double& v : x) {
       v = rng.uniform() < 0.25 ? 0.0 : rng.uniform(0.0, 3.0);
     }
+    std::vector<double> dxdt_ref(ns, 0.0), dxdt(ns);
     for (std::size_t j = 0; j < m; ++j) {
-      EXPECT_EQ(compiled.flux(j, x), legacy.flux(j, x))
-          << context << " flux reaction " << j;
-    }
-    std::vector<double> dxdt_legacy(ns), dxdt_compiled(ns);
-    legacy.rhs(x, dxdt_legacy);
-    compiled.rhs(x, dxdt_compiled);
-    for (std::size_t i = 0; i < ns; ++i) {
-      EXPECT_EQ(dxdt_compiled[i], dxdt_legacy[i])
-          << context << " rhs species " << i;
-    }
-    util::Matrix jac_legacy, jac_compiled;
-    legacy.jacobian(x, jac_legacy);
-    compiled.jacobian(x, jac_compiled);
-    ASSERT_EQ(jac_compiled.rows(), jac_legacy.rows());
-    ASSERT_EQ(jac_compiled.cols(), jac_legacy.cols());
-    for (std::size_t r = 0; r < jac_legacy.rows(); ++r) {
-      for (std::size_t c = 0; c < jac_legacy.cols(); ++c) {
-        EXPECT_EQ(jac_compiled(r, c), jac_legacy(r, c))
-            << context << " jacobian (" << r << ", " << c << ")";
+      const double f = reference_flux(ref.reactions[j], x);
+      EXPECT_EQ(compiled.flux(j, x), f) << context << " flux reaction " << j;
+      if (f == 0.0) continue;
+      for (const auto& [idx, delta] : ref.reactions[j].net) {
+        dxdt_ref[idx] += static_cast<double>(delta) * f;
       }
+    }
+    compiled.rhs(x, dxdt);
+    for (std::size_t i = 0; i < ns; ++i) {
+      EXPECT_EQ(dxdt[i], dxdt_ref[i]) << context << " rhs species " << i;
     }
 
     // Random counts, including 0 and 1 (the dimer/bimolecular early-outs).
@@ -375,21 +347,22 @@ void expect_pointwise_bitwise(const ReactionNetwork& network,
       std::vector<double> scaled(m);
       compiled.scaled_rates(omega, scaled);
       for (std::size_t j = 0; j < m; ++j) {
-        const double ref = legacy.propensity(j, n, omega);
-        EXPECT_EQ(compiled.propensity(j, n, omega), ref)
+        const double expected = reference_propensity(ref.reactions[j], n, omega);
+        EXPECT_EQ(compiled.propensity(j, n, omega), expected)
             << context << " propensity reaction " << j << " omega " << omega;
-        EXPECT_EQ(compiled.propensity_scaled(j, n, scaled[j]), ref)
+        EXPECT_EQ(compiled.propensity_scaled(j, n, scaled[j]), expected)
             << context << " propensity_scaled reaction " << j << " omega "
             << omega;
       }
     }
 
-    // apply() must produce the same counts through either table.
     for (std::size_t j = 0; j < m; ++j) {
-      std::vector<std::int64_t> na = n, nb = n;
-      legacy.apply(j, na);
-      compiled.apply(j, nb);
-      EXPECT_EQ(na, nb) << context << " apply reaction " << j;
+      std::vector<std::int64_t> expected = n, got = n;
+      for (const auto& [idx, delta] : ref.reactions[j].net) {
+        expected[idx] += delta;
+      }
+      compiled.apply(j, got);
+      EXPECT_EQ(got, expected) << context << " apply reaction " << j;
     }
   }
 }
@@ -418,16 +391,9 @@ TEST(CompiledSystem, PointwiseBitwiseOnFuzzedNetworks) {
   }
 }
 
-TEST(CompiledSystem, BothConstructorsAgree) {
-  const ReactionNetwork network = builtin_network("moving_average");
-  const MassActionSystem legacy(network);
-  const CompiledSystem from_network{network};
-  const CompiledSystem from_system{legacy};
-  ASSERT_EQ(from_network.reaction_count(), from_system.reaction_count());
-  for (std::size_t j = 0; j < from_network.reaction_count(); ++j) {
-    EXPECT_EQ(from_network.rate(j), from_system.rate(j));
-    EXPECT_EQ(from_network.order(j), from_system.order(j));
-    EXPECT_EQ(from_network.kernel(j), from_system.kernel(j));
+TEST(CompiledSystem, PointwiseBitwiseOnBuiltins) {
+  for (const std::string& name : kBuiltinDesigns) {
+    expect_pointwise_bitwise(builtin_network(name), 5, name);
   }
 }
 
@@ -435,7 +401,7 @@ TEST(CompiledSystem, BothConstructorsAgree) {
 // The next-reaction stale-propensity skip, against an always-recompute
 // reference with the identical RNG draw order.
 
-SsaResult reference_nrm_always_recompute(const MassActionSystem& system,
+SsaResult reference_nrm_always_recompute(const CompiledSystem& system,
                                          const SsaOptions& options,
                                          std::vector<std::int64_t> counts) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -522,6 +488,21 @@ SsaResult reference_nrm_always_recompute(const MassActionSystem& system,
   return result;
 }
 
+void expect_trajectories_bitwise(const Trajectory& a, const Trajectory& b,
+                                 const std::string& context) {
+  ASSERT_EQ(a.sample_count(), b.sample_count()) << context;
+  ASSERT_EQ(a.species_count(), b.species_count()) << context;
+  for (std::size_t k = 0; k < a.sample_count(); ++k) {
+    ASSERT_EQ(a.time(k), b.time(k)) << context << " sample " << k;
+    const auto sa = a.state(k);
+    const auto sb = b.state(k);
+    for (std::size_t i = 0; i < sa.size(); ++i) {
+      ASSERT_EQ(sa[i], sb[i])
+          << context << " sample " << k << " species " << i;
+    }
+  }
+}
+
 TEST(NextReactionStaleSkip, MatchesAlwaysRecomputeReference) {
   // Catalysis-heavy fixture: the first two reactions leave their own
   // reactant counts untouched, so the skip path fires on most events.
@@ -543,28 +524,74 @@ TEST(NextReactionStaleSkip, MatchesAlwaysRecomputeReference) {
   options.record_interval = 0.1;
   options.max_events = 200'000;
 
-  const MassActionSystem legacy(net);
+  const CompiledSystem system(net);
   // The fixture must actually exercise the skip: the catalytic reactions
   // carry affects_own_reactants == false.
-  ASSERT_FALSE(legacy.affects_own_reactants(0));
-  ASSERT_FALSE(legacy.affects_own_reactants(1));
-  ASSERT_TRUE(legacy.affects_own_reactants(2));
+  ASSERT_FALSE(system.affects_own_reactants(0));
+  ASSERT_FALSE(system.affects_own_reactants(1));
+  ASSERT_TRUE(system.affects_own_reactants(2));
 
   for (const std::uint64_t seed : {1ull, 9ull, 42ull}) {
     options.seed = seed;
     const SsaResult reference = reference_nrm_always_recompute(
-        legacy, options, to_counts(net.initial_state(), options.omega));
+        system, options, to_counts(net.initial_state(), options.omega));
     ASSERT_GT(reference.events, 100u) << "fixture too quiet to regress";
+    const SsaResult run = simulate_ssa(net, options);
+    const std::string context = "seed " + std::to_string(seed);
+    EXPECT_EQ(run.events, reference.events) << context;
+    EXPECT_EQ(run.exhausted, reference.exhausted) << context;
+    EXPECT_EQ(run.end_time, reference.end_time) << context;
+    ASSERT_EQ(run.final_counts, reference.final_counts) << context;
+    expect_trajectories_bitwise(run.trajectory, reference.trajectory,
+                                context);
+  }
+}
 
-    options.engine.kind = EngineKind::kLegacy;
-    const SsaResult legacy_run = simulate_ssa(net, options);
-    options.engine.kind = EngineKind::kCompiled;
-    const SsaResult compiled_run = simulate_ssa(net, options);
+// ---------------------------------------------------------------------------
+// Shared CompiledSystem across an ensemble: bitwise independent of the worker
+// count, and equal to compiling the network per replicate.
 
-    expect_ssa_results_bitwise(reference, legacy_run,
-                               "seed " + std::to_string(seed) + " legacy");
-    expect_ssa_results_bitwise(reference, compiled_run,
-                               "seed " + std::to_string(seed) + " compiled");
+TEST(SharedCompiledSystem, EnsembleBitwiseAcrossWorkersAndPerReplicateBuild) {
+  const ReactionNetwork network = builtin_network("counter");
+  SsaOptions ssa;
+  ssa.t_end = 0.3;
+  ssa.omega = 100.0;
+  ssa.method = SsaMethod::kNextReaction;
+  ssa.record_interval = 0.05;
+  ssa.max_events = 40'000;
+
+  auto run = [&](std::size_t threads) {
+    runtime::EnsembleOptions ensemble;
+    ensemble.replicates = 8;
+    ensemble.base_seed = 11;
+    ensemble.batch.threads = threads;
+    return runtime::run_ssa_ensemble(network, ssa, ensemble);
+  };
+  const runtime::EnsembleResult serial = run(1);
+  const runtime::EnsembleResult parallel = run(8);
+
+  ASSERT_EQ(serial.ok, serial.replicates.size());
+  ASSERT_EQ(parallel.replicates.size(), serial.replicates.size());
+  for (std::size_t i = 0; i < serial.replicates.size(); ++i) {
+    const runtime::JobResult& ref = serial.replicates[i];
+    SsaOptions single = ssa;
+    single.seed = ref.seed;
+    const SsaResult alone = simulate_ssa(network, single);
+    EXPECT_GT(ref.ssa_events, 0u) << "replicate " << i;
+    EXPECT_EQ(alone.events, ref.ssa_events) << "replicate " << i;
+    ASSERT_EQ(alone.final_counts.size(), ref.final_state.size());
+    for (std::size_t s = 0; s < ref.final_state.size(); ++s) {
+      EXPECT_EQ(static_cast<double>(alone.final_counts[s]) / ssa.omega,
+                ref.final_state[s])
+          << "replicate " << i << " species " << s;
+    }
+
+    const runtime::JobResult& got = parallel.replicates[i];
+    EXPECT_EQ(got.status, ref.status) << "replicate " << i;
+    EXPECT_EQ(got.seed, ref.seed) << "replicate " << i;
+    EXPECT_EQ(got.ssa_events, ref.ssa_events) << "replicate " << i;
+    EXPECT_EQ(got.end_time, ref.end_time) << "replicate " << i;
+    EXPECT_EQ(got.final_state, ref.final_state) << "replicate " << i;
   }
 }
 

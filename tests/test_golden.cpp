@@ -3,12 +3,6 @@
 // Regenerate after an intentional behaviour change with:
 //
 //   mrsc_verify --regen-golden tests/golden
-//
-// Each trace is replayed under BOTH simulation engines (legacy and
-// compiled): both must match the checked-in file, and their recomputed rows
-// must be byte-for-byte identical to each other — the engines share one
-// determinism contract (docs/ENGINE.md), so the goldens double as an
-// end-to-end equivalence fixture on real circuits.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -27,58 +21,32 @@ std::string golden_path(const std::string& name) {
 class GoldenRegression : public ::testing::Test {
  public:
   static void SetUpTestSuite() {
-    compiled_ =
-        new auto(compute_reference_traces(sim::EngineKind::kCompiled));
-    legacy_ = new auto(compute_reference_traces(sim::EngineKind::kLegacy));
+    traces_ = new auto(compute_reference_traces());
   }
   static void TearDownTestSuite() {
-    delete compiled_;
-    compiled_ = nullptr;
-    delete legacy_;
-    legacy_ = nullptr;
+    delete traces_;
+    traces_ = nullptr;
   }
 
-  static const GoldenTrace& recomputed(const std::vector<GoldenTrace>& traces,
-                                       const std::string& name) {
-    for (const GoldenTrace& trace : traces) {
+  static const GoldenTrace& recomputed(const std::string& name) {
+    for (const GoldenTrace& trace : *traces_) {
       if (trace.name == name) return trace;
     }
     throw std::runtime_error("no recomputed trace named " + name);
   }
 
-  static std::vector<GoldenTrace>* compiled_;
-  static std::vector<GoldenTrace>* legacy_;
+  static std::vector<GoldenTrace>* traces_;
 };
 
-std::vector<GoldenTrace>* GoldenRegression::compiled_ = nullptr;
-std::vector<GoldenTrace>* GoldenRegression::legacy_ = nullptr;
+std::vector<GoldenTrace>* GoldenRegression::traces_ = nullptr;
 
 void expect_matches_golden(const std::string& name) {
   const GoldenTrace golden = load_golden(golden_path(name));
-  const GoldenTrace& compiled =
-      GoldenRegression::recomputed(*GoldenRegression::compiled_, name);
-  const GoldenTrace& legacy =
-      GoldenRegression::recomputed(*GoldenRegression::legacy_, name);
-
-  // Both engines must reproduce the checked-in trace...
-  for (const GoldenTrace* fresh : {&compiled, &legacy}) {
-    EXPECT_EQ(golden.columns, fresh->columns);
-    EXPECT_DOUBLE_EQ(golden.tolerance, fresh->tolerance);
-    const auto mismatch = compare_golden(golden, fresh->rows);
-    EXPECT_FALSE(mismatch.has_value()) << *mismatch;
-  }
-
-  // ...and each other, exactly (no tolerance): the compiled engine is a
-  // bitwise-identical reformulation of the legacy one.
-  ASSERT_EQ(compiled.rows.size(), legacy.rows.size());
-  for (std::size_t r = 0; r < compiled.rows.size(); ++r) {
-    ASSERT_EQ(compiled.rows[r].size(), legacy.rows[r].size());
-    for (std::size_t c = 0; c < compiled.rows[r].size(); ++c) {
-      EXPECT_EQ(compiled.rows[r][c], legacy.rows[r][c])
-          << name << " row " << r << " column " << c
-          << ": compiled and legacy engines diverged";
-    }
-  }
+  const GoldenTrace& fresh = GoldenRegression::recomputed(name);
+  EXPECT_EQ(golden.columns, fresh.columns);
+  EXPECT_DOUBLE_EQ(golden.tolerance, fresh.tolerance);
+  const auto mismatch = compare_golden(golden, fresh.rows);
+  EXPECT_FALSE(mismatch.has_value()) << *mismatch;
 }
 
 TEST_F(GoldenRegression, Counter) { expect_matches_golden("counter"); }

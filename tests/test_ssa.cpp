@@ -181,7 +181,7 @@ TEST(Ssa, InvalidOptionsThrow) {
 
 TEST(Ssa, CountSizeMismatchThrows) {
   const ReactionNetwork net = decay_network(1.0);
-  const MassActionSystem system(net);
+  const CompiledSystem system(net);
   SsaOptions options;
   EXPECT_THROW(
       (void)simulate_ssa(system, options, std::vector<std::int64_t>{1}),
