@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "async/chain.hpp"
 #include "core/network.hpp"
@@ -101,6 +102,39 @@ void BM_SsaDirect(benchmark::State& state) {
 }
 BENCHMARK(BM_SsaDirect)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
 
+// The direct method on a registry design. On delay_chain(16) (~1000
+// reactions, ~68 dependents each) a firing refreshes only its dependents,
+// so propensity evaluations per event stay far below the reaction count.
+void BM_SsaDirectScenario(benchmark::State& state, const char* spec) {
+  const scenario::ResolvedScenario resolved =
+      scenario::ScenarioRegistry::global().resolve(spec);
+  const sim::CompiledSystem system(*resolved.design.network);
+  const std::vector<std::int64_t> initial = sim::to_counts(
+      resolved.design.network->initial_state(), 200.0);
+  sim::SsaOptions options;
+  options.t_end = 5.0;
+  options.omega = 200.0;
+  options.method = sim::SsaMethod::kDirect;
+  std::uint64_t events = 0;
+  std::uint64_t evaluations = 0;
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    options.seed = seed++;
+    const sim::SsaResult result = simulate_ssa(system, options, initial);
+    events += result.events;
+    evaluations += result.propensity_evaluations;
+    benchmark::DoNotOptimize(result.final_counts.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["reactions"] = static_cast<double>(system.reaction_count());
+  state.counters["evals_per_event"] =
+      events > 0 ? static_cast<double>(evaluations) /
+                       static_cast<double>(events)
+                 : 0.0;
+}
+BENCHMARK_CAPTURE(BM_SsaDirectScenario, delay_chain_16, "delay_chain(16)")
+    ->Unit(benchmark::kMillisecond);
+
 void BM_SsaNextReaction(benchmark::State& state) {
   const core::ReactionNetwork net = chain_network(2);
   sim::SsaOptions options;
@@ -145,9 +179,10 @@ BENCHMARK(BM_CompileMovingAverage);
 
 // Multi-worker SSA ensemble through the batch runtime. Every worker count
 // runs the identical seed set (stream-derived from base_seed), so the work is
-// constant and the scaling is pure scheduling. The direct method recomputes
-// every propensity on every event, which is the propensity-bound regime the
-// compiled engine's hoisted scale factors and CSR kernels target.
+// constant and the scaling is pure scheduling. The direct method refreshes
+// the fired reaction's dependents and then re-sums and scans all R
+// propensities on every event: the regime the compiled engine's hoisted
+// scale factors, CSR kernels and dependency graph target.
 sim::SsaOptions ensemble_ssa_options() {
   sim::SsaOptions ssa;
   ssa.t_end = 10.0;

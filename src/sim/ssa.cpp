@@ -190,17 +190,20 @@ SsaResult run_direct(const CompiledEval& eval, const SsaOptions& options,
   recorder.record_initial(counts);
 
   std::vector<double> propensities(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    propensities[j] = eval.propensity(j, counts);
+  }
+  result.propensity_evaluations = m;
   double t = 0.0;
   while (t < options.t_end && result.events < options.max_events) {
     if (abort_due(options, result.events)) {
       result.aborted = true;
       break;
     }
+    // Re-summed in index order on every event, as a full recompute would:
+    // the total is then bitwise independent of which entries were refreshed.
     double total = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      propensities[j] = eval.propensity(j, counts);
-      total += propensities[j];
-    }
+    for (const double a : propensities) total += a;
     if (total <= 0.0) {
       result.exhausted = true;
       break;
@@ -211,20 +214,22 @@ SsaResult run_direct(const CompiledEval& eval, const SsaOptions& options,
       t = options.t_end;
       break;
     }
-    // Select the firing reaction proportionally to its propensity.
-    double target = rng.uniform() * total;
-    std::size_t chosen = m - 1;
-    for (std::size_t j = 0; j < m; ++j) {
-      target -= propensities[j];
-      if (target <= 0.0) {
-        chosen = j;
-        break;
-      }
-    }
+    const std::size_t chosen =
+        select_reaction(propensities, rng.uniform() * total);
     recorder.before_event(t_next, counts);
     eval.apply(chosen, counts);
     t = t_next;
     ++result.events;
+
+    // Only reactions reading a species `chosen` changed can have a new
+    // propensity; a pure-catalysis self-edge keeps its stored value.
+    const auto deps = eval.affected(chosen);
+    const bool skip_self = !eval.affects_own_reactants(chosen);
+    for (const std::uint32_t dep : deps) {
+      if (skip_self && dep == chosen) continue;
+      propensities[dep] = eval.propensity(dep, counts);
+    }
+    result.propensity_evaluations += deps.size() - (skip_self ? 1 : 0);
   }
   result.hit_event_limit =
       result.events >= options.max_events && t < options.t_end;
@@ -251,6 +256,7 @@ SsaResult run_next_reaction(const CompiledEval& eval, const SsaOptions& options,
                           ? rng.exponential(propensities[j])
                           : kInfinity;
   }
+  result.propensity_evaluations = m;
   IndexedTimeHeap heap(firing_times);
 
   double t = 0.0;
@@ -275,9 +281,11 @@ SsaResult run_next_reaction(const CompiledEval& eval, const SsaOptions& options,
     ++result.events;
 
     // Update every dependent reaction's propensity and firing time.
-    for (std::uint32_t dep : eval.affected(fired)) {
+    const auto deps = eval.affected(fired);
+    const bool skip_self = !eval.affects_own_reactants(fired);
+    for (std::uint32_t dep : deps) {
       double a_new;
-      if (dep == fired && !eval.affects_own_reactants(fired)) {
+      if (skip_self && dep == fired) {
         // Pure catalysis: firing left fired's own reactant counts untouched,
         // so its propensity is exactly the stored value — skip the recompute.
         // (It still needs a fresh exponential draw below.)
@@ -304,6 +312,7 @@ SsaResult run_next_reaction(const CompiledEval& eval, const SsaOptions& options,
       firing_times[dep] = new_time;
       heap.update(dep, new_time);
     }
+    result.propensity_evaluations += deps.size() - (skip_self ? 1 : 0);
   }
   result.hit_event_limit =
       result.events >= options.max_events && t < options.t_end;
@@ -397,6 +406,22 @@ SsaResult dispatch_method(const CompiledEval& eval, const SsaOptions& options,
 }
 
 }  // namespace
+
+std::size_t select_reaction(std::span<const double> propensities,
+                            double target) {
+  for (std::size_t j = 0; j < propensities.size(); ++j) {
+    target -= propensities[j];
+    // The positivity test matters only for a zero draw (target == 0), which
+    // would otherwise pick a leading zero-propensity reaction.
+    if (target <= 0.0 && propensities[j] > 0.0) return j;
+  }
+  // Rounding in the sequential subtraction can leave target a few ulps above
+  // zero after the full scan.
+  for (std::size_t j = propensities.size(); j-- > 0;) {
+    if (propensities[j] > 0.0) return j;
+  }
+  throw std::logic_error("select_reaction: no positive propensity");
+}
 
 std::vector<std::int64_t> to_counts(std::span<const double> concentrations,
                                     double omega) {

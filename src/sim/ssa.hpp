@@ -3,7 +3,12 @@
 // The paper validates its designs with deterministic ODE simulation, which is
 // the infinite-population limit of the chemistry. Real molecular systems have
 // finite counts; these simulators reproduce that regime exactly:
-//  * kDirect       — Gillespie's direct method.
+//  * kDirect       — Gillespie's direct method. Propensities are evaluated
+//                    once up front; after each firing only the fired
+//                    reaction's dependents (the CSR dependency graph) are
+//                    re-evaluated. The total is still re-summed and the
+//                    selection still scanned in index order on every event,
+//                    so results are bitwise those of recomputing everything.
 //  * kNextReaction — Gibson & Bruck's next-reaction method with a dependency
 //                    graph and an indexed priority queue; asymptotically
 //                    faster for networks where each firing touches few
@@ -70,6 +75,11 @@ struct SsaResult {
   bool aborted = false;  ///< SsaOptions::abort requested an early stop
   double end_time = 0.0;
   std::vector<std::int64_t> final_counts;
+  /// Deterministic work counter: propensity evaluations performed by the
+  /// direct and next-reaction methods, R up front plus the dependents
+  /// refreshed per event (less the skipped pure-catalysis self-edges).
+  /// Tau-leaping leaves it 0.
+  std::uint64_t propensity_evaluations = 0;
 };
 
 /// Runs one stochastic realization starting from counts derived from
@@ -86,6 +96,14 @@ struct SsaResult {
 [[nodiscard]] SsaResult simulate_ssa(const CompiledSystem& system,
                                      const SsaOptions& options,
                                      std::vector<std::int64_t> initial_counts);
+
+/// Direct-method selection: the first reaction at which the running sum of
+/// `propensities` reaches `target` (a uniform draw times their sequential
+/// sum). A reaction with zero propensity is never chosen: when rounding
+/// leaves `target` above zero after the full scan, the last reaction with
+/// positive propensity fires. At least one propensity must be positive.
+[[nodiscard]] std::size_t select_reaction(std::span<const double> propensities,
+                                          double target);
 
 /// Converts concentrations to integer counts at volume omega.
 [[nodiscard]] std::vector<std::int64_t> to_counts(

@@ -12,6 +12,8 @@
 //     mass-action formulas (flux, rhs, propensity, apply);
 //   * the next-reaction stale-propensity skip, regressed against an in-test
 //     reference NRM that always recomputes (identical RNG draw order);
+//   * the incremental direct method, regressed bitwise against an in-test
+//     copy of the full-recompute loop, and its propensity-evaluation count;
 //   * a shared CompiledSystem across an ensemble gives the same bits at any
 //     worker count as compiling per replicate.
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -398,33 +401,69 @@ TEST(CompiledSystem, PointwiseBitwiseOnBuiltins) {
 }
 
 // ---------------------------------------------------------------------------
-// The next-reaction stale-propensity skip, against an always-recompute
-// reference with the identical RNG draw order.
+// In-test SSA references: straightforward reimplementations with the same RNG
+// draw order as the production loops, minus their shortcuts. `fired_log`,
+// when given, receives the index of every reaction fired, in order.
 
-SsaResult reference_nrm_always_recompute(const CompiledSystem& system,
-                                         const SsaOptions& options,
-                                         std::vector<std::int64_t> counts) {
+/// Zero-order-hold sampler with the production recorder's grid semantics.
+class ReferenceRecorder {
+ public:
+  ReferenceRecorder(const SsaOptions& options, std::size_t species_count)
+      : options_(options), scratch_(species_count), trajectory_(species_count) {}
+
+  void record_initial(std::span<const std::int64_t> counts) {
+    sample(0.0, counts);
+    next_sample_ = options_.record_interval;
+  }
+  void before_event(double t_event, std::span<const std::int64_t> counts) {
+    while (next_sample_ < t_event && next_sample_ <= options_.t_end) {
+      sample(next_sample_, counts);
+      next_sample_ += options_.record_interval;
+    }
+  }
+  Trajectory finish(double t_final, std::span<const std::int64_t> counts) {
+    before_event(t_final, counts);
+    sample(t_final, counts);
+    return std::move(trajectory_);
+  }
+
+ private:
+  void sample(double t, std::span<const std::int64_t> counts) {
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      scratch_[i] = static_cast<double>(counts[i]) / options_.omega;
+    }
+    trajectory_.append(t, scratch_);
+  }
+
+  const SsaOptions& options_;
+  std::vector<double> scratch_;
+  Trajectory trajectory_;
+  double next_sample_ = 0.0;
+};
+
+/// Propensity evaluations the production direct method and NRM perform for
+/// a given firing sequence: R up front, then each fired reaction's
+/// dependents, less the pure-catalysis self-edge.
+std::uint64_t expected_dependent_evaluations(
+    const CompiledSystem& system, const std::vector<std::uint32_t>& fired) {
+  std::uint64_t evaluations = system.reaction_count();
+  for (const std::uint32_t j : fired) {
+    evaluations += system.affected_reactions(j).size();
+    if (!system.affects_own_reactants(j)) --evaluations;
+  }
+  return evaluations;
+}
+
+SsaResult reference_nrm_always_recompute(
+    const CompiledSystem& system, const SsaOptions& options,
+    std::vector<std::int64_t> counts,
+    std::vector<std::uint32_t>* fired_log = nullptr) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   util::Rng rng(options.seed);
   const std::size_t m = system.reaction_count();
   SsaResult result;
-  Trajectory trajectory(system.species_count());
-  std::vector<double> scratch(system.species_count());
-  double next_sample = 0.0;
-  auto sample = [&](double t) {
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      scratch[i] = static_cast<double>(counts[i]) / options.omega;
-    }
-    trajectory.append(t, scratch);
-  };
-  auto before_event = [&](double t_event) {
-    while (next_sample < t_event && next_sample <= options.t_end) {
-      sample(next_sample);
-      next_sample += options.record_interval;
-    }
-  };
-  sample(0.0);
-  next_sample = options.record_interval;
+  ReferenceRecorder recorder(options, system.species_count());
+  recorder.record_initial(counts);
 
   std::vector<double> propensities(m);
   std::vector<double> firing_times(m);
@@ -452,10 +491,11 @@ SsaResult reference_nrm_always_recompute(const CompiledSystem& system,
       t = options.t_end;
       break;
     }
-    before_event(t_next);
+    recorder.before_event(t_next, counts);
     system.apply(fired, counts);
     t = t_next;
     ++result.events;
+    if (fired_log) fired_log->push_back(static_cast<std::uint32_t>(fired));
     for (const std::uint32_t dep : system.affected_reactions(fired)) {
       // The production loop skips this recompute for pure catalysis; the
       // reference never does. RNG consumption is identical either way.
@@ -481,9 +521,61 @@ SsaResult reference_nrm_always_recompute(const CompiledSystem& system,
   result.hit_event_limit =
       result.events >= options.max_events && t < options.t_end;
   result.end_time = std::min(t, options.t_end);
-  before_event(result.end_time);
-  sample(result.end_time);
-  result.trajectory = std::move(trajectory);
+  result.trajectory = recorder.finish(result.end_time, counts);
+  result.final_counts = std::move(counts);
+  return result;
+}
+
+/// The direct method as it was before it became incremental: every
+/// propensity re-evaluated on every event, then summed and scanned.
+SsaResult reference_direct_full_recompute(
+    const CompiledSystem& system, const SsaOptions& options,
+    std::vector<std::int64_t> counts,
+    std::vector<std::uint32_t>* fired_log = nullptr) {
+  util::Rng rng(options.seed);
+  const std::size_t m = system.reaction_count();
+  std::vector<double> scaled(m);
+  system.scaled_rates(options.omega, scaled);
+  SsaResult result;
+  ReferenceRecorder recorder(options, system.species_count());
+  recorder.record_initial(counts);
+  const std::uint64_t abort_stride =
+      std::max<std::uint64_t>(options.abort_check_events, 1);
+
+  std::vector<double> propensities(m);
+  double t = 0.0;
+  while (t < options.t_end && result.events < options.max_events) {
+    if (options.abort && result.events % abort_stride == 0 &&
+        options.abort()) {
+      result.aborted = true;
+      break;
+    }
+    double total = 0.0;
+    for (std::size_t j = 0; j < m; ++j) {
+      propensities[j] = system.propensity_scaled(j, counts, scaled[j]);
+      total += propensities[j];
+    }
+    if (total <= 0.0) {
+      result.exhausted = true;
+      break;
+    }
+    const double t_next = t + rng.exponential(total);
+    if (t_next > options.t_end) {
+      t = options.t_end;
+      break;
+    }
+    const std::size_t chosen =
+        select_reaction(propensities, rng.uniform() * total);
+    recorder.before_event(t_next, counts);
+    system.apply(chosen, counts);
+    t = t_next;
+    ++result.events;
+    if (fired_log) fired_log->push_back(static_cast<std::uint32_t>(chosen));
+  }
+  result.hit_event_limit =
+      result.events >= options.max_events && t < options.t_end;
+  result.end_time = std::min(t, options.t_end);
+  result.trajectory = recorder.finish(result.end_time, counts);
   result.final_counts = std::move(counts);
   return result;
 }
@@ -503,9 +595,20 @@ void expect_trajectories_bitwise(const Trajectory& a, const Trajectory& b,
   }
 }
 
-TEST(NextReactionStaleSkip, MatchesAlwaysRecomputeReference) {
-  // Catalysis-heavy fixture: the first two reactions leave their own
-  // reactant counts untouched, so the skip path fires on most events.
+void expect_runs_bitwise(const SsaResult& run, const SsaResult& reference,
+                         const std::string& context) {
+  EXPECT_EQ(run.events, reference.events) << context;
+  EXPECT_EQ(run.end_time, reference.end_time) << context;
+  EXPECT_EQ(run.exhausted, reference.exhausted) << context;
+  EXPECT_EQ(run.hit_event_limit, reference.hit_event_limit) << context;
+  EXPECT_EQ(run.aborted, reference.aborted) << context;
+  ASSERT_EQ(run.final_counts, reference.final_counts) << context;
+  expect_trajectories_bitwise(run.trajectory, reference.trajectory, context);
+}
+
+// Catalysis-heavy fixture: the first two reactions leave their own reactant
+// counts untouched, so the pure-catalysis skips fire on most events.
+ReactionNetwork catalysis_network() {
   ReactionNetwork net;
   NetworkBuilder b(net);
   b.reaction("C -> C + A", 4.0);
@@ -516,7 +619,11 @@ TEST(NextReactionStaleSkip, MatchesAlwaysRecomputeReference) {
   net.set_initial(*net.find_species("C"), 1.0);
   net.set_initial(*net.find_species("D"), 1.0);
   net.set_initial(*net.find_species("A"), 0.5);
+  return net;
+}
 
+TEST(NextReactionStaleSkip, MatchesAlwaysRecomputeReference) {
+  const ReactionNetwork net = catalysis_network();
   SsaOptions options;
   options.method = SsaMethod::kNextReaction;
   options.t_end = 2.0;
@@ -533,18 +640,166 @@ TEST(NextReactionStaleSkip, MatchesAlwaysRecomputeReference) {
 
   for (const std::uint64_t seed : {1ull, 9ull, 42ull}) {
     options.seed = seed;
+    std::vector<std::uint32_t> fired;
     const SsaResult reference = reference_nrm_always_recompute(
-        system, options, to_counts(net.initial_state(), options.omega));
+        system, options, to_counts(net.initial_state(), options.omega),
+        &fired);
     ASSERT_GT(reference.events, 100u) << "fixture too quiet to regress";
     const SsaResult run = simulate_ssa(net, options);
     const std::string context = "seed " + std::to_string(seed);
-    EXPECT_EQ(run.events, reference.events) << context;
-    EXPECT_EQ(run.exhausted, reference.exhausted) << context;
-    EXPECT_EQ(run.end_time, reference.end_time) << context;
-    ASSERT_EQ(run.final_counts, reference.final_counts) << context;
-    expect_trajectories_bitwise(run.trajectory, reference.trajectory,
-                                context);
+    expect_runs_bitwise(run, reference, context);
+    EXPECT_EQ(run.propensity_evaluations,
+              expected_dependent_evaluations(system, fired))
+        << context;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The incremental direct method refreshes only the fired reaction's
+// dependents. Every propensity is a pure function of its reactant counts and
+// the total is still re-summed in index order, so it must reproduce the
+// full-recompute loop bit for bit: same RNG draws, same selections.
+
+struct DirectCase {
+  std::string name;
+  ReactionNetwork network;
+};
+
+std::vector<DirectCase> direct_cases() {
+  std::vector<DirectCase> cases;
+  for (const std::string& name : kBuiltinDesigns) {
+    cases.push_back({name, builtin_network(name)});
+  }
+  for (const char* spec : {"cascade(4)", "delay_chain(16)"}) {
+    cases.push_back({spec, builtin_network(spec)});
+  }
+  cases.push_back({"catalysis", catalysis_network()});
+  const std::vector<verify::CaseKind> kinds = {
+      verify::CaseKind::kRawNetwork, verify::CaseKind::kSyncCircuit,
+      verify::CaseKind::kDualRailCircuit, verify::CaseKind::kFsm,
+      verify::CaseKind::kCounter};
+  for (const verify::CaseKind kind : kinds) {
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+      cases.push_back({std::string(verify::to_string(kind)) + " seed " +
+                           std::to_string(seed),
+                       verify::generate_case(kind, seed).network()});
+    }
+  }
+  return cases;
+}
+
+SsaOptions direct_options() {
+  SsaOptions options;
+  options.method = SsaMethod::kDirect;
+  options.t_end = 10.0;
+  options.omega = 200.0;
+  options.record_interval = 0.1;
+  options.max_events = 100'000;
+  return options;
+}
+
+/// Runs production and reference on one case and compares them bitwise;
+/// returns the reference run.
+SsaResult expect_direct_matches_reference(const DirectCase& c,
+                                          const SsaOptions& options,
+                                          const std::string& context) {
+  const CompiledSystem system(c.network);
+  const std::vector<std::int64_t> initial =
+      to_counts(c.network.initial_state(), options.omega);
+  std::vector<std::uint32_t> fired;
+  SsaResult reference =
+      reference_direct_full_recompute(system, options, initial, &fired);
+  const SsaResult run = simulate_ssa(system, options, initial);
+  expect_runs_bitwise(run, reference, context);
+  EXPECT_EQ(run.propensity_evaluations,
+            expected_dependent_evaluations(system, fired))
+      << context;
+  return reference;
+}
+
+TEST(DirectIncremental, MatchesFullRecomputeReference) {
+  const std::vector<DirectCase> cases = direct_cases();
+  ASSERT_EQ(cases.size(), kBuiltinDesigns.size() + 3 + 50);
+  SsaOptions options = direct_options();
+  std::uint64_t total_events = 0;
+  std::size_t exhausted = 0;
+  for (const DirectCase& c : cases) {
+    for (const std::uint64_t seed : {1ull, 7ull, 23ull}) {
+      options.seed = seed;
+      const SsaResult reference = expect_direct_matches_reference(
+          c, options, c.name + " seed " + std::to_string(seed));
+      total_events += reference.events;
+      if (reference.exhausted) ++exhausted;
+    }
+  }
+  EXPECT_GT(total_events, 1'000'000u) << "cases too quiet to regress";
+  EXPECT_GT(exhausted, 0u) << "the exhaustion exit must be taken too";
+}
+
+TEST(DirectIncremental, MatchesFullRecomputeReferenceAtEventLimit) {
+  SsaOptions options = direct_options();
+  options.max_events = 300;
+  std::size_t limited = 0;
+  for (const DirectCase& c : direct_cases()) {
+    for (const std::uint64_t seed : {3ull, 11ull}) {
+      options.seed = seed;
+      const SsaResult reference = expect_direct_matches_reference(
+          c, options, c.name + " seed " + std::to_string(seed));
+      if (reference.hit_event_limit) ++limited;
+    }
+  }
+  EXPECT_GT(limited, 10u) << "the event limit must actually be reached";
+}
+
+TEST(DirectIncremental, MatchesFullRecomputeReferenceOnAbort) {
+  SsaOptions options = direct_options();
+  options.abort_check_events = 16;
+  std::size_t aborted = 0;
+  for (const DirectCase& c : direct_cases()) {
+    for (const std::uint64_t seed : {5ull, 13ull}) {
+      options.seed = seed;
+      const std::string context = c.name + " seed " + std::to_string(seed);
+      // Each run polls a fresh hook; the fifth poll (event 64) stops it.
+      auto fresh_hook = [] {
+        return [polls = 0]() mutable { return ++polls >= 5; };
+      };
+      options.abort = fresh_hook();
+      const CompiledSystem system(c.network);
+      const std::vector<std::int64_t> initial =
+          to_counts(c.network.initial_state(), options.omega);
+      const SsaResult reference =
+          reference_direct_full_recompute(system, options, initial);
+      options.abort = fresh_hook();
+      const SsaResult run = simulate_ssa(system, options, initial);
+      expect_runs_bitwise(run, reference, context);
+      if (reference.aborted) {
+        EXPECT_EQ(reference.events, 64u) << context;
+        ++aborted;
+      }
+    }
+  }
+  EXPECT_GT(aborted, 10u) << "the abort exit must actually be taken";
+}
+
+TEST(DirectIncremental, CountsOnlyDependentRefreshes) {
+  // delay_chain(16): ~68 dependents per reaction out of ~1000, so refreshing
+  // dependents must cost a small fraction of re-evaluating all R per event.
+  const ReactionNetwork net = builtin_network("delay_chain(16)");
+  const CompiledSystem system(net);
+  const std::size_t m = system.reaction_count();
+  SsaOptions options = direct_options();
+  options.t_end = 5.0;
+  const std::vector<std::int64_t> initial =
+      to_counts(net.initial_state(), options.omega);
+  std::vector<std::uint32_t> fired;
+  const SsaResult reference =
+      reference_direct_full_recompute(system, options, initial, &fired);
+  const SsaResult run = simulate_ssa(system, options, initial);
+  ASSERT_GT(run.events, 1000u);
+  ASSERT_EQ(run.events, reference.events);
+  EXPECT_EQ(run.propensity_evaluations,
+            expected_dependent_evaluations(system, fired));
+  EXPECT_LT(run.propensity_evaluations, run.events * m / 10);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/builder.hpp"
 
@@ -167,6 +168,36 @@ TEST(Ssa, ZeroOrderSourceMean) {
   }
   // Expected count: 2 * 3 * omega = 600; Poisson sd ~ 24.5, stderr ~ 4.
   EXPECT_NEAR(total / kRuns, 600.0, 15.0);
+}
+
+TEST(DirectSelection, ScansToFirstReactionReachingTarget) {
+  const std::vector<double> a = {1.0, 2.0, 3.0};
+  EXPECT_EQ(select_reaction(a, 0.5), 0u);
+  EXPECT_EQ(select_reaction(a, 1.0), 0u);
+  EXPECT_EQ(select_reaction(a, 1.5), 1u);
+  EXPECT_EQ(select_reaction(a, 6.0), 2u);
+}
+
+TEST(DirectSelection, ZeroDrawSkipsLeadingZeroPropensities) {
+  const std::vector<double> a = {0.0, 0.0, 2.0, 3.0};
+  EXPECT_EQ(select_reaction(a, 0.0), 2u);
+}
+
+TEST(DirectSelection, RoundingResidualNeverFiresZeroPropensity) {
+  // The largest uniform draw, 1 - 2^-53, times this sequential sum leaves
+  // +2.3e-18 after subtracting every propensity in turn. The scan then ends
+  // without reaching the target, and the last reaction (propensity 0) must
+  // not fire: the last positive one does.
+  const std::vector<double> a = {0.00032368783653411804, 0.07179676476832639,
+                                 0.053929534852059736,  0.11309537029019168,
+                                 0.00020391405043667976, 0.0};
+  double total = 0.0;
+  for (const double v : a) total += v;
+  const double target = (1.0 - 0x1p-53) * total;
+  double residual = target;
+  for (const double v : a) residual -= v;
+  ASSERT_GT(residual, 0.0) << "fixture no longer leaves a residual";
+  EXPECT_EQ(select_reaction(a, target), 4u);
 }
 
 TEST(Ssa, InvalidOptionsThrow) {
