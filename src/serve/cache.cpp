@@ -4,55 +4,18 @@ namespace mrsc::serve {
 
 std::optional<std::string> ResultCache::get(const std::string& key) {
   std::lock_guard lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->value;
+  if (const std::string* value = lru_.get(key)) return *value;
+  return std::nullopt;
 }
 
 void ResultCache::put(const std::string& key, const std::string& value) {
-  if (capacity_entries_ == 0 || value.size() > capacity_bytes_) return;
   std::lock_guard lock(mutex_);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    bytes_ -= it->second->value.size();
-    bytes_ += value.size();
-    it->second->value = value;
-    lru_.splice(lru_.begin(), lru_, it->second);
-  } else {
-    lru_.push_front(Entry{key, value});
-    index_[key] = lru_.begin();
-    bytes_ += value.size();
-  }
-  evict_locked();
-}
-
-void ResultCache::evict_locked() {
-  while (!lru_.empty() &&
-         (lru_.size() > capacity_entries_ || bytes_ > capacity_bytes_)) {
-    const Entry& victim = lru_.back();
-    bytes_ -= victim.value.size();
-    index_.erase(victim.key);
-    lru_.pop_back();
-    ++evictions_;
-  }
+  (void)lru_.put(key, value, value.size());
 }
 
 CacheStats ResultCache::stats() const {
   std::lock_guard lock(mutex_);
-  CacheStats stats;
-  stats.hits = hits_;
-  stats.misses = misses_;
-  stats.evictions = evictions_;
-  stats.entries = lru_.size();
-  stats.bytes = bytes_;
-  stats.capacity_entries = capacity_entries_;
-  stats.capacity_bytes = capacity_bytes_;
-  return stats;
+  return lru_.stats();
 }
 
 }  // namespace mrsc::serve

@@ -1,18 +1,18 @@
 #include "serve/dispatcher.hpp"
 
 #include <chrono>
-#include <cmath>
+#include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <thread>
 
-#include "compile/passes.hpp"
 #include "core/network.hpp"
 #include "lint/lint.hpp"
 #include "runtime/batch.hpp"
 #include "scenario/registry.hpp"
+#include "serve/design_cache.hpp"
 #include "stress/campaign.hpp"
-#include "tools/builtin_designs.hpp"
 #include "verify/verify.hpp"
 
 namespace mrsc::serve {
@@ -35,11 +35,9 @@ constexpr std::size_t kMaxStressIntensities = 8;
 
 std::uint64_t u64_field(const json::Value& v, const std::string& key,
                         std::uint64_t fallback) {
-  const double raw = v.get_number(key, static_cast<double>(fallback));
-  if (raw < 0.0 || raw != std::floor(raw) || raw > 1.8e19) {
-    reject("field '" + key + "' must be a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(raw);
+  const std::optional<std::uint64_t> value = v.get_u64(key, fallback);
+  if (!value) reject("field '" + key + "' must be a non-negative integer");
+  return *value;
 }
 
 std::vector<std::string> split_commas(const std::string& text) {
@@ -315,16 +313,22 @@ std::string payload_header(const JobRequest& request) {
          "\",\"key\":" + quote(canonical_key(request)) + ",\"result\":";
 }
 
+std::shared_ptr<const CompiledDesign> design_for(const JobRequest& request,
+                                                const DispatchHooks& hooks) {
+  if (hooks.designs != nullptr) {
+    return hooks.designs->get(request.design, request.opt);
+  }
+  return std::make_shared<const CompiledDesign>(request.design, request.opt);
+}
+
 DispatchResult run_sim(const JobRequest& request,
                        const DispatchHooks& hooks) {
-  compile::CompileOptions options;
-  options.opt =
-      request.opt == 1 ? compile::OptLevel::kO1 : compile::OptLevel::kO0;
-  const tools::BuiltDesign design =
-      tools::build_design(request.design, options);
+  const std::shared_ptr<const CompiledDesign> design =
+      design_for(request, hooks);
 
   runtime::SimJob job;
-  job.network = design.network;
+  job.network = design->built.network;
+  job.compiled = &design->system;
   if (is_ode_method(request.method)) {
     job.kind = runtime::SimKind::kOde;
     job.ode.t_end = request.t_end;
@@ -353,7 +357,8 @@ DispatchResult run_sim(const JobRequest& request,
 
   runtime::BatchOptions batch;
   batch.threads = 1;
-  batch.timeout_seconds = request.deadline_s;
+  batch.timeout_seconds =
+      request.deadline_s > 0.0 ? request.deadline_s : kMaxDeadline;
   runtime::BatchRunner runner(batch);
   const RunnerScope scope(hooks, &runner);
   if (hooks.cancelled && hooks.cancelled()) {
@@ -380,7 +385,7 @@ DispatchResult run_sim(const JobRequest& request,
   out += ",\"ssa_events\":" + std::to_string(result.ssa_events);
   out += ",\"ode_steps\":" + std::to_string(result.ode_steps);
   out += ",\"final\":{";
-  const core::ReactionNetwork& network = *design.network;
+  const core::ReactionNetwork& network = *design->built.network;
   for (std::size_t i = 0; i < result.final_state.size(); ++i) {
     if (i != 0) out += ',';
     const core::SpeciesId id{
@@ -440,15 +445,11 @@ DispatchResult run_lint_job(const JobRequest& request,
   if (hooks.cancelled && hooks.cancelled()) {
     return {error_response("cancelled: server shutting down"), false, false};
   }
-  compile::CompileOptions options;
-  options.opt =
-      request.opt == 1 ? compile::OptLevel::kO1 : compile::OptLevel::kO0;
-  const tools::BuiltDesign design =
-      tools::build_design(request.design, options);
-  lint::LintInput input =
-      lint::LintInput::from_design(*design.network, design.info,
-                                   request.design);
-  input.composition = design.composition.get();
+  const std::shared_ptr<const CompiledDesign> design =
+      design_for(request, hooks);
+  lint::LintInput input = lint::LintInput::from_design(
+      *design->built.network, design->built.info, request.design);
+  input.composition = design->built.composition.get();
   lint::LintOptions lint_options;
   lint_options.checks = split_commas(request.checks);
   const lint::LintReport report = lint::run_lint(input, lint_options);

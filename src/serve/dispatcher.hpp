@@ -27,6 +27,8 @@ class BatchRunner;
 
 namespace mrsc::serve {
 
+class DesignCache;
+
 enum class JobKind : std::uint8_t { kSim, kVerify, kLint, kStress, kSleep };
 
 [[nodiscard]] const char* to_string(JobKind kind);
@@ -68,8 +70,9 @@ struct JobRequest {
   // sleep
   double sleep_ms = 0.0;
 
-  /// Per-job deadline in seconds (0 disables). Deliberately *not* part of
-  /// the canonical key: it changes whether a job completes, never what a
+  /// Per-job deadline in seconds; 0 means the server maximum (600 s), so
+  /// no request can hold a worker unbounded. Deliberately *not* part of the
+  /// canonical key: it changes whether a job completes, never what a
   /// completed job returns.
   double deadline_s = 30.0;
 };
@@ -97,6 +100,10 @@ struct DispatchHooks {
   /// Interruptible wait for sleep jobs; returns true when woken early by
   /// shutdown. Null falls back to an uninterruptible wait.
   std::function<bool(double ms)> sleep_wait;
+  /// The server's compiled-design cache (design_cache.hpp), the only
+  /// source of sim and lint designs. Null builds a private entry per job
+  /// through the same CompiledDesign constructor.
+  DesignCache* designs = nullptr;
 };
 
 struct DispatchResult {

@@ -1,5 +1,6 @@
 #include "serve/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -123,6 +124,13 @@ struct Parser {
       pos = start;
       fail("bad number '" + token + "'");
     }
+    // Keep plain non-negative integer literals exact as well: from_chars
+    // accepts digits only and fails on anything above 2^64 - 1.
+    std::uint64_t exact = 0;
+    const char* first = token.data();
+    const char* last = first + token.size();
+    const auto [ptr, ec] = std::from_chars(first, last, exact);
+    if (ec == std::errc() && ptr == last) return Value(value, exact);
     return Value(value);
   }
 
@@ -210,6 +218,23 @@ double Value::get_number(const std::string& key, double fallback) const {
     throw std::invalid_argument("field '" + key + "' must be a number");
   }
   return v->as_number();
+}
+
+std::optional<std::uint64_t> Value::get_u64(const std::string& key,
+                                           std::uint64_t fallback) const {
+  const Value* v = find(key);
+  if (v == nullptr || v->is_null()) return fallback;
+  if (v->type() != Type::kNumber) {
+    throw std::invalid_argument("field '" + key + "' must be a number");
+  }
+  if (v->exact_) return v->exact_;
+  // Other spellings ("1e3", "5.0") still count when the value is integral;
+  // 2^64 itself is the first double out of range.
+  const double raw = v->number_;
+  if (raw < 0.0 || raw != std::floor(raw) || raw >= 0x1p64) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(raw);
 }
 
 bool Value::get_bool(const std::string& key, bool fallback) const {

@@ -35,6 +35,10 @@ class Value {
   Value() = default;
   explicit Value(bool b) : type_(Type::kBool), bool_(b) {}
   explicit Value(double n) : type_(Type::kNumber), number_(n) {}
+  /// A number literal spelled as a non-negative integer that fits in 64
+  /// bits: `n` is its (possibly rounded) double, `exact` its exact value.
+  Value(double n, std::uint64_t exact)
+      : type_(Type::kNumber), number_(n), exact_(exact) {}
   explicit Value(std::string s) : type_(Type::kString), string_(std::move(s)) {}
 
   [[nodiscard]] Type type() const { return type_; }
@@ -61,6 +65,11 @@ class Value {
   [[nodiscard]] double get_number(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
+  /// Non-negative integer field, exact over the whole uint64 range (a
+  /// double carries only 53 bits, so seeds must not travel through one).
+  /// nullopt when the number is negative, fractional or above 2^64 - 1.
+  [[nodiscard]] std::optional<std::uint64_t> get_u64(
+      const std::string& key, std::uint64_t fallback) const;
 
   // Mutating builders (parser + tests).
   void make_array() { type_ = Type::kArray; }
@@ -82,6 +91,7 @@ class Value {
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
+  std::optional<std::uint64_t> exact_;  ///< integer literals only
   std::string string_;
   std::vector<Value> array_;
   std::vector<Member> members_;

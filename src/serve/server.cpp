@@ -25,6 +25,7 @@ Server::Server(ServerOptions options)
   if (options_.workers == 0) {
     options_.workers = runtime::ThreadPool::default_worker_count();
   }
+  hooks_.designs = &designs_;
   hooks_.cancelled = [this] { return stopping_.load(); };
   hooks_.runner_started = [this](runtime::BatchRunner* runner) {
     std::lock_guard lock(runners_mutex_);
@@ -271,6 +272,13 @@ std::string Server::stats_payload() const {
   out += ",\"bytes\":" + std::to_string(cache.bytes);
   out += ",\"capacity_entries\":" + std::to_string(cache.capacity_entries);
   out += ",\"hit_rate\":" + json::number_to_string(cache.hit_rate());
+  const CacheStats designs = designs_.stats();
+  out += "},\"designs\":{";
+  out += "\"hits\":" + std::to_string(designs.hits);
+  out += ",\"misses\":" + std::to_string(designs.misses);
+  out += ",\"evictions\":" + std::to_string(designs.evictions);
+  out += ",\"entries\":" + std::to_string(designs.entries);
+  out += ",\"bytes\":" + std::to_string(designs.bytes);
   out += "},";
   out += stats_.to_json();
   out += '}';

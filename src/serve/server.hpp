@@ -29,6 +29,7 @@
 
 #include "runtime/thread_pool.hpp"
 #include "serve/cache.hpp"
+#include "serve/design_cache.hpp"
 #include "serve/dispatcher.hpp"
 #include "serve/protocol.hpp"
 #include "serve/stats.hpp"
@@ -98,6 +99,8 @@ class Server {
   ServerOptions options_;
   std::unique_ptr<runtime::ThreadPool> pool_;
   ResultCache cache_;
+  /// Compiled designs shared by every sim/lint job; reached through hooks_.
+  DesignCache designs_;
   ServerStats stats_;
   DispatchHooks hooks_;
 

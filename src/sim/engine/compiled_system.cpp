@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 namespace mrsc::sim {
@@ -154,6 +155,19 @@ CompiledSystem::CompiledSystem(const core::ReactionNetwork& network)
   std::vector<std::uint32_t> fill(dep_offsets_.begin(), dep_offsets_.end() - 1);
   for_each_edge(
       [&](std::uint32_t j, std::uint32_t k) { dep_reactions_[fill[j]++] = k; });
+}
+
+std::size_t CompiledSystem::footprint_bytes() const {
+  const auto bytes = [](const auto& v) {
+    using Element = typename std::decay_t<decltype(v)>::value_type;
+    return v.capacity() * sizeof(Element);
+  };
+  return bytes(rates_) + bytes(orders_) + bytes(kernels_) +
+         bytes(affects_own_) + bytes(reactant_offsets_) +
+         bytes(reactant_species_) + bytes(reactant_stoich_) +
+         bytes(net_offsets_) + bytes(net_species_) + bytes(net_delta_) +
+         bytes(dep_offsets_) + bytes(dep_reactions_) +
+         bytes(species_dep_offsets_) + bytes(species_dep_reactions_);
 }
 
 double CompiledSystem::flux(std::size_t j, std::span<const double> x) const {

@@ -148,6 +148,11 @@ class CompiledSystem {
   /// Applies one firing of reaction j to integer counts n.
   void apply(std::size_t j, std::span<std::int64_t> n) const;
 
+  /// Heap bytes held by the compiled arrays (vector capacities); what a
+  /// cache of compiled systems charges against its byte budget. The
+  /// dependency graph dominates on large designs.
+  [[nodiscard]] std::size_t footprint_bytes() const;
+
  private:
   std::size_t species_count_ = 0;
 

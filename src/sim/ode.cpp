@@ -11,10 +11,16 @@ namespace mrsc::sim {
 
 namespace {
 
-void clamp_nonnegative(std::span<double> x) {
+/// Returns whether any value was clamped.
+bool clamp_nonnegative(std::span<double> x) {
+  bool clamped = false;
   for (double& v : x) {
-    if (v < 0.0) v = 0.0;
+    if (v < 0.0) {
+      v = 0.0;
+      clamped = true;
+    }
   }
+  return clamped;
 }
 
 bool has_non_finite(std::span<const double> x) {
@@ -35,7 +41,7 @@ class RunContext {
 
   /// Processes an accepted step; returns false if the run should stop.
   bool accept(double t, std::span<double> state) {
-    clamp_nonnegative(state);
+    state_unchanged_ = !clamp_nonnegative(state) && observers_.empty();
     for (Observer* obs : observers_) obs->on_step(t, state);
     clamp_nonnegative(state);  // observers may inject/clear
     if (options_.record_interval <= 0.0 || t >= next_record_) {
@@ -71,6 +77,9 @@ class RunContext {
     }
   }
 
+  /// True when the last accept() left every state bit as the stepper
+  /// produced it: nothing was clamped and no observer could have written.
+  [[nodiscard]] bool state_unchanged() const { return state_unchanged_; }
   [[nodiscard]] bool stopped_by_observer() const { return stopped_; }
   [[nodiscard]] bool aborted() const { return aborted_; }
   [[nodiscard]] Trajectory take_trajectory() { return std::move(trajectory_); }
@@ -80,6 +89,7 @@ class RunContext {
   std::span<Observer* const> observers_;
   Trajectory trajectory_;
   double next_record_ = 0.0;
+  bool state_unchanged_ = false;
   bool stopped_ = false;
   bool aborted_ = false;
 };
@@ -109,6 +119,7 @@ OdeResult run_rk4(const CompiledSystem& system, const OdeOptions& options,
     system.rhs(tmp, k3);
     for (std::size_t i = 0; i < n; ++i) tmp[i] = x[i] + h * k3[i];
     system.rhs(tmp, k4);
+    result.rhs_evaluations += 4;
     for (std::size_t i = 0; i < n; ++i) {
       x_new[i] = x[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
     }
@@ -163,12 +174,20 @@ OdeResult run_dp45(const CompiledSystem& system, const OdeOptions& options,
   std::vector<double> x_new(n);
   double t = 0.0;
   double h = std::min(options.dt, options.t_end);
+  // First same as last: k7 = f(x_new) is the next step's k1 whenever the
+  // step is accepted and accept() leaves x_new bit-for-bit as computed; a
+  // rejected step leaves x, and so k1, unchanged. Each RHS is a pure
+  // function of its input, so reuse changes no result bit.
+  bool k1_is_f_of_x = false;
 
   while (t < options.t_end && result.steps_accepted < options.max_steps) {
     h = std::clamp(h, options.min_step, options.max_step);
     h = std::min(h, options.t_end - t);
 
-    system.rhs(x, k1);
+    if (!k1_is_f_of_x) {
+      system.rhs(x, k1);
+      ++result.rhs_evaluations;
+    }
     for (std::size_t i = 0; i < n; ++i) tmp[i] = x[i] + h * kA21 * k1[i];
     system.rhs(tmp, k2);
     for (std::size_t i = 0; i < n; ++i) {
@@ -189,6 +208,7 @@ OdeResult run_dp45(const CompiledSystem& system, const OdeOptions& options,
                            kA64 * k4[i] + kA65 * k5[i]);
     }
     system.rhs(tmp, k6);
+    result.rhs_evaluations += 5;
     for (std::size_t i = 0; i < n; ++i) {
       x_new[i] = x[i] + h * (kB1 * k1[i] + kB3 * k3[i] + kB4 * k4[i] +
                              kB5 * k5[i] + kB6 * k6[i]);
@@ -198,6 +218,7 @@ OdeResult run_dp45(const CompiledSystem& system, const OdeOptions& options,
       break;  // x still holds the last finite state
     }
     system.rhs(x_new, k7);
+    ++result.rhs_evaluations;
 
     // Weighted RMS error of the embedded 4th/5th order difference.
     double err_sq = 0.0;
@@ -221,8 +242,11 @@ OdeResult run_dp45(const CompiledSystem& system, const OdeOptions& options,
       std::swap(x, x_new);
       ++result.steps_accepted;
       if (!ctx.accept(t, x)) break;
+      k1_is_f_of_x = ctx.state_unchanged();
+      if (k1_is_f_of_x) std::swap(k1, k7);
     } else {
       ++result.steps_rejected;
+      k1_is_f_of_x = true;
     }
     const double factor = !std::isfinite(err) ? 0.2
                           : (err <= 0.0)
@@ -260,6 +284,7 @@ OdeResult run_backward_euler(const CompiledSystem& system,
     bool converged = false;
     for (std::uint32_t iter = 0; iter < options.newton_max_iters; ++iter) {
       system.rhs(z, f);
+      ++result.rhs_evaluations;
       double residual_norm = 0.0;
       for (std::size_t i = 0; i < n; ++i) {
         residual[i] = z[i] - x[i] - h * f[i];
@@ -285,6 +310,7 @@ OdeResult run_backward_euler(const CompiledSystem& system,
       // Fall back to one explicit Euler step at this size; backward Euler's
       // L-stability is a convenience here, not a correctness requirement.
       system.rhs(x, f);
+      ++result.rhs_evaluations;
       for (std::size_t i = 0; i < n; ++i) z[i] = x[i] + h * f[i];
     }
     if (has_non_finite(z)) {

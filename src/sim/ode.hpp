@@ -70,6 +70,12 @@ struct OdeResult {
   /// above 1 (the controller could not shrink further). A nonzero count is
   /// the step-size-underflow failure signature the fallback ladder reacts to.
   std::size_t steps_forced = 0;
+  /// Right-hand-side evaluations f(x) the integrator made: 4 per RK4 step,
+  /// one per Newton iteration for backward Euler, and for Dormand-Prince
+  /// 1 + 6 per attempted step when every step reuses its last stage as the
+  /// next first stage (more when a clamp or an observer forces a fresh k1).
+  /// Deterministic, like the step counts.
+  std::size_t rhs_evaluations = 0;
   bool stopped_by_observer = false;
   bool hit_step_limit = false;
   /// The state left the finite domain (NaN/Inf). The run stops at the last

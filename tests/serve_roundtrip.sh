@@ -48,7 +48,7 @@ fi
 # 2 s at 60 rps must produce cache hits and zero errors.
 grep -q '"errors": 0,' "$WORK_DIR/loadgen.json" || {
   echo "FAIL: loadgen reported errors"; cat "$WORK_DIR/loadgen.json"; exit 1; }
-grep -q '"hits":0' "$WORK_DIR/loadgen.json" && {
+grep -q '"cache":{"hits":0,' "$WORK_DIR/loadgen.json" && {
   echo "FAIL: no server cache hits"; cat "$WORK_DIR/loadgen.json"; exit 1; }
 grep -q '"protocol_errors":0' "$WORK_DIR/loadgen.json" || {
   echo "FAIL: server saw protocol errors"; cat "$WORK_DIR/loadgen.json"; exit 1; }

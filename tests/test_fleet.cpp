@@ -25,6 +25,7 @@
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "tools/builtin_designs.hpp"
 #include "util/rng.hpp"
 
 namespace mrsc::fleet {
@@ -287,6 +288,52 @@ TEST(FleetMerge, StatsMatchAnIndependentReductionOfTheReplicates) {
     EXPECT_EQ(entry.get_number("q05", -1.0), stats.q05) << name;
     EXPECT_EQ(entry.get_number("q50", -1.0), stats.q50) << name;
     EXPECT_EQ(entry.get_number("q95", -1.0), stats.q95) << name;
+  }
+}
+
+TEST(FleetMerge, FullWidthSeedsMatchTheLocalEnsemble) {
+  // Replicate seeds are Rng::stream_seed(base, i): 64-bit values a double
+  // would round. The shard must run the exact seed, so the merged stats
+  // equal an in-process run_ssa_ensemble over the same seeds.
+  ShardProcess a;
+  const EnsembleSpec spec = small_ensemble();
+  std::size_t wide = 0;
+  for (std::size_t i = 0; i < spec.replicates; ++i) {
+    if (util::Rng::stream_seed(spec.base_seed, i) > (1ull << 53)) ++wide;
+  }
+  ASSERT_GT(wide, spec.replicates / 2);
+
+  FleetClient fleet(fast_policy({a.endpoint()}));
+  const serve::json::Value report =
+      serve::json::parse(run_ensemble(fleet, spec));
+
+  const tools::BuiltDesign design = tools::build_design(spec.design, {});
+  sim::SsaOptions ssa;
+  ssa.method = sim::SsaMethod::kNextReaction;
+  ssa.t_end = spec.t_end;
+  ssa.omega = spec.omega;
+  ssa.record_interval = spec.t_end / 50.0;  // the server's default
+  runtime::EnsembleOptions options;
+  options.replicates = spec.replicates;
+  options.base_seed = spec.base_seed;
+  const runtime::EnsembleResult local =
+      runtime::run_ssa_ensemble(*design.network, ssa, options);
+  ASSERT_EQ(local.ok, spec.replicates);
+
+  const serve::json::Value* species = report.find("species");
+  ASSERT_NE(species, nullptr);
+  ASSERT_EQ(species->as_array().size(), local.final_stats.size());
+  for (std::size_t k = 0; k < local.final_stats.size(); ++k) {
+    const serve::json::Value& entry = species->as_array()[k];
+    const runtime::SpeciesStats& stats = local.final_stats[k];
+    EXPECT_EQ(entry.get_string("name", ""), stats.name);
+    EXPECT_EQ(entry.get_number("mean", -1.0), stats.mean) << stats.name;
+    EXPECT_EQ(entry.get_number("stddev", -1.0), stats.stddev) << stats.name;
+    EXPECT_EQ(entry.get_number("min", -1.0), stats.min) << stats.name;
+    EXPECT_EQ(entry.get_number("max", -1.0), stats.max) << stats.name;
+    EXPECT_EQ(entry.get_number("q05", -1.0), stats.q05) << stats.name;
+    EXPECT_EQ(entry.get_number("q50", -1.0), stats.q50) << stats.name;
+    EXPECT_EQ(entry.get_number("q95", -1.0), stats.q95) << stats.name;
   }
 }
 

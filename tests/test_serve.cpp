@@ -1,7 +1,8 @@
-// Tests for the simulation service: JSON layer, result cache, canonical
-// keys, latency histograms, dispatcher determinism, and full client/server
-// round trips (byte-identical cold/cached/restart responses, deterministic
-// overload rejection, concurrent submitters, cooperative shutdown).
+// Tests for the simulation service: JSON layer, result cache, compiled-design
+// cache, canonical keys, latency histograms, dispatcher determinism, and
+// full client/server round trips (byte-identical cold/cached/restart
+// responses, deterministic overload rejection, concurrent submitters,
+// cooperative shutdown).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -15,12 +16,16 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/batch.hpp"
+#include "scenario/registry.hpp"
 #include "serve/cache.hpp"
+#include "serve/design_cache.hpp"
 #include "serve/dispatcher.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/stats.hpp"
+#include "util/rng.hpp"
 
 namespace mrsc::serve {
 namespace {
@@ -73,6 +78,23 @@ TEST(ServeJson, TypedAccessorsThrowOnWrongType) {
   EXPECT_THROW((void)value.get_string("n", ""), std::invalid_argument);
   EXPECT_THROW((void)value.get_number("s", 0.0), std::invalid_argument);
   EXPECT_THROW((void)value.get_bool("n", false), std::invalid_argument);
+}
+
+TEST(ServeJson, IntegerLiteralsAreExactOverTheWholeU64Range) {
+  const json::Value value = json::parse(
+      R"({"max":18446744073709551615,"big":9007199254740993,"e":1e3,)"
+      R"("half":1.5,"neg":-1,"over":18446744073709551616,"s":"7"})");
+  EXPECT_EQ(value.get_u64("max", 0), 18446744073709551615ull);
+  // 2^53 + 1 has no double; the literal must not round to 2^53.
+  EXPECT_EQ(value.get_u64("big", 0), 9007199254740993ull);
+  EXPECT_EQ(value.get_u64("e", 0), 1000u);
+  EXPECT_EQ(value.get_u64("missing", 42), 42u);
+  EXPECT_FALSE(value.get_u64("half", 0).has_value());
+  EXPECT_FALSE(value.get_u64("neg", 0).has_value());
+  EXPECT_FALSE(value.get_u64("over", 0).has_value());
+  EXPECT_THROW((void)value.get_u64("s", 0), std::invalid_argument);
+  // The double view of the same literal is unchanged.
+  EXPECT_EQ(value.get_number("big", 0.0), 9007199254740992.0);
 }
 
 // ----------------------------------------------------------- histogram --
@@ -150,6 +172,83 @@ TEST(ServeCache, ZeroCapacityDisablesCaching) {
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
+// ----------------------------------------------- compiled-design cache --
+
+TEST(DesignCache, RepeatLookupReturnsTheSameObject) {
+  DesignCache cache;
+  const std::shared_ptr<const CompiledDesign> first = cache.get("counter", 0);
+  const std::shared_ptr<const CompiledDesign> second =
+      cache.get("counter", 0);
+  EXPECT_EQ(first.get(), second.get());
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.bytes, first->system.footprint_bytes());
+  EXPECT_EQ(first->system.reaction_count(),
+            first->built.network->reaction_count());
+}
+
+TEST(DesignCache, KeyedByDesignAndOpt) {
+  DesignCache cache;
+  const auto o0 = cache.get("counter(2)", 0);
+  const auto o1 = cache.get("counter(2)", 1);
+  const auto other = cache.get("counter(3)", 0);
+  EXPECT_NE(o0.get(), o1.get());
+  EXPECT_NE(o0.get(), other.get());
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_EQ(cache.get("counter(2)", 1).get(), o1.get());
+}
+
+TEST(DesignCache, EvictsLeastRecentlyUsedAtTheExactEntryBound) {
+  DesignCache cache(2, DesignCache::kCapacityBytes);
+  (void)cache.get("counter", 0);
+  (void)cache.get("delay", 0);
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  (void)cache.get("counter", 0);  // refresh: "delay" is now LRU
+  (void)cache.get("seqdet", 0);   // third entry: evicts "delay"
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  const std::uint64_t misses = cache.stats().misses;
+  (void)cache.get("counter", 0);
+  EXPECT_EQ(cache.stats().misses, misses);
+  (void)cache.get("delay", 0);
+  EXPECT_EQ(cache.stats().misses, misses + 1);
+}
+
+TEST(DesignCache, EvictsLeastRecentlyUsedAtTheExactByteBound) {
+  const std::size_t a = CompiledDesign("counter", 0).system.footprint_bytes();
+  const std::size_t b = CompiledDesign("delay", 0).system.footprint_bytes();
+  {
+    // Both fit exactly: the bound is inclusive.
+    DesignCache cache(16, a + b);
+    (void)cache.get("counter", 0);
+    (void)cache.get("delay", 0);
+    EXPECT_EQ(cache.stats().bytes, a + b);
+    EXPECT_EQ(cache.stats().entries, 2u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+  }
+  {
+    // One byte short: the second insert evicts the first.
+    DesignCache cache(16, a + b - 1);
+    (void)cache.get("counter", 0);
+    (void)cache.get("delay", 0);
+    EXPECT_EQ(cache.stats().bytes, b);
+    EXPECT_EQ(cache.stats().entries, 1u);
+    EXPECT_EQ(cache.stats().evictions, 1u);
+  }
+  {
+    // Larger than the whole budget: built and returned, never kept.
+    DesignCache cache(16, a - 1);
+    const auto design = cache.get("counter", 0);
+    EXPECT_EQ(design->system.footprint_bytes(), a);
+    EXPECT_EQ(cache.stats().entries, 0u);
+    EXPECT_EQ(cache.stats().bytes, 0u);
+  }
+}
+
 // ------------------------------------------------------ canonical keys --
 
 json::Value job_json(const std::string& body) {
@@ -193,6 +292,56 @@ TEST(ServeDispatcher, ParseJobRejectsBadRequests) {
   EXPECT_THROW((void)parse_job(job_json(R"("kind":"sim","opt":3)")),
                std::invalid_argument);
   EXPECT_THROW((void)parse_job(job_json(R"("kind":"verify","seeds":0)")),
+               std::invalid_argument);
+}
+
+TEST(ServeDispatcher, SeedsAboveTwoToThe53AreExact) {
+  // The fleet seeds replicate i with Rng::stream_seed(base, i): full 64-bit
+  // values that a double would round (or push past 2^64 and reject).
+  for (std::uint64_t i = 0; i < 4096; ++i) {
+    const std::uint64_t seed = util::Rng::stream_seed(7, i);
+    const std::string digits = std::to_string(seed);
+    const JobRequest sim =
+        parse_job(job_json(R"("kind":"sim","seed":)" + digits));
+    ASSERT_EQ(sim.seed, seed) << digits;
+    ASSERT_NE(canonical_key(sim).find("|seed=" + digits + "|"),
+              std::string::npos);
+    const JobRequest verify =
+        parse_job(job_json(R"("kind":"verify","start_seed":)" + digits));
+    ASSERT_EQ(verify.start_seed, seed) << digits;
+  }
+  EXPECT_EQ(parse_job(job_json(R"("kind":"sim","seed":18446744073709551615)"))
+                .seed,
+            18446744073709551615ull);
+  EXPECT_THROW(
+      (void)parse_job(job_json(R"("kind":"sim","seed":18446744073709551616)")),
+      std::invalid_argument);
+  EXPECT_THROW((void)parse_job(job_json(R"("kind":"sim","seed":-1)")),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_job(job_json(R"("kind":"sim","seed":2.5)")),
+               std::invalid_argument);
+}
+
+/// The per-job deadline the sim job's BatchRunner was armed with.
+double armed_deadline(const std::string& body) {
+  double armed = -1.0;
+  DispatchHooks hooks;
+  hooks.runner_started = [&armed](runtime::BatchRunner* runner) {
+    armed = runner->options().timeout_seconds;
+  };
+  const DispatchResult result = run_job(parse_job(job_json(body)), hooks);
+  EXPECT_TRUE(result.ok) << result.payload;
+  return armed;
+}
+
+TEST(ServeDispatcher, ZeroDeadlineMeansTheServerMaximum) {
+  constexpr const char* kJob = R"("kind":"sim","t_end":0.5,"omega":50)";
+  const std::string job = kJob;
+  EXPECT_EQ(armed_deadline(job + R"(,"deadline_s":0)"), 600.0);
+  EXPECT_EQ(armed_deadline(job), 30.0);
+  EXPECT_EQ(armed_deadline(job + R"(,"deadline_s":2.5)"), 2.5);
+  EXPECT_EQ(armed_deadline(job + R"(,"deadline_s":600)"), 600.0);
+  EXPECT_THROW((void)parse_job(job_json(job + R"(,"deadline_s":600.000001)")),
                std::invalid_argument);
 }
 
@@ -266,6 +415,112 @@ TEST(ServeDispatcher, LintJobPayloadIsCompactJson) {
             nullptr);
 }
 
+// Every smoke-catalog design, every method, both compile levels: a job run
+// against the shared design cache (first a miss, then a hit) returns the
+// bytes of a job that built its own design.
+TEST(ServeDispatcher, DesignCacheIsByteIdenticalToAFreshBuild) {
+  DesignCache cache;
+  DispatchHooks cached;
+  cached.designs = &cache;
+  std::size_t jobs = 0;
+  for (const std::string& design :
+       scenario::ScenarioRegistry::global().smoke_catalog()) {
+    for (const int opt : {0, 1}) {
+      std::vector<std::string> bodies;
+      for (const char* method : {"nrm", "ssa", "tau", "dp45", "rk4", "be"}) {
+        bodies.push_back(R"("kind":"sim","t_end":0.25,"omega":100,)"
+                         R"("method":")" +
+                         std::string(method) + '"');
+      }
+      bodies.push_back(R"("kind":"lint")");
+      for (const std::string& body : bodies) {
+        const JobRequest job = parse_job(job_json(
+            body + R"(,"design":")" + design +
+            R"(","opt":)" + std::to_string(opt)));
+        const DispatchResult fresh = run_job(job, {});
+        ASSERT_TRUE(fresh.ok) << fresh.payload;
+        EXPECT_EQ(run_job(job, cached).payload, fresh.payload)
+            << design << " " << body << " opt " << opt;
+        ++jobs;
+      }
+    }
+  }
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2 * scenario::ScenarioRegistry::global()
+                                  .smoke_catalog()
+                                  .size());
+  EXPECT_EQ(stats.hits + stats.misses, jobs);
+}
+
+TEST(ServeDispatcher, EntryHeldByARunningJobSurvivesItsEviction) {
+  const JobRequest job = parse_job(job_json(
+      R"js("kind":"sim","design":"cascade(3)","method":"dp45","t_end":1)js"));
+  const std::string expected = run_job(job, {}).payload;
+
+  DesignCache cache(1, DesignCache::kCapacityBytes);
+  DispatchHooks hooks;
+  hooks.designs = &cache;
+  // Once the job is running, a second design takes the only slot.
+  hooks.runner_started = [&cache](runtime::BatchRunner*) {
+    (void)cache.get("counter", 0);
+  };
+  EXPECT_EQ(run_job(job, hooks).payload, expected);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
+
+  // The same through a directly held reference.
+  const std::shared_ptr<const CompiledDesign> held = cache.get("delay", 0);
+  (void)cache.get("seqdet", 0);
+  EXPECT_EQ(cache.stats().evictions, 3u);
+  EXPECT_EQ(held->system.reaction_count(),
+            held->built.network->reaction_count());
+}
+
+TEST(ServeDispatcher, ConcurrentJobsShareTheDesignCache) {
+  // 8 threads over mixed designs and both compile levels, through a cache
+  // two entries wide so hits, misses, racing builds and evictions all
+  // interleave. Every payload must equal its uncached reference.
+  std::vector<JobRequest> jobs;
+  for (const char* design :
+       {"counter", "delay", "cascade(2)", "fsm_wide(4)"}) {
+    for (const int opt : {0, 1}) {
+      for (const char* method : {"nrm", "dp45"}) {
+        jobs.push_back(parse_job(job_json(
+            std::string(R"("kind":"sim","t_end":0.5,"omega":50,"design":")") +
+            design + R"(","method":")" + method + R"(","opt":)" +
+            std::to_string(opt))));
+      }
+      jobs.push_back(parse_job(job_json(
+          std::string(R"("kind":"lint","design":")") + design +
+          R"(","opt":)" + std::to_string(opt))));
+    }
+  }
+  std::vector<std::string> expected;
+  for (const JobRequest& job : jobs) {
+    expected.push_back(run_job(job, {}).payload);
+  }
+
+  DesignCache cache(2, DesignCache::kCapacityBytes);
+  DispatchHooks hooks;
+  hooks.designs = &cache;
+  constexpr std::size_t kThreads = 8;
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t k = 0; k < jobs.size(); ++k) {
+        const std::size_t i = (k * 5 + t * 3) % jobs.size();
+        if (run_job(jobs[i], hooks).payload != expected[i]) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * jobs.size());
+  EXPECT_LE(stats.entries, 2u);
+}
+
 TEST(ServeDispatcher, CanonicalResponses) {
   EXPECT_EQ(overload_response(),
             R"({"status":"rejected","reason":"overload"})");
@@ -311,11 +566,33 @@ TEST(ServeServer, PingHealthAndStatsSchema) {
   EXPECT_EQ(health.get_string("status", ""), "ok");
   EXPECT_TRUE(health.get_bool("accepting", false));
   const json::Value stats = fixture.request(R"({"op":"stats"})");
-  for (const char* section : {"queue", "cache", "requests", "latency"}) {
+  for (const char* section :
+       {"queue", "cache", "designs", "requests", "latency"}) {
     EXPECT_NE(stats.find(section), nullptr) << section;
   }
   EXPECT_NE(stats.find("latency")->find("sim"), nullptr);
   EXPECT_NE(stats.find("latency")->find("sim")->find("p99_ms"), nullptr);
+}
+
+TEST(ServeServer, StatsCountDesignBuilds) {
+  ServerFixture fixture;
+  // A sim and a lint job on one design, then a result-cache replay: one
+  // build, one design-cache hit, and the replay never reaches the design
+  // cache at all.
+  ASSERT_EQ(json::parse(fixture.request_raw(kSimRequest))
+                .get_string("status", ""),
+            "ok");
+  ASSERT_EQ(fixture
+                .request(R"({"op":"job","kind":"lint","design":"counter"})")
+                .get_string("status", ""),
+            "ok");
+  (void)fixture.request_raw(kSimRequest);
+  EXPECT_EQ(fixture.stat("designs", "misses"), 1.0);
+  EXPECT_EQ(fixture.stat("designs", "hits"), 1.0);
+  EXPECT_EQ(fixture.stat("designs", "evictions"), 0.0);
+  EXPECT_EQ(fixture.stat("designs", "entries"), 1.0);
+  EXPECT_GT(fixture.stat("designs", "bytes"), 0.0);
+  EXPECT_EQ(fixture.stat("cache", "hits"), 1.0);
 }
 
 TEST(ServeServer, ColdCachedAndRestartResponsesAreByteIdentical) {
