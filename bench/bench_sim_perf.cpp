@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "async/chain.hpp"
+#include "core/builder.hpp"
 #include "core/network.hpp"
 #include "dsp/filters.hpp"
 #include "runtime/ensemble.hpp"
@@ -102,38 +103,78 @@ void BM_SsaDirect(benchmark::State& state) {
 }
 BENCHMARK(BM_SsaDirect)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
 
-// The direct method on a registry design. On delay_chain(16) (~1000
-// reactions, ~68 dependents each) a firing refreshes only its dependents,
-// so propensity evaluations per event stay far below the reaction count.
-void BM_SsaDirectScenario(benchmark::State& state, const char* spec) {
-  const scenario::ResolvedScenario resolved =
-      scenario::ScenarioRegistry::global().resolve(spec);
-  const sim::CompiledSystem system(*resolved.design.network);
-  const std::vector<std::int64_t> initial = sim::to_counts(
-      resolved.design.network->initial_state(), 200.0);
+// Runs the direct method on `network` at omega 200 for t_end per
+// iteration and reports per-event work: propensity evaluations and the
+// entries each event's total visited.
+void run_direct_per_event(benchmark::State& state,
+                          const core::ReactionNetwork& network, double t_end) {
+  const sim::CompiledSystem system(network);
+  const std::vector<std::int64_t> initial =
+      sim::to_counts(network.initial_state(), 200.0);
   sim::SsaOptions options;
-  options.t_end = 5.0;
+  options.t_end = t_end;
   options.omega = 200.0;
   options.method = sim::SsaMethod::kDirect;
   std::uint64_t events = 0;
   std::uint64_t evaluations = 0;
+  std::uint64_t terms = 0;
   std::uint64_t seed = 1;
   for (auto _ : state) {
     options.seed = seed++;
     const sim::SsaResult result = simulate_ssa(system, options, initial);
     events += result.events;
     evaluations += result.propensity_evaluations;
+    terms += result.selection_terms;
     benchmark::DoNotOptimize(result.final_counts.data());
   }
+  const auto per_event = [&](std::uint64_t work) {
+    return events > 0
+               ? static_cast<double>(work) / static_cast<double>(events)
+               : 0.0;
+  };
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.counters["reactions"] = static_cast<double>(system.reaction_count());
-  state.counters["evals_per_event"] =
-      events > 0 ? static_cast<double>(evaluations) /
-                       static_cast<double>(events)
-                 : 0.0;
+  state.counters["evals_per_event"] = per_event(evaluations);
+  state.counters["terms_per_event"] = per_event(terms);
 }
+
+// The direct method on a registry design. On delay_chain(16) (~1000
+// reactions, ~68 dependents each) a firing refreshes only its dependents,
+// and only the ~3 nonzero propensities enter each event's total and scan
+// (~27 of 115 on cascade(4)).
+void BM_SsaDirectScenario(benchmark::State& state, const char* spec) {
+  const scenario::ResolvedScenario resolved =
+      scenario::ScenarioRegistry::global().resolve(spec);
+  run_direct_per_event(state, *resolved.design.network, 5.0);
+}
+BENCHMARK_CAPTURE(BM_SsaDirectScenario, cascade_4, "cascade(4)")
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SsaDirectScenario, delay_chain_16, "delay_chain(16)")
     ->Unit(benchmark::kMillisecond);
+
+// The opposite regime: a ring of 500 pools (200 molecules each) hopping to
+// both neighbours, R = 1000, whose propensities all stay nonzero. Every
+// event's total visits all R entries, so this pins the direct method's
+// per-event cost when there is no zero to skip.
+core::ReactionNetwork dense_ring_network() {
+  constexpr std::size_t kPools = 500;
+  core::ReactionNetwork net;
+  core::NetworkBuilder b(net);
+  const auto pool = [](std::size_t i) {
+    return "R" + std::to_string(i % kPools);
+  };
+  for (std::size_t i = 0; i < kPools; ++i) b.species(pool(i), 1.0);
+  for (std::size_t i = 0; i < kPools; ++i) {
+    b.reaction(pool(i) + " -> " + pool(i + 1), 0.01);
+    b.reaction(pool(i) + " -> " + pool(i + kPools - 1), 0.01);
+  }
+  return net;
+}
+
+void BM_SsaDirectDenseRing(benchmark::State& state) {
+  run_direct_per_event(state, dense_ring_network(), 2.0);
+}
+BENCHMARK(BM_SsaDirectDenseRing)->Unit(benchmark::kMillisecond);
 
 void BM_SsaNextReaction(benchmark::State& state) {
   const core::ReactionNetwork net = chain_network(2);
@@ -180,9 +221,9 @@ BENCHMARK(BM_CompileMovingAverage);
 // Multi-worker SSA ensemble through the batch runtime. Every worker count
 // runs the identical seed set (stream-derived from base_seed), so the work is
 // constant and the scaling is pure scheduling. The direct method refreshes
-// the fired reaction's dependents and then re-sums and scans all R
+// the fired reaction's dependents and then sums and scans the nonzero
 // propensities on every event: the regime the compiled engine's hoisted
-// scale factors, CSR kernels and dependency graph target.
+// scale factors, CSR kernels, dependency graph and active set target.
 sim::SsaOptions ensemble_ssa_options() {
   sim::SsaOptions ssa;
   ssa.t_end = 10.0;

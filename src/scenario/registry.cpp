@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "compile/report.hpp"
 #include "core/io.hpp"
 #include "dsp/filters.hpp"
 
@@ -89,10 +90,21 @@ BuiltDesign build_circuit_design(Factory&& factory,
   return design;
 }
 
+/// Composed and self-timed designs run no pass pipeline over the network
+/// they return, so a requested report describes that network as built.
+void report_built_network(const core::ReactionNetwork& network,
+                          compile::CompileReport* report) {
+  if (report == nullptr) return;
+  report->before = core::compute_stats(network);
+  report->after = report->before;
+}
+
 /// The asynchronous delay chain is self-timed: it bypasses the clocked
 /// lowering pipeline entirely (no emission tags, no pass pipeline), so the
-/// port roster is declared here by hand and `options` is ignored.
-BuiltDesign build_chain_design(std::size_t elements, Artifacts& artifacts) {
+/// port roster is declared here by hand and only `options.report` is read.
+BuiltDesign build_chain_design(std::size_t elements,
+                               const compile::CompileOptions& options,
+                               Artifacts& artifacts) {
   BuiltDesign design;
   design.owned = std::make_unique<core::ReactionNetwork>();
   async::ChainSpec spec;
@@ -118,6 +130,7 @@ BuiltDesign build_chain_design(std::size_t elements, Artifacts& artifacts) {
   design.info.roots.emplace_back(built.handles.ind_g, PortRole::kClock);
   design.info.roots.emplace_back(built.handles.ind_b, PortRole::kClock);
   design.info.tags_valid = false;
+  report_built_network(*design.network, options.report);
   artifacts = std::move(built);
   return design;
 }
@@ -180,6 +193,7 @@ BuiltDesign build_cascade_design(std::size_t layers,
 
   design.composition =
       std::make_unique<compile::Composition>(composer.composition());
+  report_built_network(*design.network, options.report);
   return design;
 }
 
@@ -333,7 +347,7 @@ ResolvedScenario ScenarioRegistry::resolve(
     resolved.scenario.stress.design = "counter";
   } else if (call.name == "delay_chain") {
     resolved.design = build_chain_design(
-        static_cast<std::size_t>(call.args[0]), resolved.artifacts);
+        static_cast<std::size_t>(call.args[0]), options, resolved.artifacts);
     resolved.scenario.stress.design = "async_chain";
   } else if (call.name == "fsm_wide") {
     resolved.design =

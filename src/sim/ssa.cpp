@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "sim/engine/active_set.hpp"
 #include "sim/engine/arena.hpp"
 #include "util/rng.hpp"
 
@@ -190,8 +191,10 @@ SsaResult run_direct(const CompiledEval& eval, const SsaOptions& options,
   recorder.record_initial(counts);
 
   std::vector<double> propensities(m);
+  ActiveSet active(m);
   for (std::size_t j = 0; j < m; ++j) {
     propensities[j] = eval.propensity(j, counts);
+    active.assign(j, propensities[j]);
   }
   result.propensity_evaluations = m;
   double t = 0.0;
@@ -202,8 +205,8 @@ SsaResult run_direct(const CompiledEval& eval, const SsaOptions& options,
     }
     // Re-summed in index order on every event, as a full recompute would:
     // the total is then bitwise independent of which entries were refreshed.
-    double total = 0.0;
-    for (const double a : propensities) total += a;
+    // Skipping the exact zeros leaves every partial sum unchanged.
+    const double total = active.sum(propensities, result.selection_terms);
     if (total <= 0.0) {
       result.exhausted = true;
       break;
@@ -215,7 +218,7 @@ SsaResult run_direct(const CompiledEval& eval, const SsaOptions& options,
       break;
     }
     const std::size_t chosen =
-        select_reaction(propensities, rng.uniform() * total);
+        active.select(propensities, rng.uniform() * total);
     recorder.before_event(t_next, counts);
     eval.apply(chosen, counts);
     t = t_next;
@@ -228,6 +231,7 @@ SsaResult run_direct(const CompiledEval& eval, const SsaOptions& options,
     for (const std::uint32_t dep : deps) {
       if (skip_self && dep == chosen) continue;
       propensities[dep] = eval.propensity(dep, counts);
+      active.assign(dep, propensities[dep]);
     }
     result.propensity_evaluations += deps.size() - (skip_self ? 1 : 0);
   }

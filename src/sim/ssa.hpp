@@ -8,7 +8,9 @@
 //                    reaction's dependents (the CSR dependency graph) are
 //                    re-evaluated. The total is still re-summed and the
 //                    selection still scanned in index order on every event,
-//                    so results are bitwise those of recomputing everything.
+//                    over the nonzero propensities only (an exact zero adds
+//                    nothing), so results are bitwise those of recomputing
+//                    everything.
 //  * kNextReaction — Gibson & Bruck's next-reaction method with a dependency
 //                    graph and an indexed priority queue; asymptotically
 //                    faster for networks where each firing touches few
@@ -80,6 +82,10 @@ struct SsaResult {
   /// refreshed per event (less the skipped pure-catalysis self-edges).
   /// Tau-leaping leaves it 0.
   std::uint64_t propensity_evaluations = 0;
+  /// Deterministic work counter: propensity entries the direct method's
+  /// per-event total visited (R per total on a fully active network, far
+  /// fewer when most reactions are disabled). Other methods leave it 0.
+  std::uint64_t selection_terms = 0;
 };
 
 /// Runs one stochastic realization starting from counts derived from
@@ -102,6 +108,9 @@ struct SsaResult {
 /// sum). A reaction with zero propensity is never chosen: when rounding
 /// leaves `target` above zero after the full scan, the last reaction with
 /// positive propensity fires. At least one propensity must be positive.
+/// This dense scan is the reference; the direct method runs the same scan
+/// over its nonzero propensities only (`ActiveSet::select`), which picks
+/// the same reaction.
 [[nodiscard]] std::size_t select_reaction(std::span<const double> propensities,
                                           double target);
 

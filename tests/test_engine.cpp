@@ -14,11 +14,14 @@
 //     reference NRM that always recomputes (identical RNG draw order);
 //   * the incremental direct method, regressed bitwise against an in-test
 //     copy of the full-recompute loop, and its propensity-evaluation count;
+//   * the direct method's active set: its sum and selection against the
+//     dense scan, and the entries each per-event total visits;
 //   * a shared CompiledSystem across an ensemble gives the same bits at any
 //     worker count as compiling per replicate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -31,6 +34,7 @@
 #include "core/builder.hpp"
 #include "core/network.hpp"
 #include "runtime/ensemble.hpp"
+#include "sim/engine/active_set.hpp"
 #include "sim/engine/arena.hpp"
 #include "sim/engine/compiled_system.hpp"
 #include "sim/ssa.hpp"
@@ -665,6 +669,84 @@ struct DirectCase {
   ReactionNetwork network;
 };
 
+void set_count(ReactionNetwork& net, const std::string& name,
+               std::int64_t count, double omega) {
+  net.set_initial(*net.find_species(name), static_cast<double>(count) / omega);
+}
+
+/// Reactions that never fire: their reactant is never produced.
+void add_dead_reactions(NetworkBuilder& b, std::size_t count,
+                        const std::string& prefix) {
+  for (std::size_t k = 0; k < count; ++k) {
+    b.reaction(prefix + std::to_string(k) + " -> " + prefix + "sink", 1.0);
+  }
+}
+
+/// A single molecule hopping A <-> B: the two reactions swap between zero
+/// and nonzero propensity on every firing.
+void add_toggle(NetworkBuilder& b, const std::string& a, const std::string& c,
+                double k) {
+  b.reaction(a + " -> " + c, k);
+  b.reaction(c + " -> " + a, k);
+}
+
+// 130 reactions, nearly all dead, with toggling pairs at indices 63/64 and
+// 127/128: each pair straddles an active-set word boundary.
+ReactionNetwork word_boundary_network() {
+  constexpr double kOmega = 200.0;
+  ReactionNetwork net;
+  NetworkBuilder b(net);
+  b.reaction("E -> E + F", 5.0);  // 0: always active
+  add_dead_reactions(b, 62, "Z");  // 1..62
+  add_toggle(b, "A", "B", 40.0);   // 63, 64
+  add_dead_reactions(b, 62, "Y");  // 65..126
+  add_toggle(b, "C", "D", 30.0);   // 127, 128
+  b.reaction("F -> 0", 1.0);       // 129
+  set_count(net, "E", 1, kOmega);
+  set_count(net, "A", 1, kOmega);
+  set_count(net, "C", 1, kOmega);
+  return net;
+}
+
+// `species` pools in a ring, molecules hopping to both neighbours: with
+// `count` molecules per pool every one of the 2 * species propensities stays
+// nonzero, so every active-set word is walked densely.
+ReactionNetwork dense_ring_network(std::size_t species, double rate,
+                                   std::int64_t count, double omega) {
+  ReactionNetwork net;
+  NetworkBuilder b(net);
+  auto name = [&](std::size_t i) { return "R" + std::to_string(i % species); };
+  for (std::size_t i = 0; i < species; ++i) {
+    b.reaction(name(i) + " -> " + name(i + 1), rate);
+    b.reaction(name(i) + " -> " + name(i + species - 1), rate);
+  }
+  for (std::size_t i = 0; i < species; ++i) {
+    set_count(net, name(i), count, omega);
+  }
+  return net;
+}
+
+// Takes both walk paths in one run: a fully active 64-reaction ring (dense
+// word), 64 one-molecule decays whose word thins from 64 members through the
+// dense threshold to none, and a sparse word of toggles among dead reactions.
+ReactionNetwork mixed_density_network() {
+  constexpr double kOmega = 200.0;
+  ReactionNetwork net = dense_ring_network(32, 0.05, 200, kOmega);
+  NetworkBuilder b(net);
+  for (std::size_t k = 0; k < 64; ++k) {
+    b.reaction("D" + std::to_string(k) + " -> Dsink", 0.4);
+  }
+  add_toggle(b, "P", "Q", 20.0);
+  add_dead_reactions(b, 20, "Z");
+  add_toggle(b, "S", "T", 10.0);
+  for (std::size_t k = 0; k < 64; ++k) {
+    set_count(net, "D" + std::to_string(k), 1, kOmega);
+  }
+  set_count(net, "P", 1, kOmega);
+  set_count(net, "S", 1, kOmega);
+  return net;
+}
+
 std::vector<DirectCase> direct_cases() {
   std::vector<DirectCase> cases;
   for (const std::string& name : kBuiltinDesigns) {
@@ -674,6 +756,9 @@ std::vector<DirectCase> direct_cases() {
     cases.push_back({spec, builtin_network(spec)});
   }
   cases.push_back({"catalysis", catalysis_network()});
+  cases.push_back({"word boundary", word_boundary_network()});
+  cases.push_back({"dense ring", dense_ring_network(500, 0.005, 200, 200.0)});
+  cases.push_back({"mixed density", mixed_density_network()});
   const std::vector<verify::CaseKind> kinds = {
       verify::CaseKind::kRawNetwork, verify::CaseKind::kSyncCircuit,
       verify::CaseKind::kDualRailCircuit, verify::CaseKind::kFsm,
@@ -719,7 +804,7 @@ SsaResult expect_direct_matches_reference(const DirectCase& c,
 
 TEST(DirectIncremental, MatchesFullRecomputeReference) {
   const std::vector<DirectCase> cases = direct_cases();
-  ASSERT_EQ(cases.size(), kBuiltinDesigns.size() + 3 + 50);
+  ASSERT_EQ(cases.size(), kBuiltinDesigns.size() + 6 + 50);
   SsaOptions options = direct_options();
   std::uint64_t total_events = 0;
   std::size_t exhausted = 0;
@@ -800,6 +885,209 @@ TEST(DirectIncremental, CountsOnlyDependentRefreshes) {
   EXPECT_EQ(run.propensity_evaluations,
             expected_dependent_evaluations(system, fired));
   EXPECT_LT(run.propensity_evaluations, run.events * m / 10);
+}
+
+TEST(DirectActiveSet, DenseRingSumsEveryEntryPerTotal) {
+  // Every propensity of the ring stays nonzero, so each total visits all R
+  // entries: one total per event plus the one whose step overshoots t_end.
+  const ReactionNetwork net = dense_ring_network(500, 0.005, 200, 200.0);
+  const CompiledSystem system(net);
+  SsaOptions options = direct_options();
+  options.t_end = 2.0;
+  const SsaResult run = simulate_ssa(
+      system, options, to_counts(net.initial_state(), options.omega));
+  ASSERT_GT(run.events, 1000u);
+  ASSERT_FALSE(run.exhausted);
+  ASSERT_FALSE(run.hit_event_limit);
+  EXPECT_EQ(run.selection_terms, (run.events + 1) * system.reaction_count());
+}
+
+TEST(DirectActiveSet, GatedDesignSumsFewEntriesPerEvent) {
+  // delay_chain(16): about 3 of its 1019 propensities are nonzero at a time,
+  // so the per-event totals visit a small fraction of events x R entries.
+  const ReactionNetwork net = builtin_network("delay_chain(16)");
+  const CompiledSystem system(net);
+  SsaOptions options = direct_options();
+  options.t_end = 5.0;
+  const SsaResult run = simulate_ssa(
+      system, options, to_counts(net.initial_state(), options.omega));
+  ASSERT_GT(run.events, 1000u);
+  EXPECT_GT(run.selection_terms, run.events);
+  EXPECT_LT(run.selection_terms, run.events * system.reaction_count() / 20);
+}
+
+/// Entries one per-event total visits for the nonzero pattern of
+/// `propensities`: a 64-entry word with at least the dense threshold of
+/// nonzero entries is walked whole, a sparser one entry per nonzero.
+std::uint64_t reference_total_terms(std::span<const double> propensities) {
+  std::uint64_t terms = 0;
+  for (std::size_t base = 0; base < propensities.size(); base += 64) {
+    const std::size_t end = std::min(base + 64, propensities.size());
+    const auto nonzero = static_cast<std::size_t>(std::count_if(
+        propensities.begin() + static_cast<std::ptrdiff_t>(base),
+        propensities.begin() + static_cast<std::ptrdiff_t>(end),
+        [](double a) { return a != 0.0; }));
+    terms += nonzero >= ActiveSet::kDenseWordThreshold ? end - base : nonzero;
+  }
+  return terms;
+}
+
+/// The `selection_terms` the direct method reports for `run`, which fired
+/// `fired` from `counts`: replays the firings, recomputing every propensity
+/// before each total.
+std::uint64_t expected_selection_terms(const CompiledSystem& system,
+                                       const SsaOptions& options,
+                                       std::vector<std::int64_t> counts,
+                                       const std::vector<std::uint32_t>& fired,
+                                       const SsaResult& run) {
+  std::vector<double> propensities(system.reaction_count());
+  const auto total_terms = [&] {
+    for (std::size_t j = 0; j < propensities.size(); ++j) {
+      propensities[j] = system.propensity(j, counts, options.omega);
+    }
+    return reference_total_terms(propensities);
+  };
+  std::uint64_t terms = 0;
+  for (const std::uint32_t j : fired) {
+    terms += total_terms();
+    system.apply(j, counts);
+  }
+  // Exhaustion and a step past t_end both end the run after one more total;
+  // the event limit and an abort end it before.
+  if (!run.hit_event_limit && !run.aborted) terms += total_terms();
+  return terms;
+}
+
+TEST(DirectActiveSet, SelectionTermsMatchReplayedReference) {
+  // Exact, so a set that misses a member switching off (or on) shows up as
+  // a different count even where it would not change the result.
+  std::vector<DirectCase> cases;
+  cases.push_back({"word boundary", word_boundary_network()});
+  cases.push_back({"mixed density", mixed_density_network()});
+  cases.push_back({"cascade(4)", builtin_network("cascade(4)")});
+  // delay_chain(16) idles at its default state; a token on its input makes
+  // the handshakes switch reactions off and on along the chain.
+  const tools::BuiltDesign chain = tools::build_design("delay_chain(16)", {});
+  ReactionNetwork pulsed = *chain.network;
+  for (const auto& [id, role] : chain.info.roots) {
+    if (role == compile::PortRole::kInput) pulsed.set_initial(id, 1.0);
+  }
+  cases.push_back({"delay_chain(16) pulsed", std::move(pulsed)});
+
+  SsaOptions options = direct_options();
+  for (const DirectCase& c : cases) {
+    const CompiledSystem system(c.network);
+    const std::vector<std::int64_t> initial =
+        to_counts(c.network.initial_state(), options.omega);
+    for (const std::uint64_t seed : {1ull, 7ull}) {
+      options.seed = seed;
+      const std::string context = c.name + " seed " + std::to_string(seed);
+      std::vector<std::uint32_t> fired;
+      const SsaResult reference =
+          reference_direct_full_recompute(system, options, initial, &fired);
+      const SsaResult run = simulate_ssa(system, options, initial);
+      ASSERT_EQ(run.events, reference.events) << context;
+      ASSERT_GT(run.events, 100u) << context;
+      EXPECT_EQ(run.selection_terms,
+                expected_selection_terms(system, options, initial, fired, run))
+          << context;
+    }
+  }
+}
+
+TEST(DirectActiveSet, OtherMethodsLeaveSelectionTermsZero) {
+  const ReactionNetwork net = catalysis_network();
+  SsaOptions options = direct_options();
+  options.t_end = 1.0;
+  for (const SsaMethod method :
+       {SsaMethod::kNextReaction, SsaMethod::kTauLeaping}) {
+    options.method = method;
+    EXPECT_EQ(simulate_ssa(net, options).selection_terms, 0u);
+  }
+}
+
+// The active-set selector mirrors `select_reaction` (DirectSelection.* in
+// test_ssa.cpp) over the nonzero entries only.
+ActiveSet active_set_of(const std::vector<double>& values) {
+  ActiveSet set(values.size());
+  for (std::size_t j = 0; j < values.size(); ++j) set.assign(j, values[j]);
+  return set;
+}
+
+TEST(ActiveSetSelection, ScansToFirstMemberReachingTarget) {
+  const std::vector<double> a = {1.0, 2.0, 3.0};
+  const ActiveSet set = active_set_of(a);
+  EXPECT_EQ(set.select(a, 0.5), 0u);
+  EXPECT_EQ(set.select(a, 1.0), 0u);
+  EXPECT_EQ(set.select(a, 1.5), 1u);
+  EXPECT_EQ(set.select(a, 6.0), 2u);
+}
+
+TEST(ActiveSetSelection, ZeroDrawSkipsLeadingZeroPropensities) {
+  const std::vector<double> a = {0.0, 0.0, 2.0, 3.0};
+  const ActiveSet set = active_set_of(a);
+  EXPECT_FALSE(set.contains(0));
+  EXPECT_FALSE(set.contains(1));
+  EXPECT_EQ(set.select(a, 0.0), 2u);
+}
+
+TEST(ActiveSetSelection, RoundingResidualNeverFiresZeroPropensity) {
+  // The residual fixture of DirectSelection: the largest uniform draw times
+  // the sequential sum leaves +2.3e-18 after the full scan. The trailing
+  // zero is not a member, and the last positive member fires.
+  const std::vector<double> a = {0.00032368783653411804, 0.07179676476832639,
+                                 0.053929534852059736,  0.11309537029019168,
+                                 0.00020391405043667976, 0.0};
+  const ActiveSet set = active_set_of(a);
+  EXPECT_FALSE(set.contains(5));
+  std::uint64_t terms = 0;
+  const double total = set.sum(a, terms);
+  EXPECT_EQ(terms, 5u);
+  double dense_total = 0.0;
+  for (const double v : a) dense_total += v;
+  ASSERT_EQ(total, dense_total);
+  const double target = (1.0 - 0x1p-53) * total;
+  double residual = target;
+  for (const double v : a) residual -= v;
+  ASSERT_GT(residual, 0.0) << "fixture no longer leaves a residual";
+  EXPECT_EQ(set.select(a, target), 4u);
+}
+
+TEST(ActiveSetSelection, MatchesDenseScanBitwiseOnRandomPatterns) {
+  // Random vectors whose 64-entry words range from empty through the dense
+  // threshold to full, with signed zeros among the skipped entries. The sum
+  // must be the dense sum's exact bits and every selection the dense one.
+  util::Rng rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t size = 1 + rng.uniform_below(300);
+    std::vector<double> a(size);
+    double density = 0.0;
+    for (std::size_t j = 0; j < size; ++j) {
+      if (j % 64 == 0) {  // per word; some words come out full
+        density = rng.uniform() < 0.2 ? 1.0 : rng.uniform();
+      }
+      if (rng.uniform() < density) {
+        const int scale = static_cast<int>(rng.uniform_below(40));
+        a[j] = std::ldexp(rng.uniform() + 0.5, -scale);
+      } else {
+        a[j] = rng.uniform() < 0.5 ? 0.0 : -0.0;
+      }
+    }
+    const ActiveSet set = active_set_of(a);
+    double dense_total = 0.0;
+    for (const double v : a) dense_total += v;
+    std::uint64_t terms = 0;
+    const double total = set.sum(a, terms);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(total),
+              std::bit_cast<std::uint64_t>(dense_total))
+        << "trial " << trial;
+    ASSERT_LE(terms, size);
+    if (!(dense_total > 0.0)) continue;
+    for (const double u : {0.0, rng.uniform(), rng.uniform(), 1.0 - 0x1p-53}) {
+      ASSERT_EQ(set.select(a, u * total), select_reaction(a, u * total))
+          << "trial " << trial << " u " << u;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

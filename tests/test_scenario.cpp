@@ -156,6 +156,31 @@ TEST(Registry, CascadeEarnsOneCompositionCertificatePerBoundary) {
   EXPECT_EQ(certificates, 3u);
 }
 
+TEST(Registry, ComposedDesignsFillARequestedCompileReport) {
+  // cascade(L) and delay_chain(D) run no pass pipeline over the network
+  // they return; the report must still describe that network, not zeros.
+  const scenario::ScenarioRegistry& registry =
+      scenario::ScenarioRegistry::global();
+  for (const char* spec : {"cascade(4)", "delay_chain(16)"}) {
+    for (const compile::OptLevel opt :
+         {compile::OptLevel::kO0, compile::OptLevel::kO1}) {
+      compile::CompileReport report;
+      compile::CompileOptions options;
+      options.opt = opt;
+      options.report = &report;
+      const scenario::ResolvedScenario resolved =
+          registry.resolve(spec, options);
+      const core::ReactionNetwork& network = *resolved.design.network;
+      const std::string context =
+          std::string(spec) + " opt " + std::to_string(static_cast<int>(opt));
+      EXPECT_GT(report.after.reactions, 0u) << context;
+      EXPECT_EQ(report.after.reactions, network.reaction_count()) << context;
+      EXPECT_EQ(report.after.species, network.species_count()) << context;
+      EXPECT_EQ(report.before.reactions, report.after.reactions) << context;
+    }
+  }
+}
+
 // --- .mrsc directive format -------------------------------------------------
 
 TEST(ScenarioText, ParsesDesignAndBudgets) {
