@@ -2,24 +2,13 @@
 
 #include <cstdio>
 
+#include "util/json.hpp"
+
 namespace mrsc::compile {
 
 namespace {
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
+using util::json::quote;
 
 std::string format_double(double value) {
   char buffer[64];
@@ -46,7 +35,7 @@ std::string stats_json(const core::NetworkStats& stats) {
 std::string CompileReport::to_json() const {
   std::string out = "{\n";
   if (!design.empty()) {
-    out += "  \"design\": \"" + json_escape(design) + "\",\n";
+    out += "  \"design\": " + quote(design) + ",\n";
   }
   out += "  \"before\": " + stats_json(before) + ",\n";
   out += "  \"after\": " + stats_json(after) + ",\n";
@@ -55,7 +44,7 @@ std::string CompileReport::to_json() const {
   out += "  \"passes\": [\n";
   for (std::size_t i = 0; i < passes.size(); ++i) {
     const PassStats& pass = passes[i];
-    out += "    {\"name\": \"" + json_escape(pass.name) + "\"";
+    out += "    {\"name\": " + quote(pass.name);
     out += ", \"species_before\": " + std::to_string(pass.species_before);
     out += ", \"species_after\": " + std::to_string(pass.species_after);
     out += ", \"reactions_before\": " + std::to_string(pass.reactions_before);
@@ -66,7 +55,7 @@ std::string CompileReport::to_json() const {
     out += ", \"notes\": [";
     for (std::size_t j = 0; j < pass.notes.size(); ++j) {
       if (j > 0) out += ", ";
-      out += "\"" + json_escape(pass.notes[j]) + "\"";
+      out += quote(pass.notes[j]);
     }
     out += "]}";
     out += (i + 1 < passes.size()) ? ",\n" : "\n";

@@ -3,19 +3,13 @@
 #include <cctype>
 #include <stdexcept>
 
+#include "util/strings.hpp"
+
 namespace mrsc::core {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
+using util::trim;
 
 // Splits "A + 2 B" into terms. "0" (alone) or an empty side means no terms.
 std::vector<ParsedTerm> parse_side(std::string_view side) {

@@ -1,25 +1,17 @@
 #include "core/io.hpp"
 
-#include <cctype>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/builder.hpp"
+#include "util/strings.hpp"
 
 namespace mrsc::core {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
+using util::trim;
 
 void format_side(std::ostringstream& out, const ReactionNetwork& network,
                  const std::vector<Term>& terms) {

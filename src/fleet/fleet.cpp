@@ -9,7 +9,7 @@
 #include "runtime/ensemble.hpp"
 #include "scenario/registry.hpp"
 #include "serve/dispatcher.hpp"
-#include "serve/json.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace mrsc::fleet {
@@ -17,9 +17,9 @@ namespace mrsc::fleet {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using json = serve::json::Value;
-using serve::json::number_to_string;
-using serve::json::quote;
+using json = util::json::Value;
+using util::json::number_to_string;
+using util::json::quote;
 
 double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
@@ -30,7 +30,7 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
 void classify_response(const std::string& payload, std::string& status,
                        std::string& detail) {
   try {
-    const json parsed = serve::json::parse(payload);
+    const json parsed = util::json::parse(payload);
     status = parsed.get_string("status", "");
     if (status == "rejected") {
       detail = parsed.get_string("reason", "");
@@ -325,7 +325,7 @@ std::string build_sim_request(const std::string& design,
 /// std::invalid_argument on bad specs — locally, before any bytes move.
 std::string expected_key(const std::string& request) {
   return serve::canonical_key(
-      serve::parse_job(serve::json::parse(request)));
+      serve::parse_job(util::json::parse(request)));
 }
 
 /// Pulls result.<field> out of a parsed job response; throws on a payload
@@ -346,7 +346,7 @@ std::vector<json> parse_responses(const std::vector<std::string>& responses,
                                   const std::vector<std::string>& keys) {
   std::vector<json> parsed(responses.size());
   for (std::size_t i = 0; i < responses.size(); ++i) {
-    parsed[i] = serve::json::parse(responses[i]);
+    parsed[i] = util::json::parse(responses[i]);
     if (parsed[i].get_string("status", "") != "ok") {
       throw std::runtime_error("fleet: slice " + std::to_string(i) +
                                ": non-ok response escaped the retry layer");
@@ -407,7 +407,7 @@ std::string run_ensemble(FleetClient& fleet, const EnsembleSpec& spec) {
   out += ",\"species\":[";
   bool first = true;
   std::vector<double> values(spec.replicates);
-  for (const serve::json::Member& species : final0->as_object()) {
+  for (const util::json::Member& species : final0->as_object()) {
     const std::string& name = species.first;
     for (std::size_t i = 0; i < parsed.size(); ++i) {
       const json* final_state = result_of(parsed[i], i).find("final");

@@ -1,31 +1,18 @@
 #include "lint/diagnostics.hpp"
 
+#include "util/json.hpp"
+
 namespace mrsc::lint {
 
 namespace {
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
+using util::json::quote;
 
 std::string json_string_array(const std::vector<std::string>& items) {
   std::string out = "[";
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i > 0) out += ", ";
-    out += '"';
-    out += json_escape(items[i]);
-    out += '"';
+    out += quote(items[i]);
   }
   out += "]";
   return out;
@@ -86,7 +73,7 @@ std::string LintReport::to_text(bool show_info) const {
 
 std::string LintReport::to_json() const {
   std::string out = "{\n";
-  out += "  \"design\": \"" + json_escape(design) + "\",\n";
+  out += "  \"design\": " + quote(design) + ",\n";
   out += "  \"checks_run\": " + json_string_array(checks_run) + ",\n";
   out += "  \"checks_skipped\": " + json_string_array(checks_skipped) + ",\n";
   out += "  \"errors\": " + std::to_string(errors()) + ",\n";
@@ -95,18 +82,11 @@ std::string LintReport::to_json() const {
   for (std::size_t i = 0; i < diagnostics.size(); ++i) {
     const Diagnostic& d = diagnostics[i];
     if (i > 0) out += ",";
-    out += "\n    {\"id\": \"" + json_escape(d.id) + "\"";
-    out += ", \"severity\": \"" + std::string(to_string(d.severity)) + "\"";
-    out += ", \"check\": \"" + json_escape(d.check) + "\"";
-    out += ", \"message\": \"" + json_escape(d.message) + "\"";
-    out += ", \"notes\": [";
-    for (std::size_t j = 0; j < d.notes.size(); ++j) {
-      if (j > 0) out += ", ";
-      out += '"';
-      out += json_escape(d.notes[j]);
-      out += '"';
-    }
-    out += "]}";
+    out += "\n    {\"id\": " + quote(d.id);
+    out += ", \"severity\": " + quote(to_string(d.severity));
+    out += ", \"check\": " + quote(d.check);
+    out += ", \"message\": " + quote(d.message);
+    out += ", \"notes\": " + json_string_array(d.notes) + "}";
   }
   if (!diagnostics.empty()) out += "\n  ";
   out += "]\n";

@@ -6,19 +6,13 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/strings.hpp"
+
 namespace mrsc::scenario {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
+using util::trim;
 
 [[noreturn]] void fail(std::size_t line_number, const std::string& message) {
   throw std::invalid_argument("parse_scenario: line " +

@@ -13,14 +13,15 @@
 #include "scenario/registry.hpp"
 #include "serve/design_cache.hpp"
 #include "stress/campaign.hpp"
+#include "util/strings.hpp"
 #include "verify/verify.hpp"
 
 namespace mrsc::serve {
 
 namespace {
 
-using json::number_to_string;
-using json::quote;
+using util::json::number_to_string;
+using util::json::quote;
 
 constexpr double kMaxTEnd = 1e4;
 constexpr double kMaxDeadline = 600.0;
@@ -33,26 +34,11 @@ constexpr std::size_t kMaxStressIntensities = 8;
   throw std::invalid_argument(message);
 }
 
-std::uint64_t u64_field(const json::Value& v, const std::string& key,
+std::uint64_t u64_field(const util::json::Value& v, const std::string& key,
                         std::uint64_t fallback) {
   const std::optional<std::uint64_t> value = v.get_u64(key, fallback);
   if (!value) reject("field '" + key + "' must be a non-negative integer");
   return *value;
-}
-
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      if (start < text.size()) out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
 }
 
 bool is_ode_method(const std::string& method) {
@@ -91,7 +77,7 @@ const char* to_string(JobKind kind) {
   return "unknown";
 }
 
-JobRequest parse_job(const json::Value& request) {
+JobRequest parse_job(const util::json::Value& request) {
   if (!request.is_object()) reject("request must be a JSON object");
   JobRequest job;
   const std::string kind = request.get_string("kind", "");
@@ -169,8 +155,8 @@ JobRequest parse_job(const json::Value& request) {
     reject("field 'trials' must be in [1, " +
            std::to_string(kMaxStressTrials) + "]");
   }
-  if (const json::Value* grid = request.find("intensities")) {
-    if (grid->type() != json::Value::Type::kArray) {
+  if (const util::json::Value* grid = request.find("intensities")) {
+    if (grid->type() != util::json::Value::Type::kArray) {
       reject("field 'intensities' must be an array of numbers");
     }
     if (grid->as_array().size() > kMaxStressIntensities) {
@@ -178,8 +164,8 @@ JobRequest parse_job(const json::Value& request) {
              std::to_string(kMaxStressIntensities) + " points");
     }
     double previous = 0.0;
-    for (const json::Value& point : grid->as_array()) {
-      if (point.type() != json::Value::Type::kNumber) {
+    for (const util::json::Value& point : grid->as_array()) {
+      if (point.type() != util::json::Value::Type::kNumber) {
         reject("field 'intensities' must be an array of numbers");
       }
       const double intensity = point.as_number();
@@ -451,7 +437,7 @@ DispatchResult run_lint_job(const JobRequest& request,
       *design->built.network, design->built.info, request.design);
   input.composition = design->built.composition.get();
   lint::LintOptions lint_options;
-  lint_options.checks = split_commas(request.checks);
+  lint_options.checks = util::split_commas(request.checks);
   const lint::LintReport report = lint::run_lint(input, lint_options);
 
   std::string out = payload_header(request);
@@ -460,7 +446,7 @@ DispatchResult run_lint_job(const JobRequest& request,
          std::string(report.clean(request.werror) ? "true" : "false");
   // Re-serialize the analyzer's (pretty-printed) JSON through the protocol
   // serializer so the payload has exactly one deterministic formatting.
-  out += ",\"report\":" + json::parse(report.to_json()).dump();
+  out += ",\"report\":" + util::json::parse(report.to_json()).dump();
   out += "}}";
   return {out, true, true};
 }

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/json.hpp"
+#include "util/json.hpp"
 
 namespace mrsc::runtime {
 class BatchRunner;
@@ -82,7 +82,7 @@ struct JobRequest {
 /// wrong field types, or out-of-range values (field caps are documented in
 /// docs/SERVE.md — the server is not a general batch farm, so per-job work
 /// is bounded at admission time).
-[[nodiscard]] JobRequest parse_job(const json::Value& request);
+[[nodiscard]] JobRequest parse_job(const util::json::Value& request);
 
 /// The canonical cache key: a versioned "|"-separated field=value string
 /// over every result-determining field, numbers rendered exactly like the

@@ -196,8 +196,8 @@ std::string Client::request_raw(const std::string& payload) {
   return response;
 }
 
-json::Value Client::request(const std::string& payload) {
-  return json::parse(request_raw(payload));
+util::json::Value Client::request(const std::string& payload) {
+  return util::json::parse(request_raw(payload));
 }
 
 }  // namespace mrsc::serve

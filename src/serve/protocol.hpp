@@ -16,7 +16,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "serve/json.hpp"
+#include "serve/json.hpp"  // serve::json alias kept for perfbench/
+#include "util/json.hpp"
 
 namespace mrsc::serve {
 
@@ -102,7 +103,7 @@ class Client {
   std::string request_raw(const std::string& payload);
 
   /// request_raw + parse.
-  json::Value request(const std::string& payload);
+  util::json::Value request(const std::string& payload);
 
  private:
   Socket socket_;

@@ -141,9 +141,9 @@ void Server::serve_connection(Connection& connection) {
 }
 
 std::string Server::handle_request(const std::string& payload) {
-  json::Value request;
+  util::json::Value request;
   try {
-    request = json::parse(payload);
+    request = util::json::parse(payload);
   } catch (const std::exception& error) {
     stats_.record_protocol_error();
     return error_response(error.what());
@@ -168,7 +168,7 @@ std::string Server::handle_request(const std::string& payload) {
                         "' (expected job|stats|health|ping|catalog|drain)");
 }
 
-std::string Server::handle_job(const json::Value& request) {
+std::string Server::handle_job(const util::json::Value& request) {
   const auto start = std::chrono::steady_clock::now();
   JobRequest job;
   try {
@@ -244,9 +244,9 @@ std::string Server::health_payload() const {
                                                                    : "false";
   out += ",\"draining\":";
   out += draining_.load() ? "true" : "false";
-  out += ",\"shard_id\":" + json::quote(options_.shard_id);
+  out += ",\"shard_id\":" + util::json::quote(options_.shard_id);
   out += ",\"uptime_seconds\":" +
-         json::number_to_string(seconds_since(started_at_));
+         util::json::number_to_string(seconds_since(started_at_));
   out += '}';
   return out;
 }
@@ -254,11 +254,11 @@ std::string Server::health_payload() const {
 std::string Server::stats_payload() const {
   const CacheStats cache = cache_.stats();
   std::string out = R"({"status":"ok")";
-  out += ",\"shard_id\":" + json::quote(options_.shard_id);
+  out += ",\"shard_id\":" + util::json::quote(options_.shard_id);
   out += ",\"draining\":";
   out += draining_.load() ? "true" : "false";
   out += ",\"uptime_seconds\":" +
-         json::number_to_string(seconds_since(started_at_));
+         util::json::number_to_string(seconds_since(started_at_));
   out += ",\"queue\":{";
   out += "\"depth\":" + std::to_string(pool_ ? pool_->queued() : 0);
   out += ",\"in_flight\":" + std::to_string(pool_ ? pool_->active() : 0);
@@ -271,7 +271,7 @@ std::string Server::stats_payload() const {
   out += ",\"entries\":" + std::to_string(cache.entries);
   out += ",\"bytes\":" + std::to_string(cache.bytes);
   out += ",\"capacity_entries\":" + std::to_string(cache.capacity_entries);
-  out += ",\"hit_rate\":" + json::number_to_string(cache.hit_rate());
+  out += ",\"hit_rate\":" + util::json::number_to_string(cache.hit_rate());
   const CacheStats designs = designs_.stats();
   out += "},\"designs\":{";
   out += "\"hits\":" + std::to_string(designs.hits);

@@ -92,7 +92,7 @@ class Server {
   void accept_loop();
   void serve_connection(Connection& connection);
   [[nodiscard]] std::string handle_request(const std::string& payload);
-  [[nodiscard]] std::string handle_job(const json::Value& request);
+  [[nodiscard]] std::string handle_job(const util::json::Value& request);
   [[nodiscard]] std::string health_payload() const;
   void reap_finished_connections();
 

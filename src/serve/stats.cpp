@@ -4,11 +4,14 @@
 #include <cmath>
 #include <utility>
 
-#include "serve/json.hpp"
+#include "util/json.hpp"
 
 namespace mrsc::serve {
 
 namespace {
+
+using util::json::number_to_string;
+using util::json::quote;
 
 std::size_t bucket_index(double seconds) {
   if (seconds <= 1e-6) return 0;
@@ -124,20 +127,20 @@ std::string ServerStats::to_json() const {
     if (!first) out += ',';
     first = false;
     const LatencyHistogram& h = entry.latency;
-    out += json::quote(entry.kind) + ":{";
+    out += quote(entry.kind) + ":{";
     out += "\"count\":" + std::to_string(h.count());
     out += ",\"ok\":" + std::to_string(entry.ok);
     out += ",\"failed\":" + std::to_string(entry.failed);
     out += ",\"cache_hits\":" + std::to_string(entry.cache_hits);
     out += ",\"mean_ms\":" +
-           json::number_to_string(
+           number_to_string(
                h.count() == 0
                    ? 0.0
                    : 1e3 * h.total_seconds() / static_cast<double>(h.count()));
-    out += ",\"p50_ms\":" + json::number_to_string(1e3 * h.percentile(0.50));
-    out += ",\"p90_ms\":" + json::number_to_string(1e3 * h.percentile(0.90));
-    out += ",\"p99_ms\":" + json::number_to_string(1e3 * h.percentile(0.99));
-    out += ",\"max_ms\":" + json::number_to_string(1e3 * h.max_seconds());
+    out += ",\"p50_ms\":" + number_to_string(1e3 * h.percentile(0.50));
+    out += ",\"p90_ms\":" + number_to_string(1e3 * h.percentile(0.90));
+    out += ",\"p99_ms\":" + number_to_string(1e3 * h.percentile(0.99));
+    out += ",\"max_ms\":" + number_to_string(1e3 * h.max_seconds());
     out += '}';
   }
   out += '}';

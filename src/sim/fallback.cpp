@@ -8,9 +8,15 @@
 #include <thread>
 #include <utility>
 
+#include "util/json.hpp"
+#include "util/strings.hpp"
+
 namespace mrsc::sim {
 
 namespace {
+
+using util::format_17g;
+using util::json::quote;
 
 const char* ode_method_name(OdeMethod method) {
   switch (method) {
@@ -34,42 +40,6 @@ const char* ssa_method_name(SsaMethod method) {
       return "tau-leap";
   }
   return "ssa";
-}
-
-std::string format_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 struct OdeRung {
@@ -210,17 +180,16 @@ std::string RecoveryLog::to_string() const {
 std::string RecoveryLog::to_json() const {
   std::string out = "{\"recovered\":";
   out += recovered ? "true" : "false";
-  out += ",\"final_rung\":\"" + json_escape(final_rung) + "\"";
+  out += ",\"final_rung\":" + quote(final_rung);
   out += ",\"attempts\":[";
   for (std::size_t i = 0; i < attempts.size(); ++i) {
     const RecoveryAttempt& attempt = attempts[i];
     if (i > 0) out += ',';
     out += "{\"attempt\":" + std::to_string(attempt.attempt);
-    out += ",\"rung\":\"" + json_escape(attempt.rung) + "\"";
-    out += ",\"failure\":\"";
-    out += sim::to_string(attempt.failure.kind);
-    out += "\",\"detail\":\"" + json_escape(attempt.failure.detail) + "\"";
-    out += ",\"backoff_seconds\":" + format_double(attempt.backoff_seconds);
+    out += ",\"rung\":" + quote(attempt.rung);
+    out += ",\"failure\":" + quote(sim::to_string(attempt.failure.kind));
+    out += ",\"detail\":" + quote(attempt.failure.detail);
+    out += ",\"backoff_seconds\":" + format_17g(attempt.backoff_seconds);
     out += "}";
   }
   out += "]}";

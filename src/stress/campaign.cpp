@@ -12,12 +12,17 @@
 #include "dsp/filters.hpp"
 #include "fsm/fsm.hpp"
 #include "runtime/batch.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "verify/oracles.hpp"
 
 namespace mrsc::stress {
 
 namespace {
+
+using util::format_17g;
+using util::json::quote;
 
 // Fixed, deliberately small workloads: a campaign runs
 // |intensities| * trials * attempts full simulations, so each trial is a
@@ -29,50 +34,6 @@ constexpr double kMaSamples[] = {1.0, 0.0, 1.0, 1.0, 0.0, 2.0};
 constexpr std::size_t kFsmInputs[] = {1, 0, 1, 0, 1, 1};
 constexpr std::size_t kChainElements = 2;
 constexpr double kChainTEnd = 40.0 * (kChainElements + 1);
-
-std::string format_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-// Human-facing table rendering: grid intensities are short decimals, so %g
-// avoids the %.17g round-trip noise (0.10000000000000001).
-std::string format_short(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%g", value);
-  return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Design-specific constants resolved once before the sweep (species names
 /// for event faults, the clock-skew label prefix, timing).
@@ -389,26 +350,29 @@ std::string CampaignResult::to_table() const {
     out += line;
   }
   out += "robustness margin: ";
-  out += margin_found ? format_short(margin) : "none (smallest intensity already fails)";
+  // Human-facing: grid intensities are short decimals, so %g avoids the
+  // %.17g round-trip noise (0.10000000000000001).
+  out += margin_found ? util::format("%g", margin)
+                      : "none (smallest intensity already fails)";
   out += "\n";
   return out;
 }
 
 std::string CampaignResult::to_json() const {
   std::string out = "{\n";
-  out += "  \"design\": \"" + std::string(stress::to_string(design)) + "\",\n";
-  out += "  \"fault\": \"" + std::string(stress::to_string(fault)) + "\",\n";
+  out += "  \"design\": " + quote(stress::to_string(design)) + ",\n";
+  out += "  \"fault\": " + quote(stress::to_string(fault)) + ",\n";
   out += "  \"trials_per_intensity\": " +
          std::to_string(trials_per_intensity) + ",\n";
   out += "  \"base_seed\": " + std::to_string(base_seed) + ",\n";
-  out += "  \"target\": \"" + json_escape(target) + "\",\n";
-  out += "  \"margin\": " + format_double(margin) + ",\n";
+  out += "  \"target\": " + quote(target) + ",\n";
+  out += "  \"margin\": " + format_17g(margin) + ",\n";
   out += std::string("  \"margin_found\": ") +
          (margin_found ? "true" : "false") + ",\n";
   out += "  \"intensities\": [\n";
   for (std::size_t i = 0; i < intensities.size(); ++i) {
     const IntensityResult& point = intensities[i];
-    out += "    {\"intensity\": " + format_double(point.intensity);
+    out += "    {\"intensity\": " + format_17g(point.intensity);
     out += ", \"ok\": " + std::to_string(point.ok);
     out += ", \"mismatch\": " + std::to_string(point.mismatch);
     out += ", \"sim_failure\": " + std::to_string(point.sim_failure);
@@ -418,9 +382,8 @@ std::string CampaignResult::to_json() const {
       const TrialResult& trial = point.trials[t];
       if (t > 0) out += ", ";
       out += "{\"seed\": " + std::to_string(trial.seed);
-      out += ", \"status\": \"";
-      out += stress::to_string(trial.status);
-      out += "\", \"detail\": \"" + json_escape(trial.detail) + "\"";
+      out += ", \"status\": " + quote(stress::to_string(trial.status));
+      out += ", \"detail\": " + quote(trial.detail);
       out += ", \"attempts\": " + std::to_string(trial.attempts);
       out += ", \"recovery\": " + trial.recovery.to_json();
       out += "}";

@@ -45,22 +45,32 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "analysis/sweep.hpp"
 #include "compile/passes.hpp"
 #include "core/io.hpp"
-#include "scenario/registry.hpp"
-#include "analysis/sweep.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/ensemble.hpp"
+#include "scenario/registry.hpp"
+#include "tools/cli_flags.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
 using namespace mrsc;
+
+using tools::need_value;
+using tools::parse_double;
+using tools::parse_u64;
+using tools::write_file;
+using util::format_17g;
+using util::json::quote;
+constexpr char kTool[] = "mrsc_batch";
 
 struct CliOptions {
   std::string file;
@@ -104,72 +114,30 @@ void usage() {
       "       [--species A,B,C] [--retries N] [--opt] [--json PATH]\n");
 }
 
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-bool parse_double(const char* flag, const char* text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_batch: %s: '%s' is not a number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_u64(const char* flag, const char* text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_batch: %s: '%s' is not a whole number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
 bool parse_double_list(const char* flag, const char* text,
                        std::vector<double>& out) {
   out.clear();
-  for (const std::string& item : split_commas(text)) {
+  for (const std::string& item : util::split_commas(text)) {
     double value = 0.0;
-    if (!parse_double(flag, item.c_str(), value)) return false;
+    if (!parse_double(kTool, flag, item.c_str(), value)) return false;
     out.push_back(value);
+  }
+  if (out.empty()) {
+    std::fprintf(stderr, "mrsc_batch: %s needs at least one value\n", flag);
+    return false;
   }
   return true;
 }
 
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_batch: %s needs a value\n", argv[i]);
-      return nullptr;
-    }
-    return argv[++i];
-  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const bool is_flag = std::strcmp(arg, "--opt") == 0;
     const bool takes_value = !is_flag && arg[0] == '-' && arg[1] == '-';
     const char* value = nullptr;
-    if (takes_value && !(value = need_value(i))) return false;
+    if (takes_value && !(value = need_value(kTool, argc, argv, i))) {
+      return false;
+    }
     if (is_flag) {
       options.opt = true;
       continue;
@@ -178,44 +146,44 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       options.mode = value;
     } else if (std::strcmp(arg, "--jobs") == 0) {
       std::uint64_t jobs = 0;
-      if (!parse_u64(arg, value, jobs)) return false;
+      if (!parse_u64(kTool, arg, value, jobs)) return false;
       options.jobs = static_cast<std::size_t>(jobs);
     } else if (std::strcmp(arg, "--replicates") == 0) {
       std::uint64_t replicates = 0;
-      if (!parse_u64(arg, value, replicates)) return false;
+      if (!parse_u64(kTool, arg, value, replicates)) return false;
       options.replicates = static_cast<std::size_t>(replicates);
     } else if (std::strcmp(arg, "--timeout") == 0) {
-      if (!parse_double(arg, value, options.timeout)) return false;
+      if (!parse_double(kTool, arg, value, options.timeout)) return false;
     } else if (std::strcmp(arg, "--seed") == 0) {
-      if (!parse_u64(arg, value, options.seed)) return false;
+      if (!parse_u64(kTool, arg, value, options.seed)) return false;
       options.set_seed = true;
     } else if (std::strcmp(arg, "--t-end") == 0) {
-      if (!parse_double(arg, value, options.t_end)) return false;
+      if (!parse_double(kTool, arg, value, options.t_end)) return false;
       options.set_t_end = true;
     } else if (std::strcmp(arg, "--method") == 0) {
       options.method = value;
       options.set_method = true;
     } else if (std::strcmp(arg, "--omega") == 0) {
-      if (!parse_double(arg, value, options.omega)) return false;
+      if (!parse_double(kTool, arg, value, options.omega)) return false;
       options.set_omega = true;
     } else if (std::strcmp(arg, "--record") == 0) {
-      if (!parse_double(arg, value, options.record)) return false;
+      if (!parse_double(kTool, arg, value, options.record)) return false;
       options.set_record = true;
     } else if (std::strcmp(arg, "--scenario") == 0) {
       options.scenario = value;
     } else if (std::strcmp(arg, "--tau") == 0) {
-      if (!parse_double(arg, value, options.tau)) return false;
+      if (!parse_double(kTool, arg, value, options.tau)) return false;
     } else if (std::strcmp(arg, "--dt") == 0) {
-      if (!parse_double(arg, value, options.dt)) return false;
+      if (!parse_double(kTool, arg, value, options.dt)) return false;
     } else if (std::strcmp(arg, "--ratios") == 0) {
       if (!parse_double_list(arg, value, options.ratios)) return false;
     } else if (std::strcmp(arg, "--jitters") == 0) {
       if (!parse_double_list(arg, value, options.jitters)) return false;
     } else if (std::strcmp(arg, "--species") == 0) {
-      options.species = split_commas(value);
+      options.species = util::split_commas(value);
     } else if (std::strcmp(arg, "--retries") == 0) {
       std::uint64_t retries = 0;
-      if (!parse_u64(arg, value, retries)) return false;
+      if (!parse_u64(kTool, arg, value, retries)) return false;
       options.retries = static_cast<std::size_t>(retries);
     } else if (std::strcmp(arg, "--json") == 0) {
       options.json = value;
@@ -287,12 +255,6 @@ std::vector<core::SpeciesId> resolve_species(
     ids.push_back(*id);
   }
   return ids;
-}
-
-void append_json_number(std::string& out, double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  out += buffer;
 }
 
 // Embeds the --opt compile report (if any) right after the "mode" field.
@@ -370,7 +332,7 @@ int run_ensemble(const core::ReactionNetwork& network,
     append_compile_report(json, cli);
     json += "  \"replicates\": " + std::to_string(options.replicates) + ",\n";
     json += "  \"base_seed\": " + std::to_string(options.base_seed) + ",\n";
-    json += "  \"method\": \"" + method + "\",\n";
+    json += "  \"method\": " + quote(method) + ",\n";
     json += "  \"ok\": " + std::to_string(result.ok) + ",\n";
     json += "  \"failed\": " + std::to_string(result.failed) + ",\n";
     json += "  \"timeout\": " + std::to_string(result.timed_out) + ",\n";
@@ -378,31 +340,30 @@ int run_ensemble(const core::ReactionNetwork& network,
     json += "  \"quarantined\": " + std::to_string(result.quarantined) +
             ",\n";
     json += "  \"wall_seconds\": ";
-    append_json_number(json, result.wall_seconds);
+    json += format_17g(result.wall_seconds);
     json += ",\n  \"species\": [\n";
     for (std::size_t i = 0; i < report.size(); ++i) {
       const runtime::SpeciesStats& stats =
           result.final_stats[report[i].index()];
-      json += "    {\"name\": \"" + stats.name + "\", \"mean\": ";
-      append_json_number(json, stats.mean);
+      json += "    {\"name\": " + quote(stats.name) + ", \"mean\": ";
+      json += format_17g(stats.mean);
       json += ", \"stddev\": ";
-      append_json_number(json, stats.stddev);
+      json += format_17g(stats.stddev);
       json += ", \"min\": ";
-      append_json_number(json, stats.min);
+      json += format_17g(stats.min);
       json += ", \"max\": ";
-      append_json_number(json, stats.max);
+      json += format_17g(stats.max);
       json += ", \"q05\": ";
-      append_json_number(json, stats.q05);
+      json += format_17g(stats.q05);
       json += ", \"q50\": ";
-      append_json_number(json, stats.q50);
+      json += format_17g(stats.q50);
       json += ", \"q95\": ";
-      append_json_number(json, stats.q95);
+      json += format_17g(stats.q95);
       json += i + 1 < report.size() ? "},\n" : "}\n";
     }
     json += "  ],\n  \"replicate_status\": [";
     for (std::size_t i = 0; i < result.replicates.size(); ++i) {
-      json += std::string("\"") +
-              runtime::to_string(result.replicates[i].status) + "\"";
+      json += quote(runtime::to_string(result.replicates[i].status));
       if (i + 1 < result.replicates.size()) json += ", ";
     }
     json += "],\n  \"replicate_seeds\": [";
@@ -425,13 +386,7 @@ int run_ensemble(const core::ReactionNetwork& network,
       if (i + 1 < result.replicates.size()) json += ", ";
     }
     json += "]\n}\n";
-    std::ofstream out(cli.json);
-    if (!out) {
-      std::fprintf(stderr, "mrsc_batch: cannot write %s\n",
-                   cli.json.c_str());
-      return 1;
-    }
-    out << json;
+    if (!write_file(kTool, cli.json, json)) return 1;
     std::printf("results written to %s\n", cli.json.c_str());
   }
   return result.ok == result.replicates.size() ? 0 : 1;
@@ -533,22 +488,21 @@ int run_sweep(const core::ReactionNetwork& network, const CliOptions& cli) {
     for (std::size_t i = 0; i < results.size(); ++i) {
       const runtime::JobResult& job = results[i];
       json += "    {\"ratio\": ";
-      append_json_number(json, grid[i].ratio);
+      json += format_17g(grid[i].ratio);
       json += ", \"jitter\": ";
-      append_json_number(json, grid[i].jitter);
+      json += format_17g(grid[i].jitter);
       json += ", \"seed\": " + std::to_string(grid[i].seed);
-      json += std::string(", \"status\": \"") + runtime::to_string(job.status);
-      json += "\", \"wall_seconds\": ";
-      append_json_number(json, job.wall_seconds);
+      json += ", \"status\": " + quote(runtime::to_string(job.status));
+      json += ", \"wall_seconds\": ";
+      json += format_17g(job.wall_seconds);
       json += ", \"ode_steps\": " + std::to_string(job.ode_steps);
       json += ", \"attempts\": " + std::to_string(job.attempts);
       json += ", \"recovery\": ";
       json += job.recovery.attempts.empty() ? "null" : job.recovery.to_json();
       json += ", \"final\": {";
       for (std::size_t s = 0; s < report.size(); ++s) {
-        json += "\"" + network.species_name(report[s]) + "\": ";
-        append_json_number(json,
-                           report[s].index() < job.final_state.size()
+        json += quote(network.species_name(report[s])) + ": ";
+        json += format_17g(report[s].index() < job.final_state.size()
                                ? job.final_state[report[s].index()]
                                : 0.0);
         if (s + 1 < report.size()) json += ", ";
@@ -556,13 +510,7 @@ int run_sweep(const core::ReactionNetwork& network, const CliOptions& cli) {
       json += i + 1 < results.size() ? "}},\n" : "}}\n";
     }
     json += "  ]\n}\n";
-    std::ofstream out(cli.json);
-    if (!out) {
-      std::fprintf(stderr, "mrsc_batch: cannot write %s\n",
-                   cli.json.c_str());
-      return 1;
-    }
-    out << json;
+    if (!write_file(kTool, cli.json, json)) return 1;
     std::printf("results written to %s\n", cli.json.c_str());
   }
   return failures == 0 ? 0 : 1;

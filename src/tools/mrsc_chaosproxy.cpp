@@ -26,16 +26,22 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "fleet/chaos_proxy.hpp"
+#include "tools/cli_flags.hpp"
 
 namespace {
 
 using namespace mrsc;
+
+using tools::need_value;
+using tools::parse_double;
+using tools::parse_u64;
+using tools::write_file;
+constexpr char kTool[] = "mrsc_chaosproxy";
 
 volatile std::sig_atomic_t g_signal = 0;
 
@@ -59,34 +65,8 @@ void usage() {
       "       [--truncate X] [--blackhole X]\n");
 }
 
-bool parse_double(const char* flag, const char* text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_chaosproxy: %s: '%s' is not a number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_u64(const char* flag, const char* text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_chaosproxy: %s: '%s' is not a whole number\n",
-                 flag, text);
-    return false;
-  }
-  return true;
-}
-
 bool parse_probability(const char* flag, const char* text, double& out) {
-  if (!parse_double(flag, text, out)) return false;
+  if (!parse_double(kTool, flag, text, out)) return false;
   if (out < 0.0 || out > 1.0) {
     std::fprintf(stderr, "mrsc_chaosproxy: %s must be in [0, 1]\n", flag);
     return false;
@@ -97,14 +77,12 @@ bool parse_probability(const char* flag, const char* text, double& out) {
 bool parse_cli(int argc, char** argv, CliOptions& options) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_chaosproxy: %s needs a value\n", arg);
-      return false;
-    }
-    const char* value = argv[++i];
+    const char* value = need_value(kTool, argc, argv, i);
+    if (value == nullptr) return false;
     std::uint64_t number = 0;
     if (std::strcmp(arg, "--upstream-port") == 0) {
-      if (!parse_u64(arg, value, number) || number == 0 || number > 65535) {
+      if (!parse_u64(kTool, arg, value, number) ||
+          number == 0 || number > 65535) {
         return false;
       }
       options.upstream.port = static_cast<std::uint16_t>(number);
@@ -113,18 +91,20 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
     } else if (std::strcmp(arg, "--listen-host") == 0) {
       options.listen_host = value;
     } else if (std::strcmp(arg, "--listen-port") == 0) {
-      if (!parse_u64(arg, value, number) || number > 65535) return false;
+      if (!parse_u64(kTool, arg, value, number) || number > 65535) return false;
       options.listen_port = static_cast<std::uint16_t>(number);
     } else if (std::strcmp(arg, "--port-file") == 0) {
       options.port_file = value;
     } else if (std::strcmp(arg, "--seed") == 0) {
-      if (!parse_u64(arg, value, options.seed)) return false;
+      if (!parse_u64(kTool, arg, value, options.seed)) return false;
     } else if (std::strcmp(arg, "--drop") == 0) {
       if (!parse_probability(arg, value, options.faults.drop)) return false;
     } else if (std::strcmp(arg, "--delay") == 0) {
       if (!parse_probability(arg, value, options.faults.delay)) return false;
     } else if (std::strcmp(arg, "--delay-ms") == 0) {
-      if (!parse_double(arg, value, options.faults.delay_ms)) return false;
+      if (!parse_double(kTool, arg, value, options.faults.delay_ms)) {
+        return false;
+      }
     } else if (std::strcmp(arg, "--truncate") == 0) {
       if (!parse_probability(arg, value, options.faults.truncate)) {
         return false;
@@ -162,14 +142,10 @@ int main(int argc, char** argv) {
         cli.faults.drop, cli.faults.delay, cli.faults.truncate,
         cli.faults.blackhole);
     std::fflush(stdout);
-    if (!cli.port_file.empty()) {
-      std::ofstream out(cli.port_file);
-      if (!out) {
-        std::fprintf(stderr, "mrsc_chaosproxy: cannot write %s\n",
-                     cli.port_file.c_str());
-        return 1;
-      }
-      out << proxy.port() << "\n";
+    if (!cli.port_file.empty() &&
+        !write_file(kTool, cli.port_file,
+                    std::to_string(proxy.port()) + "\n")) {
+      return 1;
     }
 
     std::signal(SIGINT, handle_signal);

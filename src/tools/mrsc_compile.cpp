@@ -27,7 +27,6 @@
 // Prints the per-pass table on stdout; exits nonzero on error.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -38,10 +37,16 @@
 #include "core/io.hpp"
 #include "lint/lint.hpp"
 #include "tools/builtin_designs.hpp"
+#include "tools/cli_flags.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
 using namespace mrsc;
+
+using tools::need_value;
+using tools::write_file;
+constexpr char kTool[] = "mrsc_compile";
 
 struct CliOptions {
   std::string file;
@@ -66,29 +71,7 @@ void usage() {
       mrsc::tools::builtin_design_names());
 }
 
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      if (start < text.size()) out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_compile: %s needs a value\n", argv[i]);
-      return nullptr;
-    }
-    return argv[++i];
-  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (arg[0] != '-') {
@@ -107,7 +90,7 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       options.list_scenarios = true;
       continue;
     }
-    const char* value = need_value(i);
+    const char* value = need_value(kTool, argc, argv, i);
     if (value == nullptr) return false;
     if (std::strcmp(arg, "--design") == 0) {
       options.design = value;
@@ -120,9 +103,9 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       }
       options.opt = value[0] - '0';
     } else if (std::strcmp(arg, "--assume-zero") == 0) {
-      options.assume_zero = split_commas(value);
+      options.assume_zero = util::split_commas(value);
     } else if (std::strcmp(arg, "--roots") == 0) {
-      options.roots = split_commas(value);
+      options.roots = util::split_commas(value);
     } else if (std::strcmp(arg, "--json") == 0) {
       options.json = value;
     } else if (std::strcmp(arg, "--out") == 0) {
@@ -235,13 +218,7 @@ int main(int argc, char** argv) {
                 a.reactions, cli.opt);
 
     if (!cli.json.empty()) {
-      std::ofstream out(cli.json);
-      if (!out) {
-        std::fprintf(stderr, "mrsc_compile: cannot write %s\n",
-                     cli.json.c_str());
-        return 1;
-      }
-      out << report.to_json();
+      if (!write_file(kTool, cli.json, report.to_json())) return 1;
       std::printf("report written to %s\n", cli.json.c_str());
     }
     if (!cli.out.empty()) {

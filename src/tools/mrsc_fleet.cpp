@@ -38,16 +38,23 @@
 //   2  bad CLI usage (including specs the local registry rejects)
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fleet/fleet.hpp"
+#include "tools/cli_flags.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
 using namespace mrsc;
+
+using tools::need_value;
+using tools::parse_double;
+using tools::parse_u64;
+using tools::write_file;
+constexpr char kTool[] = "mrsc_fleet";
 
 struct CliOptions {
   fleet::FleetOptions fleet;
@@ -69,50 +76,9 @@ void usage() {
       "       [--concurrency N] [--json PATH]\n");
 }
 
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      if (start < text.size()) out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-bool parse_double(const char* flag, const char* text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_fleet: %s: '%s' is not a number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_u64(const char* flag, const char* text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_fleet: %s: '%s' is not a whole number\n",
-                 flag, text);
-    return false;
-  }
-  return true;
-}
-
 bool parse_shards(const std::string& list,
                   std::vector<fleet::Endpoint>& shards) {
-  for (const std::string& entry : split_commas(list)) {
+  for (const std::string& entry : util::split_commas(list)) {
     fleet::Endpoint endpoint;
     std::string port_text = entry;
     const std::size_t colon = entry.rfind(':');
@@ -121,7 +87,7 @@ bool parse_shards(const std::string& list,
       port_text = entry.substr(colon + 1);
     }
     std::uint64_t port = 0;
-    if (!parse_u64("--shards", port_text.c_str(), port) || port == 0 ||
+    if (!parse_u64(kTool, "--shards", port_text.c_str(), port) || port == 0 ||
         port > 65535 || endpoint.host.empty()) {
       std::fprintf(stderr,
                    "mrsc_fleet: --shards entry '%s' must be PORT or "
@@ -143,11 +109,8 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
   std::string omegas_text;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_fleet: %s needs a value\n", arg);
-      return false;
-    }
-    const char* value = argv[++i];
+    const char* value = need_value(kTool, argc, argv, i);
+    if (value == nullptr) return false;
     std::uint64_t number = 0;
     if (std::strcmp(arg, "--shards") == 0) {
       if (!parse_shards(value, options.fleet.shards)) return false;
@@ -156,46 +119,56 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
     } else if (std::strcmp(arg, "--design") == 0) {
       options.ensemble.design = value;
     } else if (std::strcmp(arg, "--replicates") == 0) {
-      if (!parse_u64(arg, value, number) || number == 0) return false;
+      if (!parse_u64(kTool, arg, value, number) || number == 0) return false;
       options.ensemble.replicates = static_cast<std::size_t>(number);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      if (!parse_u64(arg, value, options.ensemble.base_seed)) return false;
+      if (!parse_u64(kTool, arg, value, options.ensemble.base_seed)) {
+        return false;
+      }
     } else if (std::strcmp(arg, "--method") == 0) {
       options.ensemble.method = value;
     } else if (std::strcmp(arg, "--t-end") == 0) {
-      if (!parse_double(arg, value, options.ensemble.t_end)) return false;
+      if (!parse_double(kTool, arg, value, options.ensemble.t_end)) {
+        return false;
+      }
     } else if (std::strcmp(arg, "--omega") == 0) {
-      if (!parse_double(arg, value, options.ensemble.omega)) return false;
+      if (!parse_double(kTool, arg, value, options.ensemble.omega)) {
+        return false;
+      }
     } else if (std::strcmp(arg, "--omegas") == 0) {
       omegas_text = value;
     } else if (std::strcmp(arg, "--record") == 0) {
-      if (!parse_double(arg, value, options.ensemble.record)) return false;
+      if (!parse_double(kTool, arg, value, options.ensemble.record)) {
+        return false;
+      }
     } else if (std::strcmp(arg, "--opt") == 0) {
-      if (!parse_u64(arg, value, number) || number > 1) return false;
+      if (!parse_u64(kTool, arg, value, number) || number > 1) return false;
       options.ensemble.opt = static_cast<int>(number);
     } else if (std::strcmp(arg, "--timeout-ms") == 0) {
-      if (!parse_double(arg, value, options.fleet.request_timeout_ms)) {
+      if (!parse_double(kTool, arg, value, options.fleet.request_timeout_ms)) {
         return false;
       }
     } else if (std::strcmp(arg, "--attempts") == 0) {
-      if (!parse_u64(arg, value, number) || number == 0) return false;
+      if (!parse_u64(kTool, arg, value, number) || number == 0) return false;
       options.fleet.max_attempts = static_cast<std::size_t>(number);
     } else if (std::strcmp(arg, "--hedge-ms") == 0) {
-      if (!parse_double(arg, value, options.fleet.hedge_ms)) return false;
+      if (!parse_double(kTool, arg, value, options.fleet.hedge_ms)) {
+        return false;
+      }
     } else if (std::strcmp(arg, "--backoff-base-ms") == 0) {
-      if (!parse_double(arg, value, options.fleet.backoff.base_ms)) {
+      if (!parse_double(kTool, arg, value, options.fleet.backoff.base_ms)) {
         return false;
       }
     } else if (std::strcmp(arg, "--backoff-cap-ms") == 0) {
-      if (!parse_double(arg, value, options.fleet.backoff.cap_ms)) {
+      if (!parse_double(kTool, arg, value, options.fleet.backoff.cap_ms)) {
         return false;
       }
     } else if (std::strcmp(arg, "--jitter-seed") == 0) {
-      if (!parse_u64(arg, value, options.fleet.backoff.jitter_seed)) {
+      if (!parse_u64(kTool, arg, value, options.fleet.backoff.jitter_seed)) {
         return false;
       }
     } else if (std::strcmp(arg, "--concurrency") == 0) {
-      if (!parse_u64(arg, value, number)) return false;
+      if (!parse_u64(kTool, arg, value, number)) return false;
       options.fleet.concurrency = static_cast<std::size_t>(number);
     } else if (std::strcmp(arg, "--json") == 0) {
       options.json = value;
@@ -216,9 +189,9 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
     return false;
   }
   if (!omegas_text.empty()) {
-    for (const std::string& point : split_commas(omegas_text)) {
+    for (const std::string& point : util::split_commas(omegas_text)) {
       double omega = 0.0;
-      if (!parse_double("--omegas", point.c_str(), omega)) return false;
+      if (!parse_double(kTool, "--omegas", point.c_str(), omega)) return false;
       options.omegas.push_back(omega);
     }
   }
@@ -234,12 +207,7 @@ bool write_report(const std::string& path, const std::string& report) {
     std::printf("%s\n", report.c_str());
     return true;
   }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "mrsc_fleet: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << report << "\n";
+  if (!write_file(kTool, path, report + "\n")) return false;
   std::printf("report written to %s\n", path.c_str());
   return true;
 }

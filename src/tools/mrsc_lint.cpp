@@ -27,7 +27,6 @@
 //   2  usage error / unknown design / unknown check
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -36,10 +35,16 @@
 #include "lint/lint.hpp"
 #include "scenario/registry.hpp"
 #include "tools/builtin_designs.hpp"
+#include "tools/cli_flags.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
 using namespace mrsc;
+
+using tools::need_value;
+using tools::write_file;
+constexpr char kTool[] = "mrsc_lint";
 
 struct CliOptions {
   std::string file;
@@ -68,21 +73,6 @@ void usage() {
   std::fprintf(stderr, "\n");
 }
 
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      if (start < text.size()) out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
 bool parse_cli(int argc, char** argv, CliOptions& options) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -102,11 +92,8 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       options.quiet = true;
       continue;
     }
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_lint: %s needs a value\n", arg);
-      return false;
-    }
-    const char* value = argv[++i];
+    const char* value = need_value(kTool, argc, argv, i);
+    if (value == nullptr) return false;
     if (std::strcmp(arg, "--design") == 0) {
       options.design = value;
     } else if (std::strcmp(arg, "--scenario") == 0) {
@@ -118,9 +105,9 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       }
       options.opt = value[0] - '0';
     } else if (std::strcmp(arg, "--checks") == 0) {
-      options.checks = split_commas(value);
+      options.checks = util::split_commas(value);
     } else if (std::strcmp(arg, "--roots") == 0) {
-      options.roots = split_commas(value);
+      options.roots = util::split_commas(value);
     } else if (std::strcmp(arg, "--json") == 0) {
       options.json = value;
     } else {
@@ -138,6 +125,15 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
     return false;
   }
   return true;
+}
+
+// --json PATH, or "-" for stdout.
+bool emit_json(const std::string& path, const std::string& json) {
+  if (path == "-") {
+    std::printf("%s", json.c_str());
+    return true;
+  }
+  return write_file(kTool, path, json);
 }
 
 lint::LintReport lint_file(const CliOptions& cli) {
@@ -186,18 +182,8 @@ int main(int argc, char** argv) {
     if (!cli.file.empty()) {
       const lint::LintReport report = lint_file(cli);
       std::printf("%s", report.to_text(!cli.quiet).c_str());
-      if (!cli.json.empty()) {
-        if (cli.json == "-") {
-          std::printf("%s", report.to_json().c_str());
-        } else {
-          std::ofstream out(cli.json);
-          if (!out) {
-            std::fprintf(stderr, "mrsc_lint: cannot write %s\n",
-                         cli.json.c_str());
-            return 2;
-          }
-          out << report.to_json();
-        }
+      if (!cli.json.empty() && !emit_json(cli.json, report.to_json())) {
+        return 2;
       }
       return report.clean(cli.werror) ? 0 : 1;
     }
@@ -218,18 +204,8 @@ int main(int argc, char** argv) {
                                                : cli.checks;
       const lint::LintReport report = lint::run_lint(input, lint_options);
       std::printf("%s", report.to_text(!cli.quiet).c_str());
-      if (!cli.json.empty()) {
-        if (cli.json == "-") {
-          std::printf("%s", report.to_json().c_str());
-        } else {
-          std::ofstream out(cli.json);
-          if (!out) {
-            std::fprintf(stderr, "mrsc_lint: cannot write %s\n",
-                         cli.json.c_str());
-            return 2;
-          }
-          out << report.to_json();
-        }
+      if (!cli.json.empty() && !emit_json(cli.json, report.to_json())) {
+        return 2;
       }
       const bool werror = cli.werror || resolved.scenario.lint.werror;
       return report.clean(werror) ? 0 : 1;
@@ -237,10 +213,8 @@ int main(int argc, char** argv) {
 
     std::vector<std::string> designs;
     if (cli.design == "all") {
-      designs = split_commas(tools::builtin_design_names());
-      for (std::string& name : designs) {
-        while (!name.empty() && name.front() == ' ') name.erase(0, 1);
-      }
+      designs = util::split_commas(tools::builtin_design_names());
+      for (std::string& name : designs) name = std::string(util::trim(name));
     } else {
       designs.push_back(cli.design);
     }
@@ -260,19 +234,7 @@ int main(int argc, char** argv) {
     }
     if (designs.size() > 1) json_out += "]\n";
 
-    if (!cli.json.empty()) {
-      if (cli.json == "-") {
-        std::printf("%s", json_out.c_str());
-      } else {
-        std::ofstream out(cli.json);
-        if (!out) {
-          std::fprintf(stderr, "mrsc_lint: cannot write %s\n",
-                       cli.json.c_str());
-          return 2;
-        }
-        out << json_out;
-      }
-    }
+    if (!cli.json.empty() && !emit_json(cli.json, json_out)) return 2;
     return dirty ? 1 : 0;
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "mrsc_lint: %s\n", error.what());

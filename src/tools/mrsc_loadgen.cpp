@@ -66,10 +66,18 @@
 #include "scenario/registry.hpp"
 #include "serve/dispatcher.hpp"
 #include "serve/protocol.hpp"
+#include "tools/cli_flags.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
 using namespace mrsc;
+
+using tools::need_value;
+using tools::parse_double;
+using tools::parse_u64;
+using tools::write_file;
+constexpr char kTool[] = "mrsc_loadgen";
 using Clock = std::chrono::steady_clock;
 
 struct CliOptions {
@@ -96,83 +104,40 @@ void usage() {
       "       [--json PATH]\n");
 }
 
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      if (start < text.size()) out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-bool parse_double(const char* flag, const char* text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_loadgen: %s: '%s' is not a number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_u64(const char* flag, const char* text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_loadgen: %s: '%s' is not a whole number\n",
-                 flag, text);
-    return false;
-  }
-  return true;
-}
-
 bool parse_cli(int argc, char** argv, CliOptions& options) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_loadgen: %s needs a value\n", arg);
-      return false;
-    }
-    const char* value = argv[++i];
+    const char* value = need_value(kTool, argc, argv, i);
+    if (value == nullptr) return false;
     std::uint64_t number = 0;
     if (std::strcmp(arg, "--host") == 0) {
       options.host = value;
     } else if (std::strcmp(arg, "--port") == 0) {
-      if (!parse_u64(arg, value, number) || number == 0 || number > 65535) {
+      if (!parse_u64(kTool, arg, value, number) ||
+          number == 0 || number > 65535) {
         std::fprintf(stderr, "mrsc_loadgen: --port must be 1..65535\n");
         return false;
       }
       options.port = static_cast<int>(number);
     } else if (std::strcmp(arg, "--rate") == 0) {
-      if (!parse_double(arg, value, options.rate)) return false;
+      if (!parse_double(kTool, arg, value, options.rate)) return false;
     } else if (std::strcmp(arg, "--duration") == 0) {
-      if (!parse_double(arg, value, options.duration)) return false;
+      if (!parse_double(kTool, arg, value, options.duration)) return false;
     } else if (std::strcmp(arg, "--connections") == 0) {
-      if (!parse_u64(arg, value, number) || number == 0) return false;
+      if (!parse_u64(kTool, arg, value, number) || number == 0) return false;
       options.connections = static_cast<std::size_t>(number);
     } else if (std::strcmp(arg, "--designs") == 0) {
-      options.designs = split_commas(value);
+      options.designs = util::split_commas(value);
     } else if (std::strcmp(arg, "--kinds") == 0) {
-      options.kinds = split_commas(value);
+      options.kinds = util::split_commas(value);
     } else if (std::strcmp(arg, "--corpus") == 0) {
       options.corpus_file = value;
     } else if (std::strcmp(arg, "--seed") == 0) {
-      if (!parse_u64(arg, value, options.seed)) return false;
+      if (!parse_u64(kTool, arg, value, options.seed)) return false;
     } else if (std::strcmp(arg, "--t-end") == 0) {
-      if (!parse_double(arg, value, options.t_end)) return false;
+      if (!parse_double(kTool, arg, value, options.t_end)) return false;
     } else if (std::strcmp(arg, "--omega") == 0) {
-      if (!parse_double(arg, value, options.omega)) return false;
+      if (!parse_double(kTool, arg, value, options.omega)) return false;
     } else if (std::strcmp(arg, "--json") == 0) {
       options.json = value;
     } else {
@@ -260,12 +225,12 @@ std::vector<std::string> build_corpus(const std::vector<CorpusEntry>& entries,
   std::vector<std::string> corpus;
   for (const CorpusEntry& entry : entries) {
     std::string request = "{\"op\":\"job\",\"kind\":\"" + entry.kind + "\"";
-    request += ",\"design\":" + serve::json::quote(entry.design);
+    request += ",\"design\":" + util::json::quote(entry.design);
     if (entry.kind == "sim") {
       request += ",\"method\":\"nrm\"";
       request += ",\"seed\":" + std::to_string(options.seed);
-      request += ",\"t_end\":" + serve::json::number_to_string(options.t_end);
-      request += ",\"omega\":" + serve::json::number_to_string(options.omega);
+      request += ",\"t_end\":" + util::json::number_to_string(options.t_end);
+      request += ",\"omega\":" + util::json::number_to_string(options.omega);
     } else {
       request += ",\"opt\":1";
     }
@@ -289,18 +254,18 @@ struct Tally {
 std::vector<std::string> fetch_catalog_designs(const CliOptions& options) {
   serve::Client client(serve::connect_with_retry(
       options.host, static_cast<std::uint16_t>(options.port)));
-  const serve::json::Value response = client.request(R"({"op":"catalog"})");
+  const util::json::Value response = client.request(R"({"op":"catalog"})");
   if (response.get_string("status", "") != "ok") {
     throw std::runtime_error("catalog op failed: " + response.dump());
   }
-  const serve::json::Value* smoke = response.find("smoke");
+  const util::json::Value* smoke = response.find("smoke");
   if (smoke == nullptr ||
-      smoke->type() != serve::json::Value::Type::kArray) {
+      smoke->type() != util::json::Value::Type::kArray) {
     throw std::runtime_error("catalog response has no smoke array");
   }
   std::vector<std::string> designs;
   designs.reserve(smoke->as_array().size());
-  for (const serve::json::Value& spec : smoke->as_array()) {
+  for (const util::json::Value& spec : smoke->as_array()) {
     designs.push_back(spec.as_string());
   }
   if (designs.empty()) {
@@ -380,7 +345,7 @@ int main(int argc, char** argv) {
   const Clock::time_point start = Clock::now();
 
   auto worker = [&] {
-    serve::json::Value parsed;
+    util::json::Value parsed;
     Tally local;
     try {
       serve::Client client(serve::connect_with_retry(
@@ -403,7 +368,7 @@ int main(int argc, char** argv) {
                                                       scheduled)
                 .count();
         local.latencies_ms.push_back(latency_ms);
-        parsed = serve::json::parse(response);
+        parsed = util::json::parse(response);
         const std::string status = parsed.get_string("status", "");
         if (status == "ok") {
           ++local.ok;
@@ -475,7 +440,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(tally.errors), p50, p90, p99, mean);
 
   if (!cli.json.empty()) {
-    using serve::json::number_to_string;
+    using util::json::number_to_string;
     std::string json = "{\n";
     json += "  \"rate_target\": " + number_to_string(cli.rate) + ",\n";
     json += "  \"rate_achieved\": " + number_to_string(achieved) + ",\n";
@@ -498,13 +463,7 @@ int main(int argc, char** argv) {
     if (cli.json == "-") {
       std::printf("%s", json.c_str());
     } else {
-      std::ofstream out(cli.json);
-      if (!out) {
-        std::fprintf(stderr, "mrsc_loadgen: cannot write %s\n",
-                     cli.json.c_str());
-        return 1;
-      }
-      out << json;
+      if (!write_file(kTool, cli.json, json)) return 1;
       std::printf("report written to %s\n", cli.json.c_str());
     }
   }

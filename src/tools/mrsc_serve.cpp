@@ -27,16 +27,22 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "serve/server.hpp"
+#include "tools/cli_flags.hpp"
 
 namespace {
 
 using namespace mrsc;
+
+using tools::need_value;
+using tools::parse_mebibytes;
+using tools::parse_u64;
+using tools::write_file;
+constexpr char kTool[] = "mrsc_serve";
 
 volatile std::sig_atomic_t g_signal = 0;
 
@@ -54,49 +60,34 @@ void usage() {
                "       [--max-conns N] [--shard-id S]\n");
 }
 
-bool parse_u64(const char* flag, const char* text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_serve: %s: '%s' is not a whole number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
 bool parse_cli(int argc, char** argv, CliOptions& options) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_serve: %s needs a value\n", arg);
-      return false;
-    }
-    const char* value = argv[++i];
+    const char* value = need_value(kTool, argc, argv, i);
+    if (value == nullptr) return false;
     std::uint64_t number = 0;
     if (std::strcmp(arg, "--host") == 0) {
       options.server.host = value;
     } else if (std::strcmp(arg, "--port") == 0) {
-      if (!parse_u64(arg, value, number) || number > 65535) return false;
+      if (!parse_u64(kTool, arg, value, number) || number > 65535) return false;
       options.server.port = static_cast<std::uint16_t>(number);
     } else if (std::strcmp(arg, "--port-file") == 0) {
       options.port_file = value;
     } else if (std::strcmp(arg, "--workers") == 0) {
-      if (!parse_u64(arg, value, number)) return false;
+      if (!parse_u64(kTool, arg, value, number)) return false;
       options.server.workers = static_cast<std::size_t>(number);
     } else if (std::strcmp(arg, "--queue") == 0) {
-      if (!parse_u64(arg, value, number)) return false;
+      if (!parse_u64(kTool, arg, value, number)) return false;
       options.server.queue_capacity = static_cast<std::size_t>(number);
     } else if (std::strcmp(arg, "--cache") == 0) {
-      if (!parse_u64(arg, value, number)) return false;
+      if (!parse_u64(kTool, arg, value, number)) return false;
       options.server.cache_entries = static_cast<std::size_t>(number);
     } else if (std::strcmp(arg, "--cache-mb") == 0) {
-      if (!parse_u64(arg, value, number)) return false;
-      options.server.cache_bytes = static_cast<std::size_t>(number) << 20;
+      if (!parse_mebibytes(kTool, arg, value, options.server.cache_bytes)) {
+        return false;
+      }
     } else if (std::strcmp(arg, "--max-conns") == 0) {
-      if (!parse_u64(arg, value, number) || number == 0) return false;
+      if (!parse_u64(kTool, arg, value, number) || number == 0) return false;
       options.server.max_connections = static_cast<std::size_t>(number);
     } else if (std::strcmp(arg, "--shard-id") == 0) {
       options.server.shard_id = value;
@@ -125,14 +116,10 @@ int main(int argc, char** argv) {
                     : cli.server.workers,
                 cli.server.queue_capacity, cli.server.cache_entries);
     std::fflush(stdout);
-    if (!cli.port_file.empty()) {
-      std::ofstream out(cli.port_file);
-      if (!out) {
-        std::fprintf(stderr, "mrsc_serve: cannot write %s\n",
-                     cli.port_file.c_str());
-        return 1;
-      }
-      out << server.port() << "\n";
+    if (!cli.port_file.empty() &&
+        !write_file(kTool, cli.port_file,
+                    std::to_string(server.port()) + "\n")) {
+      return 1;
     }
 
     std::signal(SIGINT, handle_signal);

@@ -46,10 +46,17 @@
 #include "scenario/registry.hpp"
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
+#include "tools/cli_flags.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
 using namespace mrsc;
+
+using tools::need_value;
+using tools::parse_double;
+using tools::parse_u64;
+constexpr char kTool[] = "mrsc_sim";
 
 struct CliOptions {
   std::string file;
@@ -89,100 +96,53 @@ void usage() {
                scenario::ScenarioRegistry::global().fixed_names_csv().c_str());
 }
 
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-bool parse_double(const char* flag, const char* text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_sim: %s: '%s' is not a number\n", flag, text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_u64(const char* flag, const char* text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_sim: %s: '%s' is not a whole number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_sim: %s needs a value\n", argv[i]);
-      return nullptr;
-    }
-    return argv[++i];
-  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--t-end") == 0) {
-      const char* v = need_value(i);
-      if (!v || !parse_double(arg, v, options.t_end)) return false;
+      const char* v = need_value(kTool, argc, argv, i);
+      if (!v || !parse_double(kTool, arg, v, options.t_end)) return false;
       options.set_t_end = true;
     } else if (std::strcmp(arg, "--scenario") == 0) {
-      const char* v = need_value(i);
+      const char* v = need_value(kTool, argc, argv, i);
       if (!v) return false;
       options.scenario = v;
     } else if (std::strcmp(arg, "--method") == 0) {
-      const char* v = need_value(i);
+      const char* v = need_value(kTool, argc, argv, i);
       if (!v) return false;
       options.method = v;
       options.set_method = true;
     } else if (std::strcmp(arg, "--dt") == 0) {
-      const char* v = need_value(i);
-      if (!v || !parse_double(arg, v, options.dt)) return false;
+      const char* v = need_value(kTool, argc, argv, i);
+      if (!v || !parse_double(kTool, arg, v, options.dt)) return false;
     } else if (std::strcmp(arg, "--record") == 0) {
-      const char* v = need_value(i);
-      if (!v || !parse_double(arg, v, options.record)) return false;
+      const char* v = need_value(kTool, argc, argv, i);
+      if (!v || !parse_double(kTool, arg, v, options.record)) return false;
       options.set_record = true;
     } else if (std::strcmp(arg, "--omega") == 0) {
-      const char* v = need_value(i);
-      if (!v || !parse_double(arg, v, options.omega)) return false;
+      const char* v = need_value(kTool, argc, argv, i);
+      if (!v || !parse_double(kTool, arg, v, options.omega)) return false;
       options.set_omega = true;
     } else if (std::strcmp(arg, "--seed") == 0) {
-      const char* v = need_value(i);
-      if (!v || !parse_u64(arg, v, options.seed)) return false;
+      const char* v = need_value(kTool, argc, argv, i);
+      if (!v || !parse_u64(kTool, arg, v, options.seed)) return false;
       options.set_seed = true;
     } else if (std::strcmp(arg, "--tau") == 0) {
-      const char* v = need_value(i);
-      if (!v || !parse_double(arg, v, options.tau)) return false;
+      const char* v = need_value(kTool, argc, argv, i);
+      if (!v || !parse_double(kTool, arg, v, options.tau)) return false;
     } else if (std::strcmp(arg, "--max-events") == 0) {
-      const char* v = need_value(i);
-      if (!v || !parse_u64(arg, v, options.max_events)) return false;
+      const char* v = need_value(kTool, argc, argv, i);
+      if (!v || !parse_u64(kTool, arg, v, options.max_events)) return false;
       if (options.max_events == 0) {
         std::fprintf(stderr, "mrsc_sim: --max-events must be >= 1\n");
         return false;
       }
     } else if (std::strcmp(arg, "--species") == 0) {
-      const char* v = need_value(i);
+      const char* v = need_value(kTool, argc, argv, i);
       if (!v) return false;
-      options.species = split_commas(v);
+      options.species = util::split_commas(v);
     } else if (std::strcmp(arg, "--csv") == 0) {
-      const char* v = need_value(i);
+      const char* v = need_value(kTool, argc, argv, i);
       if (!v) return false;
       options.csv = v;
     } else if (std::strcmp(arg, "--plot") == 0) {

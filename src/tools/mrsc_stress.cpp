@@ -38,10 +38,17 @@
 
 #include "scenario/registry.hpp"
 #include "stress/campaign.hpp"
+#include "tools/cli_flags.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
 using namespace mrsc;
+
+using tools::need_value;
+using tools::parse_double;
+using tools::parse_u64;
+constexpr char kTool[] = "mrsc_stress";
 
 struct CliOptions {
   stress::CampaignConfig config;
@@ -67,61 +74,13 @@ void usage() {
       "       [--seed S] [--threads N] [--attempts N] [--json]\n");
 }
 
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-bool parse_double(const char* flag, const char* text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_stress: %s: '%s' is not a number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_u64(const char* flag, const char* text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_stress: %s: '%s' is not a whole number\n",
-                 flag, text);
-    return false;
-  }
-  return true;
-}
-
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_stress: %s needs a value\n", argv[i]);
-      return nullptr;
-    }
-    return argv[++i];
-  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--json") == 0) {
       options.json = true;
     } else if (std::strcmp(arg, "--design") == 0) {
-      const char* v = need_value(i);
+      const char* v = need_value(kTool, argc, argv, i);
       if (!v) return false;
       const auto design = stress::parse_design(v);
       if (!design) {
@@ -131,11 +90,11 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       options.config.design = *design;
       options.set_design = true;
     } else if (std::strcmp(arg, "--scenario") == 0) {
-      const char* v = need_value(i);
+      const char* v = need_value(kTool, argc, argv, i);
       if (!v) return false;
       options.scenario = v;
     } else if (std::strcmp(arg, "--fault") == 0) {
-      const char* v = need_value(i);
+      const char* v = need_value(kTool, argc, argv, i);
       if (!v) return false;
       const auto fault = stress::parse_fault_kind(v);
       if (!fault) {
@@ -145,7 +104,7 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       options.config.fault = *fault;
       options.set_fault = true;
     } else if (std::strcmp(arg, "--category") == 0) {
-      const char* v = need_value(i);
+      const char* v = need_value(kTool, argc, argv, i);
       if (!v) return false;
       if (std::strcmp(v, "fast") == 0) {
         options.config.category = core::RateCategory::kFast;
@@ -157,23 +116,28 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
         return false;
       }
     } else if (std::strcmp(arg, "--intensities") == 0) {
-      const char* v = need_value(i);
+      const char* v = need_value(kTool, argc, argv, i);
       if (!v) return false;
       options.config.intensities.clear();
-      for (const std::string& item : split_commas(v)) {
+      for (const std::string& item : util::split_commas(v)) {
         double value = 0.0;
-        if (!parse_double(arg, item.c_str(), value)) return false;
+        if (!parse_double(kTool, arg, item.c_str(), value)) return false;
         if (value <= 0.0) {
           std::fprintf(stderr, "mrsc_stress: --intensities must be > 0\n");
           return false;
         }
         options.config.intensities.push_back(value);
       }
+      if (options.config.intensities.empty()) {
+        std::fprintf(stderr,
+                     "mrsc_stress: --intensities needs at least one value\n");
+        return false;
+      }
       options.set_intensities = true;
     } else if (std::strcmp(arg, "--trials") == 0) {
-      const char* v = need_value(i);
+      const char* v = need_value(kTool, argc, argv, i);
       std::uint64_t trials = 0;
-      if (!v || !parse_u64(arg, v, trials)) return false;
+      if (!v || !parse_u64(kTool, arg, v, trials)) return false;
       if (trials == 0) {
         std::fprintf(stderr, "mrsc_stress: --trials must be >= 1\n");
         return false;
@@ -181,17 +145,19 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       options.config.trials = static_cast<std::size_t>(trials);
       options.set_trials = true;
     } else if (std::strcmp(arg, "--seed") == 0) {
-      const char* v = need_value(i);
-      if (!v || !parse_u64(arg, v, options.config.base_seed)) return false;
+      const char* v = need_value(kTool, argc, argv, i);
+      if (!v || !parse_u64(kTool, arg, v, options.config.base_seed)) {
+        return false;
+      }
     } else if (std::strcmp(arg, "--threads") == 0) {
-      const char* v = need_value(i);
+      const char* v = need_value(kTool, argc, argv, i);
       std::uint64_t threads = 0;
-      if (!v || !parse_u64(arg, v, threads)) return false;
+      if (!v || !parse_u64(kTool, arg, v, threads)) return false;
       options.config.threads = static_cast<std::size_t>(threads);
     } else if (std::strcmp(arg, "--attempts") == 0) {
-      const char* v = need_value(i);
+      const char* v = need_value(kTool, argc, argv, i);
       std::uint64_t attempts = 0;
-      if (!v || !parse_u64(arg, v, attempts)) return false;
+      if (!v || !parse_u64(kTool, arg, v, attempts)) return false;
       if (attempts == 0) {
         std::fprintf(stderr, "mrsc_stress: --attempts must be >= 1\n");
         return false;

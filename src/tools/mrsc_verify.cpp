@@ -38,13 +38,14 @@
 // Exits 0 on a clean sweep, 1 on violations, 2 on usage errors.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "scenario/registry.hpp"
+#include "tools/cli_flags.hpp"
+#include "util/json.hpp"
 #include "verify/golden.hpp"
 #include "verify/opt_equivalence.hpp"
 #include "verify/verify.hpp"
@@ -52,6 +53,13 @@
 namespace {
 
 using namespace mrsc;
+
+using tools::need_value;
+using tools::parse_double;
+using tools::parse_u64;
+using tools::write_file;
+using util::json::quote;
+constexpr char kTool[] = "mrsc_verify";
 
 struct CliOptions {
   verify::VerifyOptions verify;
@@ -77,40 +85,7 @@ void usage() {
       "       kinds: raw,sync,dual,fsm,counter\n");
 }
 
-bool parse_double(const char* flag, const char* text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_verify: %s: '%s' is not a number\n", flag,
-                 text);
-    return false;
-  }
-  return true;
-}
-
-bool parse_u64(const char* flag, const char* text, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stoull(text, &used);
-    if (used != std::strlen(text)) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "mrsc_verify: %s: '%s' is not a whole number\n",
-                 flag, text);
-    return false;
-  }
-  return true;
-}
-
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mrsc_verify: %s needs a value\n", argv[i]);
-      return nullptr;
-    }
-    return argv[++i];
-  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const bool is_flag = std::strcmp(arg, "--no-shrink") == 0 ||
@@ -119,14 +94,18 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
                          std::strcmp(arg, "--verbose") == 0;
     const bool takes_value = !is_flag && arg[0] == '-' && arg[1] == '-';
     const char* value = nullptr;
-    if (takes_value && !(value = need_value(i))) return false;
+    if (takes_value && !(value = need_value(kTool, argc, argv, i))) {
+      return false;
+    }
     if (std::strcmp(arg, "--seeds") == 0) {
       std::uint64_t seeds = 0;
-      if (!parse_u64(arg, value, seeds)) return false;
+      if (!parse_u64(kTool, arg, value, seeds)) return false;
       options.verify.seeds = static_cast<std::size_t>(seeds);
       options.set_seeds = true;
     } else if (std::strcmp(arg, "--start-seed") == 0) {
-      if (!parse_u64(arg, value, options.verify.start_seed)) return false;
+      if (!parse_u64(kTool, arg, value, options.verify.start_seed)) {
+        return false;
+      }
       options.set_start_seed = true;
     } else if (std::strcmp(arg, "--scenario") == 0) {
       options.scenario = value;
@@ -134,17 +113,17 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       options.kinds_csv = value;
     } else if (std::strcmp(arg, "--cycles") == 0) {
       std::uint64_t cycles = 0;
-      if (!parse_u64(arg, value, cycles)) return false;
+      if (!parse_u64(kTool, arg, value, cycles)) return false;
       options.verify.generator.cycles = static_cast<std::size_t>(cycles);
     } else if (std::strcmp(arg, "--replicates") == 0) {
       std::uint64_t replicates = 0;
-      if (!parse_u64(arg, value, replicates)) return false;
+      if (!parse_u64(kTool, arg, value, replicates)) return false;
       options.verify.ssa_replicates = static_cast<std::size_t>(replicates);
     } else if (std::strcmp(arg, "--omega") == 0) {
-      if (!parse_double(arg, value, options.verify.omega)) return false;
+      if (!parse_double(kTool, arg, value, options.verify.omega)) return false;
     } else if (std::strcmp(arg, "--threads") == 0) {
       std::uint64_t threads = 0;
-      if (!parse_u64(arg, value, threads)) return false;
+      if (!parse_u64(kTool, arg, value, threads)) return false;
       options.verify.threads = static_cast<std::size_t>(threads);
     } else if (std::strcmp(arg, "--no-shrink") == 0) {
       options.verify.shrink = false;
@@ -257,21 +236,6 @@ int regen_golden(const std::string& dir) {
   return 0;
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 int write_json(const std::string& path, const verify::FuzzReport& report) {
   std::string json = "{\n";
   json += "  \"checked\": " + std::to_string(report.checked) + ",\n";
@@ -284,13 +248,12 @@ int write_json(const std::string& path, const verify::FuzzReport& report) {
     if (!result.failed()) continue;
     if (!first) json += ",\n";
     first = false;
-    json += "    {\"seed\": " + std::to_string(result.seed) + ", \"kind\": \"";
-    json += verify::to_string(result.kind);
-    json += "\", \"violations\": [";
+    json += "    {\"seed\": " + std::to_string(result.seed) + ", \"kind\": ";
+    json += quote(verify::to_string(result.kind));
+    json += ", \"violations\": [";
     for (std::size_t v = 0; v < result.violations.size(); ++v) {
-      json += "{\"oracle\": \"" + json_escape(result.violations[v].oracle) +
-              "\", \"detail\": \"" + json_escape(result.violations[v].detail) +
-              "\"}";
+      json += "{\"oracle\": " + quote(result.violations[v].oracle) +
+              ", \"detail\": " + quote(result.violations[v].detail) + "}";
       if (v + 1 < result.violations.size()) json += ", ";
     }
     json += "], \"shrunk\": ";
@@ -298,17 +261,12 @@ int write_json(const std::string& path, const verify::FuzzReport& report) {
     if (result.shrunk) {
       json += ", \"shrunk_reactions\": " +
               std::to_string(result.shrunk_reactions) +
-              ", \"repro\": \"" + json_escape(result.repro) + "\"";
+              ", \"repro\": " + quote(result.repro);
     }
     json += "}";
   }
   json += "\n  ]\n}\n";
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "mrsc_verify: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  out << json;
+  if (!write_file(kTool, path, json)) return 1;
   std::printf("report written to %s\n", path.c_str());
   return 0;
 }

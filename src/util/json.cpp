@@ -1,4 +1,4 @@
-#include "serve/json.hpp"
+#include "util/json.hpp"
 
 #include <charconv>
 #include <cmath>
@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
-namespace mrsc::serve::json {
+namespace mrsc::util::json {
 
 namespace {
 
@@ -323,4 +323,4 @@ Value parse(const std::string& text) {
   return value;
 }
 
-}  // namespace mrsc::serve::json
+}  // namespace mrsc::util::json

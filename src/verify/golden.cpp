@@ -11,15 +11,12 @@
 #include "dsp/counter.hpp"
 #include "dsp/filters.hpp"
 #include "fsm/fsm.hpp"
+#include "util/strings.hpp"
 
 namespace mrsc::verify {
 namespace {
 
-std::string format_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
+using util::format_17g;
 
 GoldenTrace counter_trace() {
   // Mirrors examples/counter.cpp: 3-bit counter starting at 2, 14 increments.
@@ -100,13 +97,13 @@ std::string serialize_golden(const GoldenTrace& trace) {
   std::ostringstream out;
   out << "golden v1\n";
   out << "name " << trace.name << "\n";
-  out << "tolerance " << format_double(trace.tolerance) << "\n";
+  out << "tolerance " << format_17g(trace.tolerance) << "\n";
   out << "columns";
   for (const std::string& c : trace.columns) out << ' ' << c;
   out << "\n";
   for (const auto& row : trace.rows) {
     out << "row";
-    for (const double v : row) out << ' ' << format_double(v);
+    for (const double v : row) out << ' ' << format_17g(v);
     out << "\n";
   }
   out << "end\n";
@@ -200,9 +197,9 @@ std::optional<std::string> compare_golden(
     for (std::size_t c = 0; c < rows[r].size(); ++c) {
       if (std::abs(rows[r][c] - golden.rows[r][c]) > golden.tolerance) {
         return golden.name + " row " + std::to_string(r) + " column '" +
-               golden.columns[c] + "': " + format_double(rows[r][c]) +
-               " vs golden " + format_double(golden.rows[r][c]) +
-               " (tolerance " + format_double(golden.tolerance) + ")";
+               golden.columns[c] + "': " + format_17g(rows[r][c]) +
+               " vs golden " + format_17g(golden.rows[r][c]) +
+               " (tolerance " + format_17g(golden.tolerance) + ")";
       }
     }
   }

@@ -1,13 +1,13 @@
 #include "verify/opt_equivalence.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <string>
 
 #include "compile/passes.hpp"
 #include "runtime/ensemble.hpp"
 #include "sim/ode.hpp"
+#include "util/strings.hpp"
 
 namespace mrsc::verify {
 namespace {
@@ -15,11 +15,7 @@ namespace {
 using core::ReactionNetwork;
 using core::SpeciesId;
 
-std::string format(const char* fmt, auto... args) {
-  char buffer[512];
-  std::snprintf(buffer, sizeof(buffer), fmt, args...);
-  return buffer;
-}
+using util::format;
 
 sim::OdeResult fixed_grid_run(const ReactionNetwork& network,
                               const OptEquivalenceOptions& o) {

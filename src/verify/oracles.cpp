@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "analysis/conservation.hpp"
+#include "util/strings.hpp"
 
 namespace mrsc::verify {
 namespace {
 
-std::string format(const char* fmt, auto... args) {
-  char buffer[512];
-  std::snprintf(buffer, sizeof(buffer), fmt, args...);
-  return buffer;
-}
+using util::format;
 
 /// First sample index past the startup transient.
 std::size_t warmup_start(const sim::Trajectory& trajectory, double fraction) {

@@ -14,19 +14,16 @@
 #include "runtime/ensemble.hpp"
 #include "sim/ode.hpp"
 #include "sync/dual_rail.hpp"
-#include "verify/lint_oracle.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
+#include "verify/lint_oracle.hpp"
 
 namespace mrsc::verify {
 namespace {
 
 using core::ReactionNetwork;
 
-std::string format(const char* fmt, auto... args) {
-  char buffer[512];
-  std::snprintf(buffer, sizeof(buffer), fmt, args...);
-  return buffer;
-}
+using util::format;
 
 void add(std::vector<Violation>& out, MaybeViolation v) {
   if (v) out.push_back(std::move(*v));

@@ -1,0 +1,191 @@
+// The shared CLI number grammar (tools/cli_flags), the comma-list splitter
+// (util/strings) and JSON string escaping (util/json::quote): one
+// implementation each, pinned by grammar tables.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "tools/cli_flags.hpp"
+#include "util/json.hpp"
+#include "util/strings.hpp"
+
+namespace mrsc {
+namespace {
+
+struct U64Case {
+  const char* text;
+  bool ok;
+  std::uint64_t value;
+};
+
+TEST(CliFlags, U64AcceptsDigitsOnly) {
+  const U64Case cases[] = {
+      {"0", true, 0},
+      {"7", true, 7},
+      {"18446744073709551615", true, 18446744073709551615ULL},
+      {"18446744073709551616", false, 0},
+      // The count flags (--workers, --jobs, --threads, --replicates) parse
+      // through here too, so "-1" can no longer wrap to 2^64 - 1 threads.
+      {"-1", false, 0},
+      {"+1", false, 0},
+      {" 7", false, 0},
+      {"7 ", false, 0},
+      {"", false, 0},
+      {"1e3", false, 0},
+      {"0x10", false, 0},
+      {"banana", false, 0},
+  };
+  for (const U64Case& c : cases) {
+    std::uint64_t out = 0;
+    testing::internal::CaptureStderr();
+    const bool ok = tools::parse_u64("mrsc_x", "--seed", c.text, out);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(ok, c.ok) << "'" << c.text << "'";
+    if (c.ok) {
+      EXPECT_EQ(out, c.value) << "'" << c.text << "'";
+      EXPECT_EQ(err, "");
+    } else {
+      EXPECT_EQ(err, "mrsc_x: --seed: '" + std::string(c.text) +
+                         "' is not a whole number\n");
+    }
+  }
+}
+
+struct DoubleCase {
+  const char* text;
+  bool ok;
+  double value;
+};
+
+TEST(CliFlags, DoubleRejectsNonFinite) {
+  const DoubleCase cases[] = {
+      {"1e-3", true, 1e-3},
+      {"-5", true, -5.0},  // parses; range checks belong to each flag
+      {"0.25", true, 0.25},
+      {"nan", false, 0.0},
+      {"NaN", false, 0.0},
+      {"inf", false, 0.0},
+      {"-inf", false, 0.0},
+      {"infinity", false, 0.0},
+      {"1e999", false, 0.0},
+      {"", false, 0.0},
+      {"1.5x", false, 0.0},
+      {"banana", false, 0.0},
+  };
+  for (const DoubleCase& c : cases) {
+    double out = 0.0;
+    testing::internal::CaptureStderr();
+    const bool ok = tools::parse_double("mrsc_x", "--omega", c.text, out);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(ok, c.ok) << "'" << c.text << "'";
+    if (c.ok) {
+      EXPECT_EQ(out, c.value) << "'" << c.text << "'";
+      EXPECT_EQ(err, "");
+    } else {
+      EXPECT_EQ(err, "mrsc_x: --omega: '" + std::string(c.text) +
+                         "' is not a number\n");
+    }
+  }
+}
+
+TEST(CliFlags, NeedValueAdvancesOrReports) {
+  char prog[] = "mrsc_x";
+  char flag[] = "--seed";
+  char value[] = "3";
+  char* argv[] = {prog, flag, value};
+  int i = 1;
+  EXPECT_STREQ(tools::need_value("mrsc_x", 3, argv, i), "3");
+  EXPECT_EQ(i, 2);
+
+  i = 1;
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(tools::need_value("mrsc_x", 2, argv, i), nullptr);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "mrsc_x: --seed needs a value\n");
+  EXPECT_EQ(i, 1);
+}
+
+// mrsc_serve --cache-mb: N MiB is N << 20 bytes, which wraps a 64-bit size
+// from N = 2^44 on.
+TEST(CliFlags, MebibytesRejectsSizesThatWrap) {
+  static_assert(sizeof(std::size_t) == 8, "the bound assumes a 64-bit size_t");
+  std::size_t bytes = 0;
+  ASSERT_TRUE(
+      tools::parse_mebibytes("mrsc_serve", "--cache-mb", "64", bytes));
+  EXPECT_EQ(bytes, std::size_t{64} << 20);
+
+  ASSERT_TRUE(tools::parse_mebibytes("mrsc_serve", "--cache-mb",
+                                     "17592186044415", bytes));  // 2^44 - 1
+  EXPECT_EQ(bytes, std::size_t{17592186044415ULL} << 20);
+  EXPECT_EQ(bytes >> 20, 17592186044415ULL);
+
+  bytes = 0;
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(tools::parse_mebibytes("mrsc_serve", "--cache-mb",
+                                      "17592186044416", bytes));  // 2^44
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "mrsc_serve: --cache-mb must be at most 17592186044415\n");
+  EXPECT_EQ(bytes, 0u);
+
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(
+      tools::parse_mebibytes("mrsc_serve", "--cache-mb", "-1", bytes));
+  (void)testing::internal::GetCapturedStderr();
+}
+
+struct SplitCase {
+  const char* text;
+  std::vector<std::string> fields;
+};
+
+TEST(SplitCommas, Table) {
+  const SplitCase cases[] = {
+      {"", {}},
+      {"a", {"a"}},
+      {"a,", {"a"}},
+      {",a", {"", "a"}},
+      {"a,,b", {"a", "", "b"}},
+      {"a,b", {"a", "b"}},
+      {",", {""}},
+      {"a,b,,", {"a", "b", ""}},
+      {" a , b", {" a ", " b"}},
+  };
+  for (const SplitCase& c : cases) {
+    EXPECT_EQ(util::split_commas(c.text), c.fields) << "'" << c.text << "'";
+  }
+}
+
+TEST(JsonQuote, EscapesEveryControlByte) {
+  for (int byte = 0; byte < 0x20; ++byte) {
+    const std::string text(1, static_cast<char>(byte));
+    std::string expected;
+    switch (byte) {
+      case '\n': expected = R"("\n")"; break;
+      case '\r': expected = R"("\r")"; break;
+      case '\t': expected = R"("\t")"; break;
+      default: {
+        char buffer[16];
+        std::snprintf(buffer, sizeof buffer, "\"\\u%04x\"", byte);
+        expected = buffer;
+      }
+    }
+    EXPECT_EQ(util::json::quote(text), expected) << "byte " << byte;
+    // Whatever the spelling, it parses back to the original byte.
+    EXPECT_EQ(util::json::parse(util::json::quote(text)).as_string(), text)
+        << "byte " << byte;
+  }
+}
+
+TEST(JsonQuote, EscapesQuoteAndBackslashOnly) {
+  EXPECT_EQ(util::json::quote("a\"b"), R"("a\"b")");
+  EXPECT_EQ(util::json::quote("back\\slash"), R"("back\\slash")");
+  EXPECT_EQ(util::json::quote(""), R"("")");
+  // Printable ASCII, DEL and UTF-8 bytes pass through verbatim.
+  EXPECT_EQ(util::json::quote("x/y \x7f \xc3\xa9"), "\"x/y \x7f \xc3\xa9\"");
+}
+
+}  // namespace
+}  // namespace mrsc

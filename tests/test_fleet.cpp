@@ -22,10 +22,10 @@
 #include "fleet/transport.hpp"
 #include "runtime/ensemble.hpp"
 #include "serve/dispatcher.hpp"
-#include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "tools/builtin_designs.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace mrsc::fleet {
@@ -250,10 +250,10 @@ TEST(FleetMerge, StatsMatchAnIndependentReductionOfTheReplicates) {
   ShardProcess a;
   const EnsembleSpec spec = small_ensemble();
   FleetClient fleet(fast_policy({a.endpoint()}));
-  const serve::json::Value report =
-      serve::json::parse(run_ensemble(fleet, spec));
+  const util::json::Value report =
+      util::json::parse(run_ensemble(fleet, spec));
 
-  std::vector<serve::json::Value> replies;
+  std::vector<util::json::Value> replies;
   for (std::size_t i = 0; i < spec.replicates; ++i) {
     const std::string request =
         R"({"op":"job","kind":"sim","design":"counter","method":"nrm",)"
@@ -261,21 +261,21 @@ TEST(FleetMerge, StatsMatchAnIndependentReductionOfTheReplicates) {
         std::to_string(util::Rng::stream_seed(spec.base_seed, i)) +
         R"(,"t_end":2,"omega":100})";
     serve::Client client("127.0.0.1", a.server->port());
-    replies.push_back(serve::json::parse(client.request_raw(request)));
+    replies.push_back(util::json::parse(client.request_raw(request)));
   }
 
-  const serve::json::Value* species = report.find("species");
+  const util::json::Value* species = report.find("species");
   ASSERT_NE(species, nullptr);
   double events_total = 0.0;
-  for (const serve::json::Value& reply : replies) {
+  for (const util::json::Value& reply : replies) {
     events_total += reply.find("result")->get_number("ssa_events", 0.0);
   }
   EXPECT_EQ(report.get_number("ssa_events_total", -1.0), events_total);
 
-  for (const serve::json::Value& entry : species->as_array()) {
+  for (const util::json::Value& entry : species->as_array()) {
     const std::string name = entry.get_string("name", "");
     std::vector<double> values;
-    for (const serve::json::Value& reply : replies) {
+    for (const util::json::Value& reply : replies) {
       values.push_back(
           reply.find("result")->find("final")->get_number(name, -1.0));
     }
@@ -304,8 +304,8 @@ TEST(FleetMerge, FullWidthSeedsMatchTheLocalEnsemble) {
   ASSERT_GT(wide, spec.replicates / 2);
 
   FleetClient fleet(fast_policy({a.endpoint()}));
-  const serve::json::Value report =
-      serve::json::parse(run_ensemble(fleet, spec));
+  const util::json::Value report =
+      util::json::parse(run_ensemble(fleet, spec));
 
   const tools::BuiltDesign design = tools::build_design(spec.design, {});
   sim::SsaOptions ssa;
@@ -320,11 +320,11 @@ TEST(FleetMerge, FullWidthSeedsMatchTheLocalEnsemble) {
       runtime::run_ssa_ensemble(*design.network, ssa, options);
   ASSERT_EQ(local.ok, spec.replicates);
 
-  const serve::json::Value* species = report.find("species");
+  const util::json::Value* species = report.find("species");
   ASSERT_NE(species, nullptr);
   ASSERT_EQ(species->as_array().size(), local.final_stats.size());
   for (std::size_t k = 0; k < local.final_stats.size(); ++k) {
-    const serve::json::Value& entry = species->as_array()[k];
+    const util::json::Value& entry = species->as_array()[k];
     const runtime::SpeciesStats& stats = local.final_stats[k];
     EXPECT_EQ(entry.get_string("name", ""), stats.name);
     EXPECT_EQ(entry.get_number("mean", -1.0), stats.mean) << stats.name;
@@ -492,7 +492,7 @@ TEST(FleetOps, DrainFlipsEveryShardAndJobsBounce) {
           R"({"op":"job","kind":"sim","design":"counter","t_end":1})"),
       serve::draining_response());
   // Introspection ops stay available on a draining shard.
-  const serve::json::Value health =
+  const util::json::Value health =
       client.request(R"({"op":"health"})");
   EXPECT_FALSE(health.get_bool("accepting", true));
   EXPECT_TRUE(health.get_bool("draining", false));

@@ -21,14 +21,16 @@
 #include "serve/cache.hpp"
 #include "serve/design_cache.hpp"
 #include "serve/dispatcher.hpp"
-#include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/stats.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace mrsc::serve {
 namespace {
+
+namespace json = util::json;
 
 // ---------------------------------------------------------------- JSON --
 
