@@ -44,8 +44,9 @@ void BM_RhsEvaluation(benchmark::State& state) {
   const sim::CompiledSystem system(net);
   std::vector<double> x = net.initial_state();
   std::vector<double> dxdt(x.size());
+  std::vector<double> flux(system.reaction_count());
   for (auto _ : state) {
-    system.rhs(x, dxdt);
+    system.rhs(x, dxdt, flux);
     benchmark::DoNotOptimize(dxdt.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -83,6 +84,31 @@ void BM_AdaptiveOdeRun(benchmark::State& state) {
   state.counters["steps"] = static_cast<double>(steps);
 }
 BENCHMARK(BM_AdaptiveOdeRun)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+// dp45 on the stiff serve designs at serve_cold's t_end: k_fast bounds every
+// step, so the run is ~1 750 steps of 6 RHS evaluations each on cascade(4).
+void BM_Dp45Scenario(benchmark::State& state, const char* spec) {
+  const scenario::ResolvedScenario resolved =
+      scenario::ScenarioRegistry::global().resolve(spec);
+  const sim::CompiledSystem system(*resolved.design.network);
+  const std::vector<double> initial = resolved.design.network->initial_state();
+  sim::OdeOptions options;
+  options.t_end = 3.0;
+  options.record_interval = 0.1;
+  std::size_t rhs = 0;
+  for (auto _ : state) {
+    const sim::OdeResult result = simulate_ode(system, options, initial);
+    rhs = result.rhs_evaluations;
+    benchmark::DoNotOptimize(result.trajectory.sample_count());
+  }
+  state.counters["rhs_evaluations"] = static_cast<double>(rhs);
+}
+BENCHMARK_CAPTURE(BM_Dp45Scenario, cascade_4, "cascade(4)")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Dp45Scenario, counter_4, "counter(4)")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Dp45Scenario, fsm_wide_16, "fsm_wide(16)")
     ->Unit(benchmark::kMillisecond);
 
 void BM_SsaDirect(benchmark::State& state) {
@@ -140,8 +166,9 @@ void run_direct_per_event(benchmark::State& state,
 
 // The direct method on a registry design. On delay_chain(16) (~1000
 // reactions, ~68 dependents each) a firing refreshes only its dependents,
-// and only the ~3 nonzero propensities enter each event's total and scan
-// (~27 of 115 on cascade(4)).
+// only the ~3 nonzero propensities enter the scan, and since no refresh
+// changes a value every total after the first is reused. On cascade(4) a
+// total re-adds ~14 of its ~27 nonzero propensities.
 void BM_SsaDirectScenario(benchmark::State& state, const char* spec) {
   const scenario::ResolvedScenario resolved =
       scenario::ScenarioRegistry::global().resolve(spec);
@@ -154,8 +181,9 @@ BENCHMARK_CAPTURE(BM_SsaDirectScenario, delay_chain_16, "delay_chain(16)")
 
 // The opposite regime: a ring of 500 pools (200 molecules each) hopping to
 // both neighbours, R = 1000, whose propensities all stay nonzero. Every
-// event's total visits all R entries, so this pins the direct method's
-// per-event cost when there is no zero to skip.
+// event's scan walks all R entries and its total re-adds about half, so
+// this pins the direct method's per-event cost when there is no zero to
+// skip.
 core::ReactionNetwork dense_ring_network() {
   constexpr std::size_t kPools = 500;
   core::ReactionNetwork net;

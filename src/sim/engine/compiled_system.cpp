@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <numeric>
 #include <type_traits>
 #include <utility>
 
@@ -123,6 +124,7 @@ CompiledSystem::CompiledSystem(const core::ReactionNetwork& network)
   std::vector<std::uint32_t> changers;
   transpose(net_offsets_, net_species_, species_count_, changer_offsets,
             changers);
+  build_rhs_tables(changer_offsets, changers);
 
   // Next-reaction dependency graph: j -> k when j == k or j changes a
   // species k reads. Edges are enumerated by target k in ascending order —
@@ -155,6 +157,82 @@ CompiledSystem::CompiledSystem(const core::ReactionNetwork& network)
   std::vector<std::uint32_t> fill(dep_offsets_.begin(), dep_offsets_.end() - 1);
   for_each_edge(
       [&](std::uint32_t j, std::uint32_t k) { dep_reactions_[fill[j]++] = k; });
+
+  // Exact capacities, so footprint_bytes() is the bytes the arrays need.
+  const auto shrink = [](auto&... arrays) { (arrays.shrink_to_fit(), ...); };
+  shrink(rates_, orders_, kernels_, affects_own_, reactant_offsets_,
+         reactant_species_, reactant_stoich_, net_offsets_, net_species_,
+         net_delta_, dep_offsets_, dep_reactions_, species_dep_offsets_,
+         species_dep_reactions_, unimolecular_rates_, unimolecular_species_,
+         bimolecular_rates_, bimolecular_species_, dimer_rates_,
+         dimer_species_, generic_reactions_, gather_species_, gather_groups_,
+         gather_slots_, gather_delta_);
+}
+
+void CompiledSystem::build_rhs_tables(
+    std::span<const std::uint32_t> changer_offsets,
+    std::span<const std::uint32_t> changers) {
+  // Flux slots in kernel order: each kernel's reactions in ascending index.
+  const std::size_t m = rates_.size();
+  std::vector<std::uint32_t> slot_of(m);
+  std::uint32_t slot = 0;
+  for (const ReactionKernel kernel :
+       {ReactionKernel::kUnimolecular, ReactionKernel::kBimolecular,
+        ReactionKernel::kDimer, ReactionKernel::kGeneric}) {
+    for (std::uint32_t j = 0; j < m; ++j) {
+      if (kernels_[j] != kernel) continue;
+      slot_of[j] = slot++;
+      const std::uint32_t begin = reactant_offsets_[j];
+      switch (kernel) {
+        case ReactionKernel::kUnimolecular:
+          unimolecular_rates_.push_back(rates_[j]);
+          unimolecular_species_.push_back(reactant_species_[begin]);
+          break;
+        case ReactionKernel::kBimolecular:
+          bimolecular_rates_.push_back(rates_[j]);
+          bimolecular_species_.push_back(reactant_species_[begin]);
+          bimolecular_species_.push_back(reactant_species_[begin + 1]);
+          break;
+        case ReactionKernel::kDimer:
+          dimer_rates_.push_back(rates_[j]);
+          dimer_species_.push_back(reactant_species_[begin]);
+          break;
+        case ReactionKernel::kGeneric:
+          generic_reactions_.push_back(j);
+          break;
+      }
+    }
+  }
+
+  // Each changer's delta, in the order `transpose` filled the changers.
+  std::vector<double> delta(changers.size());
+  std::vector<std::uint32_t> next(changer_offsets.begin(),
+                                  changer_offsets.end() - 1);
+  for (std::size_t k = 0; k < net_species_.size(); ++k) {
+    delta[next[net_species_[k]]++] = static_cast<double>(net_delta_[k]);
+  }
+
+  // Species grouped by changer count, each row in ascending reaction index.
+  const auto row_length = [&](std::uint32_t s) {
+    return changer_offsets[s + 1] - changer_offsets[s];
+  };
+  gather_species_.resize(species_count_);
+  std::iota(gather_species_.begin(), gather_species_.end(), 0u);
+  std::ranges::stable_sort(gather_species_, {}, row_length);
+  gather_slots_.reserve(changers.size());
+  gather_delta_.reserve(changers.size());
+  for (const std::uint32_t s : gather_species_) {
+    for (std::uint32_t c = changer_offsets[s]; c < changer_offsets[s + 1];
+         ++c) {
+      gather_slots_.push_back(slot_of[changers[c]]);
+      gather_delta_.push_back(delta[c]);
+    }
+    const std::uint32_t length = row_length(s);
+    if (gather_groups_.empty() || gather_groups_.back().length != length) {
+      gather_groups_.push_back({length, 0});
+    }
+    ++gather_groups_.back().species;
+  }
 }
 
 std::size_t CompiledSystem::footprint_bytes() const {
@@ -167,7 +245,12 @@ std::size_t CompiledSystem::footprint_bytes() const {
          bytes(reactant_species_) + bytes(reactant_stoich_) +
          bytes(net_offsets_) + bytes(net_species_) + bytes(net_delta_) +
          bytes(dep_offsets_) + bytes(dep_reactions_) +
-         bytes(species_dep_offsets_) + bytes(species_dep_reactions_);
+         bytes(species_dep_offsets_) + bytes(species_dep_reactions_) +
+         bytes(unimolecular_rates_) + bytes(unimolecular_species_) +
+         bytes(bimolecular_rates_) + bytes(bimolecular_species_) +
+         bytes(dimer_rates_) + bytes(dimer_species_) +
+         bytes(generic_reactions_) + bytes(gather_species_) +
+         bytes(gather_groups_) + bytes(gather_slots_) + bytes(gather_delta_);
 }
 
 double CompiledSystem::flux(std::size_t j, std::span<const double> x) const {
@@ -195,19 +278,46 @@ double CompiledSystem::flux(std::size_t j, std::span<const double> x) const {
   return f;
 }
 
-void CompiledSystem::rhs(std::span<const double> x,
-                         std::span<double> dxdt) const {
-  std::ranges::fill(dxdt, 0.0);
-  const std::size_t m = rates_.size();
-  for (std::size_t j = 0; j < m; ++j) {
-    const double f = flux(j, x);
-    if (f == 0.0) continue;
-    const std::uint32_t begin = net_offsets_[j];
-    const std::uint32_t end = net_offsets_[j + 1];
-    for (std::uint32_t k = begin; k < end; ++k) {
-      dxdt[net_species_[k]] += static_cast<double>(net_delta_[k]) * f;
+void CompiledSystem::rhs(std::span<const double> x, std::span<double> dxdt,
+                         std::span<double> flux) const {
+  // Each kernel's loop performs `flux(j, x)`'s operations for its shape.
+  double* out = flux.data();
+  for (std::size_t k = 0; k < unimolecular_rates_.size(); ++k) {
+    *out++ = unimolecular_rates_[k] * x[unimolecular_species_[k]];
+  }
+  for (std::size_t k = 0; k < bimolecular_rates_.size(); ++k) {
+    *out++ = bimolecular_rates_[k] * x[bimolecular_species_[2 * k]] *
+             x[bimolecular_species_[2 * k + 1]];
+  }
+  for (std::size_t k = 0; k < dimer_rates_.size(); ++k) {
+    const double xi = x[dimer_species_[k]];
+    *out++ = dimer_rates_[k] * xi * xi;
+  }
+  for (const std::uint32_t j : generic_reactions_) *out++ = this->flux(j, x);
+
+  // Within a group every row has the same length, so the inner loop's trip
+  // count repeats and the sums of consecutive species, each its own chain
+  // of dependent additions, overlap in the pipeline.
+  const std::uint32_t* species = gather_species_.data();
+  const std::uint32_t* slots = gather_slots_.data();
+  const double* delta = gather_delta_.data();
+  for (const GatherGroup& group : gather_groups_) {
+    for (std::uint32_t i = 0; i < group.species; ++i) {
+      double sum = 0.0;
+      for (std::uint32_t t = 0; t < group.length; ++t) {
+        sum += delta[t] * flux[slots[t]];
+      }
+      dxdt[*species++] = sum;
+      slots += group.length;
+      delta += group.length;
     }
   }
+}
+
+void CompiledSystem::rhs(std::span<const double> x,
+                         std::span<double> dxdt) const {
+  std::vector<double> flux(rates_.size());
+  rhs(x, dxdt, flux);
 }
 
 void CompiledSystem::jacobian(std::span<const double> x,
@@ -253,62 +363,12 @@ void CompiledSystem::scaled_rates(double omega, std::span<double> out) const {
   }
 }
 
-double CompiledSystem::propensity_scaled(std::size_t j,
-                                         std::span<const std::int64_t> n,
-                                         double scaled) const {
-  const std::uint32_t begin = reactant_offsets_[j];
-  // Each specialization reproduces the generic falling-factorial loop below
-  // for its shape: counts multiplied left-to-right in species-sorted order,
-  // with the loop's exact early-out (<= 0 check before each multiply) folded
-  // in.
-  switch (kernels_[j]) {
-    case ReactionKernel::kUnimolecular: {
-      const std::int64_t c = n[reactant_species_[begin]];
-      return c <= 0 ? 0.0 : scaled * static_cast<double>(c);
-    }
-    case ReactionKernel::kDimer: {
-      const std::int64_t c = n[reactant_species_[begin]];
-      if (c <= 1) return 0.0;
-      return scaled * static_cast<double>(c) * static_cast<double>(c - 1);
-    }
-    case ReactionKernel::kBimolecular: {
-      const std::int64_t c0 = n[reactant_species_[begin]];
-      if (c0 <= 0) return 0.0;
-      const std::int64_t c1 = n[reactant_species_[begin + 1]];
-      if (c1 <= 0) return 0.0;
-      return scaled * static_cast<double>(c0) * static_cast<double>(c1);
-    }
-    case ReactionKernel::kGeneric:
-      break;
-  }
-  double a = scaled;
-  const std::uint32_t end = reactant_offsets_[j + 1];
-  for (std::uint32_t k = begin; k < end; ++k) {
-    std::int64_t count = n[reactant_species_[k]];
-    const std::uint32_t stoich = reactant_stoich_[k];
-    for (std::uint32_t s = 0; s < stoich; ++s) {
-      if (count <= 0) return 0.0;
-      a *= static_cast<double>(count);
-      --count;
-    }
-  }
-  return a;
-}
-
 double CompiledSystem::propensity(std::size_t j,
                                   std::span<const std::int64_t> n,
                                   double omega) const {
   const double scaled =
       rates_[j] * std::pow(omega, 1.0 - static_cast<double>(orders_[j]));
   return propensity_scaled(j, n, scaled);
-}
-
-void CompiledSystem::apply(std::size_t j, std::span<std::int64_t> n) const {
-  const std::uint32_t begin = net_offsets_[j];
-  const std::uint32_t end = net_offsets_[j + 1];
-  for (std::uint32_t k = begin; k < end; ++k) {
-    n[net_species_[k]] += net_delta_[k];
-  }
 }
 
 }  // namespace mrsc::sim

@@ -12,7 +12,10 @@
 //    context emits (unimolecular gated transfer, bimolecular drain, dimeric
 //    indicator feedback) with a generic mass-action fallback;
 //  * hoisted propensity scale factors: `scaled_rates` precomputes
-//    k_j * omega^(1-order_j) once per run instead of per event.
+//    k_j * omega^(1-order_j) once per run instead of per event;
+//  * RHS tables: each kernel's rates and reactant species for a
+//    branch-free flux pass, and the net-change table transposed for a
+//    species-major gather.
 //
 // The build is linear in the network size plus the dependency-graph edge
 // count. Evaluation is deterministic: a kernel specialization performs the
@@ -120,7 +123,18 @@ class CompiledSystem {
   /// k_j * prod_i x_i^s_ij.
   [[nodiscard]] double flux(std::size_t j, std::span<const double> x) const;
 
-  /// dx/dt at x; dxdt.size() must equal species_count().
+  /// dx/dt at x; dxdt.size() must equal species_count() and flux.size()
+  /// reaction_count(). Two passes: every reaction's flux into `flux` (the
+  /// caller's scratch, so one system serves any number of concurrent
+  /// integrators), then each dxdt[s] gathered from the fluxes of the
+  /// reactions changing s in ascending reaction index. That adds the same
+  /// products in the same order as a reaction-major scatter skipping zero
+  /// fluxes: a sum that starts at +0.0 is never -0.0, and adding a ±0.0
+  /// product leaves every other value, ±inf and NaN included, unchanged.
+  void rhs(std::span<const double> x, std::span<double> dxdt,
+           std::span<double> flux) const;
+
+  /// Same, allocating the flux scratch (one-shot callers).
   void rhs(std::span<const double> x, std::span<double> dxdt) const;
 
   /// Analytic Jacobian d(dx/dt)/dx; jac is resized/overwritten to NxN.
@@ -138,7 +152,45 @@ class CompiledSystem {
   /// of the deterministic<->stochastic rate conversion.)
   [[nodiscard]] double propensity_scaled(std::size_t j,
                                          std::span<const std::int64_t> n,
-                                         double scaled) const;
+                                         double scaled) const {
+    const std::uint32_t begin = reactant_offsets_[j];
+    // Each specialization reproduces the generic falling-factorial loop
+    // below for its shape: counts multiplied left-to-right in species-sorted
+    // order, with the loop's exact early-out (<= 0 check before each
+    // multiply) folded in.
+    switch (kernels_[j]) {
+      case ReactionKernel::kUnimolecular: {
+        const std::int64_t c = n[reactant_species_[begin]];
+        return c <= 0 ? 0.0 : scaled * static_cast<double>(c);
+      }
+      case ReactionKernel::kDimer: {
+        const std::int64_t c = n[reactant_species_[begin]];
+        if (c <= 1) return 0.0;
+        return scaled * static_cast<double>(c) * static_cast<double>(c - 1);
+      }
+      case ReactionKernel::kBimolecular: {
+        const std::int64_t c0 = n[reactant_species_[begin]];
+        if (c0 <= 0) return 0.0;
+        const std::int64_t c1 = n[reactant_species_[begin + 1]];
+        if (c1 <= 0) return 0.0;
+        return scaled * static_cast<double>(c0) * static_cast<double>(c1);
+      }
+      case ReactionKernel::kGeneric:
+        break;
+    }
+    double a = scaled;
+    const std::uint32_t end = reactant_offsets_[j + 1];
+    for (std::uint32_t k = begin; k < end; ++k) {
+      std::int64_t count = n[reactant_species_[k]];
+      const std::uint32_t stoich = reactant_stoich_[k];
+      for (std::uint32_t s = 0; s < stoich; ++s) {
+        if (count <= 0) return 0.0;
+        a *= static_cast<double>(count);
+        --count;
+      }
+    }
+    return a;
+  }
 
   /// Same, recomputing the scale factor from `omega` (one-shot callers).
   [[nodiscard]] double propensity(std::size_t j,
@@ -146,11 +198,16 @@ class CompiledSystem {
                                   double omega) const;
 
   /// Applies one firing of reaction j to integer counts n.
-  void apply(std::size_t j, std::span<std::int64_t> n) const;
+  void apply(std::size_t j, std::span<std::int64_t> n) const {
+    const std::uint32_t end = net_offsets_[j + 1];
+    for (std::uint32_t k = net_offsets_[j]; k < end; ++k) {
+      n[net_species_[k]] += net_delta_[k];
+    }
+  }
 
-  /// Heap bytes held by the compiled arrays (vector capacities); what a
-  /// cache of compiled systems charges against its byte budget. The
-  /// dependency graph dominates on large designs.
+  /// Heap bytes held by the compiled arrays (vector capacities, every one
+  /// shrunk to its size); what a cache of compiled systems charges against
+  /// its byte budget. The dependency graph dominates on large designs.
   [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:
@@ -179,6 +236,32 @@ class CompiledSystem {
   // CSR species -> dependent reactions incidence.
   std::vector<std::uint32_t> species_dep_offsets_;
   std::vector<std::uint32_t> species_dep_reactions_;
+
+  // RHS flux pass, one branch-free loop per kernel. The fluxes land in
+  // kernel order (unimolecular, bimolecular, dimer, generic; ascending
+  // reaction index within each), so each loop writes its slots in sequence.
+  std::vector<double> unimolecular_rates_;
+  std::vector<std::uint32_t> unimolecular_species_;
+  std::vector<double> bimolecular_rates_;
+  std::vector<std::uint32_t> bimolecular_species_;  ///< two per reaction
+  std::vector<double> dimer_rates_;
+  std::vector<std::uint32_t> dimer_species_;
+  std::vector<std::uint32_t> generic_reactions_;
+
+  // RHS gather: the net-change table transposed to species -> (flux slot,
+  // delta), reactions ascending within each species. Species are ordered by
+  // row length, and each run of equal lengths is one group.
+  struct GatherGroup {
+    std::uint32_t length;   ///< changers per species
+    std::uint32_t species;  ///< species in the group
+  };
+  std::vector<std::uint32_t> gather_species_;
+  std::vector<GatherGroup> gather_groups_;
+  std::vector<std::uint32_t> gather_slots_;
+  std::vector<double> gather_delta_;
+
+  void build_rhs_tables(std::span<const std::uint32_t> changer_offsets,
+                        std::span<const std::uint32_t> changers);
 };
 
 }  // namespace mrsc::sim

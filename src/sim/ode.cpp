@@ -94,8 +94,8 @@ class RunContext {
   bool aborted_ = false;
 };
 
-// Stage temporaries come from a per-run arena so a run's scratch arrays sit
-// in one contiguous block.
+// Stage temporaries, and the RHS flux scratch, come from a per-run arena so
+// a run's scratch arrays sit in one contiguous block.
 
 OdeResult run_rk4(const CompiledSystem& system, const OdeOptions& options,
                   std::vector<double> x, std::span<Observer* const> observers) {
@@ -108,17 +108,18 @@ OdeResult run_rk4(const CompiledSystem& system, const OdeOptions& options,
   std::span<double> k1 = arena.alloc<double>(n), k2 = arena.alloc<double>(n),
                     k3 = arena.alloc<double>(n), k4 = arena.alloc<double>(n),
                     tmp = arena.alloc<double>(n);
+  const std::span<double> flux = arena.alloc<double>(system.reaction_count());
   std::vector<double> x_new(n);
   double t = 0.0;
   while (t < options.t_end && result.steps_accepted < options.max_steps) {
     const double h = std::min(options.dt, options.t_end - t);
-    system.rhs(x, k1);
+    system.rhs(x, k1, flux);
     for (std::size_t i = 0; i < n; ++i) tmp[i] = x[i] + 0.5 * h * k1[i];
-    system.rhs(tmp, k2);
+    system.rhs(tmp, k2, flux);
     for (std::size_t i = 0; i < n; ++i) tmp[i] = x[i] + 0.5 * h * k2[i];
-    system.rhs(tmp, k3);
+    system.rhs(tmp, k3, flux);
     for (std::size_t i = 0; i < n; ++i) tmp[i] = x[i] + h * k3[i];
-    system.rhs(tmp, k4);
+    system.rhs(tmp, k4, flux);
     result.rhs_evaluations += 4;
     for (std::size_t i = 0; i < n; ++i) {
       x_new[i] = x[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
@@ -171,6 +172,7 @@ OdeResult run_dp45(const CompiledSystem& system, const OdeOptions& options,
                     k3 = arena.alloc<double>(n), k4 = arena.alloc<double>(n),
                     k5 = arena.alloc<double>(n), k6 = arena.alloc<double>(n),
                     k7 = arena.alloc<double>(n), tmp = arena.alloc<double>(n);
+  const std::span<double> flux = arena.alloc<double>(system.reaction_count());
   std::vector<double> x_new(n);
   double t = 0.0;
   double h = std::min(options.dt, options.t_end);
@@ -185,29 +187,29 @@ OdeResult run_dp45(const CompiledSystem& system, const OdeOptions& options,
     h = std::min(h, options.t_end - t);
 
     if (!k1_is_f_of_x) {
-      system.rhs(x, k1);
+      system.rhs(x, k1, flux);
       ++result.rhs_evaluations;
     }
     for (std::size_t i = 0; i < n; ++i) tmp[i] = x[i] + h * kA21 * k1[i];
-    system.rhs(tmp, k2);
+    system.rhs(tmp, k2, flux);
     for (std::size_t i = 0; i < n; ++i) {
       tmp[i] = x[i] + h * (kA31 * k1[i] + kA32 * k2[i]);
     }
-    system.rhs(tmp, k3);
+    system.rhs(tmp, k3, flux);
     for (std::size_t i = 0; i < n; ++i) {
       tmp[i] = x[i] + h * (kA41 * k1[i] + kA42 * k2[i] + kA43 * k3[i]);
     }
-    system.rhs(tmp, k4);
+    system.rhs(tmp, k4, flux);
     for (std::size_t i = 0; i < n; ++i) {
       tmp[i] = x[i] + h * (kA51 * k1[i] + kA52 * k2[i] + kA53 * k3[i] +
                            kA54 * k4[i]);
     }
-    system.rhs(tmp, k5);
+    system.rhs(tmp, k5, flux);
     for (std::size_t i = 0; i < n; ++i) {
       tmp[i] = x[i] + h * (kA61 * k1[i] + kA62 * k2[i] + kA63 * k3[i] +
                            kA64 * k4[i] + kA65 * k5[i]);
     }
-    system.rhs(tmp, k6);
+    system.rhs(tmp, k6, flux);
     result.rhs_evaluations += 5;
     for (std::size_t i = 0; i < n; ++i) {
       x_new[i] = x[i] + h * (kB1 * k1[i] + kB3 * k3[i] + kB4 * k4[i] +
@@ -217,7 +219,7 @@ OdeResult run_dp45(const CompiledSystem& system, const OdeOptions& options,
       result.non_finite = true;
       break;  // x still holds the last finite state
     }
-    system.rhs(x_new, k7);
+    system.rhs(x_new, k7, flux);
     ++result.rhs_evaluations;
 
     // Weighted RMS error of the embedded 4th/5th order difference.
@@ -273,7 +275,8 @@ OdeResult run_backward_euler(const CompiledSystem& system,
   RunContext ctx(options, n, observers);
   ctx.record_initial(0.0, x);
 
-  std::vector<double> z(n), f(n), residual(n);
+  std::vector<double> z(n), f(n), residual(n),
+      flux(system.reaction_count());
   util::Matrix jac(n, n), newton_matrix(n, n);
   double t = 0.0;
 
@@ -283,7 +286,7 @@ OdeResult run_backward_euler(const CompiledSystem& system,
     z = x;
     bool converged = false;
     for (std::uint32_t iter = 0; iter < options.newton_max_iters; ++iter) {
-      system.rhs(z, f);
+      system.rhs(z, f, flux);
       ++result.rhs_evaluations;
       double residual_norm = 0.0;
       for (std::size_t i = 0; i < n; ++i) {
@@ -309,7 +312,7 @@ OdeResult run_backward_euler(const CompiledSystem& system,
     if (!converged) {
       // Fall back to one explicit Euler step at this size; backward Euler's
       // L-stability is a convenience here, not a correctness requirement.
-      system.rhs(x, f);
+      system.rhs(x, f, flux);
       ++result.rhs_evaluations;
       for (std::size_t i = 0; i < n; ++i) z[i] = x[i] + h * f[i];
     }

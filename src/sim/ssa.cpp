@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "sim/engine/active_set.hpp"
 #include "sim/engine/arena.hpp"
@@ -15,14 +17,27 @@ namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-/// True when the cancellation hook requests a stop. Polled on a stride of
-/// `abort_check_events` so the per-event hot path stays untaxed.
-bool abort_due(const SsaOptions& options, std::uint64_t events) {
-  if (!options.abort) return false;
-  const std::uint64_t stride = std::max<std::uint64_t>(
-      options.abort_check_events, 1);
-  return events % stride == 0 && options.abort();
-}
+/// Cancellation polling for the exact methods: the hook is called before
+/// events 0, stride, 2·stride, … (stride `abort_check_events`), counted down
+/// so the per-event hot path pays no division.
+class AbortPoll {
+ public:
+  explicit AbortPoll(const SsaOptions& options)
+      : abort_(options.abort),
+        stride_(std::max<std::uint64_t>(options.abort_check_events, 1)) {}
+
+  /// Called once before each event; true when the hook requests a stop.
+  bool requested() {
+    if (--countdown_ != 0) return false;
+    countdown_ = stride_;
+    return abort_ && abort_();
+  }
+
+ private:
+  const std::function<bool()>& abort_;
+  std::uint64_t stride_;
+  std::uint64_t countdown_ = 1;
+};
 
 /// Indexed binary min-heap over (reaction, absolute firing time); supports
 /// decrease/increase-key by reaction index, as the next-reaction method needs.
@@ -190,6 +205,7 @@ SsaResult run_direct(const CompiledEval& eval, const SsaOptions& options,
   SsaRecorder recorder(options, eval.species_count());
   recorder.record_initial(counts);
 
+  AbortPoll abort(options);
   std::vector<double> propensities(m);
   ActiveSet active(m);
   for (std::size_t j = 0; j < m; ++j) {
@@ -199,14 +215,14 @@ SsaResult run_direct(const CompiledEval& eval, const SsaOptions& options,
   result.propensity_evaluations = m;
   double t = 0.0;
   while (t < options.t_end && result.events < options.max_events) {
-    if (abort_due(options, result.events)) {
+    if (abort.requested()) {
       result.aborted = true;
       break;
     }
-    // Re-summed in index order on every event, as a full recompute would:
-    // the total is then bitwise independent of which entries were refreshed.
-    // Skipping the exact zeros leaves every partial sum unchanged.
-    const double total = active.sum(propensities, result.selection_terms);
+    // The index-order sum a full recompute would form, bitwise: the set
+    // re-adds only from the lowest propensity that changed, and skips the
+    // exact zeros, neither of which moves a partial sum.
+    const double total = active.total(propensities, result.selection_terms);
     if (total <= 0.0) {
       result.exhausted = true;
       break;
@@ -225,13 +241,16 @@ SsaResult run_direct(const CompiledEval& eval, const SsaOptions& options,
     ++result.events;
 
     // Only reactions reading a species `chosen` changed can have a new
-    // propensity; a pure-catalysis self-edge keeps its stored value.
+    // propensity; a pure-catalysis self-edge keeps its stored value. Only a
+    // value that differs (a NaN always does) invalidates the cached totals.
     const auto deps = eval.affected(chosen);
     const bool skip_self = !eval.affects_own_reactants(chosen);
     for (const std::uint32_t dep : deps) {
       if (skip_self && dep == chosen) continue;
-      propensities[dep] = eval.propensity(dep, counts);
-      active.assign(dep, propensities[dep]);
+      const double a = eval.propensity(dep, counts);
+      const double previous = propensities[dep];
+      propensities[dep] = a;
+      if (a != previous) active.assign(dep, a);
     }
     result.propensity_evaluations += deps.size() - (skip_self ? 1 : 0);
   }
@@ -252,6 +271,7 @@ SsaResult run_next_reaction(const CompiledEval& eval, const SsaOptions& options,
   SsaRecorder recorder(options, eval.species_count());
   recorder.record_initial(counts);
 
+  AbortPoll abort(options);
   std::vector<double> propensities(m);
   std::vector<double> firing_times(m);
   for (std::size_t j = 0; j < m; ++j) {
@@ -265,7 +285,7 @@ SsaResult run_next_reaction(const CompiledEval& eval, const SsaOptions& options,
 
   double t = 0.0;
   while (result.events < options.max_events) {
-    if (abort_due(options, result.events)) {
+    if (abort.requested()) {
       result.aborted = true;
       break;
     }
@@ -429,11 +449,21 @@ std::size_t select_reaction(std::span<const double> propensities,
 
 std::vector<std::int64_t> to_counts(std::span<const double> concentrations,
                                     double omega) {
+  // 2^63: the first double an int64 cannot hold (llround's result there is
+  // unspecified, in practice INT64_MIN).
+  constexpr double kCountLimit = 0x1p63;
   std::vector<std::int64_t> counts(concentrations.size());
   for (std::size_t i = 0; i < concentrations.size(); ++i) {
-    counts[i] = static_cast<std::int64_t>(
-        std::llround(concentrations[i] * omega));
-    if (counts[i] < 0) counts[i] = 0;
+    const double scaled = concentrations[i] * omega;
+    if (!std::isfinite(scaled) || scaled >= kCountLimit) {
+      char amount[32];
+      std::snprintf(amount, sizeof amount, "%g", scaled);
+      throw std::invalid_argument(
+          "to_counts: species " + std::to_string(i) + ": concentration x "
+          "omega = " + amount + " molecules has no int64 count");
+    }
+    counts[i] = scaled <= 0.0 ? 0 : static_cast<std::int64_t>(
+                                         std::llround(scaled));
   }
   return counts;
 }

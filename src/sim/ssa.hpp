@@ -6,11 +6,12 @@
 //  * kDirect       — Gillespie's direct method. Propensities are evaluated
 //                    once up front; after each firing only the fired
 //                    reaction's dependents (the CSR dependency graph) are
-//                    re-evaluated. The total is still re-summed and the
-//                    selection still scanned in index order on every event,
-//                    over the nonzero propensities only (an exact zero adds
-//                    nothing), so results are bitwise those of recomputing
-//                    everything.
+//                    re-evaluated. Each event's total is the index-order
+//                    sum, re-added only from the lowest propensity that
+//                    changed, and the selection is still scanned in index
+//                    order, both over the nonzero propensities only (an
+//                    exact zero adds nothing), so results are bitwise those
+//                    of recomputing everything.
 //  * kNextReaction — Gibson & Bruck's next-reaction method with a dependency
 //                    graph and an indexed priority queue; asymptotically
 //                    faster for networks where each firing touches few
@@ -83,8 +84,11 @@ struct SsaResult {
   /// Tau-leaping leaves it 0.
   std::uint64_t propensity_evaluations = 0;
   /// Deterministic work counter: propensity entries the direct method's
-  /// per-event total visited (R per total on a fully active network, far
-  /// fewer when most reactions are disabled). Other methods leave it 0.
+  /// per-event totals visited. A total re-adds the nonzero entries from the
+  /// lowest one that changed since the previous total, and none when no
+  /// propensity changed (about half of R per event on a fully active ring,
+  /// none after the first total on an idle gated design). Other methods
+  /// leave it 0.
   std::uint64_t selection_terms = 0;
 };
 
@@ -114,7 +118,10 @@ struct SsaResult {
 [[nodiscard]] std::size_t select_reaction(std::span<const double> propensities,
                                           double target);
 
-/// Converts concentrations to integer counts at volume omega.
+/// Converts concentrations to integer counts at volume omega: each product
+/// rounded to the nearest count, negatives clamped to 0. Throws
+/// std::invalid_argument naming the species index when a product is not
+/// finite or is at least 2^63 (no int64 count holds it).
 [[nodiscard]] std::vector<std::int64_t> to_counts(
     std::span<const double> concentrations, double omega);
 

@@ -325,7 +325,14 @@ int main(int argc, char** argv) {
                        : cli.method == "nrm"
                            ? sim::SsaMethod::kNextReaction
                            : sim::SsaMethod::kTauLeaping;
-      sim::SsaResult result = simulate_ssa(network, options);
+      sim::SsaResult result;
+      try {
+        result = simulate_ssa(network, options);
+      } catch (const std::invalid_argument& error) {
+        // An initial state with no molecule-count form is bad input.
+        std::fprintf(stderr, "mrsc_sim: %s\n", error.what());
+        return 2;
+      }
       std::printf("SSA (%s): %llu events%s\n", cli.method.c_str(),
                   static_cast<unsigned long long>(result.events),
                   result.exhausted ? " (exhausted)" : "");

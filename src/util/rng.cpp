@@ -15,10 +15,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -31,35 +27,8 @@ Rng::Rng(std::uint64_t seed) {
   }
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0,1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) {
   return lo + (hi - lo) * uniform();
-}
-
-double Rng::uniform_positive() {
-  double u = uniform();
-  while (u == 0.0) u = uniform();
-  return u;
-}
-
-double Rng::exponential(double rate) {
-  return -std::log(uniform_positive()) / rate;
 }
 
 double Rng::normal() {

@@ -3,10 +3,14 @@
 // Stochastic simulation (SSA) and rate-jitter robustness sweeps must be
 // reproducible run to run and platform to platform, so the library carries its
 // own generator (xoshiro256**, seeded via SplitMix64) rather than relying on
-// the implementation-defined distributions of <random>.
+// the implementation-defined distributions of <random>. The per-event draws
+// (`next_u64`, `uniform`, `uniform_positive`, `exponential`) are defined
+// here so the SSA loops inline them.
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 
 namespace mrsc::util {
@@ -19,19 +23,38 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
   /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 high bits -> double in [0,1).
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
   /// Uniform double in (0, 1]; never returns 0 (safe for log()).
-  double uniform_positive();
+  double uniform_positive() {
+    double u = uniform();
+    while (u == 0.0) u = uniform();
+    return u;
+  }
 
   /// Standard exponential variate with the given rate (mean 1/rate).
-  double exponential(double rate);
+  double exponential(double rate) {
+    return -std::log(uniform_positive()) / rate;
+  }
 
   /// Standard normal variate (Box-Muller; one value per call, cached pair).
   double normal();

@@ -9,13 +9,16 @@
 //     in-test reference build over ordered maps and sets, on every built-in
 //     design, the scale catalog, and fuzz-generated networks;
 //   * the shape-specialized kernels are bitwise equal to the generic
-//     mass-action formulas (flux, rhs, propensity, apply);
+//     mass-action formulas (flux, rhs, propensity, apply), the two-pass RHS
+//     is bytewise the reaction-major loop it replaced, and the footprint
+//     charges every compiled array;
 //   * the next-reaction stale-propensity skip, regressed against an in-test
 //     reference NRM that always recomputes (identical RNG draw order);
 //   * the incremental direct method, regressed bitwise against an in-test
 //     copy of the full-recompute loop, and its propensity-evaluation count;
-//   * the direct method's active set: its sum and selection against the
-//     dense scan, and the entries each per-event total visits;
+//   * the direct method's active set: its cached totals against the dense
+//     sum, its selection against the dense scan, and the entries each
+//     per-event total visits;
 //   * a shared CompiledSystem across an ensemble gives the same bits at any
 //     worker count as compiling per replicate.
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <set>
@@ -401,6 +405,210 @@ TEST(CompiledSystem, PointwiseBitwiseOnFuzzedNetworks) {
 TEST(CompiledSystem, PointwiseBitwiseOnBuiltins) {
   for (const std::string& name : kBuiltinDesigns) {
     expect_pointwise_bitwise(builtin_network(name), 5, name);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The RHS runs as a flux pass and a species-major gather. It must equal the
+// reaction-major scatter it replaced, zero-flux skip included, bit for bit:
+// the gather also adds the ±0.0 products the scatter skipped, which changes
+// nothing because a sum that starts at +0.0 is never -0.0.
+
+/// The reaction-major RHS loop as it was before the two-pass split.
+void reference_rhs_reaction_major(const CompiledSystem& system,
+                                  std::span<const double> x,
+                                  std::span<double> dxdt) {
+  std::ranges::fill(dxdt, 0.0);
+  for (std::size_t j = 0; j < system.reaction_count(); ++j) {
+    const double f = system.flux(j, x);
+    if (f == 0.0) continue;
+    const auto species = system.net_species(j);
+    const auto delta = system.net_delta(j);
+    for (std::size_t k = 0; k < species.size(); ++k) {
+      dxdt[species[k]] += static_cast<double>(delta[k]) * f;
+    }
+  }
+}
+
+/// The NaN this machine's invalid operations (inf - inf, 0 * inf) produce.
+double default_nan() {
+  volatile double inf = std::numeric_limits<double>::infinity();
+  return inf - inf;
+}
+
+/// States mixing ordinary concentrations with every value that could tell
+/// the two loops apart: signed zeros, NaN, ±inf, products that overflow,
+/// subnormals and negatives. `nan` is the NaN the states carry.
+std::vector<std::vector<double>> adversarial_states(std::size_t species,
+                                                    double nan,
+                                                    util::Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0,
+                             -0.0,
+                             nan,
+                             kInf,
+                             -kInf,
+                             1e200,
+                             -1e200,
+                             std::numeric_limits<double>::denorm_min(),
+                             1e-310,
+                             -1e-310,
+                             std::numeric_limits<double>::min(),
+                             -1.5};
+  std::vector<std::vector<double>> states;
+  for (const double special_share : {0.0, 0.1, 0.5, 1.0}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<double> x(species);
+      for (double& v : x) {
+        v = rng.uniform() < special_share
+                ? specials[rng.uniform_below(std::size(specials))]
+                : rng.uniform(0.0, 3.0);
+      }
+      states.push_back(std::move(x));
+    }
+  }
+  for (const double special : specials) {
+    states.emplace_back(species, special);
+  }
+  return states;
+}
+
+/// Compares the two-pass RHS with the reaction-major reference at
+/// adversarial states.
+///
+/// With the machine's default NaN as the only NaN, every NaN either loop
+/// forms has that one bit pattern, and the outputs must match byte for
+/// byte. IEEE 754 leaves to the implementation which operand's payload and
+/// sign a NaN + NaN sum keeps, and the compiler orders the operands of the
+/// two loops' additions differently, so with a second NaN pattern (a
+/// positive quiet NaN next to the default NaN that inf - inf makes) only the
+/// NaN positions and every other value's bits must match. No integrator
+/// output carries a NaN's bits: a non-finite step ends the run.
+void expect_rhs_matches_reaction_major(const ReactionNetwork& network,
+                                       std::uint64_t seed,
+                                       const std::string& context) {
+  const CompiledSystem system(network);
+  const std::size_t ns = system.species_count();
+  util::Rng rng(seed);
+  std::vector<double> expected(ns), got(ns), flux(system.reaction_count());
+  for (const std::vector<double>& x :
+       adversarial_states(ns, default_nan(), rng)) {
+    reference_rhs_reaction_major(system, x, expected);
+    std::ranges::fill(got, 42.0);
+    system.rhs(x, got, flux);
+    ASSERT_EQ(std::memcmp(got.data(), expected.data(), ns * sizeof(double)),
+              0)
+        << context;
+    std::ranges::fill(got, -7.0);
+    system.rhs(x, got);
+    ASSERT_EQ(std::memcmp(got.data(), expected.data(), ns * sizeof(double)),
+              0)
+        << context << " (allocating overload)";
+  }
+  for (const std::vector<double>& x : adversarial_states(
+           ns, std::numeric_limits<double>::quiet_NaN(), rng)) {
+    reference_rhs_reaction_major(system, x, expected);
+    system.rhs(x, got, flux);
+    for (std::size_t i = 0; i < ns; ++i) {
+      if (std::isnan(expected[i])) {
+        ASSERT_TRUE(std::isnan(got[i])) << context << " species " << i;
+      } else {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(expected[i]))
+            << context << " species " << i;
+      }
+    }
+  }
+}
+
+TEST(RhsGather, BitwiseEqualToReactionMajorOnBuiltins) {
+  for (const std::string& name : kBuiltinDesigns) {
+    expect_rhs_matches_reaction_major(builtin_network(name), 17, name);
+  }
+}
+
+TEST(RhsGather, BitwiseEqualToReactionMajorOnScaleCatalog) {
+  for (const char* spec :
+       {"counter(2)", "counter(4)", "counter(8)", "delay_chain(2)",
+        "delay_chain(16)", "fsm_wide(4)", "fsm_wide(16)", "fsm_wide(32)",
+        "cascade(2)", "cascade(4)", "cascade(5)"}) {
+    expect_rhs_matches_reaction_major(builtin_network(spec), 19, spec);
+  }
+}
+
+TEST(RhsGather, BitwiseEqualToReactionMajorOnFuzzedNetworks) {
+  const std::vector<verify::CaseKind> kinds = {
+      verify::CaseKind::kRawNetwork, verify::CaseKind::kSyncCircuit,
+      verify::CaseKind::kDualRailCircuit, verify::CaseKind::kFsm,
+      verify::CaseKind::kCounter};
+  for (const verify::CaseKind kind : kinds) {
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+      expect_rhs_matches_reaction_major(
+          verify::generate_case(kind, seed).network(), seed,
+          std::string(verify::to_string(kind)) + " seed " +
+              std::to_string(seed));
+    }
+  }
+}
+
+TEST(RhsGather, ZeroFluxProductsLeaveSignedZeroSumsAlone) {
+  // A -> B at x_A = -0.0 has flux -0.0; the gather adds 1 * -0.0 to B's
+  // +0.0 sum and -1 * -0.0 to A's. Both stay +0.0, as in the scatter that
+  // skipped them.
+  ReactionNetwork net;
+  NetworkBuilder b(net);
+  b.reaction("A -> B", 1.0);
+  const CompiledSystem system(net);
+  const std::vector<double> x = {-0.0, 0.0};
+  std::vector<double> dxdt(2, 1.0);
+  system.rhs(x, dxdt);
+  EXPECT_FALSE(std::signbit(dxdt[0]));
+  EXPECT_FALSE(std::signbit(dxdt[1]));
+  EXPECT_EQ(dxdt[0], 0.0);
+  EXPECT_EQ(dxdt[1], 0.0);
+}
+
+TEST(CompiledSystem, FootprintChargesEveryArray) {
+  // The bytes of every compiled array at its exact size (the build shrinks
+  // each one), derived from the public tables: what DesignCache charges.
+  for (const char* spec : {"counter", "seqdet", "cascade(4)",
+                           "delay_chain(16)", "fsm_wide(16)"}) {
+    const CompiledSystem system(builtin_network(spec));
+    const std::size_t r = system.reaction_count();
+    const std::size_t s = system.species_count();
+    std::size_t reactant_terms = 0, net_terms = 0, dep_edges = 0, readers = 0;
+    std::map<ReactionKernel, std::size_t> kernels;
+    for (std::size_t j = 0; j < r; ++j) {
+      reactant_terms += system.reactant_species(j).size();
+      net_terms += system.net_species(j).size();
+      dep_edges += system.affected_reactions(j).size();
+      ++kernels[system.kernel(j)];
+    }
+    std::vector<std::size_t> changers(s);
+    for (std::size_t j = 0; j < r; ++j) {
+      for (const std::uint32_t i : system.net_species(j)) ++changers[i];
+    }
+    for (std::size_t i = 0; i < s; ++i) {
+      readers += system.dependents_of_species(i).size();
+    }
+    // The gather groups species by changer count, one group per count.
+    const std::size_t groups =
+        std::set<std::size_t>(changers.begin(), changers.end()).size();
+    constexpr std::size_t u32 = sizeof(std::uint32_t);
+    const std::size_t expected =
+        r * (sizeof(double) + u32 + sizeof(ReactionKernel) +
+             sizeof(std::uint8_t))                       // rates .. own
+        + (r + 1) * u32 + reactant_terms * 2 * u32       // reactant CSR
+        + (r + 1) * u32 + net_terms * 2 * u32            // net-change CSR
+        + (r + 1) * u32 + dep_edges * u32                // dependency graph
+        + (s + 1) * u32 + readers * u32                  // species readers
+        + kernels[ReactionKernel::kUnimolecular] * (sizeof(double) + u32)
+        + kernels[ReactionKernel::kBimolecular] * (sizeof(double) + 2 * u32)
+        + kernels[ReactionKernel::kDimer] * (sizeof(double) + u32)
+        + kernels[ReactionKernel::kGeneric] * u32        // flux pass
+        + s * u32 + groups * 2 * u32                     // gather order
+        + net_terms * (u32 + sizeof(double));            // gather rows
+    EXPECT_EQ(system.footprint_bytes(), expected) << spec;
   }
 }
 
@@ -887,65 +1095,58 @@ TEST(DirectIncremental, CountsOnlyDependentRefreshes) {
   EXPECT_LT(run.propensity_evaluations, run.events * m / 10);
 }
 
-TEST(DirectActiveSet, DenseRingSumsEveryEntryPerTotal) {
-  // Every propensity of the ring stays nonzero, so each total visits all R
-  // entries: one total per event plus the one whose step overshoots t_end.
-  const ReactionNetwork net = dense_ring_network(500, 0.005, 200, 200.0);
-  const CompiledSystem system(net);
-  SsaOptions options = direct_options();
-  options.t_end = 2.0;
-  const SsaResult run = simulate_ssa(
-      system, options, to_counts(net.initial_state(), options.omega));
-  ASSERT_GT(run.events, 1000u);
-  ASSERT_FALSE(run.exhausted);
-  ASSERT_FALSE(run.hit_event_limit);
-  EXPECT_EQ(run.selection_terms, (run.events + 1) * system.reaction_count());
-}
-
-TEST(DirectActiveSet, GatedDesignSumsFewEntriesPerEvent) {
-  // delay_chain(16): about 3 of its 1019 propensities are nonzero at a time,
-  // so the per-event totals visit a small fraction of events x R entries.
-  const ReactionNetwork net = builtin_network("delay_chain(16)");
-  const CompiledSystem system(net);
-  SsaOptions options = direct_options();
-  options.t_end = 5.0;
-  const SsaResult run = simulate_ssa(
-      system, options, to_counts(net.initial_state(), options.omega));
-  ASSERT_GT(run.events, 1000u);
-  EXPECT_GT(run.selection_terms, run.events);
-  EXPECT_LT(run.selection_terms, run.events * system.reaction_count() / 20);
-}
-
-/// Entries one per-event total visits for the nonzero pattern of
-/// `propensities`: a 64-entry word with at least the dense threshold of
-/// nonzero entries is walked whole, a sparser one entry per nonzero.
-std::uint64_t reference_total_terms(std::span<const double> propensities) {
+/// Entries one total visits when it re-adds from index `from` under the
+/// nonzero pattern of `propensities`: per 64-entry word, the nonzero
+/// entries at or after `from`; when they number at least the dense
+/// threshold, the word is walked from the first of them to the last.
+std::uint64_t reference_suffix_terms(std::span<const double> propensities,
+                                     std::size_t from) {
   std::uint64_t terms = 0;
-  for (std::size_t base = 0; base < propensities.size(); base += 64) {
+  for (std::size_t base = from / 64 * 64; base < propensities.size();
+       base += 64) {
     const std::size_t end = std::min(base + 64, propensities.size());
-    const auto nonzero = static_cast<std::size_t>(std::count_if(
-        propensities.begin() + static_cast<std::ptrdiff_t>(base),
-        propensities.begin() + static_cast<std::ptrdiff_t>(end),
-        [](double a) { return a != 0.0; }));
-    terms += nonzero >= ActiveSet::kDenseWordThreshold ? end - base : nonzero;
+    std::size_t members = 0, first = end, last = end;
+    for (std::size_t j = std::max(base, from); j < end; ++j) {
+      if (propensities[j] == 0.0) continue;
+      ++members;
+      if (first == end) first = j;
+      last = j;
+    }
+    if (members == 0) continue;
+    terms += members >= ActiveSet::kDenseWordThreshold ? last - first + 1
+                                                        : members;
   }
   return terms;
 }
 
 /// The `selection_terms` the direct method reports for `run`, which fired
 /// `fired` from `counts`: replays the firings, recomputing every propensity
-/// before each total.
+/// before each total. A total re-adds from the lowest propensity that
+/// differs from the one the previous total saw (from 0 for the first) and
+/// visits nothing when none does.
 std::uint64_t expected_selection_terms(const CompiledSystem& system,
                                        const SsaOptions& options,
                                        std::vector<std::int64_t> counts,
                                        const std::vector<std::uint32_t>& fired,
                                        const SsaResult& run) {
-  std::vector<double> propensities(system.reaction_count());
+  const std::size_t m = system.reaction_count();
+  std::vector<double> previous, propensities(m);
   const auto total_terms = [&] {
-    for (std::size_t j = 0; j < propensities.size(); ++j) {
+    for (std::size_t j = 0; j < m; ++j) {
       propensities[j] = system.propensity(j, counts, options.omega);
     }
-    return reference_total_terms(propensities);
+    std::size_t from = 0;
+    if (!previous.empty()) {
+      from = m;
+      for (std::size_t j = 0; j < m; ++j) {
+        if (propensities[j] != previous[j]) {
+          from = j;
+          break;
+        }
+      }
+    }
+    previous = propensities;
+    return from == m ? 0 : reference_suffix_terms(propensities, from);
   };
   std::uint64_t terms = 0;
   for (const std::uint32_t j : fired) {
@@ -958,9 +1159,70 @@ std::uint64_t expected_selection_terms(const CompiledSystem& system,
   return terms;
 }
 
+/// Runs the direct method, logging the firings of the full-recompute
+/// reference (which must fire as often).
+SsaResult run_direct_logged(const CompiledSystem& system,
+                            const SsaOptions& options,
+                            const std::vector<std::int64_t>& initial,
+                            std::vector<std::uint32_t>& fired) {
+  const SsaResult reference =
+      reference_direct_full_recompute(system, options, initial, &fired);
+  SsaResult run = simulate_ssa(system, options, initial);
+  EXPECT_EQ(run.events, reference.events);
+  return run;
+}
+
+TEST(DirectActiveSet, DenseRingReAddsFromFirstChangedEntry) {
+  // Every propensity of the ring stays nonzero and each firing changes a
+  // few neighbouring ones, so a total re-adds from the lowest of them:
+  // about half of R on average, where a full re-sum would visit all R.
+  const ReactionNetwork net = dense_ring_network(500, 0.005, 200, 200.0);
+  const CompiledSystem system(net);
+  const std::size_t m = system.reaction_count();
+  SsaOptions options = direct_options();
+  options.t_end = 2.0;
+  const std::vector<std::int64_t> initial =
+      to_counts(net.initial_state(), options.omega);
+  std::vector<std::uint32_t> fired;
+  const SsaResult run = run_direct_logged(system, options, initial, fired);
+  ASSERT_GT(run.events, 1000u);
+  ASSERT_FALSE(run.exhausted);
+  ASSERT_FALSE(run.hit_event_limit);
+  EXPECT_EQ(run.selection_terms,
+            expected_selection_terms(system, options, initial, fired, run));
+  EXPECT_LT(run.selection_terms, (run.events + 1) * m * 3 / 4);
+  EXPECT_GT(run.selection_terms, (run.events + 1) * m / 4);
+}
+
+TEST(DirectActiveSet, GatedDesignReusesEveryTotalAtItsDefaultState) {
+  // delay_chain(16) idles at its default state: about 3 of its 1019
+  // propensities are nonzero, and no firing changes any of them. Only the
+  // first total adds anything; every later one is reused outright.
+  const ReactionNetwork net = builtin_network("delay_chain(16)");
+  const CompiledSystem system(net);
+  SsaOptions options = direct_options();
+  options.t_end = 5.0;
+  const std::vector<std::int64_t> initial =
+      to_counts(net.initial_state(), options.omega);
+  std::vector<std::uint32_t> fired;
+  const SsaResult run = run_direct_logged(system, options, initial, fired);
+  ASSERT_GT(run.events, 1000u);
+  std::vector<double> propensities(system.reaction_count());
+  for (std::size_t j = 0; j < propensities.size(); ++j) {
+    propensities[j] = system.propensity(j, initial, options.omega);
+  }
+  const std::uint64_t first_total = reference_suffix_terms(propensities, 0);
+  EXPECT_GT(first_total, 0u);
+  EXPECT_LT(first_total, 10u);
+  EXPECT_EQ(run.selection_terms, first_total);
+  EXPECT_EQ(run.selection_terms,
+            expected_selection_terms(system, options, initial, fired, run));
+}
+
 TEST(DirectActiveSet, SelectionTermsMatchReplayedReference) {
-  // Exact, so a set that misses a member switching off (or on) shows up as
-  // a different count even where it would not change the result.
+  // Exact, so a set that misses a member switching off (or on), or re-adds
+  // from the wrong entry, shows up as a different count even where it would
+  // not change the result.
   std::vector<DirectCase> cases;
   cases.push_back({"word boundary", word_boundary_network()});
   cases.push_back({"mixed density", mixed_density_network()});
@@ -983,10 +1245,7 @@ TEST(DirectActiveSet, SelectionTermsMatchReplayedReference) {
       options.seed = seed;
       const std::string context = c.name + " seed " + std::to_string(seed);
       std::vector<std::uint32_t> fired;
-      const SsaResult reference =
-          reference_direct_full_recompute(system, options, initial, &fired);
-      const SsaResult run = simulate_ssa(system, options, initial);
-      ASSERT_EQ(run.events, reference.events) << context;
+      const SsaResult run = run_direct_logged(system, options, initial, fired);
       ASSERT_GT(run.events, 100u) << context;
       EXPECT_EQ(run.selection_terms,
                 expected_selection_terms(system, options, initial, fired, run))
@@ -1038,10 +1297,10 @@ TEST(ActiveSetSelection, RoundingResidualNeverFiresZeroPropensity) {
   const std::vector<double> a = {0.00032368783653411804, 0.07179676476832639,
                                  0.053929534852059736,  0.11309537029019168,
                                  0.00020391405043667976, 0.0};
-  const ActiveSet set = active_set_of(a);
+  ActiveSet set = active_set_of(a);
   EXPECT_FALSE(set.contains(5));
   std::uint64_t terms = 0;
-  const double total = set.sum(a, terms);
+  const double total = set.total(a, terms);
   EXPECT_EQ(terms, 5u);
   double dense_total = 0.0;
   for (const double v : a) dense_total += v;
@@ -1073,11 +1332,11 @@ TEST(ActiveSetSelection, MatchesDenseScanBitwiseOnRandomPatterns) {
         a[j] = rng.uniform() < 0.5 ? 0.0 : -0.0;
       }
     }
-    const ActiveSet set = active_set_of(a);
+    ActiveSet set = active_set_of(a);
     double dense_total = 0.0;
     for (const double v : a) dense_total += v;
     std::uint64_t terms = 0;
-    const double total = set.sum(a, terms);
+    const double total = set.total(a, terms);
     ASSERT_EQ(std::bit_cast<std::uint64_t>(total),
               std::bit_cast<std::uint64_t>(dense_total))
         << "trial " << trial;
@@ -1088,6 +1347,94 @@ TEST(ActiveSetSelection, MatchesDenseScanBitwiseOnRandomPatterns) {
           << "trial " << trial << " u " << u;
     }
   }
+}
+
+// The cached total re-adds only from the lowest entry assigned since the
+// previous total, starting from the running total stored at the last member
+// before it. After any sequence of assignments it must still be the dense
+// index-order sum's exact bits.
+TEST(ActiveSetTotal, CachedTotalEqualsDenseSumAfterRandomAssignments) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  util::Rng rng(77);
+  const auto random_value = [&](double density) {
+    const double u = rng.uniform();
+    if (u >= density) return rng.uniform() < 0.5 ? 0.0 : -0.0;
+    switch (rng.uniform_below(40)) {
+      case 0:
+        return std::numeric_limits<double>::quiet_NaN();
+      case 1:
+        return kInf;
+      case 2:
+        return -kInf;
+      case 3:
+        return std::numeric_limits<double>::denorm_min();
+      case 4:
+        return -rng.uniform();  // sums may cancel to exactly zero
+      default:
+        return std::ldexp(rng.uniform() + 0.5,
+                          -static_cast<int>(rng.uniform_below(40)));
+    }
+  };
+  // Sizes straddling the word boundaries, plus random ones.
+  std::vector<std::size_t> sizes = {1, 63, 64, 65, 127, 128, 129, 192};
+  for (int k = 0; k < 40; ++k) sizes.push_back(1 + rng.uniform_below(300));
+  std::uint64_t reused = 0;
+  for (std::size_t trial = 0; trial < sizes.size(); ++trial) {
+    const std::size_t size = sizes[trial];
+    // Per-word densities from empty through the dense threshold to full.
+    std::vector<double> density((size + 63) / 64);
+    for (double& d : density) {
+      const double u = rng.uniform();
+      d = u < 0.25 ? 1.0 : u < 0.35 ? 0.0 : rng.uniform();
+    }
+    std::vector<double> values(size);
+    ActiveSet set(size);
+    for (std::size_t j = 0; j < size; ++j) {
+      values[j] = random_value(density[j / 64]);
+      set.assign(j, values[j]);
+    }
+    for (int round = 0; round < 200; ++round) {
+      const std::size_t changes = rng.uniform_below(4);
+      for (std::size_t c = 0; c < changes; ++c) {
+        // Favour the entries at the word boundaries.
+        std::size_t j = rng.uniform_below(size);
+        if (rng.uniform() < 0.3) {
+          const std::size_t edges[] = {0, 62, 63, 64, 65, 127, 128};
+          j = std::min(edges[rng.uniform_below(7)], size - 1);
+        }
+        const double fresh = random_value(density[j / 64]);
+        // Assigning an unchanged value is allowed and only costs time.
+        if (fresh != values[j] || rng.uniform() < 0.2) {
+          values[j] = fresh;
+          set.assign(j, fresh);
+        }
+        // Occasionally switch a whole word between empty and full.
+        if (rng.uniform() < 0.02) {
+          const double fill = rng.uniform() < 0.5 ? 0.0 : 1.0;
+          const std::size_t base = j / 64 * 64;
+          for (std::size_t i = base; i < std::min(base + 64, size); ++i) {
+            values[i] = random_value(fill);
+            set.assign(i, values[i]);
+          }
+        }
+      }
+      double dense = 0.0;
+      for (const double v : values) dense += v;
+      std::uint64_t terms = 0;
+      const double total = set.total(values, terms);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(total),
+                std::bit_cast<std::uint64_t>(dense))
+          << "size " << size << " round " << round;
+      for (std::size_t j = 0; j < size; ++j) {
+        ASSERT_EQ(set.contains(j), values[j] != 0.0) << j;
+      }
+      if (changes == 0 && round > 0) {
+        EXPECT_EQ(terms, 0u) << "nothing assigned, nothing to re-add";
+        ++reused;
+      }
+    }
+  }
+  EXPECT_GT(reused, 100u) << "the unchanged-total path must be taken";
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/builder.hpp"
@@ -26,6 +31,43 @@ TEST(ToCounts, RoundsAndClamps) {
   const std::vector<double> conc = {1.0, 0.24, -0.5};
   const auto counts = to_counts(conc, 10.0);
   EXPECT_EQ(counts, (std::vector<std::int64_t>{10, 2, 0}));
+}
+
+TEST(ToCounts, AcceptsCountsJustBelowTwoTo63) {
+  // The largest double below 2^63 is 2^63 - 1024, an exact int64.
+  const std::vector<double> conc = {std::nextafter(0x1p63, 0.0)};
+  EXPECT_EQ(to_counts(conc, 1.0),
+            (std::vector<std::int64_t>{INT64_MAX - 1023}));
+}
+
+TEST(ToCounts, RejectsCountsFromTwoTo63WithTheSpeciesIndex) {
+  // Before, llround's INT64_MIN there was clamped to 0 molecules.
+  const std::pair<double, double> cases[] = {
+      {0x1p63, 1.0}, {9.3e15, 1000.0}, {1e300, 1.0}};
+  for (const auto& [concentration, omega] : cases) {
+    const std::vector<double> conc = {1.0, concentration};
+    try {
+      (void)to_counts(conc, omega);
+      ADD_FAILURE() << concentration << " x " << omega << " accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("species 1"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(ToCounts, RejectsNonFiniteAndClampsFiniteNegatives) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), kInf, -kInf}) {
+    const std::vector<double> conc = {bad};
+    EXPECT_THROW((void)to_counts(conc, 10.0), std::invalid_argument) << bad;
+  }
+  // A finite product overflowing to infinity is rejected too.
+  const std::vector<double> overflow = {1e300};
+  EXPECT_THROW((void)to_counts(overflow, 1e10), std::invalid_argument);
+  const std::vector<double> negative = {-0.0, -1e-300, -3.0, -1e300};
+  EXPECT_EQ(to_counts(negative, 10.0), (std::vector<std::int64_t>(4, 0)));
 }
 
 class SsaMethodTest : public ::testing::TestWithParam<SsaMethod> {};
