@@ -1,7 +1,8 @@
 // Robustness-margin benchmark: how much rate perturbation does each design
 // tolerate before its logic output diverges from the exact reference?
 //
-// For every built-in design this bench sweeps three structured fault kinds
+// For one registry design per family (counter, single-rail circuit, FSM,
+// self-timed chain) this bench sweeps three structured fault kinds
 // (global rate jitter, clock phase skew, per-species leaks) over a coarse
 // intensity grid and reports the robustness margin — the largest intensity
 // at which every seeded trial still matches the unperturbed oracle. This is
@@ -29,7 +30,7 @@ struct Row {
   std::size_t recovered = 0;
 };
 
-Row run(stress::Design design, stress::FaultKind fault,
+Row run(const char* design, stress::FaultKind fault,
         std::vector<double> grid) {
   stress::CampaignConfig config;
   config.design = design;
@@ -65,9 +66,8 @@ int main() {
   const std::vector<double> leak_grid = {0.0001, 0.0003, 0.001, 0.003};
 
   std::vector<Row> rows;
-  for (const stress::Design design :
-       {stress::Design::kCounter, stress::Design::kMovingAverage,
-        stress::Design::kSequenceDetector, stress::Design::kAsyncChain}) {
+  for (const char* design :
+       {"counter", "moving_average", "seqdet", "delay_chain(2)"}) {
     rows.push_back(run(design, stress::FaultKind::kRateJitter, jitter_grid));
     rows.push_back(run(design, stress::FaultKind::kClockSkew, jitter_grid));
     rows.push_back(run(design, stress::FaultKind::kLeak, leak_grid));
@@ -75,7 +75,7 @@ int main() {
 
   for (const Row& row : rows) {
     std::printf("  %-18s %-12s %10.4g %6s %10zu %8zu %5zu\n",
-                stress::to_string(row.result.design),
+                row.result.design.c_str(),
                 stress::to_string(row.result.fault), row.result.margin,
                 row.result.margin_found ? "yes" : "no", row.mismatches,
                 row.sim_failures, row.recovered);

@@ -79,6 +79,7 @@ BuiltDesign build_fsm_design(const fsm::FsmSpec& spec,
 /// shape guarantees).
 template <typename Factory>
 BuiltDesign build_circuit_design(Factory&& factory,
+                                 CircuitArtifacts::Reference reference,
                                  compile::CompileOptions options,
                                  Artifacts& artifacts) {
   BuiltDesign design;
@@ -86,7 +87,7 @@ BuiltDesign build_circuit_design(Factory&& factory,
   dsp::Design compiled = factory(options);
   design.owned = std::move(compiled.network);
   design.network = design.owned.get();
-  artifacts = CircuitArtifacts{std::move(compiled.circuit)};
+  artifacts = CircuitArtifacts{std::move(compiled.circuit), reference};
   return design;
 }
 
@@ -308,34 +309,34 @@ ResolvedScenario ScenarioRegistry::resolve(
       resolved.design =
           build_counter_design(dsp::CounterSpec{}.bits, options,
                                resolved.artifacts);
-      resolved.scenario.stress.design = "counter";
     } else if (call.name == "seqdet") {
       resolved.design = build_fsm_design(fsm::make_sequence_detector("101"),
                                          options, resolved.artifacts);
-      resolved.scenario.stress.design = "sequence_detector";
     } else if (call.name == "moving_average") {
       resolved.design = build_circuit_design(
           [](const compile::CompileOptions& o) {
             return dsp::make_moving_average({}, o);
           },
-          options, resolved.artifacts);
-      resolved.scenario.stress.design = "moving_average";
+          dsp::reference_moving_average, options, resolved.artifacts);
     } else if (call.name == "iir") {
       resolved.design = build_circuit_design(
           [](const compile::CompileOptions& o) {
             return dsp::make_second_order_iir({}, o);
           },
-          options, resolved.artifacts);
+          dsp::reference_second_order_iir, options, resolved.artifacts);
     } else if (call.name == "first_difference") {
       resolved.design = build_circuit_design(
           [](const compile::CompileOptions& o) {
             return dsp::make_first_difference({}, o);
           },
-          options, resolved.artifacts);
+          nullptr, options, resolved.artifacts);
     } else if (call.name == "delay") {
       resolved.design = build_circuit_design(
           [](const compile::CompileOptions& o) {
             return dsp::make_delay_line(3, {}, o);
+          },
+          [](std::span<const double> x) {
+            return dsp::reference_delay_line(x, 3);
           },
           options, resolved.artifacts);
     } else {  // "cascade"
@@ -344,16 +345,13 @@ ResolvedScenario ScenarioRegistry::resolve(
   } else if (call.name == "counter") {
     resolved.design = build_counter_design(
         static_cast<std::size_t>(call.args[0]), options, resolved.artifacts);
-    resolved.scenario.stress.design = "counter";
   } else if (call.name == "delay_chain") {
     resolved.design = build_chain_design(
         static_cast<std::size_t>(call.args[0]), options, resolved.artifacts);
-    resolved.scenario.stress.design = "async_chain";
   } else if (call.name == "fsm_wide") {
     resolved.design =
         build_fsm_design(make_wide_fsm(static_cast<std::size_t>(call.args[0])),
                          options, resolved.artifacts);
-    resolved.scenario.stress.design = "sequence_detector";
   } else {  // "cascade"
     resolved.design =
         build_cascade_design(static_cast<std::size_t>(call.args[0]), options);
@@ -366,12 +364,8 @@ ResolvedScenario ScenarioRegistry::resolve(
   if (!scenario.design.empty()) {
     ResolvedScenario resolved = resolve(scenario.design, options);
     // The file record wins everywhere except the compiled design: budgets,
-    // name, description, and an explicit stress binding all pass through.
-    const std::string generated_binding = resolved.scenario.stress.design;
+    // name and description all pass through.
     resolved.scenario = scenario;
-    if (resolved.scenario.stress.design.empty()) {
-      resolved.scenario.stress.design = generated_binding;
-    }
     return resolved;
   }
   ResolvedScenario resolved;
@@ -392,13 +386,15 @@ ResolvedScenario ScenarioRegistry::resolve(
   return resolved;
 }
 
-ResolvedScenario resolve_scenario_argument(
-    const std::string& argument, const compile::CompileOptions& options) {
+Scenario load_scenario_argument(const std::string& argument) {
   const ScenarioRegistry& registry = ScenarioRegistry::global();
-  if (looks_like_path(argument)) {
-    return registry.resolve(load_scenario_file(argument), options);
+  if (looks_like_path(argument)) return load_scenario_file(argument);
+  if (registry.known(argument)) {
+    Scenario scenario;
+    scenario.name = registry.canonicalize(argument);
+    scenario.design = scenario.name;
+    return scenario;
   }
-  if (registry.known(argument)) return registry.resolve(argument, options);
   // Not a registry spec: try the scenario search path before reporting the
   // spec error (which carries the catalog listing).
   const char* dir = std::getenv("MRSC_SCENARIO_DIR");
@@ -408,11 +404,17 @@ ResolvedScenario resolve_scenario_argument(
   };
   for (const std::string& candidate : candidates) {
     if (!candidate.empty() && file_exists(candidate)) {
-      return registry.resolve(load_scenario_file(candidate), options);
+      return load_scenario_file(candidate);
     }
   }
   (void)registry.canonicalize(argument);  // throws the catalog-listing error
   throw std::invalid_argument("unresolvable scenario '" + argument + "'");
+}
+
+ResolvedScenario resolve_scenario_argument(
+    const std::string& argument, const compile::CompileOptions& options) {
+  return ScenarioRegistry::global().resolve(load_scenario_argument(argument),
+                                            options);
 }
 
 }  // namespace mrsc::scenario

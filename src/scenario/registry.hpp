@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -58,7 +59,14 @@ struct ChainArtifacts {
   async::ChainHandles handles;
 };
 struct CircuitArtifacts {
+  /// The exact output series a single-rail circuit produces from input
+  /// port "x" to output port "y" (dsp's golden reference models).
+  using Reference = std::vector<double> (*)(std::span<const double>);
+
   sync::CompiledCircuit circuit;
+  /// Null when the output is not one single-rail series (first_difference
+  /// is dual-rail).
+  Reference reference = nullptr;
 };
 using Artifacts = std::variant<std::monostate, CounterArtifacts, FsmArtifacts,
                                ChainArtifacts, CircuitArtifacts>;
@@ -120,8 +128,8 @@ class ScenarioRegistry {
       const std::string& spec, const compile::CompileOptions& options = {}) const;
 
   /// Resolves a parsed file-based scenario record: builds its @design spec
-  /// through the registry, or parses its inline @network text. The record's
-  /// budgets pass through untouched.
+  /// through the registry, or parses its inline @network text. The record
+  /// itself (name, budgets) passes through untouched.
   [[nodiscard]] ResolvedScenario resolve(
       const Scenario& scenario,
       const compile::CompileOptions& options = {}) const;
@@ -136,12 +144,15 @@ class ScenarioRegistry {
   std::vector<GeneratorInfo> generators_;
 };
 
-/// Resolves a CLI --scenario argument through the registry or the scenario
-/// search path: a registry spec ("counter(4)"), a path to a .mrsc file
-/// (anything containing '/' or ending in ".mrsc"), or NAME.mrsc looked up
-/// under $MRSC_SCENARIO_DIR then ./scenarios/. Throws std::invalid_argument
-/// for unknown/malformed specs (usage, exit 2) and std::runtime_error for
-/// unreadable files (runtime, exit 1).
+/// The scenario record a CLI --scenario argument names, without building
+/// it: a registry spec ("counter(4)", recorded under its canonical name), a
+/// path to a .mrsc file (anything containing '/' or ending in ".mrsc"), or
+/// NAME.mrsc looked up under $MRSC_SCENARIO_DIR then ./scenarios/. Throws
+/// std::invalid_argument for unknown/malformed specs (usage, exit 2) and
+/// std::runtime_error for unreadable files (runtime, exit 1).
+[[nodiscard]] Scenario load_scenario_argument(const std::string& argument);
+
+/// load_scenario_argument, then ScenarioRegistry::resolve on the record.
 [[nodiscard]] ResolvedScenario resolve_scenario_argument(
     const std::string& argument, const compile::CompileOptions& options = {});
 

@@ -1,8 +1,8 @@
 #include "scenario/scenario.hpp"
 
 #include <cctype>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -32,48 +32,30 @@ bool is_identifier(std::string_view text) {
   return true;
 }
 
+/// util::split_commas with every field trimmed ("a, b" is {"a", "b"}).
 std::vector<std::string> split_commas(std::string_view text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string_view::npos) {
-      if (start < text.size()) {
-        out.emplace_back(trim(text.substr(start)));
-      }
-      break;
-    }
-    out.emplace_back(trim(text.substr(start, comma - start)));
-    start = comma + 1;
-  }
+  std::vector<std::string> out = util::split_commas(std::string(text));
+  for (std::string& field : out) field = std::string(trim(field));
   return out;
 }
 
 std::uint64_t parse_uint(std::size_t line, const std::string& key,
                          const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t parsed = std::stoull(value, &used);
-    if (used != value.size() || value.front() == '-') {
-      throw std::invalid_argument(value);
-    }
-    return parsed;
-  } catch (const std::exception&) {
+  const std::optional<std::uint64_t> parsed = util::parse_u64(value);
+  if (!parsed) {
     fail(line, "key '" + key + "': '" + value +
                    "' is not a non-negative integer");
   }
+  return *parsed;
 }
 
 double parse_number(std::size_t line, const std::string& key,
                     const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
+  const std::optional<double> parsed = util::parse_finite_double(value);
+  if (!parsed) {
     fail(line, "key '" + key + "': '" + value + "' is not a number");
   }
+  return *parsed;
 }
 
 /// One "key=value" or bare-flag token of a budget directive.
@@ -176,9 +158,7 @@ void parse_stress(std::size_t line, std::string_view body,
                   StressBinding& stress) {
   for (const Token& token : tokenize(body)) {
     const std::string value = require_value(line, token);
-    if (token.key == "design") {
-      stress.design = value;
-    } else if (token.key == "fault") {
+    if (token.key == "fault") {
       stress.fault = value;
     } else if (token.key == "trials") {
       const std::uint64_t trials = parse_uint(line, token.key, value);
@@ -200,7 +180,7 @@ void parse_stress(std::size_t line, std::string_view body,
       }
     } else {
       fail(line, "unknown @stress key '" + token.key +
-                     "' (expected design|fault|intensities|trials)");
+                     "' (expected fault|intensities|trials)");
     }
   }
 }
@@ -256,19 +236,13 @@ SpecCall parse_spec(std::string_view text) {
     std::size_t comma = body.find(',', start);
     if (comma == std::string_view::npos) comma = body.size();
     const std::string item{trim(body.substr(start, comma - start))};
-    std::uint64_t value = 0;
-    try {
-      std::size_t used = 0;
-      value = std::stoull(item, &used);
-      if (item.empty() || used != item.size() || item.front() == '-') {
-        throw std::invalid_argument(item);
-      }
-    } catch (const std::exception&) {
+    const std::optional<std::uint64_t> value = util::parse_u64(item);
+    if (!value) {
       throw std::invalid_argument("scenario spec: argument '" + item +
                                   "' of '" + call.name +
                                   "' is not a non-negative integer");
     }
-    call.args.push_back(value);
+    call.args.push_back(*value);
     if (comma == body.size()) break;
     start = comma + 1;
   }

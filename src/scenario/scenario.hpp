@@ -3,8 +3,8 @@
 // A Scenario names a design (either a registry spec like "counter(4)" or an
 // inline reaction network in the io text format) plus the per-tool budgets a
 // workload carries with it: how to simulate it, which lint checks gate it,
-// how many verification seeds it owes, and which stress-campaign family it
-// binds to. Scenarios come from two places:
+// how many verification seeds it owes, and which fault campaign it runs
+// under stress. Scenarios come from two places:
 //
 //   * parametric generator specs — "counter(4)", "cascade(3)" — parsed by
 //     parse_spec and served by the ScenarioRegistry (registry.hpp);
@@ -63,11 +63,10 @@ struct VerifyBudget {
   std::optional<std::uint64_t> start_seed;
 };
 
-/// Stress-campaign binding (@stress). `design` names one of the campaign
-/// catalog families (stress::parse_design); empty means the scenario has no
-/// stress binding and mrsc_stress --scenario rejects it.
+/// Stress-campaign budget (@stress): the fault, grid and trial count
+/// `mrsc_stress --scenario` uses by default. The campaign always runs the
+/// scenario's own @design.
 struct StressBinding {
-  std::string design;
   std::optional<std::string> fault;
   std::vector<double> intensities;
   std::optional<std::size_t> trials;

@@ -1,5 +1,7 @@
 #include "serve/design_cache.hpp"
 
+#include <utility>
+
 namespace mrsc::serve {
 
 namespace {
@@ -13,7 +15,9 @@ compile::CompileOptions compile_options(int opt) {
 }  // namespace
 
 CompiledDesign::CompiledDesign(const std::string& design, int opt)
-    : built(tools::build_design(design, compile_options(opt))),
+    : built(std::move(scenario::ScenarioRegistry::global()
+                          .resolve(design, compile_options(opt))
+                          .design)),
       system(*built.network) {}
 
 std::shared_ptr<const CompiledDesign> DesignCache::get(

@@ -26,7 +26,7 @@
 
 #include "serve/cache.hpp"
 #include "sim/engine/compiled_system.hpp"
-#include "tools/builtin_designs.hpp"
+#include "scenario/registry.hpp"
 
 namespace mrsc::serve {
 
@@ -38,7 +38,7 @@ struct CompiledDesign {
   /// not.
   CompiledDesign(const std::string& design, int opt);
 
-  tools::BuiltDesign built;  ///< network, DesignInfo, composition
+  scenario::BuiltDesign built;  ///< network, DesignInfo, composition
   /// The engine form; its footprint_bytes() is what the cache charges.
   sim::CompiledSystem system;
 };

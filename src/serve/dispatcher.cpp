@@ -97,12 +97,13 @@ JobRequest parse_job(const util::json::Value& request) {
   }
 
   job.design = request.get_string("design", job.design);
-  // Sim and lint designs resolve through the scenario registry: validate
-  // here (bad specs are parse errors, not run failures) and cache-key on the
-  // canonical spelling, so "counter( 2 )" and "counter(2)" share an entry.
-  // Fixed names canonicalize to themselves, preserving pre-registry keys.
-  // Stress designs name campaign families, not registry specs — left alone.
-  if (job.kind == JobKind::kSim || job.kind == JobKind::kLint) {
+  // Sim, lint and stress designs resolve through the scenario registry:
+  // validate here (bad specs are parse errors, not run failures) and
+  // cache-key on the canonical spelling, so "counter( 2 )" and "counter(2)"
+  // share an entry. Fixed names canonicalize to themselves, preserving
+  // pre-registry keys.
+  if (job.kind == JobKind::kSim || job.kind == JobKind::kLint ||
+      job.kind == JobKind::kStress) {
     try {
       job.design =
           scenario::ScenarioRegistry::global().canonicalize(job.design);
@@ -456,25 +457,36 @@ DispatchResult run_stress(const JobRequest& request,
   if (hooks.cancelled && hooks.cancelled()) {
     return {error_response("cancelled: server shutting down"), false, false};
   }
-  const std::optional<stress::Design> design =
-      stress::parse_design(request.design);
-  if (!design) {
-    reject("unknown stress design '" + request.design +
-           "' (expected counter|moving_average|sequence_detector|"
-           "async_chain)");
-  }
   const std::optional<stress::FaultKind> fault =
       stress::parse_fault_kind(request.fault);
   if (!fault) reject("unknown fault kind '" + request.fault + "'");
 
+  using Clock = std::chrono::steady_clock;
+  const double deadline_s =
+      request.deadline_s > 0.0 ? request.deadline_s : kMaxDeadline;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(deadline_s));
   stress::CampaignConfig config;
-  config.design = *design;
+  config.design = request.design;
   config.fault = *fault;
   config.intensities = request.intensities;
   config.trials = request.trials;
   config.base_seed = request.seed;
   config.threads = 1;
-  const stress::CampaignResult result = stress::run_campaign(config);
+  config.abort = [&hooks, deadline] {
+    return (hooks.cancelled && hooks.cancelled()) || Clock::now() >= deadline;
+  };
+  stress::CampaignResult result;
+  try {
+    result = stress::run_campaign(config);
+  } catch (const stress::CampaignAborted&) {
+    // Wall-clock outcome: an error, never cached, never a quarantined trial.
+    const bool cancelled = hooks.cancelled && hooks.cancelled();
+    return {error_response(cancelled ? "cancelled: server shutting down"
+                                     : "stress job timeout"),
+            false, false};
+  }
 
   std::string out = payload_header(request);
   out += "{\"design\":" + quote(request.design);

@@ -39,8 +39,8 @@ enum class JobKind : std::uint8_t { kSim, kVerify, kLint, kStress, kSleep };
 struct JobRequest {
   JobKind kind = JobKind::kSim;
 
-  // sim + lint + stress: design name. sim/lint use the builtin-design
-  // catalog (tools/builtin_designs.hpp); stress uses the campaign catalog.
+  // sim + lint + stress: canonical scenario-registry spec
+  // (scenario/registry.hpp).
   std::string design = "counter";
   std::uint64_t seed = 1;
   int opt = 0;  ///< compile pipeline level (0 or 1) for sim/lint

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "analysis/harness.hpp"
-#include "async/chain.hpp"
-#include "dsp/counter.hpp"
-#include "dsp/filters.hpp"
-#include "fsm/fsm.hpp"
 #include "runtime/batch.hpp"
+#include "scenario/registry.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -24,74 +21,79 @@ namespace {
 using util::format_17g;
 using util::json::quote;
 
-// Fixed, deliberately small workloads: a campaign runs
+// Fixed, deliberately small stimuli, one per design family: a campaign runs
 // |intensities| * trials * attempts full simulations, so each trial is a
 // short but complete exercise of the design's sequential logic.
-constexpr std::size_t kCounterBits = 3;
-constexpr std::uint64_t kCounterInitial = 2;
 constexpr std::size_t kCounterIncrements = 6;
-constexpr double kMaSamples[] = {1.0, 0.0, 1.0, 1.0, 0.0, 2.0};
+constexpr double kCircuitSamples[] = {1.0, 0.0, 1.0, 1.0, 0.0, 2.0};
 constexpr std::size_t kFsmInputs[] = {1, 0, 1, 0, 1, 1};
-constexpr std::size_t kChainElements = 2;
-constexpr double kChainTEnd = 40.0 * (kChainElements + 1);
 
-/// Design-specific constants resolved once before the sweep (species names
-/// for event faults, the clock-skew label prefix, timing).
+/// The design, resolved once before the sweep, plus what every trial
+/// derives from it (species names for event faults, the clock-skew label
+/// prefix, timing).
 struct TrialPlan {
+  scenario::ResolvedScenario resolved;
   std::string skew_prefix;
   std::string victim;  ///< species the injection/loss events hit
   double event_time = 0.0;
   double t_end = 0.0;
 };
 
-TrialPlan make_plan(Design design) {
+/// Builders name a clock's phases "<prefix>_R/_G/_B" and label its
+/// reactions "<prefix>.hop...", so "ctr_clk_R" gives "ctr_clk.".
+std::string clock_label_prefix(const core::ReactionNetwork& network,
+                               const sync::ClockHandles& clock) {
+  std::string name = network.species_name(clock.phase_r);
+  if (name.ends_with("_R")) name.resize(name.size() - 2);
+  return name + ".";
+}
+
+[[noreturn]] void no_stimulus(const std::string& spec, const char* why) {
+  throw std::invalid_argument("run_campaign: design '" + spec +
+                              "' has no stress stimulus (" + why + ")");
+}
+
+TrialPlan make_plan(const std::string& spec) {
   TrialPlan plan;
-  const core::RatePolicy policy;  // every design builds with the defaults
-  switch (design) {
-    case Design::kCounter: {
-      core::ReactionNetwork net;
-      dsp::CounterSpec spec;
-      spec.bits = kCounterBits;
-      spec.initial_value = kCounterInitial;
-      const dsp::CounterHandles handles = dsp::build_counter(net, spec);
-      // Builders rewrite the default clock prefix to <design>_clk, and the
-      // clock's reaction labels carry it ("ctr_clk.hop.r2g.seed", ...).
-      plan.skew_prefix = "ctr_clk.";
-      plan.victim = net.species_name(handles.one_rail[0]);
-      plan.t_end =
-          analysis::suggest_t_end(spec.clock, policy, kCounterIncrements + 3);
-      break;
+  plan.resolved = scenario::ScenarioRegistry::global().resolve(spec);
+  core::ReactionNetwork& network = *plan.resolved.design.network;
+  const std::string& name = plan.resolved.scenario.name;
+  const core::RatePolicy& policy = network.rate_policy();
+  const scenario::Artifacts& artifacts = plan.resolved.artifacts;
+  if (const auto* counter =
+          std::get_if<scenario::CounterArtifacts>(&artifacts)) {
+    plan.skew_prefix = clock_label_prefix(network, counter->handles.clock);
+    plan.victim = network.species_name(counter->handles.one_rail[0]);
+    plan.t_end = analysis::suggest_t_end(counter->spec.clock, policy,
+                                         kCounterIncrements + 3);
+  } else if (const auto* machine =
+                 std::get_if<scenario::FsmArtifacts>(&artifacts)) {
+    plan.skew_prefix = clock_label_prefix(network, machine->handles.clock);
+    plan.victim = network.species_name(machine->handles.state[0]);
+    plan.t_end = analysis::suggest_t_end(machine->spec.clock, policy,
+                                         std::size(kFsmInputs) + 3);
+  } else if (const auto* circuit =
+                 std::get_if<scenario::CircuitArtifacts>(&artifacts)) {
+    if (circuit->reference == nullptr) {
+      no_stimulus(name, "its output is not a single-rail series");
     }
-    case Design::kMovingAverage: {
-      const dsp::Design design_build = dsp::make_moving_average();
-      plan.skew_prefix = "ma_clk.";
-      plan.victim = design_build.network->species_name(
-          design_build.circuit.output("y"));
-      // make_moving_average compiles with the default clock spec.
-      plan.t_end = analysis::suggest_t_end(sync::ClockSpec{}, policy,
-                                           std::size(kMaSamples) + 3);
-      break;
-    }
-    case Design::kSequenceDetector: {
-      core::ReactionNetwork net;
-      const fsm::FsmSpec spec = fsm::make_sequence_detector("101");
-      const fsm::FsmHandles handles = fsm::build_fsm(net, spec);
-      plan.skew_prefix = "seqdet_clk.";
-      plan.victim = net.species_name(handles.state[0]);
-      plan.t_end = analysis::suggest_t_end(spec.clock, policy,
-                                           std::size(kFsmInputs) + 3);
-      break;
-    }
-    case Design::kAsyncChain: {
-      core::ReactionNetwork net;
-      async::ChainSpec spec;
-      spec.elements = kChainElements;
-      const async::ChainHandles handles = async::build_delay_chain(net, spec);
-      plan.skew_prefix = "dc.";
-      plan.victim = net.species_name(handles.output);
-      plan.t_end = kChainTEnd;
-      break;
-    }
+    plan.skew_prefix = clock_label_prefix(network, circuit->circuit.clock);
+    plan.victim = network.species_name(circuit->circuit.output("y"));
+    // The registry compiles every circuit with the default clock spec.
+    plan.t_end = analysis::suggest_t_end(sync::ClockSpec{}, policy,
+                                         std::size(kCircuitSamples) + 3);
+  } else if (const auto* chain =
+                 std::get_if<scenario::ChainArtifacts>(&artifacts)) {
+    // Self-timed: one token on the input before faulting (so initial-noise
+    // perturbs it too), then the chain must carry it to the output.
+    network.set_initial(chain->handles.input, 1.0);
+    plan.skew_prefix = chain->spec.prefix + ".";
+    plan.victim = network.species_name(chain->handles.output);
+    plan.t_end = 40.0 * static_cast<double>(chain->spec.elements + 1);
+  } else {
+    no_stimulus(name,
+              "campaigns drive counters, FSMs, delay chains and single-rail "
+              "circuits");
   }
   plan.event_time = 0.3 * plan.t_end;
   return plan;
@@ -126,113 +128,84 @@ FaultSpec make_spec(const CampaignConfig& config, const TrialPlan& plan,
 /// One complete simulation of the design under `spec`. Returns "" when the
 /// logic output matches the unperturbed reference, a violation description
 /// otherwise. Throws (from the harness or stepper) on simulation trouble.
-std::string drive_trial(Design design, const FaultSpec& spec,
+std::string drive_trial(const TrialPlan& plan, const FaultSpec& spec,
                         const sim::OdeOptions& ode) {
   const FaultSpec specs[] = {spec};
-  switch (design) {
-    case Design::kCounter: {
-      core::ReactionNetwork net;
-      dsp::CounterSpec cspec;
-      cspec.bits = kCounterBits;
-      cspec.initial_value = kCounterInitial;
-      const dsp::CounterHandles handles = dsp::build_counter(net, cspec);
-      FaultedNetwork faulted = apply_faults(net, specs);
-      FaultEventObserver events(std::move(faulted.events));
-      analysis::ClockedRunOptions options;
-      options.ode = ode;
-      options.extra_observers = {&events};
-      const analysis::CounterRunResult run = analysis::run_counter(
-          faulted.network, handles, kCounterIncrements, options);
-      const std::uint64_t modulo = 1ULL << kCounterBits;
-      for (std::size_t k = 0; k < run.values.size(); ++k) {
-        const std::uint64_t expected = (kCounterInitial + k + 1) % modulo;
-        if (run.values[k] != expected) {
-          return "counter read " + std::to_string(k) + ": got " +
-                 std::to_string(run.values[k]) + " expected " +
-                 std::to_string(expected);
-        }
+  FaultedNetwork faulted = apply_faults(*plan.resolved.design.network, specs);
+  FaultEventObserver events(std::move(faulted.events));
+  analysis::ClockedRunOptions options;
+  options.ode = ode;
+  options.extra_observers = {&events};
+  const scenario::Artifacts& artifacts = plan.resolved.artifacts;
+  if (const auto* counter =
+          std::get_if<scenario::CounterArtifacts>(&artifacts)) {
+    const analysis::CounterRunResult run = analysis::run_counter(
+        faulted.network, counter->handles, kCounterIncrements, options);
+    const std::uint64_t modulo = 1ULL << counter->spec.bits;
+    for (std::size_t k = 0; k < run.values.size(); ++k) {
+      const std::uint64_t expected =
+          (counter->spec.initial_value + k + 1) % modulo;
+      if (run.values[k] != expected) {
+        return "counter read " + std::to_string(k) + ": got " +
+               std::to_string(run.values[k]) + " expected " +
+               std::to_string(expected);
       }
-      return "";
     }
-    case Design::kMovingAverage: {
-      const dsp::Design build = dsp::make_moving_average();
-      FaultedNetwork faulted = apply_faults(*build.network, specs);
-      FaultEventObserver events(std::move(faulted.events));
-      analysis::ClockedRunOptions options;
-      options.ode = ode;
-      options.extra_observers = {&events};
-      const analysis::ClockedRunResult run = analysis::run_clocked_circuit(
-          faulted.network, build.circuit, "x", kMaSamples, "y", options);
-      const std::vector<double> expected =
-          dsp::reference_moving_average(kMaSamples);
-      const verify::MaybeViolation violation = verify::check_series_match(
-          "stress.moving_average", run.outputs, expected, {});
-      return violation ? violation->detail : "";
-    }
-    case Design::kSequenceDetector: {
-      core::ReactionNetwork net;
-      const fsm::FsmSpec fspec = fsm::make_sequence_detector("101");
-      const fsm::FsmHandles handles = fsm::build_fsm(net, fspec);
-      FaultedNetwork faulted = apply_faults(net, specs);
-      FaultEventObserver events(std::move(faulted.events));
-      analysis::ClockedRunOptions options;
-      options.ode = ode;
-      options.extra_observers = {&events};
-      const analysis::FsmRunResult run =
-          analysis::run_fsm(faulted.network, handles, kFsmInputs, options);
-      const fsm::FsmTrace expected =
-          fsm::evaluate_reference(fspec, kFsmInputs);
-      for (std::size_t k = 0; k < run.states.size(); ++k) {
-        if (run.states[k] != expected.states[k]) {
-          return "fsm step " + std::to_string(k) + ": state " +
-                 std::to_string(run.states[k]) + " expected " +
-                 std::to_string(expected.states[k]);
-        }
-        if (run.outputs[k] != expected.outputs[k]) {
-          return "fsm step " + std::to_string(k) + ": output " +
-                 std::to_string(run.outputs[k]) + " expected " +
-                 std::to_string(expected.outputs[k]);
-        }
-      }
-      return "";
-    }
-    case Design::kAsyncChain: {
-      core::ReactionNetwork net;
-      async::ChainSpec cspec;
-      cspec.elements = kChainElements;
-      const async::ChainHandles handles = async::build_delay_chain(net, cspec);
-      net.set_initial(handles.input, 1.0);
-      FaultedNetwork faulted = apply_faults(net, specs);
-      FaultEventObserver events(std::move(faulted.events));
-      sim::Observer* observers[] = {&events};
-      const sim::OdeResult run = sim::simulate_ode(
-          faulted.network, ode, faulted.network.initial_state(),
-          std::span<sim::Observer* const>(observers, 1));
-      const sim::SimFailure failure = sim::classify_failure(run);
-      if (failure) {
-        throw std::runtime_error("async chain: " + failure.detail);
-      }
-      const double got =
-          run.trajectory.final_state()[handles.output.index()];
-      const double expected[] = {1.0};
-      const double actual[] = {got};
-      const verify::MaybeViolation violation = verify::check_series_match(
-          "stress.async_chain", actual, expected, {});
-      return violation ? violation->detail : "";
-    }
+    return "";
   }
-  throw std::invalid_argument("drive_trial: unknown design");
+  if (const auto* machine = std::get_if<scenario::FsmArtifacts>(&artifacts)) {
+    const analysis::FsmRunResult run =
+        analysis::run_fsm(faulted.network, machine->handles, kFsmInputs,
+                          options);
+    const fsm::FsmTrace expected =
+        fsm::evaluate_reference(machine->spec, kFsmInputs);
+    for (std::size_t k = 0; k < run.states.size(); ++k) {
+      if (run.states[k] != expected.states[k]) {
+        return "fsm step " + std::to_string(k) + ": state " +
+               std::to_string(run.states[k]) + " expected " +
+               std::to_string(expected.states[k]);
+      }
+      if (run.outputs[k] != expected.outputs[k]) {
+        return "fsm step " + std::to_string(k) + ": output " +
+               std::to_string(run.outputs[k]) + " expected " +
+               std::to_string(expected.outputs[k]);
+      }
+    }
+    return "";
+  }
+  if (const auto* circuit =
+          std::get_if<scenario::CircuitArtifacts>(&artifacts)) {
+    const std::span<const double> samples(kCircuitSamples);
+    const analysis::ClockedRunResult run = analysis::run_clocked_circuit(
+        faulted.network, circuit->circuit, "x", samples, "y", options);
+    const verify::MaybeViolation violation = verify::check_series_match(
+        "stress.circuit", run.outputs, circuit->reference(samples), {});
+    return violation ? violation->detail : "";
+  }
+  const auto& chain = std::get<scenario::ChainArtifacts>(artifacts);
+  sim::Observer* observers[] = {&events};
+  const sim::OdeResult run = sim::simulate_ode(
+      faulted.network, ode, faulted.network.initial_state(),
+      std::span<sim::Observer* const>(observers, 1));
+  const sim::SimFailure failure = sim::classify_failure(run);
+  if (failure) {
+    throw std::runtime_error("async chain: " + failure.detail);
+  }
+  const double expected[] = {1.0};
+  const double actual[] = {
+      run.trajectory.final_state()[chain.handles.output.index()]};
+  const verify::MaybeViolation violation = verify::check_series_match(
+      "stress.delay_chain", actual, expected, {});
+  return violation ? violation->detail : "";
 }
 
-sim::SimFailure classify_exception(const std::string& what) {
-  if (what.find("aborted by deadline") != std::string::npos) {
-    return {sim::SimFailureKind::kDeadline, what};
-  }
-  return {sim::SimFailureKind::kException, what};
+bool aborted(const CampaignConfig& config) {
+  return config.abort && config.abort();
 }
 
 TrialResult run_trial(const CampaignConfig& config, const TrialPlan& plan,
                       double intensity, std::uint64_t seed) {
+  if (aborted(config)) throw CampaignAborted();
   TrialResult result;
   result.seed = seed;
   const FaultSpec spec = make_spec(config, plan, intensity, seed);
@@ -244,6 +217,7 @@ TrialResult run_trial(const CampaignConfig& config, const TrialPlan& plan,
   // early; the harness reports the incomplete run, and the trial is
   // classified and quarantined instead of hanging the campaign.
   base.max_steps = 5'000'000;
+  base.abort = config.abort;
   // Two rungs: the harness owns its observers, so deeper rungs (implicit
   // fixed-step, SSA) are left to the generic fallback path in sim/.
   const std::size_t attempts_allowed =
@@ -254,7 +228,7 @@ TrialResult run_trial(const CampaignConfig& config, const TrialPlan& plan,
         attempt == 0 ? base : sim::tightened_options(base);
     result.recovery.final_rung = rung;
     try {
-      const std::string mismatch = drive_trial(config.design, spec, ode);
+      const std::string mismatch = drive_trial(plan, spec, ode);
       result.attempts = attempt + 1;
       result.recovery.recovered = !result.recovery.attempts.empty();
       if (mismatch.empty()) {
@@ -266,7 +240,11 @@ TrialResult run_trial(const CampaignConfig& config, const TrialPlan& plan,
       }
       return result;
     } catch (const std::exception& error) {
-      const sim::SimFailure failure = classify_exception(error.what());
+      // The integrator only aborts through config.abort, and a wall-clock
+      // stop is the caller's, not the trial's: never record it.
+      if (aborted(config)) throw CampaignAborted();
+      const sim::SimFailure failure{sim::SimFailureKind::kException,
+                                    error.what()};
       result.recovery.attempts.push_back({attempt, rung, failure, 0.0});
       result.detail = std::string(sim::to_string(failure.kind)) + ": " +
                       failure.detail;
@@ -279,28 +257,6 @@ TrialResult run_trial(const CampaignConfig& config, const TrialPlan& plan,
 }
 
 }  // namespace
-
-const char* to_string(Design design) {
-  switch (design) {
-    case Design::kCounter:
-      return "counter";
-    case Design::kMovingAverage:
-      return "moving_average";
-    case Design::kSequenceDetector:
-      return "sequence_detector";
-    case Design::kAsyncChain:
-      return "async_chain";
-  }
-  return "unknown";
-}
-
-std::optional<Design> parse_design(std::string_view name) {
-  if (name == "counter") return Design::kCounter;
-  if (name == "moving_average") return Design::kMovingAverage;
-  if (name == "sequence_detector") return Design::kSequenceDetector;
-  if (name == "async_chain") return Design::kAsyncChain;
-  return std::nullopt;
-}
 
 const char* to_string(TrialStatus status) {
   switch (status) {
@@ -333,7 +289,7 @@ std::vector<double> default_intensities(FaultKind kind) {
 
 std::string CampaignResult::to_table() const {
   char line[160];
-  std::string out = "design=" + std::string(stress::to_string(design)) +
+  std::string out = "design=" + design +
                     " fault=" + stress::to_string(fault) +
                     " trials=" + std::to_string(trials_per_intensity) +
                     " base_seed=" + std::to_string(base_seed);
@@ -360,7 +316,7 @@ std::string CampaignResult::to_table() const {
 
 std::string CampaignResult::to_json() const {
   std::string out = "{\n";
-  out += "  \"design\": " + quote(stress::to_string(design)) + ",\n";
+  out += "  \"design\": " + quote(design) + ",\n";
   out += "  \"fault\": " + quote(stress::to_string(fault)) + ",\n";
   out += "  \"trials_per_intensity\": " +
          std::to_string(trials_per_intensity) + ",\n";
@@ -414,7 +370,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   (void)make_spec(config, plan, grid.front(), 1);
 
   CampaignResult result;
-  result.design = config.design;
+  result.design = plan.resolved.scenario.name;
   result.fault = config.fault;
   result.trials_per_intensity = config.trials;
   result.base_seed = config.base_seed;

@@ -1,10 +1,12 @@
 // Fault-intensity sweep campaigns: how much perturbation does a design take?
 //
 // A campaign fixes one design and one fault kind, sweeps the fault intensity
-// over a grid, and runs several seeded trials per grid point. Each trial
-// builds a fresh compiled network, applies the seeded `FaultSpec`, drives
-// the design through the standard harness, and compares the logic output
-// against the exact unperturbed reference (the same oracles verify/ uses).
+// over a grid, and runs several seeded trials per grid point. The design is
+// a scenario-registry spec ("counter(4)", "seqdet", "delay_chain(2)"),
+// resolved once per campaign. Each trial applies its seeded `FaultSpec` to a
+// copy of that network, drives the design through the standard harness with
+// its family's stimulus, and compares the logic output against the exact
+// unperturbed reference (the same oracles verify/ uses).
 // The *robustness margin* is the largest intensity for which every trial of
 // every intensity up to and including it still matches the reference — the
 // quantitative counterpart of the paper's "any rates work as long as fast >>
@@ -20,9 +22,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <functional>
+#include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/reaction.hpp"
@@ -31,18 +33,11 @@
 
 namespace mrsc::stress {
 
-enum class Design : std::uint8_t {
-  kCounter,           ///< 3-bit dual-rail ripple counter, 6 increments
-  kMovingAverage,     ///< y[n] = (x[n] + x[n-1]) / 2, 6 samples
-  kSequenceDetector,  ///< "101" detector FSM, 6 symbols
-  kAsyncChain,        ///< 2-element self-timed delay chain, one token
-};
-
-[[nodiscard]] const char* to_string(Design design);
-[[nodiscard]] std::optional<Design> parse_design(std::string_view name);
-
 struct CampaignConfig {
-  Design design = Design::kCounter;
+  /// Scenario-registry spec. Counters, FSMs, delay chains and the
+  /// single-rail circuits (moving_average, iir, delay) have a stimulus;
+  /// cascade(L) and first_difference do not.
+  std::string design = "counter";
   FaultKind fault = FaultKind::kRateJitter;
   /// kRateJitterCategory only: which category to jitter.
   core::RateCategory category = core::RateCategory::kSlow;
@@ -54,6 +49,17 @@ struct CampaignConfig {
   std::size_t threads = 1;
   /// Trial-level ladder attempts (1 = no retry, 2 adds the tightened rung).
   std::size_t max_attempts = 2;
+  /// Optional deadline/cancel hook, polled before each trial and by every
+  /// trial's integrator. Once it returns true the campaign throws
+  /// CampaignAborted: a wall-clock stop fails the whole campaign rather
+  /// than being quarantined as a trial, so results never depend on time.
+  std::function<bool()> abort;
+};
+
+/// Thrown by run_campaign when CampaignConfig::abort fired.
+class CampaignAborted : public std::runtime_error {
+ public:
+  CampaignAborted() : std::runtime_error("run_campaign: aborted") {}
 };
 
 enum class TrialStatus : std::uint8_t {
@@ -84,7 +90,7 @@ struct IntensityResult {
 };
 
 struct CampaignResult {
-  Design design = Design::kCounter;
+  std::string design;  ///< canonical registry spec
   FaultKind fault = FaultKind::kRateJitter;
   std::size_t trials_per_intensity = 0;
   std::uint64_t base_seed = 0;
@@ -104,9 +110,11 @@ struct CampaignResult {
 /// Default intensity grid for a fault kind (ascending).
 [[nodiscard]] std::vector<double> default_intensities(FaultKind kind);
 
-/// Runs the sweep. Throws std::invalid_argument for fault kinds that have no
-/// continuous intensity knob in a campaign (kRateJitterReaction,
-/// kStoichiometry — use apply_faults directly for those).
+/// Runs the sweep. Throws std::invalid_argument, before any trial, for a
+/// spec the registry rejects, a design without a stimulus (the message names
+/// the spec), and fault kinds that have no continuous intensity knob in a
+/// campaign (kRateJitterReaction, kStoichiometry — use apply_faults
+/// directly for those). Throws CampaignAborted when config.abort fires.
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config);
 
 }  // namespace mrsc::stress

@@ -1,6 +1,7 @@
-// Built-in design lookup for the CLIs — a thin shim over the scenario
-// registry (scenario/registry.hpp), which is the single resolver for every
-// design the toolchain runs.
+// Built-in design lookup — a header-only shim over the scenario registry
+// (scenario/registry.hpp), which is the single resolver for every design the
+// toolchain runs. No CLI or library uses it; perfbench/ and a few tests still
+// do, and it goes once they call the registry directly.
 //
 // `build_design` accepts everything the registry serves: the fixed builtin
 // names ("counter", "cascade", ...) and the parametric generator specs
@@ -10,6 +11,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 
 #include "compile/passes.hpp"
 #include "scenario/registry.hpp"
@@ -21,12 +23,17 @@ namespace mrsc::tools {
 using BuiltDesign = scenario::BuiltDesign;
 
 /// Comma-separated list of the fixed designs, for usage strings.
-[[nodiscard]] const char* builtin_design_names();
+[[nodiscard]] inline const char* builtin_design_names() {
+  return scenario::ScenarioRegistry::global().fixed_names_csv().c_str();
+}
 
 /// Compiles a design by registry spec; throws std::invalid_argument for an
 /// unknown name, bad arity, or out-of-range argument. `options.design_info`
 /// is managed internally (the result's `info` member is always filled).
-[[nodiscard]] BuiltDesign build_design(const std::string& name,
-                                       compile::CompileOptions options);
+[[nodiscard]] inline BuiltDesign build_design(
+    const std::string& name, const compile::CompileOptions& options) {
+  return std::move(
+      scenario::ScenarioRegistry::global().resolve(name, options).design);
+}
 
 }  // namespace mrsc::tools

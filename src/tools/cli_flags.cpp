@@ -1,12 +1,11 @@
 #include "tools/cli_flags.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <limits>
-#include <stdexcept>
+#include <optional>
+
+#include "util/strings.hpp"
 
 namespace mrsc::tools {
 
@@ -20,28 +19,24 @@ const char* need_value(const char* tool, int argc, char** argv, int& i) {
 
 bool parse_double(const char* tool, const char* flag, const char* text,
                   double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    if (used != std::strlen(text) || !std::isfinite(out)) {
-      throw std::invalid_argument(text);
-    }
-  } catch (const std::exception&) {
+  const std::optional<double> value = util::parse_finite_double(text);
+  if (!value) {
     std::fprintf(stderr, "%s: %s: '%s' is not a number\n", tool, flag, text);
     return false;
   }
+  out = *value;
   return true;
 }
 
 bool parse_u64(const char* tool, const char* flag, const char* text,
                std::uint64_t& out) {
-  const char* end = text + std::strlen(text);
-  const auto [stop, error] = std::from_chars(text, end, out, 10);
-  if (error != std::errc{} || stop != end) {
+  const std::optional<std::uint64_t> value = util::parse_u64(text);
+  if (!value) {
     std::fprintf(stderr, "%s: %s: '%s' is not a whole number\n", tool, flag,
                  text);
     return false;
   }
+  out = *value;
   return true;
 }
 

@@ -6,7 +6,8 @@
 // printed it. A false return means the message was printed; for the parsers
 // the caller exits 2 (usage error), for write_file it picks its own code.
 //
-// Grammar:
+// Grammar (util::parse_u64 and util::parse_finite_double, which the .mrsc
+// parser shares):
 //   u64     decimal digits only, at most 18446744073709551615: no sign, no
 //           whitespace, no exponent ("-1", "+1", " 7", "1e3" are rejected)
 //   double  anything std::stod reads in full that is finite ("1e-3", "-5";

@@ -6,8 +6,8 @@
 //   mrsc_compile --scenario SPEC [options]
 //   mrsc_compile --list-scenarios
 //
-//   --design NAME      compile a built-in design instead of a file (see
-//                      tools/builtin_designs.hpp for the list)
+//   --design NAME      compile a registry design instead of a file (see
+//                      --list-scenarios for the catalog)
 //   --scenario SPEC    compile a registry scenario: a design spec
 //                      ("counter", "cascade(3)") or a .mrsc scenario file
 //   --list-scenarios   print the scenario catalog (fixed designs, parametric
@@ -36,7 +36,7 @@
 #include "compile/report.hpp"
 #include "core/io.hpp"
 #include "lint/lint.hpp"
-#include "tools/builtin_designs.hpp"
+#include "scenario/registry.hpp"
 #include "tools/cli_flags.hpp"
 #include "util/strings.hpp"
 
@@ -68,7 +68,7 @@ void usage() {
       "       [--opt 0|1] [--assume-zero A,B] [--roots A,B] [--json PATH]\n"
       "       [--out PATH] [--lint] [--list-scenarios]\n"
       "       designs: %s\n",
-      mrsc::tools::builtin_design_names());
+      scenario::ScenarioRegistry::global().fixed_names_csv().c_str());
 }
 
 bool parse_cli(int argc, char** argv, CliOptions& options) {
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
     compile_options.assume_zero_inputs = cli.assume_zero;
     compile_options.report = &report;
 
-    tools::BuiltDesign compiled;
+    scenario::BuiltDesign compiled;
     if (!cli.scenario.empty()) {
       scenario::ResolvedScenario resolved;
       try {
@@ -183,7 +183,10 @@ int main(int argc, char** argv) {
       compiled = std::move(resolved.design);
     } else if (!cli.design.empty()) {
       report.design = cli.design;
-      compiled = tools::build_design(cli.design, compile_options);
+      compiled = std::move(
+          scenario::ScenarioRegistry::global()
+              .resolve(cli.design, compile_options)
+              .design);
     } else {
       report.design = cli.file;
       compiled.owned = std::make_unique<core::ReactionNetwork>(

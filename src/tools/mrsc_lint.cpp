@@ -34,7 +34,6 @@
 #include "core/io.hpp"
 #include "lint/lint.hpp"
 #include "scenario/registry.hpp"
-#include "tools/builtin_designs.hpp"
 #include "tools/cli_flags.hpp"
 #include "util/strings.hpp"
 
@@ -65,7 +64,7 @@ void usage() {
                "       [--roots A,B] [--checks a,b] [--json PATH|-]\n"
                "       [--werror] [--quiet]\n"
                "       designs: %s\n",
-               tools::builtin_design_names());
+               scenario::ScenarioRegistry::global().fixed_names_csv().c_str());
   std::fprintf(stderr, "       checks:");
   for (const std::string& name : lint::check_names()) {
     std::fprintf(stderr, " %s", name.c_str());
@@ -158,8 +157,10 @@ lint::LintReport lint_one(const std::string& design_name,
   compile::CompileOptions compile_options;
   compile_options.opt =
       cli.opt == 0 ? compile::OptLevel::kO0 : compile::OptLevel::kO1;
-  const tools::BuiltDesign design =
-      tools::build_design(design_name, compile_options);
+  const scenario::ResolvedScenario resolved =
+      scenario::ScenarioRegistry::global().resolve(design_name,
+                                                   compile_options);
+  const scenario::BuiltDesign& design = resolved.design;
 
   lint::LintInput input =
       lint::LintInput::from_design(*design.network, design.info, design_name);
@@ -213,8 +214,7 @@ int main(int argc, char** argv) {
 
     std::vector<std::string> designs;
     if (cli.design == "all") {
-      designs = util::split_commas(tools::builtin_design_names());
-      for (std::string& name : designs) name = std::string(util::trim(name));
+      designs = scenario::ScenarioRegistry::global().fixed_names();
     } else {
       designs.push_back(cli.design);
     }

@@ -1,4 +1,4 @@
-// mrsc_stress — fault-intensity sweep campaigns over the built-in designs.
+// mrsc_stress — fault-intensity sweep campaigns over registry designs.
 //
 //   mrsc_stress [options]
 //
@@ -9,13 +9,14 @@
 // solver fallback ladder; trials that fail every rung are classified and
 // quarantined — the sweep never crashes on a hard fault.
 //
-//   --design D         counter | moving_average | sequence_detector |
-//                      async_chain                      (default counter)
-//   --scenario SPEC    derive the campaign from a registry scenario
-//                      ("counter(4)", a .mrsc file): the scenario's stress
-//                      binding picks the design and supplies default
+//   --design SPEC      registry design ("counter", "counter(4)", "seqdet",
+//                      "fsm_wide(8)", "moving_average", "iir", "delay",
+//                      "delay_chain(2)")                (default counter)
+//   --scenario SPEC    a registry spec or a .mrsc scenario: runs its
+//                      @design; a file's @stress line supplies default
 //                      --fault/--intensities/--trials (explicit flags win).
-//                      Scenarios without a stress binding are rejected.
+//                      Designs without a stress stimulus (cascade(L),
+//                      first_difference, inline @network) are rejected.
 //   --fault F          rate-jitter | category-jitter | clock-skew | leak |
 //                      injection | loss | initial-noise (default rate-jitter)
 //   --category C       fast | slow, for category-jitter (default slow)
@@ -29,7 +30,8 @@
 // Exit codes:
 //   0  campaign completed (the margin itself is a measurement, not a verdict)
 //   1  runtime failure while running the campaign
-//   2  bad CLI usage: unknown flag, design, fault kind, or malformed value
+//   2  bad CLI usage: unknown flag, design, fault kind, or malformed value,
+//      or a design without a stress stimulus
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -55,7 +57,7 @@ struct CliOptions {
   std::string scenario;
   bool json = false;
   // Whether the user passed the flag explicitly; explicit flags beat the
-  // scenario's stress binding.
+  // scenario's @stress budget.
   bool set_design = false;
   bool set_fault = false;
   bool set_intensities = false;
@@ -65,9 +67,7 @@ struct CliOptions {
 void usage() {
   std::fprintf(
       stderr,
-      "usage: mrsc_stress [--design counter|moving_average|"
-      "sequence_detector|async_chain]\n"
-      "       [--scenario SPEC]\n"
+      "usage: mrsc_stress [--design SPEC | --scenario SPEC|FILE]\n"
       "       [--fault rate-jitter|category-jitter|clock-skew|leak|"
       "injection|loss|initial-noise]\n"
       "       [--category fast|slow] [--intensities A,B,C] [--trials N]\n"
@@ -82,12 +82,13 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
     } else if (std::strcmp(arg, "--design") == 0) {
       const char* v = need_value(kTool, argc, argv, i);
       if (!v) return false;
-      const auto design = stress::parse_design(v);
-      if (!design) {
-        std::fprintf(stderr, "mrsc_stress: unknown design '%s'\n", v);
+      try {
+        options.config.design =
+            scenario::ScenarioRegistry::global().canonicalize(v);
+      } catch (const std::invalid_argument& error) {
+        std::fprintf(stderr, "mrsc_stress: %s\n", error.what());
         return false;
       }
-      options.config.design = *design;
       options.set_design = true;
     } else if (std::strcmp(arg, "--scenario") == 0) {
       const char* v = need_value(kTool, argc, argv, i);
@@ -195,41 +196,33 @@ int main(int argc, char** argv) {
   }
   if (!cli.scenario.empty()) {
     try {
-      const scenario::ResolvedScenario resolved =
-          scenario::resolve_scenario_argument(cli.scenario);
-      const scenario::StressBinding& binding = resolved.scenario.stress;
-      if (binding.design.empty()) {
+      const scenario::Scenario record =
+          scenario::load_scenario_argument(cli.scenario);
+      if (record.design.empty()) {
         std::fprintf(stderr,
-                     "mrsc_stress: scenario '%s' has no stress binding (no "
-                     "campaign family covers this design)\n",
-                     resolved.scenario.name.c_str());
+                     "mrsc_stress: scenario '%s' has an inline @network; "
+                     "campaigns run registry designs only\n",
+                     record.name.c_str());
         return 2;
       }
-      const auto design = stress::parse_design(binding.design);
-      if (!design) {
-        std::fprintf(stderr,
-                     "mrsc_stress: scenario '%s' binds unknown campaign "
-                     "design '%s'\n",
-                     resolved.scenario.name.c_str(), binding.design.c_str());
-        return 2;
-      }
-      cli.config.design = *design;
-      if (!cli.set_fault && binding.fault) {
-        const auto fault = stress::parse_fault_kind(binding.fault->c_str());
+      cli.config.design = record.design;
+      const scenario::StressBinding& budget = record.stress;
+      if (!cli.set_fault && budget.fault) {
+        const auto fault = stress::parse_fault_kind(budget.fault->c_str());
         if (!fault) {
           std::fprintf(stderr,
-                       "mrsc_stress: scenario '%s' binds unknown fault kind "
+                       "mrsc_stress: scenario '%s' names unknown fault kind "
                        "'%s'\n",
-                       resolved.scenario.name.c_str(), binding.fault->c_str());
+                       record.name.c_str(), budget.fault->c_str());
           return 2;
         }
         cli.config.fault = *fault;
       }
-      if (!cli.set_intensities && !binding.intensities.empty()) {
-        cli.config.intensities = binding.intensities;
+      if (!cli.set_intensities && !budget.intensities.empty()) {
+        cli.config.intensities = budget.intensities;
       }
-      if (!cli.set_trials && binding.trials) {
-        cli.config.trials = *binding.trials;
+      if (!cli.set_trials && budget.trials) {
+        cli.config.trials = *budget.trials;
       }
     } catch (const std::invalid_argument& error) {
       std::fprintf(stderr, "mrsc_stress: %s\n", error.what());
@@ -247,6 +240,10 @@ int main(int argc, char** argv) {
       std::printf("%s", result.to_table().c_str());
     }
     return 0;
+  } catch (const std::invalid_argument& error) {
+    // Rejected before any trial ran: a design without a stress stimulus.
+    std::fprintf(stderr, "mrsc_stress: %s\n", error.what());
+    return 2;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "mrsc_stress: %s\n", error.what());
     return 1;

@@ -1,5 +1,9 @@
 #include "util/strings.hpp"
 
+#include <charconv>
+#include <cmath>
+#include <stdexcept>
+
 namespace mrsc::util {
 
 std::vector<std::string> split_commas(const std::string& text) {
@@ -15,6 +19,26 @@ std::vector<std::string> split_commas(const std::string& text) {
     start = comma + 1;
   }
   return out;
+}
+
+std::optional<double> parse_finite_double(std::string_view text) {
+  const std::string owned(text);
+  try {
+    std::size_t used = 0;
+    const double value = std::stod(owned, &used);
+    if (used == owned.size() && std::isfinite(value)) return value;
+  } catch (const std::exception&) {
+    // invalid_argument or out_of_range: not a finite double
+  }
+  return std::nullopt;
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value, 10);
+  if (text.empty() || error != std::errc{} || stop != end) return std::nullopt;
+  return value;
 }
 
 std::string format_17g(double value) {

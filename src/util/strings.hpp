@@ -2,7 +2,9 @@
 #pragma once
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +15,16 @@ namespace mrsc::util {
 /// field is dropped, so "a," is {"a"}; every other field is kept as written,
 /// empty or not (",a" is {"", "a"}, "a,,b" is {"a", "", "b"}). No trimming.
 [[nodiscard]] std::vector<std::string> split_commas(const std::string& text);
+
+/// The whole of `text` as a finite double: anything std::stod reads in full
+/// ("1e-3", "-5"). "nan", "inf", "-inf", overflow ("1e999"), trailing text
+/// and "" give nullopt. Range checks belong to each caller.
+[[nodiscard]] std::optional<double> parse_finite_double(std::string_view text);
+
+/// The whole of `text` as a decimal u64: digits only, at most
+/// 18446744073709551615. No sign, whitespace, exponent or base prefix
+/// ("-1", "+1", " 7", "1e3", "0x10" and "" give nullopt).
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view text);
 
 /// `s` without leading and trailing whitespace (std::isspace). Inline: the
 /// reaction-string parser calls it per term while designs are built.

@@ -7,6 +7,7 @@
 #include "logic/netlist.hpp"
 #include "sync/dual_rail.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace mrsc::verify {
 namespace {
@@ -471,11 +472,7 @@ std::vector<CaseKind> parse_kinds(const std::string& csv) {
       CaseKind::kDualRailCircuit, CaseKind::kFsm, CaseKind::kCounter};
   if (csv.empty()) return all;
   std::vector<CaseKind> kinds;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string name =
-        csv.substr(start, comma == std::string::npos ? comma : comma - start);
+  for (const std::string& name : util::split_commas(csv)) {
     bool found = false;
     for (const CaseKind kind : all) {
       if (name == to_string(kind)) {
@@ -488,8 +485,6 @@ std::vector<CaseKind> parse_kinds(const std::string& csv) {
       throw std::invalid_argument("unknown case kind: '" + name +
                                   "' (expected raw,sync,dual,fsm,counter)");
     }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
   }
   return kinds;
 }

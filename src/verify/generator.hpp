@@ -52,8 +52,9 @@ enum class CaseKind : std::uint8_t {
 /// Short name used by the CLI ("raw", "sync", "dual", "fsm", "counter").
 [[nodiscard]] const char* to_string(CaseKind kind);
 
-/// Parses a comma-separated kind list; throws `std::invalid_argument` on an
-/// unknown name. An empty string yields all kinds.
+/// Parses a comma-separated kind list (util::split_commas, so one trailing
+/// comma is dropped: "fsm," is {fsm}); throws `std::invalid_argument` on an
+/// unknown or empty name. An empty string yields all kinds.
 [[nodiscard]] std::vector<CaseKind> parse_kinds(const std::string& csv);
 
 struct RawCase {

@@ -21,10 +21,10 @@
 #include "fleet/policy.hpp"
 #include "fleet/transport.hpp"
 #include "runtime/ensemble.hpp"
+#include "scenario/registry.hpp"
 #include "serve/dispatcher.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
-#include "tools/builtin_designs.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -307,7 +307,8 @@ TEST(FleetMerge, FullWidthSeedsMatchTheLocalEnsemble) {
   const util::json::Value report =
       util::json::parse(run_ensemble(fleet, spec));
 
-  const tools::BuiltDesign design = tools::build_design(spec.design, {});
+  const scenario::ResolvedScenario design =
+      scenario::ScenarioRegistry::global().resolve(spec.design);
   sim::SsaOptions ssa;
   ssa.method = sim::SsaMethod::kNextReaction;
   ssa.t_end = spec.t_end;
@@ -317,7 +318,7 @@ TEST(FleetMerge, FullWidthSeedsMatchTheLocalEnsemble) {
   options.replicates = spec.replicates;
   options.base_seed = spec.base_seed;
   const runtime::EnsembleResult local =
-      runtime::run_ssa_ensemble(*design.network, ssa, options);
+      runtime::run_ssa_ensemble(*design.design.network, ssa, options);
   ASSERT_EQ(local.ok, spec.replicates);
 
   const util::json::Value* species = report.find("species");

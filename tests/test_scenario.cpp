@@ -8,10 +8,13 @@
 // failure is a std::invalid_argument (the CLIs' exit-2 class).
 #include <gtest/gtest.h>
 
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <variant>
 
 #include "core/io.hpp"
+#include "dsp/filters.hpp"
 #include "lint/lint.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
@@ -41,6 +44,9 @@ TEST(SpecParse, RejectsMalformedSpecs) {
   EXPECT_THROW(scenario::parse_spec("counter()"), std::invalid_argument);
   EXPECT_THROW(scenario::parse_spec("counter(x)"), std::invalid_argument);
   EXPECT_THROW(scenario::parse_spec("counter(-1)"), std::invalid_argument);
+  // Arguments share the CLI whole-number grammar: digits only.
+  EXPECT_THROW(scenario::parse_spec("counter(+4)"), std::invalid_argument);
+  EXPECT_THROW(scenario::parse_spec("counter(1e3)"), std::invalid_argument);
   EXPECT_THROW(scenario::parse_spec("counter(2,)"), std::invalid_argument);
 }
 
@@ -181,6 +187,22 @@ TEST(Registry, ComposedDesignsFillARequestedCompileReport) {
   }
 }
 
+TEST(Registry, SingleRailCircuitsCarryTheirReference) {
+  const double samples[] = {1.0, 0.0, 2.0};
+  const std::span<const double> x(samples);
+  const auto reference = [](const std::string& spec) {
+    const scenario::ResolvedScenario resolved =
+        scenario::ScenarioRegistry::global().resolve(spec);
+    return std::get<scenario::CircuitArtifacts>(resolved.artifacts).reference;
+  };
+  EXPECT_EQ(reference("moving_average")(x),
+            dsp::reference_moving_average(x));
+  EXPECT_EQ(reference("iir")(x), dsp::reference_second_order_iir(x));
+  EXPECT_EQ(reference("delay")(x), dsp::reference_delay_line(x, 3));
+  // first_difference's output is dual-rail: no single-series reference.
+  EXPECT_EQ(reference("first_difference"), nullptr);
+}
+
 // --- .mrsc directive format -------------------------------------------------
 
 TEST(ScenarioText, ParsesDesignAndBudgets) {
@@ -192,7 +214,7 @@ TEST(ScenarioText, ParsesDesignAndBudgets) {
       "@sim method=rk4 t_end=12.5 record=0.25 omega=400 seed=7\n"
       "@lint checks=structure,timescale werror\n"
       "@verify seeds=5 start_seed=11\n"
-      "@stress design=counter fault=leak intensities=0.001,0.01 trials=2\n");
+      "@stress fault=leak intensities=0.001,0.01 trials=2\n");
   EXPECT_EQ(parsed.name, "nightly_counter");
   EXPECT_EQ(parsed.design, "counter(4)");  // canonicalized at parse time
   ASSERT_TRUE(parsed.sim.method.has_value());
@@ -206,7 +228,6 @@ TEST(ScenarioText, ParsesDesignAndBudgets) {
   EXPECT_TRUE(parsed.lint.werror);
   EXPECT_EQ(parsed.verify.seeds.value(), 5u);
   EXPECT_EQ(parsed.verify.start_seed.value(), 11u);
-  EXPECT_EQ(parsed.stress.design, "counter");
   EXPECT_EQ(parsed.stress.fault.value(), "leak");
   ASSERT_EQ(parsed.stress.intensities.size(), 2u);
   EXPECT_EQ(parsed.stress.trials.value(), 2u);
@@ -279,6 +300,46 @@ TEST(ScenarioText, ErrorsNameTheOffendingLine) {
     EXPECT_NE(std::string(error.what()).find("line 3"), std::string::npos)
         << error.what();
   }
+}
+
+/// The message parse_scenario_text throws for `text`, or "" if it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    (void)scenario::parse_scenario_text(text);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ScenarioText, StressTakesNoDesignKey) {
+  // A campaign runs the scenario's own @design; there is no second name.
+  const std::string error = parse_error(
+      "@scenario s\n@design counter\n@stress design=counter trials=1\n");
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("'design'"), std::string::npos) << error;
+}
+
+TEST(ScenarioText, NumbersMustBeFinite) {
+  // Every number goes through the CLI grammar (util::parse_finite_double,
+  // util::parse_u64): no nan, no infinities, no signs on counts.
+  for (const char* line :
+       {"@sim omega=inf", "@sim t_end=nan", "@sim record=nan",
+        "@sim omega=-inf", "@sim t_end=1e999",
+        "@stress intensities=0.05,inf", "@stress intensities=nan",
+        "@stress trials=+2", "@verify seeds=-1", "@sim seed=1e3"}) {
+    const std::string error = parse_error(
+        std::string("@scenario s\n# comment\n@design counter\n") + line +
+        "\n");
+    EXPECT_NE(error.find("line 4"), std::string::npos)
+        << line << ": " << error;
+  }
+  const scenario::Scenario ok = scenario::parse_scenario_text(
+      "@scenario s\n@design counter\n@sim omega=1e3 record=0\n"
+      "@stress intensities=0.05,0.1 trials=2\n");
+  EXPECT_DOUBLE_EQ(ok.sim.omega.value(), 1000.0);
+  EXPECT_DOUBLE_EQ(ok.sim.record.value(), 0.0);
+  EXPECT_EQ(ok.stress.intensities.size(), 2u);
 }
 
 // --- the CLI-argument resolver ----------------------------------------------

@@ -282,6 +282,31 @@ TEST(ServeDispatcher, DeadlineIsNotPartOfTheKey) {
                       job_json(R"("kind":"sim","deadline_s":120)"))));
 }
 
+TEST(ServeDispatcher, StressDesignsAreRegistrySpecs) {
+  // The campaign-only names are gone: a bad spec is a parse error.
+  EXPECT_THROW((void)parse_job(job_json(
+                   R"("kind":"stress","design":"sequence_detector")")),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)parse_job(job_json(R"("kind":"stress","design":"async_chain")")),
+      std::invalid_argument);
+  const JobRequest spaced =
+      parse_job(job_json(R"js("kind":"stress","design":"counter( 4 )")js"));
+  const JobRequest tight =
+      parse_job(job_json(R"js("kind":"stress","design":"counter(4)")js"));
+  EXPECT_EQ(canonical_key(spaced), canonical_key(tight));
+  EXPECT_NE(canonical_key(tight).find("|design=counter(4)|"),
+            std::string::npos);
+  // A valid spec without a stress stimulus fails at run time, uncached, with
+  // an error naming it.
+  const DispatchResult cascade = run_job(
+      parse_job(job_json(R"js("kind":"stress","design":"cascade(3)")js")), {});
+  EXPECT_FALSE(cascade.ok);
+  EXPECT_FALSE(cascade.cacheable);
+  EXPECT_NE(cascade.payload.find("cascade(3)"), std::string::npos)
+      << cascade.payload;
+}
+
 TEST(ServeDispatcher, ParseJobRejectsBadRequests) {
   EXPECT_THROW((void)parse_job(job_json(R"("kind":"banana")")),
                std::invalid_argument);
@@ -664,6 +689,43 @@ TEST(ServeServer, VerifyAndStressJobsRoundTrip) {
       R"({"op":"job","kind":"stress","design":"counter",)"
       R"("intensities":[0.02],"trials":1})");
   EXPECT_EQ(stress.get_string("status", ""), "ok");
+}
+
+TEST(ServeServer, StressJobsRunRegistryDesigns) {
+  ServerFixture fixture;
+  EXPECT_EQ(fixture
+                .request(R"({"op":"job","kind":"stress","design":"seqdet",)"
+                         R"("intensities":[0.02],"trials":1})")
+                .get_string("status", ""),
+            "ok");
+  EXPECT_EQ(fixture
+                .request(R"({"op":"job","kind":"stress",)"
+                         R"("design":"sequence_detector"})")
+                .get_string("status", ""),
+            "error");
+  // Two spellings of one spec share one cache entry and one answer.
+  const std::string tight = fixture.request_raw(
+      R"js({"op":"job","kind":"stress","design":"counter(2)","intensities":[0.02]})js");
+  const std::string spaced = fixture.request_raw(
+      R"js({"op":"job","kind":"stress","design":"counter( 2 )","intensities":[0.02]})js");
+  EXPECT_EQ(tight, spaced);
+  EXPECT_EQ(json::parse(tight).get_string("status", ""), "ok");
+  EXPECT_EQ(fixture.stat("cache", "hits"), 1.0);
+  EXPECT_EQ(fixture.stat("cache", "entries"), 2.0);
+}
+
+TEST(ServeServer, StressJobsHonourTheirDeadline) {
+  ServerFixture fixture;
+  const double entries = fixture.stat("cache", "entries");
+  // Five trials of a 16-bit counter take far longer than a millisecond: the
+  // deadline fails the whole job, and a wall-clock outcome is never cached.
+  const json::Value timed_out = fixture.request(
+      R"js({"op":"job","kind":"stress","design":"counter(16)","trials":5,)js"
+      R"js("intensities":[0.02],"deadline_s":0.001})js");
+  EXPECT_EQ(timed_out.get_string("status", ""), "error");
+  EXPECT_NE(timed_out.get_string("error", "").find("timeout"),
+            std::string::npos);
+  EXPECT_EQ(fixture.stat("cache", "entries"), entries);
 }
 
 TEST(ServeServer, BadRequestsGetErrorResponsesAndAreCounted) {

@@ -44,6 +44,15 @@ TEST(ParseKinds, SubsetAndOrderPreserved) {
 
 TEST(ParseKinds, UnknownKindThrows) {
   EXPECT_THROW((void)parse_kinds("sync,banana"), std::invalid_argument);
+  EXPECT_THROW((void)parse_kinds("fsm,,raw"), std::invalid_argument);
+  EXPECT_THROW((void)parse_kinds(","), std::invalid_argument);
+}
+
+TEST(ParseKinds, OneTrailingCommaIsDropped) {
+  // The shared util::split_commas rule, as for every other CLI list.
+  const auto kinds = parse_kinds("fsm,");
+  ASSERT_EQ(kinds.size(), 1u);
+  EXPECT_EQ(kinds[0], CaseKind::kFsm);
 }
 
 TEST(Generator, SameSeedSameNetwork) {
