@@ -7,6 +7,7 @@ namespace mrsc::lint {
 namespace {
 
 using util::json::quote;
+using util::json::Value;
 
 std::string json_string_array(const std::vector<std::string>& items) {
   std::string out = "[";
@@ -15,6 +16,14 @@ std::string json_string_array(const std::vector<std::string>& items) {
     out += quote(items[i]);
   }
   out += "]";
+  return out;
+}
+
+Value string_array(const std::vector<std::string>& items) {
+  Value out;
+  std::vector<Value>& array = out.array();
+  array.reserve(items.size());
+  for (const std::string& item : items) array.emplace_back(item);
   return out;
 }
 
@@ -91,6 +100,29 @@ std::string LintReport::to_json() const {
   if (!diagnostics.empty()) out += "\n  ";
   out += "]\n";
   out += "}\n";
+  return out;
+}
+
+Value LintReport::to_value() const {
+  Value out;
+  out.set("design", Value(design));
+  out.set("checks_run", string_array(checks_run));
+  out.set("checks_skipped", string_array(checks_skipped));
+  out.set("errors", Value(static_cast<double>(errors())));
+  out.set("warnings", Value(static_cast<double>(warnings())));
+  Value list;
+  std::vector<Value>& array = list.array();
+  array.reserve(diagnostics.size());
+  for (const Diagnostic& d : diagnostics) {
+    Value entry;
+    entry.set("id", Value(d.id));
+    entry.set("severity", Value(std::string(to_string(d.severity))));
+    entry.set("check", Value(d.check));
+    entry.set("message", Value(d.message));
+    entry.set("notes", string_array(d.notes));
+    array.push_back(std::move(entry));
+  }
+  out.set("diagnostics", std::move(list));
   return out;
 }
 

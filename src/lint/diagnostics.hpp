@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace mrsc::lint {
 
 enum class Severity : std::uint8_t { kInfo = 0, kWarning = 1, kError = 2 };
@@ -55,8 +57,13 @@ struct LintReport {
   /// listed only when `show_info`.
   [[nodiscard]] std::string to_text(bool show_info = true) const;
 
-  /// Self-contained JSON (schema documented in docs/LINT.md).
+  /// Self-contained JSON (schema documented in docs/LINT.md), pretty-printed
+  /// for the CLI.
   [[nodiscard]] std::string to_json() const;
+
+  /// The same document as a JSON value; its dump() is the compact form
+  /// serve's lint payload embeds.
+  [[nodiscard]] util::json::Value to_value() const;
 };
 
 }  // namespace mrsc::lint

@@ -245,6 +245,10 @@ std::string error_response(const std::string& message) {
   return "{\"status\":\"error\",\"error\":" + quote(message) + "}";
 }
 
+std::string cancelled_response() {
+  return error_response("cancelled: server shutting down");
+}
+
 std::string catalog_response() {
   const scenario::ScenarioRegistry& registry =
       scenario::ScenarioRegistry::global();
@@ -349,7 +353,7 @@ DispatchResult run_sim(const JobRequest& request,
   runtime::BatchRunner runner(batch);
   const RunnerScope scope(hooks, &runner);
   if (hooks.cancelled && hooks.cancelled()) {
-    return {error_response("cancelled: server shutting down"), false, false};
+    return {cancelled_response(), false, false};
   }
   const std::vector<runtime::JobResult> results =
       runner.run(std::span<const runtime::SimJob>(&job, 1));
@@ -384,10 +388,34 @@ DispatchResult run_sim(const JobRequest& request,
   return {out, true, true};
 }
 
+/// The cooperative stop of verify and stress jobs: server shutdown, or the
+/// job's deadline passing.
+std::function<bool()> abort_hook(const JobRequest& request,
+                                 const DispatchHooks& hooks) {
+  using Clock = std::chrono::steady_clock;
+  const double deadline_s =
+      request.deadline_s > 0.0 ? request.deadline_s : kMaxDeadline;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(deadline_s));
+  return [&hooks, deadline] {
+    return (hooks.cancelled && hooks.cancelled()) || Clock::now() >= deadline;
+  };
+}
+
+/// The answer of a job its abort_hook stopped: a wall-clock outcome, so an
+/// uncacheable error.
+DispatchResult aborted_result(const DispatchHooks& hooks, const char* kind) {
+  if (hooks.cancelled && hooks.cancelled()) {
+    return {cancelled_response(), false, false};
+  }
+  return {error_response(std::string(kind) + " job timeout"), false, false};
+}
+
 DispatchResult run_verify(const JobRequest& request,
                           const DispatchHooks& hooks) {
   if (hooks.cancelled && hooks.cancelled()) {
-    return {error_response("cancelled: server shutting down"), false, false};
+    return {cancelled_response(), false, false};
   }
   verify::VerifyOptions options;
   options.seeds = request.seeds;
@@ -401,7 +429,13 @@ DispatchResult run_verify(const JobRequest& request,
   options.robustness = false;
   options.lint_cross = false;
   options.shrink = false;
-  const verify::FuzzReport report = verify::run_fuzz(options);
+  options.abort = abort_hook(request, hooks);
+  verify::FuzzReport report;
+  try {
+    report = verify::run_fuzz(options);
+  } catch (const verify::VerifyAborted&) {
+    return aborted_result(hooks, "verify");
+  }
 
   std::string out = payload_header(request);
   out += "{\"seeds\":" + std::to_string(request.seeds);
@@ -430,7 +464,7 @@ DispatchResult run_verify(const JobRequest& request,
 DispatchResult run_lint_job(const JobRequest& request,
                             const DispatchHooks& hooks) {
   if (hooks.cancelled && hooks.cancelled()) {
-    return {error_response("cancelled: server shutting down"), false, false};
+    return {cancelled_response(), false, false};
   }
   const std::shared_ptr<const CompiledDesign> design =
       design_for(request, hooks);
@@ -445,9 +479,7 @@ DispatchResult run_lint_job(const JobRequest& request,
   out += "{\"werror\":" + std::string(request.werror ? "true" : "false");
   out += ",\"clean\":" +
          std::string(report.clean(request.werror) ? "true" : "false");
-  // Re-serialize the analyzer's (pretty-printed) JSON through the protocol
-  // serializer so the payload has exactly one deterministic formatting.
-  out += ",\"report\":" + util::json::parse(report.to_json()).dump();
+  out += ",\"report\":" + report.to_value().dump();
   out += "}}";
   return {out, true, true};
 }
@@ -455,18 +487,12 @@ DispatchResult run_lint_job(const JobRequest& request,
 DispatchResult run_stress(const JobRequest& request,
                           const DispatchHooks& hooks) {
   if (hooks.cancelled && hooks.cancelled()) {
-    return {error_response("cancelled: server shutting down"), false, false};
+    return {cancelled_response(), false, false};
   }
   const std::optional<stress::FaultKind> fault =
       stress::parse_fault_kind(request.fault);
   if (!fault) reject("unknown fault kind '" + request.fault + "'");
 
-  using Clock = std::chrono::steady_clock;
-  const double deadline_s =
-      request.deadline_s > 0.0 ? request.deadline_s : kMaxDeadline;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(deadline_s));
   stress::CampaignConfig config;
   config.design = request.design;
   config.fault = *fault;
@@ -474,18 +500,13 @@ DispatchResult run_stress(const JobRequest& request,
   config.trials = request.trials;
   config.base_seed = request.seed;
   config.threads = 1;
-  config.abort = [&hooks, deadline] {
-    return (hooks.cancelled && hooks.cancelled()) || Clock::now() >= deadline;
-  };
+  config.abort = abort_hook(request, hooks);
   stress::CampaignResult result;
   try {
     result = stress::run_campaign(config);
   } catch (const stress::CampaignAborted&) {
     // Wall-clock outcome: an error, never cached, never a quarantined trial.
-    const bool cancelled = hooks.cancelled && hooks.cancelled();
-    return {error_response(cancelled ? "cancelled: server shutting down"
-                                     : "stress job timeout"),
-            false, false};
+    return aborted_result(hooks, "stress");
   }
 
   std::string out = payload_header(request);
@@ -520,7 +541,7 @@ DispatchResult run_sleep(const JobRequest& request,
         std::chrono::duration<double, std::milli>(request.sleep_ms));
   }
   if (cancelled) {
-    return {error_response("cancelled: server shutting down"), false, false};
+    return {cancelled_response(), false, false};
   }
   std::string out = payload_header(request);
   out += "{\"slept_ms\":" + number_to_string(request.sleep_ms) + "}}";

@@ -127,6 +127,9 @@ struct DispatchResult {
 /// Renders a deterministic error response.
 [[nodiscard]] std::string error_response(const std::string& message);
 
+/// The error response of a job stopped by server shutdown.
+[[nodiscard]] std::string cancelled_response();
+
 /// Renders the `catalog` op response: every registry design reachable over
 /// the wire — the fixed names, the parametric generators with their ranges,
 /// and the smoke catalog — so a fleet or load generator can discover the

@@ -1,6 +1,6 @@
 #include "serve/server.hpp"
 
-#include <future>
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -16,15 +16,73 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+ServerOptions resolve_workers(ServerOptions options) {
+  if (options.workers == 0) {
+    options.workers =
+        std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  }
+  return options;
+}
+
 }  // namespace
 
-Server::Server(ServerOptions options)
-    : options_(std::move(options)),
-      cache_(options_.cache_entries, options_.cache_bytes),
-      stats_({"sim", "verify", "lint", "stress", "sleep"}) {
-  if (options_.workers == 0) {
-    options_.workers = runtime::ThreadPool::default_worker_count();
+bool RunSlots::acquire() {
+  std::unique_lock lock(mutex_);
+  if (closed_) return false;
+  const std::uint64_t ticket = next_ticket_++;
+  const std::uint64_t closes = closes_;
+  ++waiting_;
+  cv_.wait(lock, [&] {
+    return closes_ != closes || (ticket == serving_ && running_ < slots_);
+  });
+  --waiting_;
+  if (closes_ != closes) return false;
+  ++serving_;
+  ++running_;
+  // The next ticket may find a slot free too; it re-checks only when woken.
+  if (waiting_ > 0 && running_ < slots_) cv_.notify_all();
+  return true;
+}
+
+void RunSlots::release() {
+  {
+    std::lock_guard lock(mutex_);
+    --running_;
   }
+  cv_.notify_all();
+}
+
+void RunSlots::close() {
+  {
+    std::lock_guard lock(mutex_);
+    closed_ = true;
+    ++closes_;
+  }
+  cv_.notify_all();
+}
+
+void RunSlots::open() {
+  std::lock_guard lock(mutex_);
+  closed_ = false;
+  // Tickets handed out before the close never take their turn.
+  serving_ = next_ticket_;
+}
+
+std::size_t RunSlots::waiting() const {
+  std::lock_guard lock(mutex_);
+  return waiting_;
+}
+
+std::size_t RunSlots::running() const {
+  std::lock_guard lock(mutex_);
+  return running_;
+}
+
+Server::Server(ServerOptions options)
+    : options_(resolve_workers(std::move(options))),
+      cache_(options_.cache_entries, options_.cache_bytes),
+      stats_({"sim", "verify", "lint", "stress", "sleep"}),
+      slots_(options_.workers) {
   hooks_.designs = &designs_;
   hooks_.cancelled = [this] { return stopping_.load(); };
   hooks_.runner_started = [this](runtime::BatchRunner* runner) {
@@ -51,7 +109,7 @@ void Server::start() {
   if (running_.load()) throw std::runtime_error("server already running");
   stopping_.store(false);
   listener_ = listen_on(options_.host, options_.port, port_);
-  pool_ = std::make_unique<runtime::ThreadPool>(options_.workers);
+  slots_.open();
   started_at_ = std::chrono::steady_clock::now();
   running_.store(true);
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -65,6 +123,7 @@ void Server::stop() {
     for (runtime::BatchRunner* runner : runners_) runner->cancel();
   }
   sleep_cv_.notify_all();
+  slots_.close();
   // shutdown_both() wakes the blocked accept without touching fd_; close()
   // must wait until the accept thread is joined because accept_loop reads
   // listener_.fd() concurrently.
@@ -84,9 +143,6 @@ void Server::stop() {
     }
     connections_.clear();
   }
-  // Destroying the pool drains any still-queued tasks; with the stopping
-  // flag up they all resolve to cancelled responses quickly.
-  pool_.reset();
 }
 
 void Server::reap_finished_connections() {
@@ -210,22 +266,15 @@ std::string Server::handle_job(const util::json::Value& request) {
     ++admitted_;
   }
 
-  auto promise = std::make_shared<std::promise<DispatchResult>>();
-  std::future<DispatchResult> future = promise->get_future();
-  const JobRequest job_copy = job;
-  pool_->submit([this, promise, job_copy] {
-    try {
-      promise->set_value(run_job(job_copy, hooks_));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-  });
-
+  // The admitted job runs here, on its connection's thread, once a run slot
+  // is free; stop() fails the wait with the cancelled answer a running job
+  // gives.
   DispatchResult result;
-  try {
-    result = future.get();
-  } catch (const std::exception& error) {
-    result = {error_response(error.what()), false, false};
+  if (slots_.acquire()) {
+    result = run_job(job, hooks_);
+    slots_.release();
+  } else {
+    result = {cancelled_response(), false, false};
   }
   {
     std::lock_guard lock(admission_mutex_);
@@ -260,8 +309,8 @@ std::string Server::stats_payload() const {
   out += ",\"uptime_seconds\":" +
          util::json::number_to_string(seconds_since(started_at_));
   out += ",\"queue\":{";
-  out += "\"depth\":" + std::to_string(pool_ ? pool_->queued() : 0);
-  out += ",\"in_flight\":" + std::to_string(pool_ ? pool_->active() : 0);
+  out += "\"depth\":" + std::to_string(slots_.waiting());
+  out += ",\"in_flight\":" + std::to_string(slots_.running());
   out += ",\"capacity\":" + std::to_string(options_.queue_capacity);
   out += ",\"workers\":" + std::to_string(options_.workers);
   out += "},\"cache\":{";

@@ -1,19 +1,23 @@
-// Long-running simulation service: admission control, cache, worker pool.
+// Long-running simulation service: admission control, cache, run slots.
 //
 // Architecture (nighthawk-style client/distributor split, scaled to one
-// process): an accept thread hands each connection to its own reader
-// thread; readers validate requests, consult the result cache, and submit
-// misses to a bounded `runtime::ThreadPool`. Admission is an exact counter
-// of admitted-but-unfinished jobs — when it reaches workers +
-// queue_capacity the server answers `{"status":"rejected","reason":
-// "overload"}` immediately instead of buffering without bound. Responses
-// travel back on the same connection, strictly request-ordered (clients
-// that want concurrency open more connections, as mrsc_loadgen does).
+// process): an accept thread hands each connection to its own thread, and
+// that thread does all of a request's work. It validates the request,
+// consults the result cache and, on a miss, runs the job itself once it
+// holds one of `workers` run slots, so at most `workers` jobs run at once.
+// Admission is an exact counter of admitted-but-unfinished jobs (waiting
+// for a slot or running) — when it reaches workers + queue_capacity the
+// server answers `{"status":"rejected","reason":"overload"}` immediately
+// instead of buffering without bound. Slots are granted in arrival order.
+// Responses travel back on the same connection, strictly request-ordered
+// (clients that want concurrency open more connections, as mrsc_loadgen
+// does). `stats` reports the jobs waiting for a slot as `queue.depth` and
+// the running ones as `queue.in_flight`.
 //
 // Shutdown: stop() flips the stopping flag, cancels every in-flight
-// BatchRunner cooperatively, wakes sleep jobs, shuts down all sockets, and
-// joins every thread. Queued jobs still produce (cancelled-)responses —
-// nothing is silently dropped, mirroring the ThreadPool drain contract.
+// BatchRunner cooperatively, wakes sleep jobs and slot waiters, shuts down
+// all sockets, and joins every thread. A job still waiting for a slot ends
+// with the same cancelled error a running job gives.
 #pragma once
 
 #include <atomic>
@@ -27,7 +31,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "runtime/thread_pool.hpp"
 #include "serve/cache.hpp"
 #include "serve/design_cache.hpp"
 #include "serve/dispatcher.hpp"
@@ -39,8 +42,9 @@ namespace mrsc::serve {
 struct ServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 binds an ephemeral port (see Server::port)
-  std::size_t workers = 0;  ///< 0 selects the hardware concurrency
-  /// Jobs admitted beyond the workers before overload rejection kicks in.
+  /// Jobs run at once (run slots); 0 selects the hardware concurrency.
+  std::size_t workers = 0;
+  /// Jobs admitted to wait for a slot before overload rejection kicks in.
   std::size_t queue_capacity = 64;
   std::size_t cache_entries = 256;
   std::size_t cache_bytes = 64u << 20;
@@ -49,6 +53,35 @@ struct ServerOptions {
   /// operator can tell which process answered. Never part of any job
   /// payload (the byte-identity contract forbids it).
   std::string shard_id;
+};
+
+/// Admission to run: at most `slots` holders at once, granted in arrival
+/// order (a ticket counter), so no waiter starves.
+class RunSlots {
+ public:
+  explicit RunSlots(std::size_t slots) : slots_(slots) {}
+
+  /// Blocks until this caller's turn comes and a slot is free, then holds
+  /// it. Returns false, holding nothing, once close() has been called.
+  [[nodiscard]] bool acquire();
+  void release();
+  /// Fails every waiting acquire(), and every later one until open().
+  void close();
+  void open();
+
+  [[nodiscard]] std::size_t waiting() const;
+  [[nodiscard]] std::size_t running() const;
+
+ private:
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  std::size_t slots_;
+  std::size_t running_ = 0;
+  std::size_t waiting_ = 0;
+  std::uint64_t next_ticket_ = 0;  ///< handed to the next arrival
+  std::uint64_t serving_ = 0;      ///< the ticket whose turn it is
+  std::uint64_t closes_ = 0;       ///< close() calls; a change fails waiters
+  bool closed_ = false;
 };
 
 class Server {
@@ -76,6 +109,8 @@ class Server {
   [[nodiscard]] bool draining() const { return draining_.load(); }
 
   [[nodiscard]] std::uint16_t port() const { return port_; }
+  /// Run slots: the --workers value, with 0 resolved.
+  [[nodiscard]] std::size_t workers() const { return options_.workers; }
   [[nodiscard]] bool running() const { return running_.load(); }
 
   /// The exact payload the `stats` op returns (the CLI prints it on
@@ -97,7 +132,6 @@ class Server {
   void reap_finished_connections();
 
   ServerOptions options_;
-  std::unique_ptr<runtime::ThreadPool> pool_;
   ResultCache cache_;
   /// Compiled designs shared by every sim/lint job; reached through hooks_.
   DesignCache designs_;
@@ -118,6 +152,7 @@ class Server {
   /// Admitted-but-unfinished jobs; the exact admission-control bound.
   std::mutex admission_mutex_;
   std::size_t admitted_ = 0;
+  RunSlots slots_;
 
   /// In-flight BatchRunners, cancelled on stop().
   std::mutex runners_mutex_;

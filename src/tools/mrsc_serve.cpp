@@ -7,9 +7,9 @@
 //   --port P           TCP port; 0 = ephemeral     (default 0)
 //   --port-file PATH   write the bound port to PATH (for scripts/CI that
 //                      start the server on an ephemeral port)
-//   --workers N        job worker threads          (default: hardware)
-//   --queue N          admitted jobs beyond the workers before requests
-//                      are rejected with "overload" (default 64)
+//   --workers N        jobs run at once            (default: hardware)
+//   --queue N          admitted jobs waiting beyond the running ones before
+//                      requests are rejected with "overload" (default 64)
 //   --cache N          result-cache capacity, entries; 0 disables (default 256)
 //   --cache-mb MB      result-cache capacity, payload megabytes (default 64)
 //   --max-conns N      concurrent client connections (default 64)
@@ -111,9 +111,7 @@ int main(int argc, char** argv) {
     std::printf("mrsc_serve: listening on %s:%u (workers=%zu queue=%zu "
                 "cache=%zu)\n",
                 cli.server.host.c_str(), server.port(),
-                cli.server.workers == 0
-                    ? runtime::ThreadPool::default_worker_count()
-                    : cli.server.workers,
+                server.workers(),
                 cli.server.queue_capacity, cli.server.cache_entries);
     std::fflush(stdout);
     if (!cli.port_file.empty() &&

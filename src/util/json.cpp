@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/strings.hpp"
+
 namespace mrsc::util::json {
 
 namespace {
@@ -252,9 +254,7 @@ std::string number_to_string(double value) {
   if (value == std::floor(value) && std::abs(value) < 9.2e18) {
     return std::to_string(static_cast<long long>(value));
   }
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
+  return format_17g(value);
 }
 
 std::string quote(const std::string& text) {

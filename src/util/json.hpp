@@ -85,7 +85,7 @@ class Value {
   }
 
   /// Compact deterministic serialization (no whitespace, members in
-  /// insertion order, numbers via util-style %.17g with integer shortening).
+  /// insertion order, numbers via number_to_string).
   [[nodiscard]] std::string dump() const;
 
  private:
@@ -103,9 +103,10 @@ class Value {
 /// malformed input. Depth is capped so hostile input cannot blow the stack.
 [[nodiscard]] Value parse(const std::string& text);
 
-/// Formats a double the way every serializer in this repo does (%.17g), but
-/// prints integral values that fit in 64 bits without an exponent, so seeds
-/// and counters survive a parse → dump round trip textually.
+/// Formats a double the way every serializer in this repo does (%.17g,
+/// printed by std::to_chars through util::format_17g), but prints integral
+/// values that fit in 64 bits without an exponent, so seeds and counters
+/// survive a parse → dump round trip textually.
 [[nodiscard]] std::string number_to_string(double value);
 
 /// JSON string literal for `text`, quotes included: `"` and `\` are

@@ -42,9 +42,12 @@ std::optional<std::uint64_t> parse_u64(std::string_view text) {
 }
 
 std::string format_17g(double value) {
+  // The longest output, "-2.2250738585072014e-308", is 24 bytes.
   char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof buffer, value,
+                    std::chars_format::general, 17);
+  return std::string(buffer, result.ptr);
 }
 
 }  // namespace mrsc::util

@@ -458,6 +458,7 @@ FuzzReport run_fuzz(const VerifyOptions& options) {
 
   runtime::BatchRunner runner({.threads = options.threads});
   runner.for_each_index(options.seeds, [&](std::size_t i) {
+    if (options.abort && options.abort()) throw VerifyAborted();
     const std::uint64_t seed = options.start_seed + i;
     const CaseKind kind = kinds[i % kinds.size()];
     CaseResult& result = report.cases[i];

@@ -9,8 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,6 +59,17 @@ struct VerifyOptions {
   /// Shrink failing cases to minimal repros.
   bool shrink = true;
   ShrinkOptions shrink_options;
+  /// Optional deadline/cancel hook, polled before each case. Once it returns
+  /// true run_fuzz throws VerifyAborted: a wall-clock stop fails the whole
+  /// run rather than being reported as a case, so results never depend on
+  /// time.
+  std::function<bool()> abort;
+};
+
+/// Thrown by run_fuzz when VerifyOptions::abort fired.
+class VerifyAborted : public std::runtime_error {
+ public:
+  VerifyAborted() : std::runtime_error("run_fuzz: aborted") {}
 };
 
 struct CaseResult {
@@ -104,7 +117,8 @@ struct FuzzReport {
 
 /// The full campaign: seeds [start_seed, start_seed + seeds), kinds assigned
 /// round-robin, checks fanned over `options.threads` workers, failures
-/// shrunk serially afterwards.
+/// shrunk serially afterwards. Throws VerifyAborted when options.abort
+/// fires.
 [[nodiscard]] FuzzReport run_fuzz(const VerifyOptions& options);
 
 /// One-line-per-violation human-readable rendering (used by the CLI and

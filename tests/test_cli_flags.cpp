@@ -1,10 +1,16 @@
 // The shared CLI number grammar (tools/cli_flags), the comma-list splitter
-// (util/strings) and JSON string escaping (util/json::quote): one
+// (util/strings), the "%.17g" number formatter (util::format_17g and
+// json::number_to_string) and JSON string escaping (util/json::quote): one
 // implementation each, pinned by grammar tables.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -156,6 +162,62 @@ TEST(SplitCommas, Table) {
   for (const SplitCase& c : cases) {
     EXPECT_EQ(util::split_commas(c.text), c.fields) << "'" << c.text << "'";
   }
+}
+
+// The reference the formatter must match byte for byte.
+std::string printf_17g(double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  return buffer;
+}
+
+// number_to_string's reference: the integer shortcut, else "%.17g".
+std::string printf_number(double value) {
+  if (value == std::floor(value) && std::abs(value) < 9.2e18) {
+    return std::to_string(static_cast<long long>(value));
+  }
+  return printf_17g(value);
+}
+
+TEST(Format17g, SpecialValuesMatchPrintf) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> values = {
+      0.0, -0.0, kInf, -kInf, kNan, -kNan,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      DBL_MIN, std::nextafter(DBL_MIN, 0.0), 4.9e-300,
+      9007199254740993.0,  // 2^53 + 1, rounded to 2^53
+      9.2e18, -9.2e18, std::nextafter(9.2e18, 0.0), 1e21, 1e22, DBL_MAX,
+      -DBL_MAX, 0.1, 0.185, 1.0 / 3.0, -2.5, 1e-5, 123456789.125, 1e16,
+      1e17, 5e-324, 0.30000000000000004};
+  for (const double value : values) {
+    EXPECT_EQ(util::format_17g(value), printf_17g(value)) << printf_17g(value);
+    EXPECT_EQ(util::json::number_to_string(value), printf_number(value))
+        << printf_17g(value);
+  }
+  EXPECT_EQ(util::format_17g(-0.0), "-0");
+  EXPECT_EQ(util::format_17g(kInf), "inf");
+  EXPECT_EQ(util::json::number_to_string(-0.0), "0");
+}
+
+TEST(Format17g, SeededRandomBitPatternsMatchPrintf) {
+  // Uniform bit patterns cover every exponent, subnormals, infinities and
+  // NaN payloads; the second half draws ordinary magnitudes, where the
+  // integer shortcut and short decimal spellings live.
+  std::mt19937_64 rng(0x17A);
+  std::uniform_real_distribution<double> exponent(-30.0, 30.0);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    const double value =
+        i % 2 == 0 ? std::bit_cast<double>(rng())
+                   : std::round(std::pow(10.0, exponent(rng)) * 8.0) / 8.0;
+    if (util::format_17g(value) != printf_17g(value) ||
+        util::json::number_to_string(value) != printf_number(value)) {
+      if (++mismatches <= 5) ADD_FAILURE() << printf_17g(value);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(JsonQuote, EscapesEveryControlByte) {

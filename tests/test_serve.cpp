@@ -1,8 +1,8 @@
 // Tests for the simulation service: JSON layer, result cache, compiled-design
 // cache, canonical keys, latency histograms, dispatcher determinism, and
 // full client/server round trips (byte-identical cold/cached/restart
-// responses, deterministic overload rejection, concurrent submitters,
-// cooperative shutdown).
+// responses, deterministic overload rejection, run slots granted in
+// arrival order, concurrent submitters, cooperative shutdown).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -11,11 +11,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <chrono>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "lint/lint.hpp"
 #include "runtime/batch.hpp"
 #include "scenario/registry.hpp"
 #include "serve/cache.hpp"
@@ -442,6 +444,107 @@ TEST(ServeDispatcher, LintJobPayloadIsCompactJson) {
             nullptr);
 }
 
+// The lint payload embeds LintReport::to_value(); it must dump to the bytes
+// the CLI's pretty to_json() gives once re-serialized through the protocol
+// writer, the lint payload of earlier releases.
+TEST(ServeDispatcher, LintReportValueMatchesTheReparsedJson) {
+  for (const std::string& design :
+       scenario::ScenarioRegistry::global().fixed_names()) {
+    for (const int opt : {0, 1}) {
+      const CompiledDesign compiled(design, opt);
+      lint::LintInput input = lint::LintInput::from_design(
+          *compiled.built.network, compiled.built.info, design);
+      input.composition = compiled.built.composition.get();
+      const lint::LintReport report = lint::run_lint(input, {});
+      EXPECT_EQ(report.to_value().dump(),
+                json::parse(report.to_json()).dump())
+          << design << " opt " << opt;
+    }
+  }
+  // Escaped names, notes and every severity take the same path.
+  lint::LintReport report;
+  report.design = "quote\"back\\slash\ttab\x01";
+  report.checks_run = {"race", "conservation"};
+  report.checks_skipped = {"composition: no record"};
+  report.diagnostics.push_back(
+      {"LINT-RACE-01", lint::Severity::kError, "race", "a \"msg\"", {"n1"}});
+  report.diagnostics.push_back(
+      {"LINT-DEAD-01", lint::Severity::kWarning, "dead", "m", {}});
+  report.diagnostics.push_back(
+      {"LINT-CONS-01", lint::Severity::kInfo, "conservation", "x", {"a", "b"}});
+  EXPECT_EQ(report.to_value().dump(), json::parse(report.to_json()).dump());
+}
+
+// Verify jobs poll their deadline and server shutdown before every case;
+// either stop is a wall-clock outcome, so an uncacheable error.
+TEST(ServeDispatcher, VerifyJobsStopAtTheirDeadlineOrOnShutdown) {
+  const DispatchResult timed_out = run_job(
+      parse_job(job_json(R"("kind":"verify","seeds":32,"deadline_s":1e-6)")),
+      {});
+  EXPECT_FALSE(timed_out.ok);
+  EXPECT_FALSE(timed_out.cacheable);
+  EXPECT_EQ(timed_out.payload, error_response("verify job timeout"));
+
+  // Shutdown lands after the job started: the first poll says "running",
+  // every later one "stopping".
+  std::atomic<int> polls{0};
+  DispatchHooks hooks;
+  hooks.cancelled = [&polls] { return polls++ > 0; };
+  const DispatchResult cancelled =
+      run_job(parse_job(job_json(R"("kind":"verify","seeds":32)")), hooks);
+  EXPECT_FALSE(cancelled.cacheable);
+  EXPECT_EQ(cancelled.payload, cancelled_response());
+}
+
+// ----------------------------------------------------------- run slots --
+
+// Waiters get the one slot strictly in the order they arrived.
+TEST(RunSlots, GrantsSlotsInArrivalOrder) {
+  RunSlots slots(1);
+  ASSERT_TRUE(slots.acquire());
+  std::mutex order_mutex;
+  std::vector<int> order;
+  std::vector<std::thread> waiters;
+  for (int id = 0; id < 4; ++id) {
+    waiters.emplace_back([&, id] {
+      ASSERT_TRUE(slots.acquire());
+      {
+        std::lock_guard lock(order_mutex);
+        order.push_back(id);
+      }
+      slots.release();
+    });
+    // The next waiter arrives only once this one is queued.
+    while (slots.waiting() != static_cast<std::size_t>(id) + 1) {
+      std::this_thread::yield();
+    }
+  }
+  EXPECT_EQ(slots.running(), 1u);
+  slots.release();
+  for (std::thread& waiter : waiters) waiter.join();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(slots.running(), 0u);
+  EXPECT_EQ(slots.waiting(), 0u);
+}
+
+TEST(RunSlots, CloseFailsWaitersUntilOpened) {
+  RunSlots slots(1);
+  ASSERT_TRUE(slots.acquire());
+  std::atomic<int> result{-1};
+  std::thread waiter([&] { result = slots.acquire() ? 1 : 0; });
+  while (slots.waiting() != 1) std::this_thread::yield();
+  slots.close();
+  waiter.join();
+  EXPECT_EQ(result.load(), 0);
+  EXPECT_EQ(slots.waiting(), 0u);
+  EXPECT_FALSE(slots.acquire());
+  slots.release();
+  slots.open();
+  ASSERT_TRUE(slots.acquire());
+  EXPECT_EQ(slots.running(), 1u);
+  slots.release();
+}
+
 // Every smoke-catalog design, every method, both compile levels: a job run
 // against the shared design cache (first a miss, then a hit) returns the
 // bytes of a job that built its own design.
@@ -728,6 +831,15 @@ TEST(ServeServer, StressJobsHonourTheirDeadline) {
   EXPECT_EQ(fixture.stat("cache", "entries"), entries);
 }
 
+TEST(ServeServer, VerifyJobsHonourTheirDeadline) {
+  ServerFixture fixture;
+  const double entries = fixture.stat("cache", "entries");
+  const std::string timed_out = fixture.request_raw(
+      R"({"op":"job","kind":"verify","seeds":32,"deadline_s":1e-6})");
+  EXPECT_EQ(timed_out, error_response("verify job timeout"));
+  EXPECT_EQ(fixture.stat("cache", "entries"), entries);
+}
+
 TEST(ServeServer, BadRequestsGetErrorResponsesAndAreCounted) {
   ServerFixture fixture;
   EXPECT_EQ(fixture.request("not json at all").get_string("status", ""),
@@ -808,6 +920,120 @@ TEST(ServeServer, ConcurrentSubmittersNeverDeadlock) {
   EXPECT_EQ(ok.load() + overload.load(), kThreads * kRequestsPerThread);
   EXPECT_EQ(other.load(), 0);
   EXPECT_GE(ok.load(), kThreads);  // retries aside, plenty must succeed
+}
+
+void wait_for_queue(ServerFixture& fixture, const char* field, double target) {
+  for (int i = 0; i < 500 && fixture.stat("queue", field) != target; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(fixture.stat("queue", field), target) << field;
+}
+
+// An admitted job beyond the run slots waits on its connection thread:
+// stats report it as queue depth, and past workers + queue_capacity the
+// next miss is rejected as overload.
+TEST(ServeServer, JobsBeyondTheSlotsWaitAndCountAsDepth) {
+  ServerOptions options;
+  options.workers = 1;
+  options.queue_capacity = 1;
+  ServerFixture fixture(options);
+
+  std::thread running([&] {
+    Client client("127.0.0.1", fixture.server->port());
+    (void)client.request_raw(R"({"op":"job","kind":"sleep","ms":800})");
+  });
+  wait_for_queue(fixture, "in_flight", 1.0);
+  std::thread waiting([&] {
+    Client client("127.0.0.1", fixture.server->port());
+    (void)client.request_raw(R"({"op":"job","kind":"sleep","ms":1})");
+  });
+  wait_for_queue(fixture, "depth", 1.0);
+  EXPECT_EQ(fixture.stat("queue", "in_flight"), 1.0);
+  EXPECT_EQ(fixture.request_raw(kSimRequest), overload_response());
+  running.join();
+  waiting.join();
+  EXPECT_EQ(fixture.stat("queue", "depth"), 0.0);
+  EXPECT_EQ(fixture.stat("queue", "in_flight"), 0.0);
+}
+
+// Over the wire, too, the waiter that arrived first runs first: the long
+// sleep queued first must finish before the short one queued after it.
+TEST(ServeServer, WaitingJobsRunInArrivalOrder) {
+  ServerOptions options;
+  options.workers = 1;
+  options.queue_capacity = 2;
+  ServerFixture fixture(options);
+
+  std::mutex order_mutex;
+  std::vector<int> order;
+  auto sleeper = [&](int id, int ms) {
+    return std::thread([&, id, ms] {
+      Client client("127.0.0.1", fixture.server->port());
+      (void)client.request_raw(R"({"op":"job","kind":"sleep","ms":)" +
+                               std::to_string(ms) + "}");
+      std::lock_guard lock(order_mutex);
+      order.push_back(id);
+    });
+  };
+  std::thread first = sleeper(0, 400);
+  wait_for_queue(fixture, "in_flight", 1.0);
+  std::thread second = sleeper(1, 300);
+  wait_for_queue(fixture, "depth", 1.0);
+  std::thread third = sleeper(2, 1);
+  wait_for_queue(fixture, "depth", 2.0);
+  first.join();
+  second.join();
+  third.join();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// stop() fails a job waiting for a slot with the cancelled error a running
+// job gives, and joins without waiting out the running sleep. stop() shuts
+// the sockets too, so a client may see its connection close instead of the
+// answer; the final stats show both jobs answered as failed.
+TEST(ServeServer, StopAnswersSlotWaitersWithTheCancelledError) {
+  ServerOptions options;
+  options.workers = 1;
+  options.queue_capacity = 1;
+  ServerFixture fixture(options);
+
+  auto sleeper = [&](std::string& answer) {
+    return std::thread([&] {
+      try {
+        Client client("127.0.0.1", fixture.server->port());
+        answer = client.request_raw(
+            R"({"op":"job","kind":"sleep","ms":30000})");
+      } catch (const std::exception&) {
+        answer = "torn";  // stop() may shut the socket before the answer
+      }
+    });
+  };
+  std::string running_answer;
+  std::string waiting_answer;
+  std::thread running = sleeper(running_answer);
+  wait_for_queue(fixture, "in_flight", 1.0);
+  std::thread waiting = sleeper(waiting_answer);
+  wait_for_queue(fixture, "depth", 1.0);
+
+  const auto start = std::chrono::steady_clock::now();
+  fixture.server->stop();
+  const double stop_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  running.join();
+  waiting.join();
+  EXPECT_LT(stop_seconds, 5.0);
+  for (const std::string* answer : {&running_answer, &waiting_answer}) {
+    if (*answer != "torn") {
+      EXPECT_EQ(*answer, cancelled_response());
+    }
+  }
+  const json::Value stats = json::parse(fixture.server->stats_payload());
+  const json::Value& sleeps = *stats.find("latency")->find("sleep");
+  EXPECT_EQ(sleeps.find("ok")->as_number(), 0.0);
+  EXPECT_EQ(sleeps.find("failed")->as_number(), 2.0);
+  EXPECT_EQ(stats.find("queue")->find("depth")->as_number(), 0.0);
+  EXPECT_EQ(stats.find("queue")->find("in_flight")->as_number(), 0.0);
 }
 
 // --------------------------------------------- framing-fault regressions --
