@@ -102,13 +102,13 @@ ChaosProxy::ChaosProxy(Endpoint upstream, ChaosFaults faults,
 ChaosProxy::~ChaosProxy() { stop(); }
 
 void ChaosProxy::start(const std::string& host, std::uint16_t port) {
-  stopping_.store(false);
+  stopped_.store(false);
   listener_ = serve::listen_on(host, port, port_);
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
 void ChaosProxy::stop() {
-  if (stopping_.exchange(true)) return;
+  if (stopped_.exchange(true)) return;
   // shutdown_both() wakes the blocked accept without touching fd_; close()
   // must wait until the accept thread is joined because accept_loop reads
   // listener_.fd() concurrently.
@@ -131,7 +131,7 @@ void ChaosProxy::stop() {
 }
 
 void ChaosProxy::accept_loop() {
-  while (!stopping_.load()) {
+  while (!stopped_.load()) {
     serve::Socket accepted = serve::accept_on(listener_.fd());
     if (!accepted.valid()) break;  // listener shut down
     const std::uint64_t index = connections_.fetch_add(1);

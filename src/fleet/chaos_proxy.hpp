@@ -87,7 +87,7 @@ class ChaosProxy {
   serve::Socket listener_;
   std::uint16_t port_ = 0;
   std::thread accept_thread_;
-  std::atomic<bool> stopping_{false};
+  std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> connections_{0};
   std::mutex links_mutex_;
   std::vector<std::unique_ptr<Link>> links_;

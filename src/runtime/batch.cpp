@@ -19,6 +19,20 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// The steppers' abort hook: stop on request or, when `timeout_seconds` is
+/// positive, once that long has passed from now. `stop` must outlive it.
+std::function<bool()> abort_hook(const std::stop_token& stop,
+                                 double timeout_seconds) {
+  const bool has_deadline = timeout_seconds > 0.0;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(timeout_seconds));
+  return [&stop, has_deadline, deadline] {
+    return stop.stop_requested() ||
+           (has_deadline && Clock::now() >= deadline);
+  };
+}
+
 }  // namespace
 
 const char* to_string(JobStatus status) {
@@ -43,7 +57,8 @@ BatchRunner::BatchRunner(BatchOptions options) : options_(options) {
   }
 }
 
-JobResult BatchRunner::execute(const SimJob& job) const {
+JobResult BatchRunner::execute(const SimJob& job,
+                               const std::stop_token& stop) const {
   JobResult result;
   result.label = job.label;
   if (job.kind == SimKind::kSsa) result.seed = job.ssa.seed;
@@ -52,32 +67,23 @@ JobResult BatchRunner::execute(const SimJob& job) const {
     result.error = "SimJob has no network";
     return result;
   }
-  if (cancel_requested()) {
+  if (stop.stop_requested()) {
     result.status = JobStatus::kCancelled;
     return result;
   }
 
   const Clock::time_point start = Clock::now();
   if (options_.retry.max_attempts > 1) {
-    execute_with_retry(job, result);
+    execute_with_retry(job, stop, result);
     result.wall_seconds = seconds_since(start);
     return result;
   }
-
-  const bool has_deadline = options_.timeout_seconds > 0.0;
-  const Clock::time_point deadline =
-      start + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(options_.timeout_seconds));
-  // Shared by both steppers: stop on cancel or (if armed) on the deadline.
-  auto abort_hook = [this, has_deadline, deadline] {
-    return cancel_requested() || (has_deadline && Clock::now() >= deadline);
-  };
 
   bool aborted = false;
   try {
     if (job.kind == SimKind::kOde) {
       sim::OdeOptions ode = job.ode;
-      ode.abort = abort_hook;
+      ode.abort = abort_hook(stop, options_.timeout_seconds);
       std::vector<double> initial =
           job.initial.empty() ? job.network->initial_state() : job.initial;
       sim::OdeResult run =
@@ -94,7 +100,7 @@ JobResult BatchRunner::execute(const SimJob& job) const {
       }
     } else {
       sim::SsaOptions ssa = job.ssa;
-      ssa.abort = abort_hook;
+      ssa.abort = abort_hook(stop, options_.timeout_seconds);
       sim::SsaResult run;
       if (job.compiled != nullptr) {
         std::vector<double> initial =
@@ -122,13 +128,14 @@ JobResult BatchRunner::execute(const SimJob& job) const {
   }
   result.wall_seconds = seconds_since(start);
   if (aborted) {
-    result.status = cancel_requested() ? JobStatus::kCancelled
-                                       : JobStatus::kTimeout;
+    result.status = stop.stop_requested() ? JobStatus::kCancelled
+                                          : JobStatus::kTimeout;
   }
   return result;
 }
 
 void BatchRunner::execute_with_retry(const SimJob& job,
+                                     const std::stop_token& stop,
                                      JobResult& result) const {
   const RetryPolicy& retry = options_.retry;
   sim::FallbackOptions fallback;
@@ -141,16 +148,8 @@ void BatchRunner::execute_with_retry(const SimJob& job,
   fallback.sleep = retry.sleep;
   // Each attempt gets a fresh deadline so a transient timeout is actually
   // worth retrying; cancellation still lands at the next poll point.
-  const bool has_deadline = options_.timeout_seconds > 0.0;
-  const double timeout = options_.timeout_seconds;
-  fallback.make_abort = [this, has_deadline,
-                         timeout]() -> std::function<bool()> {
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(timeout));
-    return [this, has_deadline, deadline] {
-      return cancel_requested() || (has_deadline && Clock::now() >= deadline);
-    };
+  fallback.make_abort = [&stop, timeout = options_.timeout_seconds] {
+    return abort_hook(stop, timeout);
   };
 
   sim::FallbackResult run;
@@ -179,8 +178,8 @@ void BatchRunner::execute_with_retry(const SimJob& job,
     return;
   }
   if (run.failure.kind == sim::SimFailureKind::kDeadline) {
-    result.status = cancel_requested() ? JobStatus::kCancelled
-                                       : JobStatus::kTimeout;
+    result.status = stop.stop_requested() ? JobStatus::kCancelled
+                                          : JobStatus::kTimeout;
   } else {
     // Deterministic failure on every rung it reached: set the job aside.
     result.status = JobStatus::kQuarantined;
@@ -189,10 +188,11 @@ void BatchRunner::execute_with_retry(const SimJob& job,
                  run.failure.detail;
 }
 
-std::vector<JobResult> BatchRunner::run(std::span<const SimJob> jobs) {
+std::vector<JobResult> BatchRunner::run(std::span<const SimJob> jobs,
+                                        std::stop_token stop) {
   std::vector<JobResult> results(jobs.size());
   for_each_index(jobs.size(),
-                 [&](std::size_t i) { results[i] = execute(jobs[i]); });
+                 [&](std::size_t i) { results[i] = execute(jobs[i], stop); });
   return results;
 }
 

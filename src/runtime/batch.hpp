@@ -12,18 +12,18 @@
 // identical to a 1-worker run — scheduling only changes wall time. Derive
 // per-job seeds with `util::Rng::stream_seed(base_seed, index)`.
 //
-// Cancellation contract: `cancel()` (any thread) and per-job deadlines are
-// cooperative. They are plumbed into the ODE/SSA steppers through the
-// `abort` hook on their options; an in-flight job stops at the next poll
-// point and reports kCancelled/kTimeout, jobs not yet started report
-// kCancelled without running. Jobs that finish before the deadline are never
-// retroactively failed.
+// Cancellation contract: the `std::stop_token` passed to `run` (stopped
+// from any thread) and per-job deadlines are cooperative. They are plumbed
+// into the ODE/SSA steppers through the `abort` hook on their options; an
+// in-flight job stops at the next poll point and reports kCancelled/kTimeout,
+// jobs not yet started report kCancelled without running. Jobs that finish
+// before the deadline are never retroactively failed.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <stop_token>
 #include <string>
 #include <vector>
 
@@ -59,7 +59,7 @@ enum class JobStatus : std::uint8_t {
   kOk,
   kFailed,       ///< the stepper threw; see `error`
   kTimeout,      ///< the per-job deadline fired
-  kCancelled,    ///< BatchRunner::cancel() stopped or skipped the job
+  kCancelled,    ///< the run's stop token stopped or skipped the job
   kQuarantined,  ///< failed deterministically on every fallback rung; the
                  ///< job is reported and set aside, the campaign continues
 };
@@ -122,8 +122,12 @@ class BatchRunner {
   explicit BatchRunner(BatchOptions options = {});
 
   /// Executes every job and returns results in job order. `threads == 1`
-  /// runs serially on the calling thread (no pool, no locks).
-  [[nodiscard]] std::vector<JobResult> run(std::span<const SimJob> jobs);
+  /// runs serially on the calling thread (no pool, no locks). Once `stop`
+  /// is requested (from any thread), running jobs stop at their next poll
+  /// point and the rest are skipped, all reporting kCancelled; the default
+  /// token never stops.
+  [[nodiscard]] std::vector<JobResult> run(std::span<const SimJob> jobs,
+                                           std::stop_token stop = {});
 
   /// Deterministic parallel-for over `count` indices: `fn(i)` runs exactly
   /// once per index, distributed over the pool (or inline when threads == 1).
@@ -132,24 +136,15 @@ class BatchRunner {
   void for_each_index(std::size_t count,
                       const std::function<void(std::size_t)>& fn);
 
-  /// Requests cooperative cancellation of the current/next `run`. Safe to
-  /// call from any thread (e.g. a signal handler thread or a watchdog).
-  void cancel() { cancel_.store(true, std::memory_order_relaxed); }
-  [[nodiscard]] bool cancel_requested() const {
-    return cancel_.load(std::memory_order_relaxed);
-  }
-  /// Re-arms the runner after a cancelled run.
-  void reset_cancel() { cancel_.store(false, std::memory_order_relaxed); }
-
   [[nodiscard]] const BatchOptions& options() const { return options_; }
 
  private:
-  JobResult execute(const SimJob& job) const;
+  JobResult execute(const SimJob& job, const std::stop_token& stop) const;
   /// Ladder-backed path used when options_.retry.max_attempts > 1.
-  void execute_with_retry(const SimJob& job, JobResult& result) const;
+  void execute_with_retry(const SimJob& job, const std::stop_token& stop,
+                          JobResult& result) const;
 
   BatchOptions options_;
-  std::atomic<bool> cancel_{false};
 };
 
 }  // namespace mrsc::runtime

@@ -20,7 +20,7 @@ ThreadPool::ThreadPool(std::size_t workers) {
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard lock(mutex_);
-    stopping_ = true;
+    shutting_down_ = true;
   }
   work_available_.notify_all();
   for (std::thread& worker : workers_) worker.join();
@@ -53,8 +53,8 @@ void ThreadPool::worker_loop() {
   std::unique_lock lock(mutex_);
   while (true) {
     work_available_.wait(lock,
-                         [this] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) break;  // stopping_ && drained
+                         [this] { return shutting_down_ || !queue_.empty(); });
+    if (queue_.empty()) break;  // shutting_down_ && drained
     std::function<void()> task = std::move(queue_.front());
     queue_.pop_front();
     ++in_flight_;

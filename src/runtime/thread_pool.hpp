@@ -64,7 +64,7 @@ class ThreadPool {
   std::condition_variable idle_;
   std::deque<std::function<void()>> queue_;
   std::size_t in_flight_ = 0;  // tasks popped but not yet finished
-  bool stopping_ = false;
+  bool shutting_down_ = false;
   std::vector<std::thread> workers_;
 };
 

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/method.hpp"
 #include "util/strings.hpp"
 
 namespace mrsc::scenario {
@@ -95,8 +96,7 @@ void parse_sim(std::size_t line, std::string_view body, SimBudget& sim) {
   for (const Token& token : tokenize(body)) {
     const std::string value = require_value(line, token);
     if (token.key == "method") {
-      if (value != "dp45" && value != "rk4" && value != "be" &&
-          value != "ssa" && value != "nrm" && value != "tau") {
+      if (!sim::parse_method(value)) {
         fail(line, "key 'method': unknown method '" + value +
                        "' (expected dp45|rk4|be|ssa|nrm|tau)");
       }

@@ -1,17 +1,22 @@
 #include "serve/dispatcher.hpp"
 
 #include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <stdexcept>
-#include <thread>
+#include <string_view>
+#include <variant>
 
 #include "core/network.hpp"
 #include "lint/lint.hpp"
 #include "runtime/batch.hpp"
 #include "scenario/registry.hpp"
 #include "serve/design_cache.hpp"
+#include "sim/method.hpp"
 #include "stress/campaign.hpp"
 #include "util/strings.hpp"
 #include "verify/verify.hpp"
@@ -41,13 +46,9 @@ std::uint64_t u64_field(const util::json::Value& v, const std::string& key,
   return *value;
 }
 
-bool is_ode_method(const std::string& method) {
-  return method == "ode" || method == "dp45" || method == "rk4" ||
-         method == "be";
-}
-
-bool is_ssa_method(const std::string& method) {
-  return method == "ssa" || method == "nrm" || method == "tau";
+/// The sim method table's names, plus serve's `ode` for dp45.
+std::optional<sim::SimMethod> sim_method(std::string_view name) {
+  return sim::parse_method(name == "ode" ? "dp45" : name);
 }
 
 std::string intensities_csv(const std::vector<double>& intensities) {
@@ -117,8 +118,7 @@ JobRequest parse_job(const util::json::Value& request) {
   job.opt = static_cast<int>(opt);
 
   job.method = request.get_string("method", job.method);
-  if (job.kind == JobKind::kSim && !is_ode_method(job.method) &&
-      !is_ssa_method(job.method)) {
+  if (job.kind == JobKind::kSim && !sim_method(job.method)) {
     reject("unknown method '" + job.method +
            "' (expected ode|dp45|rk4|be|ssa|nrm|tau)");
   }
@@ -189,6 +189,7 @@ JobRequest parse_job(const util::json::Value& request) {
     reject("field 'deadline_s' must be in [0, " +
            number_to_string(kMaxDeadline) + "]");
   }
+  if (job.deadline_s == 0.0) job.deadline_s = kMaxDeadline;
   return job;
 }
 
@@ -285,19 +286,6 @@ std::string catalog_response() {
 
 namespace {
 
-/// RAII registration of the job's BatchRunner with the server's cancel set.
-struct RunnerScope {
-  const DispatchHooks& hooks;
-  runtime::BatchRunner* runner;
-  RunnerScope(const DispatchHooks& h, runtime::BatchRunner* r)
-      : hooks(h), runner(r) {
-    if (hooks.runner_started) hooks.runner_started(runner);
-  }
-  ~RunnerScope() {
-    if (hooks.runner_finished) hooks.runner_finished(runner);
-  }
-};
-
 std::string payload_header(const JobRequest& request) {
   return "{\"status\":\"ok\",\"kind\":\"" +
          std::string(to_string(request.kind)) +
@@ -320,44 +308,29 @@ DispatchResult run_sim(const JobRequest& request,
   runtime::SimJob job;
   job.network = design->built.network;
   job.compiled = &design->system;
-  if (is_ode_method(request.method)) {
+  const sim::SimMethod method = sim_method(request.method).value();
+  if (const auto* ode_method = std::get_if<sim::OdeMethod>(&method)) {
     job.kind = runtime::SimKind::kOde;
     job.ode.t_end = request.t_end;
     job.ode.record_interval = request.record;
-    if (request.method == "rk4") {
-      job.ode.method = sim::OdeMethod::kRk4Fixed;
-    } else if (request.method == "be") {
-      job.ode.method = sim::OdeMethod::kBackwardEuler;
-    } else {
-      job.ode.method = sim::OdeMethod::kDormandPrince45;
-    }
+    job.ode.method = *ode_method;
   } else {
     job.kind = runtime::SimKind::kSsa;
     job.ssa.t_end = request.t_end;
     job.ssa.seed = request.seed;
     job.ssa.omega = request.omega;
     job.ssa.record_interval = request.record;
-    if (request.method == "ssa") {
-      job.ssa.method = sim::SsaMethod::kDirect;
-    } else if (request.method == "tau") {
-      job.ssa.method = sim::SsaMethod::kTauLeaping;
-    } else {
-      job.ssa.method = sim::SsaMethod::kNextReaction;
-    }
+    job.ssa.method = std::get<sim::SsaMethod>(method);
   }
 
-  runtime::BatchOptions batch;
-  batch.threads = 1;
-  batch.timeout_seconds =
-      request.deadline_s > 0.0 ? request.deadline_s : kMaxDeadline;
-  runtime::BatchRunner runner(batch);
-  const RunnerScope scope(hooks, &runner);
-  if (hooks.cancelled && hooks.cancelled()) {
+  runtime::BatchRunner runner(
+      {.threads = 1, .timeout_seconds = request.deadline_s});
+  const std::vector<runtime::JobResult> results =
+      runner.run(std::span<const runtime::SimJob>(&job, 1), hooks.stop);
+  const runtime::JobResult& result = results.front();
+  if (result.status == runtime::JobStatus::kCancelled) {
     return {cancelled_response(), false, false};
   }
-  const std::vector<runtime::JobResult> results =
-      runner.run(std::span<const runtime::SimJob>(&job, 1));
-  const runtime::JobResult& result = results.front();
   if (result.status != runtime::JobStatus::kOk) {
     std::string message = std::string("sim job ") +
                           runtime::to_string(result.status);
@@ -393,20 +366,18 @@ DispatchResult run_sim(const JobRequest& request,
 std::function<bool()> abort_hook(const JobRequest& request,
                                  const DispatchHooks& hooks) {
   using Clock = std::chrono::steady_clock;
-  const double deadline_s =
-      request.deadline_s > 0.0 ? request.deadline_s : kMaxDeadline;
   const Clock::time_point deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(deadline_s));
+                         std::chrono::duration<double>(request.deadline_s));
   return [&hooks, deadline] {
-    return (hooks.cancelled && hooks.cancelled()) || Clock::now() >= deadline;
+    return hooks.stop.stop_requested() || Clock::now() >= deadline;
   };
 }
 
 /// The answer of a job its abort_hook stopped: a wall-clock outcome, so an
 /// uncacheable error.
 DispatchResult aborted_result(const DispatchHooks& hooks, const char* kind) {
-  if (hooks.cancelled && hooks.cancelled()) {
+  if (hooks.stop.stop_requested()) {
     return {cancelled_response(), false, false};
   }
   return {error_response(std::string(kind) + " job timeout"), false, false};
@@ -414,9 +385,6 @@ DispatchResult aborted_result(const DispatchHooks& hooks, const char* kind) {
 
 DispatchResult run_verify(const JobRequest& request,
                           const DispatchHooks& hooks) {
-  if (hooks.cancelled && hooks.cancelled()) {
-    return {cancelled_response(), false, false};
-  }
   verify::VerifyOptions options;
   options.seeds = request.seeds;
   options.start_seed = request.start_seed;
@@ -463,9 +431,6 @@ DispatchResult run_verify(const JobRequest& request,
 
 DispatchResult run_lint_job(const JobRequest& request,
                             const DispatchHooks& hooks) {
-  if (hooks.cancelled && hooks.cancelled()) {
-    return {cancelled_response(), false, false};
-  }
   const std::shared_ptr<const CompiledDesign> design =
       design_for(request, hooks);
   lint::LintInput input = lint::LintInput::from_design(
@@ -486,9 +451,6 @@ DispatchResult run_lint_job(const JobRequest& request,
 
 DispatchResult run_stress(const JobRequest& request,
                           const DispatchHooks& hooks) {
-  if (hooks.cancelled && hooks.cancelled()) {
-    return {cancelled_response(), false, false};
-  }
   const std::optional<stress::FaultKind> fault =
       stress::parse_fault_kind(request.fault);
   if (!fault) reject("unknown fault kind '" + request.fault + "'");
@@ -533,14 +495,13 @@ DispatchResult run_stress(const JobRequest& request,
 
 DispatchResult run_sleep(const JobRequest& request,
                          const DispatchHooks& hooks) {
-  bool cancelled = false;
-  if (hooks.sleep_wait) {
-    cancelled = hooks.sleep_wait(request.sleep_ms);
-  } else {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(request.sleep_ms));
-  }
-  if (cancelled) {
+  std::mutex mutex;
+  std::condition_variable_any woken;
+  std::unique_lock lock(mutex);
+  if (woken.wait_for(lock, hooks.stop,
+                     std::chrono::duration<double, std::milli>(
+                         request.sleep_ms),
+                     [&hooks] { return hooks.stop.stop_requested(); })) {
     return {cancelled_response(), false, false};
   }
   std::string out = payload_header(request);
@@ -554,6 +515,9 @@ DispatchResult run_sleep(const JobRequest& request,
 
 DispatchResult run_job(const JobRequest& request,
                        const DispatchHooks& hooks) {
+  if (hooks.stop.stop_requested()) {
+    return {cancelled_response(), false, false};
+  }
   try {
     switch (request.kind) {
       case JobKind::kSim:

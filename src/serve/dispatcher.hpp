@@ -12,18 +12,19 @@
 // canonical key — no wall-clock times, no thread counts, no machine names
 // ever appear in it. Wall-clock results (timeouts, cancellations) are
 // reported as status "error" and are never cached.
+//
+// Stopping: every job kind watches one `std::stop_token` (DispatchHooks::
+// stop). A sim passes it to its BatchRunner, verify and stress poll it with
+// their deadline, a sleep waits on it; a stopped job of any kind answers
+// cancelled_response().
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <stop_token>
 #include <string>
 #include <vector>
 
 #include "util/json.hpp"
-
-namespace mrsc::runtime {
-class BatchRunner;
-}
 
 namespace mrsc::serve {
 
@@ -46,7 +47,8 @@ struct JobRequest {
   int opt = 0;  ///< compile pipeline level (0 or 1) for sim/lint
 
   // sim
-  std::string method = "nrm";  ///< ode|dp45|rk4|be|ssa|nrm|tau
+  /// ode|dp45|rk4|be|ssa|nrm|tau (sim/method.hpp; `ode` runs dp45)
+  std::string method = "nrm";
   double t_end = 5.0;
   double omega = 200.0;
   double record = 0.0;  ///< sampling interval; 0 -> t_end / 50
@@ -70,10 +72,10 @@ struct JobRequest {
   // sleep
   double sleep_ms = 0.0;
 
-  /// Per-job deadline in seconds; 0 means the server maximum (600 s), so
-  /// no request can hold a worker unbounded. Deliberately *not* part of the
-  /// canonical key: it changes whether a job completes, never what a
-  /// completed job returns.
+  /// Per-job deadline in seconds, in (0, 600]: parse_job resolves a
+  /// request's 0 to the server maximum, so no request can hold a worker
+  /// unbounded. Deliberately *not* part of the canonical key: it changes
+  /// whether a job completes, never what a completed job returns.
   double deadline_s = 30.0;
 };
 
@@ -89,17 +91,11 @@ struct JobRequest {
 /// payload serializer renders them. Documented in docs/SERVE.md.
 [[nodiscard]] std::string canonical_key(const JobRequest& request);
 
-/// Execution environment the server provides to a job.
+/// Execution environment the server provides to a job. Default-constructed
+/// hooks (tests, `run_job(job, {})`) never stop and build private designs.
 struct DispatchHooks {
-  /// Server shutdown flag; long jobs poll it cooperatively.
-  std::function<bool()> cancelled;
-  /// Registry for the job's BatchRunner so Server::stop can cancel() it.
-  /// Both may be null (tests drive jobs without a server).
-  std::function<void(runtime::BatchRunner*)> runner_started;
-  std::function<void(runtime::BatchRunner*)> runner_finished;
-  /// Interruptible wait for sleep jobs; returns true when woken early by
-  /// shutdown. Null falls back to an uninterruptible wait.
-  std::function<bool(double ms)> sleep_wait;
+  /// Server shutdown; every job kind watches it cooperatively.
+  std::stop_token stop;
   /// The server's compiled-design cache (design_cache.hpp), the only
   /// source of sim and lint designs. Null builds a private entry per job
   /// through the same CompiledDesign constructor.

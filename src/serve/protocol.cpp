@@ -48,6 +48,10 @@ void Socket::shutdown_both() const {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
+void Socket::shutdown_read() const {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
+}
+
 void Socket::close() {
   if (fd_ >= 0) {
     ::close(fd_);

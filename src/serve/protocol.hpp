@@ -52,6 +52,9 @@ class Socket {
   /// shutdown(SHUT_RDWR): unblocks a peer thread stuck in read/write
   /// without racing fd reuse the way close() would.
   void shutdown_both() const;
+  /// shutdown(SHUT_RD): a peer thread blocked in read sees EOF, and the
+  /// write side stays open.
+  void shutdown_read() const;
   void close();
 
  private:

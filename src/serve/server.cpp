@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "runtime/batch.hpp"
-
 namespace mrsc::serve {
 
 namespace {
@@ -26,90 +24,52 @@ ServerOptions resolve_workers(ServerOptions options) {
 
 }  // namespace
 
-bool RunSlots::acquire() {
+RunSlots::Entry RunSlots::enter(const std::stop_token& stop) {
   std::unique_lock lock(mutex_);
-  if (closed_) return false;
+  if (stop.stop_requested()) return Entry::kStopped;
+  if (counts_.running + counts_.waiting >= capacity_) return Entry::kOverload;
   const std::uint64_t ticket = next_ticket_++;
-  const std::uint64_t closes = closes_;
-  ++waiting_;
-  cv_.wait(lock, [&] {
-    return closes_ != closes || (ticket == serving_ && running_ < slots_);
+  ++counts_.waiting;
+  const bool turn = cv_.wait(lock, stop, [&] {
+    return ticket == serving_ && counts_.running < slots_;
   });
-  --waiting_;
-  if (closes_ != closes) return false;
+  --counts_.waiting;
+  if (!turn) return Entry::kStopped;
   ++serving_;
-  ++running_;
+  ++counts_.running;
   // The next ticket may find a slot free too; it re-checks only when woken.
-  if (waiting_ > 0 && running_ < slots_) cv_.notify_all();
-  return true;
+  if (counts_.waiting > 0 && counts_.running < slots_) cv_.notify_all();
+  return Entry::kRun;
 }
 
 void RunSlots::release() {
   {
     std::lock_guard lock(mutex_);
-    --running_;
+    --counts_.running;
   }
   cv_.notify_all();
 }
 
-void RunSlots::close() {
-  {
-    std::lock_guard lock(mutex_);
-    closed_ = true;
-    ++closes_;
-  }
-  cv_.notify_all();
-}
-
-void RunSlots::open() {
+RunSlots::Counts RunSlots::counts() const {
   std::lock_guard lock(mutex_);
-  closed_ = false;
-  // Tickets handed out before the close never take their turn.
-  serving_ = next_ticket_;
-}
-
-std::size_t RunSlots::waiting() const {
-  std::lock_guard lock(mutex_);
-  return waiting_;
-}
-
-std::size_t RunSlots::running() const {
-  std::lock_guard lock(mutex_);
-  return running_;
+  return counts_;
 }
 
 Server::Server(ServerOptions options)
     : options_(resolve_workers(std::move(options))),
       cache_(options_.cache_entries, options_.cache_bytes),
       stats_({"sim", "verify", "lint", "stress", "sleep"}),
-      slots_(options_.workers) {
-  hooks_.designs = &designs_;
-  hooks_.cancelled = [this] { return stopping_.load(); };
-  hooks_.runner_started = [this](runtime::BatchRunner* runner) {
-    std::lock_guard lock(runners_mutex_);
-    runners_.insert(runner);
-    // A stop that raced the registration still lands: cancel directly.
-    if (stopping_.load()) runner->cancel();
-  };
-  hooks_.runner_finished = [this](runtime::BatchRunner* runner) {
-    std::lock_guard lock(runners_mutex_);
-    runners_.erase(runner);
-  };
-  hooks_.sleep_wait = [this](double ms) {
-    std::unique_lock lock(sleep_mutex_);
-    return sleep_cv_.wait_for(
-        lock, std::chrono::duration<double, std::milli>(ms),
-        [this] { return stopping_.load(); });
-  };
-}
+      hooks_{stop_.get_token(), &designs_},
+      slots_(options_.workers, options_.queue_capacity) {}
 
 Server::~Server() { stop(); }
 
 void Server::start() {
   if (running_.load()) throw std::runtime_error("server already running");
-  stopping_.store(false);
+  if (stop_.stop_requested()) {
+    throw std::runtime_error("server is single-use: start() after stop()");
+  }
   listener_ = listen_on(options_.host, options_.port, port_);
-  slots_.open();
   started_at_ = std::chrono::steady_clock::now();
   running_.store(true);
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -117,38 +77,40 @@ void Server::start() {
 
 void Server::stop() {
   if (!running_.exchange(false)) return;
-  stopping_.store(true);
-  {
-    std::lock_guard lock(runners_mutex_);
-    for (runtime::BatchRunner* runner : runners_) runner->cancel();
-  }
-  sleep_cv_.notify_all();
-  slots_.close();
+  stop_.request_stop();
   // shutdown_both() wakes the blocked accept without touching fd_; close()
   // must wait until the accept thread is joined because accept_loop reads
   // listener_.fd() concurrently.
   listener_.shutdown_both();
-  {
-    std::lock_guard lock(connections_mutex_);
-    for (const auto& connection : connections_) {
-      connection->socket.shutdown_both();
-    }
-  }
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.close();
+  // No connection is added from here on. Shutting the read side ends idle
+  // connections at once (their read sees EOF) and leaves busy ones the
+  // write side for their cancelled answer; one whose peer has not taken
+  // the answer within the grace period is shut both ways.
+  std::vector<std::unique_ptr<Connection>> connections;
   {
-    std::lock_guard lock(connections_mutex_);
+    std::unique_lock lock(connections_mutex_);
     for (const auto& connection : connections_) {
-      if (connection->thread.joinable()) connection->thread.join();
+      connection->socket.shutdown_read();
     }
-    connections_.clear();
+    connection_ended_.wait_for(lock, kStopGrace, [this] {
+      return std::all_of(
+          connections_.begin(), connections_.end(),
+          [](const auto& connection) { return connection->done; });
+    });
+    for (const auto& connection : connections_) {
+      if (!connection->done) connection->socket.shutdown_both();
+    }
+    connections.swap(connections_);
   }
+  for (const auto& connection : connections) connection->thread.join();
 }
 
 void Server::reap_finished_connections() {
   std::lock_guard lock(connections_mutex_);
   for (auto it = connections_.begin(); it != connections_.end();) {
-    if ((*it)->done.load() && (*it)->thread.joinable()) {
+    if ((*it)->done) {
       (*it)->thread.join();
       it = connections_.erase(it);
     } else {
@@ -158,12 +120,13 @@ void Server::reap_finished_connections() {
 }
 
 void Server::accept_loop() {
-  while (!stopping_.load()) {
+  while (!stop_.stop_requested()) {
     Socket accepted = accept_on(listener_.fd());
     if (!accepted.valid()) break;  // listener shut down
     reap_finished_connections();
     std::lock_guard lock(connections_mutex_);
-    if (stopping_.load() || connections_.size() >= options_.max_connections) {
+    if (stop_.stop_requested() ||
+        connections_.size() >= options_.max_connections) {
       continue;  // drop: accepted socket closes on scope exit
     }
     auto connection = std::make_unique<Connection>();
@@ -178,7 +141,7 @@ void Server::serve_connection(Connection& connection) {
   const int fd = connection.socket.fd();
   std::string request;
   try {
-    while (!stopping_.load() && read_frame(fd, request)) {
+    while (!stop_.stop_requested() && read_frame(fd, request)) {
       write_frame(fd, handle_request(request));
     }
   } catch (const ProtocolError&) {
@@ -187,13 +150,17 @@ void Server::serve_connection(Connection& connection) {
     // per-connection error: count it, drop this connection, and leave the
     // accept loop (and every other connection) untouched. During shutdown
     // the torn IO is expected, not a peer fault.
-    if (!stopping_.load()) stats_.record_connection_error();
+    if (!stop_.stop_requested()) stats_.record_connection_error();
   } catch (const std::exception&) {
     // Non-protocol failure (allocation, handler bug): likewise confined to
     // this connection.
-    if (!stopping_.load()) stats_.record_connection_error();
+    if (!stop_.stop_requested()) stats_.record_connection_error();
   }
-  connection.done.store(true);
+  {
+    std::lock_guard lock(connections_mutex_);
+    connection.done = true;
+  }
+  connection_ended_.notify_all();
 }
 
 std::string Server::handle_request(const std::string& payload) {
@@ -254,31 +221,23 @@ std::string Server::handle_job(const util::json::Value& request) {
     }
   }
 
-  // Exact admission control: admitted-but-unfinished jobs may not exceed
-  // workers + queue_capacity. Beyond that the only honest answer is an
-  // immediate, deterministic overload rejection.
-  {
-    std::lock_guard lock(admission_mutex_);
-    if (admitted_ >= options_.workers + options_.queue_capacity) {
+  // Exact admission control: past workers + queue_capacity jobs waiting
+  // or running, the only honest answer is an immediate, deterministic
+  // overload rejection. An admitted job runs here, on its connection's
+  // thread, once a run slot is free; a stop fails the wait with the
+  // cancelled answer a running job gives.
+  DispatchResult result;
+  switch (slots_.enter(hooks_.stop)) {
+    case RunSlots::Entry::kOverload:
       stats_.record_overload();
       return overload_response();
-    }
-    ++admitted_;
-  }
-
-  // The admitted job runs here, on its connection's thread, once a run slot
-  // is free; stop() fails the wait with the cancelled answer a running job
-  // gives.
-  DispatchResult result;
-  if (slots_.acquire()) {
-    result = run_job(job, hooks_);
-    slots_.release();
-  } else {
-    result = {cancelled_response(), false, false};
-  }
-  {
-    std::lock_guard lock(admission_mutex_);
-    --admitted_;
+    case RunSlots::Entry::kStopped:
+      result = {cancelled_response(), false, false};
+      break;
+    case RunSlots::Entry::kRun:
+      result = run_job(job, hooks_);
+      slots_.release();
+      break;
   }
   if (result.ok && result.cacheable && use_cache) {
     cache_.put(key, result.payload);
@@ -289,8 +248,7 @@ std::string Server::handle_job(const util::json::Value& request) {
 
 std::string Server::health_payload() const {
   std::string out = R"({"status":"ok","accepting":)";
-  out += running_.load() && !stopping_.load() && !draining_.load() ? "true"
-                                                                   : "false";
+  out += running_.load() && !draining_.load() ? "true" : "false";
   out += ",\"draining\":";
   out += draining_.load() ? "true" : "false";
   out += ",\"shard_id\":" + util::json::quote(options_.shard_id);
@@ -308,9 +266,10 @@ std::string Server::stats_payload() const {
   out += draining_.load() ? "true" : "false";
   out += ",\"uptime_seconds\":" +
          util::json::number_to_string(seconds_since(started_at_));
+  const RunSlots::Counts queue = slots_.counts();
   out += ",\"queue\":{";
-  out += "\"depth\":" + std::to_string(slots_.waiting());
-  out += ",\"in_flight\":" + std::to_string(slots_.running());
+  out += "\"depth\":" + std::to_string(queue.waiting);
+  out += ",\"in_flight\":" + std::to_string(queue.running);
   out += ",\"capacity\":" + std::to_string(options_.queue_capacity);
   out += ",\"workers\":" + std::to_string(options_.workers);
   out += "},\"cache\":{";

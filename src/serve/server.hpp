@@ -5,19 +5,23 @@
 // that thread does all of a request's work. It validates the request,
 // consults the result cache and, on a miss, runs the job itself once it
 // holds one of `workers` run slots, so at most `workers` jobs run at once.
-// Admission is an exact counter of admitted-but-unfinished jobs (waiting
-// for a slot or running) — when it reaches workers + queue_capacity the
-// server answers `{"status":"rejected","reason":"overload"}` immediately
-// instead of buffering without bound. Slots are granted in arrival order.
+// RunSlots is also the exact admission count: once workers +
+// queue_capacity jobs are waiting or running, the server answers
+// `{"status":"rejected","reason":"overload"}` immediately instead of
+// buffering without bound. Slots are granted in arrival order.
 // Responses travel back on the same connection, strictly request-ordered
 // (clients that want concurrency open more connections, as mrsc_loadgen
 // does). `stats` reports the jobs waiting for a slot as `queue.depth` and
 // the running ones as `queue.in_flight`.
 //
-// Shutdown: stop() flips the stopping flag, cancels every in-flight
-// BatchRunner cooperatively, wakes sleep jobs and slot waiters, shuts down
-// all sockets, and joins every thread. A job still waiting for a slot ends
-// with the same cancelled error a running job gives.
+// Shutdown: the server owns one std::stop_source. stop() requests it, and
+// every running job (through DispatchHooks::stop), slot waiter and sleep
+// job watches its token, so each ends with the cancelled error. stop()
+// then shuts the read side of every connection: idle ones end at once,
+// busy ones keep their write side for up to kStopGrace so the cancelled
+// answer reaches the client, and a peer that still has not taken its
+// answer then loses the connection. A stop is final: a Server is
+// single-use, and start() after stop() throws.
 #pragma once
 
 #include <atomic>
@@ -26,9 +30,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <stop_token>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "serve/cache.hpp"
@@ -55,33 +59,42 @@ struct ServerOptions {
   std::string shard_id;
 };
 
-/// Admission to run: at most `slots` holders at once, granted in arrival
-/// order (a ticket counter), so no waiter starves.
+/// How long stop() leaves busy connections their write side for the
+/// answers of the jobs it stopped.
+inline constexpr std::chrono::seconds kStopGrace{2};
+
+/// Admission and run slots under one mutex: at most `slots` callers run at
+/// once and at most `queue_capacity` more wait, granted in arrival order (a
+/// ticket counter), so no waiter starves.
 class RunSlots {
  public:
-  explicit RunSlots(std::size_t slots) : slots_(slots) {}
+  enum class Entry : std::uint8_t { kRun, kOverload, kStopped };
+  struct Counts {
+    std::size_t waiting = 0;
+    std::size_t running = 0;
+  };
 
-  /// Blocks until this caller's turn comes and a slot is free, then holds
-  /// it. Returns false, holding nothing, once close() has been called.
-  [[nodiscard]] bool acquire();
+  RunSlots(std::size_t slots, std::size_t queue_capacity)
+      : slots_(slots), capacity_(slots + queue_capacity) {}
+
+  /// kStopped, holding nothing, once `stop` is requested, also while
+  /// waiting; kOverload when slots + queue_capacity callers are in;
+  /// otherwise blocks until this caller's turn comes and a slot is free,
+  /// and returns kRun holding it until release(). A stopped waiter's ticket
+  /// is never served: the stop must be final.
+  [[nodiscard]] Entry enter(const std::stop_token& stop);
   void release();
-  /// Fails every waiting acquire(), and every later one until open().
-  void close();
-  void open();
 
-  [[nodiscard]] std::size_t waiting() const;
-  [[nodiscard]] std::size_t running() const;
+  [[nodiscard]] Counts counts() const;
 
  private:
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::size_t slots_;
-  std::size_t running_ = 0;
-  std::size_t waiting_ = 0;
+  std::condition_variable_any cv_;
+  const std::size_t slots_;
+  const std::size_t capacity_;  ///< slots + queue_capacity
+  Counts counts_;
   std::uint64_t next_ticket_ = 0;  ///< handed to the next arrival
   std::uint64_t serving_ = 0;      ///< the ticket whose turn it is
-  std::uint64_t closes_ = 0;       ///< close() calls; a change fails waiters
-  bool closed_ = false;
 };
 
 class Server {
@@ -93,11 +106,14 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds, listens, and spawns the accept thread. Throws
-  /// std::runtime_error when the address cannot be bound.
+  /// std::runtime_error when the address cannot be bound, when the server
+  /// is running, or after stop().
   void start();
 
-  /// Cooperative full shutdown; idempotent, callable from any thread
-  /// (the CLI calls it from a signal-watcher thread).
+  /// Cooperative full shutdown (see the file comment); idempotent, final,
+  /// callable from any thread (the CLI calls it from a signal-watcher
+  /// thread). Returns within about kStopGrace once running jobs have seen
+  /// the stop.
   void stop();
 
   /// Enters drain mode (also reachable over the wire via the `drain` op):
@@ -121,7 +137,7 @@ class Server {
   struct Connection {
     Socket socket;
     std::thread thread;
-    std::atomic<bool> done{false};
+    bool done = false;  ///< guarded by connections_mutex_
   };
 
   void accept_loop();
@@ -136,31 +152,23 @@ class Server {
   /// Compiled designs shared by every sim/lint job; reached through hooks_.
   DesignCache designs_;
   ServerStats stats_;
+  /// Requested once, by stop(); jobs, slot waiters and sleeps watch its
+  /// token through hooks_.
+  std::stop_source stop_;
   DispatchHooks hooks_;
 
   Socket listener_;
   std::uint16_t port_ = 0;
   std::thread accept_thread_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};
   std::chrono::steady_clock::time_point started_at_{};
 
   std::mutex connections_mutex_;
+  std::condition_variable connection_ended_;
   std::vector<std::unique_ptr<Connection>> connections_;
 
-  /// Admitted-but-unfinished jobs; the exact admission-control bound.
-  std::mutex admission_mutex_;
-  std::size_t admitted_ = 0;
   RunSlots slots_;
-
-  /// In-flight BatchRunners, cancelled on stop().
-  std::mutex runners_mutex_;
-  std::unordered_set<runtime::BatchRunner*> runners_;
-
-  /// Wakes sleep jobs on shutdown.
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
 };
 
 }  // namespace mrsc::serve

@@ -45,8 +45,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "analysis/sweep.hpp"
@@ -55,6 +57,7 @@
 #include "runtime/batch.hpp"
 #include "runtime/ensemble.hpp"
 #include "scenario/registry.hpp"
+#include "sim/method.hpp"
 #include "tools/cli_flags.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -273,17 +276,15 @@ int run_ensemble(const core::ReactionNetwork& network,
   ssa.tau = cli.tau;
   ssa.record_interval = cli.record > 0.0 ? cli.record : cli.t_end / 200.0;
   const std::string method = cli.method.empty() ? "nrm" : cli.method;
-  if (method == "ssa") {
-    ssa.method = sim::SsaMethod::kDirect;
-  } else if (method == "nrm") {
-    ssa.method = sim::SsaMethod::kNextReaction;
-  } else if (method == "tau") {
-    ssa.method = sim::SsaMethod::kTauLeaping;
-  } else {
+  const std::optional<sim::SimMethod> parsed = sim::parse_method(method);
+  const auto* ssa_method =
+      parsed ? std::get_if<sim::SsaMethod>(&*parsed) : nullptr;
+  if (ssa_method == nullptr) {
     std::fprintf(stderr,
                  "mrsc_batch: ensemble --method must be ssa|nrm|tau\n");
     return 2;
   }
+  ssa.method = *ssa_method;
 
   runtime::EnsembleOptions options;
   options.replicates = cli.replicates;
@@ -393,21 +394,19 @@ int run_ensemble(const core::ReactionNetwork& network,
 }
 
 int run_sweep(const core::ReactionNetwork& network, const CliOptions& cli) {
-  const std::string method = cli.method.empty() ? "dp45" : cli.method;
+  const std::optional<sim::SimMethod> parsed =
+      sim::parse_method(cli.method.empty() ? "dp45" : cli.method);
+  const auto* ode_method =
+      parsed ? std::get_if<sim::OdeMethod>(&*parsed) : nullptr;
+  if (ode_method == nullptr) {
+    std::fprintf(stderr, "mrsc_batch: sweep --method must be dp45|rk4|be\n");
+    return 2;
+  }
   sim::OdeOptions ode;
   ode.t_end = cli.t_end;
   ode.dt = cli.dt;
   ode.record_interval = cli.record > 0.0 ? cli.record : cli.t_end / 200.0;
-  if (method == "dp45") {
-    ode.method = sim::OdeMethod::kDormandPrince45;
-  } else if (method == "rk4") {
-    ode.method = sim::OdeMethod::kRk4Fixed;
-  } else if (method == "be") {
-    ode.method = sim::OdeMethod::kBackwardEuler;
-  } else {
-    std::fprintf(stderr, "mrsc_batch: sweep --method must be dp45|rk4|be\n");
-    return 2;
-  }
+  ode.method = *ode_method;
 
   // One jittered network copy per grid point; the jobs reference them.
   struct GridPoint {

@@ -35,8 +35,10 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "analysis/conservation.hpp"
@@ -44,6 +46,7 @@
 #include "compile/passes.hpp"
 #include "core/io.hpp"
 #include "scenario/registry.hpp"
+#include "sim/method.hpp"
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
 #include "tools/cli_flags.hpp"
@@ -297,23 +300,26 @@ int main(int argc, char** argv) {
             ? cli.record
             : std::max(cli.t_end / 200.0,
                        std::numeric_limits<double>::min());
+    const std::optional<sim::SimMethod> method =
+        sim::parse_method(cli.method);
+    if (!method) {
+      std::fprintf(stderr, "mrsc_sim: unknown method '%s'\n",
+                   cli.method.c_str());
+      return 2;
+    }
     sim::Trajectory trajectory;
-    if (cli.method == "dp45" || cli.method == "rk4" || cli.method == "be") {
+    if (const auto* ode_method = std::get_if<sim::OdeMethod>(&*method)) {
       sim::OdeOptions options;
       options.t_end = cli.t_end;
       options.dt = cli.dt;
       options.record_interval = record;
-      options.method = cli.method == "rk4" ? sim::OdeMethod::kRk4Fixed
-                       : cli.method == "be"
-                           ? sim::OdeMethod::kBackwardEuler
-                           : sim::OdeMethod::kDormandPrince45;
+      options.method = *ode_method;
       sim::OdeResult result = simulate_ode(network, options);
       std::printf("ODE (%s): %zu steps accepted, %zu rejected\n",
                   cli.method.c_str(), result.steps_accepted,
                   result.steps_rejected);
       trajectory = std::move(result.trajectory);
-    } else if (cli.method == "ssa" || cli.method == "nrm" ||
-               cli.method == "tau") {
+    } else {
       sim::SsaOptions options;
       options.t_end = cli.t_end;
       options.omega = cli.omega;
@@ -321,10 +327,7 @@ int main(int argc, char** argv) {
       options.tau = cli.tau;
       if (cli.max_events > 0) options.max_events = cli.max_events;
       options.record_interval = record;
-      options.method = cli.method == "ssa" ? sim::SsaMethod::kDirect
-                       : cli.method == "nrm"
-                           ? sim::SsaMethod::kNextReaction
-                           : sim::SsaMethod::kTauLeaping;
+      options.method = std::get<sim::SsaMethod>(*method);
       sim::SsaResult result;
       try {
         result = simulate_ssa(network, options);
@@ -347,10 +350,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       trajectory = std::move(result.trajectory);
-    } else {
-      std::fprintf(stderr, "mrsc_sim: unknown method '%s'\n",
-                   cli.method.c_str());
-      return 2;
     }
 
     std::printf("final state at t=%.6g:\n", trajectory.final_time());

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <stop_token>
 #include <thread>
 #include <vector>
 
@@ -189,12 +190,14 @@ TEST(BatchRunner, CancelAbortsLongSsaRunPromptly) {
   job.ssa.record_interval = 1e9;
   job.ssa.seed = 11;
   runtime::BatchRunner runner({.threads = 2});
-  std::thread canceller([&runner] {
+  std::stop_source stop;
+  std::thread canceller([&stop] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    runner.cancel();
+    stop.request_stop();
   });
   const auto start = std::chrono::steady_clock::now();
-  const auto results = runner.run(std::vector<runtime::SimJob>{job, job});
+  const auto results =
+      runner.run(std::vector<runtime::SimJob>{job, job}, stop.get_token());
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -211,13 +214,40 @@ TEST(BatchRunner, CancelledBeforeRunSkipsJobs) {
   runtime::SimJob job;
   job.network = &net;
   runtime::BatchRunner runner({.threads = 1});
-  runner.cancel();
-  const auto results = runner.run(std::vector<runtime::SimJob>{job});
+  std::stop_source stop;
+  stop.request_stop();
+  const auto results =
+      runner.run(std::vector<runtime::SimJob>{job}, stop.get_token());
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status, runtime::JobStatus::kCancelled);
   EXPECT_EQ(results[0].ssa_events, 0u);
-  runner.reset_cancel();
-  EXPECT_FALSE(runner.cancel_requested());
+}
+
+// The retry ladder's per-attempt abort watches the same token: a stop
+// lands as kCancelled, not as a deadline to retry.
+TEST(BatchRunner, StopCancelsTheRetryLadder) {
+  const core::ReactionNetwork net = busy_network(10.0);
+  runtime::SimJob job;
+  job.network = &net;
+  job.kind = runtime::SimKind::kSsa;
+  job.ssa.t_end = 1e12;
+  job.ssa.omega = 1000.0;
+  job.ssa.record_interval = 1e9;
+  job.ssa.seed = 11;
+  runtime::BatchOptions options;
+  options.retry.max_attempts = 3;
+  options.retry.sleep = [](double) {};
+  runtime::BatchRunner runner(options);
+  std::stop_source stop;
+  std::thread canceller([&stop] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    stop.request_stop();
+  });
+  const auto results =
+      runner.run(std::vector<runtime::SimJob>{job}, stop.get_token());
+  canceller.join();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status, runtime::JobStatus::kCancelled);
 }
 
 // --- Deterministic parallel execution ------------------------------------

@@ -8,17 +8,20 @@
 #include <sys/socket.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <mutex>
 #include <stdexcept>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "lint/lint.hpp"
-#include "runtime/batch.hpp"
 #include "scenario/registry.hpp"
 #include "serve/cache.hpp"
 #include "serve/design_cache.hpp"
@@ -351,27 +354,59 @@ TEST(ServeDispatcher, SeedsAboveTwoToThe53AreExact) {
                std::invalid_argument);
 }
 
-/// The per-job deadline the sim job's BatchRunner was armed with.
-double armed_deadline(const std::string& body) {
-  double armed = -1.0;
-  DispatchHooks hooks;
-  hooks.runner_started = [&armed](runtime::BatchRunner* runner) {
-    armed = runner->options().timeout_seconds;
-  };
-  const DispatchResult result = run_job(parse_job(job_json(body)), hooks);
-  EXPECT_TRUE(result.ok) << result.payload;
-  return armed;
+/// The effective deadline parse_job resolves for a sim job.
+double deadline_of(const std::string& fields) {
+  return parse_job(job_json(R"("kind":"sim")" + fields)).deadline_s;
 }
 
 TEST(ServeDispatcher, ZeroDeadlineMeansTheServerMaximum) {
-  constexpr const char* kJob = R"("kind":"sim","t_end":0.5,"omega":50)";
-  const std::string job = kJob;
-  EXPECT_EQ(armed_deadline(job + R"(,"deadline_s":0)"), 600.0);
-  EXPECT_EQ(armed_deadline(job), 30.0);
-  EXPECT_EQ(armed_deadline(job + R"(,"deadline_s":2.5)"), 2.5);
-  EXPECT_EQ(armed_deadline(job + R"(,"deadline_s":600)"), 600.0);
-  EXPECT_THROW((void)parse_job(job_json(job + R"(,"deadline_s":600.000001)")),
+  EXPECT_EQ(deadline_of(R"(,"deadline_s":0)"), 600.0);
+  EXPECT_EQ(deadline_of(""), 30.0);
+  EXPECT_EQ(deadline_of(R"(,"deadline_s":2.5)"), 2.5);
+  EXPECT_EQ(deadline_of(R"(,"deadline_s":600)"), 600.0);
+  EXPECT_THROW((void)deadline_of(R"(,"deadline_s":600.000001)"),
                std::invalid_argument);
+  EXPECT_THROW((void)deadline_of(R"(,"deadline_s":-1)"),
+               std::invalid_argument);
+}
+
+// Every capped parse_job field at its exact bound: the value at the cap is
+// accepted and the next representable value past it is rejected.
+TEST(ServeDispatcher, EveryCapHoldsAtItsExactBoundary) {
+  const auto past = [](double cap, double direction) {
+    return json::number_to_string(std::nextafter(cap, direction));
+  };
+  const std::string eight = "0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08";
+  struct Bound {
+    std::string at;
+    std::string beyond;
+  };
+  const std::vector<Bound> bounds = {
+      {R"("kind":"sim","t_end":1e4)",
+       R"("kind":"sim","t_end":)" + past(1e4, INFINITY)},
+      {R"("kind":"sim","omega":1)",
+       R"("kind":"sim","omega":)" + past(1.0, 0.0)},
+      {R"("kind":"sim","omega":1e6)",
+       R"("kind":"sim","omega":)" + past(1e6, INFINITY)},
+      {R"("kind":"sim","t_end":5,"record":5)",
+       R"("kind":"sim","t_end":5,"record":)" + past(5.0, INFINITY)},
+      {R"("kind":"verify","seeds":1)", R"("kind":"verify","seeds":0)"},
+      {R"("kind":"verify","seeds":32)", R"("kind":"verify","seeds":33)"},
+      {R"("kind":"stress","trials":1)", R"("kind":"stress","trials":0)"},
+      {R"("kind":"stress","trials":5)", R"("kind":"stress","trials":6)"},
+      {R"("kind":"stress","intensities":[)" + eight + "]",
+       R"("kind":"stress","intensities":[)" + eight + ",0.09]"},
+      {R"("kind":"sleep","ms":60000)",
+       R"("kind":"sleep","ms":)" + past(60000.0, INFINITY)},
+      {R"("kind":"sim","deadline_s":600)",
+       R"("kind":"sim","deadline_s":)" + past(600.0, INFINITY)},
+  };
+  for (const Bound& bound : bounds) {
+    EXPECT_NO_THROW((void)parse_job(job_json(bound.at))) << bound.at;
+    EXPECT_THROW((void)parse_job(job_json(bound.beyond)),
+                 std::invalid_argument)
+        << bound.beyond;
+  }
 }
 
 TEST(ServeDispatcher, ScenarioSpecsAreCanonicalizedInTheKey) {
@@ -475,6 +510,21 @@ TEST(ServeDispatcher, LintReportValueMatchesTheReparsedJson) {
   EXPECT_EQ(report.to_value().dump(), json::parse(report.to_json()).dump());
 }
 
+/// Runs `job` with hooks whose stop is requested from a second thread
+/// 50 ms in.
+DispatchResult run_stopped_50ms_in(const JobRequest& job) {
+  std::stop_source stop;
+  DispatchHooks hooks;
+  hooks.stop = stop.get_token();
+  std::thread stopper([&stop] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    stop.request_stop();
+  });
+  DispatchResult result = run_job(job, hooks);
+  stopper.join();
+  return result;
+}
+
 // Verify jobs poll their deadline and server shutdown before every case;
 // either stop is a wall-clock outcome, so an uncacheable error.
 TEST(ServeDispatcher, VerifyJobsStopAtTheirDeadlineOrOnShutdown) {
@@ -485,29 +535,37 @@ TEST(ServeDispatcher, VerifyJobsStopAtTheirDeadlineOrOnShutdown) {
   EXPECT_FALSE(timed_out.cacheable);
   EXPECT_EQ(timed_out.payload, error_response("verify job timeout"));
 
-  // Shutdown lands after the job started: the first poll says "running",
-  // every later one "stopping".
-  std::atomic<int> polls{0};
-  DispatchHooks hooks;
-  hooks.cancelled = [&polls] { return polls++ > 0; };
-  const DispatchResult cancelled =
-      run_job(parse_job(job_json(R"("kind":"verify","seeds":32)")), hooks);
+  // A 32-seed job runs for seconds; the stop lands while it runs.
+  const DispatchResult cancelled = run_stopped_50ms_in(
+      parse_job(job_json(R"("kind":"verify","seeds":32)")));
+  EXPECT_FALSE(cancelled.cacheable);
+  EXPECT_EQ(cancelled.payload, cancelled_response());
+}
+
+// A sim's BatchRunner watches the same token: a long SSA run stopped by
+// shutdown answers like every other kind, not with "sim job cancelled".
+TEST(ServeDispatcher, SimJobsStopOnShutdown) {
+  const DispatchResult cancelled = run_stopped_50ms_in(parse_job(job_json(
+      R"("kind":"sim","method":"ssa","t_end":1e4,"omega":1e6)")));
   EXPECT_FALSE(cancelled.cacheable);
   EXPECT_EQ(cancelled.payload, cancelled_response());
 }
 
 // ----------------------------------------------------------- run slots --
 
+using Entry = RunSlots::Entry;
+
 // Waiters get the one slot strictly in the order they arrived.
 TEST(RunSlots, GrantsSlotsInArrivalOrder) {
-  RunSlots slots(1);
-  ASSERT_TRUE(slots.acquire());
+  RunSlots slots(1, 4);
+  const std::stop_token never;
+  ASSERT_EQ(slots.enter(never), Entry::kRun);
   std::mutex order_mutex;
   std::vector<int> order;
   std::vector<std::thread> waiters;
   for (int id = 0; id < 4; ++id) {
     waiters.emplace_back([&, id] {
-      ASSERT_TRUE(slots.acquire());
+      ASSERT_EQ(slots.enter(never), Entry::kRun);
       {
         std::lock_guard lock(order_mutex);
         order.push_back(id);
@@ -515,33 +573,66 @@ TEST(RunSlots, GrantsSlotsInArrivalOrder) {
       slots.release();
     });
     // The next waiter arrives only once this one is queued.
-    while (slots.waiting() != static_cast<std::size_t>(id) + 1) {
+    while (slots.counts().waiting != static_cast<std::size_t>(id) + 1) {
       std::this_thread::yield();
     }
   }
-  EXPECT_EQ(slots.running(), 1u);
+  EXPECT_EQ(slots.counts().running, 1u);
   slots.release();
   for (std::thread& waiter : waiters) waiter.join();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(slots.running(), 0u);
-  EXPECT_EQ(slots.waiting(), 0u);
+  EXPECT_EQ(slots.counts().running, 0u);
+  EXPECT_EQ(slots.counts().waiting, 0u);
 }
 
-TEST(RunSlots, CloseFailsWaitersUntilOpened) {
-  RunSlots slots(1);
-  ASSERT_TRUE(slots.acquire());
-  std::atomic<int> result{-1};
-  std::thread waiter([&] { result = slots.acquire() ? 1 : 0; });
-  while (slots.waiting() != 1) std::this_thread::yield();
-  slots.close();
+// A stop fails the caller waiting for a slot, and every later entry at
+// once, while the running holder keeps its slot until it releases it.
+TEST(RunSlots, StopFailsWaitersAndEveryLaterEntry) {
+  RunSlots slots(1, 1);
+  std::stop_source stop;
+  ASSERT_EQ(slots.enter(stop.get_token()), Entry::kRun);
+  std::atomic<int> waited{-1};
+  std::thread waiter([&] {
+    waited = static_cast<int>(slots.enter(stop.get_token()));
+  });
+  while (slots.counts().waiting != 1) std::this_thread::yield();
+  stop.request_stop();
   waiter.join();
-  EXPECT_EQ(result.load(), 0);
-  EXPECT_EQ(slots.waiting(), 0u);
-  EXPECT_FALSE(slots.acquire());
+  EXPECT_EQ(waited.load(), static_cast<int>(Entry::kStopped));
+  EXPECT_EQ(slots.counts().waiting, 0u);
+  EXPECT_EQ(slots.counts().running, 1u);
+  EXPECT_EQ(slots.enter(stop.get_token()), Entry::kStopped);
   slots.release();
-  slots.open();
-  ASSERT_TRUE(slots.acquire());
-  EXPECT_EQ(slots.running(), 1u);
+  EXPECT_EQ(slots.enter(stop.get_token()), Entry::kStopped);
+  EXPECT_EQ(slots.counts().running, 0u);
+}
+
+// Overload starts at exactly slots + queue_capacity callers in, running
+// or waiting, and ends as soon as one leaves.
+TEST(RunSlots, OverloadAtExactlySlotsPlusQueueCapacity) {
+  RunSlots slots(2, 1);
+  std::stop_source stop;
+  ASSERT_EQ(slots.enter(stop.get_token()), Entry::kRun);
+  ASSERT_EQ(slots.enter(stop.get_token()), Entry::kRun);
+  std::thread waiter([&] {
+    EXPECT_EQ(slots.enter(stop.get_token()), Entry::kRun);
+    slots.release();
+  });
+  while (slots.counts().waiting != 1) std::this_thread::yield();
+  EXPECT_EQ(slots.enter(stop.get_token()), Entry::kOverload);
+  slots.release();  // the waiter takes the freed slot, then leaves
+  waiter.join();
+  ASSERT_EQ(slots.enter(stop.get_token()), Entry::kRun);
+  EXPECT_EQ(slots.counts().running, 2u);
+  // Both slots held again and nobody waiting: one more may still queue.
+  std::thread queued([&] {
+    EXPECT_EQ(slots.enter(stop.get_token()), Entry::kStopped);
+  });
+  while (slots.counts().waiting != 1) std::this_thread::yield();
+  EXPECT_EQ(slots.enter(stop.get_token()), Entry::kOverload);
+  stop.request_stop();
+  queued.join();
+  slots.release();
   slots.release();
 }
 
@@ -582,26 +673,14 @@ TEST(ServeDispatcher, DesignCacheIsByteIdenticalToAFreshBuild) {
   EXPECT_EQ(stats.hits + stats.misses, jobs);
 }
 
+// An evicted entry lives on while a reference holds it, as a running job's
+// does (ConcurrentJobsShareTheDesignCache evicts under in-flight jobs).
 TEST(ServeDispatcher, EntryHeldByARunningJobSurvivesItsEviction) {
-  const JobRequest job = parse_job(job_json(
-      R"js("kind":"sim","design":"cascade(3)","method":"dp45","t_end":1)js"));
-  const std::string expected = run_job(job, {}).payload;
-
   DesignCache cache(1, DesignCache::kCapacityBytes);
-  DispatchHooks hooks;
-  hooks.designs = &cache;
-  // Once the job is running, a second design takes the only slot.
-  hooks.runner_started = [&cache](runtime::BatchRunner*) {
-    (void)cache.get("counter", 0);
-  };
-  EXPECT_EQ(run_job(job, hooks).payload, expected);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().entries, 1u);
-
-  // The same through a directly held reference.
   const std::shared_ptr<const CompiledDesign> held = cache.get("delay", 0);
   (void)cache.get("seqdet", 0);
-  EXPECT_EQ(cache.stats().evictions, 3u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
   EXPECT_EQ(held->system.reaction_count(),
             held->built.network->reaction_count());
 }
@@ -988,9 +1067,9 @@ TEST(ServeServer, WaitingJobsRunInArrivalOrder) {
 }
 
 // stop() fails a job waiting for a slot with the cancelled error a running
-// job gives, and joins without waiting out the running sleep. stop() shuts
-// the sockets too, so a client may see its connection close instead of the
-// answer; the final stats show both jobs answered as failed.
+// job gives, and joins without waiting out the running sleep. Both answers
+// reach their clients before stop() shuts the sockets, and the final stats
+// show both jobs answered as failed.
 TEST(ServeServer, StopAnswersSlotWaitersWithTheCancelledError) {
   ServerOptions options;
   options.workers = 1;
@@ -1003,8 +1082,8 @@ TEST(ServeServer, StopAnswersSlotWaitersWithTheCancelledError) {
         Client client("127.0.0.1", fixture.server->port());
         answer = client.request_raw(
             R"({"op":"job","kind":"sleep","ms":30000})");
-      } catch (const std::exception&) {
-        answer = "torn";  // stop() may shut the socket before the answer
+      } catch (const std::exception& error) {
+        answer = std::string("torn: ") + error.what();
       }
     });
   };
@@ -1023,11 +1102,8 @@ TEST(ServeServer, StopAnswersSlotWaitersWithTheCancelledError) {
   running.join();
   waiting.join();
   EXPECT_LT(stop_seconds, 5.0);
-  for (const std::string* answer : {&running_answer, &waiting_answer}) {
-    if (*answer != "torn") {
-      EXPECT_EQ(*answer, cancelled_response());
-    }
-  }
+  EXPECT_EQ(running_answer, cancelled_response());
+  EXPECT_EQ(waiting_answer, cancelled_response());
   const json::Value stats = json::parse(fixture.server->stats_payload());
   const json::Value& sleeps = *stats.find("latency")->find("sleep");
   EXPECT_EQ(sleeps.find("ok")->as_number(), 0.0);
@@ -1143,13 +1219,14 @@ TEST(ServeServer, StopCancelsSleepingJobsPromptly) {
   options.workers = 1;
   ServerFixture fixture(options);
 
+  std::string answer;
   std::thread sleeper([&] {
     try {
       Client client("127.0.0.1", fixture.server->port());
-      (void)client.request_raw(
-          R"({"op":"job","kind":"sleep","ms":30000})");
-    } catch (const std::exception&) {
-      // Socket shut down mid-response is an acceptable outcome of stop().
+      answer =
+          client.request_raw(R"({"op":"job","kind":"sleep","ms":30000})");
+    } catch (const std::exception& error) {
+      answer = std::string("torn: ") + error.what();
     }
   });
   for (int i = 0; i < 200 && fixture.stat("queue", "in_flight") < 1.0; ++i) {
@@ -1163,6 +1240,52 @@ TEST(ServeServer, StopCancelsSleepingJobsPromptly) {
           .count();
   sleeper.join();
   EXPECT_LT(stop_seconds, 5.0);
+  EXPECT_EQ(answer, cancelled_response());
+}
+
+// A peer that pipelines requests and never reads its answers leaves the
+// server blocked writing to it; stop() shuts that connection once the grace
+// period is over instead of waiting on the peer.
+TEST(ServeServer, StopDoesNotWaitOnAPeerThatNeverReads) {
+  ServerFixture fixture;
+  const Socket socket = connect_to("127.0.0.1", fixture.server->port());
+  const std::string payload = R"({"op":"catalog"})";
+  std::string frame = {'\0', '\0', '\0', static_cast<char>(payload.size())};
+  frame += payload;
+  // Send until the pipeline backs up into this socket's send buffer: the
+  // server has stopped reading because it is stuck writing answers. A
+  // partial send resumes mid-frame, so the stream stays well framed.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  std::size_t offset = 0;
+  std::size_t blocked = 0;
+  while (blocked < 50 && std::chrono::steady_clock::now() < give_up) {
+    const ssize_t sent =
+        ::send(socket.fd(), frame.data() + offset, frame.size() - offset,
+               MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (sent < 0) {
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK)
+          << std::strerror(errno);
+      ++blocked;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    } else {
+      blocked = 0;
+      offset = (offset + static_cast<std::size_t>(sent)) % frame.size();
+    }
+  }
+  ASSERT_EQ(blocked, 50u) << "the server kept reading";
+
+  const auto start = std::chrono::steady_clock::now();
+  fixture.server->stop();
+  const std::chrono::duration<double> stop_time =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(stop_time, kStopGrace + std::chrono::seconds(1));
+}
+
+TEST(ServeServer, StartAfterStopThrows) {
+  ServerFixture fixture;
+  fixture.server->stop();
+  EXPECT_THROW(fixture.server->start(), std::runtime_error);
 }
 
 }  // namespace
