@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -17,20 +18,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// The steppers' abort hook: stop on request or, when `timeout_seconds` is
-/// positive, once that long has passed from now. `stop` must outlive it.
-std::function<bool()> abort_hook(const std::stop_token& stop,
-                                 double timeout_seconds) {
-  const bool has_deadline = timeout_seconds > 0.0;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(timeout_seconds));
-  return [&stop, has_deadline, deadline] {
-    return stop.stop_requested() ||
-           (has_deadline && Clock::now() >= deadline);
-  };
 }
 
 }  // namespace
@@ -73,95 +60,21 @@ JobResult BatchRunner::execute(const SimJob& job,
   }
 
   const Clock::time_point start = Clock::now();
-  if (options_.retry.max_attempts > 1) {
-    execute_with_retry(job, stop, result);
-    result.wall_seconds = seconds_since(start);
-    return result;
-  }
-
-  bool aborted = false;
-  try {
-    if (job.kind == SimKind::kOde) {
-      sim::OdeOptions ode = job.ode;
-      ode.abort = abort_hook(stop, options_.timeout_seconds);
-      std::vector<double> initial =
-          job.initial.empty() ? job.network->initial_state() : job.initial;
-      sim::OdeResult run =
-          job.compiled != nullptr
-              ? sim::simulate_ode(*job.compiled, ode, std::move(initial))
-              : sim::simulate_ode(*job.network, ode, std::move(initial));
-      aborted = run.aborted;
-      result.end_time = run.end_time;
-      result.ode_steps = run.steps_accepted;
-      const std::span<const double> final = run.trajectory.final_state();
-      result.final_state.assign(final.begin(), final.end());
-      if (options_.keep_trajectories) {
-        result.trajectory = std::move(run.trajectory);
-      }
-    } else {
-      sim::SsaOptions ssa = job.ssa;
-      ssa.abort = abort_hook(stop, options_.timeout_seconds);
-      sim::SsaResult run;
-      if (job.compiled != nullptr) {
-        std::vector<double> initial =
-            job.initial.empty() ? job.network->initial_state() : job.initial;
-        run = sim::simulate_ssa(*job.compiled, ssa,
-                                sim::to_counts(initial, ssa.omega));
-      } else {
-        run = sim::simulate_ssa(*job.network, ssa, job.initial);
-      }
-      aborted = run.aborted;
-      result.end_time = run.end_time;
-      result.ssa_events = run.events;
-      result.final_state.resize(run.final_counts.size());
-      for (std::size_t i = 0; i < run.final_counts.size(); ++i) {
-        result.final_state[i] =
-            static_cast<double>(run.final_counts[i]) / ssa.omega;
-      }
-      if (options_.keep_trajectories) {
-        result.trajectory = std::move(run.trajectory);
-      }
-    }
-  } catch (const std::exception& error) {
-    result.status = JobStatus::kFailed;
-    result.error = error.what();
-  }
+  std::optional<sim::CompiledSystem> own;
+  if (job.compiled == nullptr) own.emplace(*job.network);
+  const sim::CompiledSystem& system = own ? *own : *job.compiled;
+  const std::vector<double> initial =
+      job.initial.empty() ? job.network->initial_state() : job.initial;
+  const sim::FallbackOptions fallback{
+      .max_attempts = options_.max_attempts,
+      .ssa_seed = job.ssa.seed != 0 ? job.ssa.seed : 1,
+      .stop = stop,
+      .timeout_seconds = options_.timeout_seconds};
+  sim::FallbackResult run =
+      job.kind == SimKind::kOde
+          ? sim::simulate_with_fallback(system, job.ode, fallback, initial)
+          : sim::simulate_with_fallback(system, job.ssa, fallback, initial);
   result.wall_seconds = seconds_since(start);
-  if (aborted) {
-    result.status = stop.stop_requested() ? JobStatus::kCancelled
-                                          : JobStatus::kTimeout;
-  }
-  return result;
-}
-
-void BatchRunner::execute_with_retry(const SimJob& job,
-                                     const std::stop_token& stop,
-                                     JobResult& result) const {
-  const RetryPolicy& retry = options_.retry;
-  sim::FallbackOptions fallback;
-  fallback.max_attempts = retry.max_attempts;
-  fallback.backoff_base_seconds = retry.backoff_base_seconds;
-  fallback.backoff_cap_seconds = retry.backoff_cap_seconds;
-  fallback.allow_ssa_fallback = retry.allow_ssa_fallback;
-  fallback.ssa_omega = retry.ssa_omega;
-  fallback.ssa_seed = job.ssa.seed != 0 ? job.ssa.seed : 1;
-  fallback.sleep = retry.sleep;
-  // Each attempt gets a fresh deadline so a transient timeout is actually
-  // worth retrying; cancellation still lands at the next poll point.
-  fallback.make_abort = [&stop, timeout = options_.timeout_seconds] {
-    return abort_hook(stop, timeout);
-  };
-
-  sim::FallbackResult run;
-  if (job.kind == SimKind::kOde) {
-    std::vector<double> initial =
-        job.initial.empty() ? job.network->initial_state() : job.initial;
-    run = sim::simulate_ode_with_fallback(*job.network, job.ode, fallback,
-                                          std::move(initial));
-  } else {
-    run = sim::simulate_ssa_with_fallback(*job.network, job.ssa, fallback,
-                                          job.initial);
-  }
 
   result.end_time = run.end_time;
   result.ode_steps = run.ode_steps;
@@ -170,22 +83,31 @@ void BatchRunner::execute_with_retry(const SimJob& job,
   if (options_.keep_trajectories) {
     result.trajectory = std::move(run.trajectory);
   }
-  result.failure = run.failure;
-  result.recovery = std::move(run.log);
-  result.attempts = result.recovery.attempts.size() + (run.ok ? 1 : 0);
-  if (run.ok) {
-    result.status = JobStatus::kOk;
-    return;
-  }
-  if (run.failure.kind == sim::SimFailureKind::kDeadline) {
+  result.attempts = run.log.attempts.size() + (run.ok ? 1 : 0);
+  const bool single_shot = options_.max_attempts <= 1;
+  const sim::SimFailureKind kind = run.failure.kind;
+  if (kind == sim::SimFailureKind::kDeadline) {
     result.status = stop.stop_requested() ? JobStatus::kCancelled
                                           : JobStatus::kTimeout;
-  } else {
+  } else if (single_shot) {
+    // A finished run passes as kOk however it ended; only a throw fails.
+    if (kind == sim::SimFailureKind::kException) {
+      result.status = JobStatus::kFailed;
+      result.error = std::move(run.failure.detail);
+    }
+  } else if (!run.ok) {
     // Deterministic failure on every rung it reached: set the job aside.
     result.status = JobStatus::kQuarantined;
   }
-  result.error = std::string(sim::to_string(run.failure.kind)) + ": " +
-                 run.failure.detail;
+  if (single_shot) return result;  // failure and recovery stay empty
+
+  if (!run.ok) {
+    result.error = std::string(sim::to_string(kind)) + ": " +
+                   run.failure.detail;
+  }
+  result.failure = std::move(run.failure);
+  result.recovery = std::move(run.log);
+  return result;
 }
 
 std::vector<JobResult> BatchRunner::run(std::span<const SimJob> jobs,

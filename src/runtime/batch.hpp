@@ -18,6 +18,12 @@
 // in-flight job stops at the next poll point and reports kCancelled/kTimeout,
 // jobs not yet started report kCancelled without running. Jobs that finish
 // before the deadline are never retroactively failed.
+//
+// One path per job: every job runs through `sim::simulate_with_fallback` on
+// one `CompiledSystem` (the job's own, or compiled once per job).
+// `BatchOptions::max_attempts` sets how many ladder attempts it may make; at
+// the default of 1 the ladder never steps and the result keeps the
+// single-shot contract (see `BatchOptions::max_attempts`).
 #pragma once
 
 #include <cstdint>
@@ -45,7 +51,8 @@ struct SimJob {
   /// Optional pre-compiled engine form of `network`, shared read-only across
   /// jobs so an ensemble compiles its design once instead of per replicate.
   /// Non-owning; must outlive the run and must have been compiled from
-  /// `network`. The fallback/retry path ignores it (each rung recompiles).
+  /// `network`. Null compiles `network` once for the job; every ladder rung
+  /// runs on that one compiled form.
   const sim::CompiledSystem* compiled = nullptr;
   SimKind kind = SimKind::kSsa;
   sim::OdeOptions ode;  ///< used when kind == kOde
@@ -85,36 +92,25 @@ struct JobResult {
   /// Classified failure of the last attempt (kind == kNone on success).
   sim::SimFailure failure{};
   /// Ladder history when retries are enabled. Deterministic: contains only
-  /// attempt indices, rung names, classified failures, and scheduled
-  /// backoffs, so per-job logs are identical at any thread count.
+  /// attempt indices, rung names and classified failures, so per-job logs
+  /// are identical at any thread count.
   sim::RecoveryLog recovery{};
 };
 
 [[nodiscard]] const char* to_string(JobStatus status);
 
-/// Retry behaviour for failing jobs. The default (max_attempts == 1) is the
-/// original single-shot semantics; raising it routes every job through the
-/// solver fallback ladder (sim/fallback.hpp): non-transient failures step to
-/// a more conservative rung, deadline failures retry the same rung with a
-/// fresh per-attempt deadline after a capped exponential backoff, and a job
-/// that fails deterministically on every rung is *quarantined* — reported in
-/// its slot with status kQuarantined while the rest of the batch proceeds.
-struct RetryPolicy {
-  std::size_t max_attempts = 1;
-  double backoff_base_seconds = 0.0;
-  double backoff_cap_seconds = 2.0;
-  /// Whether the ODE ladder may bottom out in an exact SSA run.
-  bool allow_ssa_fallback = true;
-  double ssa_omega = 1000.0;
-  /// Injectable sleep for backoff (tests pass a no-op). Null really sleeps.
-  std::function<void(double seconds)> sleep;
-};
-
 struct BatchOptions {
   std::size_t threads = 1;      ///< 0 selects the hardware concurrency
   double timeout_seconds = 0.0;  ///< per-attempt deadline; 0 disables
   bool keep_trajectories = false;
-  RetryPolicy retry{};
+  /// Attempts per job across the solver fallback ladder (sim/fallback.hpp).
+  /// The default 1 is single-shot: only a throw (kFailed, `error` = what())
+  /// or an abort (kTimeout/kCancelled) fails a job, a finished run passes
+  /// as kOk however it ended, and `failure`/`recovery` stay empty. Above 1,
+  /// a failed attempt steps to a more conservative rung, a deadline retries
+  /// the same rung with a fresh deadline, and a job that fails on every rung
+  /// it reached is kQuarantined while the rest of the batch proceeds.
+  std::size_t max_attempts = 1;
 };
 
 class BatchRunner {
@@ -140,9 +136,6 @@ class BatchRunner {
 
  private:
   JobResult execute(const SimJob& job, const std::stop_token& stop) const;
-  /// Ladder-backed path used when options_.retry.max_attempts > 1.
-  void execute_with_retry(const SimJob& job, const std::stop_token& stop,
-                          JobResult& result) const;
 
   BatchOptions options_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <optional>
 
 #include "sim/engine/compiled_system.hpp"
 #include "util/rng.hpp"
@@ -68,15 +67,11 @@ EnsembleResult run_ssa_ensemble(const core::ReactionNetwork& network,
       network, ssa, options.replicates, options.base_seed);
 
   // Compile the design once and share it read-only across every replicate
-  // instead of re-deriving the reaction structure per job. Results are
-  // unchanged (the compiled form is a pure function of the network); only
-  // the per-replicate compile cost disappears. Retrying runs keep the
-  // per-job path: the fallback ladder rebuilds per rung anyway.
-  std::optional<sim::CompiledSystem> shared;
-  if (options.batch.retry.max_attempts <= 1) {
-    shared.emplace(network);
-    for (SimJob& job : jobs) job.compiled = &*shared;
-  }
+  // (and every ladder rung) instead of re-deriving the reaction structure
+  // per job. Results are unchanged: the compiled form is a pure function of
+  // the network.
+  const sim::CompiledSystem shared(network);
+  for (SimJob& job : jobs) job.compiled = &shared;
 
   BatchRunner runner(options.batch);
   EnsembleResult result;

@@ -16,6 +16,7 @@
 #include "runtime/batch.hpp"
 #include "scenario/registry.hpp"
 #include "serve/design_cache.hpp"
+#include "sim/fallback.hpp"
 #include "sim/method.hpp"
 #include "stress/campaign.hpp"
 #include "util/strings.hpp"
@@ -361,20 +362,7 @@ DispatchResult run_sim(const JobRequest& request,
   return {out, true, true};
 }
 
-/// The cooperative stop of verify and stress jobs: server shutdown, or the
-/// job's deadline passing.
-std::function<bool()> abort_hook(const JobRequest& request,
-                                 const DispatchHooks& hooks) {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(request.deadline_s));
-  return [&hooks, deadline] {
-    return hooks.stop.stop_requested() || Clock::now() >= deadline;
-  };
-}
-
-/// The answer of a job its abort_hook stopped: a wall-clock outcome, so an
+/// The answer of a job its abort hook stopped: a wall-clock outcome, so an
 /// uncacheable error.
 DispatchResult aborted_result(const DispatchHooks& hooks, const char* kind) {
   if (hooks.stop.stop_requested()) {
@@ -397,7 +385,7 @@ DispatchResult run_verify(const JobRequest& request,
   options.robustness = false;
   options.lint_cross = false;
   options.shrink = false;
-  options.abort = abort_hook(request, hooks);
+  options.abort = sim::abort_hook(hooks.stop, request.deadline_s);
   verify::FuzzReport report;
   try {
     report = verify::run_fuzz(options);
@@ -462,7 +450,7 @@ DispatchResult run_stress(const JobRequest& request,
   config.trials = request.trials;
   config.base_seed = request.seed;
   config.threads = 1;
-  config.abort = abort_hook(request, hooks);
+  config.abort = sim::abort_hook(hooks.stop, request.deadline_s);
   stress::CampaignResult result;
   try {
     result = stress::run_campaign(config);

@@ -2,21 +2,21 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <exception>
-#include <thread>
 #include <utility>
+#include <variant>
 
 #include "util/json.hpp"
-#include "util/strings.hpp"
 
 namespace mrsc::sim {
 
 namespace {
 
-using util::format_17g;
 using util::json::quote;
+
+/// Volume factor of the ODE ladder's exact stochastic rung.
+constexpr double kSsaRungOmega = 1000.0;
 
 const char* ode_method_name(OdeMethod method) {
   switch (method) {
@@ -42,15 +42,84 @@ const char* ssa_method_name(SsaMethod method) {
   return "ssa";
 }
 
-struct OdeRung {
-  std::string name;
-  OdeOptions options;
-  bool ssa = false;
-};
+/// L-stable last resort before SSA: backward Euler at a small fixed step.
+OdeOptions implicit_fixed_options(const OdeOptions& base) {
+  OdeOptions options = base;
+  options.method = OdeMethod::kBackwardEuler;
+  options.dt = std::min(options.dt, 1e-3);
+  options.newton_max_iters = std::max<std::uint32_t>(options.newton_max_iters,
+                                                     24);
+  return options;
+}
 
-void default_sleep(double seconds) {
-  if (seconds <= 0.0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+/// The ODE ladder's last rung: an exact next-reaction run of the same
+/// horizon.
+SsaOptions ssa_rung_options(const OdeOptions& base, std::uint64_t seed) {
+  SsaOptions options;
+  options.t_end = base.t_end;
+  options.method = SsaMethod::kNextReaction;
+  options.seed = seed;
+  options.omega = kSsaRungOmega;
+  options.record_interval =
+      base.record_interval > 0.0 ? base.record_interval : 0.1;
+  return options;
+}
+
+using RungOptions = std::variant<OdeOptions, SsaOptions>;
+
+/// Runs one attempt with `rung` and, when the run finishes (aborted or
+/// not), stores its outcome in `out`; a throw leaves `out` as it was.
+SimFailure run_attempt(const CompiledSystem& system, RungOptions rung,
+                       std::span<const double> initial,
+                       const FallbackOptions& fallback, FallbackResult& out) {
+  try {
+    if (OdeOptions* ode = std::get_if<OdeOptions>(&rung)) {
+      ode->abort = abort_hook(fallback.stop, fallback.timeout_seconds);
+      OdeResult run = simulate_ode(
+          system, *ode, std::vector<double>(initial.begin(), initial.end()));
+      const std::span<const double> final = run.trajectory.final_state();
+      out.final_state.assign(final.begin(), final.end());
+      out.ode_steps = run.steps_accepted;
+      out.ssa_events = 0;
+      out.used_ssa = false;
+      out.end_time = run.end_time;
+      out.trajectory = std::move(run.trajectory);
+      return classify_failure(run);  // reads only the result flags
+    }
+    SsaOptions& ssa = std::get<SsaOptions>(rung);
+    ssa.abort = abort_hook(fallback.stop, fallback.timeout_seconds);
+    SsaResult run = simulate_ssa(system, ssa, to_counts(initial, ssa.omega));
+    out.final_state.resize(run.final_counts.size());
+    for (std::size_t i = 0; i < run.final_counts.size(); ++i) {
+      out.final_state[i] =
+          static_cast<double>(run.final_counts[i]) / ssa.omega;
+    }
+    out.ode_steps = 0;
+    out.ssa_events = run.events;
+    out.used_ssa = true;
+    out.end_time = run.end_time;
+    out.trajectory = std::move(run.trajectory);
+    return classify_failure(run);
+  } catch (const std::exception& error) {
+    return {SimFailureKind::kException, error.what()};
+  }
+}
+
+/// Walks `rungs`, building rung i's options with `build(i)` only when that
+/// rung runs.
+template <class Build>
+FallbackResult run_ladder(const CompiledSystem& system,
+                          std::span<const std::string_view> rungs,
+                          const FallbackOptions& fallback,
+                          std::span<const double> initial, Build build) {
+  FallbackResult out;
+  out.log = walk_ladder(
+      rungs, fallback.max_attempts, fallback.stop, [&](std::size_t rung) {
+        return run_attempt(system, build(rung), initial, fallback, out);
+      });
+  out.ok = out.log.succeeded();
+  if (!out.ok) out.failure = out.log.attempts.back().failure;
+  return out;
 }
 
 }  // namespace
@@ -74,16 +143,6 @@ OdeOptions tightened_options(const OdeOptions& base) {
       options.newton_max_iters *= 2;
       break;
   }
-  return options;
-}
-
-/// L-stable last resort before SSA: backward Euler at a small fixed step.
-OdeOptions implicit_fixed_options(const OdeOptions& base) {
-  OdeOptions options = base;
-  options.method = OdeMethod::kBackwardEuler;
-  options.dt = std::min(options.dt, 1e-3);
-  options.newton_max_iters = std::max<std::uint32_t>(options.newton_max_iters,
-                                                     24);
   return options;
 }
 
@@ -168,8 +227,7 @@ std::string RecoveryLog::to_string() const {
   }
   // A trailing ":ok" marks where the ladder succeeded; a failed run ends on
   // its last failed attempt instead.
-  const bool succeeded = recovered || attempts.empty();
-  if (succeeded) {
+  if (succeeded()) {
     if (!out.empty()) out += " -> ";
     out += final_rung;
     out += ":ok";
@@ -189,185 +247,91 @@ std::string RecoveryLog::to_json() const {
     out += ",\"rung\":" + quote(attempt.rung);
     out += ",\"failure\":" + quote(sim::to_string(attempt.failure.kind));
     out += ",\"detail\":" + quote(attempt.failure.detail);
-    out += ",\"backoff_seconds\":" + format_17g(attempt.backoff_seconds);
-    out += "}";
+    out += ",\"backoff_seconds\":0}";
   }
   out += "]}";
   return out;
 }
 
-FallbackResult simulate_ode_with_fallback(
-    const core::ReactionNetwork& network, const OdeOptions& options,
-    const FallbackOptions& fallback, std::vector<double> initial,
-    std::span<Observer* const> observers) {
-  std::vector<OdeRung> rungs;
-  rungs.push_back({ode_method_name(options.method), options});
-  rungs.push_back({"tightened", tightened_options(options)});
-  if (options.method != OdeMethod::kBackwardEuler) {
-    rungs.push_back({"implicit-fixed", implicit_fixed_options(options)});
-  }
-  if (fallback.allow_ssa_fallback && observers.empty()) {
-    rungs.push_back({"ssa-nrm", options, /*ssa=*/true});
-  }
-
-  FallbackResult out;
-  const std::size_t max_attempts = std::max<std::size_t>(1,
-                                                         fallback.max_attempts);
-  std::size_t rung_index = 0;
-  std::size_t transient_retries = 0;
-  for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    const OdeRung& rung = rungs[rung_index];
-    if (attempt > 0 && fallback.reset_observers) fallback.reset_observers();
-
-    SimFailure failure;
-    try {
-      if (!rung.ssa) {
-        OdeOptions ode = rung.options;
-        if (fallback.make_abort) ode.abort = fallback.make_abort();
-        OdeResult run = simulate_ode(network, ode, initial, observers);
-        failure = classify_failure(run);
-        out.end_time = run.end_time;
-        out.ode_steps = run.steps_accepted;
-        out.ssa_events = 0;
-        const std::span<const double> final = run.trajectory.final_state();
-        out.final_state.assign(final.begin(), final.end());
-        out.trajectory = std::move(run.trajectory);
-        out.used_ssa = false;
-      } else {
-        SsaOptions ssa;
-        ssa.t_end = rung.options.t_end;
-        ssa.method = SsaMethod::kNextReaction;
-        ssa.seed = fallback.ssa_seed;
-        ssa.omega = fallback.ssa_omega;
-        ssa.record_interval = rung.options.record_interval > 0.0
-                                  ? rung.options.record_interval
-                                  : 0.1;
-        ssa.abort = fallback.make_abort ? fallback.make_abort()
-                                        : rung.options.abort;
-        SsaResult run = simulate_ssa(network, ssa, initial);
-        failure = classify_failure(run);
-        out.end_time = run.end_time;
-        out.ode_steps = 0;
-        out.ssa_events = run.events;
-        out.final_state.resize(run.final_counts.size());
-        for (std::size_t i = 0; i < run.final_counts.size(); ++i) {
-          out.final_state[i] =
-              static_cast<double>(run.final_counts[i]) / ssa.omega;
-        }
-        out.trajectory = std::move(run.trajectory);
-        out.used_ssa = true;
-      }
-    } catch (const std::exception& error) {
-      failure = {SimFailureKind::kException, error.what()};
-    }
-
-    out.log.final_rung = rung.name;
-    if (!failure) {
-      out.ok = true;
-      out.failure = {};
-      out.log.recovered = !out.log.attempts.empty();
-      return out;
-    }
-
-    out.failure = failure;
-    const bool last_attempt = attempt + 1 == max_attempts;
-    double backoff = 0.0;
-    if (is_transient(failure.kind)) {
-      ++transient_retries;
-      if (!last_attempt) {
-        backoff = fallback.backoff_base_seconds *
-                  std::pow(2.0, static_cast<double>(transient_retries - 1));
-        backoff = std::min(backoff, fallback.backoff_cap_seconds);
-      }
-    } else {
-      transient_retries = 0;
-      ++rung_index;
-    }
-    out.log.attempts.push_back({attempt, rung.name, failure, backoff});
-    if (last_attempt || rung_index >= rungs.size()) return out;
-    if (backoff > 0.0) {
-      (fallback.sleep ? fallback.sleep : default_sleep)(backoff);
-    }
-  }
-  return out;
+std::function<bool()> abort_hook(std::stop_token stop,
+                                 double timeout_seconds) {
+  using Clock = std::chrono::steady_clock;
+  const bool has_deadline = timeout_seconds > 0.0;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(timeout_seconds));
+  return [stop = std::move(stop), has_deadline, deadline] {
+    return stop.stop_requested() ||
+           (has_deadline && Clock::now() >= deadline);
+  };
 }
 
-FallbackResult simulate_ssa_with_fallback(
-    const core::ReactionNetwork& network, const SsaOptions& options,
-    const FallbackOptions& fallback, std::vector<double> initial) {
-  struct SsaRung {
-    std::string name;
-    SsaOptions options;
-  };
-  std::vector<SsaRung> rungs;
-  rungs.push_back({ssa_method_name(options.method), options});
-  SsaOptions budget = options;
-  budget.max_events = options.max_events > 0
-                          ? options.max_events * 16
-                          : options.max_events;
-  rungs.push_back({"event-budget", budget});
-  if (options.method != SsaMethod::kTauLeaping) {
-    SsaOptions leap = budget;
-    leap.method = SsaMethod::kTauLeaping;
-    rungs.push_back({"tau-leap", leap});
-  }
-
-  FallbackResult out;
-  const std::size_t max_attempts = std::max<std::size_t>(1,
-                                                         fallback.max_attempts);
-  std::size_t rung_index = 0;
-  std::size_t transient_retries = 0;
-  for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    const SsaRung& rung = rungs[rung_index];
-
-    SimFailure failure;
-    try {
-      SsaOptions ssa = rung.options;
-      if (fallback.make_abort) ssa.abort = fallback.make_abort();
-      SsaResult run = simulate_ssa(network, ssa, initial);
-      failure = classify_failure(run);
-      out.end_time = run.end_time;
-      out.ssa_events = run.events;
-      out.final_state.resize(run.final_counts.size());
-      for (std::size_t i = 0; i < run.final_counts.size(); ++i) {
-        out.final_state[i] =
-            static_cast<double>(run.final_counts[i]) / ssa.omega;
-      }
-      out.trajectory = std::move(run.trajectory);
-      out.used_ssa = true;
-    } catch (const std::exception& error) {
-      failure = {SimFailureKind::kException, error.what()};
-    }
-
-    out.log.final_rung = rung.name;
+RecoveryLog walk_ladder(
+    std::span<const std::string_view> rungs, std::size_t max_attempts,
+    std::stop_token stop,
+    const std::function<SimFailure(std::size_t rung_index)>& attempt) {
+  RecoveryLog log;
+  max_attempts = std::max<std::size_t>(1, max_attempts);
+  std::size_t rung = 0;
+  for (std::size_t index = 0; index < max_attempts && rung < rungs.size();
+       ++index) {
+    log.final_rung = rungs[rung];
+    SimFailure failure = attempt(rung);
     if (!failure) {
-      out.ok = true;
-      out.failure = {};
-      out.log.recovered = !out.log.attempts.empty();
-      return out;
+      log.recovered = !log.attempts.empty();
+      break;
     }
-
-    out.failure = failure;
-    const bool last_attempt = attempt + 1 == max_attempts;
-    double backoff = 0.0;
-    if (is_transient(failure.kind)) {
-      ++transient_retries;
-      if (!last_attempt) {
-        backoff = fallback.backoff_base_seconds *
-                  std::pow(2.0, static_cast<double>(transient_retries - 1));
-        backoff = std::min(backoff, fallback.backoff_cap_seconds);
-      }
-    } else {
-      transient_retries = 0;
-      ++rung_index;
-    }
-    out.log.attempts.push_back({attempt, rung.name, failure, backoff});
-    if (last_attempt || rung_index >= rungs.size()) return out;
-    if (backoff > 0.0) {
-      (fallback.sleep ? fallback.sleep : default_sleep)(backoff);
+    const bool transient = is_transient(failure.kind);
+    log.attempts.push_back({index, log.final_rung, std::move(failure)});
+    if (!transient) {
+      ++rung;
+    } else if (stop.stop_requested()) {
+      break;  // a stopped job is not worth another attempt
     }
   }
-  return out;
+  return log;
+}
+
+FallbackResult simulate_with_fallback(const CompiledSystem& system,
+                                      const OdeOptions& options,
+                                      const FallbackOptions& fallback,
+                                      std::span<const double> initial) {
+  std::vector<std::string_view> rungs = {ode_method_name(options.method),
+                                         "tightened"};
+  if (options.method != OdeMethod::kBackwardEuler) {
+    rungs.push_back("implicit-fixed");
+  }
+  rungs.push_back("ssa-nrm");
+  return run_ladder(system, rungs, fallback, initial,
+                    [&](std::size_t rung) -> RungOptions {
+                      if (rung == 0) return options;
+                      if (rungs[rung] == "tightened") {
+                        return tightened_options(options);
+                      }
+                      if (rungs[rung] == "implicit-fixed") {
+                        return implicit_fixed_options(options);
+                      }
+                      return ssa_rung_options(options, fallback.ssa_seed);
+                    });
+}
+
+FallbackResult simulate_with_fallback(const CompiledSystem& system,
+                                      const SsaOptions& options,
+                                      const FallbackOptions& fallback,
+                                      std::span<const double> initial) {
+  std::vector<std::string_view> rungs = {ssa_method_name(options.method),
+                                         "event-budget"};
+  if (options.method != SsaMethod::kTauLeaping) rungs.push_back("tau-leap");
+  return run_ladder(system, rungs, fallback, initial,
+                    [&](std::size_t rung) -> RungOptions {
+                      if (rung == 0) return options;
+                      SsaOptions budget = options;
+                      budget.max_events *= 16;
+                      if (rungs[rung] == "tau-leap") {
+                        budget.method = SsaMethod::kTauLeaping;
+                      }
+                      return budget;
+                    });
 }
 
 }  // namespace mrsc::sim

@@ -5,31 +5,34 @@
 // stiff transient, an explicit method blows up to NaN, an SSA run exhausts
 // its event budget, or the batch deadline fires mid-run. `classify_failure`
 // turns the raw result flags into a structured `SimFailure`, and
-// `simulate_*_with_fallback` react to it by walking a ladder of progressively
-// more conservative configurations:
+// `simulate_with_fallback` reacts to it by walking a ladder of progressively
+// more conservative configurations on one `CompiledSystem`:
 //
 //   ODE:  as-requested -> "tightened" (smaller tolerances/steps)
 //                      -> "implicit-fixed" (backward Euler, small fixed step)
-//                      -> "ssa-nrm" (exact stochastic, optional)
+//                      -> "ssa-nrm" (exact stochastic, omega 1000)
 //   SSA:  as-requested -> "event-budget" (16x the event cap)
 //                      -> "tau-leap" (approximate accelerated method)
 //
-// Non-transient failures advance one rung; transient ones (deadline) retry
-// the same rung after a capped exponential backoff, on the theory that a
-// fresh per-attempt deadline may suffice. Every failed attempt is recorded
-// in a `RecoveryLog` whose rendering is deterministic — it contains only the
-// attempt index, rung name, classified failure, and the *scheduled* backoff,
-// never wall-clock measurements — so logs compare equal across thread
-// counts and reruns.
+// `walk_ladder` is the one retry policy every ladder walks (the stress
+// campaign harness walks its own two rungs through it too). A transient
+// failure (deadline) retries the same rung at once with a fresh deadline,
+// unless the stop was requested; any other failure advances one rung. Every
+// failed attempt is recorded in a `RecoveryLog` whose rendering is
+// deterministic — it holds only the attempt index, rung name and classified
+// failure, never wall-clock measurements — so logs compare equal across
+// thread counts and reruns.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <stop_token>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "core/network.hpp"
+#include "sim/engine/compiled_system.hpp"
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
 #include "sim/trajectory.hpp"
@@ -72,10 +75,6 @@ struct RecoveryAttempt {
   std::size_t attempt = 0;  ///< 0-based attempt index
   std::string rung;         ///< ladder rung the attempt ran on
   SimFailure failure;
-  /// Scheduled backoff before the next attempt (0 for rung advances). The
-  /// *scheduled* value is recorded, not the measured sleep, to keep logs
-  /// deterministic.
-  double backoff_seconds = 0.0;
 };
 
 struct RecoveryLog {
@@ -83,49 +82,47 @@ struct RecoveryLog {
   std::string final_rung;                 ///< rung of the last attempt
   bool recovered = false;  ///< succeeded after at least one failure
 
+  /// True when the last attempt succeeded (with or without failures first).
+  [[nodiscard]] bool succeeded() const {
+    return recovered || attempts.empty();
+  }
   /// "rk4:non-finite-state -> tightened:non-finite-state -> implicit-fixed:ok"
   [[nodiscard]] std::string to_string() const;
-  /// Deterministic single-line JSON object.
+  /// Deterministic single-line JSON object. Each attempt carries a constant
+  /// `"backoff_seconds":0` key, part of the report schema.
   [[nodiscard]] std::string to_json() const;
 };
 
-/// The "tightened" rung: same method, smaller tolerances/steps. Exposed so
-/// callers that own their observer wiring (the stress campaign harness) can
-/// walk the ladder themselves.
-[[nodiscard]] OdeOptions tightened_options(const OdeOptions& options);
+/// The steppers' abort hook: true once `stop` is requested or, when
+/// `timeout_seconds` is positive, once that long has passed from this call.
+[[nodiscard]] std::function<bool()> abort_hook(std::stop_token stop,
+                                               double timeout_seconds);
 
-/// The "implicit-fixed" rung: backward Euler at a small fixed step.
-[[nodiscard]] OdeOptions implicit_fixed_options(const OdeOptions& options);
+/// The retry policy. Calls `attempt(rung_index)` (starting at rung 0) until
+/// it returns no failure, `max_attempts` (>= 1) attempts have run, or the
+/// rungs run out. A deadline failure retries the same rung, unless `stop` is
+/// requested, which ends the walk; any other failure moves down one rung.
+/// Exceptions thrown by `attempt` propagate. `rungs` must not be empty.
+[[nodiscard]] RecoveryLog walk_ladder(
+    std::span<const std::string_view> rungs, std::size_t max_attempts,
+    std::stop_token stop,
+    const std::function<SimFailure(std::size_t rung_index)>& attempt);
+
+/// The "tightened" rung: same method, smaller tolerances/steps. Exposed for
+/// the stress campaign harness, which walks its own rungs.
+[[nodiscard]] OdeOptions tightened_options(const OdeOptions& options);
 
 struct FallbackOptions {
   /// Total attempts across all rungs (>= 1). 1 disables the ladder: the
   /// first failure is final, matching the plain simulate_* behaviour.
   std::size_t max_attempts = 4;
-
-  /// Backoff before retrying a transient failure: base * 2^(retry-1),
-  /// capped. Base 0 disables sleeping but still records the rung retry.
-  double backoff_base_seconds = 0.0;
-  double backoff_cap_seconds = 2.0;
-
-  /// Whether the ODE ladder may bottom out in an exact SSA run. Skipped
-  /// automatically when observers are attached (SSA has no observer hook).
-  bool allow_ssa_fallback = true;
-  double ssa_omega = 1000.0;
+  /// Seed of the ODE ladder's exact SSA rung.
   std::uint64_t ssa_seed = 1;
-
-  /// Injectable sleep for the transient backoff; tests pass a no-op or a
-  /// recorder. Null uses std::this_thread::sleep_for.
-  std::function<void(double seconds)> sleep;
-
-  /// Called before each attempt to build that attempt's abort hook (so a
-  /// deadline retry gets a fresh budget). Null reuses the hook already set
-  /// on the simulation options for every attempt.
-  std::function<std::function<bool()>()> make_abort;
-
-  /// Called before every attempt after the first. Callers passing stateful
-  /// observers (edge detectors, samplers) must reset them here or the retry
-  /// will observe stale state.
-  std::function<void()> reset_observers;
+  /// Each attempt's abort hook is `abort_hook(stop, timeout_seconds)`, built
+  /// when the attempt starts (a deadline retry gets a fresh budget); it
+  /// replaces any hook set on the simulation options. 0 means no deadline.
+  std::stop_token stop;
+  double timeout_seconds = 0.0;
 };
 
 struct FallbackResult {
@@ -133,24 +130,23 @@ struct FallbackResult {
   SimFailure failure;  ///< final classified failure when !ok
   RecoveryLog log;
   Trajectory trajectory;
-  std::vector<double> final_state;
+  std::vector<double> final_state;  ///< concentrations (SSA: counts / omega)
   double end_time = 0.0;
   std::size_t ode_steps = 0;    ///< accepted steps of the last ODE attempt
   std::uint64_t ssa_events = 0;  ///< events of the last SSA attempt
-  bool used_ssa = false;  ///< the successful attempt ran on an SSA rung
+  bool used_ssa = false;  ///< the last finished attempt ran on an SSA rung
 };
 
-/// Runs `network` down the ODE ladder starting from `options`. Observers are
-/// re-invoked on every attempt (see FallbackOptions::reset_observers); when
-/// any are attached the SSA rung is skipped.
-[[nodiscard]] FallbackResult simulate_ode_with_fallback(
-    const core::ReactionNetwork& network, const OdeOptions& options,
-    const FallbackOptions& fallback, std::vector<double> initial = {},
-    std::span<Observer* const> observers = {});
+/// Runs `system` down the ODE ladder starting from `options`, from the
+/// concentrations `initial`.
+[[nodiscard]] FallbackResult simulate_with_fallback(
+    const CompiledSystem& system, const OdeOptions& options,
+    const FallbackOptions& fallback, std::span<const double> initial);
 
-/// Runs `network` down the SSA ladder starting from `options`.
-[[nodiscard]] FallbackResult simulate_ssa_with_fallback(
-    const core::ReactionNetwork& network, const SsaOptions& options,
-    const FallbackOptions& fallback, std::vector<double> initial = {});
+/// Runs `system` down the SSA ladder starting from `options`, from the
+/// concentrations `initial` (converted to counts at `options.omega`).
+[[nodiscard]] FallbackResult simulate_with_fallback(
+    const CompiledSystem& system, const SsaOptions& options,
+    const FallbackOptions& fallback, std::span<const double> initial);
 
 }  // namespace mrsc::sim

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <variant>
 
@@ -220,39 +221,37 @@ TrialResult run_trial(const CampaignConfig& config, const TrialPlan& plan,
   base.abort = config.abort;
   // Two rungs: the harness owns its observers, so deeper rungs (implicit
   // fixed-step, SSA) are left to the generic fallback path in sim/.
-  const std::size_t attempts_allowed =
-      std::clamp<std::size_t>(config.max_attempts, 1, 2);
-  for (std::size_t attempt = 0; attempt < attempts_allowed; ++attempt) {
-    const char* rung = attempt == 0 ? "dp45" : "tightened";
-    const sim::OdeOptions ode =
-        attempt == 0 ? base : sim::tightened_options(base);
-    result.recovery.final_rung = rung;
-    try {
-      const std::string mismatch = drive_trial(plan, spec, ode);
-      result.attempts = attempt + 1;
-      result.recovery.recovered = !result.recovery.attempts.empty();
-      if (mismatch.empty()) {
-        result.status = TrialStatus::kOk;
-        result.detail.clear();
-      } else {
-        result.status = TrialStatus::kMismatch;
-        result.detail = mismatch;
-      }
-      return result;
-    } catch (const std::exception& error) {
-      // The integrator only aborts through config.abort, and a wall-clock
-      // stop is the caller's, not the trial's: never record it.
-      if (aborted(config)) throw CampaignAborted();
-      const sim::SimFailure failure{sim::SimFailureKind::kException,
-                                    error.what()};
-      result.recovery.attempts.push_back({attempt, rung, failure, 0.0});
-      result.detail = std::string(sim::to_string(failure.kind)) + ": " +
-                      failure.detail;
-    }
+  static constexpr std::string_view kRungs[] = {"dp45", "tightened"};
+  std::string mismatch;
+  result.recovery = sim::walk_ladder(
+      kRungs, config.max_attempts, {},
+      [&](std::size_t rung) -> sim::SimFailure {
+        try {
+          mismatch = drive_trial(
+              plan, spec, rung == 0 ? base : sim::tightened_options(base));
+          return {};
+        } catch (const std::exception& error) {
+          // The integrator only aborts through config.abort, and a
+          // wall-clock stop is the caller's, not the trial's: never record
+          // it.
+          if (aborted(config)) throw CampaignAborted();
+          return {sim::SimFailureKind::kException, error.what()};
+        }
+      });
+  const bool ok = result.recovery.succeeded();
+  result.attempts = result.recovery.attempts.size() + (ok ? 1 : 0);
+  if (!ok) {
+    // Every rung failed: quarantine the trial, the sweep continues.
+    const sim::SimFailure& failure = result.recovery.attempts.back().failure;
+    result.status = TrialStatus::kSimFailure;
+    result.detail = std::string(sim::to_string(failure.kind)) + ": " +
+                    failure.detail;
+  } else if (mismatch.empty()) {
+    result.status = TrialStatus::kOk;
+  } else {
+    result.status = TrialStatus::kMismatch;
+    result.detail = mismatch;
   }
-  // Every rung failed: quarantine the trial, the sweep continues.
-  result.status = TrialStatus::kSimFailure;
-  result.attempts = attempts_allowed;
   return result;
 }
 

@@ -26,12 +26,15 @@
 //   --omega W          molecules per concentration unit (ensemble)
 //   --record DT        sampling interval          (default t_end/200)
 //   --tau T            leap length for tau-leaping
+//   --dt H             sweep: step of rk4/be, first step of dp45
+//                      (default 1e-3)
 //   --ratios A,B,C     sweep ratios               (default 10,100,1000,10000)
 //   --jitters A,B      sweep jitter factors       (default 1)
 //   --species A,B,C    which species to report    (default all)
-//   --retries N        extra attempts per failing job; each walks the solver
-//                      fallback ladder one rung (default 0, single-shot);
-//                      recovery logs land in --json
+//   --retries N        extra attempts per failing job on the solver
+//                      fallback ladder: a failure steps down one rung, a
+//                      deadline retries the same rung (default 0,
+//                      single-shot); recovery logs land in --json
 //   --opt              run the -O1 compile pipeline on the loaded network
 //                      first (--species names are pinned as roots); the
 //                      per-pass report is printed and lands in --json
@@ -291,7 +294,7 @@ int run_ensemble(const core::ReactionNetwork& network,
   options.base_seed = cli.seed;
   options.batch.threads = cli.jobs;
   options.batch.timeout_seconds = cli.timeout;
-  options.batch.retry.max_attempts = cli.retries + 1;
+  options.batch.max_attempts = cli.retries + 1;
 
   const runtime::EnsembleResult result =
       runtime::run_ssa_ensemble(network, ssa, options);
@@ -441,7 +444,7 @@ int run_sweep(const core::ReactionNetwork& network, const CliOptions& cli) {
   runtime::BatchOptions batch;
   batch.threads = cli.jobs;
   batch.timeout_seconds = cli.timeout;
-  batch.retry.max_attempts = cli.retries + 1;
+  batch.max_attempts = cli.retries + 1;
   runtime::BatchRunner runner(batch);
   const std::vector<runtime::JobResult> results = runner.run(jobs);
   const std::vector<core::SpeciesId> report =

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <stdexcept>
+#include <stop_token>
+#include <string_view>
 #include <vector>
 
 #include "core/network.hpp"
@@ -130,8 +134,8 @@ TEST(FallbackLadder, StepUnderflowRecoversOnTightenedRung) {
   options.max_step = 0.25;
   options.t_end = 1.0;
   FallbackOptions fallback;
-  const FallbackResult result =
-      simulate_ode_with_fallback(net, options, fallback);
+  const FallbackResult result = simulate_with_fallback(
+      CompiledSystem(net), options, fallback, net.initial_state());
   ASSERT_TRUE(result.ok);
   EXPECT_TRUE(result.log.recovered);
   EXPECT_EQ(result.log.final_rung, "tightened");
@@ -153,8 +157,8 @@ TEST(FallbackLadder, StiffRk4WalksToImplicitFixed) {
   options.dt = 1.0;
   options.t_end = 100.0;
   FallbackOptions fallback;
-  const FallbackResult result =
-      simulate_ode_with_fallback(net, options, fallback);
+  const FallbackResult result = simulate_with_fallback(
+      CompiledSystem(net), options, fallback, net.initial_state());
   ASSERT_TRUE(result.ok);
   EXPECT_TRUE(result.log.recovered);
   EXPECT_FALSE(result.used_ssa);
@@ -170,37 +174,6 @@ TEST(FallbackLadder, StiffRk4WalksToImplicitFixed) {
   EXPECT_NEAR(result.final_state[0], 0.0, 1e-9);  // exp(-10000)
 }
 
-TEST(FallbackLadder, TransientDeadlineRetriesSameRungWithBackoff) {
-  const core::ReactionNetwork net = decay_network(1.0);
-  OdeOptions options;
-  options.t_end = 1.0;
-  FallbackOptions fallback;
-  fallback.backoff_base_seconds = 0.5;
-  fallback.backoff_cap_seconds = 2.0;
-  std::vector<double> slept;
-  fallback.sleep = [&](double seconds) { slept.push_back(seconds); };
-  // The first attempt's deadline fires immediately; later attempts run free.
-  std::size_t attempt = 0;
-  fallback.make_abort = [&]() -> std::function<bool()> {
-    const bool fail = attempt++ == 0;
-    return [fail] { return fail; };
-  };
-  const FallbackResult result =
-      simulate_ode_with_fallback(net, options, fallback);
-  ASSERT_TRUE(result.ok);
-  EXPECT_TRUE(result.log.recovered);
-  // Transient: retried on the SAME rung, with the scheduled backoff logged.
-  EXPECT_EQ(result.log.final_rung, "dp45");
-  ASSERT_EQ(result.log.attempts.size(), 1u);
-  EXPECT_EQ(result.log.attempts[0].rung, "dp45");
-  EXPECT_EQ(result.log.attempts[0].failure.kind, SimFailureKind::kDeadline);
-  EXPECT_DOUBLE_EQ(result.log.attempts[0].backoff_seconds, 0.5);
-  ASSERT_EQ(slept.size(), 1u);
-  EXPECT_DOUBLE_EQ(slept[0], 0.5);
-  ASSERT_EQ(result.final_state.size(), 1u);
-  EXPECT_NEAR(result.final_state[0], std::exp(-1.0), 1e-6);
-}
-
 TEST(FallbackLadder, AttemptBudgetExhaustionReportsLastFailure) {
   const core::ReactionNetwork net = decay_network(100.0);
   OdeOptions options;
@@ -209,8 +182,8 @@ TEST(FallbackLadder, AttemptBudgetExhaustionReportsLastFailure) {
   options.t_end = 100.0;
   FallbackOptions fallback;
   fallback.max_attempts = 2;  // rk4 + tightened, no implicit rung left
-  const FallbackResult result =
-      simulate_ode_with_fallback(net, options, fallback);
+  const FallbackResult result = simulate_with_fallback(
+      CompiledSystem(net), options, fallback, net.initial_state());
   EXPECT_FALSE(result.ok);
   EXPECT_FALSE(result.log.recovered);
   EXPECT_EQ(result.failure.kind, SimFailureKind::kNonFiniteState);
@@ -228,8 +201,8 @@ TEST(FallbackLadder, SsaEventLimitRecoversOnEventBudgetRung) {
   options.seed = 7;
   options.max_events = 20;
   FallbackOptions fallback;
-  const FallbackResult result =
-      simulate_ssa_with_fallback(net, options, fallback);
+  const FallbackResult result = simulate_with_fallback(
+      CompiledSystem(net), options, fallback, net.initial_state());
   ASSERT_TRUE(result.ok);
   EXPECT_TRUE(result.used_ssa);
   EXPECT_TRUE(result.log.recovered);
@@ -237,6 +210,140 @@ TEST(FallbackLadder, SsaEventLimitRecoversOnEventBudgetRung) {
   ASSERT_EQ(result.log.attempts.size(), 1u);
   EXPECT_EQ(result.log.attempts[0].rung, "nrm");
   EXPECT_EQ(result.log.attempts[0].failure.kind, SimFailureKind::kEventLimit);
+}
+
+// --- the one retry policy, scripted ----------------------------------------
+
+constexpr std::string_view kRungs[] = {"a", "b", "c"};
+
+/// An attempt that fails with `kinds[i]` on its i-th call (kNone, or any
+/// call past the end, succeeds) and records the rung of every call.
+auto scripted(const std::vector<SimFailureKind>& kinds,
+              std::vector<std::size_t>& rungs_run) {
+  return [&kinds, &rungs_run](std::size_t rung) -> SimFailure {
+    const std::size_t call = rungs_run.size();
+    rungs_run.push_back(rung);
+    if (call >= kinds.size()) return {};
+    return {kinds[call], "scripted"};
+  };
+}
+
+TEST(WalkLadder, DeadlineRetriesTheSameRung) {
+  const std::vector<SimFailureKind> kinds = {SimFailureKind::kDeadline,
+                                             SimFailureKind::kDeadline};
+  std::vector<std::size_t> rungs_run;
+  const RecoveryLog log =
+      walk_ladder(kRungs, 4, {}, scripted(kinds, rungs_run));
+  EXPECT_EQ(rungs_run, (std::vector<std::size_t>{0, 0, 0}));
+  EXPECT_TRUE(log.succeeded());
+  EXPECT_TRUE(log.recovered);
+  EXPECT_EQ(log.final_rung, "a");
+  EXPECT_EQ(log.to_string(), "a:deadline -> a:deadline -> a:ok");
+  ASSERT_EQ(log.attempts.size(), 2u);
+  EXPECT_EQ(log.attempts[1].attempt, 1u);
+  EXPECT_EQ(log.attempts[1].failure.detail, "scripted");
+}
+
+TEST(WalkLadder, AnyOtherFailureMovesDownOneRung) {
+  const std::vector<SimFailureKind> kinds = {SimFailureKind::kNonFiniteState,
+                                             SimFailureKind::kDeadline,
+                                             SimFailureKind::kStepUnderflow};
+  std::vector<std::size_t> rungs_run;
+  const RecoveryLog log =
+      walk_ladder(kRungs, 4, {}, scripted(kinds, rungs_run));
+  EXPECT_EQ(rungs_run, (std::vector<std::size_t>{0, 1, 1, 2}));
+  EXPECT_TRUE(log.recovered);
+  EXPECT_EQ(log.to_string(),
+            "a:non-finite-state -> b:deadline -> b:step-underflow -> c:ok");
+}
+
+TEST(WalkLadder, FirstAttemptSuccessLogsNothing) {
+  const std::vector<SimFailureKind> kinds;
+  std::vector<std::size_t> rungs_run;
+  const RecoveryLog log =
+      walk_ladder(kRungs, 4, {}, scripted(kinds, rungs_run));
+  EXPECT_EQ(rungs_run, (std::vector<std::size_t>{0}));
+  EXPECT_TRUE(log.succeeded());
+  EXPECT_FALSE(log.recovered);
+  EXPECT_TRUE(log.attempts.empty());
+  EXPECT_EQ(log.to_string(), "a:ok");
+}
+
+TEST(WalkLadder, MaxAttemptsCapsTheWalk) {
+  const std::vector<SimFailureKind> kinds(8, SimFailureKind::kDeadline);
+  std::vector<std::size_t> rungs_run;
+  RecoveryLog log = walk_ladder(kRungs, 3, {}, scripted(kinds, rungs_run));
+  EXPECT_EQ(rungs_run, (std::vector<std::size_t>{0, 0, 0}));
+  EXPECT_FALSE(log.succeeded());
+  EXPECT_EQ(log.to_string(), "a:deadline -> a:deadline -> a:deadline");
+
+  // Zero attempts still runs one.
+  rungs_run.clear();
+  log = walk_ladder(kRungs, 0, {}, scripted(kinds, rungs_run));
+  EXPECT_EQ(rungs_run, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(log.attempts.size(), 1u);
+}
+
+TEST(WalkLadder, RunningOutOfRungsEndsTheWalk) {
+  const std::vector<SimFailureKind> kinds(8, SimFailureKind::kException);
+  std::vector<std::size_t> rungs_run;
+  const RecoveryLog log =
+      walk_ladder(kRungs, 10, {}, scripted(kinds, rungs_run));
+  EXPECT_EQ(rungs_run, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_FALSE(log.succeeded());
+  EXPECT_EQ(log.final_rung, "c");
+  EXPECT_EQ(log.to_string(), "a:exception -> b:exception -> c:exception");
+}
+
+TEST(WalkLadder, RequestedStopEndsTheWalkAtTheFirstDeadline) {
+  std::stop_source stop;
+  stop.request_stop();
+  // A rung that finished still advances; the first deadline ends the walk.
+  const std::vector<SimFailureKind> kinds = {SimFailureKind::kStepLimit,
+                                             SimFailureKind::kDeadline};
+  std::vector<std::size_t> rungs_run;
+  const RecoveryLog log = walk_ladder(kRungs, 4, stop.get_token(),
+                                      scripted(kinds, rungs_run));
+  EXPECT_EQ(rungs_run, (std::vector<std::size_t>{0, 1}));
+  EXPECT_FALSE(log.succeeded());
+  EXPECT_EQ(log.to_string(), "a:step-limit -> b:deadline");
+}
+
+TEST(WalkLadder, ExceptionsFromTheAttemptPropagate) {
+  std::size_t calls = 0;
+  const auto attempt = [&calls](std::size_t) -> SimFailure {
+    ++calls;
+    throw std::runtime_error("campaign aborted");
+  };
+  EXPECT_THROW(static_cast<void>(walk_ladder(kRungs, 4, {}, attempt)),
+               std::runtime_error);
+  EXPECT_EQ(calls, 1u);
+}
+
+TEST(WalkLadder, ToJsonKeepsTheBackoffKeyAtZero) {
+  const std::vector<SimFailureKind> kinds = {SimFailureKind::kDeadline,
+                                             SimFailureKind::kNonFiniteState};
+  std::vector<std::size_t> rungs_run;
+  const RecoveryLog log =
+      walk_ladder(kRungs, 4, {}, scripted(kinds, rungs_run));
+  EXPECT_EQ(log.to_json(),
+            "{\"recovered\":true,\"final_rung\":\"b\",\"attempts\":["
+            "{\"attempt\":0,\"rung\":\"a\",\"failure\":\"deadline\","
+            "\"detail\":\"scripted\",\"backoff_seconds\":0},"
+            "{\"attempt\":1,\"rung\":\"a\",\"failure\":\"non-finite-state\","
+            "\"detail\":\"scripted\",\"backoff_seconds\":0}]}");
+}
+
+TEST(AbortHook, FiresOnStopOrOnceAPositiveTimeoutPasses) {
+  std::stop_source stop;
+  const std::function<bool()> no_deadline = abort_hook(stop.get_token(), 0.0);
+  EXPECT_FALSE(no_deadline());
+  EXPECT_FALSE(abort_hook({}, 3600.0)());
+  const std::function<bool()> expiring = abort_hook({}, 1e-6);
+  while (!expiring()) {
+  }
+  stop.request_stop();
+  EXPECT_TRUE(no_deadline());
 }
 
 // --- retrying batch runner ------------------------------------------------
@@ -269,8 +376,7 @@ TEST(BatchRetry, DefaultPolicyKeepsSingleShotSemantics) {
 TEST(BatchRetry, LadderRecoversAndReportsAttempts) {
   const core::ReactionNetwork net = decay_network(100.0);
   runtime::BatchOptions options;
-  options.retry.max_attempts = 4;
-  options.retry.allow_ssa_fallback = false;
+  options.max_attempts = 4;
   runtime::BatchRunner runner(options);
   const std::vector<runtime::JobResult> results =
       runner.run(std::vector<runtime::SimJob>{stiff_ode_job(net)});
@@ -287,7 +393,7 @@ TEST(BatchRetry, PersistentFailureIsQuarantinedNotFatal) {
   const core::ReactionNetwork stiff = decay_network(100.0);
   const core::ReactionNetwork healthy = decay_network(1.0);
   runtime::BatchOptions options;
-  options.retry.max_attempts = 2;  // exhausted before the implicit rung
+  options.max_attempts = 2;  // exhausted before the implicit rung
   runtime::BatchRunner runner(options);
   runtime::SimJob ok_job;
   ok_job.network = &healthy;
@@ -307,15 +413,14 @@ TEST(BatchRetry, PersistentFailureIsQuarantinedNotFatal) {
 
 TEST(BatchRetry, RecoveryLogsAreIdenticalAcrossThreadCounts) {
   // The determinism contract extended to the ladder: per-job RecoveryLogs
-  // contain only scheduled values, so an 8-worker run renders byte-identical
+  // contain no wall-clock values, so an 8-worker run renders byte-identical
   // logs to a serial run.
   const core::ReactionNetwork net = decay_network(100.0);
   const std::vector<runtime::SimJob> jobs(8, stiff_ode_job(net));
   auto run_with = [&](std::size_t threads) {
     runtime::BatchOptions options;
     options.threads = threads;
-    options.retry.max_attempts = 4;
-    options.retry.allow_ssa_fallback = false;
+    options.max_attempts = 4;
     runtime::BatchRunner runner(options);
     return runner.run(jobs);
   };

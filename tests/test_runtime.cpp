@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <stop_token>
 #include <thread>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "runtime/thread_pool.hpp"
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
+#include "tools/builtin_designs.hpp"
 #include "util/rng.hpp"
 
 namespace mrsc {
@@ -224,7 +227,7 @@ TEST(BatchRunner, CancelledBeforeRunSkipsJobs) {
 }
 
 // The retry ladder's per-attempt abort watches the same token: a stop
-// lands as kCancelled, not as a deadline to retry.
+// lands as kCancelled after one attempt, not as a deadline to retry.
 TEST(BatchRunner, StopCancelsTheRetryLadder) {
   const core::ReactionNetwork net = busy_network(10.0);
   runtime::SimJob job;
@@ -235,8 +238,7 @@ TEST(BatchRunner, StopCancelsTheRetryLadder) {
   job.ssa.record_interval = 1e9;
   job.ssa.seed = 11;
   runtime::BatchOptions options;
-  options.retry.max_attempts = 3;
-  options.retry.sleep = [](double) {};
+  options.max_attempts = 4;
   runtime::BatchRunner runner(options);
   std::stop_source stop;
   std::thread canceller([&stop] {
@@ -248,6 +250,8 @@ TEST(BatchRunner, StopCancelsTheRetryLadder) {
   canceller.join();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status, runtime::JobStatus::kCancelled);
+  EXPECT_EQ(results[0].attempts, 1u);
+  EXPECT_EQ(results[0].recovery.to_string(), "nrm:deadline");
 }
 
 // --- Deterministic parallel execution ------------------------------------
@@ -383,6 +387,50 @@ TEST(Ensemble, StatsAreOrderedAndMassConserving) {
   // per-replicate final states must sum to it.
   for (const runtime::JobResult& job : result.replicates) {
     EXPECT_NEAR(job.final_state[0] + job.final_state[1], 5.0, 1e-9);
+  }
+}
+
+// A retrying ensemble walks the same one path as a single-shot one; runs
+// that never fail must not notice the extra attempts.
+TEST(Ensemble, RetryingRunMatchesSingleShot) {
+  sim::SsaOptions ssa;
+  ssa.t_end = 5.0;
+  ssa.omega = 200.0;
+  ssa.method = sim::SsaMethod::kDirect;
+  for (const char* design : {"delay_chain(16)", "cascade(4)"}) {
+    SCOPED_TRACE(design);
+    const tools::BuiltDesign built = tools::build_design(design, {});
+    runtime::EnsembleOptions single;
+    single.replicates = 8;
+    single.base_seed = 3;
+    single.batch.threads = 2;
+    runtime::EnsembleOptions retrying = single;
+    retrying.batch.max_attempts = 3;
+    const runtime::EnsembleResult a =
+        runtime::run_ssa_ensemble(*built.network, ssa, single);
+    const runtime::EnsembleResult b =
+        runtime::run_ssa_ensemble(*built.network, ssa, retrying);
+    EXPECT_EQ(a.ok, 8u);
+    EXPECT_EQ(b.ok, 8u);
+    ASSERT_EQ(a.replicates.size(), b.replicates.size());
+    for (std::size_t i = 0; i < a.replicates.size(); ++i) {
+      EXPECT_EQ(a.replicates[i].ssa_events, b.replicates[i].ssa_events);
+      EXPECT_EQ(b.replicates[i].attempts, 1u);
+    }
+    ASSERT_EQ(a.final_stats.size(), b.final_stats.size());
+    for (std::size_t s = 0; s < a.final_stats.size(); ++s) {
+      const runtime::SpeciesStats& x = a.final_stats[s];
+      const runtime::SpeciesStats& y = b.final_stats[s];
+      EXPECT_EQ(x.name, y.name);
+      for (const auto field :
+           {&runtime::SpeciesStats::mean, &runtime::SpeciesStats::stddev,
+            &runtime::SpeciesStats::min, &runtime::SpeciesStats::max,
+            &runtime::SpeciesStats::q05, &runtime::SpeciesStats::q50,
+            &runtime::SpeciesStats::q95}) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(x.*field),
+                  std::bit_cast<std::uint64_t>(y.*field));
+      }
+    }
   }
 }
 
