@@ -19,7 +19,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using json = util::json::Value;
 using util::json::number_to_string;
-using util::json::quote;
 
 double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
@@ -308,16 +307,29 @@ std::string build_sim_request(const std::string& design,
                               const std::string& method, std::uint64_t seed,
                               double t_end, double omega, double record,
                               int opt) {
-  std::string request = R"({"op":"job","kind":"sim","design":)";
-  request += quote(design);
-  request += ",\"method\":" + quote(method);
-  request += ",\"seed\":" + std::to_string(seed);
-  request += ",\"opt\":" + std::to_string(opt);
-  request += ",\"t_end\":" + number_to_string(t_end);
-  request += ",\"omega\":" + number_to_string(omega);
-  if (record > 0.0) request += ",\"record\":" + number_to_string(record);
-  request += '}';
-  return request;
+  json request;
+  request.set("op", json("job"));
+  request.set("kind", json("sim"));
+  request.set("design", json(design));
+  request.set("method", json(method));
+  request.set("seed", json(seed));
+  request.set("opt", json(static_cast<double>(opt)));
+  request.set("t_end", json(t_end));
+  request.set("omega", json(omega));
+  if (record > 0.0) request.set("record", json(record));
+  return request.dump();
+}
+
+/// The fields every merged report opens with.
+json report_header(const char* mode, const std::string& design,
+                   const std::string& method, int opt) {
+  json out;
+  out.set("status", json("ok"));
+  out.set("mode", json(mode));
+  out.set("design", json(design));
+  out.set("method", json(method));
+  out.set("opt", json(static_cast<double>(opt)));
+  return out;
 }
 
 /// Validates a request exactly the way a shard will (same parse, same
@@ -395,17 +407,8 @@ std::string run_ensemble(FleetClient& fleet, const EnsembleSpec& spec) {
     throw std::runtime_error("fleet: replicate 0 has no final state");
   }
 
-  std::string out = R"({"status":"ok","mode":"ensemble","design":)";
-  out += quote(design);
-  out += ",\"method\":" + quote(spec.method);
-  out += ",\"opt\":" + std::to_string(spec.opt);
-  out += ",\"replicates\":" + std::to_string(spec.replicates);
-  out += ",\"base_seed\":" + std::to_string(spec.base_seed);
-  out += ",\"t_end\":" + number_to_string(spec.t_end);
-  out += ",\"omega\":" + number_to_string(spec.omega);
-  out += ",\"ssa_events_total\":" + number_to_string(events_total);
-  out += ",\"species\":[";
-  bool first = true;
+  json stats;
+  stats.make_array();
   std::vector<double> values(spec.replicates);
   for (const util::json::Member& species : final0->as_object()) {
     const std::string& name = species.first;
@@ -419,22 +422,16 @@ std::string run_ensemble(FleetClient& fleet, const EnsembleSpec& spec) {
       }
       values[i] = value->as_number();
     }
-    const runtime::SpeciesStats stats =
-        runtime::reduce_species(name, values);
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":" + quote(stats.name);
-    out += ",\"mean\":" + number_to_string(stats.mean);
-    out += ",\"stddev\":" + number_to_string(stats.stddev);
-    out += ",\"min\":" + number_to_string(stats.min);
-    out += ",\"max\":" + number_to_string(stats.max);
-    out += ",\"q05\":" + number_to_string(stats.q05);
-    out += ",\"q50\":" + number_to_string(stats.q50);
-    out += ",\"q95\":" + number_to_string(stats.q95);
-    out += '}';
+    stats.array().push_back(runtime::reduce_species(name, values).to_value());
   }
-  out += "]}";
-  return out;
+  json out = report_header("ensemble", design, spec.method, spec.opt);
+  out.set("replicates", json(spec.replicates));
+  out.set("base_seed", json(spec.base_seed));
+  out.set("t_end", json(spec.t_end));
+  out.set("omega", json(spec.omega));
+  out.set("ssa_events_total", json(events_total));
+  out.set("species", std::move(stats));
+  return out.dump();
 }
 
 std::string run_sweep(FleetClient& fleet, const SweepSpec& spec) {
@@ -458,13 +455,8 @@ std::string run_sweep(FleetClient& fleet, const SweepSpec& spec) {
   const std::vector<json> parsed =
       parse_responses(fleet.execute(requests), keys);
 
-  std::string out = R"({"status":"ok","mode":"sweep","design":)";
-  out += quote(design);
-  out += ",\"method\":" + quote(spec.method);
-  out += ",\"opt\":" + std::to_string(spec.opt);
-  out += ",\"base_seed\":" + std::to_string(spec.base_seed);
-  out += ",\"t_end\":" + number_to_string(spec.t_end);
-  out += ",\"points\":[";
+  json points;
+  points.make_array();
   for (std::size_t i = 0; i < parsed.size(); ++i) {
     const json& result = result_of(parsed[i], i);
     const json* final_state = result.find("final");
@@ -472,18 +464,19 @@ std::string run_sweep(FleetClient& fleet, const SweepSpec& spec) {
       throw std::runtime_error("fleet: point " + std::to_string(i) +
                                " has no final state");
     }
-    if (i != 0) out += ',';
-    out += "{\"omega\":" + number_to_string(spec.omegas[i]);
-    out += ",\"seed\":" + std::to_string(seeds[i]);
-    out += ",\"end_time\":" +
-           number_to_string(result.get_number("end_time", 0.0));
-    out += ",\"ssa_events\":" +
-           number_to_string(result.get_number("ssa_events", 0.0));
-    out += ",\"final\":" + final_state->dump();
-    out += '}';
+    json point;
+    point.set("omega", json(spec.omegas[i]));
+    point.set("seed", json(seeds[i]));
+    point.set("end_time", json(result.get_number("end_time", 0.0)));
+    point.set("ssa_events", json(result.get_number("ssa_events", 0.0)));
+    point.set("final", *final_state);
+    points.array().push_back(std::move(point));
   }
-  out += "]}";
-  return out;
+  json out = report_header("sweep", design, spec.method, spec.opt);
+  out.set("base_seed", json(spec.base_seed));
+  out.set("t_end", json(spec.t_end));
+  out.set("points", std::move(points));
+  return out.dump();
 }
 
 std::string fetch_catalog(FleetClient& fleet) {

@@ -7,6 +7,7 @@ namespace mrsc::lint {
 namespace {
 
 using util::json::quote;
+using util::json::string_array;
 using util::json::Value;
 
 std::string json_string_array(const std::vector<std::string>& items) {
@@ -16,14 +17,6 @@ std::string json_string_array(const std::vector<std::string>& items) {
     out += quote(items[i]);
   }
   out += "]";
-  return out;
-}
-
-Value string_array(const std::vector<std::string>& items) {
-  Value out;
-  std::vector<Value>& array = out.array();
-  array.reserve(items.size());
-  for (const std::string& item : items) array.emplace_back(item);
   return out;
 }
 

@@ -47,7 +47,6 @@ BatchRunner::BatchRunner(BatchOptions options) : options_(options) {
 JobResult BatchRunner::execute(const SimJob& job,
                                const std::stop_token& stop) const {
   JobResult result;
-  result.label = job.label;
   if (job.kind == SimKind::kSsa) result.seed = job.ssa.seed;
   if (job.network == nullptr) {
     result.status = JobStatus::kFailed;
@@ -80,34 +79,51 @@ JobResult BatchRunner::execute(const SimJob& job,
   result.ode_steps = run.ode_steps;
   result.ssa_events = run.ssa_events;
   result.final_state = std::move(run.final_state);
-  if (options_.keep_trajectories) {
-    result.trajectory = std::move(run.trajectory);
-  }
-  result.attempts = run.log.attempts.size() + (run.ok ? 1 : 0);
-  const bool single_shot = options_.max_attempts <= 1;
-  const sim::SimFailureKind kind = run.failure.kind;
-  if (kind == sim::SimFailureKind::kDeadline) {
-    result.status = stop.stop_requested() ? JobStatus::kCancelled
-                                          : JobStatus::kTimeout;
-  } else if (single_shot) {
-    // A finished run passes as kOk however it ended; only a throw fails.
-    if (kind == sim::SimFailureKind::kException) {
+  const bool ok = run.log.succeeded();
+  result.attempts = run.log.attempts.size() + (ok ? 1 : 0);
+  if (!ok) {
+    result.failure = run.log.attempts.back().failure;
+    const sim::SimFailureKind kind = result.failure.kind;
+    if (kind == sim::SimFailureKind::kDeadline) {
+      result.status = stop.stop_requested() ? JobStatus::kCancelled
+                                            : JobStatus::kTimeout;
+    } else if (kind == sim::SimFailureKind::kException) {
       result.status = JobStatus::kFailed;
-      result.error = std::move(run.failure.detail);
+      result.error = result.failure.detail;
+    } else {
+      // A deterministic failure on every rung it reached: set it aside.
+      result.status = JobStatus::kQuarantined;
+      result.error =
+          std::string(sim::to_string(kind)) + ": " + result.failure.detail;
     }
-  } else if (!run.ok) {
-    // Deterministic failure on every rung it reached: set the job aside.
-    result.status = JobStatus::kQuarantined;
   }
-  if (single_shot) return result;  // failure and recovery stay empty
-
-  if (!run.ok) {
-    result.error = std::string(sim::to_string(kind)) + ": " +
-                   run.failure.detail;
-  }
-  result.failure = std::move(run.failure);
   result.recovery = std::move(run.log);
   return result;
+}
+
+util::json::Value JobResult::to_value(
+    const core::ReactionNetwork& network,
+    std::span<const core::SpeciesId> species) const {
+  using util::json::Value;
+  Value values;
+  values.make_object();
+  const std::size_t count =
+      species.empty() ? network.species_count() : species.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const core::SpeciesId id =
+        species.empty()
+            ? core::SpeciesId{static_cast<core::SpeciesId::underlying_type>(i)}
+            : species[i];
+    const std::size_t s = id.index();
+    values.set(network.species_name(id),
+               Value(s < final_state.size() ? final_state[s] : 0.0));
+  }
+  Value out;
+  out.set("end_time", Value(end_time));
+  out.set("ssa_events", Value(ssa_events));
+  out.set("ode_steps", Value(std::uint64_t{ode_steps}));
+  out.set("final", std::move(values));
+  return out;
 }
 
 std::vector<JobResult> BatchRunner::run(std::span<const SimJob> jobs,

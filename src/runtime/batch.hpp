@@ -21,9 +21,8 @@
 //
 // One path per job: every job runs through `sim::simulate_with_fallback` on
 // one `CompiledSystem` (the job's own, or compiled once per job).
-// `BatchOptions::max_attempts` sets how many ladder attempts it may make; at
-// the default of 1 the ladder never steps and the result keeps the
-// single-shot contract (see `BatchOptions::max_attempts`).
+// `BatchOptions::max_attempts` sets how many ladder attempts it may make;
+// every attempt is classified (sim/fallback.hpp) at any budget.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +36,7 @@
 #include "sim/fallback.hpp"
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
-#include "sim/trajectory.hpp"
+#include "util/json.hpp"
 
 namespace mrsc::runtime {
 
@@ -59,7 +58,6 @@ struct SimJob {
   sim::SsaOptions ssa;  ///< used when kind == kSsa (including its seed)
   /// Initial concentrations; empty uses the network defaults.
   std::vector<double> initial;
-  std::string label;  ///< free-form tag echoed into the result
 };
 
 enum class JobStatus : std::uint8_t {
@@ -67,14 +65,15 @@ enum class JobStatus : std::uint8_t {
   kFailed,       ///< the stepper threw; see `error`
   kTimeout,      ///< the per-job deadline fired
   kCancelled,    ///< the run's stop token stopped or skipped the job
-  kQuarantined,  ///< failed deterministically on every fallback rung; the
-                 ///< job is reported and set aside, the campaign continues
+  kQuarantined,  ///< the last attempt failed classification; the job is
+                 ///< reported and set aside, the campaign continues
 };
 
 struct JobResult {
   JobStatus status = JobStatus::kOk;
-  std::string label;
-  std::string error;         ///< failure reason when status != kOk
+  /// Failure reason: what() for kFailed, "<kind>: <detail>" for
+  /// kQuarantined, empty otherwise.
+  std::string error;
   /// The SSA seed the job ran with (0 for ODE jobs), echoed so failure
   /// reports can name the exact replicate to re-run.
   std::uint64_t seed = 0;
@@ -84,17 +83,21 @@ struct JobResult {
   std::size_t ode_steps = 0;
   /// Final concentrations (SSA counts are divided by omega).
   std::vector<double> final_state;
-  /// Full trajectory; only kept when BatchOptions::keep_trajectories is set
-  /// (ensembles of thousands of replicates would otherwise exhaust memory).
-  sim::Trajectory trajectory;
   /// Attempts actually made (1 when the first try succeeded).
   std::size_t attempts = 1;
   /// Classified failure of the last attempt (kind == kNone on success).
   sim::SimFailure failure{};
-  /// Ladder history when retries are enabled. Deterministic: contains only
+  /// Ladder history of every job that ran. Deterministic: contains only
   /// attempt indices, rung names and classified failures, so per-job logs
   /// are identical at any thread count.
   sim::RecoveryLog recovery{};
+
+  /// The run's deterministic fields, no wall time: `end_time`, `ssa_events`,
+  /// `ode_steps` and `final` (species name -> concentration, 0 when the job
+  /// never ran) for `species`, or every species of `network` when empty.
+  [[nodiscard]] util::json::Value to_value(
+      const core::ReactionNetwork& network,
+      std::span<const core::SpeciesId> species = {}) const;
 };
 
 [[nodiscard]] const char* to_string(JobStatus status);
@@ -102,14 +105,11 @@ struct JobResult {
 struct BatchOptions {
   std::size_t threads = 1;      ///< 0 selects the hardware concurrency
   double timeout_seconds = 0.0;  ///< per-attempt deadline; 0 disables
-  bool keep_trajectories = false;
   /// Attempts per job across the solver fallback ladder (sim/fallback.hpp).
-  /// The default 1 is single-shot: only a throw (kFailed, `error` = what())
-  /// or an abort (kTimeout/kCancelled) fails a job, a finished run passes
-  /// as kOk however it ended, and `failure`/`recovery` stay empty. Above 1,
-  /// a failed attempt steps to a more conservative rung, a deadline retries
-  /// the same rung with a fresh deadline, and a job that fails on every rung
-  /// it reached is kQuarantined while the rest of the batch proceeds.
+  /// Above 1, a failed attempt steps to a more conservative rung and a
+  /// deadline retries the same rung. At any value the last attempt decides:
+  /// a deadline is kTimeout (kCancelled once `stop` is requested), a throw
+  /// is kFailed, any other classified failure is kQuarantined.
   std::size_t max_attempts = 1;
 };
 

@@ -20,6 +20,18 @@ double quantile_sorted(const std::vector<double>& sorted, double q) {
   return sorted[lower] + fraction * (sorted[lower + 1] - sorted[lower]);
 }
 
+util::json::Value SpeciesStats::to_value() const {
+  using util::json::Value;
+  Value out;
+  out.set("name", Value(name));
+  for (const auto& [key, value] :
+       {std::pair{"mean", mean}, {"stddev", stddev}, {"min", min},
+        {"max", max}, {"q05", q05}, {"q50", q50}, {"q95", q95}}) {
+    out.set(key, Value(value));
+  }
+  return out;
+}
+
 SpeciesStats reduce_species(std::string name, std::vector<double> values) {
   SpeciesStats stats;
   stats.name = std::move(name);
@@ -54,7 +66,6 @@ std::vector<SimJob> make_ensemble_jobs(const core::ReactionNetwork& network,
     job.kind = SimKind::kSsa;
     job.ssa = ssa;
     job.ssa.seed = util::Rng::stream_seed(base_seed, i);
-    job.label = "replicate " + std::to_string(i);
   }
   return jobs;
 }

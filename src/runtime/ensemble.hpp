@@ -35,6 +35,10 @@ struct SpeciesStats {
   double q05 = 0.0;  ///< 5th percentile
   double q50 = 0.0;  ///< median
   double q95 = 0.0;  ///< 95th percentile
+
+  /// {"name","mean","stddev","min","max","q05","q50","q95"}, in that order:
+  /// the species entry of mrsc_batch's and the fleet's ensemble reports.
+  [[nodiscard]] util::json::Value to_value() const;
 };
 
 struct EnsembleResult {

@@ -27,7 +27,7 @@ namespace mrsc::serve {
 namespace {
 
 using util::json::number_to_string;
-using util::json::quote;
+using util::json::Value;
 
 constexpr double kMaxTEnd = 1e4;
 constexpr double kMaxDeadline = 600.0;
@@ -244,7 +244,10 @@ std::string draining_response() {
 }
 
 std::string error_response(const std::string& message) {
-  return "{\"status\":\"error\",\"error\":" + quote(message) + "}";
+  Value out;
+  out.set("status", Value("error"));
+  out.set("error", Value(message));
+  return out.dump();
 }
 
 std::string cancelled_response() {
@@ -254,43 +257,37 @@ std::string cancelled_response() {
 std::string catalog_response() {
   const scenario::ScenarioRegistry& registry =
       scenario::ScenarioRegistry::global();
-  std::string out = R"({"status":"ok","op":"catalog","fixed":[)";
-  bool first = true;
-  for (const std::string& name : registry.fixed_names()) {
-    if (!first) out += ',';
-    first = false;
-    out += quote(name);
-  }
-  out += "],\"generators\":[";
-  first = true;
+  Value generators;
+  generators.make_array();
   for (const scenario::GeneratorInfo& info : registry.generators()) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":" + quote(info.name);
-    out += ",\"parameter\":" + quote(info.parameter);
-    out += ",\"min\":" + std::to_string(info.min_arg);
-    out += ",\"max\":" + std::to_string(info.max_arg);
-    out += ",\"smoke\":" + std::to_string(info.smoke_arg);
-    out += ",\"summary\":" + quote(info.summary);
-    out += '}';
+    Value entry;
+    entry.set("name", Value(info.name));
+    entry.set("parameter", Value(info.parameter));
+    entry.set("min", Value(info.min_arg));
+    entry.set("max", Value(info.max_arg));
+    entry.set("smoke", Value(info.smoke_arg));
+    entry.set("summary", Value(info.summary));
+    generators.array().push_back(std::move(entry));
   }
-  out += "],\"smoke\":[";
-  first = true;
-  for (const std::string& spec : registry.smoke_catalog()) {
-    if (!first) out += ',';
-    first = false;
-    out += quote(spec);
-  }
-  out += "]}";
-  return out;
+  Value out;
+  out.set("status", Value("ok"));
+  out.set("op", Value("catalog"));
+  out.set("fixed", util::json::string_array(registry.fixed_names()));
+  out.set("generators", std::move(generators));
+  out.set("smoke", util::json::string_array(registry.smoke_catalog()));
+  return out.dump();
 }
 
 namespace {
 
-std::string payload_header(const JobRequest& request) {
-  return "{\"status\":\"ok\",\"kind\":\"" +
-         std::string(to_string(request.kind)) +
-         "\",\"key\":" + quote(canonical_key(request)) + ",\"result\":";
+/// The one success envelope every job kind answers with.
+std::string ok_payload(const JobRequest& request, Value result) {
+  Value out;
+  out.set("status", Value("ok"));
+  out.set("kind", Value(to_string(request.kind)));
+  out.set("key", Value(canonical_key(request)));
+  out.set("result", std::move(result));
+  return out.dump();
 }
 
 std::shared_ptr<const CompiledDesign> design_for(const JobRequest& request,
@@ -339,27 +336,15 @@ DispatchResult run_sim(const JobRequest& request,
     return {error_response(message), false, false};
   }
 
-  std::string out = payload_header(request);
-  out += "{\"design\":" + quote(request.design);
-  out += ",\"method\":" + quote(request.method);
-  out += ",\"opt\":" + std::to_string(request.opt);
-  out += ",\"seed\":" + std::to_string(request.seed);
-  out += ",\"t_end\":" + number_to_string(request.t_end);
-  out += ",\"omega\":" + number_to_string(request.omega);
-  out += ",\"end_time\":" + number_to_string(result.end_time);
-  out += ",\"ssa_events\":" + std::to_string(result.ssa_events);
-  out += ",\"ode_steps\":" + std::to_string(result.ode_steps);
-  out += ",\"final\":{";
-  const core::ReactionNetwork& network = *design->built.network;
-  for (std::size_t i = 0; i < result.final_state.size(); ++i) {
-    if (i != 0) out += ',';
-    const core::SpeciesId id{
-        static_cast<core::SpeciesId::underlying_type>(i)};
-    out += quote(network.species_name(id)) + ":" +
-           number_to_string(result.final_state[i]);
-  }
-  out += "}}}";
-  return {out, true, true};
+  Value out;
+  out.set("design", Value(request.design));
+  out.set("method", Value(request.method));
+  out.set("opt", Value(static_cast<double>(request.opt)));
+  out.set("seed", Value(request.seed));
+  out.set("t_end", Value(request.t_end));
+  out.set("omega", Value(request.omega));
+  out.append_members(result.to_value(*design->built.network));
+  return {ok_payload(request, std::move(out)), true, true};
 }
 
 /// The answer of a job its abort hook stopped: a wall-clock outcome, so an
@@ -393,28 +378,27 @@ DispatchResult run_verify(const JobRequest& request,
     return aborted_result(hooks, "verify");
   }
 
-  std::string out = payload_header(request);
-  out += "{\"seeds\":" + std::to_string(request.seeds);
-  out += ",\"start_seed\":" + std::to_string(request.start_seed);
-  out += ",\"checked\":" + std::to_string(report.checked);
-  out += ",\"failed\":" + std::to_string(report.failed);
-  out += ",\"failures\":[";
-  bool first = true;
+  Value failures;
+  failures.make_array();
   for (const verify::CaseResult& c : report.cases) {
     if (!c.failed()) continue;
-    if (!first) out += ',';
-    first = false;
-    out += "{\"seed\":" + std::to_string(c.seed);
-    out += ",\"case\":" + quote(verify::to_string(c.kind));
-    out += ",\"oracles\":[";
-    for (std::size_t i = 0; i < c.violations.size(); ++i) {
-      if (i != 0) out += ',';
-      out += quote(c.violations[i].oracle);
+    Value oracles;  // a failed case has at least one violation
+    for (const verify::Violation& violation : c.violations) {
+      oracles.array().emplace_back(violation.oracle);
     }
-    out += "]}";
+    Value entry;
+    entry.set("seed", Value(c.seed));
+    entry.set("case", Value(verify::to_string(c.kind)));
+    entry.set("oracles", std::move(oracles));
+    failures.array().push_back(std::move(entry));
   }
-  out += "]}}";
-  return {out, true, true};
+  Value out;
+  out.set("seeds", Value(request.seeds));
+  out.set("start_seed", Value(request.start_seed));
+  out.set("checked", Value(report.checked));
+  out.set("failed", Value(report.failed));
+  out.set("failures", std::move(failures));
+  return {ok_payload(request, std::move(out)), true, true};
 }
 
 DispatchResult run_lint_job(const JobRequest& request,
@@ -428,13 +412,11 @@ DispatchResult run_lint_job(const JobRequest& request,
   lint_options.checks = util::split_commas(request.checks);
   const lint::LintReport report = lint::run_lint(input, lint_options);
 
-  std::string out = payload_header(request);
-  out += "{\"werror\":" + std::string(request.werror ? "true" : "false");
-  out += ",\"clean\":" +
-         std::string(report.clean(request.werror) ? "true" : "false");
-  out += ",\"report\":" + report.to_value().dump();
-  out += "}}";
-  return {out, true, true};
+  Value out;
+  out.set("werror", Value(request.werror));
+  out.set("clean", Value(report.clean(request.werror)));
+  out.set("report", report.to_value());
+  return {ok_payload(request, std::move(out)), true, true};
 }
 
 DispatchResult run_stress(const JobRequest& request,
@@ -459,26 +441,25 @@ DispatchResult run_stress(const JobRequest& request,
     return aborted_result(hooks, "stress");
   }
 
-  std::string out = payload_header(request);
-  out += "{\"design\":" + quote(request.design);
-  out += ",\"fault\":" + quote(request.fault);
-  out += ",\"base_seed\":" + std::to_string(request.seed);
-  out += ",\"trials\":" + std::to_string(request.trials);
-  out += ",\"margin\":" + number_to_string(result.margin);
-  out += ",\"margin_found\":" +
-         std::string(result.margin_found ? "true" : "false");
-  out += ",\"intensities\":[";
-  for (std::size_t i = 0; i < result.intensities.size(); ++i) {
-    if (i != 0) out += ',';
-    const stress::IntensityResult& point = result.intensities[i];
-    out += "{\"intensity\":" + number_to_string(point.intensity);
-    out += ",\"ok\":" + std::to_string(point.ok);
-    out += ",\"mismatch\":" + std::to_string(point.mismatch);
-    out += ",\"sim_failure\":" + std::to_string(point.sim_failure);
-    out += '}';
+  Value intensities;
+  intensities.make_array();
+  for (const stress::IntensityResult& point : result.intensities) {
+    Value entry;
+    entry.set("intensity", Value(point.intensity));
+    entry.set("ok", Value(point.ok));
+    entry.set("mismatch", Value(point.mismatch));
+    entry.set("sim_failure", Value(point.sim_failure));
+    intensities.array().push_back(std::move(entry));
   }
-  out += "]}}";
-  return {out, true, true};
+  Value out;
+  out.set("design", Value(request.design));
+  out.set("fault", Value(request.fault));
+  out.set("base_seed", Value(request.seed));
+  out.set("trials", Value(request.trials));
+  out.set("margin", Value(result.margin));
+  out.set("margin_found", Value(result.margin_found));
+  out.set("intensities", std::move(intensities));
+  return {ok_payload(request, std::move(out)), true, true};
 }
 
 DispatchResult run_sleep(const JobRequest& request,
@@ -492,11 +473,11 @@ DispatchResult run_sleep(const JobRequest& request,
                      [&hooks] { return hooks.stop.stop_requested(); })) {
     return {cancelled_response(), false, false};
   }
-  std::string out = payload_header(request);
-  out += "{\"slept_ms\":" + number_to_string(request.sleep_ms) + "}}";
+  Value out;
+  out.set("slept_ms", Value(request.sleep_ms));
   // Deterministic, but caching a sleep would defeat its purpose (holding a
   // worker slot for backpressure tests).
-  return {out, true, false};
+  return {ok_payload(request, std::move(out)), true, false};
 }
 
 }  // namespace

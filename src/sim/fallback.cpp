@@ -13,8 +13,6 @@ namespace mrsc::sim {
 
 namespace {
 
-using util::json::quote;
-
 /// Volume factor of the ODE ladder's exact stochastic rung.
 constexpr double kSsaRungOmega = 1000.0;
 
@@ -81,9 +79,7 @@ SimFailure run_attempt(const CompiledSystem& system, RungOptions rung,
       out.final_state.assign(final.begin(), final.end());
       out.ode_steps = run.steps_accepted;
       out.ssa_events = 0;
-      out.used_ssa = false;
       out.end_time = run.end_time;
-      out.trajectory = std::move(run.trajectory);
       return classify_failure(run);  // reads only the result flags
     }
     SsaOptions& ssa = std::get<SsaOptions>(rung);
@@ -96,9 +92,7 @@ SimFailure run_attempt(const CompiledSystem& system, RungOptions rung,
     }
     out.ode_steps = 0;
     out.ssa_events = run.events;
-    out.used_ssa = true;
     out.end_time = run.end_time;
-    out.trajectory = std::move(run.trajectory);
     return classify_failure(run);
   } catch (const std::exception& error) {
     return {SimFailureKind::kException, error.what()};
@@ -117,8 +111,6 @@ FallbackResult run_ladder(const CompiledSystem& system,
       rungs, fallback.max_attempts, fallback.stop, [&](std::size_t rung) {
         return run_attempt(system, build(rung), initial, fallback, out);
       });
-  out.ok = out.log.succeeded();
-  if (!out.ok) out.failure = out.log.attempts.back().failure;
   return out;
 }
 
@@ -235,21 +227,23 @@ std::string RecoveryLog::to_string() const {
   return out;
 }
 
-std::string RecoveryLog::to_json() const {
-  std::string out = "{\"recovered\":";
-  out += recovered ? "true" : "false";
-  out += ",\"final_rung\":" + quote(final_rung);
-  out += ",\"attempts\":[";
-  for (std::size_t i = 0; i < attempts.size(); ++i) {
-    const RecoveryAttempt& attempt = attempts[i];
-    if (i > 0) out += ',';
-    out += "{\"attempt\":" + std::to_string(attempt.attempt);
-    out += ",\"rung\":" + quote(attempt.rung);
-    out += ",\"failure\":" + quote(sim::to_string(attempt.failure.kind));
-    out += ",\"detail\":" + quote(attempt.failure.detail);
-    out += ",\"backoff_seconds\":0}";
+util::json::Value RecoveryLog::to_value() const {
+  using util::json::Value;
+  Value out;
+  out.set("recovered", Value(recovered));
+  out.set("final_rung", Value(final_rung));
+  Value list;
+  list.make_array();
+  for (const RecoveryAttempt& attempt : attempts) {
+    Value entry;
+    entry.set("attempt", Value(std::uint64_t{attempt.attempt}));
+    entry.set("rung", Value(attempt.rung));
+    entry.set("failure", Value(sim::to_string(attempt.failure.kind)));
+    entry.set("detail", Value(attempt.failure.detail));
+    entry.set("backoff_seconds", Value(std::uint64_t{0}));
+    list.array().push_back(std::move(entry));
   }
-  out += "]}";
+  out.set("attempts", std::move(list));
   return out;
 }
 

@@ -35,7 +35,7 @@
 #include "sim/engine/compiled_system.hpp"
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
-#include "sim/trajectory.hpp"
+#include "util/json.hpp"
 
 namespace mrsc::sim {
 
@@ -88,9 +88,9 @@ struct RecoveryLog {
   }
   /// "rk4:non-finite-state -> tightened:non-finite-state -> implicit-fixed:ok"
   [[nodiscard]] std::string to_string() const;
-  /// Deterministic single-line JSON object. Each attempt carries a constant
+  /// Deterministic JSON object. Each attempt carries a constant
   /// `"backoff_seconds":0` key, part of the report schema.
-  [[nodiscard]] std::string to_json() const;
+  [[nodiscard]] util::json::Value to_value() const;
 };
 
 /// The steppers' abort hook: true once `stop` is requested or, when
@@ -125,16 +125,14 @@ struct FallbackOptions {
   double timeout_seconds = 0.0;
 };
 
+/// A ladder walk: `log` is the verdict (`succeeded()`, the final failure
+/// `attempts.back().failure`), the rest is the last attempt that finished.
 struct FallbackResult {
-  bool ok = false;
-  SimFailure failure;  ///< final classified failure when !ok
   RecoveryLog log;
-  Trajectory trajectory;
   std::vector<double> final_state;  ///< concentrations (SSA: counts / omega)
   double end_time = 0.0;
   std::size_t ode_steps = 0;    ///< accepted steps of the last ODE attempt
   std::uint64_t ssa_events = 0;  ///< events of the last SSA attempt
-  bool used_ssa = false;  ///< the last finished attempt ran on an SSA rung
 };
 
 /// Runs `system` down the ODE ladder starting from `options`, from the

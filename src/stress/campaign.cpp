@@ -340,7 +340,7 @@ std::string CampaignResult::to_json() const {
       out += ", \"status\": " + quote(stress::to_string(trial.status));
       out += ", \"detail\": " + quote(trial.detail);
       out += ", \"attempts\": " + std::to_string(trial.attempts);
-      out += ", \"recovery\": " + trial.recovery.to_json();
+      out += ", \"recovery\": " + trial.recovery.to_value().dump();
       out += "}";
     }
     out += "]}";

@@ -33,17 +33,17 @@
 //   --species A,B,C    which species to report    (default all)
 //   --retries N        extra attempts per failing job on the solver
 //                      fallback ladder: a failure steps down one rung, a
-//                      deadline retries the same rung (default 0,
-//                      single-shot); recovery logs land in --json
+//                      deadline retries the same rung (default 0); recovery
+//                      logs land in --json
 //   --opt              run the -O1 compile pipeline on the loaded network
 //                      first (--species names are pinned as roots); the
 //                      per-pass report is printed and lands in --json
-//   --json PATH        write machine-readable results
+//   --json PATH        write the results as one line of compact JSON
 //
 // Exit codes:
 //   0  every job finished ok (possibly after retries)
-//   1  at least one job failed / timed out / was quarantined after retries,
-//      or a runtime error (unreadable file, unwritable --json)
+//   1  at least one job failed / timed out / was quarantined (at any
+//      --retries), or a runtime error (unreadable file, unwritable --json)
 //   2  bad CLI usage: unknown flag, malformed value, unknown --species name
 #include <algorithm>
 #include <cstdio>
@@ -74,8 +74,7 @@ using tools::need_value;
 using tools::parse_double;
 using tools::parse_u64;
 using tools::write_file;
-using util::format_17g;
-using util::json::quote;
+using util::json::Value;
 constexpr char kTool[] = "mrsc_batch";
 
 struct CliOptions {
@@ -105,8 +104,8 @@ struct CliOptions {
   bool set_record = false;
   bool set_omega = false;
   bool set_seed = false;
-  // Compile report JSON from --opt, embedded in the --json output.
-  std::string compile_json;
+  // Compile report from --opt, embedded in the --json output.
+  std::optional<Value> compile_report;
 };
 
 void usage() {
@@ -263,12 +262,24 @@ std::vector<core::SpeciesId> resolve_species(
   return ids;
 }
 
-// Embeds the --opt compile report (if any) right after the "mode" field.
-void append_compile_report(std::string& json, const CliOptions& cli) {
-  if (cli.compile_json.empty()) return;
-  std::string report = cli.compile_json;
-  while (!report.empty() && report.back() == '\n') report.pop_back();
-  json += "  \"compile\": " + report + ",\n";
+// Starts a --json report: the mode, then the --opt compile report if any.
+Value report_header(const char* mode, const CliOptions& cli) {
+  Value json;
+  json.set("mode", Value(mode));
+  if (cli.compile_report) json.set("compile", *cli.compile_report);
+  return json;
+}
+
+// A job's ladder history, or null when its first attempt succeeded.
+Value recovery_value(const runtime::JobResult& job) {
+  return job.recovery.attempts.empty() ? Value() : job.recovery.to_value();
+}
+
+// Writes a --json report as one line of compact JSON.
+bool write_report(const CliOptions& cli, const Value& json) {
+  if (!write_file(kTool, cli.json, json.dump() + "\n")) return false;
+  std::printf("results written to %s\n", cli.json.c_str());
+  return true;
 }
 
 int run_ensemble(const core::ReactionNetwork& network,
@@ -332,66 +343,38 @@ int run_ensemble(const core::ReactionNetwork& network,
   }
 
   if (!cli.json.empty()) {
-    std::string json = "{\n  \"mode\": \"ensemble\",\n";
-    append_compile_report(json, cli);
-    json += "  \"replicates\": " + std::to_string(options.replicates) + ",\n";
-    json += "  \"base_seed\": " + std::to_string(options.base_seed) + ",\n";
-    json += "  \"method\": " + quote(method) + ",\n";
-    json += "  \"ok\": " + std::to_string(result.ok) + ",\n";
-    json += "  \"failed\": " + std::to_string(result.failed) + ",\n";
-    json += "  \"timeout\": " + std::to_string(result.timed_out) + ",\n";
-    json += "  \"cancelled\": " + std::to_string(result.cancelled) + ",\n";
-    json += "  \"quarantined\": " + std::to_string(result.quarantined) +
-            ",\n";
-    json += "  \"wall_seconds\": ";
-    json += format_17g(result.wall_seconds);
-    json += ",\n  \"species\": [\n";
-    for (std::size_t i = 0; i < report.size(); ++i) {
-      const runtime::SpeciesStats& stats =
-          result.final_stats[report[i].index()];
-      json += "    {\"name\": " + quote(stats.name) + ", \"mean\": ";
-      json += format_17g(stats.mean);
-      json += ", \"stddev\": ";
-      json += format_17g(stats.stddev);
-      json += ", \"min\": ";
-      json += format_17g(stats.min);
-      json += ", \"max\": ";
-      json += format_17g(stats.max);
-      json += ", \"q05\": ";
-      json += format_17g(stats.q05);
-      json += ", \"q50\": ";
-      json += format_17g(stats.q50);
-      json += ", \"q95\": ";
-      json += format_17g(stats.q95);
-      json += i + 1 < report.size() ? "},\n" : "}\n";
+    Value json = report_header("ensemble", cli);
+    json.set("replicates", Value(options.replicates));
+    json.set("base_seed", Value(options.base_seed));
+    json.set("method", Value(method));
+    json.set("ok", Value(result.ok));
+    json.set("failed", Value(result.failed));
+    json.set("timeout", Value(result.timed_out));
+    json.set("cancelled", Value(result.cancelled));
+    json.set("quarantined", Value(result.quarantined));
+    json.set("wall_seconds", Value(result.wall_seconds));
+    Value species;
+    species.make_array();
+    for (const core::SpeciesId id : report) {
+      species.array().push_back(result.final_stats[id.index()].to_value());
     }
-    json += "  ],\n  \"replicate_status\": [";
-    for (std::size_t i = 0; i < result.replicates.size(); ++i) {
-      json += quote(runtime::to_string(result.replicates[i].status));
-      if (i + 1 < result.replicates.size()) json += ", ";
+    json.set("species", std::move(species));
+    // Per-replicate arrays in job order, so they line up with the seeds:
+    // status, seed, attempts and the ladder history of every replicate
+    // that failed an attempt (null for clean first-try successes).
+    // (--replicates >= 1, so none of them is empty.)
+    Value status, seeds, attempts, recovery;
+    for (const runtime::JobResult& job : result.replicates) {
+      status.array().emplace_back(runtime::to_string(job.status));
+      seeds.array().emplace_back(job.seed);
+      attempts.array().emplace_back(job.attempts);
+      recovery.array().push_back(recovery_value(job));
     }
-    json += "],\n  \"replicate_seeds\": [";
-    for (std::size_t i = 0; i < result.replicates.size(); ++i) {
-      json += std::to_string(result.replicates[i].seed);
-      if (i + 1 < result.replicates.size()) json += ", ";
-    }
-    // Retry bookkeeping: attempts per replicate and the ladder history of
-    // every replicate that needed one (null for clean first-try successes).
-    // Results are in job order, so these arrays line up with the seeds.
-    json += "],\n  \"replicate_attempts\": [";
-    for (std::size_t i = 0; i < result.replicates.size(); ++i) {
-      json += std::to_string(result.replicates[i].attempts);
-      if (i + 1 < result.replicates.size()) json += ", ";
-    }
-    json += "],\n  \"recovery\": [";
-    for (std::size_t i = 0; i < result.replicates.size(); ++i) {
-      const runtime::JobResult& job = result.replicates[i];
-      json += job.recovery.attempts.empty() ? "null" : job.recovery.to_json();
-      if (i + 1 < result.replicates.size()) json += ", ";
-    }
-    json += "]\n}\n";
-    if (!write_file(kTool, cli.json, json)) return 1;
-    std::printf("results written to %s\n", cli.json.c_str());
+    json.set("replicate_status", std::move(status));
+    json.set("replicate_seeds", std::move(seeds));
+    json.set("replicate_attempts", std::move(attempts));
+    json.set("recovery", std::move(recovery));
+    if (!write_report(cli, json)) return 1;
   }
   return result.ok == result.replicates.size() ? 0 : 1;
 }
@@ -437,8 +420,6 @@ int run_sweep(const core::ReactionNetwork& network, const CliOptions& cli) {
     jobs[i].network = &networks[i];
     jobs[i].kind = runtime::SimKind::kOde;
     jobs[i].ode = ode;
-    jobs[i].label = "ratio " + std::to_string(grid[i].ratio) + " jitter " +
-                    std::to_string(grid[i].jitter);
   }
 
   runtime::BatchOptions batch;
@@ -484,36 +465,24 @@ int run_sweep(const core::ReactionNetwork& network, const CliOptions& cli) {
   }
 
   if (!cli.json.empty()) {
-    std::string json = "{\n  \"mode\": \"sweep\",\n";
-    append_compile_report(json, cli);
-    json += "  \"points\": [\n";
+    Value json = report_header("sweep", cli);
+    Value points;
+    points.make_array();
     for (std::size_t i = 0; i < results.size(); ++i) {
       const runtime::JobResult& job = results[i];
-      json += "    {\"ratio\": ";
-      json += format_17g(grid[i].ratio);
-      json += ", \"jitter\": ";
-      json += format_17g(grid[i].jitter);
-      json += ", \"seed\": " + std::to_string(grid[i].seed);
-      json += ", \"status\": " + quote(runtime::to_string(job.status));
-      json += ", \"wall_seconds\": ";
-      json += format_17g(job.wall_seconds);
-      json += ", \"ode_steps\": " + std::to_string(job.ode_steps);
-      json += ", \"attempts\": " + std::to_string(job.attempts);
-      json += ", \"recovery\": ";
-      json += job.recovery.attempts.empty() ? "null" : job.recovery.to_json();
-      json += ", \"final\": {";
-      for (std::size_t s = 0; s < report.size(); ++s) {
-        json += quote(network.species_name(report[s])) + ": ";
-        json += format_17g(report[s].index() < job.final_state.size()
-                               ? job.final_state[report[s].index()]
-                               : 0.0);
-        if (s + 1 < report.size()) json += ", ";
-      }
-      json += i + 1 < results.size() ? "}},\n" : "}}\n";
+      Value point;
+      point.set("ratio", Value(grid[i].ratio));
+      point.set("jitter", Value(grid[i].jitter));
+      point.set("seed", Value(grid[i].seed));
+      point.set("status", Value(runtime::to_string(job.status)));
+      point.set("wall_seconds", Value(job.wall_seconds));
+      point.set("attempts", Value(job.attempts));
+      point.set("recovery", recovery_value(job));
+      point.append_members(job.to_value(network, report));
+      points.array().push_back(std::move(point));
     }
-    json += "  ]\n}\n";
-    if (!write_file(kTool, cli.json, json)) return 1;
-    std::printf("results written to %s\n", cli.json.c_str());
+    json.set("points", std::move(points));
+    if (!write_report(cli, json)) return 1;
   }
   return failures == 0 ? 0 : 1;
 }
@@ -569,7 +538,7 @@ int main(int argc, char** argv) {
       auto optimized = compile::optimize_network(network, roots);
       optimized.report.design = label;
       std::printf("%s", optimized.report.to_table().c_str());
-      cli.compile_json = optimized.report.to_json();
+      cli.compile_report = util::json::parse(optimized.report.to_json());
     }
     // A --species typo is bad usage (exit 2), not a job failure (exit 1):
     // validate the names before any simulation runs.

@@ -25,11 +25,12 @@
 //                      first (--species names are pinned as roots) and
 //                      print the per-pass table
 //
-// Prints the final state of the reported species.
+// Prints the final state of the reported species, once the run is
+// classified clean like every batch job (sim/fallback.hpp).
 //
 // Exit codes:
 //   0  simulation finished and the report was written
-//   1  runtime failure: unreadable file, stepper error, event-limit hit
+//   1  runtime failure: unreadable file, stepper error, classified failure
 //   2  bad CLI usage: unknown flag/method, malformed value, unknown species
 #include <algorithm>
 #include <cstdio>
@@ -46,6 +47,7 @@
 #include "compile/passes.hpp"
 #include "core/io.hpp"
 #include "scenario/registry.hpp"
+#include "sim/fallback.hpp"
 #include "sim/method.hpp"
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
@@ -308,6 +310,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     sim::Trajectory trajectory;
+    sim::SimFailure failure;
     if (const auto* ode_method = std::get_if<sim::OdeMethod>(&*method)) {
       sim::OdeOptions options;
       options.t_end = cli.t_end;
@@ -318,6 +321,7 @@ int main(int argc, char** argv) {
       std::printf("ODE (%s): %zu steps accepted, %zu rejected\n",
                   cli.method.c_str(), result.steps_accepted,
                   result.steps_rejected);
+      failure = sim::classify_failure(result);
       trajectory = std::move(result.trajectory);
     } else {
       sim::SsaOptions options;
@@ -339,17 +343,23 @@ int main(int argc, char** argv) {
       std::printf("SSA (%s): %llu events%s\n", cli.method.c_str(),
                   static_cast<unsigned long long>(result.events),
                   result.exhausted ? " (exhausted)" : "");
-      if (result.hit_event_limit) {
-        std::fprintf(stderr,
-                     "mrsc_sim: method %s seed %llu hit the event limit "
-                     "(%llu events) at t=%.6g before t_end=%g\n",
-                     cli.method.c_str(),
-                     static_cast<unsigned long long>(cli.seed),
-                     static_cast<unsigned long long>(result.events),
-                     result.end_time, cli.t_end);
-        return 1;
-      }
+      failure = sim::classify_failure(result);
       trajectory = std::move(result.trajectory);
+    }
+    if (failure.kind == sim::SimFailureKind::kEventLimit) {
+      // The seed reruns the run: the same flags with --seed S.
+      std::fprintf(stderr,
+                   "mrsc_sim: method %s seed %llu hit the event limit: %s\n",
+                   cli.method.c_str(),
+                   static_cast<unsigned long long>(cli.seed),
+                   failure.detail.c_str());
+      return 1;
+    }
+    if (failure) {
+      std::fprintf(stderr, "mrsc_sim: method %s: %s: %s\n",
+                   cli.method.c_str(), sim::to_string(failure.kind),
+                   failure.detail.c_str());
+      return 1;
     }
 
     std::printf("final state at t=%.6g:\n", trajectory.final_time());

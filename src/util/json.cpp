@@ -132,7 +132,7 @@ struct Parser {
     const char* first = token.data();
     const char* last = first + token.size();
     const auto [ptr, ec] = std::from_chars(first, last, exact);
-    if (ec == std::errc() && ptr == last) return Value(value, exact);
+    if (ec == std::errc() && ptr == last) return Value(exact);
     return Value(value);
   }
 
@@ -257,6 +257,14 @@ std::string number_to_string(double value) {
   return format_17g(value);
 }
 
+Value string_array(const std::vector<std::string>& items) {
+  Value out;
+  std::vector<Value>& array = out.array();
+  array.reserve(items.size());
+  for (const std::string& item : items) array.emplace_back(item);
+  return out;
+}
+
 std::string quote(const std::string& text) {
   std::string out = "\"";
   for (const char c : text) {
@@ -282,37 +290,44 @@ std::string quote(const std::string& text) {
 }
 
 std::string Value::dump() const {
+  std::string out;
+  dump_to(out);
+  return out;
+}
+
+void Value::dump_to(std::string& out) const {
   switch (type_) {
     case Type::kNull:
-      return "null";
+      out += "null";
+      return;
     case Type::kBool:
-      return bool_ ? "true" : "false";
+      out += bool_ ? "true" : "false";
+      return;
     case Type::kNumber:
-      return number_to_string(number_);
+      out += exact_ ? std::to_string(*exact_) : number_to_string(number_);
+      return;
     case Type::kString:
-      return quote(string_);
-    case Type::kArray: {
-      std::string out = "[";
+      out += quote(string_);
+      return;
+    case Type::kArray:
+      out += '[';
       for (std::size_t i = 0; i < array_.size(); ++i) {
         if (i != 0) out += ',';
-        out += array_[i].dump();
+        array_[i].dump_to(out);
       }
       out += ']';
-      return out;
-    }
-    case Type::kObject: {
-      std::string out = "{";
+      return;
+    case Type::kObject:
+      out += '{';
       for (std::size_t i = 0; i < members_.size(); ++i) {
         if (i != 0) out += ',';
         out += quote(members_[i].first);
         out += ':';
-        out += members_[i].second.dump();
+        members_[i].second.dump_to(out);
       }
       out += '}';
-      return out;
-    }
+      return;
   }
-  return "null";
 }
 
 Value parse(const std::string& text) {

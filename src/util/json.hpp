@@ -1,8 +1,8 @@
 // Minimal JSON value type, parser and string writer.
 //
-// The one JSON implementation in the codebase. Every report writer (compile,
-// lint, fallback, stress, the CLIs' --json files) escapes its strings with
-// quote(); the service protocol and the fleet also parse with parse(). It is
+// The one JSON implementation in the codebase. Result writers build a Value
+// and dump it once; string-built reports escape with quote(); the service
+// protocol and the fleet also parse with parse(). It is
 // the smallest recursive-descent parser that covers the protocol:
 // null/bool/finite numbers/strings/arrays/objects, UTF-8 passed through
 // verbatim, \uXXXX escapes decoded for the BMP.
@@ -36,11 +36,13 @@ class Value {
   Value() = default;
   explicit Value(bool b) : type_(Type::kBool), bool_(b) {}
   explicit Value(double n) : type_(Type::kNumber), number_(n) {}
-  /// A number literal spelled as a non-negative integer that fits in 64
-  /// bits: `n` is its (possibly rounded) double, `exact` its exact value.
-  Value(double n, std::uint64_t exact)
-      : type_(Type::kNumber), number_(n), exact_(exact) {}
+  /// An exact non-negative integer (seeds, counters, and number literals
+  /// spelled as one): as_number() is its nearest double, while get_u64()
+  /// and dump() keep all 64 bits, which a double rounds above 2^53.
+  explicit Value(std::uint64_t n)
+      : type_(Type::kNumber), number_(static_cast<double>(n)), exact_(n) {}
   explicit Value(std::string s) : type_(Type::kString), string_(std::move(s)) {}
+  explicit Value(const char* s) : Value(std::string(s)) {}
 
   [[nodiscard]] Type type() const { return type_; }
   [[nodiscard]] bool is_null() const { return type_ == Type::kNull; }
@@ -72,12 +74,17 @@ class Value {
   [[nodiscard]] std::optional<std::uint64_t> get_u64(
       const std::string& key, std::uint64_t fallback) const;
 
-  // Mutating builders (parser + tests).
+  // Mutating builders (the parser and every report writer).
   void make_array() { type_ = Type::kArray; }
   void make_object() { type_ = Type::kObject; }
   std::vector<Value>& array() {
     type_ = Type::kArray;
     return array_;
+  }
+  /// Appends the members of the object `other`, in its order.
+  void append_members(Value other) {
+    type_ = Type::kObject;
+    for (Member& member : other.members_) members_.push_back(std::move(member));
   }
   void set(std::string key, Value value) {
     type_ = Type::kObject;
@@ -85,10 +92,12 @@ class Value {
   }
 
   /// Compact deterministic serialization (no whitespace, members in
-  /// insertion order, numbers via number_to_string).
+  /// insertion order, numbers via number_to_string or exactly).
   [[nodiscard]] std::string dump() const;
 
  private:
+  void dump_to(std::string& out) const;
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
@@ -108,6 +117,9 @@ class Value {
 /// values that fit in 64 bits without an exponent, so seeds and counters
 /// survive a parse → dump round trip textually.
 [[nodiscard]] std::string number_to_string(double value);
+
+/// A JSON array of `items`.
+[[nodiscard]] Value string_array(const std::vector<std::string>& items);
 
 /// JSON string literal for `text`, quotes included: `"` and `\` are
 /// backslash-escaped, \n \r \t use their short forms and every other byte

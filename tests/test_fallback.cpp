@@ -136,7 +136,7 @@ TEST(FallbackLadder, StepUnderflowRecoversOnTightenedRung) {
   FallbackOptions fallback;
   const FallbackResult result = simulate_with_fallback(
       CompiledSystem(net), options, fallback, net.initial_state());
-  ASSERT_TRUE(result.ok);
+  ASSERT_TRUE(result.log.succeeded());
   EXPECT_TRUE(result.log.recovered);
   EXPECT_EQ(result.log.final_rung, "tightened");
   ASSERT_EQ(result.log.attempts.size(), 1u);
@@ -159,9 +159,8 @@ TEST(FallbackLadder, StiffRk4WalksToImplicitFixed) {
   FallbackOptions fallback;
   const FallbackResult result = simulate_with_fallback(
       CompiledSystem(net), options, fallback, net.initial_state());
-  ASSERT_TRUE(result.ok);
+  ASSERT_TRUE(result.log.succeeded());
   EXPECT_TRUE(result.log.recovered);
-  EXPECT_FALSE(result.used_ssa);
   EXPECT_EQ(result.log.final_rung, "implicit-fixed");
   ASSERT_EQ(result.log.attempts.size(), 2u);
   EXPECT_EQ(result.log.attempts[0].rung, "rk4");
@@ -184,10 +183,11 @@ TEST(FallbackLadder, AttemptBudgetExhaustionReportsLastFailure) {
   fallback.max_attempts = 2;  // rk4 + tightened, no implicit rung left
   const FallbackResult result = simulate_with_fallback(
       CompiledSystem(net), options, fallback, net.initial_state());
-  EXPECT_FALSE(result.ok);
+  EXPECT_FALSE(result.log.succeeded());
   EXPECT_FALSE(result.log.recovered);
-  EXPECT_EQ(result.failure.kind, SimFailureKind::kNonFiniteState);
-  EXPECT_EQ(result.log.attempts.size(), 2u);
+  ASSERT_EQ(result.log.attempts.size(), 2u);
+  EXPECT_EQ(result.log.attempts.back().failure.kind,
+            SimFailureKind::kNonFiniteState);
   EXPECT_EQ(result.log.to_string(),
             "rk4:non-finite-state -> tightened:non-finite-state");
 }
@@ -203,8 +203,8 @@ TEST(FallbackLadder, SsaEventLimitRecoversOnEventBudgetRung) {
   FallbackOptions fallback;
   const FallbackResult result = simulate_with_fallback(
       CompiledSystem(net), options, fallback, net.initial_state());
-  ASSERT_TRUE(result.ok);
-  EXPECT_TRUE(result.used_ssa);
+  ASSERT_TRUE(result.log.succeeded());
+  EXPECT_GT(result.ssa_events, 0u);
   EXPECT_TRUE(result.log.recovered);
   EXPECT_EQ(result.log.final_rung, "event-budget");
   ASSERT_EQ(result.log.attempts.size(), 1u);
@@ -320,13 +320,13 @@ TEST(WalkLadder, ExceptionsFromTheAttemptPropagate) {
   EXPECT_EQ(calls, 1u);
 }
 
-TEST(WalkLadder, ToJsonKeepsTheBackoffKeyAtZero) {
+TEST(WalkLadder, ToValueKeepsTheBackoffKeyAtZero) {
   const std::vector<SimFailureKind> kinds = {SimFailureKind::kDeadline,
                                              SimFailureKind::kNonFiniteState};
   std::vector<std::size_t> rungs_run;
   const RecoveryLog log =
       walk_ladder(kRungs, 4, {}, scripted(kinds, rungs_run));
-  EXPECT_EQ(log.to_json(),
+  EXPECT_EQ(log.to_value().dump(),
             "{\"recovered\":true,\"final_rung\":\"b\",\"attempts\":["
             "{\"attempt\":0,\"rung\":\"a\",\"failure\":\"deadline\","
             "\"detail\":\"scripted\",\"backoff_seconds\":0},"
@@ -358,19 +358,39 @@ runtime::SimJob stiff_ode_job(const core::ReactionNetwork& net) {
   return job;
 }
 
-TEST(BatchRetry, DefaultPolicyKeepsSingleShotSemantics) {
+TEST(BatchRetry, SingleShotClassifiesItsRun) {
+  // One attempt is still a classified attempt: the rk4 blowup is set aside
+  // with the same verdict a longer ladder would give, never passed as kOk.
   const core::ReactionNetwork net = decay_network(100.0);
   runtime::BatchRunner runner(runtime::BatchOptions{});  // max_attempts == 1
   const std::vector<runtime::JobResult> results =
       runner.run(std::vector<runtime::SimJob>{stiff_ode_job(net)});
   ASSERT_EQ(results.size(), 1u);
-  // The single-shot path predates failure classification: a non-finite blowup
-  // is passed through silently as kOk. Opting into retries is what buys
-  // classification + quarantine; max_attempts == 1 must not change behavior.
-  EXPECT_EQ(results[0].status, runtime::JobStatus::kOk);
-  EXPECT_EQ(results[0].failure.kind, sim::SimFailureKind::kNone);
+  EXPECT_EQ(results[0].status, runtime::JobStatus::kQuarantined);
+  EXPECT_EQ(results[0].failure.kind, sim::SimFailureKind::kNonFiniteState);
   EXPECT_EQ(results[0].attempts, 1u);
-  EXPECT_TRUE(results[0].recovery.attempts.empty());
+  ASSERT_EQ(results[0].recovery.attempts.size(), 1u);
+  EXPECT_EQ(results[0].recovery.attempts[0].rung, "rk4");
+  EXPECT_EQ(results[0].recovery.final_rung, "rk4");
+  EXPECT_EQ(results[0].error.rfind("non-finite-state: ", 0), 0u);
+}
+
+TEST(BatchRetry, AThrowFailsTheJobAtAnyAttemptBudget) {
+  const core::ReactionNetwork net = decay_network(1.0);
+  runtime::SimJob job = stiff_ode_job(net);
+  job.initial = {1.0, 2.0};  // the network has one species: every rung throws
+  for (const std::size_t max_attempts : {std::size_t{1}, std::size_t{4}}) {
+    runtime::BatchOptions options;
+    options.max_attempts = max_attempts;
+    const std::vector<runtime::JobResult> results =
+        runtime::BatchRunner(options).run(std::vector<runtime::SimJob>{job});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].status, runtime::JobStatus::kFailed) << max_attempts;
+    EXPECT_EQ(results[0].failure.kind, SimFailureKind::kException);
+    EXPECT_EQ(results[0].attempts, max_attempts);
+    EXPECT_FALSE(results[0].error.empty());
+    EXPECT_EQ(results[0].error, results[0].failure.detail);
+  }
 }
 
 TEST(BatchRetry, LadderRecoversAndReportsAttempts) {
@@ -430,7 +450,8 @@ TEST(BatchRetry, RecoveryLogsAreIdenticalAcrossThreadCounts) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].status, parallel[i].status);
     EXPECT_EQ(serial[i].attempts, parallel[i].attempts);
-    EXPECT_EQ(serial[i].recovery.to_json(), parallel[i].recovery.to_json());
+    EXPECT_EQ(serial[i].recovery.to_value().dump(),
+              parallel[i].recovery.to_value().dump());
     EXPECT_EQ(serial[i].recovery.to_string(),
               parallel[i].recovery.to_string());
   }

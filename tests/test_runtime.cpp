@@ -20,6 +20,7 @@
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
 #include "tools/builtin_designs.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace mrsc {
@@ -98,6 +99,45 @@ TEST(BatchRunner, OdeJobProducesFinalState) {
   EXPECT_NEAR(results[0].final_state[0], 0.5, 1e-3);
   EXPECT_NEAR(results[0].final_state[1], 0.5, 1e-3);
   EXPECT_GT(results[0].ode_steps, 0u);
+}
+
+TEST(BatchRunner, ResultValueRoundTripsThroughTheParser) {
+  const core::ReactionNetwork net = busy_network(2.0);
+  runtime::SimJob job;
+  job.network = &net;
+  job.kind = runtime::SimKind::kSsa;
+  job.ssa.t_end = 1.0;
+  job.ssa.omega = 100.0;
+  job.ssa.seed = 5;
+  runtime::BatchRunner runner({.threads = 1});
+  const runtime::JobResult result =
+      runner.run(std::vector<runtime::SimJob>{job}).front();
+  ASSERT_EQ(result.status, runtime::JobStatus::kOk);
+  ASSERT_GT(result.ssa_events, 0u);
+
+  const std::string text = result.to_value(net).dump();
+  const util::json::Value parsed = util::json::parse(text);
+  EXPECT_EQ(parsed.dump(), text);
+  const std::vector<util::json::Member>& members = parsed.as_object();
+  ASSERT_EQ(members.size(), 4u);
+  EXPECT_EQ(members[0].first, "end_time");
+  EXPECT_EQ(members[1].first, "ssa_events");
+  EXPECT_EQ(members[2].first, "ode_steps");
+  EXPECT_EQ(members[3].first, "final");
+  EXPECT_EQ(parsed.get_number("end_time", -1.0), result.end_time);
+  EXPECT_EQ(parsed.get_u64("ssa_events", 0), result.ssa_events);
+  EXPECT_EQ(parsed.get_u64("ode_steps", 1), 0u);
+  const util::json::Value& values = *parsed.find("final");
+  EXPECT_EQ(values.get_number("X", -1.0), result.final_state[0]);
+  EXPECT_EQ(values.get_number("Y", -1.0), result.final_state[1]);
+
+  // A species list picks and orders the final entries.
+  const core::SpeciesId y = *net.find_species("Y");
+  const util::json::Value only_y =
+      util::json::parse(result.to_value(net, {&y, 1}).dump());
+  ASSERT_EQ(only_y.find("final")->as_object().size(), 1u);
+  EXPECT_EQ(only_y.find("final")->get_number("Y", -1.0),
+            result.final_state[1]);
 }
 
 TEST(BatchRunner, FailedJobReportsError) {

@@ -104,6 +104,20 @@ TEST(ServeJson, IntegerLiteralsAreExactOverTheWholeU64Range) {
   EXPECT_EQ(value.get_number("big", 0.0), 9007199254740992.0);
 }
 
+TEST(ServeJson, ExactIntegersDumpDigitForDigit) {
+  // 2^53 + 1 and everything above 2^63 round in a double; dump() must print
+  // the literal back unchanged.
+  for (const std::string text :
+       {"0", "9007199254740993", "13757245211066428519",
+        "18446744073709551615"}) {
+    EXPECT_EQ(json::parse(text).dump(), text);
+  }
+  EXPECT_EQ(json::Value(std::uint64_t{18446744073709551615ull}).dump(),
+            "18446744073709551615");
+  EXPECT_EQ(json::Value(std::uint64_t{9007199254740993ull}).as_number(),
+            9007199254740992.0);
+}
+
 // ----------------------------------------------------------- histogram --
 
 TEST(ServeStats, HistogramPercentilesWithinBucketTolerance) {
@@ -1036,7 +1050,9 @@ TEST(ServeServer, JobsBeyondTheSlotsWaitAndCountAsDepth) {
 }
 
 // Over the wire, too, the waiter that arrived first runs first: the long
-// sleep queued first must finish before the short one queued after it.
+// sleep queued first must finish before the short one queued after it. The
+// order is read from when the clients get their answers, so the last two
+// jobs end 200 ms apart (a LIFO slot order would still read {0, 2, 1}).
 TEST(ServeServer, WaitingJobsRunInArrivalOrder) {
   ServerOptions options;
   options.workers = 1;
@@ -1058,7 +1074,7 @@ TEST(ServeServer, WaitingJobsRunInArrivalOrder) {
   wait_for_queue(fixture, "in_flight", 1.0);
   std::thread second = sleeper(1, 300);
   wait_for_queue(fixture, "depth", 1.0);
-  std::thread third = sleeper(2, 1);
+  std::thread third = sleeper(2, 200);
   wait_for_queue(fixture, "depth", 2.0);
   first.join();
   second.join();
