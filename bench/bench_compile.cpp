@@ -13,7 +13,6 @@
 // Writes BENCH_compile.json (path overridable via MRSC_BENCH_COMPILE_JSON).
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +23,8 @@
 #include "dsp/counter.hpp"
 #include "dsp/filters.hpp"
 #include "fsm/fsm.hpp"
+#include "tools/cli_flags.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -116,11 +117,6 @@ void print_row(const Row& row) {
   }
 }
 
-std::string trim_newline(std::string text) {
-  while (!text.empty() && text.back() == '\n') text.pop_back();
-  return text;
-}
-
 }  // namespace
 
 int main() {
@@ -146,19 +142,14 @@ int main() {
 
   const char* path_env = std::getenv("MRSC_BENCH_COMPILE_JSON");
   const std::string path = path_env ? path_env : "BENCH_compile.json";
-  std::string json = "{\n  \"benchmark\": \"compile_pipeline\",\n"
-                     "  \"designs\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    json += trim_newline(rows[i].report.to_json());
-    json += i + 1 < rows.size() ? ",\n" : "\n";
-  }
-  json += "  ]\n}\n";
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  util::json::Value designs;
+  for (const Row& row : rows) designs.array().push_back(row.report.to_value());
+  util::json::Value json;
+  json.set("benchmark", util::json::Value("compile_pipeline"));
+  json.set("designs", std::move(designs));
+  if (!tools::write_file("bench_compile", path, json.dump() + "\n",
+                         "report")) {
     return 1;
   }
-  out << json;
-  std::printf("report written to %s\n", path.c_str());
   return 0;
 }

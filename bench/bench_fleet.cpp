@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,10 +19,13 @@
 #include "fleet/chaos_proxy.hpp"
 #include "fleet/fleet.hpp"
 #include "serve/server.hpp"
+#include "tools/cli_flags.hpp"
+#include "util/json.hpp"
 
 namespace {
 
 using namespace mrsc;
+using util::json::Value;
 
 struct Row {
   std::string label;
@@ -75,21 +77,6 @@ Row measure(const std::string& label,
   row.failures = counters.failures;
   row.byte_identical = golden.empty() || report == golden;
   return row;
-}
-
-std::string format_row(const Row& row) {
-  char buffer[320];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "    {\"label\": \"%s\", \"shards\": %zu, \"wall_ms\": %.4f, "
-      "\"slices_per_s\": %.2f, \"attempts\": %llu, \"retries\": %llu, "
-      "\"failures\": %llu, \"byte_identical\": %s}",
-      row.label.c_str(), row.shards, row.wall_ms, row.slices_per_s,
-      static_cast<unsigned long long>(row.attempts),
-      static_cast<unsigned long long>(row.retries),
-      static_cast<unsigned long long>(row.failures),
-      row.byte_identical ? "true" : "false");
-  return buffer;
 }
 
 }  // namespace
@@ -170,24 +157,30 @@ int main() {
 
   const char* path_env = std::getenv("MRSC_BENCH_FLEET_JSON");
   const std::string path = path_env ? path_env : "BENCH_fleet.json";
-  std::string json = "{\n  \"benchmark\": \"fleet_ensemble\",\n";
-  json += "  \"design\": \"" + bench_spec().design + "\",\n";
-  json += "  \"replicates\": " + std::to_string(bench_spec().replicates) +
-          ",\n  \"rows\": [\n";
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    json += format_row(rows[r]);
-    json += r + 1 < rows.size() ? ",\n" : "\n";
+  Value json_rows;
+  for (const Row& row : rows) {
+    Value entry;
+    entry.set("label", Value(row.label));
+    entry.set("shards", Value(std::uint64_t{row.shards}));
+    entry.set("wall_ms", Value(row.wall_ms));
+    entry.set("slices_per_s", Value(row.slices_per_s));
+    entry.set("attempts", Value(row.attempts));
+    entry.set("retries", Value(row.retries));
+    entry.set("failures", Value(row.failures));
+    entry.set("byte_identical", Value(row.byte_identical));
+    json_rows.array().push_back(std::move(entry));
   }
-  json += "  ]\n}\n";
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  out << json;
-  std::printf("report written to %s\n", path.c_str());
+  Value json;
+  json.set("benchmark", Value("fleet_ensemble"));
+  json.set("design", Value(bench_spec().design));
+  json.set("replicates",
+           Value(std::uint64_t{bench_spec().replicates}));
+  json.set("rows", std::move(json_rows));
+  const bool written =
+      tools::write_file("bench_fleet", path, json.dump() + "\n", "report");
 
   for (const auto& server : servers) server->stop();
+  if (!written) return 1;
   if (!all_identical) {
     std::fprintf(stderr, "FAIL: a merged report diverged from the golden "
                          "single-shard bytes\n");

@@ -11,18 +11,20 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "lint/lint.hpp"
 #include "scenario/registry.hpp"
 #include "sim/ode.hpp"
+#include "tools/cli_flags.hpp"
+#include "util/json.hpp"
 #include "verify/opt_equivalence.hpp"
 
 namespace {
 
 using namespace mrsc;
+using util::json::Value;
 
 struct Point {
   std::string spec;
@@ -33,11 +35,6 @@ struct Point {
   double lint_ms = 0.0;
   double sim_ms = 0.0;
   double verify_ms = 0.0;
-};
-
-struct Sweep {
-  std::string generator;
-  std::vector<Point> points;
 };
 
 double elapsed_ms(std::chrono::steady_clock::time_point start) {
@@ -93,18 +90,6 @@ Point measure(const std::string& generator, std::size_t n) {
   return point;
 }
 
-std::string format_point(const Point& point) {
-  char buffer[320];
-  std::snprintf(buffer, sizeof(buffer),
-                "    {\"spec\": \"%s\", \"n\": %zu, \"species\": %zu, "
-                "\"reactions\": %zu, \"compile_ms\": %.4f, \"lint_ms\": %.4f, "
-                "\"sim_ms\": %.4f, \"verify_ms\": %.4f}",
-                point.spec.c_str(), point.n, point.species, point.reactions,
-                point.compile_ms, point.lint_ms, point.sim_ms,
-                point.verify_ms);
-  return buffer;
-}
-
 }  // namespace
 
 int main() {
@@ -117,45 +102,42 @@ int main() {
       {"cascade", {2, 3, 4, 5}},
   };
 
-  std::vector<Sweep> sweeps;
+  Value generators;
   for (const auto& [generator, sizes] : plan) {
-    Sweep sweep;
-    sweep.generator = generator;
     std::printf("%-16s %4s %8s %10s %12s %10s %9s %10s\n", generator.c_str(),
                 "n", "species", "reactions", "compile_ms", "lint_ms",
                 "sim_ms", "verify_ms");
+    Value points;
     for (const std::size_t n : sizes) {
       const Point point = measure(generator, n);
       std::printf("%-16s %4zu %8zu %10zu %12.3f %10.3f %9.3f %10.3f\n", "",
                   point.n, point.species, point.reactions, point.compile_ms,
                   point.lint_ms, point.sim_ms, point.verify_ms);
-      sweep.points.push_back(point);
+      Value entry;
+      entry.set("spec", Value(point.spec));
+      entry.set("n", Value(std::uint64_t{point.n}));
+      entry.set("species", Value(std::uint64_t{point.species}));
+      entry.set("reactions", Value(std::uint64_t{point.reactions}));
+      entry.set("compile_ms", Value(point.compile_ms));
+      entry.set("lint_ms", Value(point.lint_ms));
+      entry.set("sim_ms", Value(point.sim_ms));
+      entry.set("verify_ms", Value(point.verify_ms));
+      points.array().push_back(std::move(entry));
     }
     std::printf("\n");
-    sweeps.push_back(std::move(sweep));
+    Value sweep;
+    sweep.set("generator", Value(generator));
+    sweep.set("points", std::move(points));
+    generators.array().push_back(std::move(sweep));
   }
 
   const char* path_env = std::getenv("MRSC_BENCH_SCALE_JSON");
   const std::string path = path_env ? path_env : "BENCH_scale.json";
-  std::string json = "{\n  \"benchmark\": \"scenario_scale\",\n"
-                     "  \"generators\": [\n";
-  for (std::size_t g = 0; g < sweeps.size(); ++g) {
-    json += "  {\"generator\": \"" + sweeps[g].generator +
-            "\", \"points\": [\n";
-    for (std::size_t p = 0; p < sweeps[g].points.size(); ++p) {
-      json += format_point(sweeps[g].points[p]);
-      json += p + 1 < sweeps[g].points.size() ? ",\n" : "\n";
-    }
-    json += "  ]}";
-    json += g + 1 < sweeps.size() ? ",\n" : "\n";
-  }
-  json += "  ]\n}\n";
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  Value json;
+  json.set("benchmark", Value("scenario_scale"));
+  json.set("generators", std::move(generators));
+  if (!tools::write_file("bench_scale", path, json.dump() + "\n", "report")) {
     return 1;
   }
-  out << json;
-  std::printf("report written to %s\n", path.c_str());
   return 0;
 }

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -23,11 +22,14 @@
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
 #include "sync/clock.hpp"
+#include "tools/cli_flags.hpp"
+#include "util/json.hpp"
 #include "util/matrix.hpp"
 
 namespace {
 
 using namespace mrsc;
+using util::json::Value;
 
 core::ReactionNetwork chain_network(std::size_t elements) {
   core::ReactionNetwork net;
@@ -317,8 +319,9 @@ BENCHMARK(BM_CompiledSystemBuild)
 
 /// Measures a 64-replicate ensemble at 1/2/4/8 workers and writes
 /// BENCH_runtime.json (path overridable via MRSC_BENCH_RUNTIME_JSON), so the
-/// perf trajectory of the batch runtime has a tracked baseline.
-void write_runtime_baseline() {
+/// perf trajectory of the batch runtime has a tracked baseline. False when
+/// the file cannot be written.
+bool write_runtime_baseline() {
   const char* path_env = std::getenv("MRSC_BENCH_RUNTIME_JSON");
   const std::string path = path_env ? path_env : "BENCH_runtime.json";
   const core::ReactionNetwork net = ensemble_network();
@@ -343,10 +346,8 @@ void write_runtime_baseline() {
     return m;
   };
 
-  std::string json = "{\n  \"benchmark\": \"ssa_ensemble_64\",\n"
-                     "  \"replicates\": 64,\n  \"points\": [\n";
+  Value points;
   const std::size_t worker_counts[] = {1, 2, 4, 8};
-  bool first = true;
   std::printf("\nbatch runtime baseline (64-replicate SSA ensemble):\n");
   std::printf("  %-8s %-12s %s\n", "workers", "wall [s]", "jobs/sec");
   for (const std::size_t workers : worker_counts) {
@@ -354,22 +355,19 @@ void write_runtime_baseline() {
     const double throughput = 64.0 / m.wall;
     std::printf("  %-8zu %-12.3f %-12.1f (%zu ok)\n", workers, m.wall,
                 throughput, m.ok);
-    char buffer[200];
-    std::snprintf(buffer, sizeof buffer,
-                  "%s    {\"workers\": %zu, \"wall_seconds\": %.6f, "
-                  "\"jobs_per_sec\": %.3f, \"ok\": %zu}",
-                  first ? "" : ",\n", workers, m.wall, throughput, m.ok);
-    json += buffer;
-    first = false;
+    Value point;
+    point.set("workers", Value(std::uint64_t{workers}));
+    point.set("wall_seconds", Value(m.wall));
+    point.set("jobs_per_sec", Value(throughput));
+    point.set("ok", Value(std::uint64_t{m.ok}));
+    points.array().push_back(std::move(point));
   }
-  json += "\n  ]\n}\n";
-  std::ofstream out(path);
-  if (out) {
-    out << json;
-    std::printf("baseline written to %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-  }
+  Value json;
+  json.set("benchmark", Value("ssa_ensemble_64"));
+  json.set("replicates", Value(std::uint64_t{64}));
+  json.set("points", std::move(points));
+  return tools::write_file("bench_sim_perf", path, json.dump() + "\n",
+                           "baseline");
 }
 
 }  // namespace
@@ -379,6 +377,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  write_runtime_baseline();
-  return 0;
+  return write_runtime_baseline() ? 0 : 1;
 }

@@ -12,12 +12,13 @@
 // Writes BENCH_stress.json (path overridable via MRSC_BENCH_STRESS_JSON).
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "stress/campaign.hpp"
 #include "stress/fault.hpp"
+#include "tools/cli_flags.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -46,11 +47,6 @@ Row run(const char* design, stress::FaultKind fault,
     row.recovered += point.recovered;
   }
   return row;
-}
-
-std::string trim_newline(std::string text) {
-  while (!text.empty() && text.back() == '\n') text.pop_back();
-  return text;
 }
 
 }  // namespace
@@ -90,19 +86,13 @@ int main() {
 
   const char* path_env = std::getenv("MRSC_BENCH_STRESS_JSON");
   const std::string path = path_env ? path_env : "BENCH_stress.json";
-  std::string json = "{\n  \"benchmark\": \"stress_margins\",\n"
-                     "  \"sweeps\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    json += trim_newline(rows[i].result.to_json());
-    json += i + 1 < rows.size() ? ",\n" : "\n";
-  }
-  json += "  ]\n}\n";
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  util::json::Value sweeps;
+  for (const Row& row : rows) sweeps.array().push_back(row.result.to_value());
+  util::json::Value json;
+  json.set("benchmark", util::json::Value("stress_margins"));
+  json.set("sweeps", std::move(sweeps));
+  if (!tools::write_file("bench_stress", path, json.dump() + "\n", "report")) {
     return 1;
   }
-  out << json;
-  std::printf("report written to %s\n", path.c_str());
   return 0;
 }

@@ -1,6 +1,8 @@
 #include "compile/report.hpp"
 
+#include <cstdint>
 #include <cstdio>
+#include <utility>
 
 #include "util/json.hpp"
 
@@ -8,60 +10,44 @@ namespace mrsc::compile {
 
 namespace {
 
-using util::json::quote;
+using util::json::Value;
 
-std::string format_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-  return buffer;
-}
-
-std::string stats_json(const core::NetworkStats& stats) {
-  std::string out = "{";
-  out += "\"species\": " + std::to_string(stats.species);
-  out += ", \"reactions\": " + std::to_string(stats.reactions);
-  out += ", \"slow_reactions\": " + std::to_string(stats.slow_reactions);
-  out += ", \"fast_reactions\": " + std::to_string(stats.fast_reactions);
-  out += ", \"custom_reactions\": " + std::to_string(stats.custom_reactions);
-  out += ", \"max_order\": " + std::to_string(stats.max_order);
-  out += ", \"zero_order_sources\": " +
-         std::to_string(stats.zero_order_sources);
-  out += "}";
+Value stats_value(const core::NetworkStats& stats) {
+  Value out;
+  out.set("species", Value(std::uint64_t{stats.species}));
+  out.set("reactions", Value(std::uint64_t{stats.reactions}));
+  out.set("slow_reactions", Value(std::uint64_t{stats.slow_reactions}));
+  out.set("fast_reactions", Value(std::uint64_t{stats.fast_reactions}));
+  out.set("custom_reactions", Value(std::uint64_t{stats.custom_reactions}));
+  out.set("max_order", Value(std::uint64_t{stats.max_order}));
+  out.set("zero_order_sources", Value(std::uint64_t{stats.zero_order_sources}));
   return out;
 }
 
 }  // namespace
 
-std::string CompileReport::to_json() const {
-  std::string out = "{\n";
-  if (!design.empty()) {
-    out += "  \"design\": " + quote(design) + ",\n";
+Value CompileReport::to_value() const {
+  Value out;
+  if (!design.empty()) out.set("design", Value(design));
+  out.set("before", stats_value(before));
+  out.set("after", stats_value(after));
+  out.set("lowering_seconds", Value(lowering_seconds));
+  out.set("pass_seconds", Value(pass_seconds));
+  Value list;
+  std::vector<Value>& array = list.array();
+  for (const PassStats& pass : passes) {
+    Value entry;
+    entry.set("name", Value(pass.name));
+    entry.set("species_before", Value(std::uint64_t{pass.species_before}));
+    entry.set("species_after", Value(std::uint64_t{pass.species_after}));
+    entry.set("reactions_before", Value(std::uint64_t{pass.reactions_before}));
+    entry.set("reactions_after", Value(std::uint64_t{pass.reactions_after}));
+    entry.set("wall_seconds", Value(pass.wall_seconds));
+    entry.set("changed", Value(pass.changed));
+    entry.set("notes", util::json::string_array(pass.notes));
+    array.push_back(std::move(entry));
   }
-  out += "  \"before\": " + stats_json(before) + ",\n";
-  out += "  \"after\": " + stats_json(after) + ",\n";
-  out += "  \"lowering_seconds\": " + format_double(lowering_seconds) + ",\n";
-  out += "  \"pass_seconds\": " + format_double(pass_seconds) + ",\n";
-  out += "  \"passes\": [\n";
-  for (std::size_t i = 0; i < passes.size(); ++i) {
-    const PassStats& pass = passes[i];
-    out += "    {\"name\": " + quote(pass.name);
-    out += ", \"species_before\": " + std::to_string(pass.species_before);
-    out += ", \"species_after\": " + std::to_string(pass.species_after);
-    out += ", \"reactions_before\": " + std::to_string(pass.reactions_before);
-    out += ", \"reactions_after\": " + std::to_string(pass.reactions_after);
-    out += ", \"wall_seconds\": " + format_double(pass.wall_seconds);
-    out += ", \"changed\": ";
-    out += pass.changed ? "true" : "false";
-    out += ", \"notes\": [";
-    for (std::size_t j = 0; j < pass.notes.size(); ++j) {
-      if (j > 0) out += ", ";
-      out += quote(pass.notes[j]);
-    }
-    out += "]}";
-    out += (i + 1 < passes.size()) ? ",\n" : "\n";
-  }
-  out += "  ]\n";
-  out += "}\n";
+  out.set("passes", std::move(list));
   return out;
 }
 

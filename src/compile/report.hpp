@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/network.hpp"
+#include "util/json.hpp"
 
 namespace mrsc::compile {
 
@@ -38,8 +39,8 @@ struct CompileReport {
   double pass_seconds = 0.0;
   std::vector<PassStats> passes;
 
-  /// Serializes the report as JSON (self-contained, no library).
-  [[nodiscard]] std::string to_json() const;
+  /// The report as JSON (schema in docs/COMPILE.md).
+  [[nodiscard]] util::json::Value to_value() const;
 
   /// Renders a fixed-width per-pass table for terminal output.
   [[nodiscard]] std::string to_table() const;

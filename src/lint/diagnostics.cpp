@@ -4,23 +4,8 @@
 
 namespace mrsc::lint {
 
-namespace {
-
-using util::json::quote;
 using util::json::string_array;
 using util::json::Value;
-
-std::string json_string_array(const std::vector<std::string>& items) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += quote(items[i]);
-  }
-  out += "]";
-  return out;
-}
-
-}  // namespace
 
 const char* to_string(Severity severity) {
   switch (severity) {
@@ -73,36 +58,13 @@ std::string LintReport::to_text(bool show_info) const {
   return out;
 }
 
-std::string LintReport::to_json() const {
-  std::string out = "{\n";
-  out += "  \"design\": " + quote(design) + ",\n";
-  out += "  \"checks_run\": " + json_string_array(checks_run) + ",\n";
-  out += "  \"checks_skipped\": " + json_string_array(checks_skipped) + ",\n";
-  out += "  \"errors\": " + std::to_string(errors()) + ",\n";
-  out += "  \"warnings\": " + std::to_string(warnings()) + ",\n";
-  out += "  \"diagnostics\": [";
-  for (std::size_t i = 0; i < diagnostics.size(); ++i) {
-    const Diagnostic& d = diagnostics[i];
-    if (i > 0) out += ",";
-    out += "\n    {\"id\": " + quote(d.id);
-    out += ", \"severity\": " + quote(to_string(d.severity));
-    out += ", \"check\": " + quote(d.check);
-    out += ", \"message\": " + quote(d.message);
-    out += ", \"notes\": " + json_string_array(d.notes) + "}";
-  }
-  if (!diagnostics.empty()) out += "\n  ";
-  out += "]\n";
-  out += "}\n";
-  return out;
-}
-
 Value LintReport::to_value() const {
   Value out;
   out.set("design", Value(design));
   out.set("checks_run", string_array(checks_run));
   out.set("checks_skipped", string_array(checks_skipped));
-  out.set("errors", Value(static_cast<double>(errors())));
-  out.set("warnings", Value(static_cast<double>(warnings())));
+  out.set("errors", Value(std::uint64_t{errors()}));
+  out.set("warnings", Value(std::uint64_t{warnings()}));
   Value list;
   std::vector<Value>& array = list.array();
   array.reserve(diagnostics.size());

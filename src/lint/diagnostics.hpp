@@ -57,12 +57,8 @@ struct LintReport {
   /// listed only when `show_info`.
   [[nodiscard]] std::string to_text(bool show_info = true) const;
 
-  /// Self-contained JSON (schema documented in docs/LINT.md), pretty-printed
-  /// for the CLI.
-  [[nodiscard]] std::string to_json() const;
-
-  /// The same document as a JSON value; its dump() is the compact form
-  /// serve's lint payload embeds.
+  /// Self-contained JSON (schema documented in docs/LINT.md); its dump() is
+  /// both the CLI's --json file and the report serve's lint payload embeds.
   [[nodiscard]] util::json::Value to_value() const;
 };
 

@@ -8,6 +8,8 @@ namespace mrsc::serve {
 
 namespace {
 
+using util::json::Value;
+
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -247,50 +249,49 @@ std::string Server::handle_job(const util::json::Value& request) {
 }
 
 std::string Server::health_payload() const {
-  std::string out = R"({"status":"ok","accepting":)";
-  out += running_.load() && !draining_.load() ? "true" : "false";
-  out += ",\"draining\":";
-  out += draining_.load() ? "true" : "false";
-  out += ",\"shard_id\":" + util::json::quote(options_.shard_id);
-  out += ",\"uptime_seconds\":" +
-         util::json::number_to_string(seconds_since(started_at_));
-  out += '}';
-  return out;
+  Value out;
+  out.set("status", Value("ok"));
+  out.set("accepting", Value(running_.load() && !draining_.load()));
+  out.set("draining", Value(draining_.load()));
+  out.set("shard_id", Value(options_.shard_id));
+  out.set("uptime_seconds", Value(seconds_since(started_at_)));
+  return out.dump();
 }
 
 std::string Server::stats_payload() const {
-  const CacheStats cache = cache_.stats();
-  std::string out = R"({"status":"ok")";
-  out += ",\"shard_id\":" + util::json::quote(options_.shard_id);
-  out += ",\"draining\":";
-  out += draining_.load() ? "true" : "false";
-  out += ",\"uptime_seconds\":" +
-         util::json::number_to_string(seconds_since(started_at_));
+  Value out;
+  out.set("status", Value("ok"));
+  out.set("shard_id", Value(options_.shard_id));
+  out.set("draining", Value(draining_.load()));
+  out.set("uptime_seconds", Value(seconds_since(started_at_)));
   const RunSlots::Counts queue = slots_.counts();
-  out += ",\"queue\":{";
-  out += "\"depth\":" + std::to_string(queue.waiting);
-  out += ",\"in_flight\":" + std::to_string(queue.running);
-  out += ",\"capacity\":" + std::to_string(options_.queue_capacity);
-  out += ",\"workers\":" + std::to_string(options_.workers);
-  out += "},\"cache\":{";
-  out += "\"hits\":" + std::to_string(cache.hits);
-  out += ",\"misses\":" + std::to_string(cache.misses);
-  out += ",\"evictions\":" + std::to_string(cache.evictions);
-  out += ",\"entries\":" + std::to_string(cache.entries);
-  out += ",\"bytes\":" + std::to_string(cache.bytes);
-  out += ",\"capacity_entries\":" + std::to_string(cache.capacity_entries);
-  out += ",\"hit_rate\":" + util::json::number_to_string(cache.hit_rate());
+  Value queue_value;
+  queue_value.set("depth", Value(std::uint64_t{queue.waiting}));
+  queue_value.set("in_flight", Value(std::uint64_t{queue.running}));
+  queue_value.set("capacity", Value(std::uint64_t{options_.queue_capacity}));
+  queue_value.set("workers", Value(std::uint64_t{options_.workers}));
+  out.set("queue", std::move(queue_value));
+  const CacheStats cache = cache_.stats();
+  Value cache_value;
+  cache_value.set("hits", Value(cache.hits));
+  cache_value.set("misses", Value(cache.misses));
+  cache_value.set("evictions", Value(cache.evictions));
+  cache_value.set("entries", Value(std::uint64_t{cache.entries}));
+  cache_value.set("bytes", Value(std::uint64_t{cache.bytes}));
+  cache_value.set("capacity_entries",
+                  Value(std::uint64_t{cache.capacity_entries}));
+  cache_value.set("hit_rate", Value(cache.hit_rate()));
+  out.set("cache", std::move(cache_value));
   const CacheStats designs = designs_.stats();
-  out += "},\"designs\":{";
-  out += "\"hits\":" + std::to_string(designs.hits);
-  out += ",\"misses\":" + std::to_string(designs.misses);
-  out += ",\"evictions\":" + std::to_string(designs.evictions);
-  out += ",\"entries\":" + std::to_string(designs.entries);
-  out += ",\"bytes\":" + std::to_string(designs.bytes);
-  out += "},";
-  out += stats_.to_json();
-  out += '}';
-  return out;
+  Value designs_value;
+  designs_value.set("hits", Value(designs.hits));
+  designs_value.set("misses", Value(designs.misses));
+  designs_value.set("evictions", Value(designs.evictions));
+  designs_value.set("entries", Value(std::uint64_t{designs.entries}));
+  designs_value.set("bytes", Value(std::uint64_t{designs.bytes}));
+  out.set("designs", std::move(designs_value));
+  out.append_members(stats_.to_value());
+  return out.dump();
 }
 
 }  // namespace mrsc::serve

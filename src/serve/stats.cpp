@@ -10,8 +10,7 @@ namespace mrsc::serve {
 
 namespace {
 
-using util::json::number_to_string;
-using util::json::quote;
+using util::json::Value;
 
 std::size_t bucket_index(double seconds) {
   if (seconds <= 1e-6) return 0;
@@ -105,7 +104,7 @@ void ServerStats::record_drain_rejection() {
   ++drain_rejected_;
 }
 
-std::string ServerStats::to_json() const {
+Value ServerStats::to_value() const {
   std::lock_guard lock(mutex_);
   std::uint64_t ok = 0;
   std::uint64_t failed = 0;
@@ -113,37 +112,36 @@ std::string ServerStats::to_json() const {
     ok += entry.ok;
     failed += entry.failed;
   }
-  std::string out = "\"requests\":{";
-  out += "\"received\":" + std::to_string(received_);
-  out += ",\"ok\":" + std::to_string(ok);
-  out += ",\"failed\":" + std::to_string(failed);
-  out += ",\"overload_rejected\":" + std::to_string(overload_rejected_);
-  out += ",\"drain_rejected\":" + std::to_string(drain_rejected_);
-  out += ",\"protocol_errors\":" + std::to_string(protocol_errors_);
-  out += ",\"connection_errors\":" + std::to_string(connection_errors_);
-  out += "},\"latency\":{";
-  bool first = true;
+  Value requests;
+  requests.set("received", Value(received_));
+  requests.set("ok", Value(ok));
+  requests.set("failed", Value(failed));
+  requests.set("overload_rejected", Value(overload_rejected_));
+  requests.set("drain_rejected", Value(drain_rejected_));
+  requests.set("protocol_errors", Value(protocol_errors_));
+  requests.set("connection_errors", Value(connection_errors_));
+  Value latency;
+  latency.make_object();
   for (const KindStats& entry : kinds_) {
-    if (!first) out += ',';
-    first = false;
     const LatencyHistogram& h = entry.latency;
-    out += quote(entry.kind) + ":{";
-    out += "\"count\":" + std::to_string(h.count());
-    out += ",\"ok\":" + std::to_string(entry.ok);
-    out += ",\"failed\":" + std::to_string(entry.failed);
-    out += ",\"cache_hits\":" + std::to_string(entry.cache_hits);
-    out += ",\"mean_ms\":" +
-           number_to_string(
-               h.count() == 0
-                   ? 0.0
-                   : 1e3 * h.total_seconds() / static_cast<double>(h.count()));
-    out += ",\"p50_ms\":" + number_to_string(1e3 * h.percentile(0.50));
-    out += ",\"p90_ms\":" + number_to_string(1e3 * h.percentile(0.90));
-    out += ",\"p99_ms\":" + number_to_string(1e3 * h.percentile(0.99));
-    out += ",\"max_ms\":" + number_to_string(1e3 * h.max_seconds());
-    out += '}';
+    Value row;
+    row.set("count", Value(h.count()));
+    row.set("ok", Value(entry.ok));
+    row.set("failed", Value(entry.failed));
+    row.set("cache_hits", Value(entry.cache_hits));
+    row.set("mean_ms",
+            Value(h.count() == 0 ? 0.0
+                                 : 1e3 * h.total_seconds() /
+                                       static_cast<double>(h.count())));
+    row.set("p50_ms", Value(1e3 * h.percentile(0.50)));
+    row.set("p90_ms", Value(1e3 * h.percentile(0.90)));
+    row.set("p99_ms", Value(1e3 * h.percentile(0.99)));
+    row.set("max_ms", Value(1e3 * h.max_seconds()));
+    latency.set(entry.kind, std::move(row));
   }
-  out += '}';
+  Value out;
+  out.set("requests", std::move(requests));
+  out.set("latency", std::move(latency));
   return out;
 }
 

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace mrsc::serve {
 
 class LatencyHistogram {
@@ -69,9 +71,9 @@ class ServerStats {
   /// op in docs/SERVE.md).
   void record_drain_rejection();
 
-  /// Renders the "requests" / "latency" sections of the stats response
+  /// The `{requests, latency}` sections of the stats response
   /// (deterministic field order; values obviously run-dependent).
-  [[nodiscard]] std::string to_json() const;
+  [[nodiscard]] util::json::Value to_value() const;
 
  private:
   mutable std::mutex mutex_;

@@ -19,8 +19,7 @@ namespace mrsc::stress {
 
 namespace {
 
-using util::format_17g;
-using util::json::quote;
+using util::json::Value;
 
 // Fixed, deliberately small stimuli, one per design family: a campaign runs
 // |intensities| * trials * attempts full simulations, so each trial is a
@@ -313,40 +312,39 @@ std::string CampaignResult::to_table() const {
   return out;
 }
 
-std::string CampaignResult::to_json() const {
-  std::string out = "{\n";
-  out += "  \"design\": " + quote(design) + ",\n";
-  out += "  \"fault\": " + quote(stress::to_string(fault)) + ",\n";
-  out += "  \"trials_per_intensity\": " +
-         std::to_string(trials_per_intensity) + ",\n";
-  out += "  \"base_seed\": " + std::to_string(base_seed) + ",\n";
-  out += "  \"target\": " + quote(target) + ",\n";
-  out += "  \"margin\": " + format_17g(margin) + ",\n";
-  out += std::string("  \"margin_found\": ") +
-         (margin_found ? "true" : "false") + ",\n";
-  out += "  \"intensities\": [\n";
-  for (std::size_t i = 0; i < intensities.size(); ++i) {
-    const IntensityResult& point = intensities[i];
-    out += "    {\"intensity\": " + format_17g(point.intensity);
-    out += ", \"ok\": " + std::to_string(point.ok);
-    out += ", \"mismatch\": " + std::to_string(point.mismatch);
-    out += ", \"sim_failure\": " + std::to_string(point.sim_failure);
-    out += ", \"recovered\": " + std::to_string(point.recovered);
-    out += ", \"trials\": [";
-    for (std::size_t t = 0; t < point.trials.size(); ++t) {
-      const TrialResult& trial = point.trials[t];
-      if (t > 0) out += ", ";
-      out += "{\"seed\": " + std::to_string(trial.seed);
-      out += ", \"status\": " + quote(stress::to_string(trial.status));
-      out += ", \"detail\": " + quote(trial.detail);
-      out += ", \"attempts\": " + std::to_string(trial.attempts);
-      out += ", \"recovery\": " + trial.recovery.to_value().dump();
-      out += "}";
+Value CampaignResult::to_value() const {
+  Value out;
+  out.set("design", Value(design));
+  out.set("fault", Value(stress::to_string(fault)));
+  out.set("trials_per_intensity", Value(std::uint64_t{trials_per_intensity}));
+  out.set("base_seed", Value(base_seed));
+  out.set("target", Value(target));
+  out.set("margin", Value(margin));
+  out.set("margin_found", Value(margin_found));
+  Value points;
+  std::vector<Value>& point_array = points.array();
+  for (const IntensityResult& point : intensities) {
+    Value entry;
+    entry.set("intensity", Value(point.intensity));
+    entry.set("ok", Value(std::uint64_t{point.ok}));
+    entry.set("mismatch", Value(std::uint64_t{point.mismatch}));
+    entry.set("sim_failure", Value(std::uint64_t{point.sim_failure}));
+    entry.set("recovered", Value(std::uint64_t{point.recovered}));
+    Value trials;
+    std::vector<Value>& trial_array = trials.array();
+    for (const TrialResult& trial : point.trials) {
+      Value row;
+      row.set("seed", Value(trial.seed));
+      row.set("status", Value(stress::to_string(trial.status)));
+      row.set("detail", Value(trial.detail));
+      row.set("attempts", Value(std::uint64_t{trial.attempts}));
+      row.set("recovery", trial.recovery.to_value());
+      trial_array.push_back(std::move(row));
     }
-    out += "]}";
-    out += i + 1 < intensities.size() ? ",\n" : "\n";
+    entry.set("trials", std::move(trials));
+    point_array.push_back(std::move(entry));
   }
-  out += "  ]\n}\n";
+  out.set("intensities", std::move(points));
   return out;
 }
 

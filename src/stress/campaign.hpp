@@ -30,6 +30,7 @@
 #include "core/reaction.hpp"
 #include "sim/fallback.hpp"
 #include "stress/fault.hpp"
+#include "util/json.hpp"
 
 namespace mrsc::stress {
 
@@ -104,7 +105,8 @@ struct CampaignResult {
   std::vector<IntensityResult> intensities;
 
   [[nodiscard]] std::string to_table() const;
-  [[nodiscard]] std::string to_json() const;
+  /// The --json report (schema in docs/STRESS.md).
+  [[nodiscard]] util::json::Value to_value() const;
 };
 
 /// Default intensity grid for a fault kind (ascending).

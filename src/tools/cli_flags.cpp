@@ -55,13 +55,19 @@ bool parse_mebibytes(const char* tool, const char* flag, const char* text,
 }
 
 bool write_file(const char* tool, const std::string& path,
-                const std::string& text) {
+                const std::string& text, const char* what) {
+  if (path == "-") {
+    std::fwrite(text.data(), 1, text.size(), stdout);
+    return true;
+  }
   std::ofstream out(path);
+  out << text;
+  out.close();
   if (!out) {
     std::fprintf(stderr, "%s: cannot write %s\n", tool, path.c_str());
     return false;
   }
-  out << text;
+  if (what != nullptr) std::printf("%s written to %s\n", what, path.c_str());
   return true;
 }
 

@@ -36,9 +36,12 @@ const char* need_value(const char* tool, int argc, char** argv, int& i);
 [[nodiscard]] bool parse_mebibytes(const char* tool, const char* flag,
                                    const char* text, std::size_t& bytes);
 
-/// Writes `text` to the file at `path`; prints "<tool>: cannot write <path>"
-/// and returns false when the file cannot be opened.
+/// Writes `text` to the file at `path`, or to stdout when `path` is "-";
+/// prints "<tool>: cannot write <path>" and returns false when the file
+/// cannot be written. After a file is written, a non-null `what` prints
+/// "<what> written to <path>" on stdout.
 [[nodiscard]] bool write_file(const char* tool, const std::string& path,
-                              const std::string& text);
+                              const std::string& text,
+                              const char* what = nullptr);
 
 }  // namespace mrsc::tools

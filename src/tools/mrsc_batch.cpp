@@ -277,9 +277,7 @@ Value recovery_value(const runtime::JobResult& job) {
 
 // Writes a --json report as one line of compact JSON.
 bool write_report(const CliOptions& cli, const Value& json) {
-  if (!write_file(kTool, cli.json, json.dump() + "\n")) return false;
-  std::printf("results written to %s\n", cli.json.c_str());
-  return true;
+  return write_file(kTool, cli.json, json.dump() + "\n", "results");
 }
 
 int run_ensemble(const core::ReactionNetwork& network,
@@ -538,7 +536,7 @@ int main(int argc, char** argv) {
       auto optimized = compile::optimize_network(network, roots);
       optimized.report.design = label;
       std::printf("%s", optimized.report.to_table().c_str());
-      cli.compile_report = util::json::parse(optimized.report.to_json());
+      cli.compile_report = optimized.report.to_value();
     }
     // A --species typo is bad usage (exit 2), not a job failure (exit 1):
     // validate the names before any simulation runs.

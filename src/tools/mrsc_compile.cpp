@@ -221,8 +221,10 @@ int main(int argc, char** argv) {
                 a.reactions, cli.opt);
 
     if (!cli.json.empty()) {
-      if (!write_file(kTool, cli.json, report.to_json())) return 1;
-      std::printf("report written to %s\n", cli.json.c_str());
+      if (!write_file(kTool, cli.json, report.to_value().dump() + "\n",
+                      "report")) {
+        return 1;
+      }
     }
     if (!cli.out.empty()) {
       core::save_network(*compiled.network, cli.out);

@@ -44,6 +44,7 @@
 
 #include "fleet/fleet.hpp"
 #include "tools/cli_flags.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -202,16 +203,6 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
   return true;
 }
 
-bool write_report(const std::string& path, const std::string& report) {
-  if (path.empty() || path == "-") {
-    std::printf("%s\n", report.c_str());
-    return true;
-  }
-  if (!write_file(kTool, path, report + "\n")) return false;
-  std::printf("report written to %s\n", path.c_str());
-  return true;
-}
-
 void print_diagnostics(const fleet::FleetClient& client) {
   const fleet::FleetCounters counters = client.counters();
   std::printf(
@@ -255,17 +246,19 @@ int main(int argc, char** argv) {
     } else {
       // drain: flip every shard; the "report" lists the per-shard answers
       // in shard order.
-      report = "[";
-      const std::vector<std::string> answers =
-          client.request_all(R"({"op":"drain"})");
-      for (std::size_t s = 0; s < answers.size(); ++s) {
-        if (s != 0) report += ',';
-        report += answers[s];
+      util::json::Value answers;
+      answers.make_array();
+      for (const std::string& answer :
+           client.request_all(R"({"op":"drain"})")) {
+        answers.array().push_back(util::json::parse(answer));
       }
-      report += "]";
+      report = answers.dump();
     }
     print_diagnostics(client);
-    if (!write_report(cli.json, report)) return 1;
+    if (!write_file(kTool, cli.json.empty() ? "-" : cli.json, report + "\n",
+                    "report")) {
+      return 1;
+    }
     return 0;
   } catch (const std::invalid_argument& error) {
     // Specs the local registry/validator rejects are bad usage, same

@@ -35,6 +35,7 @@
 #include "lint/lint.hpp"
 #include "scenario/registry.hpp"
 #include "tools/cli_flags.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -126,15 +127,6 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
   return true;
 }
 
-// --json PATH, or "-" for stdout.
-bool emit_json(const std::string& path, const std::string& json) {
-  if (path == "-") {
-    std::printf("%s", json.c_str());
-    return true;
-  }
-  return write_file(kTool, path, json);
-}
-
 lint::LintReport lint_file(const CliOptions& cli) {
   const core::ReactionNetwork network = core::load_network(cli.file);
   lint::LintInput input;
@@ -183,7 +175,8 @@ int main(int argc, char** argv) {
     if (!cli.file.empty()) {
       const lint::LintReport report = lint_file(cli);
       std::printf("%s", report.to_text(!cli.quiet).c_str());
-      if (!cli.json.empty() && !emit_json(cli.json, report.to_json())) {
+      if (!cli.json.empty() &&
+          !write_file(kTool, cli.json, report.to_value().dump() + "\n")) {
         return 2;
       }
       return report.clean(cli.werror) ? 0 : 1;
@@ -205,7 +198,8 @@ int main(int argc, char** argv) {
                                                : cli.checks;
       const lint::LintReport report = lint::run_lint(input, lint_options);
       std::printf("%s", report.to_text(!cli.quiet).c_str());
-      if (!cli.json.empty() && !emit_json(cli.json, report.to_json())) {
+      if (!cli.json.empty() &&
+          !write_file(kTool, cli.json, report.to_value().dump() + "\n")) {
         return 2;
       }
       const bool werror = cli.werror || resolved.scenario.lint.werror;
@@ -219,22 +213,21 @@ int main(int argc, char** argv) {
       designs.push_back(cli.design);
     }
 
-    std::string json_out;
-    if (designs.size() > 1) json_out += "[\n";
+    util::json::Value reports;
     bool dirty = false;
     for (std::size_t i = 0; i < designs.size(); ++i) {
       const lint::LintReport report = lint_one(designs[i], cli);
       std::printf("%s", report.to_text(!cli.quiet).c_str());
       if (i + 1 < designs.size()) std::printf("\n");
       if (!report.clean(cli.werror)) dirty = true;
-      if (!cli.json.empty()) {
-        if (i > 0) json_out += ",\n";
-        json_out += report.to_json();
-      }
+      reports.array().push_back(report.to_value());
     }
-    if (designs.size() > 1) json_out += "]\n";
-
-    if (!cli.json.empty() && !emit_json(cli.json, json_out)) return 2;
+    // One design writes its report; "all" writes the array of them.
+    const util::json::Value& json =
+        designs.size() > 1 ? reports : reports.as_array().front();
+    if (!cli.json.empty() && !write_file(kTool, cli.json, json.dump() + "\n")) {
+      return 2;
+    }
     return dirty ? 1 : 0;
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "mrsc_lint: %s\n", error.what());

@@ -67,6 +67,7 @@
 #include "serve/dispatcher.hpp"
 #include "serve/protocol.hpp"
 #include "tools/cli_flags.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -79,6 +80,7 @@ using tools::parse_u64;
 using tools::write_file;
 constexpr char kTool[] = "mrsc_loadgen";
 using Clock = std::chrono::steady_clock;
+using util::json::Value;
 
 struct CliOptions {
   std::string host = "127.0.0.1";
@@ -224,18 +226,19 @@ std::vector<std::string> build_corpus(const std::vector<CorpusEntry>& entries,
                                       const CliOptions& options) {
   std::vector<std::string> corpus;
   for (const CorpusEntry& entry : entries) {
-    std::string request = "{\"op\":\"job\",\"kind\":\"" + entry.kind + "\"";
-    request += ",\"design\":" + util::json::quote(entry.design);
+    Value request;
+    request.set("op", Value("job"));
+    request.set("kind", Value(entry.kind));
+    request.set("design", Value(entry.design));
     if (entry.kind == "sim") {
-      request += ",\"method\":\"nrm\"";
-      request += ",\"seed\":" + std::to_string(options.seed);
-      request += ",\"t_end\":" + util::json::number_to_string(options.t_end);
-      request += ",\"omega\":" + util::json::number_to_string(options.omega);
+      request.set("method", Value("nrm"));
+      request.set("seed", Value(options.seed));
+      request.set("t_end", Value(options.t_end));
+      request.set("omega", Value(options.omega));
     } else {
-      request += ",\"opt\":1";
+      request.set("opt", Value(std::uint64_t{1}));
     }
-    request += '}';
-    corpus.push_back(std::move(request));
+    corpus.push_back(request.dump());
   }
   return corpus;
 }
@@ -406,11 +409,11 @@ int main(int argc, char** argv) {
 
   // Pull the server's stats payload so the report carries queue depth,
   // cache hit/miss counters, and server-side latency histograms.
-  std::string server_stats = "null";
+  Value server_stats;
   try {
     serve::Client client(serve::connect_with_retry(
         cli.host, static_cast<std::uint16_t>(cli.port)));
-    server_stats = client.request_raw(R"({"op":"stats"})");
+    server_stats = client.request(R"({"op":"stats"})");
   } catch (const std::exception& error) {
     std::fprintf(stderr, "mrsc_loadgen: stats fetch failed: %s\n",
                  error.what());
@@ -440,32 +443,25 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(tally.errors), p50, p90, p99, mean);
 
   if (!cli.json.empty()) {
-    using util::json::number_to_string;
-    std::string json = "{\n";
-    json += "  \"rate_target\": " + number_to_string(cli.rate) + ",\n";
-    json += "  \"rate_achieved\": " + number_to_string(achieved) + ",\n";
-    json += "  \"duration_seconds\": " + number_to_string(wall) + ",\n";
-    json += "  \"connections\": " + std::to_string(cli.connections) + ",\n";
-    json += "  \"corpus_size\": " + std::to_string(corpus.size()) + ",\n";
-    json += "  \"requests\": " + std::to_string(tally.sent) + ",\n";
-    json += "  \"ok\": " + std::to_string(tally.ok) + ",\n";
-    json += "  \"overload\": " + std::to_string(tally.overload) + ",\n";
-    json += "  \"errors\": " + std::to_string(tally.errors) + ",\n";
-    json += "  \"latency_ms\": {";
-    json += "\"p50\": " + number_to_string(p50);
-    json += ", \"p90\": " + number_to_string(p90);
-    json += ", \"p99\": " + number_to_string(p99);
-    json += ", \"mean\": " + number_to_string(mean);
-    json += ", \"max\": " + number_to_string(lat.empty() ? 0.0 : lat.back());
-    json += "},\n";
-    json += "  \"server\": " + server_stats + "\n";
-    json += "}\n";
-    if (cli.json == "-") {
-      std::printf("%s", json.c_str());
-    } else {
-      if (!write_file(kTool, cli.json, json)) return 1;
-      std::printf("report written to %s\n", cli.json.c_str());
-    }
+    Value latency;
+    latency.set("p50", Value(p50));
+    latency.set("p90", Value(p90));
+    latency.set("p99", Value(p99));
+    latency.set("mean", Value(mean));
+    latency.set("max", Value(lat.empty() ? 0.0 : lat.back()));
+    Value json;
+    json.set("rate_target", Value(cli.rate));
+    json.set("rate_achieved", Value(achieved));
+    json.set("duration_seconds", Value(wall));
+    json.set("connections", Value(std::uint64_t{cli.connections}));
+    json.set("corpus_size", Value(std::uint64_t{corpus.size()}));
+    json.set("requests", Value(tally.sent));
+    json.set("ok", Value(tally.ok));
+    json.set("overload", Value(tally.overload));
+    json.set("errors", Value(tally.errors));
+    json.set("latency_ms", std::move(latency));
+    json.set("server", std::move(server_stats));
+    if (!write_file(kTool, cli.json, json.dump() + "\n", "report")) return 1;
   }
 
   return tally.errors == 0 && tally.overload == 0 && tally.sent > 0 ? 0 : 1;

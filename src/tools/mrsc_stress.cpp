@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
   try {
     const stress::CampaignResult result = stress::run_campaign(cli.config);
     if (cli.json) {
-      std::printf("%s", result.to_json().c_str());
+      std::printf("%s\n", result.to_value().dump().c_str());
     } else {
       std::printf("%s", result.to_table().c_str());
     }

@@ -58,7 +58,7 @@ using tools::need_value;
 using tools::parse_double;
 using tools::parse_u64;
 using tools::write_file;
-using util::json::quote;
+using util::json::Value;
 constexpr char kTool[] = "mrsc_verify";
 
 struct CliOptions {
@@ -237,38 +237,36 @@ int regen_golden(const std::string& dir) {
 }
 
 int write_json(const std::string& path, const verify::FuzzReport& report) {
-  std::string json = "{\n";
-  json += "  \"checked\": " + std::to_string(report.checked) + ",\n";
-  json += "  \"failed\": " + std::to_string(report.failed) + ",\n";
-  json +=
-      "  \"wall_seconds\": " + std::to_string(report.wall_seconds) + ",\n";
-  json += "  \"failures\": [\n";
-  bool first = true;
+  Value failures;
+  failures.make_array();
   for (const verify::CaseResult& result : report.cases) {
     if (!result.failed()) continue;
-    if (!first) json += ",\n";
-    first = false;
-    json += "    {\"seed\": " + std::to_string(result.seed) + ", \"kind\": ";
-    json += quote(verify::to_string(result.kind));
-    json += ", \"violations\": [";
-    for (std::size_t v = 0; v < result.violations.size(); ++v) {
-      json += "{\"oracle\": " + quote(result.violations[v].oracle) +
-              ", \"detail\": " + quote(result.violations[v].detail) + "}";
-      if (v + 1 < result.violations.size()) json += ", ";
+    Value entry;
+    entry.set("seed", Value(result.seed));
+    entry.set("kind", Value(verify::to_string(result.kind)));
+    Value violations;
+    violations.make_array();
+    for (const verify::Violation& violation : result.violations) {
+      Value row;
+      row.set("oracle", Value(violation.oracle));
+      row.set("detail", Value(violation.detail));
+      violations.array().push_back(std::move(row));
     }
-    json += "], \"shrunk\": ";
-    json += result.shrunk ? "true" : "false";
+    entry.set("violations", std::move(violations));
+    entry.set("shrunk", Value(result.shrunk));
     if (result.shrunk) {
-      json += ", \"shrunk_reactions\": " +
-              std::to_string(result.shrunk_reactions) +
-              ", \"repro\": " + quote(result.repro);
+      entry.set("shrunk_reactions",
+                Value(std::uint64_t{result.shrunk_reactions}));
+      entry.set("repro", Value(result.repro));
     }
-    json += "}";
+    failures.array().push_back(std::move(entry));
   }
-  json += "\n  ]\n}\n";
-  if (!write_file(kTool, path, json)) return 1;
-  std::printf("report written to %s\n", path.c_str());
-  return 0;
+  Value json;
+  json.set("checked", Value(std::uint64_t{report.checked}));
+  json.set("failed", Value(std::uint64_t{report.failed}));
+  json.set("wall_seconds", Value(report.wall_seconds));
+  json.set("failures", std::move(failures));
+  return write_file(kTool, path, json.dump() + "\n", "report") ? 0 : 1;
 }
 
 }  // namespace

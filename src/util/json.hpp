@@ -1,7 +1,7 @@
 // Minimal JSON value type, parser and string writer.
 //
-// The one JSON implementation in the codebase. Result writers build a Value
-// and dump it once; string-built reports escape with quote(); the service
+// The one JSON implementation in the codebase. Every report, payload and
+// snapshot is a Value built once and serialized by dump(); the service
 // protocol and the fleet also parse with parse(). It is
 // the smallest recursive-descent parser that covers the protocol:
 // null/bool/finite numbers/strings/arrays/objects, UTF-8 passed through

@@ -46,7 +46,7 @@ fi
 
 # The report embeds the server stats; a corpus of 6 requests replayed for
 # 2 s at 60 rps must produce cache hits and zero errors.
-grep -q '"errors": 0,' "$WORK_DIR/loadgen.json" || {
+grep -Eq '"errors": ?0,' "$WORK_DIR/loadgen.json" || {
   echo "FAIL: loadgen reported errors"; cat "$WORK_DIR/loadgen.json"; exit 1; }
 grep -q '"cache":{"hits":0,' "$WORK_DIR/loadgen.json" && {
   echo "FAIL: no server cache hits"; cat "$WORK_DIR/loadgen.json"; exit 1; }

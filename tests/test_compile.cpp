@@ -12,6 +12,7 @@
 #include "core/builder.hpp"
 #include "dsp/filters.hpp"
 #include "sim/ode.hpp"
+#include "util/json.hpp"
 
 namespace mrsc::compile {
 namespace {
@@ -218,10 +219,16 @@ TEST(Report, RecordsEveryPassAndSerializes) {
   EXPECT_GT(report.before.reactions, 0u);
   EXPECT_LE(report.after.species, report.before.species);
 
-  const std::string json = report.to_json();
-  EXPECT_NE(json.find("\"design\": \"ma\""), std::string::npos);
-  EXPECT_NE(json.find("\"passes\": ["), std::string::npos);
-  EXPECT_NE(json.find("dead-species-elim"), std::string::npos);
+  const util::json::Value json = report.to_value();
+  EXPECT_EQ(json.get_string("design", ""), "ma");
+  const util::json::Value* passes = json.find("passes");
+  ASSERT_NE(passes, nullptr);
+  ASSERT_EQ(passes->type(), util::json::Value::Type::kArray);
+  bool dead_species_elim = false;
+  for (const util::json::Value& pass : passes->as_array()) {
+    dead_species_elim |= pass.get_string("name", "") == "dead-species-elim";
+  }
+  EXPECT_TRUE(dead_species_elim);
   const std::string table = report.to_table();
   EXPECT_NE(table.find("total:"), std::string::npos);
 }

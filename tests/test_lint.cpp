@@ -20,6 +20,7 @@
 #include "core/network.hpp"
 #include "lint/lint.hpp"
 #include "tools/builtin_designs.hpp"
+#include "util/json.hpp"
 #include "verify/generator.hpp"
 #include "verify/lint_oracle.hpp"
 
@@ -271,11 +272,57 @@ TEST(Lint, CheckFilterRunsOnlySelected) {
 TEST(Lint, JsonReportCarriesSchemaKeys) {
   const tools::BuiltDesign design = build("cascade");
   const lint::LintReport report = lint::run_lint(input_for(design, "cascade"));
-  const std::string json = report.to_json();
-  for (const char* key :
-       {"\"design\"", "\"checks_run\"", "\"checks_skipped\"", "\"errors\"",
-        "\"warnings\"", "\"diagnostics\"", "\"severity\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
+  const util::json::Value json = report.to_value();
+  for (const char* key : {"design", "checks_run", "checks_skipped", "errors",
+                          "warnings", "diagnostics"}) {
+    EXPECT_NE(json.find(key), nullptr) << "missing " << key;
+  }
+  const util::json::Value* diagnostics = json.find("diagnostics");
+  ASSERT_NE(diagnostics, nullptr);
+  ASSERT_FALSE(diagnostics->as_array().empty());
+  for (const util::json::Value& diagnostic : diagnostics->as_array()) {
+    EXPECT_NE(diagnostic.find("severity"), nullptr) << diagnostic.dump();
+  }
+}
+
+// Escaped names, notes and every severity survive the one JSON writer: the
+// dumped report parses back to the same fields.
+TEST(Lint, JsonReportRoundTripsEscapedFieldsAndEverySeverity) {
+  lint::LintReport report;
+  report.design = "quote\"back\\slash\ttab\x01";
+  report.checks_run = {"race", "conservation"};
+  report.checks_skipped = {"composition: no record"};
+  report.diagnostics.push_back(
+      {"LINT-RACE-01", lint::Severity::kError, "race", "a \"msg\"", {"n1"}});
+  report.diagnostics.push_back(
+      {"LINT-DEAD-01", lint::Severity::kWarning, "dead", "m", {}});
+  report.diagnostics.push_back(
+      {"LINT-CONS-01", lint::Severity::kInfo, "conservation", "x", {"a", "b"}});
+
+  const auto strings = [](const util::json::Value& array) {
+    std::vector<std::string> out;
+    for (const util::json::Value& item : array.as_array()) {
+      out.push_back(item.as_string());
+    }
+    return out;
+  };
+  const util::json::Value parsed = util::json::parse(report.to_value().dump());
+  EXPECT_EQ(parsed.get_string("design", ""), report.design);
+  EXPECT_EQ(strings(*parsed.find("checks_run")), report.checks_run);
+  EXPECT_EQ(strings(*parsed.find("checks_skipped")), report.checks_skipped);
+  EXPECT_EQ(parsed.get_u64("errors", 0), 1u);
+  EXPECT_EQ(parsed.get_u64("warnings", 0), 1u);
+  const std::vector<util::json::Value>& diagnostics =
+      parsed.find("diagnostics")->as_array();
+  ASSERT_EQ(diagnostics.size(), report.diagnostics.size());
+  for (std::size_t i = 0; i < diagnostics.size(); ++i) {
+    const lint::Diagnostic& d = report.diagnostics[i];
+    EXPECT_EQ(diagnostics[i].get_string("id", ""), d.id);
+    EXPECT_EQ(diagnostics[i].get_string("severity", ""),
+              lint::to_string(d.severity));
+    EXPECT_EQ(diagnostics[i].get_string("check", ""), d.check);
+    EXPECT_EQ(diagnostics[i].get_string("message", ""), d.message);
+    EXPECT_EQ(strings(*diagnostics[i].find("notes")), d.notes);
   }
 }
 

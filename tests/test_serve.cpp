@@ -21,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "lint/lint.hpp"
 #include "scenario/registry.hpp"
 #include "serve/cache.hpp"
 #include "serve/design_cache.hpp"
@@ -493,37 +492,6 @@ TEST(ServeDispatcher, LintJobPayloadIsCompactJson) {
             nullptr);
 }
 
-// The lint payload embeds LintReport::to_value(); it must dump to the bytes
-// the CLI's pretty to_json() gives once re-serialized through the protocol
-// writer, the lint payload of earlier releases.
-TEST(ServeDispatcher, LintReportValueMatchesTheReparsedJson) {
-  for (const std::string& design :
-       scenario::ScenarioRegistry::global().fixed_names()) {
-    for (const int opt : {0, 1}) {
-      const CompiledDesign compiled(design, opt);
-      lint::LintInput input = lint::LintInput::from_design(
-          *compiled.built.network, compiled.built.info, design);
-      input.composition = compiled.built.composition.get();
-      const lint::LintReport report = lint::run_lint(input, {});
-      EXPECT_EQ(report.to_value().dump(),
-                json::parse(report.to_json()).dump())
-          << design << " opt " << opt;
-    }
-  }
-  // Escaped names, notes and every severity take the same path.
-  lint::LintReport report;
-  report.design = "quote\"back\\slash\ttab\x01";
-  report.checks_run = {"race", "conservation"};
-  report.checks_skipped = {"composition: no record"};
-  report.diagnostics.push_back(
-      {"LINT-RACE-01", lint::Severity::kError, "race", "a \"msg\"", {"n1"}});
-  report.diagnostics.push_back(
-      {"LINT-DEAD-01", lint::Severity::kWarning, "dead", "m", {}});
-  report.diagnostics.push_back(
-      {"LINT-CONS-01", lint::Severity::kInfo, "conservation", "x", {"a", "b"}});
-  EXPECT_EQ(report.to_value().dump(), json::parse(report.to_json()).dump());
-}
-
 /// Runs `job` with hooks whose stop is requested from a second thread
 /// 50 ms in.
 DispatchResult run_stopped_50ms_in(const JobRequest& job) {
@@ -795,6 +763,65 @@ TEST(ServeServer, PingHealthAndStatsSchema) {
   }
   EXPECT_NE(stats.find("latency")->find("sim"), nullptr);
   EXPECT_NE(stats.find("latency")->find("sim")->find("p99_ms"), nullptr);
+}
+
+/// The member names of the object `value`, in order.
+std::vector<std::string> keys_of(const json::Value& value) {
+  std::vector<std::string> keys;
+  for (const json::Member& member : value.as_object()) {
+    keys.push_back(member.first);
+  }
+  return keys;
+}
+
+// Dashboards and scripts read stats/health by position as well as by key:
+// the member order is part of the payload, and both payloads are already in
+// the one writer's canonical form.
+TEST(ServeServer, StatsAndHealthKeyOrderIsPinned) {
+  using Keys = std::vector<std::string>;
+  ServerFixture fixture;
+  for (const char* request :
+       {kSimRequest, kSimRequest,
+        R"({"op":"job","kind":"sim","design":"delay","t_end":1,"omega":50})",
+        R"({"op":"job","kind":"lint","design":"counter"})",
+        R"({"op":"job","kind":"lint","design":"counter"})"}) {
+    ASSERT_EQ(fixture.request(request).get_string("status", ""), "ok")
+        << request;
+  }
+
+  const std::string health_payload = fixture.request_raw(R"({"op":"health"})");
+  const json::Value health = json::parse(health_payload);
+  EXPECT_EQ(health.dump(), health_payload);
+  EXPECT_EQ(keys_of(health), (Keys{"status", "accepting", "draining",
+                                   "shard_id", "uptime_seconds"}));
+
+  const std::string stats_payload = fixture.request_raw(R"({"op":"stats"})");
+  const json::Value stats = json::parse(stats_payload);
+  EXPECT_EQ(stats.dump(), stats_payload);
+  EXPECT_EQ(keys_of(stats),
+            (Keys{"status", "shard_id", "draining", "uptime_seconds", "queue",
+                  "cache", "designs", "requests", "latency"}));
+  EXPECT_EQ(keys_of(*stats.find("queue")),
+            (Keys{"depth", "in_flight", "capacity", "workers"}));
+  EXPECT_EQ(keys_of(*stats.find("cache")),
+            (Keys{"hits", "misses", "evictions", "entries", "bytes",
+                  "capacity_entries", "hit_rate"}));
+  EXPECT_EQ(keys_of(*stats.find("designs")),
+            (Keys{"hits", "misses", "evictions", "entries", "bytes"}));
+  EXPECT_EQ(keys_of(*stats.find("requests")),
+            (Keys{"received", "ok", "failed", "overload_rejected",
+                  "drain_rejected", "protocol_errors", "connection_errors"}));
+  const json::Value& latency = *stats.find("latency");
+  ASSERT_NE(latency.find("sim"), nullptr);
+  ASSERT_NE(latency.find("lint"), nullptr);
+  for (const json::Member& kind : latency.as_object()) {
+    EXPECT_EQ(keys_of(kind.second),
+              (Keys{"count", "ok", "failed", "cache_hits", "mean_ms",
+                    "p50_ms", "p90_ms", "p99_ms", "max_ms"}))
+        << kind.first;
+  }
+  EXPECT_EQ(latency.find("sim")->get_u64("count", 0), 3u);
+  EXPECT_EQ(latency.find("lint")->get_u64("cache_hits", 0), 1u);
 }
 
 TEST(ServeServer, StatsCountDesignBuilds) {
