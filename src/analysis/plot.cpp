@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -91,17 +90,6 @@ std::string plot_trajectory(const sim::Trajectory& trajectory,
     series.push_back(std::move(s));
   }
   return ascii_plot(series, options);
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream file(path);
-  if (!file) {
-    throw std::runtime_error("write_file: cannot open '" + path + "'");
-  }
-  file << content;
-  if (!file) {
-    throw std::runtime_error("write_file: write failed for '" + path + "'");
-  }
 }
 
 }  // namespace mrsc::analysis

@@ -39,7 +39,4 @@ struct Series {
     const sim::Trajectory& trajectory, const core::ReactionNetwork& network,
     std::span<const core::SpeciesId> ids, const AsciiPlotOptions& options = {});
 
-/// Writes a string to a file (used for CSV dumps); throws on failure.
-void write_file(const std::string& path, const std::string& content);
-
 }  // namespace mrsc::analysis

@@ -1,7 +1,8 @@
 // Built-in design lookup — a header-only shim over the scenario registry
 // (scenario/registry.hpp), which is the single resolver for every design the
-// toolchain runs. No CLI or library uses it; perfbench/ and a few tests still
-// do, and it goes once they call the registry directly.
+// toolchain runs. No CLI or library uses it; perfbench/ still does, and
+// test_scenario checks that it builds what the registry builds. It goes once
+// perfbench/ calls the registry directly.
 //
 // `build_design` accepts everything the registry serves: the fixed builtin
 // names ("counter", "cascade", ...) and the parametric generator specs

@@ -1,22 +1,40 @@
-// Flag parsing shared by every mrsc_* CLI, plus the writer for the files
-// those flags name (--json, --out, --port-file).
+// The one command-line parser every mrsc_* CLI shares, its number grammar,
+// and the writer for the files those flags name (--json, --out, --csv,
+// --port-file).
 //
-// Each helper takes the tool name so its stderr message reads
-// "<tool>: <flag>: '<text>' is not a number" exactly as the CLIs have always
-// printed it. A false return means the message was printed; for the parsers
-// the caller exits 2 (usage error), for write_file it picks its own code.
+// Flag grammar, the same for every CLI:
+//   --name value   a flag that takes a value takes the next argument, even
+//                  one that starts with '-' ("--omega -5")
+//   --name         a toggle takes none
+//   FILE           the one positional input of the CLIs that read a file
+// A repeated flag keeps its last value. An unknown flag, or an argument
+// where the CLI takes no positional, prints "<tool>: unknown option X"; a
+// flag with nothing after it prints "<tool>: --name needs a value". Both
+// exit 2, like the number errors below. "-" as the path of --json, --csv or
+// --port-file writes to stdout (write_file).
 //
-// Grammar (util::parse_u64 and util::parse_finite_double, which the .mrsc
-// parser shares):
+// Every message reads "<tool>: ..." exactly as the CLIs have always printed
+// it. A false return means the message was printed; for the parsers the
+// caller exits 2 (usage error), for write_file it picks its own code.
+//
+// Number grammar (util::parse_u64 and util::parse_finite_double, which the
+// .mrsc parser shares):
 //   u64     decimal digits only, at most 18446744073709551615: no sign, no
 //           whitespace, no exponent ("-1", "+1", " 7", "1e3" are rejected)
 //   double  anything std::stod reads in full that is finite ("1e-3", "-5";
 //           "nan", "inf" and "-inf" are rejected)
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
+#include <set>
 #include <string>
+#include <vector>
+
+#include "scenario/scenario.hpp"
 
 namespace mrsc::tools {
 
@@ -35,6 +53,95 @@ const char* need_value(const char* tool, int argc, char** argv, int& i);
 /// not fit in a size_t (2^44 MiB and above on 64-bit hosts).
 [[nodiscard]] bool parse_mebibytes(const char* tool, const char* flag,
                                    const char* text, std::size_t& bytes);
+
+/// The --opt level of mrsc_compile and mrsc_lint: "0" or "1"; anything else
+/// prints "<tool>: --opt must be 0 or 1".
+[[nodiscard]] bool parse_opt_level(const char* tool, const char* text,
+                                   int& out);
+
+/// One row of a CLI's flag table: the flag's name and where its value goes.
+/// The destination's type picks how the value is read.
+class Flag {
+ public:
+  /// Reads a value on the spot; returns false after printing its message.
+  using Convert = std::function<bool(const char* value)>;
+
+  Flag(const char* name, double& out);  ///< finite double
+  template <std::unsigned_integral T>
+    requires(!std::same_as<T, bool>)
+  Flag(const char* name, T& out)  ///< whole number
+      : Flag(name, true, [name, &out](const char* tool, const char* value) {
+          std::uint64_t number = 0;
+          if (!parse_u64(tool, name, value, number)) return false;
+          out = static_cast<T>(number);
+          return true;
+        }) {}
+  Flag(const char* name, std::string& out);  ///< the text as given
+  Flag(const char* name, std::vector<std::string>& out);  ///< comma list
+  /// Comma list of finite doubles; "<tool>: <flag> needs at least one
+  /// value" when it is empty.
+  Flag(const char* name, std::vector<double>& out);
+  /// A toggle: takes no value and stores `value` in `out`.
+  Flag(const char* name, bool& out, bool value = true);
+  Flag(const char* name, Convert convert);
+
+ private:
+  friend class FlagParser;
+  // Stores the value (nullptr for a toggle); `tool` prefixes messages.
+  using Store = std::function<bool(const char* tool, const char* value)>;
+  Flag(const char* name, bool takes_value, Store store);
+
+  const char* name_;
+  bool takes_value_;
+  Store store_;
+};
+
+/// The names of the flags a command line passed.
+using GivenFlags = std::set<std::string, std::less<>>;
+
+/// Walks a command line against one CLI's flag table (grammar above).
+class FlagParser {
+ public:
+  FlagParser(const char* tool, std::initializer_list<Flag> flags);
+
+  /// Takes the CLI's one positional input into `out`; a second one prints
+  /// "<tool>: <extra>".
+  FlagParser& positional(std::string& out, const char* extra);
+
+  /// Prints `usage` after an unknown option.
+  FlagParser& usage_on_unknown(void (*usage)());
+
+  /// Parses argv[1..argc) and stops at the first error.
+  [[nodiscard]] bool parse(int argc, char** argv);
+
+  /// The flags parse() saw.
+  [[nodiscard]] const GivenFlags& given() const { return given_; }
+
+ private:
+  const char* tool_;
+  std::vector<Flag> flags_;
+  std::string* positional_ = nullptr;
+  const char* extra_ = nullptr;
+  void (*usage_)() = nullptr;
+  GivenFlags given_;
+};
+
+/// Scenario @sim budgets are defaults and explicit flags win: fills each of
+/// --method, --t-end, --record, --omega and --seed that `given` lacks from
+/// `budget` (mrsc_sim and mrsc_batch options).
+template <class Options>
+void apply_sim_budget(const scenario::SimBudget& budget,
+                      const GivenFlags& given, Options& options) {
+  if (!given.contains("--method") && budget.method) {
+    options.method = *budget.method;
+  }
+  if (!given.contains("--t-end") && budget.t_end) options.t_end = *budget.t_end;
+  if (!given.contains("--record") && budget.record) {
+    options.record = *budget.record;
+  }
+  if (!given.contains("--omega") && budget.omega) options.omega = *budget.omega;
+  if (!given.contains("--seed") && budget.seed) options.seed = *budget.seed;
+}
 
 /// Writes `text` to the file at `path`, or to stdout when `path` is "-";
 /// prints "<tool>: cannot write <path>" and returns false when the file

@@ -47,7 +47,6 @@
 //   2  bad CLI usage: unknown flag, malformed value, unknown --species name
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -64,15 +63,11 @@
 #include "tools/cli_flags.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
-#include "util/strings.hpp"
 
 namespace {
 
 using namespace mrsc;
 
-using tools::need_value;
-using tools::parse_double;
-using tools::parse_u64;
 using tools::write_file;
 using util::json::Value;
 constexpr char kTool[] = "mrsc_batch";
@@ -97,13 +92,7 @@ struct CliOptions {
   std::size_t retries = 0;  // extra attempts beyond the first
   bool opt = false;
   std::string json;
-  // Whether the user passed the flag explicitly; explicit flags beat the
-  // scenario's sim budget.
-  bool set_method = false;
-  bool set_t_end = false;
-  bool set_record = false;
-  bool set_omega = false;
-  bool set_seed = false;
+  tools::GivenFlags given;
   // Compile report from --opt, embedded in the --json output.
   std::optional<Value> compile_report;
 };
@@ -119,89 +108,30 @@ void usage() {
       "       [--species A,B,C] [--retries N] [--opt] [--json PATH]\n");
 }
 
-bool parse_double_list(const char* flag, const char* text,
-                       std::vector<double>& out) {
-  out.clear();
-  for (const std::string& item : util::split_commas(text)) {
-    double value = 0.0;
-    if (!parse_double(kTool, flag, item.c_str(), value)) return false;
-    out.push_back(value);
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "mrsc_batch: %s needs at least one value\n", flag);
-    return false;
-  }
-  return true;
-}
-
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const bool is_flag = std::strcmp(arg, "--opt") == 0;
-    const bool takes_value = !is_flag && arg[0] == '-' && arg[1] == '-';
-    const char* value = nullptr;
-    if (takes_value && !(value = need_value(kTool, argc, argv, i))) {
-      return false;
-    }
-    if (is_flag) {
-      options.opt = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--mode") == 0) {
-      options.mode = value;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      std::uint64_t jobs = 0;
-      if (!parse_u64(kTool, arg, value, jobs)) return false;
-      options.jobs = static_cast<std::size_t>(jobs);
-    } else if (std::strcmp(arg, "--replicates") == 0) {
-      std::uint64_t replicates = 0;
-      if (!parse_u64(kTool, arg, value, replicates)) return false;
-      options.replicates = static_cast<std::size_t>(replicates);
-    } else if (std::strcmp(arg, "--timeout") == 0) {
-      if (!parse_double(kTool, arg, value, options.timeout)) return false;
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      if (!parse_u64(kTool, arg, value, options.seed)) return false;
-      options.set_seed = true;
-    } else if (std::strcmp(arg, "--t-end") == 0) {
-      if (!parse_double(kTool, arg, value, options.t_end)) return false;
-      options.set_t_end = true;
-    } else if (std::strcmp(arg, "--method") == 0) {
-      options.method = value;
-      options.set_method = true;
-    } else if (std::strcmp(arg, "--omega") == 0) {
-      if (!parse_double(kTool, arg, value, options.omega)) return false;
-      options.set_omega = true;
-    } else if (std::strcmp(arg, "--record") == 0) {
-      if (!parse_double(kTool, arg, value, options.record)) return false;
-      options.set_record = true;
-    } else if (std::strcmp(arg, "--scenario") == 0) {
-      options.scenario = value;
-    } else if (std::strcmp(arg, "--tau") == 0) {
-      if (!parse_double(kTool, arg, value, options.tau)) return false;
-    } else if (std::strcmp(arg, "--dt") == 0) {
-      if (!parse_double(kTool, arg, value, options.dt)) return false;
-    } else if (std::strcmp(arg, "--ratios") == 0) {
-      if (!parse_double_list(arg, value, options.ratios)) return false;
-    } else if (std::strcmp(arg, "--jitters") == 0) {
-      if (!parse_double_list(arg, value, options.jitters)) return false;
-    } else if (std::strcmp(arg, "--species") == 0) {
-      options.species = util::split_commas(value);
-    } else if (std::strcmp(arg, "--retries") == 0) {
-      std::uint64_t retries = 0;
-      if (!parse_u64(kTool, arg, value, retries)) return false;
-      options.retries = static_cast<std::size_t>(retries);
-    } else if (std::strcmp(arg, "--json") == 0) {
-      options.json = value;
-    } else if (arg[0] == '-') {
-      std::fprintf(stderr, "mrsc_batch: unknown option %s\n", arg);
-      return false;
-    } else if (options.file.empty()) {
-      options.file = arg;
-    } else {
-      std::fprintf(stderr, "mrsc_batch: multiple input files\n");
-      return false;
-    }
-  }
+  tools::FlagParser flags(kTool, {
+      {"--mode", options.mode},
+      {"--jobs", options.jobs},
+      {"--replicates", options.replicates},
+      {"--timeout", options.timeout},
+      {"--seed", options.seed},
+      {"--t-end", options.t_end},
+      {"--method", options.method},
+      {"--omega", options.omega},
+      {"--record", options.record},
+      {"--scenario", options.scenario},
+      {"--tau", options.tau},
+      {"--dt", options.dt},
+      {"--ratios", options.ratios},
+      {"--jitters", options.jitters},
+      {"--species", options.species},
+      {"--retries", options.retries},
+      {"--opt", options.opt},
+      {"--json", options.json},
+  });
+  flags.positional(options.file, "multiple input files");
+  if (!flags.parse(argc, argv)) return false;
+  options.given = flags.given();
   if (options.file.empty() == options.scenario.empty()) {
     std::fprintf(stderr,
                  "mrsc_batch: give exactly one of FILE.crn or --scenario\n");
@@ -498,12 +428,7 @@ int main(int argc, char** argv) {
           scenario::resolve_scenario_argument(cli.scenario);
       network = std::move(*resolved.design.network);
       label = resolved.scenario.name;
-      const scenario::SimBudget& budget = resolved.scenario.sim;
-      if (!cli.set_method && budget.method) cli.method = *budget.method;
-      if (!cli.set_t_end && budget.t_end) cli.t_end = *budget.t_end;
-      if (!cli.set_record && budget.record) cli.record = *budget.record;
-      if (!cli.set_omega && budget.omega) cli.omega = *budget.omega;
-      if (!cli.set_seed && budget.seed) cli.seed = *budget.seed;
+      tools::apply_sim_budget(resolved.scenario.sim, cli.given, cli);
       std::printf("scenario %s: %zu species, %zu reactions\n", label.c_str(),
                   network.species_count(), network.reaction_count());
     } catch (const std::invalid_argument& error) {

@@ -25,10 +25,10 @@
 //   2  bad CLI usage
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "fleet/chaos_proxy.hpp"
 #include "tools/cli_flags.hpp"
@@ -37,9 +37,6 @@ namespace {
 
 using namespace mrsc;
 
-using tools::need_value;
-using tools::parse_double;
-using tools::parse_u64;
 using tools::write_file;
 constexpr char kTool[] = "mrsc_chaosproxy";
 
@@ -65,64 +62,41 @@ void usage() {
       "       [--truncate X] [--blackhole X]\n");
 }
 
-bool parse_probability(const char* flag, const char* text, double& out) {
-  if (!parse_double(kTool, flag, text, out)) return false;
-  if (out < 0.0 || out > 1.0) {
-    std::fprintf(stderr, "mrsc_chaosproxy: %s must be in [0, 1]\n", flag);
-    return false;
-  }
-  return true;
-}
-
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = need_value(kTool, argc, argv, i);
-    if (value == nullptr) return false;
-    std::uint64_t number = 0;
-    if (std::strcmp(arg, "--upstream-port") == 0) {
-      if (!parse_u64(kTool, arg, value, number) ||
-          number == 0 || number > 65535) {
-        return false;
-      }
-      options.upstream.port = static_cast<std::uint16_t>(number);
-    } else if (std::strcmp(arg, "--upstream-host") == 0) {
-      options.upstream.host = value;
-    } else if (std::strcmp(arg, "--listen-host") == 0) {
-      options.listen_host = value;
-    } else if (std::strcmp(arg, "--listen-port") == 0) {
-      if (!parse_u64(kTool, arg, value, number) || number > 65535) return false;
-      options.listen_port = static_cast<std::uint16_t>(number);
-    } else if (std::strcmp(arg, "--port-file") == 0) {
-      options.port_file = value;
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      if (!parse_u64(kTool, arg, value, options.seed)) return false;
-    } else if (std::strcmp(arg, "--drop") == 0) {
-      if (!parse_probability(arg, value, options.faults.drop)) return false;
-    } else if (std::strcmp(arg, "--delay") == 0) {
-      if (!parse_probability(arg, value, options.faults.delay)) return false;
-    } else if (std::strcmp(arg, "--delay-ms") == 0) {
-      if (!parse_double(kTool, arg, value, options.faults.delay_ms)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--truncate") == 0) {
-      if (!parse_probability(arg, value, options.faults.truncate)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--blackhole") == 0) {
-      if (!parse_probability(arg, value, options.faults.blackhole)) {
-        return false;
-      }
-    } else {
-      std::fprintf(stderr, "mrsc_chaosproxy: unknown option %s\n", arg);
-      usage();
+  fleet::ChaosFaults& faults = options.faults;
+  std::uint64_t upstream_port = 0;
+  std::uint64_t listen_port = 0;
+  tools::FlagParser flags(kTool, {
+      {"--upstream-port", upstream_port},
+      {"--upstream-host", options.upstream.host},
+      {"--listen-host", options.listen_host},
+      {"--listen-port", listen_port},
+      {"--port-file", options.port_file},
+      {"--seed", options.seed},
+      {"--drop", faults.drop},
+      {"--delay", faults.delay},
+      {"--delay-ms", faults.delay_ms},
+      {"--truncate", faults.truncate},
+      {"--blackhole", faults.blackhole},
+  });
+  flags.usage_on_unknown(usage);
+  if (!flags.parse(argc, argv)) return false;
+  for (const auto& [flag, probability] :
+       {std::pair{"--drop", faults.drop}, std::pair{"--delay", faults.delay},
+        std::pair{"--truncate", faults.truncate},
+        std::pair{"--blackhole", faults.blackhole}}) {
+    if (probability < 0.0 || probability > 1.0) {
+      std::fprintf(stderr, "mrsc_chaosproxy: %s must be in [0, 1]\n", flag);
       return false;
     }
   }
-  if (options.upstream.port == 0) {
-    usage();
+  if (upstream_port > 65535 || listen_port > 65535) return false;
+  if (upstream_port == 0) {
+    if (!flags.given().contains("--upstream-port")) usage();
     return false;
   }
+  options.upstream.port = static_cast<std::uint16_t>(upstream_port);
+  options.listen_port = static_cast<std::uint16_t>(listen_port);
   return true;
 }
 

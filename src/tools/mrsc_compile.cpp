@@ -26,7 +26,6 @@
 //
 // Prints the per-pass table on stdout; exits nonzero on error.
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -38,13 +37,11 @@
 #include "lint/lint.hpp"
 #include "scenario/registry.hpp"
 #include "tools/cli_flags.hpp"
-#include "util/strings.hpp"
 
 namespace {
 
 using namespace mrsc;
 
-using tools::need_value;
 using tools::write_file;
 constexpr char kTool[] = "mrsc_compile";
 
@@ -72,49 +69,22 @@ void usage() {
 }
 
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (arg[0] != '-') {
-      if (!options.file.empty()) {
-        std::fprintf(stderr, "mrsc_compile: more than one input file\n");
-        return false;
-      }
-      options.file = arg;
-      continue;
-    }
-    if (std::strcmp(arg, "--lint") == 0) {
-      options.lint = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--list-scenarios") == 0) {
-      options.list_scenarios = true;
-      continue;
-    }
-    const char* value = need_value(kTool, argc, argv, i);
-    if (value == nullptr) return false;
-    if (std::strcmp(arg, "--design") == 0) {
-      options.design = value;
-    } else if (std::strcmp(arg, "--scenario") == 0) {
-      options.scenario = value;
-    } else if (std::strcmp(arg, "--opt") == 0) {
-      if (std::strcmp(value, "0") != 0 && std::strcmp(value, "1") != 0) {
-        std::fprintf(stderr, "mrsc_compile: --opt must be 0 or 1\n");
-        return false;
-      }
-      options.opt = value[0] - '0';
-    } else if (std::strcmp(arg, "--assume-zero") == 0) {
-      options.assume_zero = util::split_commas(value);
-    } else if (std::strcmp(arg, "--roots") == 0) {
-      options.roots = util::split_commas(value);
-    } else if (std::strcmp(arg, "--json") == 0) {
-      options.json = value;
-    } else if (std::strcmp(arg, "--out") == 0) {
-      options.out = value;
-    } else {
-      std::fprintf(stderr, "mrsc_compile: unknown option %s\n", arg);
-      return false;
-    }
-  }
+  tools::FlagParser flags(kTool, {
+      {"--lint", options.lint},
+      {"--list-scenarios", options.list_scenarios},
+      {"--design", options.design},
+      {"--scenario", options.scenario},
+      {"--opt",
+       [&](const char* value) {
+         return tools::parse_opt_level(kTool, value, options.opt);
+       }},
+      {"--assume-zero", options.assume_zero},
+      {"--roots", options.roots},
+      {"--json", options.json},
+      {"--out", options.out},
+  });
+  flags.positional(options.file, "more than one input file");
+  if (!flags.parse(argc, argv)) return false;
   if (options.list_scenarios) return true;
   const int sources = (options.file.empty() ? 0 : 1) +
                       (options.design.empty() ? 0 : 1) +

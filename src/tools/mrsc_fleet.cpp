@@ -37,7 +37,6 @@
 //   1  fleet-level failure (a slice exhausted its attempts, shard down)
 //   2  bad CLI usage (including specs the local registry rejects)
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -51,7 +50,6 @@ namespace {
 
 using namespace mrsc;
 
-using tools::need_value;
 using tools::parse_double;
 using tools::parse_u64;
 using tools::write_file;
@@ -107,79 +105,39 @@ bool parse_shards(const std::string& list,
 }
 
 bool parse_cli(int argc, char** argv, CliOptions& options) {
+  fleet::FleetOptions& client = options.fleet;
+  fleet::EnsembleSpec& ensemble = options.ensemble;
   std::string omegas_text;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = need_value(kTool, argc, argv, i);
-    if (value == nullptr) return false;
-    std::uint64_t number = 0;
-    if (std::strcmp(arg, "--shards") == 0) {
-      if (!parse_shards(value, options.fleet.shards)) return false;
-    } else if (std::strcmp(arg, "--mode") == 0) {
-      options.mode = value;
-    } else if (std::strcmp(arg, "--design") == 0) {
-      options.ensemble.design = value;
-    } else if (std::strcmp(arg, "--replicates") == 0) {
-      if (!parse_u64(kTool, arg, value, number) || number == 0) return false;
-      options.ensemble.replicates = static_cast<std::size_t>(number);
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      if (!parse_u64(kTool, arg, value, options.ensemble.base_seed)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--method") == 0) {
-      options.ensemble.method = value;
-    } else if (std::strcmp(arg, "--t-end") == 0) {
-      if (!parse_double(kTool, arg, value, options.ensemble.t_end)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--omega") == 0) {
-      if (!parse_double(kTool, arg, value, options.ensemble.omega)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--omegas") == 0) {
-      omegas_text = value;
-    } else if (std::strcmp(arg, "--record") == 0) {
-      if (!parse_double(kTool, arg, value, options.ensemble.record)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--opt") == 0) {
-      if (!parse_u64(kTool, arg, value, number) || number > 1) return false;
-      options.ensemble.opt = static_cast<int>(number);
-    } else if (std::strcmp(arg, "--timeout-ms") == 0) {
-      if (!parse_double(kTool, arg, value, options.fleet.request_timeout_ms)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--attempts") == 0) {
-      if (!parse_u64(kTool, arg, value, number) || number == 0) return false;
-      options.fleet.max_attempts = static_cast<std::size_t>(number);
-    } else if (std::strcmp(arg, "--hedge-ms") == 0) {
-      if (!parse_double(kTool, arg, value, options.fleet.hedge_ms)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--backoff-base-ms") == 0) {
-      if (!parse_double(kTool, arg, value, options.fleet.backoff.base_ms)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--backoff-cap-ms") == 0) {
-      if (!parse_double(kTool, arg, value, options.fleet.backoff.cap_ms)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--jitter-seed") == 0) {
-      if (!parse_u64(kTool, arg, value, options.fleet.backoff.jitter_seed)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--concurrency") == 0) {
-      if (!parse_u64(kTool, arg, value, number)) return false;
-      options.fleet.concurrency = static_cast<std::size_t>(number);
-    } else if (std::strcmp(arg, "--json") == 0) {
-      options.json = value;
-    } else {
-      std::fprintf(stderr, "mrsc_fleet: unknown option %s\n", arg);
-      usage();
-      return false;
-    }
+  std::uint64_t opt = 0;
+  tools::FlagParser flags(kTool, {
+      {"--shards",
+       [&](const char* value) { return parse_shards(value, client.shards); }},
+      {"--mode", options.mode},
+      {"--design", ensemble.design},
+      {"--replicates", ensemble.replicates},
+      {"--seed", ensemble.base_seed},
+      {"--method", ensemble.method},
+      {"--t-end", ensemble.t_end},
+      {"--omega", ensemble.omega},
+      {"--omegas", omegas_text},
+      {"--record", ensemble.record},
+      {"--opt", opt},
+      {"--timeout-ms", client.request_timeout_ms},
+      {"--attempts", client.max_attempts},
+      {"--hedge-ms", client.hedge_ms},
+      {"--backoff-base-ms", client.backoff.base_ms},
+      {"--backoff-cap-ms", client.backoff.cap_ms},
+      {"--jitter-seed", client.backoff.jitter_seed},
+      {"--concurrency", client.concurrency},
+      {"--json", options.json},
+  });
+  flags.usage_on_unknown(usage);
+  if (!flags.parse(argc, argv)) return false;
+  if (ensemble.replicates == 0 || opt > 1 || client.max_attempts == 0) {
+    return false;
   }
-  if (options.fleet.shards.empty()) {
+  ensemble.opt = static_cast<int>(opt);
+  if (client.shards.empty()) {
     usage();
     return false;
   }

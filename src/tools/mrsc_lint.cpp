@@ -26,7 +26,6 @@
 //   1  at least one error (or, with --werror, warning) fired
 //   2  usage error / unknown design / unknown check
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -36,13 +35,11 @@
 #include "scenario/registry.hpp"
 #include "tools/cli_flags.hpp"
 #include "util/json.hpp"
-#include "util/strings.hpp"
 
 namespace {
 
 using namespace mrsc;
 
-using tools::need_value;
 using tools::write_file;
 constexpr char kTool[] = "mrsc_lint";
 
@@ -74,47 +71,21 @@ void usage() {
 }
 
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (arg[0] != '-') {
-      if (!options.file.empty()) {
-        std::fprintf(stderr, "mrsc_lint: more than one input file\n");
-        return false;
-      }
-      options.file = arg;
-      continue;
-    }
-    if (std::strcmp(arg, "--werror") == 0) {
-      options.werror = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--quiet") == 0) {
-      options.quiet = true;
-      continue;
-    }
-    const char* value = need_value(kTool, argc, argv, i);
-    if (value == nullptr) return false;
-    if (std::strcmp(arg, "--design") == 0) {
-      options.design = value;
-    } else if (std::strcmp(arg, "--scenario") == 0) {
-      options.scenario = value;
-    } else if (std::strcmp(arg, "--opt") == 0) {
-      if (std::strcmp(value, "0") != 0 && std::strcmp(value, "1") != 0) {
-        std::fprintf(stderr, "mrsc_lint: --opt must be 0 or 1\n");
-        return false;
-      }
-      options.opt = value[0] - '0';
-    } else if (std::strcmp(arg, "--checks") == 0) {
-      options.checks = util::split_commas(value);
-    } else if (std::strcmp(arg, "--roots") == 0) {
-      options.roots = util::split_commas(value);
-    } else if (std::strcmp(arg, "--json") == 0) {
-      options.json = value;
-    } else {
-      std::fprintf(stderr, "mrsc_lint: unknown option %s\n", arg);
-      return false;
-    }
-  }
+  tools::FlagParser flags(kTool, {
+      {"--werror", options.werror},
+      {"--quiet", options.quiet},
+      {"--design", options.design},
+      {"--scenario", options.scenario},
+      {"--opt",
+       [&](const char* value) {
+         return tools::parse_opt_level(kTool, value, options.opt);
+       }},
+      {"--checks", options.checks},
+      {"--roots", options.roots},
+      {"--json", options.json},
+  });
+  flags.positional(options.file, "more than one input file");
+  if (!flags.parse(argc, argv)) return false;
   const int sources = (options.file.empty() ? 0 : 1) +
                       (options.design.empty() ? 0 : 1) +
                       (options.scenario.empty() ? 0 : 1);

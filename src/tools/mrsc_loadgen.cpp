@@ -54,7 +54,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <numeric>
@@ -68,14 +67,11 @@
 #include "serve/protocol.hpp"
 #include "tools/cli_flags.hpp"
 #include "util/json.hpp"
-#include "util/strings.hpp"
 
 namespace {
 
 using namespace mrsc;
 
-using tools::need_value;
-using tools::parse_double;
 using tools::parse_u64;
 using tools::write_file;
 constexpr char kTool[] = "mrsc_loadgen";
@@ -107,47 +103,33 @@ void usage() {
 }
 
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = need_value(kTool, argc, argv, i);
-    if (value == nullptr) return false;
-    std::uint64_t number = 0;
-    if (std::strcmp(arg, "--host") == 0) {
-      options.host = value;
-    } else if (std::strcmp(arg, "--port") == 0) {
-      if (!parse_u64(kTool, arg, value, number) ||
-          number == 0 || number > 65535) {
-        std::fprintf(stderr, "mrsc_loadgen: --port must be 1..65535\n");
-        return false;
-      }
-      options.port = static_cast<int>(number);
-    } else if (std::strcmp(arg, "--rate") == 0) {
-      if (!parse_double(kTool, arg, value, options.rate)) return false;
-    } else if (std::strcmp(arg, "--duration") == 0) {
-      if (!parse_double(kTool, arg, value, options.duration)) return false;
-    } else if (std::strcmp(arg, "--connections") == 0) {
-      if (!parse_u64(kTool, arg, value, number) || number == 0) return false;
-      options.connections = static_cast<std::size_t>(number);
-    } else if (std::strcmp(arg, "--designs") == 0) {
-      options.designs = util::split_commas(value);
-    } else if (std::strcmp(arg, "--kinds") == 0) {
-      options.kinds = util::split_commas(value);
-    } else if (std::strcmp(arg, "--corpus") == 0) {
-      options.corpus_file = value;
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      if (!parse_u64(kTool, arg, value, options.seed)) return false;
-    } else if (std::strcmp(arg, "--t-end") == 0) {
-      if (!parse_double(kTool, arg, value, options.t_end)) return false;
-    } else if (std::strcmp(arg, "--omega") == 0) {
-      if (!parse_double(kTool, arg, value, options.omega)) return false;
-    } else if (std::strcmp(arg, "--json") == 0) {
-      options.json = value;
-    } else {
-      std::fprintf(stderr, "mrsc_loadgen: unknown option %s\n", arg);
-      usage();
-      return false;
-    }
-  }
+  tools::FlagParser flags(kTool, {
+      {"--host", options.host},
+      {"--port",
+       [&](const char* value) {
+         std::uint64_t port = 0;
+         if (!parse_u64(kTool, "--port", value, port) || port == 0 ||
+             port > 65535) {
+           std::fprintf(stderr, "mrsc_loadgen: --port must be 1..65535\n");
+           return false;
+         }
+         options.port = static_cast<int>(port);
+         return true;
+       }},
+      {"--rate", options.rate},
+      {"--duration", options.duration},
+      {"--connections", options.connections},
+      {"--designs", options.designs},
+      {"--kinds", options.kinds},
+      {"--corpus", options.corpus_file},
+      {"--seed", options.seed},
+      {"--t-end", options.t_end},
+      {"--omega", options.omega},
+      {"--json", options.json},
+  });
+  flags.usage_on_unknown(usage);
+  if (!flags.parse(argc, argv)) return false;
+  if (options.connections == 0) return false;
   if (options.port < 0) {
     usage();
     return false;

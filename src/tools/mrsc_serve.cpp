@@ -26,7 +26,6 @@
 //   2  bad CLI usage
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -38,9 +37,7 @@ namespace {
 
 using namespace mrsc;
 
-using tools::need_value;
 using tools::parse_mebibytes;
-using tools::parse_u64;
 using tools::write_file;
 constexpr char kTool[] = "mrsc_serve";
 
@@ -61,42 +58,27 @@ void usage() {
 }
 
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = need_value(kTool, argc, argv, i);
-    if (value == nullptr) return false;
-    std::uint64_t number = 0;
-    if (std::strcmp(arg, "--host") == 0) {
-      options.server.host = value;
-    } else if (std::strcmp(arg, "--port") == 0) {
-      if (!parse_u64(kTool, arg, value, number) || number > 65535) return false;
-      options.server.port = static_cast<std::uint16_t>(number);
-    } else if (std::strcmp(arg, "--port-file") == 0) {
-      options.port_file = value;
-    } else if (std::strcmp(arg, "--workers") == 0) {
-      if (!parse_u64(kTool, arg, value, number)) return false;
-      options.server.workers = static_cast<std::size_t>(number);
-    } else if (std::strcmp(arg, "--queue") == 0) {
-      if (!parse_u64(kTool, arg, value, number)) return false;
-      options.server.queue_capacity = static_cast<std::size_t>(number);
-    } else if (std::strcmp(arg, "--cache") == 0) {
-      if (!parse_u64(kTool, arg, value, number)) return false;
-      options.server.cache_entries = static_cast<std::size_t>(number);
-    } else if (std::strcmp(arg, "--cache-mb") == 0) {
-      if (!parse_mebibytes(kTool, arg, value, options.server.cache_bytes)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--max-conns") == 0) {
-      if (!parse_u64(kTool, arg, value, number) || number == 0) return false;
-      options.server.max_connections = static_cast<std::size_t>(number);
-    } else if (std::strcmp(arg, "--shard-id") == 0) {
-      options.server.shard_id = value;
-    } else {
-      std::fprintf(stderr, "mrsc_serve: unknown option %s\n", arg);
-      usage();
-      return false;
-    }
-  }
+  serve::ServerOptions& server = options.server;
+  std::uint64_t port = server.port;
+  tools::FlagParser flags(kTool, {
+      {"--host", server.host},
+      {"--port", port},
+      {"--port-file", options.port_file},
+      {"--workers", server.workers},
+      {"--queue", server.queue_capacity},
+      {"--cache", server.cache_entries},
+      {"--cache-mb",
+       [&](const char* value) {
+         return parse_mebibytes(kTool, "--cache-mb", value,
+                                server.cache_bytes);
+       }},
+      {"--max-conns", server.max_connections},
+      {"--shard-id", server.shard_id},
+  });
+  flags.usage_on_unknown(usage);
+  if (!flags.parse(argc, argv)) return false;
+  if (port > 65535 || server.max_connections == 0) return false;
+  server.port = static_cast<std::uint16_t>(port);
   return true;
 }
 

@@ -34,7 +34,6 @@
 //   2  bad CLI usage: unknown flag/method, malformed value, unknown species
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -52,15 +51,11 @@
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
 #include "tools/cli_flags.hpp"
-#include "util/strings.hpp"
 
 namespace {
 
 using namespace mrsc;
 
-using tools::need_value;
-using tools::parse_double;
-using tools::parse_u64;
 constexpr char kTool[] = "mrsc_sim";
 
 struct CliOptions {
@@ -79,13 +74,7 @@ struct CliOptions {
   bool plot = false;
   bool laws = false;
   bool opt = false;
-  // Which knobs the user set explicitly — scenario @sim budgets only fill
-  // the ones they did not.
-  bool set_method = false;
-  bool set_t_end = false;
-  bool set_record = false;
-  bool set_omega = false;
-  bool set_seed = false;
+  tools::GivenFlags given;
 };
 
 void usage() {
@@ -102,69 +91,28 @@ void usage() {
 }
 
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--t-end") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v || !parse_double(kTool, arg, v, options.t_end)) return false;
-      options.set_t_end = true;
-    } else if (std::strcmp(arg, "--scenario") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v) return false;
-      options.scenario = v;
-    } else if (std::strcmp(arg, "--method") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v) return false;
-      options.method = v;
-      options.set_method = true;
-    } else if (std::strcmp(arg, "--dt") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v || !parse_double(kTool, arg, v, options.dt)) return false;
-    } else if (std::strcmp(arg, "--record") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v || !parse_double(kTool, arg, v, options.record)) return false;
-      options.set_record = true;
-    } else if (std::strcmp(arg, "--omega") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v || !parse_double(kTool, arg, v, options.omega)) return false;
-      options.set_omega = true;
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v || !parse_u64(kTool, arg, v, options.seed)) return false;
-      options.set_seed = true;
-    } else if (std::strcmp(arg, "--tau") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v || !parse_double(kTool, arg, v, options.tau)) return false;
-    } else if (std::strcmp(arg, "--max-events") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v || !parse_u64(kTool, arg, v, options.max_events)) return false;
-      if (options.max_events == 0) {
-        std::fprintf(stderr, "mrsc_sim: --max-events must be >= 1\n");
-        return false;
-      }
-    } else if (std::strcmp(arg, "--species") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v) return false;
-      options.species = util::split_commas(v);
-    } else if (std::strcmp(arg, "--csv") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v) return false;
-      options.csv = v;
-    } else if (std::strcmp(arg, "--plot") == 0) {
-      options.plot = true;
-    } else if (std::strcmp(arg, "--laws") == 0) {
-      options.laws = true;
-    } else if (std::strcmp(arg, "--opt") == 0) {
-      options.opt = true;
-    } else if (arg[0] == '-') {
-      std::fprintf(stderr, "mrsc_sim: unknown option %s\n", arg);
-      return false;
-    } else if (options.file.empty()) {
-      options.file = arg;
-    } else {
-      std::fprintf(stderr, "mrsc_sim: multiple input files\n");
-      return false;
-    }
+  tools::FlagParser flags(kTool, {
+      {"--t-end", options.t_end},
+      {"--scenario", options.scenario},
+      {"--method", options.method},
+      {"--dt", options.dt},
+      {"--record", options.record},
+      {"--omega", options.omega},
+      {"--seed", options.seed},
+      {"--tau", options.tau},
+      {"--max-events", options.max_events},
+      {"--species", options.species},
+      {"--csv", options.csv},
+      {"--plot", options.plot},
+      {"--laws", options.laws},
+      {"--opt", options.opt},
+  });
+  flags.positional(options.file, "multiple input files");
+  if (!flags.parse(argc, argv)) return false;
+  options.given = flags.given();
+  if (options.given.contains("--max-events") && options.max_events == 0) {
+    std::fprintf(stderr, "mrsc_sim: --max-events must be >= 1\n");
+    return false;
   }
   if (options.file.empty() == options.scenario.empty()) {
     std::fprintf(stderr,
@@ -213,13 +161,7 @@ int main(int argc, char** argv) {
       scenario::ResolvedScenario resolved =
           scenario::resolve_scenario_argument(cli.scenario);
       network = std::move(*resolved.design.network);
-      // Scenario budgets are defaults; explicit flags win.
-      const scenario::SimBudget& budget = resolved.scenario.sim;
-      if (!cli.set_method && budget.method) cli.method = *budget.method;
-      if (!cli.set_t_end && budget.t_end) cli.t_end = *budget.t_end;
-      if (!cli.set_record && budget.record) cli.record = *budget.record;
-      if (!cli.set_omega && budget.omega) cli.omega = *budget.omega;
-      if (!cli.set_seed && budget.seed) cli.seed = *budget.seed;
+      tools::apply_sim_budget(resolved.scenario.sim, cli.given, cli);
       std::printf("scenario %s: %zu species, %zu reactions\n",
                   resolved.scenario.name.c_str(), network.species_count(),
                   network.reaction_count());
@@ -367,9 +309,10 @@ int main(int argc, char** argv) {
       std::printf("  %-20s %.6g\n", network.species_name(id).c_str(),
                   trajectory.final_value(id));
     }
-    if (!cli.csv.empty()) {
-      analysis::write_file(cli.csv, trajectory.to_csv(network, report));
-      std::printf("trajectory written to %s\n", cli.csv.c_str());
+    if (!cli.csv.empty() &&
+        !tools::write_file(kTool, cli.csv,
+                           trajectory.to_csv(network, report), "trajectory")) {
+      return 1;
     }
     if (cli.plot) {
       analysis::AsciiPlotOptions plot;

@@ -41,27 +41,18 @@
 #include "scenario/registry.hpp"
 #include "stress/campaign.hpp"
 #include "tools/cli_flags.hpp"
-#include "util/strings.hpp"
 
 namespace {
 
 using namespace mrsc;
 
-using tools::need_value;
-using tools::parse_double;
-using tools::parse_u64;
 constexpr char kTool[] = "mrsc_stress";
 
 struct CliOptions {
   stress::CampaignConfig config;
   std::string scenario;
   bool json = false;
-  // Whether the user passed the flag explicitly; explicit flags beat the
-  // scenario's @stress budget.
-  bool set_design = false;
-  bool set_fault = false;
-  bool set_intensities = false;
-  bool set_trials = false;
+  tools::GivenFlags given;
 };
 
 void usage() {
@@ -75,101 +66,68 @@ void usage() {
 }
 
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--json") == 0) {
-      options.json = true;
-    } else if (std::strcmp(arg, "--design") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v) return false;
-      try {
-        options.config.design =
-            scenario::ScenarioRegistry::global().canonicalize(v);
-      } catch (const std::invalid_argument& error) {
-        std::fprintf(stderr, "mrsc_stress: %s\n", error.what());
-        return false;
-      }
-      options.set_design = true;
-    } else if (std::strcmp(arg, "--scenario") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v) return false;
-      options.scenario = v;
-    } else if (std::strcmp(arg, "--fault") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v) return false;
-      const auto fault = stress::parse_fault_kind(v);
-      if (!fault) {
-        std::fprintf(stderr, "mrsc_stress: unknown fault kind '%s'\n", v);
-        return false;
-      }
-      options.config.fault = *fault;
-      options.set_fault = true;
-    } else if (std::strcmp(arg, "--category") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v) return false;
-      if (std::strcmp(v, "fast") == 0) {
-        options.config.category = core::RateCategory::kFast;
-      } else if (std::strcmp(v, "slow") == 0) {
-        options.config.category = core::RateCategory::kSlow;
-      } else {
-        std::fprintf(stderr,
-                     "mrsc_stress: --category must be fast or slow\n");
-        return false;
-      }
-    } else if (std::strcmp(arg, "--intensities") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v) return false;
-      options.config.intensities.clear();
-      for (const std::string& item : util::split_commas(v)) {
-        double value = 0.0;
-        if (!parse_double(kTool, arg, item.c_str(), value)) return false;
-        if (value <= 0.0) {
-          std::fprintf(stderr, "mrsc_stress: --intensities must be > 0\n");
-          return false;
-        }
-        options.config.intensities.push_back(value);
-      }
-      if (options.config.intensities.empty()) {
-        std::fprintf(stderr,
-                     "mrsc_stress: --intensities needs at least one value\n");
-        return false;
-      }
-      options.set_intensities = true;
-    } else if (std::strcmp(arg, "--trials") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      std::uint64_t trials = 0;
-      if (!v || !parse_u64(kTool, arg, v, trials)) return false;
-      if (trials == 0) {
-        std::fprintf(stderr, "mrsc_stress: --trials must be >= 1\n");
-        return false;
-      }
-      options.config.trials = static_cast<std::size_t>(trials);
-      options.set_trials = true;
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      if (!v || !parse_u64(kTool, arg, v, options.config.base_seed)) {
-        return false;
-      }
-    } else if (std::strcmp(arg, "--threads") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      std::uint64_t threads = 0;
-      if (!v || !parse_u64(kTool, arg, v, threads)) return false;
-      options.config.threads = static_cast<std::size_t>(threads);
-    } else if (std::strcmp(arg, "--attempts") == 0) {
-      const char* v = need_value(kTool, argc, argv, i);
-      std::uint64_t attempts = 0;
-      if (!v || !parse_u64(kTool, arg, v, attempts)) return false;
-      if (attempts == 0) {
-        std::fprintf(stderr, "mrsc_stress: --attempts must be >= 1\n");
-        return false;
-      }
-      options.config.max_attempts = static_cast<std::size_t>(attempts);
-    } else {
-      std::fprintf(stderr, "mrsc_stress: unknown option %s\n", arg);
+  stress::CampaignConfig& config = options.config;
+  tools::FlagParser flags(kTool, {
+      {"--json", options.json},
+      {"--design",
+       [&](const char* value) {
+         try {
+           config.design =
+               scenario::ScenarioRegistry::global().canonicalize(value);
+         } catch (const std::invalid_argument& error) {
+           std::fprintf(stderr, "mrsc_stress: %s\n", error.what());
+           return false;
+         }
+         return true;
+       }},
+      {"--scenario", options.scenario},
+      {"--fault",
+       [&](const char* value) {
+         const auto fault = stress::parse_fault_kind(value);
+         if (!fault) {
+           std::fprintf(stderr, "mrsc_stress: unknown fault kind '%s'\n",
+                        value);
+           return false;
+         }
+         config.fault = *fault;
+         return true;
+       }},
+      {"--category",
+       [&](const char* value) {
+         if (std::strcmp(value, "fast") == 0) {
+           config.category = core::RateCategory::kFast;
+         } else if (std::strcmp(value, "slow") == 0) {
+           config.category = core::RateCategory::kSlow;
+         } else {
+           std::fprintf(stderr,
+                        "mrsc_stress: --category must be fast or slow\n");
+           return false;
+         }
+         return true;
+       }},
+      {"--intensities", config.intensities},
+      {"--trials", config.trials},
+      {"--seed", config.base_seed},
+      {"--threads", config.threads},
+      {"--attempts", config.max_attempts},
+  });
+  if (!flags.parse(argc, argv)) return false;
+  options.given = flags.given();
+  for (const double intensity : config.intensities) {
+    if (intensity <= 0.0) {
+      std::fprintf(stderr, "mrsc_stress: --intensities must be > 0\n");
       return false;
     }
   }
-  if (!options.scenario.empty() && options.set_design) {
+  if (config.trials == 0) {
+    std::fprintf(stderr, "mrsc_stress: --trials must be >= 1\n");
+    return false;
+  }
+  if (config.max_attempts == 0) {
+    std::fprintf(stderr, "mrsc_stress: --attempts must be >= 1\n");
+    return false;
+  }
+  if (!options.scenario.empty() && options.given.contains("--design")) {
     std::fprintf(stderr,
                  "mrsc_stress: --design and --scenario are mutually "
                  "exclusive\n");
@@ -207,7 +165,7 @@ int main(int argc, char** argv) {
       }
       cli.config.design = record.design;
       const scenario::StressBinding& budget = record.stress;
-      if (!cli.set_fault && budget.fault) {
+      if (!cli.given.contains("--fault") && budget.fault) {
         const auto fault = stress::parse_fault_kind(budget.fault->c_str());
         if (!fault) {
           std::fprintf(stderr,
@@ -218,10 +176,10 @@ int main(int argc, char** argv) {
         }
         cli.config.fault = *fault;
       }
-      if (!cli.set_intensities && !budget.intensities.empty()) {
+      if (!cli.given.contains("--intensities") && !budget.intensities.empty()) {
         cli.config.intensities = budget.intensities;
       }
-      if (!cli.set_trials && budget.trials) {
+      if (!cli.given.contains("--trials") && budget.trials) {
         cli.config.trials = *budget.trials;
       }
     } catch (const std::invalid_argument& error) {

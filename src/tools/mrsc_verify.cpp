@@ -37,7 +37,6 @@
 //
 // Exits 0 on a clean sweep, 1 on violations, 2 on usage errors.
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -54,9 +53,6 @@ namespace {
 
 using namespace mrsc;
 
-using tools::need_value;
-using tools::parse_double;
-using tools::parse_u64;
 using tools::write_file;
 using util::json::Value;
 constexpr char kTool[] = "mrsc_verify";
@@ -68,10 +64,7 @@ struct CliOptions {
   std::string json;
   std::string regen_golden;
   bool verbose = false;
-  // Whether the user passed the flag explicitly; explicit flags beat the
-  // scenario's verify budget.
-  bool set_seeds = false;
-  bool set_start_seed = false;
+  tools::GivenFlags given;
 };
 
 void usage() {
@@ -86,62 +79,25 @@ void usage() {
 }
 
 bool parse_cli(int argc, char** argv, CliOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const bool is_flag = std::strcmp(arg, "--no-shrink") == 0 ||
-                         std::strcmp(arg, "--no-differential") == 0 ||
-                         std::strcmp(arg, "--no-opt-equivalence") == 0 ||
-                         std::strcmp(arg, "--verbose") == 0;
-    const bool takes_value = !is_flag && arg[0] == '-' && arg[1] == '-';
-    const char* value = nullptr;
-    if (takes_value && !(value = need_value(kTool, argc, argv, i))) {
-      return false;
-    }
-    if (std::strcmp(arg, "--seeds") == 0) {
-      std::uint64_t seeds = 0;
-      if (!parse_u64(kTool, arg, value, seeds)) return false;
-      options.verify.seeds = static_cast<std::size_t>(seeds);
-      options.set_seeds = true;
-    } else if (std::strcmp(arg, "--start-seed") == 0) {
-      if (!parse_u64(kTool, arg, value, options.verify.start_seed)) {
-        return false;
-      }
-      options.set_start_seed = true;
-    } else if (std::strcmp(arg, "--scenario") == 0) {
-      options.scenario = value;
-    } else if (std::strcmp(arg, "--kinds") == 0) {
-      options.kinds_csv = value;
-    } else if (std::strcmp(arg, "--cycles") == 0) {
-      std::uint64_t cycles = 0;
-      if (!parse_u64(kTool, arg, value, cycles)) return false;
-      options.verify.generator.cycles = static_cast<std::size_t>(cycles);
-    } else if (std::strcmp(arg, "--replicates") == 0) {
-      std::uint64_t replicates = 0;
-      if (!parse_u64(kTool, arg, value, replicates)) return false;
-      options.verify.ssa_replicates = static_cast<std::size_t>(replicates);
-    } else if (std::strcmp(arg, "--omega") == 0) {
-      if (!parse_double(kTool, arg, value, options.verify.omega)) return false;
-    } else if (std::strcmp(arg, "--threads") == 0) {
-      std::uint64_t threads = 0;
-      if (!parse_u64(kTool, arg, value, threads)) return false;
-      options.verify.threads = static_cast<std::size_t>(threads);
-    } else if (std::strcmp(arg, "--no-shrink") == 0) {
-      options.verify.shrink = false;
-    } else if (std::strcmp(arg, "--no-differential") == 0) {
-      options.verify.differential = false;
-    } else if (std::strcmp(arg, "--no-opt-equivalence") == 0) {
-      options.verify.opt_equivalence = false;
-    } else if (std::strcmp(arg, "--verbose") == 0) {
-      options.verbose = true;
-    } else if (std::strcmp(arg, "--json") == 0) {
-      options.json = value;
-    } else if (std::strcmp(arg, "--regen-golden") == 0) {
-      options.regen_golden = value;
-    } else {
-      std::fprintf(stderr, "mrsc_verify: unknown option %s\n", arg);
-      return false;
-    }
-  }
+  verify::VerifyOptions& fuzz = options.verify;
+  tools::FlagParser flags(kTool, {
+      {"--seeds", fuzz.seeds},
+      {"--start-seed", fuzz.start_seed},
+      {"--scenario", options.scenario},
+      {"--kinds", options.kinds_csv},
+      {"--cycles", fuzz.generator.cycles},
+      {"--replicates", fuzz.ssa_replicates},
+      {"--omega", fuzz.omega},
+      {"--threads", fuzz.threads},
+      {"--no-shrink", fuzz.shrink, false},
+      {"--no-differential", fuzz.differential, false},
+      {"--no-opt-equivalence", fuzz.opt_equivalence, false},
+      {"--verbose", options.verbose},
+      {"--json", options.json},
+      {"--regen-golden", options.regen_golden},
+  });
+  if (!flags.parse(argc, argv)) return false;
+  options.given = flags.given();
   if (options.regen_golden.empty() && options.verify.seeds == 0) {
     std::fprintf(stderr, "mrsc_verify: --seeds must be >= 1\n");
     return false;
@@ -179,10 +135,11 @@ int run_scenario_verify(const CliOptions& cli) {
   }
   const scenario::VerifyBudget& budget = resolved.scenario.verify;
   const std::size_t seeds =
-      cli.set_seeds ? cli.verify.seeds
+      cli.given.contains("--seeds") ? cli.verify.seeds
                     : static_cast<std::size_t>(budget.seeds.value_or(3));
   const std::uint64_t start_seed =
-      cli.set_start_seed ? cli.verify.start_seed : budget.start_seed.value_or(1);
+      cli.given.contains("--start-seed") ? cli.verify.start_seed
+                                         : budget.start_seed.value_or(1);
 
   verify::OptEquivalenceOptions oracle;
   oracle.ssa = true;

@@ -19,3 +19,8 @@ if(DEFINED MATCH AND NOT out MATCHES "${MATCH}")
     "stdout does not match '${MATCH}'\n"
     "command: ${CMD}\nstdout:\n${out}\nstderr:\n${err}")
 endif()
+if(DEFINED ERROR_MATCH AND NOT err MATCHES "${ERROR_MATCH}")
+  message(FATAL_ERROR
+    "stderr does not match '${ERROR_MATCH}'\n"
+    "command: ${CMD}\nstdout:\n${out}\nstderr:\n${err}")
+endif()

@@ -1,7 +1,8 @@
-// The shared CLI number grammar (tools/cli_flags), the comma-list splitter
-// (util/strings), the "%.17g" number formatter (util::format_17g and
-// json::number_to_string) and JSON string escaping (util/json::quote): one
-// implementation each, pinned by grammar tables.
+// The shared CLI flag parser, number grammar and file writer
+// (tools/cli_flags), the comma-list splitter (util/strings), the "%.17g"
+// number formatter (util::format_17g and json::number_to_string) and JSON
+// string escaping (util/json::quote): one implementation each, pinned by
+// grammar tables.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -9,6 +10,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <string>
@@ -140,6 +144,177 @@ TEST(CliFlags, MebibytesRejectsSizesThatWrap) {
   EXPECT_FALSE(
       tools::parse_mebibytes("mrsc_serve", "--cache-mb", "-1", bytes));
   (void)testing::internal::GetCapturedStderr();
+}
+
+// Runs `parser` over `args` (argv[0] is added), capturing stderr.
+struct ParseRun {
+  bool ok;
+  std::string err;
+};
+
+ParseRun run(tools::FlagParser& parser, std::vector<std::string> args) {
+  args.insert(args.begin(), "mrsc_x");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  testing::internal::CaptureStderr();
+  const bool ok = parser.parse(static_cast<int>(argv.size()), argv.data());
+  return {ok, testing::internal::GetCapturedStderr()};
+}
+
+// One destination of every kind, as a CLI's options struct holds them.
+struct Options {
+  double omega = 0.0;
+  std::uint64_t seed = 0;
+  std::size_t jobs = 0;
+  std::string method;
+  std::vector<std::string> species;
+  std::vector<double> ratios;
+  bool plot = false;
+  bool shrink = true;
+  int opt = 0;
+  std::string file;
+};
+
+tools::FlagParser table(Options& o) {
+  tools::FlagParser parser("mrsc_x", {
+      {"--omega", o.omega},
+      {"--seed", o.seed},
+      {"--jobs", o.jobs},
+      {"--method", o.method},
+      {"--species", o.species},
+      {"--ratios", o.ratios},
+      {"--plot", o.plot},
+      {"--no-shrink", o.shrink, false},
+      {"--opt",
+       [&o](const char* value) {
+         return tools::parse_opt_level("mrsc_x", value, o.opt);
+       }},
+  });
+  return parser;
+}
+
+TEST(FlagParser, EveryValueKind) {
+  Options o;
+  tools::FlagParser parser = table(o);
+  parser.positional(o.file, "multiple input files");
+  const ParseRun r =
+      run(parser, {"--omega", "-5", "--seed", "7", "--jobs", "3", "in.crn",
+                   "--method", "nrm", "--species", "a,b", "--ratios",
+                   "10,1e3", "--plot", "--no-shrink", "--opt", "1"});
+  ASSERT_TRUE(r.ok) << r.err;
+  EXPECT_EQ(r.err, "");
+  EXPECT_EQ(o.omega, -5.0);  // a value may start with '-'
+  EXPECT_EQ(o.seed, 7u);
+  EXPECT_EQ(o.jobs, 3u);
+  EXPECT_EQ(o.method, "nrm");
+  EXPECT_EQ(o.species, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(o.ratios, (std::vector<double>{10.0, 1000.0}));
+  EXPECT_TRUE(o.plot);
+  EXPECT_FALSE(o.shrink);
+  EXPECT_EQ(o.opt, 1);
+  EXPECT_EQ(o.file, "in.crn");
+}
+
+TEST(FlagParser, ReportsEachErrorOnce) {
+  struct Case {
+    std::vector<std::string> args;
+    std::string err;
+  };
+  const Case cases[] = {
+      {{"--seed"}, "mrsc_x: --seed needs a value\n"},
+      {{"--plot", "--method"}, "mrsc_x: --method needs a value\n"},
+      {{"--banana"}, "mrsc_x: unknown option --banana\n"},
+      {{"--banana", "1", "--seed", "2"}, "mrsc_x: unknown option --banana\n"},
+      {{"-"}, "mrsc_x: unknown option -\n"},
+      {{"stray"}, "mrsc_x: unknown option stray\n"},
+      {{"--seed", "-1"}, "mrsc_x: --seed: '-1' is not a whole number\n"},
+      {{"--omega", "nan"}, "mrsc_x: --omega: 'nan' is not a number\n"},
+      {{"--ratios", "1,x"}, "mrsc_x: --ratios: 'x' is not a number\n"},
+      {{"--ratios", ""}, "mrsc_x: --ratios needs at least one value\n"},
+      {{"--opt", "2"}, "mrsc_x: --opt must be 0 or 1\n"},
+  };
+  for (const Case& c : cases) {
+    Options o;
+    tools::FlagParser parser = table(o);
+    const ParseRun r = run(parser, c.args);
+    EXPECT_FALSE(r.ok) << c.err;
+    EXPECT_EQ(r.err, c.err);
+  }
+}
+
+// The service CLIs print their usage after an unknown option only.
+int usage_calls = 0;
+void count_usage() { ++usage_calls; }
+
+TEST(FlagParser, UsageFollowsUnknownOptionsOnly) {
+  Options o;
+  tools::FlagParser parser = table(o);
+  parser.usage_on_unknown(count_usage);
+  usage_calls = 0;
+  EXPECT_FALSE(run(parser, {"--seed"}).ok);
+  EXPECT_FALSE(run(parser, {"--seed", "x"}).ok);
+  EXPECT_EQ(usage_calls, 0);
+  EXPECT_FALSE(run(parser, {"--seed", "1", "--banana"}).ok);
+  EXPECT_EQ(usage_calls, 1);
+}
+
+TEST(FlagParser, RepeatedFlagKeepsTheLastValue) {
+  Options o;
+  tools::FlagParser parser = table(o);
+  const ParseRun r = run(parser, {"--seed", "1", "--species", "a,b",
+                                  "--ratios", "1,2", "--seed", "2",
+                                  "--species", "c", "--ratios", "3"});
+  ASSERT_TRUE(r.ok) << r.err;
+  EXPECT_EQ(o.seed, 2u);
+  EXPECT_EQ(o.species, std::vector<std::string>{"c"});
+  EXPECT_EQ(o.ratios, std::vector<double>{3.0});
+}
+
+TEST(FlagParser, OnePositional) {
+  Options o;
+  tools::FlagParser parser = table(o);
+  parser.positional(o.file, "multiple input files");
+  EXPECT_TRUE(run(parser, {"a.crn", "--seed", "1"}).ok);
+  EXPECT_EQ(o.file, "a.crn");
+
+  Options p;
+  tools::FlagParser twice = table(p);
+  twice.positional(p.file, "multiple input files");
+  const ParseRun r = run(twice, {"a.crn", "b.crn"});
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.err, "mrsc_x: multiple input files\n");
+  EXPECT_EQ(p.file, "a.crn");
+}
+
+TEST(FlagParser, GivenNamesThePassedFlags) {
+  Options o;
+  tools::FlagParser parser = table(o);
+  ASSERT_TRUE(run(parser, {"--seed", "0", "--plot", "--seed", "4"}).ok);
+  EXPECT_EQ(parser.given(), (tools::GivenFlags{"--plot", "--seed"}));
+  EXPECT_TRUE(parser.given().contains("--seed"));
+  EXPECT_FALSE(parser.given().contains("--omega"));
+}
+
+TEST(WriteFile, RoundTrip) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "mrsc_write_file_test.csv")
+          .string();
+  testing::internal::CaptureStdout();
+  ASSERT_TRUE(tools::write_file("mrsc_x", path, "a,b\n1,2\n", "trajectory"));
+  EXPECT_EQ(testing::internal::GetCapturedStdout(),
+            "trajectory written to " + path + "\n");
+  std::ifstream file(path);
+  const std::string text((std::istreambuf_iterator<char>(file)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, "a,b\n1,2\n");
+  std::remove(path.c_str());
+}
+
+TEST(WriteFile, UnwritablePathReturnsFalse) {
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(tools::write_file("mrsc_x", "/nonexistent_dir/x.csv", "data"));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "mrsc_x: cannot write /nonexistent_dir/x.csv\n");
 }
 
 struct SplitCase {

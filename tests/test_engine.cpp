@@ -38,11 +38,11 @@
 #include "core/builder.hpp"
 #include "core/network.hpp"
 #include "runtime/ensemble.hpp"
+#include "scenario/registry.hpp"
 #include "sim/engine/active_set.hpp"
 #include "sim/engine/arena.hpp"
 #include "sim/engine/compiled_system.hpp"
 #include "sim/ssa.hpp"
-#include "tools/builtin_designs.hpp"
 #include "util/rng.hpp"
 #include "verify/generator.hpp"
 
@@ -58,7 +58,8 @@ const std::vector<std::string> kBuiltinDesigns = {
     "delay",   "seqdet",         "cascade"};
 
 ReactionNetwork builtin_network(const std::string& name) {
-  tools::BuiltDesign design = tools::build_design(name, {});
+  scenario::BuiltDesign design =
+      scenario::ScenarioRegistry::global().resolve(name).design;
   return *design.network;
 }
 
@@ -1229,7 +1230,8 @@ TEST(DirectActiveSet, SelectionTermsMatchReplayedReference) {
   cases.push_back({"cascade(4)", builtin_network("cascade(4)")});
   // delay_chain(16) idles at its default state; a token on its input makes
   // the handshakes switch reactions off and on along the chain.
-  const tools::BuiltDesign chain = tools::build_design("delay_chain(16)", {});
+  const scenario::BuiltDesign chain =
+      scenario::ScenarioRegistry::global().resolve("delay_chain(16)").design;
   ReactionNetwork pulsed = *chain.network;
   for (const auto& [id, role] : chain.info.roots) {
     if (role == compile::PortRole::kInput) pulsed.set_initial(id, 1.0);

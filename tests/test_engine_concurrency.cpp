@@ -15,11 +15,11 @@
 #include <thread>
 #include <vector>
 
+#include "scenario/registry.hpp"
 #include "sim/engine/compiled_system.hpp"
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
 #include "sim/trajectory.hpp"
-#include "tools/builtin_designs.hpp"
 
 namespace mrsc::sim {
 namespace {
@@ -33,7 +33,9 @@ struct Design {
 
   explicit Design(const std::string& name)
       : spec(name),
-        network(*tools::build_design(name, {}).network),
+        network(*scenario::ScenarioRegistry::global()
+                     .resolve(name)
+                     .design.network),
         system(network) {}
 };
 

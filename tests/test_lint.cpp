@@ -19,7 +19,7 @@
 #include "compile/passes.hpp"
 #include "core/network.hpp"
 #include "lint/lint.hpp"
-#include "tools/builtin_designs.hpp"
+#include "scenario/registry.hpp"
 #include "util/json.hpp"
 #include "verify/generator.hpp"
 #include "verify/lint_oracle.hpp"
@@ -28,30 +28,19 @@ namespace {
 
 using namespace mrsc;
 
-std::vector<std::string> design_names() {
-  std::vector<std::string> names;
-  std::string text = tools::builtin_design_names();
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    std::string name = text.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    while (!name.empty() && name.front() == ' ') name.erase(0, 1);
-    if (!name.empty()) names.push_back(name);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return names;
+const std::vector<std::string>& design_names() {
+  return scenario::ScenarioRegistry::global().fixed_names();
 }
 
-tools::BuiltDesign build(const std::string& name,
+scenario::BuiltDesign build(const std::string& name,
                          compile::OptLevel opt = compile::OptLevel::kO0) {
   compile::CompileOptions options;
   options.opt = opt;
-  return tools::build_design(name, options);
+  return std::move(
+      scenario::ScenarioRegistry::global().resolve(name, options).design);
 }
 
-lint::LintInput input_for(const tools::BuiltDesign& design,
+lint::LintInput input_for(const scenario::BuiltDesign& design,
                           const std::string& name) {
   lint::LintInput input =
       lint::LintInput::from_design(*design.network, design.info, name);
@@ -63,7 +52,7 @@ lint::LintInput input_for(const tools::BuiltDesign& design,
 
 TEST(Lint, AllBuiltinDesignsCleanWithWerrorAtO0) {
   for (const std::string& name : design_names()) {
-    const tools::BuiltDesign design = build(name);
+    const scenario::BuiltDesign design = build(name);
     const lint::LintReport report = lint::run_lint(input_for(design, name));
     EXPECT_TRUE(report.clean(/*werror=*/true))
         << name << " at -O0:\n" << report.to_text();
@@ -72,7 +61,7 @@ TEST(Lint, AllBuiltinDesignsCleanWithWerrorAtO0) {
 
 TEST(Lint, AllBuiltinDesignsCleanWithWerrorAtO1) {
   for (const std::string& name : design_names()) {
-    const tools::BuiltDesign design = build(name, compile::OptLevel::kO1);
+    const scenario::BuiltDesign design = build(name, compile::OptLevel::kO1);
     const lint::LintReport report = lint::run_lint(input_for(design, name));
     EXPECT_TRUE(report.clean(/*werror=*/true))
         << name << " at -O1:\n" << report.to_text();
@@ -80,7 +69,7 @@ TEST(Lint, AllBuiltinDesignsCleanWithWerrorAtO1) {
 }
 
 TEST(Lint, CascadeEarnsIssCompositionCertificate) {
-  const tools::BuiltDesign design = build("cascade");
+  const scenario::BuiltDesign design = build("cascade");
   ASSERT_NE(design.composition, nullptr);
   const lint::LintReport report = lint::run_lint(input_for(design, "cascade"));
   EXPECT_TRUE(report.has("LINT-ISS-00")) << report.to_text();
@@ -88,7 +77,7 @@ TEST(Lint, CascadeEarnsIssCompositionCertificate) {
 }
 
 TEST(Lint, MonolithicDesignSkipsIssCheck) {
-  const tools::BuiltDesign design = build("counter");
+  const scenario::BuiltDesign design = build("counter");
   const lint::LintReport report = lint::run_lint(input_for(design, "counter"));
   bool skipped = false;
   for (const std::string& entry : report.checks_skipped) {
@@ -100,7 +89,7 @@ TEST(Lint, MonolithicDesignSkipsIssCheck) {
 // --- layer 2: one seeded corruption per check -----------------------------
 
 TEST(LintCorruption, LeakyStateTripsConservation) {
-  tools::BuiltDesign design = build("delay");
+  scenario::BuiltDesign design = build("delay");
   const lint::LintInput input = input_for(design, "delay");
   const auto state = input.roots_with(compile::PortRole::kState);
   ASSERT_FALSE(state.empty());
@@ -113,7 +102,7 @@ TEST(LintCorruption, LeakyStateTripsConservation) {
 }
 
 TEST(LintCorruption, SameGateReadWriteTripsPhaseRace) {
-  tools::BuiltDesign design = build("delay");
+  scenario::BuiltDesign design = build("delay");
   lint::LintInput input = input_for(design, "delay");
   ASSERT_TRUE(input.tags_valid);
   // The emission tags must cover the whole reaction tail for the appended
@@ -142,7 +131,7 @@ TEST(LintCorruption, SameGateReadWriteTripsPhaseRace) {
 }
 
 TEST(LintCorruption, SelfReplicatingCatalystTripsStoichScreen) {
-  tools::BuiltDesign design = build("counter");
+  scenario::BuiltDesign design = build("counter");
   const lint::LintInput input = input_for(design, "counter");
   core::ReactionNetwork& network = *design.network;
   const core::SpeciesId cat = network.add_species("auto_cat", 1.0);
@@ -153,7 +142,7 @@ TEST(LintCorruption, SelfReplicatingCatalystTripsStoichScreen) {
 }
 
 TEST(LintCorruption, CollapsedRatePolicyTripsTimescale) {
-  tools::BuiltDesign design = build("counter");
+  scenario::BuiltDesign design = build("counter");
   core::RatePolicy policy = design.network->rate_policy();
   policy.k_fast = 1e-6 * policy.k_slow;  // fast no faster than slow
   design.network->set_rate_policy(policy);
@@ -163,7 +152,7 @@ TEST(LintCorruption, CollapsedRatePolicyTripsTimescale) {
 }
 
 TEST(LintCorruption, ThinMarginWarnsTimescale) {
-  const tools::BuiltDesign design = build("counter");
+  const scenario::BuiltDesign design = build("counter");
   lint::LintOptions options;
   // Pin the thresholds around the design's actual ratio so the warning
   // band is exercised regardless of the default policy's numbers.
@@ -175,7 +164,7 @@ TEST(LintCorruption, ThinMarginWarnsTimescale) {
 }
 
 TEST(LintCorruption, RailCoProductionTripsDualRail) {
-  tools::BuiltDesign design = build("first_difference");
+  scenario::BuiltDesign design = build("first_difference");
   core::ReactionNetwork& network = *design.network;
   core::SpeciesId pos = core::SpeciesId::invalid();
   core::SpeciesId neg = core::SpeciesId::invalid();
@@ -200,7 +189,7 @@ TEST(LintCorruption, RailCoProductionTripsDualRail) {
 }
 
 TEST(LintCorruption, UnconservedRailPairWarnsDualRail) {
-  tools::BuiltDesign design = build("first_difference");
+  scenario::BuiltDesign design = build("first_difference");
   core::ReactionNetwork& network = *design.network;
   const core::SpeciesId pos = network.add_species("drift_p", 0.0);
   network.add_species("drift_n", 0.0);
@@ -214,7 +203,7 @@ TEST(LintCorruption, UnconservedRailPairWarnsDualRail) {
 }
 
 TEST(LintCorruption, OrphanAndGhostSpeciesTripReachability) {
-  tools::BuiltDesign design = build("counter");
+  scenario::BuiltDesign design = build("counter");
   core::ReactionNetwork& network = *design.network;
   network.add_species("orphan", 1.0);  // in no reaction at all
   const core::SpeciesId ghost = network.add_species("ghost", 0.0);
@@ -230,7 +219,7 @@ TEST(LintCorruption, OrphanAndGhostSpeciesTripReachability) {
 }
 
 TEST(LintCorruption, UndeclaredCrossLayerCouplingTripsIss) {
-  tools::BuiltDesign design = build("cascade");
+  scenario::BuiltDesign design = build("cascade");
   ASSERT_NE(design.composition, nullptr);
   const auto& layers = design.composition->layers;
   ASSERT_GE(layers.size(), 2u);
@@ -251,7 +240,7 @@ TEST(LintCorruption, UndeclaredCrossLayerCouplingTripsIss) {
 // --- plumbing: filters, errors, JSON --------------------------------------
 
 TEST(Lint, UnknownCheckNameThrows) {
-  const tools::BuiltDesign design = build("counter");
+  const scenario::BuiltDesign design = build("counter");
   lint::LintOptions options;
   options.checks = {"banana"};
   EXPECT_THROW(
@@ -260,7 +249,7 @@ TEST(Lint, UnknownCheckNameThrows) {
 }
 
 TEST(Lint, CheckFilterRunsOnlySelected) {
-  const tools::BuiltDesign design = build("counter");
+  const scenario::BuiltDesign design = build("counter");
   lint::LintOptions options;
   options.checks = {"timescale"};
   const lint::LintReport report =
@@ -270,7 +259,7 @@ TEST(Lint, CheckFilterRunsOnlySelected) {
 }
 
 TEST(Lint, JsonReportCarriesSchemaKeys) {
-  const tools::BuiltDesign design = build("cascade");
+  const scenario::BuiltDesign design = build("cascade");
   const lint::LintReport report = lint::run_lint(input_for(design, "cascade"));
   const util::json::Value json = report.to_value();
   for (const char* key : {"design", "checks_run", "checks_skipped", "errors",

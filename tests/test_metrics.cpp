@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 
 #include "analysis/plot.hpp"
 #include "analysis/sweep.hpp"
@@ -181,23 +179,6 @@ TEST(Plot, TrajectoryPlotUsesSpeciesNames) {
   const std::vector<core::SpeciesId> ids = {a};
   const std::string chart = plot_trajectory(trajectory, net, ids);
   EXPECT_NE(chart.find("alpha"), std::string::npos);
-}
-
-TEST(Plot, WriteFileRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "mrsc_plot_test.csv")
-          .string();
-  write_file(path, "a,b\n1,2\n");
-  std::ifstream file(path);
-  std::string line;
-  std::getline(file, line);
-  EXPECT_EQ(line, "a,b");
-  std::remove(path.c_str());
-}
-
-TEST(Plot, WriteFileBadPathThrows) {
-  EXPECT_THROW(write_file("/nonexistent_dir/x.csv", "data"),
-               std::runtime_error);
 }
 
 TEST(Plot, EmptySeriesThrows) {

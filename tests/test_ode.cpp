@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/builder.hpp"
-#include "tools/builtin_designs.hpp"
+#include "scenario/registry.hpp"
 #include "verify/generator.hpp"
 
 namespace mrsc::sim {
@@ -454,7 +454,7 @@ std::vector<OdeCase> dp45_cases() {
         "seqdet", "cascade", "counter(2)", "counter(8)", "delay_chain(2)",
         "delay_chain(16)", "fsm_wide(4)", "fsm_wide(32)", "cascade(2)",
         "cascade(5)"}) {
-    cases.push_back({spec, *tools::build_design(spec, {}).network});
+    cases.push_back({spec, *scenario::ScenarioRegistry::global().resolve(spec).design.network});
   }
   const std::vector<verify::CaseKind> kinds = {
       verify::CaseKind::kRawNetwork, verify::CaseKind::kSyncCircuit,
@@ -528,7 +528,8 @@ TEST(Dp45Fsal, MatchesReferenceOnAbort) {
 TEST(Dp45Fsal, MatchesReferenceWithObservers) {
   // Observers may write the state, so every accepted step recomputes k1;
   // the injector makes that write real, the detector stops the run early.
-  const ReactionNetwork net = *tools::build_design("cascade(4)", {}).network;
+  const ReactionNetwork net =
+      *scenario::ScenarioRegistry::global().resolve("cascade(4)").design.network;
   const CompiledSystem system(net);
   const SpeciesId first{0};
   OdeOptions options = dp45_options();
@@ -567,7 +568,8 @@ TEST(Dp45Fsal, MatchesReferenceWithObservers) {
 TEST(Dp45Fsal, ReusesEveryLastStageOnCascade) {
   // cascade(4) is one of the stability-limited serve workloads: nothing is
   // ever clamped, so every step after the first costs exactly 6 RHS.
-  const ReactionNetwork net = *tools::build_design("cascade(4)", {}).network;
+  const ReactionNetwork net =
+      *scenario::ScenarioRegistry::global().resolve("cascade(4)").design.network;
   OdeOptions options = dp45_options();
   options.t_end = 5.0;
   const OdeResult run =

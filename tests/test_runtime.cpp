@@ -17,9 +17,9 @@
 #include "runtime/batch.hpp"
 #include "runtime/ensemble.hpp"
 #include "runtime/thread_pool.hpp"
+#include "scenario/registry.hpp"
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
-#include "tools/builtin_designs.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -439,7 +439,8 @@ TEST(Ensemble, RetryingRunMatchesSingleShot) {
   ssa.method = sim::SsaMethod::kDirect;
   for (const char* design : {"delay_chain(16)", "cascade(4)"}) {
     SCOPED_TRACE(design);
-    const tools::BuiltDesign built = tools::build_design(design, {});
+    const scenario::BuiltDesign built =
+        scenario::ScenarioRegistry::global().resolve(design).design;
     runtime::EnsembleOptions single;
     single.replicates = 8;
     single.base_seed = 3;
