@@ -163,17 +163,6 @@ ReactionNetwork parse_network(std::string_view text) {
   return network;
 }
 
-void save_network(const ReactionNetwork& network, const std::string& path) {
-  std::ofstream file(path);
-  if (!file) {
-    throw std::runtime_error("save_network: cannot open '" + path + "'");
-  }
-  file << serialize_network(network);
-  if (!file) {
-    throw std::runtime_error("save_network: write failed for '" + path + "'");
-  }
-}
-
 ReactionNetwork load_network(const std::string& path) {
   std::ifstream file(path);
   if (!file) {

@@ -34,9 +34,6 @@ namespace mrsc::core {
 /// on malformed input.
 [[nodiscard]] ReactionNetwork parse_network(std::string_view text);
 
-/// Writes `serialize_network(network)` to a file; throws on I/O failure.
-void save_network(const ReactionNetwork& network, const std::string& path);
-
 /// Reads and parses a network file; throws on I/O or parse failure.
 [[nodiscard]] ReactionNetwork load_network(const std::string& path);
 

@@ -2,10 +2,10 @@
 
 #include <chrono>
 #include <climits>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
+#include "runtime/batch.hpp"
 #include "runtime/ensemble.hpp"
 #include "scenario/registry.hpp"
 #include "serve/dispatcher.hpp"
@@ -245,36 +245,13 @@ std::string FleetClient::execute_slice(std::size_t slice,
 std::vector<std::string> FleetClient::execute(
     const std::vector<std::string>& requests) {
   std::vector<std::string> results(requests.size());
-  if (requests.empty()) return results;
-
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
-  std::size_t workers =
+  const std::size_t workers =
       options_.concurrency > 0 ? options_.concurrency : 2 * shards_.size();
-  workers = std::min(workers, requests.size());
-
-  auto worker = [&] {
-    while (true) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= requests.size()) return;
-      try {
+  // A lost slice sinks the run: the loop starts no slice after a throw.
+  runtime::BatchRunner({.threads = workers})
+      .for_each_index(requests.size(), [&](std::size_t i) {
         results[i] = execute_slice(i, requests[i]);
-      } catch (...) {
-        std::lock_guard lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        next.store(requests.size());  // a lost slice sinks the run: stop
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(worker);
-  for (std::thread& thread : threads) thread.join();
-  if (first_error) std::rethrow_exception(first_error);
+      });
   return results;
 }
 

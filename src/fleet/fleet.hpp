@@ -78,8 +78,10 @@ class FleetClient {
   explicit FleetClient(FleetOptions options);
 
   /// Executes every request (slice i = requests[i]) and returns the
-  /// response payloads in slice order. Throws std::runtime_error when any
-  /// slice exhausts its attempts.
+  /// response payloads in slice order, over `concurrency` (default two per
+  /// shard) threads of one `runtime::BatchRunner::for_each_index`. Throws
+  /// std::runtime_error when any slice exhausts its attempts; no slice
+  /// starts after that.
   [[nodiscard]] std::vector<std::string> execute(
       const std::vector<std::string>& requests);
 

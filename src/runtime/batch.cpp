@@ -1,14 +1,14 @@
 #include "runtime/batch.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
-
-#include "runtime/thread_pool.hpp"
 
 namespace mrsc::runtime {
 
@@ -40,7 +40,8 @@ const char* to_string(JobStatus status) {
 
 BatchRunner::BatchRunner(BatchOptions options) : options_(options) {
   if (options_.threads == 0) {
-    options_.threads = ThreadPool::default_worker_count();
+    options_.threads =
+        std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
   }
 }
 
@@ -136,27 +137,28 @@ std::vector<JobResult> BatchRunner::run(std::span<const SimJob> jobs,
 
 void BatchRunner::for_each_index(std::size_t count,
                                  const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  if (options_.threads == 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
+  std::atomic<std::size_t> next{0};
   std::mutex error_mutex;
   std::exception_ptr first_error;
-  {
-    ThreadPool pool(std::min(options_.threads, count));
-    for (std::size_t i = 0; i < count; ++i) {
-      pool.submit([&, i] {
-        try {
-          fn(i);
-        } catch (...) {
-          std::lock_guard lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-      });
+  auto drain = [&] {
+    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+        next.store(count);  // no index starts after a throw
+        return;
+      }
     }
-    pool.wait_idle();
-  }
+  };
+  {
+    std::vector<std::jthread> helpers;
+    for (std::size_t w = 1; w < std::min(options_.threads, count); ++w) {
+      helpers.emplace_back(drain);
+    }
+    drain();
+  }  // ~jthread joins the helpers
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -1,10 +1,12 @@
-// Batch execution of simulation jobs across a worker pool.
+// Batch execution of simulation jobs across worker threads.
 //
 // The paper's validation workload is embarrassingly parallel: robustness
 // claims are backed by re-running the same network under swept rate ratios,
 // jittered rate constants, and many SSA replicates. `BatchRunner` is the
-// substrate for all of that: it fans a vector of `SimJob`s out across a
-// `ThreadPool` and collects one `JobResult` per job, indexed like the input.
+// substrate for all of that: `for_each_index` is the one fan-out loop of the
+// project (batch jobs, sweeps, stress trials, fleet slices and loadgen
+// connections all run through it), and `run` maps a vector of `SimJob`s
+// through it into one `JobResult` per job, indexed like the input.
 //
 // Determinism contract: a job's result is a pure function of the job
 // description (network, options, seed). The runner never reorders seeds or
@@ -117,18 +119,20 @@ class BatchRunner {
  public:
   explicit BatchRunner(BatchOptions options = {});
 
-  /// Executes every job and returns results in job order. `threads == 1`
-  /// runs serially on the calling thread (no pool, no locks). Once `stop`
+  /// Executes every job and returns results in job order. Once `stop`
   /// is requested (from any thread), running jobs stop at their next poll
   /// point and the rest are skipped, all reporting kCancelled; the default
   /// token never stops.
   [[nodiscard]] std::vector<JobResult> run(std::span<const SimJob> jobs,
                                            std::stop_token stop = {});
 
-  /// Deterministic parallel-for over `count` indices: `fn(i)` runs exactly
-  /// once per index, distributed over the pool (or inline when threads == 1).
-  /// The first exception thrown by `fn` is rethrown on the calling thread
-  /// after all indices finish. The sweep layer maps grid points through this.
+  /// Parallel-for over `count` indices: the calling thread and
+  /// `min(threads, count) - 1` helper threads take indices from one shared
+  /// counter, so `fn(i)` runs at most once per index (exactly once when
+  /// nothing throws) and `threads == 1` runs them in order on the caller.
+  /// The first exception thrown by `fn` stops the loop: no index starts
+  /// after it, running ones finish, and it is rethrown on the calling thread
+  /// once every helper has joined.
   void for_each_index(std::size_t count,
                       const std::function<void(std::size_t)>& fn);
 

@@ -90,9 +90,17 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       return false;
     }
   }
-  if (upstream_port > 65535 || listen_port > 65535) return false;
-  if (upstream_port == 0) {
-    if (!flags.given().contains("--upstream-port")) usage();
+  if (!flags.given().contains("--upstream-port")) {
+    usage();
+    return false;
+  }
+  if (upstream_port == 0 || upstream_port > 65535) {
+    std::fprintf(stderr,
+                 "mrsc_chaosproxy: --upstream-port must be 1..65535\n");
+    return false;
+  }
+  if (listen_port > 65535) {
+    std::fprintf(stderr, "mrsc_chaosproxy: --listen-port must be 0..65535\n");
     return false;
   }
   options.upstream.port = static_cast<std::uint16_t>(upstream_port);

@@ -20,6 +20,7 @@
 //                      automatically)
 //   --json PATH        write the per-pass CompileReport as JSON
 //   --out PATH         write the compiled/optimized network as .crn text
+//                      ( - = stdout)
 //   --lint             run the static analyzer (lint/) over the compiled
 //                      network and print its report; lint errors make the
 //                      exit code 1
@@ -196,9 +197,10 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    if (!cli.out.empty()) {
-      core::save_network(*compiled.network, cli.out);
-      std::printf("network written to %s\n", cli.out.c_str());
+    if (!cli.out.empty() &&
+        !write_file(kTool, cli.out, core::serialize_network(*compiled.network),
+                    "network")) {
+      return 1;
     }
     if (cli.lint) {
       lint::LintInput input = lint::LintInput::from_design(

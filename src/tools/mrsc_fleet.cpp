@@ -108,7 +108,6 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
   fleet::FleetOptions& client = options.fleet;
   fleet::EnsembleSpec& ensemble = options.ensemble;
   std::string omegas_text;
-  std::uint64_t opt = 0;
   tools::FlagParser flags(kTool, {
       {"--shards",
        [&](const char* value) { return parse_shards(value, client.shards); }},
@@ -121,7 +120,10 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       {"--omega", ensemble.omega},
       {"--omegas", omegas_text},
       {"--record", ensemble.record},
-      {"--opt", opt},
+      {"--opt",
+       [&](const char* value) {
+         return tools::parse_opt_level(kTool, value, ensemble.opt);
+       }},
       {"--timeout-ms", client.request_timeout_ms},
       {"--attempts", client.max_attempts},
       {"--hedge-ms", client.hedge_ms},
@@ -133,10 +135,14 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
   });
   flags.usage_on_unknown(usage);
   if (!flags.parse(argc, argv)) return false;
-  if (ensemble.replicates == 0 || opt > 1 || client.max_attempts == 0) {
+  if (ensemble.replicates == 0) {
+    std::fprintf(stderr, "mrsc_fleet: --replicates must be >= 1\n");
     return false;
   }
-  ensemble.opt = static_cast<int>(opt);
+  if (client.max_attempts == 0) {
+    std::fprintf(stderr, "mrsc_fleet: --attempts must be >= 1\n");
+    return false;
+  }
   if (client.shards.empty()) {
     usage();
     return false;

@@ -62,6 +62,7 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/batch.hpp"
 #include "scenario/registry.hpp"
 #include "serve/dispatcher.hpp"
 #include "serve/protocol.hpp"
@@ -129,7 +130,10 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
   });
   flags.usage_on_unknown(usage);
   if (!flags.parse(argc, argv)) return false;
-  if (options.connections == 0) return false;
+  if (options.connections == 0) {
+    std::fprintf(stderr, "mrsc_loadgen: --connections must be >= 1\n");
+    return false;
+  }
   if (options.port < 0) {
     usage();
     return false;
@@ -329,7 +333,8 @@ int main(int argc, char** argv) {
   Tally tally;
   const Clock::time_point start = Clock::now();
 
-  auto worker = [&] {
+  // One index per connection, each on its own thread of the fan-out loop.
+  auto connection = [&](std::size_t) {
     util::json::Value parsed;
     Tally local;
     try {
@@ -380,12 +385,8 @@ int main(int argc, char** argv) {
                               local.latencies_ms.end());
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(cli.connections);
-  for (std::size_t c = 0; c < cli.connections; ++c) {
-    threads.emplace_back(worker);
-  }
-  for (std::thread& thread : threads) thread.join();
+  runtime::BatchRunner({.threads = cli.connections})
+      .for_each_index(cli.connections, connection);
   const double wall =
       std::chrono::duration<double>(Clock::now() - start).count();
 

@@ -77,7 +77,14 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
   });
   flags.usage_on_unknown(usage);
   if (!flags.parse(argc, argv)) return false;
-  if (port > 65535 || server.max_connections == 0) return false;
+  if (port > 65535) {
+    std::fprintf(stderr, "mrsc_serve: --port must be 0..65535\n");
+    return false;
+  }
+  if (server.max_connections == 0) {
+    std::fprintf(stderr, "mrsc_serve: --max-conns must be >= 1\n");
+    return false;
+  }
   server.port = static_cast<std::uint16_t>(port);
   return true;
 }

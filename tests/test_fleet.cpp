@@ -528,5 +528,22 @@ TEST(FleetRouting, AllShardsDownExhaustsAttemptsWithBoundedRetries) {
   EXPECT_EQ(counters.failures, 3u);
 }
 
+TEST(FleetRouting, ALostSliceStopsTheRun) {
+  // One worker, one dead shard: slice 0 spends its 3 attempts and throws,
+  // and no later slice starts, so no attempt is made past those 3.
+  std::uint16_t dead_port = 0;
+  {
+    const serve::Socket listener =
+        serve::listen_on("127.0.0.1", 0, dead_port);
+  }
+  FleetOptions options = fast_policy({{"127.0.0.1", dead_port}});
+  options.max_attempts = 3;
+  options.concurrency = 1;
+  FleetClient fleet(options);
+  const std::vector<std::string> requests(8, R"({"op":"ping"})");
+  EXPECT_THROW((void)fleet.execute(requests), std::runtime_error);
+  EXPECT_EQ(fleet.counters().attempts, 3u);
+}
+
 }  // namespace
 }  // namespace mrsc::fleet

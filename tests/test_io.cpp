@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 #include "compile/passes.hpp"
 #include "core/builder.hpp"
@@ -99,7 +100,7 @@ TEST(NetworkIo, SaveAndLoadFile) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "mrsc_io_test.crn").string();
   const ReactionNetwork original = sample_network();
-  save_network(original, path);
+  std::ofstream(path) << serialize_network(original);
   const ReactionNetwork loaded = load_network(path);
   EXPECT_EQ(loaded.species_count(), original.species_count());
   EXPECT_EQ(loaded.reaction_count(), original.reaction_count());

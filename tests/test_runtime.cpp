@@ -1,6 +1,6 @@
-// Tests for the batch-execution runtime: thread-pool lifecycle, deterministic
-// seeding, per-job deadlines, cooperative cancellation, and bitwise equality
-// between serial and parallel execution.
+// Tests for the batch-execution runtime: the fan-out loop's contract,
+// deterministic seeding, per-job deadlines, cooperative cancellation, and
+// bitwise equality between serial and parallel execution.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +16,6 @@
 #include "core/network.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/ensemble.hpp"
-#include "runtime/thread_pool.hpp"
 #include "scenario/registry.hpp"
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
@@ -35,51 +34,6 @@ core::ReactionNetwork busy_network(double initial = 50.0) {
   net.add({{x, 1}}, {{y, 1}}, core::RateCategory::kFast);
   net.add({{y, 1}}, {{x, 1}}, core::RateCategory::kFast);
   return net;
-}
-
-// --- ThreadPool ----------------------------------------------------------
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  runtime::ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, ShutdownDrainsPendingWork) {
-  // Destroying the pool with a deep queue must execute everything: one
-  // worker, 50 queued tasks, no wait_idle before destruction.
-  std::atomic<int> counter{0};
-  {
-    runtime::ThreadPool pool(1);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        counter.fetch_add(1);
-      });
-    }
-  }  // ~ThreadPool drains, then joins
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, SubmitFromInsideATask) {
-  runtime::ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.submit([&] {
-    for (int i = 0; i < 10; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1); });
-    }
-  });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  runtime::ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
 }
 
 // --- BatchRunner ---------------------------------------------------------
@@ -349,6 +303,56 @@ TEST(BatchRunner, ForEachIndexPropagatesException) {
                      if (i == 7) throw std::runtime_error("boom");
                    }),
                std::runtime_error);
+}
+
+TEST(BatchRunner, ForEachIndexRunsEveryIndexOnce) {
+  for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+    for (const std::size_t count : {0u, 1u, 2u, 17u, 64u}) {
+      std::vector<std::atomic<int>> runs(count);
+      runtime::BatchRunner({.threads = threads})
+          .for_each_index(count, [&](std::size_t i) { runs[i].fetch_add(1); });
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(runs[i].load(), 1)
+            << "index " << i << " of " << count << " at " << threads
+            << " threads";
+      }
+    }
+  }
+}
+
+TEST(BatchRunner, ForEachIndexStartsNoIndexAfterAThrow) {
+  // Serially the loop stops at the throwing index.
+  std::vector<std::size_t> order;
+  EXPECT_THROW(runtime::BatchRunner({.threads = 1})
+                   .for_each_index(8,
+                                   [&](std::size_t i) {
+                                     order.push_back(i);
+                                     if (i == 2) throw std::runtime_error("x");
+                                   }),
+               std::runtime_error);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+
+  // In parallel the first index to start throws; every other index waits
+  // for that throw and then holds its thread a while, so each thread
+  // reaches for a second index only after the throw. None may start.
+  for (const std::size_t threads : {2u, 4u}) {
+    std::atomic<std::size_t> started{0};
+    std::atomic<bool> thrown{false};
+    EXPECT_THROW(
+        runtime::BatchRunner({.threads = threads})
+            .for_each_index(64,
+                            [&](std::size_t) {
+                              if (started.fetch_add(1) == 0) {
+                                thrown.store(true);
+                                throw std::runtime_error("first");
+                              }
+                              while (!thrown.load()) std::this_thread::yield();
+                              std::this_thread::sleep_for(
+                                  std::chrono::milliseconds(50));
+                            }),
+        std::runtime_error);
+    EXPECT_LE(started.load(), threads) << threads << " threads";
+  }
 }
 
 // --- Ensembles -----------------------------------------------------------
