@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -112,6 +113,35 @@ BENCHMARK_CAPTURE(BM_Dp45Scenario, counter_4, "counter(4)")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Dp45Scenario, fsm_wide_16, "fsm_wide(16)")
     ->Unit(benchmark::kMillisecond);
+
+// One RHS on the same designs at the dp45 run's state at t = 1.5, halfway
+// to serve_cold's t_end: the layer BM_Dp45Scenario's runs spend most of
+// their time in, at a state with live clocks (BM_RhsEvaluation times delay
+// chains at their initial state, where almost every flux is zero).
+void BM_RhsScenario(benchmark::State& state, const char* spec) {
+  const scenario::ResolvedScenario resolved =
+      scenario::ScenarioRegistry::global().resolve(spec);
+  const sim::CompiledSystem system(*resolved.design.network);
+  sim::OdeOptions options;
+  options.t_end = 1.5;
+  options.record_interval = 0.1;
+  const sim::OdeResult run = simulate_ode(
+      system, options, resolved.design.network->initial_state());
+  const std::span<const double> x = run.trajectory.final_state();
+  std::vector<double> dxdt(x.size());
+  std::vector<double> flux(system.reaction_count());
+  for (auto _ : state) {
+    system.rhs(x, dxdt, flux);
+    benchmark::DoNotOptimize(dxdt.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(system.reaction_count()));
+  state.counters["species"] = static_cast<double>(system.species_count());
+  state.counters["reactions"] = static_cast<double>(system.reaction_count());
+}
+BENCHMARK_CAPTURE(BM_RhsScenario, cascade_4, "cascade(4)");
+BENCHMARK_CAPTURE(BM_RhsScenario, counter_4, "counter(4)");
+BENCHMARK_CAPTURE(BM_RhsScenario, fsm_wide_16, "fsm_wide(16)");
 
 void BM_SsaDirect(benchmark::State& state) {
   const core::ReactionNetwork net = chain_network(2);

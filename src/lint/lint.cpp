@@ -46,7 +46,8 @@ std::vector<std::string> check_names() {
   return names;
 }
 
-LintReport run_lint(const LintInput& input, const LintOptions& options) {
+LintReport run_lint(const LintInput& input, const LintOptions& options,
+                    std::stop_token stop) {
   if (input.network == nullptr) {
     throw std::invalid_argument("run_lint: input.network is null");
   }
@@ -63,6 +64,7 @@ LintReport run_lint(const LintInput& input, const LintOptions& options) {
   LintReport report;
   report.design = input.design;
   for (const auto& check : checks) {
+    if (stop.stop_requested()) break;
     if (!options.checks.empty() &&
         std::find(options.checks.begin(), options.checks.end(),
                   check->name()) == options.checks.end()) {

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <memory>
+#include <stop_token>
 #include <string>
 #include <utility>
 #include <vector>
@@ -104,8 +105,12 @@ class Check {
 
 /// Runs the selected checks (all by default) and aggregates the report.
 /// Throws std::invalid_argument when input.network is null or
-/// options.checks names an unknown check.
+/// options.checks names an unknown check. `stop` is polled before each
+/// check: once it is requested no further check starts, and the report
+/// holds only the checks that ran, so a caller that passes a stop token
+/// tests it after the call and discards a stopped report.
 [[nodiscard]] LintReport run_lint(const LintInput& input,
-                                  const LintOptions& options = {});
+                                  const LintOptions& options = {},
+                                  std::stop_token stop = {});
 
 }  // namespace mrsc::lint

@@ -410,7 +410,11 @@ DispatchResult run_lint_job(const JobRequest& request,
   input.composition = design->built.composition.get();
   lint::LintOptions lint_options;
   lint_options.checks = util::split_commas(request.checks);
-  const lint::LintReport report = lint::run_lint(input, lint_options);
+  const lint::LintReport report =
+      lint::run_lint(input, lint_options, hooks.stop);
+  if (hooks.stop.stop_requested()) {
+    return {cancelled_response(), false, false};
+  }
 
   Value out;
   out.set("werror", Value(request.werror));

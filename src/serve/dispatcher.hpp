@@ -15,8 +15,8 @@
 //
 // Stopping: every job kind watches one `std::stop_token` (DispatchHooks::
 // stop). A sim passes it to its BatchRunner, verify and stress poll it with
-// their deadline, a sleep waits on it; a stopped job of any kind answers
-// cancelled_response().
+// their deadline, lint polls it between checks, a sleep waits on it; a
+// stopped job of any kind answers cancelled_response().
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "sim/engine/compiled_system.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -59,6 +60,48 @@ void transpose(std::span<const std::uint32_t> offsets,
     }
   }
 }
+
+/// Gathers `count` species rows of `length` changers each: dxdt[s] is the
+/// sum, from +0.0, of delta * flux over s's row in row order. When `length`
+/// is a std::integral_constant the trip count is a compile-time constant, so
+/// the compiler unrolls each sum and keeps several species' sums in flight;
+/// the additions and their order are the runtime-length loop's.
+template <class Length>
+void gather_rows(Length length, std::uint32_t count,
+                 const std::uint32_t* species, const std::uint32_t* slots,
+                 const double* delta, const double* flux, double* dxdt) {
+  for (std::uint32_t i = 0; i < count; ++i) {
+    double sum = 0.0;
+    for (std::uint32_t t = 0; t < length; ++t) {
+      sum += delta[t] * flux[slots[t]];
+    }
+    dxdt[species[i]] = sum;
+    slots += length;
+    delta += length;
+  }
+}
+
+using GatherFn = void (*)(std::uint32_t, std::uint32_t, const std::uint32_t*,
+                          const std::uint32_t*, const double*, const double*,
+                          double*);
+
+template <std::uint32_t Length>
+void gather_fixed(std::uint32_t, std::uint32_t count,
+                  const std::uint32_t* species, const std::uint32_t* slots,
+                  const double* delta, const double* flux, double* dxdt) {
+  gather_rows(std::integral_constant<std::uint32_t, Length>{}, count, species,
+              slots, delta, flux, dxdt);
+}
+
+template <std::uint32_t... Lengths>
+constexpr auto gather_table(std::integer_sequence<std::uint32_t, Lengths...>) {
+  return std::array<GatherFn, sizeof...(Lengths)>{&gather_fixed<Lengths>...};
+}
+
+/// Fixed-length gathers for the row lengths the designs use (0-8 changers
+/// per species); longer rows take the runtime-length loop.
+constexpr auto kGatherFixed =
+    gather_table(std::make_integer_sequence<std::uint32_t, 9>{});
 
 }  // namespace
 
@@ -165,39 +208,66 @@ CompiledSystem::CompiledSystem(const core::ReactionNetwork& network)
          net_delta_, dep_offsets_, dep_reactions_, species_dep_offsets_,
          species_dep_reactions_, unimolecular_rates_, unimolecular_species_,
          bimolecular_rates_, bimolecular_species_, dimer_rates_,
-         dimer_species_, generic_reactions_, gather_species_, gather_groups_,
-         gather_slots_, gather_delta_);
+         dimer_species_, source_rates_, generic_reactions_, gather_species_,
+         gather_groups_, gather_slots_, gather_delta_);
 }
 
 void CompiledSystem::build_rhs_tables(
     std::span<const std::uint32_t> changer_offsets,
     std::span<const std::uint32_t> changers) {
-  // Flux slots in kernel order: each kernel's reactions in ascending index.
+  // Flux slots in the flux pass's loop order (unimolecular, bimolecular,
+  // dimer, source, other generic), ascending reaction index within each.
+  // A source reaction (0 -> ...) is a generic one with no reactants: its
+  // flux is its rate.
+  enum class FluxLoop {
+    kUnimolecular,
+    kBimolecular,
+    kDimer,
+    kSource,
+    kGeneric
+  };
+  const auto loop_of = [&](std::uint32_t j) {
+    switch (kernels_[j]) {
+      case ReactionKernel::kUnimolecular:
+        return FluxLoop::kUnimolecular;
+      case ReactionKernel::kBimolecular:
+        return FluxLoop::kBimolecular;
+      case ReactionKernel::kDimer:
+        return FluxLoop::kDimer;
+      case ReactionKernel::kGeneric:
+        break;
+    }
+    const bool source = reactant_offsets_[j] == reactant_offsets_[j + 1];
+    return source ? FluxLoop::kSource : FluxLoop::kGeneric;
+  };
   const std::size_t m = rates_.size();
   std::vector<std::uint32_t> slot_of(m);
   std::uint32_t slot = 0;
-  for (const ReactionKernel kernel :
-       {ReactionKernel::kUnimolecular, ReactionKernel::kBimolecular,
-        ReactionKernel::kDimer, ReactionKernel::kGeneric}) {
+  for (const FluxLoop loop :
+       {FluxLoop::kUnimolecular, FluxLoop::kBimolecular, FluxLoop::kDimer,
+        FluxLoop::kSource, FluxLoop::kGeneric}) {
     for (std::uint32_t j = 0; j < m; ++j) {
-      if (kernels_[j] != kernel) continue;
+      if (loop_of(j) != loop) continue;
       slot_of[j] = slot++;
       const std::uint32_t begin = reactant_offsets_[j];
-      switch (kernel) {
-        case ReactionKernel::kUnimolecular:
+      switch (loop) {
+        case FluxLoop::kUnimolecular:
           unimolecular_rates_.push_back(rates_[j]);
           unimolecular_species_.push_back(reactant_species_[begin]);
           break;
-        case ReactionKernel::kBimolecular:
+        case FluxLoop::kBimolecular:
           bimolecular_rates_.push_back(rates_[j]);
           bimolecular_species_.push_back(reactant_species_[begin]);
           bimolecular_species_.push_back(reactant_species_[begin + 1]);
           break;
-        case ReactionKernel::kDimer:
+        case FluxLoop::kDimer:
           dimer_rates_.push_back(rates_[j]);
           dimer_species_.push_back(reactant_species_[begin]);
           break;
-        case ReactionKernel::kGeneric:
+        case FluxLoop::kSource:
+          source_rates_.push_back(rates_[j]);
+          break;
+        case FluxLoop::kGeneric:
           generic_reactions_.push_back(j);
           break;
       }
@@ -248,7 +318,7 @@ std::size_t CompiledSystem::footprint_bytes() const {
          bytes(species_dep_offsets_) + bytes(species_dep_reactions_) +
          bytes(unimolecular_rates_) + bytes(unimolecular_species_) +
          bytes(bimolecular_rates_) + bytes(bimolecular_species_) +
-         bytes(dimer_rates_) + bytes(dimer_species_) +
+         bytes(dimer_rates_) + bytes(dimer_species_) + bytes(source_rates_) +
          bytes(generic_reactions_) + bytes(gather_species_) +
          bytes(gather_groups_) + bytes(gather_slots_) + bytes(gather_delta_);
 }
@@ -293,24 +363,24 @@ void CompiledSystem::rhs(std::span<const double> x, std::span<double> dxdt,
     const double xi = x[dimer_species_[k]];
     *out++ = dimer_rates_[k] * xi * xi;
   }
+  out = std::ranges::copy(source_rates_, out).out;
   for (const std::uint32_t j : generic_reactions_) *out++ = this->flux(j, x);
 
-  // Within a group every row has the same length, so the inner loop's trip
-  // count repeats and the sums of consecutive species, each its own chain
-  // of dependent additions, overlap in the pipeline.
+  // Within a group every row has the same length, so the rows' sums, each
+  // its own chain of dependent additions, overlap in the pipeline.
   const std::uint32_t* species = gather_species_.data();
   const std::uint32_t* slots = gather_slots_.data();
   const double* delta = gather_delta_.data();
   for (const GatherGroup& group : gather_groups_) {
-    for (std::uint32_t i = 0; i < group.species; ++i) {
-      double sum = 0.0;
-      for (std::uint32_t t = 0; t < group.length; ++t) {
-        sum += delta[t] * flux[slots[t]];
-      }
-      dxdt[*species++] = sum;
-      slots += group.length;
-      delta += group.length;
-    }
+    const GatherFn gather = group.length < kGatherFixed.size()
+                                ? kGatherFixed[group.length]
+                                : &gather_rows<std::uint32_t>;
+    gather(group.length, group.species, species, slots, delta, flux.data(),
+           dxdt.data());
+    const std::size_t terms = std::size_t{group.length} * group.species;
+    species += group.species;
+    slots += terms;
+    delta += terms;
   }
 }
 

@@ -238,19 +238,22 @@ class CompiledSystem {
   std::vector<std::uint32_t> species_dep_reactions_;
 
   // RHS flux pass, one branch-free loop per kernel. The fluxes land in
-  // kernel order (unimolecular, bimolecular, dimer, generic; ascending
-  // reaction index within each), so each loop writes its slots in sequence.
+  // loop order (unimolecular, bimolecular, dimer, source, other generic;
+  // ascending reaction index within each), so each loop writes its slots in
+  // sequence.
   std::vector<double> unimolecular_rates_;
   std::vector<std::uint32_t> unimolecular_species_;
   std::vector<double> bimolecular_rates_;
   std::vector<std::uint32_t> bimolecular_species_;  ///< two per reaction
   std::vector<double> dimer_rates_;
   std::vector<std::uint32_t> dimer_species_;
+  std::vector<double> source_rates_;  ///< 0 -> ...: the flux is the rate
   std::vector<std::uint32_t> generic_reactions_;
 
   // RHS gather: the net-change table transposed to species -> (flux slot,
   // delta), reactions ascending within each species. Species are ordered by
-  // row length, and each run of equal lengths is one group.
+  // row length, and each run of equal lengths is one group; rhs() runs a
+  // group of up to 8 changers per row through a fixed-length loop.
   struct GatherGroup {
     std::uint32_t length;   ///< changers per species
     std::uint32_t species;  ///< species in the group

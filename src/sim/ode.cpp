@@ -1,7 +1,9 @@
 #include "sim/ode.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "sim/engine/arena.hpp"
@@ -11,23 +13,37 @@ namespace mrsc::sim {
 
 namespace {
 
-/// Returns whether any value was clamped.
+// The state passes below are branch-free, so the compiler vectorizes them:
+// each folds its per-value test into one integer with `|=`, where a
+// `bool |= test` or an early return keeps the loop scalar.
+
+/// Returns whether any value was clamped: whether any value's bits changed.
 bool clamp_nonnegative(std::span<double> x) {
-  bool clamped = false;
+  std::uint64_t changed = 0;
   for (double& v : x) {
-    if (v < 0.0) {
-      v = 0.0;
-      clamped = true;
-    }
+    const double clamped = v < 0.0 ? 0.0 : v;
+    changed |= std::bit_cast<std::uint64_t>(clamped) ^
+               std::bit_cast<std::uint64_t>(v);
+    v = clamped;
   }
-  return clamped;
+  return changed != 0;
 }
 
+/// Bit 63 is set exactly when `v` is ±inf or NaN: the exponent field is all
+/// ones then, and adding one to it carries into bit 63. OR these over the
+/// state and test the result with `non_finite_seen`.
+std::uint64_t non_finite_bit(double v) {
+  constexpr std::uint64_t kExponent = 0x7ff0000000000000;
+  constexpr std::uint64_t kExponentOne = std::uint64_t{1} << 52;
+  return (std::bit_cast<std::uint64_t>(v) & kExponent) + kExponentOne;
+}
+
+bool non_finite_seen(std::uint64_t bits) { return (bits >> 63) != 0; }
+
 bool has_non_finite(std::span<const double> x) {
-  for (const double v : x) {
-    if (!std::isfinite(v)) return true;
-  }
-  return false;
+  std::uint64_t bits = 0;
+  for (const double v : x) bits |= non_finite_bit(v);
+  return non_finite_seen(bits);
 }
 
 /// Shared bookkeeping: recording, observers, stop checks.
@@ -42,8 +58,10 @@ class RunContext {
   /// Processes an accepted step; returns false if the run should stop.
   bool accept(double t, std::span<double> state) {
     state_unchanged_ = !clamp_nonnegative(state) && observers_.empty();
-    for (Observer* obs : observers_) obs->on_step(t, state);
-    clamp_nonnegative(state);  // observers may inject/clear
+    if (!observers_.empty()) {
+      for (Observer* obs : observers_) obs->on_step(t, state);
+      clamp_nonnegative(state);  // observers may inject/clear
+    }
     if (options_.record_interval <= 0.0 || t >= next_record_) {
       trajectory_.append(t, state);
       if (options_.record_interval > 0.0) {
@@ -211,11 +229,13 @@ OdeResult run_dp45(const CompiledSystem& system, const OdeOptions& options,
     }
     system.rhs(tmp, k6, flux);
     result.rhs_evaluations += 5;
+    std::uint64_t non_finite = 0;
     for (std::size_t i = 0; i < n; ++i) {
       x_new[i] = x[i] + h * (kB1 * k1[i] + kB3 * k3[i] + kB4 * k4[i] +
                              kB5 * k5[i] + kB6 * k6[i]);
+      non_finite |= non_finite_bit(x_new[i]);
     }
-    if (has_non_finite(x_new)) {
+    if (non_finite_seen(non_finite)) {
       result.non_finite = true;
       break;  // x still holds the last finite state
     }

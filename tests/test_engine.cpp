@@ -552,6 +552,46 @@ TEST(RhsGather, BitwiseEqualToReactionMajorOnFuzzedNetworks) {
   }
 }
 
+TEST(RhsGather, EveryRowLengthMatchesReactionMajor) {
+  // Y<k> has exactly k changers, k = 0..11: every fixed-length gather
+  // (0-8 changers) and the runtime-length fallback run. The catalysts X<a>
+  // have none. The changers cycle through every flux loop: source,
+  // unimolecular, bimolecular, dimer and generic, producing and consuming.
+  ReactionNetwork net;
+  NetworkBuilder b(net);
+  for (int a = 0; a < 3; ++a) b.species("X" + std::to_string(a));
+  const char* shapes[] = {"0 -> #",
+                          "X0 -> X0 + #",
+                          "X0 + X1 -> X0 + X1 + 2 #",
+                          "2 X2 -> 2 X2 + #",
+                          "X0 + X1 + X2 -> X0 + X1 + X2 + 3 #",
+                          "# -> 0",
+                          "# + X1 -> X1",
+                          "2 # -> #"};
+  int reaction = 0;
+  for (int k = 0; k <= 11; ++k) {
+    const std::string y = "Y" + std::to_string(k);
+    b.species(y);
+    for (int c = 0; c < k; ++c, ++reaction) {
+      std::string text = shapes[reaction % std::size(shapes)];
+      for (std::size_t at; (at = text.find('#')) != std::string::npos;) {
+        text.replace(at, 1, y);
+      }
+      b.reaction(text, 0.5 + 0.25 * reaction);
+    }
+  }
+  const CompiledSystem system(net);
+  std::set<std::size_t> lengths;
+  std::vector<std::size_t> changers(system.species_count());
+  for (std::size_t j = 0; j < system.reaction_count(); ++j) {
+    for (const std::uint32_t i : system.net_species(j)) ++changers[i];
+  }
+  lengths.insert(changers.begin(), changers.end());
+  ASSERT_EQ(lengths.size(), 12u);
+  ASSERT_EQ(*lengths.rbegin(), 11u);
+  expect_rhs_matches_reaction_major(net, 23, "row lengths 0..11");
+}
+
 TEST(RhsGather, ZeroFluxProductsLeaveSignedZeroSumsAlone) {
   // A -> B at x_A = -0.0 has flux -0.0; the gather adds 1 * -0.0 to B's
   // +0.0 sum and -1 * -0.0 to A's. Both stay +0.0, as in the scatter that
@@ -578,8 +618,10 @@ TEST(CompiledSystem, FootprintChargesEveryArray) {
     const std::size_t r = system.reaction_count();
     const std::size_t s = system.species_count();
     std::size_t reactant_terms = 0, net_terms = 0, dep_edges = 0, readers = 0;
+    std::size_t sources = 0;
     std::map<ReactionKernel, std::size_t> kernels;
     for (std::size_t j = 0; j < r; ++j) {
+      if (system.reactant_species(j).empty()) ++sources;
       reactant_terms += system.reactant_species(j).size();
       net_terms += system.net_species(j).size();
       dep_edges += system.affected_reactions(j).size();
@@ -606,7 +648,8 @@ TEST(CompiledSystem, FootprintChargesEveryArray) {
         + kernels[ReactionKernel::kUnimolecular] * (sizeof(double) + u32)
         + kernels[ReactionKernel::kBimolecular] * (sizeof(double) + 2 * u32)
         + kernels[ReactionKernel::kDimer] * (sizeof(double) + u32)
-        + kernels[ReactionKernel::kGeneric] * u32        // flux pass
+        + sources * sizeof(double)                       // source rates
+        + (kernels[ReactionKernel::kGeneric] - sources) * u32  // flux pass
         + s * u32 + groups * 2 * u32                     // gather order
         + net_terms * (u32 + sizeof(double));            // gather rows
     EXPECT_EQ(system.footprint_bytes(), expected) << spec;

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <stop_token>
 #include <string>
 #include <vector>
 
@@ -256,6 +257,18 @@ TEST(Lint, CheckFilterRunsOnlySelected) {
       lint::run_lint(input_for(design, "counter"), options);
   ASSERT_EQ(report.checks_run.size(), 1u);
   EXPECT_EQ(report.checks_run.front(), "timescale");
+}
+
+TEST(Lint, StoppedRunStartsNoFurtherCheck) {
+  const scenario::BuiltDesign design = build("cascade");
+  std::stop_source stop;
+  stop.request_stop();
+  const lint::LintReport report =
+      lint::run_lint(input_for(design, "cascade"), {}, stop.get_token());
+  EXPECT_LE(report.checks_run.size() + report.checks_skipped.size(), 1u);
+  // The same input runs more than one check when nothing asks it to stop.
+  const lint::LintReport full = lint::run_lint(input_for(design, "cascade"));
+  EXPECT_GT(full.checks_run.size(), 1u);
 }
 
 TEST(Lint, JsonReportCarriesSchemaKeys) {

@@ -598,6 +598,25 @@ TEST(Dp45Fsal, RecomputesTheFirstStageAfterAClamp) {
       << "the clamp never fired: the fixture no longer covers it";
 }
 
+TEST(Dp45Fsal, MatchesReferenceWhenTheStateGoesNonFinite) {
+  // x' = x^2 from x = 1 has a pole at t = 1. A min_step too large to
+  // resolve it forces the controller past the pole, a stage overflows, and
+  // the run must stop at its last finite state exactly where the
+  // reference's separate finiteness pass stops it.
+  ReactionNetwork net;
+  NetworkBuilder b(net);
+  b.species("X", 1.0);
+  b.reaction("2 X -> 3 X", 1.0);
+  OdeOptions options = dp45_options();
+  options.min_step = 1e-3;
+  const OdeResult run = expect_dp45_matches_reference(net, options, "pole");
+  EXPECT_TRUE(run.non_finite);
+  EXPECT_LT(run.end_time, options.t_end);
+  for (const double v : run.trajectory.final_state()) {
+    EXPECT_TRUE(std::isfinite(v));
+  }
+}
+
 TEST(OdeSimulation, RhsEvaluationCountsForFixedStepMethods) {
   const ReactionNetwork net = decay_network(1.0);
   OdeOptions options;
