@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "analysis/metrics.hpp"
 #include "async/circuit.hpp"
 #include "dsp/filters.hpp"
@@ -49,11 +49,15 @@ int main() {
               design.network->reaction_count());
 
   const std::vector<double> x = {1.0, 1.0, 2.0, 0.0, 0.5, 1.5, 0.0, 1.0};
-  analysis::ClockedRunOptions options;
-  options.ode.t_end = 150.0 * static_cast<double>(x.size() + 3);
-  const auto result = analysis::run_async_circuit(
-      *design.network, design.circuit, "x", x, "y", options);
-  const auto expected = dsp::reference_moving_average(x);
+  sim::OdeOptions ode;
+  ode.t_end = 150.0 * static_cast<double>(x.size() + 3);
+  const auto result = analysis::run_decoded(
+      *design.network, ode,
+      analysis::CircuitDecoder::self_timed(design.circuit,
+                                           dsp::reference_moving_average),
+      x);
+  const std::vector<double>& y = result.outputs[0];
+  const std::vector<double>& expected = result.expected[0];
 
   std::printf("measured handshake cycle: %.2f time units (data-dependent, "
               "no clock)\n\n",
@@ -61,29 +65,29 @@ int main() {
   std::printf("%-4s %-8s %-12s %-12s %-10s\n", "n", "x[n]", "y[n] (mol)",
               "y[n] (ref)", "error");
   for (std::size_t n = 0; n < x.size(); ++n) {
-    std::printf("%-4zu %-8.2f %-12.4f %-12.4f %-10.2e\n", n, x[n],
-                result.outputs[n], expected[n],
-                result.outputs[n] - expected[n]);
+    std::printf("%-4zu %-8.2f %-12.4f %-12.4f %-10.2e\n", n, x[n], y[n],
+                expected[n], y[n] - expected[n]);
   }
-  std::printf("\nmax |error| = %.3e\n",
-              analysis::max_abs_error(result.outputs, expected));
+  std::printf("\nmax |error| = %.3e\n", analysis::max_abs_error(y, expected));
 
   std::printf("\n== F8b: clocked vs self-timed, same filter\n\n");
   auto clocked = dsp::make_moving_average();
-  analysis::ClockedRunOptions clocked_options;
-  clocked_options.ode.t_end = analysis::suggest_t_end(
-      {}, clocked.network->rate_policy(), x.size());
-  const auto clocked_result = analysis::run_clocked_circuit(
-      *clocked.network, clocked.circuit, "x", x, "y", clocked_options);
+  const auto clocked_decoder = analysis::CircuitDecoder::clocked(
+      clocked.circuit, dsp::reference_moving_average);
+  sim::OdeOptions clocked_ode;
+  clocked_ode.t_end =
+      clocked_decoder.t_end(clocked.network->rate_policy(), x.size());
+  const auto clocked_result =
+      analysis::run_decoded(*clocked.network, clocked_ode, clocked_decoder, x);
 
   std::printf("%-14s %-10s %-12s %-14s\n", "discipline", "species",
               "cycle", "max error");
   std::printf("%-14s %-10zu %-12.2f %-14.3e\n", "clocked",
               clocked.network->species_count(), clocked_result.clock_period,
-              analysis::max_abs_error(clocked_result.outputs, expected));
+              analysis::max_abs_error(clocked_result.outputs[0], expected));
   std::printf("%-14s %-10zu %-12.2f %-14.3e\n", "self-timed",
               design.network->species_count(), result.clock_period,
-              analysis::max_abs_error(result.outputs, expected));
+              analysis::max_abs_error(y, expected));
   std::printf(
       "\n(The self-timed pipeline needs no oscillator: the heartbeat's red\n"
       " pulse opens the release window and the global absence indicators\n"
@@ -96,10 +100,13 @@ int main() {
   for (const double amplitude : {0.5, 1.0, 2.0, 4.0}) {
     AsyncMovingAverage swept = make_async_moving_average();
     const std::vector<double> xs(5, amplitude);
-    analysis::ClockedRunOptions swept_options;
-    swept_options.ode.t_end = 300.0 * static_cast<double>(xs.size() + 3);
-    const auto swept_result = analysis::run_async_circuit(
-        *swept.network, swept.circuit, "x", xs, "y", swept_options);
+    sim::OdeOptions swept_ode;
+    swept_ode.t_end = 300.0 * static_cast<double>(xs.size() + 3);
+    const auto swept_result = analysis::run_decoded(
+        *swept.network, swept_ode,
+        analysis::CircuitDecoder::self_timed(swept.circuit,
+                                             dsp::reference_moving_average),
+        xs);
     std::printf("%-12.1f %-16.2f\n", amplitude, swept_result.clock_period);
   }
   std::printf(

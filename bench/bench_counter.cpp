@@ -5,10 +5,9 @@
 // per clock cycle, and cycle-by-cycle comparison against the gate-level
 // golden-model netlist.
 #include <cstdio>
-#include <variant>
 #include <vector>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "analysis/plot.hpp"
 #include "dsp/counter.hpp"
 #include "logic/netlist.hpp"
@@ -33,6 +32,15 @@ std::vector<std::uint64_t> golden(std::size_t bits, std::uint64_t initial,
   return values;
 }
 
+analysis::DecodedRun run_increments(const core::ReactionNetwork& net,
+                                   const analysis::Decoder& decoder,
+                                   std::size_t increments) {
+  const std::vector<double> tokens(increments, 1.0);
+  sim::OdeOptions ode;
+  ode.t_end = decoder.t_end(net.rate_policy(), increments);
+  return analysis::run_decoded(net, ode, decoder, tokens);
+}
+
 }  // namespace
 
 int main() {
@@ -42,26 +50,21 @@ int main() {
   scenario::ResolvedScenario resolved =
       scenario::ScenarioRegistry::global().resolve("counter(3)");
   core::ReactionNetwork& net = *resolved.design.network;
-  const auto& artifacts =
-      std::get<scenario::CounterArtifacts>(resolved.artifacts);
-  const dsp::CounterSpec& spec = artifacts.spec;
-  const dsp::CounterHandles& handles = artifacts.handles;
+  const auto& decoder =
+      dynamic_cast<const analysis::CounterDecoder&>(*resolved.decoder);
+  const dsp::CounterSpec& spec = decoder.spec;
+  const dsp::CounterHandles& handles = decoder.handles;
   constexpr std::size_t kIncrements = 20;
-  analysis::ClockedRunOptions options;
-  options.ode.t_end =
-      analysis::suggest_t_end(spec.clock, net.rate_policy(), kIncrements);
-  const auto result = analysis::run_counter(net, handles, kIncrements,
-                                            options);
+  const auto result = run_increments(net, decoder, kIncrements);
   const auto reference = golden(spec.bits, spec.initial_value, kIncrements);
 
   std::printf("%-7s %-12s %-12s %-8s\n", "cycle", "molecular", "gate-level",
               "match");
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < kIncrements; ++i) {
-    const bool ok = result.values[i] == reference[i];
+    const bool ok = result.outputs[0][i] == static_cast<double>(reference[i]);
     if (!ok) ++mismatches;
-    std::printf("%-7zu %-12llu %-12llu %s\n", i,
-                static_cast<unsigned long long>(result.values[i]),
+    std::printf("%-7zu %-12.0f %-12llu %s\n", i, result.outputs[0][i],
                 static_cast<unsigned long long>(reference[i]),
                 ok ? "yes" : "NO");
   }
@@ -88,21 +91,15 @@ int main() {
         scenario::ScenarioRegistry::global().resolve(
             "counter(" + std::to_string(bits) + ")");
     core::ReactionNetwork& wide_net = *wide.design.network;
-    const auto& wide_artifacts =
-        std::get<scenario::CounterArtifacts>(wide.artifacts);
-    const dsp::CounterSpec& wide_spec = wide_artifacts.spec;
-    const dsp::CounterHandles& wide_handles = wide_artifacts.handles;
     const std::size_t increments = (std::size_t{1} << bits) + 4;
-    analysis::ClockedRunOptions wide_options;
-    wide_options.ode.t_end = analysis::suggest_t_end(
-        wide_spec.clock, wide_net.rate_policy(), increments);
     const auto wide_result =
-        analysis::run_counter(wide_net, wide_handles, increments,
-                              wide_options);
+        run_increments(wide_net, *wide.decoder, increments);
     const auto wide_reference = golden(bits, 0, increments);
     std::size_t bad = 0;
     for (std::size_t i = 0; i < increments; ++i) {
-      if (wide_result.values[i] != wide_reference[i]) ++bad;
+      if (wide_result.outputs[0][i] != static_cast<double>(wide_reference[i])) {
+        ++bad;
+      }
     }
     std::printf("%-7zu %-12zu %-12zu\n", bits, bad,
                 wide_net.species_count());

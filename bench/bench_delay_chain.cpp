@@ -6,7 +6,6 @@
 // alternation of transfer phases; the table quantifies stage peaks, arrival
 // time, and delivered fraction.
 #include <cstdio>
-#include <variant>
 #include <vector>
 
 #include "analysis/plot.hpp"
@@ -27,7 +26,7 @@ int main() {
       scenario::ScenarioRegistry::global().resolve("delay_chain(2)");
   core::ReactionNetwork& net = *resolved.design.network;
   const async::ChainHandles& chain =
-      std::get<scenario::ChainArtifacts>(resolved.artifacts).handles;
+      dynamic_cast<const analysis::ChainDecoder&>(*resolved.decoder).handles;
   net.set_initial(chain.input, 1.0);
 
   sim::OdeOptions options;
@@ -76,7 +75,8 @@ int main() {
             "delay_chain(" + std::to_string(n) + ")");
     core::ReactionNetwork& long_net = *long_resolved.design.network;
     const async::ChainHandles& long_chain =
-        std::get<scenario::ChainArtifacts>(long_resolved.artifacts).handles;
+        dynamic_cast<const analysis::ChainDecoder&>(*long_resolved.decoder)
+            .handles;
     long_net.set_initial(long_chain.input, 1.0);
     sim::OdeOptions long_options;
     long_options.t_end = 40.0 * static_cast<double>(n + 1);

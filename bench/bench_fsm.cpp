@@ -7,16 +7,25 @@
 // reports the compilation size table (species/reactions vs |states| x
 // |alphabet|).
 #include <cstdio>
-#include <variant>
 #include <vector>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "fsm/fsm.hpp"
 #include "scenario/registry.hpp"
 #include "util/rng.hpp"
 
 namespace {
 using namespace mrsc;
+
+analysis::DecodedRun run_symbols(const core::ReactionNetwork& net,
+                                 const analysis::FsmDecoder& decoder,
+                                 const std::vector<std::size_t>& symbols) {
+  const std::vector<double> stimulus(symbols.begin(), symbols.end());
+  sim::OdeOptions ode;
+  ode.t_end = decoder.t_end(net.rate_policy(), symbols.size());
+  return analysis::run_decoded(net, ode, decoder, stimulus);
+}
+
 }  // namespace
 
 int main() {
@@ -24,32 +33,26 @@ int main() {
   {
     scenario::ResolvedScenario resolved =
         scenario::ScenarioRegistry::global().resolve("seqdet");
-    core::ReactionNetwork& net = *resolved.design.network;
-    const auto& artifacts =
-        std::get<scenario::FsmArtifacts>(resolved.artifacts);
-    const fsm::FsmSpec& spec = artifacts.spec;
-    const fsm::FsmHandles& machine = artifacts.handles;
+    const core::ReactionNetwork& net = *resolved.design.network;
+    const auto& decoder =
+        dynamic_cast<const analysis::FsmDecoder&>(*resolved.decoder);
     const std::vector<std::size_t> bits = {1, 0, 1, 0, 1, 1, 0, 1,
                                            1, 0, 1, 0, 0, 1, 0, 1};
-    analysis::ClockedRunOptions options;
-    options.ode.t_end =
-        analysis::suggest_t_end(spec.clock, net.rate_policy(), bits.size());
-    const auto run = analysis::run_fsm(net, machine, bits, options);
-    const fsm::FsmTrace reference = fsm::evaluate_reference(spec, bits);
+    const auto run = run_symbols(net, decoder, bits);
 
     std::printf("bits:      ");
     for (const std::size_t b : bits) std::printf("%zu ", b);
     std::printf("\nmol state: ");
-    for (const std::size_t s : run.states) std::printf("%zu ", s);
+    for (const double s : run.outputs[0]) std::printf("%.0f ", s);
     std::printf("\nref state: ");
-    for (const std::size_t s : reference.states) std::printf("%zu ", s);
+    for (const double s : run.expected[0]) std::printf("%.0f ", s);
     std::printf("\nmatch at:  ");
     std::size_t state_errors = 0;
     std::size_t output_errors = 0;
     for (std::size_t i = 0; i < bits.size(); ++i) {
-      std::printf("%s ", run.outputs[i] != fsm::kNoOutput ? "^" : ".");
-      if (run.states[i] != reference.states[i]) ++state_errors;
-      if (run.outputs[i] != reference.outputs[i]) ++output_errors;
+      std::printf("%s ", run.outputs[1][i] >= 0.0 ? "^" : ".");
+      if (run.outputs[0][i] != run.expected[0][i]) ++state_errors;
+      if (run.outputs[1][i] != run.expected[1][i]) ++output_errors;
     }
     std::printf("\n\nstate errors: %zu/16, output errors: %zu/16\n\n",
                 state_errors, output_errors);
@@ -84,16 +87,12 @@ int main() {
       for (std::size_t& a : inputs) a = rng.uniform_below(spec.num_inputs);
 
       core::ReactionNetwork net;
-      const fsm::FsmHandles handles = fsm::build_fsm(net, spec);
-      analysis::ClockedRunOptions options;
-      options.ode.t_end = analysis::suggest_t_end(
-          spec.clock, net.rate_policy(), inputs.size());
-      const auto run = analysis::run_fsm(net, handles, inputs, options);
-      const fsm::FsmTrace reference = fsm::evaluate_reference(spec, inputs);
+      const analysis::FsmDecoder decoder(spec, fsm::build_fsm(net, spec));
+      const auto run = run_symbols(net, decoder, inputs);
       std::size_t errors = 0;
       for (std::size_t i = 0; i < inputs.size(); ++i) {
-        if (run.states[i] != reference.states[i]) ++errors;
-        if (run.outputs[i] != reference.outputs[i]) ++errors;
+        if (run.outputs[0][i] != run.expected[0][i]) ++errors;
+        if (run.outputs[1][i] != run.expected[1][i]) ++errors;
       }
       std::printf("machine %d: %zu states x %zu inputs -> errors %zu/20\n",
                   machine_index, spec.num_states, spec.num_inputs, errors);

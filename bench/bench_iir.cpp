@@ -5,13 +5,11 @@
 // principle compound. The impulse and step responses below show they stay
 // bounded.
 #include <cstdio>
-#include <variant>
 #include <vector>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/plot.hpp"
-#include "dsp/filters.hpp"
 #include "scenario/registry.hpp"
 
 namespace {
@@ -20,27 +18,24 @@ using namespace mrsc;
 void run_case(const char* title, const std::vector<double>& x) {
   scenario::ResolvedScenario resolved =
       scenario::ScenarioRegistry::global().resolve("iir");
-  core::ReactionNetwork& net = *resolved.design.network;
-  const sync::CompiledCircuit& circuit =
-      std::get<scenario::CircuitArtifacts>(resolved.artifacts).circuit;
-  analysis::ClockedRunOptions options;
-  options.ode.t_end =
-      analysis::suggest_t_end({}, net.rate_policy(), x.size());
-  const auto result =
-      analysis::run_clocked_circuit(net, circuit, "x", x, "y", options);
-  const auto expected = dsp::reference_second_order_iir(x);
+  const core::ReactionNetwork& net = *resolved.design.network;
+  const analysis::Decoder& decoder = *resolved.decoder;
+  sim::OdeOptions ode;
+  ode.t_end = decoder.t_end(net.rate_policy(), x.size());
+  const auto result = analysis::run_decoded(net, ode, decoder, x);
+  const std::vector<double>& y = result.outputs[0];
+  const std::vector<double>& expected = result.expected[0];
 
   std::printf("-- %s\n", title);
   std::printf("%-5s %-8s %-12s %-12s %-10s\n", "n", "x[n]", "y[n] (mol)",
               "y[n] (ref)", "error");
   for (std::size_t n = 0; n < x.size(); ++n) {
-    std::printf("%-5zu %-8.3f %-12.4f %-12.4f %-10.2e\n", n, x[n],
-                result.outputs[n], expected[n],
-                result.outputs[n] - expected[n]);
+    std::printf("%-5zu %-8.3f %-12.4f %-12.4f %-10.2e\n", n, x[n], y[n],
+                expected[n], y[n] - expected[n]);
   }
   std::printf("max |error| = %.3e   RMSE = %.3e\n\n",
-              analysis::max_abs_error(result.outputs, expected),
-              analysis::rmse(result.outputs, expected));
+              analysis::max_abs_error(y, expected),
+              analysis::rmse(y, expected));
 
   analysis::Series molecular;
   molecular.label = "molecular";
@@ -50,7 +45,7 @@ void run_case(const char* title, const std::vector<double>& x) {
   reference.glyph = 'o';
   for (std::size_t n = 0; n < x.size(); ++n) {
     molecular.x.push_back(static_cast<double>(n));
-    molecular.y.push_back(result.outputs[n]);
+    molecular.y.push_back(y[n]);
     reference.x.push_back(static_cast<double>(n));
     reference.y.push_back(expected[n]);
   }

@@ -5,13 +5,25 @@
 #include <cstdio>
 #include <vector>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/plot.hpp"
 #include "dsp/filters.hpp"
 
 namespace {
 using namespace mrsc;
+
+analysis::DecodedRun run_filter(const dsp::Design& design,
+                                const sync::ClockSpec& clock,
+                                const std::vector<double>& x) {
+  auto decoder = analysis::CircuitDecoder::clocked(
+      design.circuit, dsp::reference_moving_average);
+  decoder.clock_spec = clock;
+  sim::OdeOptions ode;
+  ode.t_end = decoder.t_end(design.network->rate_policy(), x.size());
+  return analysis::run_decoded(*design.network, ode, decoder, x);
+}
+
 }  // namespace
 
 int main() {
@@ -21,25 +33,21 @@ int main() {
   auto design = dsp::make_moving_average();
   const std::vector<double> x = {1.0, 1.0, 2.0, 0.0, 0.5, 1.5,
                                  1.5, 0.0, 0.0, 1.0, 1.0, 1.0};
-  analysis::ClockedRunOptions options;
-  options.ode.t_end =
-      analysis::suggest_t_end({}, design.network->rate_policy(), x.size());
-  const auto result = analysis::run_clocked_circuit(
-      *design.network, design.circuit, "x", x, "y", options);
-  const auto expected = dsp::reference_moving_average(x);
+  const auto result = run_filter(design, {}, x);
+  const std::vector<double>& y = result.outputs[0];
+  const std::vector<double>& expected = result.expected[0];
 
   std::printf("measured clock period: %.2f time units\n\n",
               result.clock_period);
   std::printf("%-5s %-10s %-12s %-12s %-10s\n", "n", "x[n]", "y[n] (mol)",
               "y[n] (ref)", "error");
   for (std::size_t n = 0; n < x.size(); ++n) {
-    std::printf("%-5zu %-10.3f %-12.4f %-12.4f %-10.2e\n", n, x[n],
-                result.outputs[n], expected[n],
-                result.outputs[n] - expected[n]);
+    std::printf("%-5zu %-10.3f %-12.4f %-12.4f %-10.2e\n", n, x[n], y[n],
+                expected[n], y[n] - expected[n]);
   }
   std::printf("\nmax |error| = %.3e   RMSE = %.3e\n",
-              analysis::max_abs_error(result.outputs, expected),
-              analysis::rmse(result.outputs, expected));
+              analysis::max_abs_error(y, expected),
+              analysis::rmse(y, expected));
 
   // Figure: sampled output vs reference over the cycle index.
   analysis::Series molecular;
@@ -50,7 +58,7 @@ int main() {
   reference.glyph = 'o';
   for (std::size_t n = 0; n < x.size(); ++n) {
     molecular.x.push_back(static_cast<double>(n));
-    molecular.y.push_back(result.outputs[n]);
+    molecular.y.push_back(y[n]);
     reference.x.push_back(static_cast<double>(n));
     reference.y.push_back(expected[n]);
   }
@@ -67,14 +75,10 @@ int main() {
     clock.phase_stretch = stretch;
     auto swept = dsp::make_moving_average(clock);
     const std::vector<double> xs = {1.0, 0.0, 1.0, 0.5, 1.5, 0.0};
-    analysis::ClockedRunOptions swept_options;
-    swept_options.ode.t_end = analysis::suggest_t_end(
-        clock, swept.network->rate_policy(), xs.size());
-    const auto swept_result = analysis::run_clocked_circuit(
-        *swept.network, swept.circuit, "x", xs, "y", swept_options);
+    const auto swept_result = run_filter(swept, clock, xs);
     std::printf("%-10.1f %-12.3e %-12.2f\n", stretch,
-                analysis::max_abs_error(swept_result.outputs,
-                                        dsp::reference_moving_average(xs)),
+                analysis::max_abs_error(swept_result.outputs[0],
+                                        swept_result.expected[0]),
                 swept_result.clock_period);
   }
   std::printf(

@@ -11,7 +11,7 @@
 //       log-uniform factor (kinetic constants "are not constant at all").
 #include <cstdio>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/sweep.hpp"
 #include "async/chain.hpp"
@@ -56,16 +56,17 @@ double filter_experiment(const core::RatePolicy& policy, double jitter,
     analysis::apply_rate_jitter(*design.network, jitter, rng);
   }
   const std::vector<double> x = {1.0, 0.0, 1.0, 0.5};
-  analysis::ClockedRunOptions options;
-  options.ode.t_end = 2.5 * analysis::suggest_t_end({}, policy, x.size());
+  const auto decoder = analysis::CircuitDecoder::clocked(
+      design.circuit, dsp::reference_moving_average);
+  sim::OdeOptions options;
+  options.t_end = 2.5 * decoder.t_end(policy, x.size());
   if (policy.k_fast / policy.k_slow > 2e4) {
-    options.ode.method = sim::OdeMethod::kBackwardEuler;
-    options.ode.dt = 2e-3 / policy.k_slow;
+    options.method = sim::OdeMethod::kBackwardEuler;
+    options.dt = 2e-3 / policy.k_slow;
   }
-  const auto result = analysis::run_clocked_circuit(
-      *design.network, design.circuit, "x", x, "y", options);
-  return analysis::max_abs_error(result.outputs,
-                                 dsp::reference_moving_average(x));
+  const auto result =
+      analysis::run_decoded(*design.network, options, decoder, x);
+  return analysis::max_abs_error(result.outputs[0], result.expected[0]);
 }
 
 }  // namespace

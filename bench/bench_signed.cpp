@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/plot.hpp"
 #include "dsp/filters.hpp"
@@ -29,25 +29,19 @@ int main() {
 
   const std::vector<double> x = {1.0, 0.25, 1.5, 1.5, 0.0,
                                  2.0, 0.5,  0.5, 1.0, 0.0};
-  std::vector<analysis::PortSamples> inputs(2);
-  inputs[0] = {"x_p", x};
-  inputs[1] = {"x_n", std::vector<double>(x.size(), 0.0)};
-  const std::vector<std::string> out_ports = {"y_p", "y_n"};
-  analysis::ClockedRunOptions options;
-  options.ode.t_end =
-      analysis::suggest_t_end({}, design.network->rate_policy(), x.size());
-  const auto result = analysis::run_clocked_circuit_multi(
-      *design.network, design.circuit, inputs, out_ports, options);
-  const auto y = analysis::signed_series(result, "y");
-  const auto expected = dsp::reference_first_difference(x);
+  const auto decoder = analysis::CircuitDecoder::dual_rail(
+      design.circuit, dsp::reference_first_difference);
+  sim::OdeOptions ode;
+  ode.t_end = decoder.t_end(design.network->rate_policy(), x.size());
+  const auto result = analysis::run_decoded(*design.network, ode, decoder, x);
+  const std::vector<double>& y = result.outputs[0];
+  const std::vector<double>& expected = result.expected[0];
 
-  std::printf("%-4s %-8s %-10s %-10s %-12s %-12s %-10s\n", "n", "x[n]",
-              "y_p rail", "y_n rail", "y[n] (mol)", "y[n] (ref)", "error");
+  std::printf("%-4s %-8s %-12s %-12s %-10s\n", "n", "x[n]", "y[n] (mol)",
+              "y[n] (ref)", "error");
   for (std::size_t n = 0; n < x.size(); ++n) {
-    std::printf("%-4zu %-8.2f %-10.4f %-10.4f %-12.4f %-12.4f %-10.2e\n", n,
-                x[n], result.outputs.at("y_p")[n],
-                result.outputs.at("y_n")[n], y[n], expected[n],
-                y[n] - expected[n]);
+    std::printf("%-4zu %-8.2f %-12.4f %-12.4f %-10.2e\n", n, x[n], y[n],
+                expected[n], y[n] - expected[n]);
   }
   std::printf("\nmax |error| = %.3e\n",
               analysis::max_abs_error(y, expected));

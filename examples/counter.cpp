@@ -7,8 +7,9 @@
 // gate-level ripple counter — which is precisely what it is verified
 // against, cycle by cycle.
 #include <cstdio>
+#include <vector>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "dsp/counter.hpp"
 #include "logic/netlist.hpp"
 
@@ -19,17 +20,18 @@ int main() {
   dsp::CounterSpec spec;
   spec.bits = 3;
   spec.initial_value = 2;
-  const dsp::CounterHandles counter = dsp::build_counter(net, spec);
+  const analysis::CounterDecoder counter(spec, dsp::build_counter(net, spec));
   std::printf("3-bit molecular counter starting at %llu: %zu species, %zu "
               "reactions\n\n",
               static_cast<unsigned long long>(spec.initial_value),
               net.species_count(), net.reaction_count());
 
-  constexpr std::size_t kIncrements = 14;
-  analysis::ClockedRunOptions options;
-  options.ode.t_end =
-      analysis::suggest_t_end(spec.clock, net.rate_policy(), kIncrements);
-  const auto run = analysis::run_counter(net, counter, kIncrements, options);
+  // One increment token per clock cycle.
+  const std::vector<double> increments(14, 1.0);
+  sim::OdeOptions ode;
+  ode.t_end = counter.t_end(net.rate_policy(), increments.size());
+  const auto run = analysis::run_decoded(net, ode, counter, increments);
+  const std::vector<double>& values = run.outputs[0];
 
   // Gate-level golden model for comparison.
   const logic::Netlist golden =
@@ -38,15 +40,15 @@ int main() {
   const logic::NetId enable = *golden.find("enable");
 
   std::printf("%-7s %-12s %-12s\n", "cycle", "molecular", "gate-level");
-  for (std::size_t i = 0; i < kIncrements; ++i) {
+  for (std::size_t i = 0; i < increments.size(); ++i) {
     sim.set_input(enable, true);
     sim.evaluate();
     sim.clock_edge();
     sim.evaluate();
-    std::printf("%-7zu %-12llu %-12llu%s\n", i,
-                static_cast<unsigned long long>(run.values[i]),
-                static_cast<unsigned long long>(sim.output_word()),
-                run.values[i] == sim.output_word() ? "" : "   <-- MISMATCH");
+    const auto gate = static_cast<unsigned long long>(sim.output_word());
+    std::printf("%-7zu %-12.0f %-12llu%s\n", i, values[i], gate,
+                values[i] == static_cast<double>(gate) ? ""
+                                                       : "   <-- MISMATCH");
   }
   return 0;
 }

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "analysis/metrics.hpp"
 #include "dsp/filters.hpp"
 #include "sync/circuit.hpp"
@@ -37,20 +37,20 @@ int main() {
   // Drive it for twelve clock cycles.
   const std::vector<double> samples = {1.0, 1.0, 2.0, 0.0, 0.5, 1.5,
                                        1.5, 0.0, 0.0, 1.0, 1.0, 1.0};
-  analysis::ClockedRunOptions options;
-  options.ode.t_end =
-      analysis::suggest_t_end({}, net.rate_policy(), samples.size());
-  const auto run = analysis::run_clocked_circuit(net, circuit, "x", samples,
-                                                 "y", options);
-  const auto expected = dsp::reference_moving_average(samples);
+  const auto decoder = analysis::CircuitDecoder::clocked(
+      circuit, dsp::reference_moving_average);
+  sim::OdeOptions ode;
+  ode.t_end = decoder.t_end(net.rate_policy(), samples.size());
+  const auto run = analysis::run_decoded(net, ode, decoder, samples);
+  const std::vector<double>& y = run.outputs[0];
+  const std::vector<double>& expected = run.expected[0];
 
   std::printf("clock period: %.2f time units\n\n", run.clock_period);
   std::printf("%-4s %-8s %-12s %-12s\n", "n", "x[n]", "y[n]", "expected");
   for (std::size_t n = 0; n < samples.size(); ++n) {
-    std::printf("%-4zu %-8.2f %-12.4f %-12.4f\n", n, samples[n],
-                run.outputs[n], expected[n]);
+    std::printf("%-4zu %-8.2f %-12.4f %-12.4f\n", n, samples[n], y[n],
+                expected[n]);
   }
-  std::printf("\nmax error: %.2e\n",
-              analysis::max_abs_error(run.outputs, expected));
+  std::printf("\nmax error: %.2e\n", analysis::max_abs_error(y, expected));
   return 0;
 }

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "fsm/fsm.hpp"
 
 int main() {
@@ -18,26 +18,28 @@ int main() {
 
   const fsm::FsmSpec spec = fsm::make_sequence_detector("101");
   core::ReactionNetwork net;
-  const fsm::FsmHandles machine = fsm::build_fsm(net, spec);
+  const analysis::FsmDecoder machine(spec, fsm::build_fsm(net, spec));
   std::printf("'101' detector: %zu states, %zu species, %zu reactions\n\n",
               spec.num_states, net.species_count(), net.reaction_count());
 
-  const std::vector<std::size_t> bits = {1, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1};
-  analysis::ClockedRunOptions options;
-  options.ode.t_end =
-      analysis::suggest_t_end(spec.clock, net.rate_policy(), bits.size());
-  const auto run = analysis::run_fsm(net, machine, bits, options);
-  const fsm::FsmTrace reference = fsm::evaluate_reference(spec, bits);
+  // One input bit per clock cycle; the decoder reads the state and the
+  // output symbol (-1: none) each cycle.
+  const std::vector<double> bits = {1, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1};
+  sim::OdeOptions ode;
+  ode.t_end = machine.t_end(net.rate_policy(), bits.size());
+  const auto run = analysis::run_decoded(net, ode, machine, bits);
+  const std::vector<double>& states = run.outputs[0];
+  const std::vector<double>& reference = run.expected[0];
 
   std::printf("%-6s %-5s %-10s %-10s %-8s\n", "cycle", "bit", "state(mol)",
               "state(ref)", "match?");
   std::size_t matches = 0;
   for (std::size_t i = 0; i < bits.size(); ++i) {
-    const bool match = run.outputs[i] != fsm::kNoOutput;
+    const bool match = run.outputs[1][i] >= 0.0;
     if (match) ++matches;
-    std::printf("%-6zu %-5zu %-10zu %-10zu %s%s\n", i, bits[i],
-                run.states[i], reference.states[i], match ? "MATCH" : "-",
-                run.states[i] == reference.states[i] ? "" : "  <-- MISMATCH");
+    std::printf("%-6zu %-5.0f %-10.0f %-10.0f %s%s\n", i, bits[i], states[i],
+                reference[i], match ? "MATCH" : "-",
+                states[i] == reference[i] ? "" : "  <-- MISMATCH");
   }
   std::printf("\n'101' occurred %zu times (expected 4, counting overlaps)\n",
               matches);

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "analysis/metrics.hpp"
 #include "dsp/filters.hpp"
 
@@ -23,26 +23,20 @@ int main() {
               design.network->species_count(),
               design.network->reaction_count());
 
+  // The dual-rail decoder drives x_p with positive samples (x_n with
+  // negative ones) and reads y_p - y_n once per cycle.
   const std::vector<double> x = {0.5, 1.5, 1.5, 0.25, 2.0, 0.0, 1.0};
-  std::vector<analysis::PortSamples> inputs(2);
-  inputs[0] = {"x_p", x};  // non-negative input stream: drive the p rail
-  inputs[1] = {"x_n", std::vector<double>(x.size(), 0.0)};
-  const std::vector<std::string> out_ports = {"y_p", "y_n"};
+  const auto decoder = analysis::CircuitDecoder::dual_rail(
+      design.circuit, dsp::reference_first_difference);
+  sim::OdeOptions ode;
+  ode.t_end = decoder.t_end(design.network->rate_policy(), x.size());
+  const auto run = analysis::run_decoded(*design.network, ode, decoder, x);
+  const std::vector<double>& y = run.outputs[0];
+  const std::vector<double>& expected = run.expected[0];
 
-  analysis::ClockedRunOptions options;
-  options.ode.t_end = analysis::suggest_t_end(
-      {}, design.network->rate_policy(), x.size());
-  const auto run = analysis::run_clocked_circuit_multi(
-      *design.network, design.circuit, inputs, out_ports, options);
-  const auto y = analysis::signed_series(run, "y");
-  const auto expected = dsp::reference_first_difference(x);
-
-  std::printf("%-4s %-8s %-10s %-10s %-12s %-12s\n", "n", "x[n]", "p rail",
-              "n rail", "y[n]", "expected");
+  std::printf("%-4s %-8s %-12s %-12s\n", "n", "x[n]", "y[n]", "expected");
   for (std::size_t n = 0; n < x.size(); ++n) {
-    std::printf("%-4zu %-8.2f %-10.4f %-10.4f %-12.4f %-12.4f\n", n, x[n],
-                run.outputs.at("y_p")[n], run.outputs.at("y_n")[n], y[n],
-                expected[n]);
+    std::printf("%-4zu %-8.2f %-12.4f %-12.4f\n", n, x[n], y[n], expected[n]);
   }
   std::printf("\nmax error: %.2e — note the negative outputs carried by "
               "the n rail.\n",

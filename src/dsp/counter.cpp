@@ -113,12 +113,7 @@ CounterHandles build_counter(core::ReactionNetwork& network,
     handles.increment = fin(handles.increment);
     for (SpeciesId& id : handles.zero_rail) id = fin(id);
     for (SpeciesId& id : handles.one_rail) id = fin(id);
-    handles.clock.phase_r = fin(handles.clock.phase_r);
-    handles.clock.phase_g = fin(handles.clock.phase_g);
-    handles.clock.phase_b = fin(handles.clock.phase_b);
-    handles.clock.ind_r = fin(handles.clock.ind_r);
-    handles.clock.ind_g = fin(handles.clock.ind_g);
-    handles.clock.ind_b = fin(handles.clock.ind_b);
+    handles.clock.remap(fin);
   }
 
   return handles;

@@ -47,8 +47,8 @@ struct Design {
     const compile::CompileOptions& options = {});
 
 /// y[n] = x[n] - x[n-1] (first difference; a *negative* coefficient). The
-/// output is signed and therefore dual-rail: read ports "y_p" / "y_n" via
-/// `analysis::run_clocked_circuit_multi` + `analysis::signed_series`. The
+/// output is signed and therefore dual-rail: drive and read it through
+/// `analysis::CircuitDecoder::dual_rail`, which decodes y_p - y_n. The
 /// unused negative rail of the input exists as port "x_n" (leave undriven
 /// for non-negative input streams).
 [[nodiscard]] Design make_first_difference(

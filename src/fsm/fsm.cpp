@@ -120,12 +120,7 @@ FsmHandles build_fsm(core::ReactionNetwork& network, const FsmSpec& spec,
     for (SpeciesId& id : handles.state_primed) id = fin(id);
     for (SpeciesId& id : handles.input) id = fin(id);
     for (SpeciesId& id : handles.output) id = fin(id);
-    handles.clock.phase_r = fin(handles.clock.phase_r);
-    handles.clock.phase_g = fin(handles.clock.phase_g);
-    handles.clock.phase_b = fin(handles.clock.phase_b);
-    handles.clock.ind_r = fin(handles.clock.ind_r);
-    handles.clock.ind_g = fin(handles.clock.ind_g);
-    handles.clock.ind_b = fin(handles.clock.ind_b);
+    handles.clock.remap(fin);
   }
   return handles;
 }

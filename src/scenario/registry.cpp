@@ -44,50 +44,45 @@ fsm::FsmSpec make_wide_fsm(std::size_t states) {
   return spec;
 }
 
-BuiltDesign build_counter_design(std::size_t bits,
-                                 compile::CompileOptions options,
-                                 Artifacts& artifacts) {
-  BuiltDesign design;
-  options.design_info = &design.info;
-  design.owned = std::make_unique<core::ReactionNetwork>();
-  dsp::CounterSpec spec;
-  spec.bits = bits;
-  CounterArtifacts built;
-  built.spec = spec;
-  built.handles = dsp::build_counter(*design.owned, spec, options);
-  design.network = design.owned.get();
-  artifacts = std::move(built);
-  return design;
-}
+using DecoderPtr = std::shared_ptr<const analysis::Decoder>;
 
-BuiltDesign build_fsm_design(const fsm::FsmSpec& spec,
-                             compile::CompileOptions options,
-                             Artifacts& artifacts) {
+/// Counters and FSMs: `build` lowers `spec` into an owned network, and a
+/// `MachineDecoder` reads it through the handles it returns.
+template <typename MachineDecoder, typename Spec, typename Build>
+BuiltDesign build_machine_design(const Spec& spec, Build build,
+                                 compile::CompileOptions options,
+                                 DecoderPtr& decoder) {
   BuiltDesign design;
   options.design_info = &design.info;
   design.owned = std::make_unique<core::ReactionNetwork>();
-  FsmArtifacts built;
-  built.spec = spec;
-  built.handles = fsm::build_fsm(*design.owned, spec, options);
+  decoder = std::make_shared<MachineDecoder>(
+      spec, build(*design.owned, spec, options));
   design.network = design.owned.get();
-  artifacts = std::move(built);
   return design;
 }
 
 /// Runs a dsp factory with `design_info` wired to the result's own `info`
 /// member (the factory must finish before the result moves, which the call
-/// shape guarantees).
+/// shape guarantees). Signed designs are read through their dual rails. A
+/// build with inputs assumed zero may have lost those ports, so it gets no
+/// decoder: nothing may drive them.
 template <typename Factory>
 BuiltDesign build_circuit_design(Factory&& factory,
-                                 CircuitArtifacts::Reference reference,
+                                 analysis::CircuitDecoder::Reference reference,
+                                 bool dual_rail,
                                  compile::CompileOptions options,
-                                 Artifacts& artifacts) {
+                                 DecoderPtr& decoder) {
   BuiltDesign design;
   options.design_info = &design.info;
   dsp::Design compiled = factory(options);
   design.owned = std::move(compiled.network);
   design.network = design.owned.get();
-  artifacts = CircuitArtifacts{std::move(compiled.circuit), reference};
+  if (!options.assume_zero_inputs.empty()) return design;
+  decoder = std::make_shared<analysis::CircuitDecoder>(
+      dual_rail ? analysis::CircuitDecoder::dual_rail(compiled.circuit,
+                                                      std::move(reference))
+                : analysis::CircuitDecoder::clocked(compiled.circuit,
+                                                    std::move(reference)));
   return design;
 }
 
@@ -105,35 +100,60 @@ void report_built_network(const core::ReactionNetwork& network,
 /// port roster is declared here by hand and only `options.report` is read.
 BuiltDesign build_chain_design(std::size_t elements,
                                const compile::CompileOptions& options,
-                               Artifacts& artifacts) {
+                               DecoderPtr& decoder) {
   BuiltDesign design;
   design.owned = std::make_unique<core::ReactionNetwork>();
   async::ChainSpec spec;
   spec.elements = elements;
-  ChainArtifacts built;
-  built.spec = spec;
-  built.handles = async::build_delay_chain(*design.owned, spec);
+  const async::ChainHandles handles =
+      async::build_delay_chain(*design.owned, spec);
   design.network = design.owned.get();
-  design.info.roots.emplace_back(built.handles.input, PortRole::kInput);
-  design.info.roots.emplace_back(built.handles.output, PortRole::kOutput);
-  for (const SpeciesId id : built.handles.red) {
-    design.info.roots.emplace_back(id, PortRole::kState);
-  }
-  for (const SpeciesId id : built.handles.green) {
-    design.info.roots.emplace_back(id, PortRole::kState);
-  }
-  for (const SpeciesId id : built.handles.blue) {
-    design.info.roots.emplace_back(id, PortRole::kState);
+  design.info.roots.emplace_back(handles.input, PortRole::kInput);
+  design.info.roots.emplace_back(handles.output, PortRole::kOutput);
+  for (const auto* color : {&handles.red, &handles.green, &handles.blue}) {
+    for (const SpeciesId id : *color) {
+      design.info.roots.emplace_back(id, PortRole::kState);
+    }
   }
   // The global absence indicators pace the handshake the way clock phases
   // pace a synchronous design.
-  design.info.roots.emplace_back(built.handles.ind_r, PortRole::kClock);
-  design.info.roots.emplace_back(built.handles.ind_g, PortRole::kClock);
-  design.info.roots.emplace_back(built.handles.ind_b, PortRole::kClock);
+  design.info.roots.emplace_back(handles.ind_r, PortRole::kClock);
+  design.info.roots.emplace_back(handles.ind_g, PortRole::kClock);
+  design.info.roots.emplace_back(handles.ind_b, PortRole::kClock);
   design.info.tags_valid = false;
   report_built_network(*design.network, options.report);
-  artifacts = std::move(built);
+  decoder = std::make_shared<analysis::ChainDecoder>(spec, handles);
   return design;
+}
+
+/// Drives a composed cascade end to end: injects into layer A's x on A's
+/// red edges and reads the last layer's y on its green edges. Every layer
+/// runs its own copy of one clock from one initial phase, so the clocks tick
+/// together. Each layer is a two-stage delay line, and a link is a fast,
+/// unclocked channel that hands a layer's output to the next layer's input
+/// inside the red phase that produced it: a link adds no cycle, and L layers
+/// delay by 2L.
+DecoderPtr cascade_decoder(const std::vector<dsp::Design>& layers,
+                           const std::vector<std::vector<SpeciesId>>& maps) {
+  const std::size_t delay = 2 * layers.size();
+  const auto mapped = [&](std::size_t layer, SpeciesId id) {
+    return maps[layer][id.index()];
+  };
+  auto decoder = std::make_shared<analysis::CircuitDecoder>(
+      std::vector{mapped(0, layers.front().circuit.input("x"))},
+      std::vector{mapped(layers.size() - 1, layers.back().circuit.output("y"))},
+      [delay](std::span<const double> x) {
+        return dsp::reference_delay_line(x, delay);
+      });
+  decoder->clock = layers.front().circuit.clock;
+  decoder->clock->remap([&](SpeciesId id) { return mapped(0, id); });
+  decoder->token = decoder->clock->token;
+  decoder->inject_on = decoder->clock->phase_r;
+  decoder->read_on =
+      mapped(layers.size() - 1, layers.back().circuit.clock.phase_g);
+  // Run the stimulus through the whole delay, so every sample is read.
+  decoder->stimulus.resize(decoder->stimulus.size() + delay);
+  return decoder;
 }
 
 /// L delay-line layers compiled separately, then composed: layer i's output
@@ -142,7 +162,8 @@ BuiltDesign build_chain_design(std::size_t elements,
 /// prefixes "A_"/"B_" is byte-identical to the original two-layer
 /// demonstrator.
 BuiltDesign build_cascade_design(std::size_t layers,
-                                 const compile::CompileOptions& options) {
+                                 const compile::CompileOptions& options,
+                                 DecoderPtr& decoder) {
   compile::CompileOptions layer_options = options;
   layer_options.design_info = nullptr;
   layer_options.report = nullptr;
@@ -184,8 +205,7 @@ BuiltDesign build_cascade_design(std::size_t layers,
       design.info.roots.emplace_back(map[id.index()], PortRole::kState);
     }
     const sync::ClockHandles& clock = layer.circuit.clock;
-    for (const SpeciesId id : {clock.phase_r, clock.phase_g, clock.phase_b,
-                               clock.ind_r, clock.ind_g, clock.ind_b}) {
+    for (const SpeciesId id : clock.species()) {
       design.info.roots.emplace_back(map[id.index()], PortRole::kClock);
     }
   }
@@ -195,6 +215,7 @@ BuiltDesign build_cascade_design(std::size_t layers,
   design.composition =
       std::make_unique<compile::Composition>(composer.composition());
   report_built_network(*design.network, options.report);
+  decoder = cascade_decoder(built, maps);
   return design;
 }
 
@@ -304,57 +325,54 @@ ResolvedScenario ScenarioRegistry::resolve(
   resolved.scenario.name = call.canonical();
   resolved.scenario.design = resolved.scenario.name;
 
-  if (call.args.empty()) {
-    if (call.name == "counter") {
-      resolved.design =
-          build_counter_design(dsp::CounterSpec{}.bits, options,
-                               resolved.artifacts);
-    } else if (call.name == "seqdet") {
-      resolved.design = build_fsm_design(fsm::make_sequence_detector("101"),
-                                         options, resolved.artifacts);
-    } else if (call.name == "moving_average") {
-      resolved.design = build_circuit_design(
-          [](const compile::CompileOptions& o) {
-            return dsp::make_moving_average({}, o);
-          },
-          dsp::reference_moving_average, options, resolved.artifacts);
-    } else if (call.name == "iir") {
-      resolved.design = build_circuit_design(
-          [](const compile::CompileOptions& o) {
-            return dsp::make_second_order_iir({}, o);
-          },
-          dsp::reference_second_order_iir, options, resolved.artifacts);
-    } else if (call.name == "first_difference") {
-      resolved.design = build_circuit_design(
-          [](const compile::CompileOptions& o) {
-            return dsp::make_first_difference({}, o);
-          },
-          nullptr, options, resolved.artifacts);
-    } else if (call.name == "delay") {
-      resolved.design = build_circuit_design(
-          [](const compile::CompileOptions& o) {
-            return dsp::make_delay_line(3, {}, o);
-          },
-          [](std::span<const double> x) {
-            return dsp::reference_delay_line(x, 3);
-          },
-          options, resolved.artifacts);
-    } else {  // "cascade"
-      resolved.design = build_cascade_design(2, options);
-    }
-  } else if (call.name == "counter") {
-    resolved.design = build_counter_design(
-        static_cast<std::size_t>(call.args[0]), options, resolved.artifacts);
+  // validate() settled the arity: the fixed "counter" and "cascade" are
+  // counter(3) and cascade(2), every other name is one or the other.
+  const auto arg = [&](std::size_t fixed) {
+    return call.args.empty() ? fixed : static_cast<std::size_t>(call.args[0]);
+  };
+  if (call.name == "counter") {
+    dsp::CounterSpec counter;
+    counter.bits = arg(counter.bits);
+    resolved.design = build_machine_design<analysis::CounterDecoder>(
+        counter, dsp::build_counter, options, resolved.decoder);
+  } else if (call.name == "cascade") {
+    resolved.design = build_cascade_design(arg(2), options, resolved.decoder);
+  } else if (call.name == "seqdet") {
+    resolved.design = build_machine_design<analysis::FsmDecoder>(
+        fsm::make_sequence_detector("101"), fsm::build_fsm, options,
+        resolved.decoder);
+  } else if (call.name == "moving_average") {
+    resolved.design = build_circuit_design(
+        [](const compile::CompileOptions& o) {
+          return dsp::make_moving_average({}, o);
+        },
+        dsp::reference_moving_average, false, options, resolved.decoder);
+  } else if (call.name == "iir") {
+    resolved.design = build_circuit_design(
+        [](const compile::CompileOptions& o) {
+          return dsp::make_second_order_iir({}, o);
+        },
+        dsp::reference_second_order_iir, false, options, resolved.decoder);
+  } else if (call.name == "first_difference") {
+    resolved.design = build_circuit_design(
+        [](const compile::CompileOptions& o) {
+          return dsp::make_first_difference({}, o);
+        },
+        dsp::reference_first_difference, true, options, resolved.decoder);
+  } else if (call.name == "delay") {
+    resolved.design = build_circuit_design(
+        [](const compile::CompileOptions& o) {
+          return dsp::make_delay_line(3, {}, o);
+        },
+        [](std::span<const double> x) {
+          return dsp::reference_delay_line(x, 3);
+        },
+        false, options, resolved.decoder);
   } else if (call.name == "delay_chain") {
-    resolved.design = build_chain_design(
-        static_cast<std::size_t>(call.args[0]), options, resolved.artifacts);
-  } else if (call.name == "fsm_wide") {
-    resolved.design =
-        build_fsm_design(make_wide_fsm(static_cast<std::size_t>(call.args[0])),
-                         options, resolved.artifacts);
-  } else {  // "cascade"
-    resolved.design =
-        build_cascade_design(static_cast<std::size_t>(call.args[0]), options);
+    resolved.design = build_chain_design(arg(0), options, resolved.decoder);
+  } else {  // "fsm_wide"
+    resolved.design = build_machine_design<analysis::FsmDecoder>(
+        make_wide_fsm(arg(0)), fsm::build_fsm, options, resolved.decoder);
   }
   return resolved;
 }

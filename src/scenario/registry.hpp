@@ -10,27 +10,22 @@
 //     size, resolvable from a CLI flag, a serve job, or a bench sweep.
 //
 // resolve() returns the compiled network plus the analyzer-facing metadata
-// (DesignInfo roots, the Composition record for cascades) plus the
-// construction artifacts (specs + handles) the analysis harness needs, so
-// bench fixtures can drive registry designs without private construction
-// code.
+// (DesignInfo roots, the Composition record for cascades) plus the design's
+// decoder (analysis/decode.hpp: its stimulus and sampling plans, built from
+// the construction handles), so every tool drives registry designs through
+// analysis::run_decoded without private construction code.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
-#include <variant>
 #include <vector>
 
-#include "async/chain.hpp"
+#include "analysis/decode.hpp"
 #include "compile/compose.hpp"
 #include "compile/passes.hpp"
 #include "core/network.hpp"
-#include "dsp/counter.hpp"
-#include "fsm/fsm.hpp"
 #include "scenario/scenario.hpp"
-#include "sync/circuit.hpp"
 
 namespace mrsc::scenario {
 
@@ -44,39 +39,14 @@ struct BuiltDesign {
   std::unique_ptr<compile::Composition> composition;
 };
 
-// Construction artifacts, per design family: the spec the design was built
-// from and the handles the analysis harness drives it through.
-struct CounterArtifacts {
-  dsp::CounterSpec spec;
-  dsp::CounterHandles handles;
-};
-struct FsmArtifacts {
-  fsm::FsmSpec spec;
-  fsm::FsmHandles handles;
-};
-struct ChainArtifacts {
-  async::ChainSpec spec;
-  async::ChainHandles handles;
-};
-struct CircuitArtifacts {
-  /// The exact output series a single-rail circuit produces from input
-  /// port "x" to output port "y" (dsp's golden reference models).
-  using Reference = std::vector<double> (*)(std::span<const double>);
-
-  sync::CompiledCircuit circuit;
-  /// Null when the output is not one single-rail series (first_difference
-  /// is dual-rail).
-  Reference reference = nullptr;
-};
-using Artifacts = std::variant<std::monostate, CounterArtifacts, FsmArtifacts,
-                               ChainArtifacts, CircuitArtifacts>;
-
 /// A fully resolved scenario: the record (with registry-filled defaults),
-/// the compiled design, and the construction artifacts.
+/// the compiled design, and the decoder that drives and reads it (null for
+/// inline networks, which have no ports to drive, and for circuits built
+/// with inputs assumed zero).
 struct ResolvedScenario {
   Scenario scenario;
   BuiltDesign design;
-  Artifacts artifacts;
+  std::shared_ptr<const analysis::Decoder> decoder;
 };
 
 /// One parametric generator's catalog entry.

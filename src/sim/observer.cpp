@@ -45,57 +45,6 @@ void ScheduledInjector::on_step(double t, std::span<double> state) {
   }
 }
 
-EdgeTriggeredInjector::EdgeTriggeredInjector(core::SpeciesId clock_species,
-                                             double low, double high,
-                                             core::SpeciesId target,
-                                             std::vector<double> samples,
-                                             std::size_t skip_edges)
-    : edge_(clock_species, low, high),
-      target_(target),
-      samples_(std::move(samples)),
-      skip_edges_(skip_edges) {}
-
-void EdgeTriggeredInjector::on_step(double t, std::span<double> state) {
-  const std::size_t before = edge_.rising_edges().size();
-  edge_.on_step(t, state);
-  if (edge_.rising_edges().size() == before) return;
-
-  ++edges_seen_;
-  if (edges_seen_ <= skip_edges_) return;
-  if (next_sample_ >= samples_.size()) return;
-  state[target_.index()] += samples_[next_sample_];
-  ++next_sample_;
-  injection_times_.push_back(t);
-}
-
-EdgeTriggeredSampler::EdgeTriggeredSampler(core::SpeciesId clock_species,
-                                           double low, double high,
-                                           core::SpeciesId target,
-                                           bool clear_after_read,
-                                           std::size_t skip_edges)
-    : edge_(clock_species, low, high),
-      target_(target),
-      clear_after_read_(clear_after_read),
-      skip_edges_(skip_edges) {}
-
-void EdgeTriggeredSampler::on_step(double t, std::span<double> state) {
-  const std::size_t before = edge_.rising_edges().size();
-  edge_.on_step(t, state);
-  if (edge_.rising_edges().size() == before) return;
-
-  ++edges_seen_;
-  if (edges_seen_ <= skip_edges_) {
-    // Warmup edges: discard (but still clear) whatever the circuit
-    // deposited, so warmup-cycle output does not contaminate the first
-    // recorded sample.
-    if (clear_after_read_) state[target_.index()] = 0.0;
-    return;
-  }
-  samples_.push_back(state[target_.index()]);
-  sample_times_.push_back(t);
-  if (clear_after_read_) state[target_.index()] = 0.0;
-}
-
 SteadyStateDetector::SteadyStateDetector(double tol, double window)
     : tol_(tol), window_(window) {
   if (tol <= 0.0 || window <= 0.0) {

@@ -75,61 +75,6 @@ class ScheduledInjector : public Observer {
   std::size_t next_ = 0;
 };
 
-/// Injects the next value of a sample stream into `target` every time
-/// `clock_species` produces a rising edge (with hysteresis), i.e. once per
-/// clock cycle — the paper's "an input value is accepted each cycle".
-/// Optionally skips the first `skip_edges` edges (reset cycles).
-class EdgeTriggeredInjector : public Observer {
- public:
-  EdgeTriggeredInjector(core::SpeciesId clock_species, double low, double high,
-                        core::SpeciesId target, std::vector<double> samples,
-                        std::size_t skip_edges = 0);
-
-  void on_step(double t, std::span<double> state) override;
-
-  /// Times at which each sample was injected.
-  [[nodiscard]] const std::vector<double>& injection_times() const {
-    return injection_times_;
-  }
-  [[nodiscard]] std::size_t injected_count() const {
-    return injection_times_.size();
-  }
-
- private:
-  EdgeDetector edge_;
-  core::SpeciesId target_;
-  std::vector<double> samples_;
-  std::size_t skip_edges_;
-  std::size_t edges_seen_ = 0;
-  std::size_t next_sample_ = 0;
-  std::vector<double> injection_times_;
-};
-
-/// Samples (and optionally clears) a species on each rising edge of a clock
-/// species: the molecular analogue of reading an output register every cycle.
-class EdgeTriggeredSampler : public Observer {
- public:
-  EdgeTriggeredSampler(core::SpeciesId clock_species, double low, double high,
-                       core::SpeciesId target, bool clear_after_read,
-                       std::size_t skip_edges = 0);
-
-  void on_step(double t, std::span<double> state) override;
-
-  [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
-  [[nodiscard]] const std::vector<double>& sample_times() const {
-    return sample_times_;
-  }
-
- private:
-  EdgeDetector edge_;
-  core::SpeciesId target_;
-  bool clear_after_read_;
-  std::size_t skip_edges_;
-  std::size_t edges_seen_ = 0;
-  std::vector<double> samples_;
-  std::vector<double> sample_times_;
-};
-
 /// Stops the simulation when the infinity norm of dx/dt (supplied by the
 /// integrator via a callback set at construction) stays below `tol` — not a
 /// derivative estimate of its own; it simply watches successive states.

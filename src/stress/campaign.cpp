@@ -5,9 +5,8 @@
 #include <stdexcept>
 #include <string_view>
 #include <utility>
-#include <variant>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "runtime/batch.hpp"
 #include "scenario/registry.hpp"
 #include "util/json.hpp"
@@ -21,13 +20,6 @@ namespace {
 
 using util::json::Value;
 
-// Fixed, deliberately small stimuli, one per design family: a campaign runs
-// |intensities| * trials * attempts full simulations, so each trial is a
-// short but complete exercise of the design's sequential logic.
-constexpr std::size_t kCounterIncrements = 6;
-constexpr double kCircuitSamples[] = {1.0, 0.0, 1.0, 1.0, 0.0, 2.0};
-constexpr std::size_t kFsmInputs[] = {1, 0, 1, 0, 1, 1};
-
 /// The design, resolved once before the sweep, plus what every trial
 /// derives from it (species names for event faults, the clock-skew label
 /// prefix, timing).
@@ -39,62 +31,18 @@ struct TrialPlan {
   double t_end = 0.0;
 };
 
-/// Builders name a clock's phases "<prefix>_R/_G/_B" and label its
-/// reactions "<prefix>.hop...", so "ctr_clk_R" gives "ctr_clk.".
-std::string clock_label_prefix(const core::ReactionNetwork& network,
-                               const sync::ClockHandles& clock) {
-  std::string name = network.species_name(clock.phase_r);
-  if (name.ends_with("_R")) name.resize(name.size() - 2);
-  return name + ".";
-}
-
-[[noreturn]] void no_stimulus(const std::string& spec, const char* why) {
-  throw std::invalid_argument("run_campaign: design '" + spec +
-                              "' has no stress stimulus (" + why + ")");
-}
-
 TrialPlan make_plan(const std::string& spec) {
   TrialPlan plan;
   plan.resolved = scenario::ScenarioRegistry::global().resolve(spec);
   core::ReactionNetwork& network = *plan.resolved.design.network;
-  const std::string& name = plan.resolved.scenario.name;
-  const core::RatePolicy& policy = network.rate_policy();
-  const scenario::Artifacts& artifacts = plan.resolved.artifacts;
-  if (const auto* counter =
-          std::get_if<scenario::CounterArtifacts>(&artifacts)) {
-    plan.skew_prefix = clock_label_prefix(network, counter->handles.clock);
-    plan.victim = network.species_name(counter->handles.one_rail[0]);
-    plan.t_end = analysis::suggest_t_end(counter->spec.clock, policy,
-                                         kCounterIncrements + 3);
-  } else if (const auto* machine =
-                 std::get_if<scenario::FsmArtifacts>(&artifacts)) {
-    plan.skew_prefix = clock_label_prefix(network, machine->handles.clock);
-    plan.victim = network.species_name(machine->handles.state[0]);
-    plan.t_end = analysis::suggest_t_end(machine->spec.clock, policy,
-                                         std::size(kFsmInputs) + 3);
-  } else if (const auto* circuit =
-                 std::get_if<scenario::CircuitArtifacts>(&artifacts)) {
-    if (circuit->reference == nullptr) {
-      no_stimulus(name, "its output is not a single-rail series");
-    }
-    plan.skew_prefix = clock_label_prefix(network, circuit->circuit.clock);
-    plan.victim = network.species_name(circuit->circuit.output("y"));
-    // The registry compiles every circuit with the default clock spec.
-    plan.t_end = analysis::suggest_t_end(sync::ClockSpec{}, policy,
-                                         std::size(kCircuitSamples) + 3);
-  } else if (const auto* chain =
-                 std::get_if<scenario::ChainArtifacts>(&artifacts)) {
-    // Self-timed: one token on the input before faulting (so initial-noise
-    // perturbs it too), then the chain must carry it to the output.
-    network.set_initial(chain->handles.input, 1.0);
-    plan.skew_prefix = chain->spec.prefix + ".";
-    plan.victim = network.species_name(chain->handles.output);
-    plan.t_end = 40.0 * static_cast<double>(chain->spec.elements + 1);
-  } else {
-    no_stimulus(name,
-              "campaigns drive counters, FSMs, delay chains and single-rail "
-              "circuits");
-  }
+  const analysis::Decoder& decoder = *plan.resolved.decoder;
+  // A stimulus held from t = 0 (a delay chain's token) joins the initial
+  // state before faulting, so initial-noise perturbs it too.
+  decoder.prime(network, decoder.stimulus);
+  plan.skew_prefix = decoder.skew_prefix(network);
+  plan.victim = network.species_name(decoder.fault_target);
+  plan.t_end =
+      decoder.t_end(network.rate_policy(), decoder.stimulus.size() + 3);
   plan.event_time = 0.3 * plan.t_end;
   return plan;
 }
@@ -126,76 +74,21 @@ FaultSpec make_spec(const CampaignConfig& config, const TrialPlan& plan,
 }
 
 /// One complete simulation of the design under `spec`. Returns "" when the
-/// logic output matches the unperturbed reference, a violation description
-/// otherwise. Throws (from the harness or stepper) on simulation trouble.
+/// decoded output matches the unperturbed reference, a violation
+/// description otherwise. Throws (from the driver or stepper) on simulation
+/// trouble.
 std::string drive_trial(const TrialPlan& plan, const FaultSpec& spec,
                         const sim::OdeOptions& ode) {
   const FaultSpec specs[] = {spec};
   FaultedNetwork faulted = apply_faults(*plan.resolved.design.network, specs);
   FaultEventObserver events(std::move(faulted.events));
-  analysis::ClockedRunOptions options;
-  options.ode = ode;
+  analysis::DecodeOptions options;
   options.extra_observers = {&events};
-  const scenario::Artifacts& artifacts = plan.resolved.artifacts;
-  if (const auto* counter =
-          std::get_if<scenario::CounterArtifacts>(&artifacts)) {
-    const analysis::CounterRunResult run = analysis::run_counter(
-        faulted.network, counter->handles, kCounterIncrements, options);
-    const std::uint64_t modulo = 1ULL << counter->spec.bits;
-    for (std::size_t k = 0; k < run.values.size(); ++k) {
-      const std::uint64_t expected =
-          (counter->spec.initial_value + k + 1) % modulo;
-      if (run.values[k] != expected) {
-        return "counter read " + std::to_string(k) + ": got " +
-               std::to_string(run.values[k]) + " expected " +
-               std::to_string(expected);
-      }
-    }
-    return "";
-  }
-  if (const auto* machine = std::get_if<scenario::FsmArtifacts>(&artifacts)) {
-    const analysis::FsmRunResult run =
-        analysis::run_fsm(faulted.network, machine->handles, kFsmInputs,
-                          options);
-    const fsm::FsmTrace expected =
-        fsm::evaluate_reference(machine->spec, kFsmInputs);
-    for (std::size_t k = 0; k < run.states.size(); ++k) {
-      if (run.states[k] != expected.states[k]) {
-        return "fsm step " + std::to_string(k) + ": state " +
-               std::to_string(run.states[k]) + " expected " +
-               std::to_string(expected.states[k]);
-      }
-      if (run.outputs[k] != expected.outputs[k]) {
-        return "fsm step " + std::to_string(k) + ": output " +
-               std::to_string(run.outputs[k]) + " expected " +
-               std::to_string(expected.outputs[k]);
-      }
-    }
-    return "";
-  }
-  if (const auto* circuit =
-          std::get_if<scenario::CircuitArtifacts>(&artifacts)) {
-    const std::span<const double> samples(kCircuitSamples);
-    const analysis::ClockedRunResult run = analysis::run_clocked_circuit(
-        faulted.network, circuit->circuit, "x", samples, "y", options);
-    const verify::MaybeViolation violation = verify::check_series_match(
-        "stress.circuit", run.outputs, circuit->reference(samples), {});
-    return violation ? violation->detail : "";
-  }
-  const auto& chain = std::get<scenario::ChainArtifacts>(artifacts);
-  sim::Observer* observers[] = {&events};
-  const sim::OdeResult run = sim::simulate_ode(
-      faulted.network, ode, faulted.network.initial_state(),
-      std::span<sim::Observer* const>(observers, 1));
-  const sim::SimFailure failure = sim::classify_failure(run);
-  if (failure) {
-    throw std::runtime_error("async chain: " + failure.detail);
-  }
-  const double expected[] = {1.0};
-  const double actual[] = {
-      run.trajectory.final_state()[chain.handles.output.index()]};
-  const verify::MaybeViolation violation = verify::check_series_match(
-      "stress.delay_chain", actual, expected, {});
+  const analysis::Decoder& decoder = *plan.resolved.decoder;
+  const analysis::DecodedRun run = analysis::run_decoded(
+      faulted.network, ode, decoder, decoder.stimulus, options);
+  const verify::MaybeViolation violation =
+      verify::check_decoded("stress", run, decoder, {});
   return violation ? violation->detail : "";
 }
 
@@ -214,11 +107,11 @@ TrialResult run_trial(const CampaignConfig& config, const TrialPlan& plan,
   base.t_end = plan.t_end;
   // A fault can make the network arbitrarily stiff, and an unbudgeted trial
   // would grind for minutes inside the sweep. The step cap ends such a run
-  // early; the harness reports the incomplete run, and the trial is
+  // early; the driver reports the incomplete run, and the trial is
   // classified and quarantined instead of hanging the campaign.
   base.max_steps = 5'000'000;
   base.abort = config.abort;
-  // Two rungs: the harness owns its observers, so deeper rungs (implicit
+  // Two rungs: the driver owns its observers, so deeper rungs (implicit
   // fixed-step, SSA) are left to the generic fallback path in sim/.
   static constexpr std::string_view kRungs[] = {"dp45", "tightened"};
   std::string mismatch;

@@ -4,9 +4,9 @@
 // over a grid, and runs several seeded trials per grid point. The design is
 // a scenario-registry spec ("counter(4)", "seqdet", "delay_chain(2)"),
 // resolved once per campaign. Each trial applies its seeded `FaultSpec` to a
-// copy of that network, drives the design through the standard harness with
-// its family's stimulus, and compares the logic output against the exact
-// unperturbed reference (the same oracles verify/ uses).
+// copy of that network, drives the design's decoder stimulus through
+// analysis::run_decoded, and compares the decoded output against the
+// decoder's exact unperturbed reference (the same oracles verify/ uses).
 // The *robustness margin* is the largest intensity for which every trial of
 // every intensity up to and including it still matches the reference — the
 // quantitative counterpart of the paper's "any rates work as long as fast >>
@@ -35,9 +35,8 @@
 namespace mrsc::stress {
 
 struct CampaignConfig {
-  /// Scenario-registry spec. Counters, FSMs, delay chains and the
-  /// single-rail circuits (moving_average, iir, delay) have a stimulus;
-  /// cascade(L) and first_difference do not.
+  /// Scenario-registry spec. Every registry design carries a decoder, and
+  /// each trial drives the decoder's own stimulus.
   std::string design = "counter";
   FaultKind fault = FaultKind::kRateJitter;
   /// kRateJitterCategory only: which category to jitter.
@@ -113,10 +112,9 @@ struct CampaignResult {
 [[nodiscard]] std::vector<double> default_intensities(FaultKind kind);
 
 /// Runs the sweep. Throws std::invalid_argument, before any trial, for a
-/// spec the registry rejects, a design without a stimulus (the message names
-/// the spec), and fault kinds that have no continuous intensity knob in a
-/// campaign (kRateJitterReaction, kStoichiometry — use apply_faults
-/// directly for those). Throws CampaignAborted when config.abort fires.
+/// spec the registry rejects (the message names the spec) and for fault
+/// kinds with no intensity knob (kRateJitterReaction, kStoichiometry: use
+/// apply_faults directly). Throws CampaignAborted when config.abort fires.
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config);
 
 }  // namespace mrsc::stress

@@ -118,7 +118,7 @@ struct FaultedNetwork {
 /// Realizes FaultEvents during an ODE run: at the first accepted step past
 /// each event's time, the target concentration becomes
 /// `scale * x + add` (clamped at zero). Attach via
-/// `analysis::ClockedRunOptions::extra_observers` or any observer span.
+/// `analysis::DecodeOptions::extra_observers` or any observer span.
 class FaultEventObserver final : public sim::Observer {
  public:
   /// Events need not be pre-sorted.

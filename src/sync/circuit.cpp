@@ -425,12 +425,7 @@ CompiledCircuit CircuitBuilder::compile(
     remap_ports(compiled.inputs);
     remap_ports(compiled.outputs);
     remap_ports(compiled.register_state);
-    compiled.clock.phase_r = fin(compiled.clock.phase_r);
-    compiled.clock.phase_g = fin(compiled.clock.phase_g);
-    compiled.clock.phase_b = fin(compiled.clock.phase_b);
-    compiled.clock.ind_r = fin(compiled.clock.ind_r);
-    compiled.clock.ind_g = fin(compiled.clock.ind_g);
-    compiled.clock.ind_b = fin(compiled.clock.ind_b);
+    compiled.clock.remap(fin);
   }
 
   return compiled;

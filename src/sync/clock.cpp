@@ -26,12 +26,9 @@ ClockHandles build_clock(compile::LoweringContext& ctx,
   handles.ind_r = ctx.species(p + "_r");
   handles.ind_g = ctx.species(p + "_g");
   handles.ind_b = ctx.species(p + "_b");
-  ctx.declare_root(handles.phase_r, compile::PortRole::kClock);
-  ctx.declare_root(handles.phase_g, compile::PortRole::kClock);
-  ctx.declare_root(handles.phase_b, compile::PortRole::kClock);
-  ctx.declare_root(handles.ind_r, compile::PortRole::kClock);
-  ctx.declare_root(handles.ind_g, compile::PortRole::kClock);
-  ctx.declare_root(handles.ind_b, compile::PortRole::kClock);
+  for (const core::SpeciesId id : handles.species()) {
+    ctx.declare_root(id, compile::PortRole::kClock);
+  }
 
   // Private absence indicators. The generation reactions carry a rate
   // multiplier of 1/phase_stretch: slower indicator build-up lengthens every

@@ -24,6 +24,7 @@
 // setup time, and the timing-closure experiment (T5) sweeps it.
 #pragma once
 
+#include <array>
 #include <string>
 
 #include "compile/context.hpp"
@@ -50,6 +51,20 @@ struct ClockHandles {
   core::SpeciesId ind_g;
   core::SpeciesId ind_b;
   double token = 1.0;  ///< echo of ClockSpec::token, for thresholding
+
+  /// The phase and indicator species.
+  [[nodiscard]] std::array<core::SpeciesId, 6> species() const {
+    return {phase_r, phase_g, phase_b, ind_r, ind_g, ind_b};
+  }
+  /// Rewrites every species through `map` (a pass pipeline's remap, a
+  /// composition's species map).
+  template <typename Map>
+  void remap(const Map& map) {
+    for (core::SpeciesId* id :
+         {&phase_r, &phase_g, &phase_b, &ind_r, &ind_g, &ind_b}) {
+      *id = map(*id);
+    }
+  }
 };
 
 /// Emits the clock reactions; the token starts in C_R (write-back phase), so

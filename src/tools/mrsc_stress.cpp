@@ -10,13 +10,12 @@
 // quarantined — the sweep never crashes on a hard fault.
 //
 //   --design SPEC      registry design ("counter", "counter(4)", "seqdet",
-//                      "fsm_wide(8)", "moving_average", "iir", "delay",
-//                      "delay_chain(2)")                (default counter)
+//                      "fsm_wide(8)", "moving_average", "first_difference",
+//                      "delay_chain(2)", "cascade(3)", ...) (default counter)
 //   --scenario SPEC    a registry spec or a .mrsc scenario: runs its
 //                      @design; a file's @stress line supplies default
 //                      --fault/--intensities/--trials (explicit flags win).
-//                      Designs without a stress stimulus (cascade(L),
-//                      first_difference, inline @network) are rejected.
+//                      An inline @network has no decoder and is rejected.
 //   --fault F          rate-jitter | category-jitter | clock-skew | leak |
 //                      injection | loss | initial-noise (default rate-jitter)
 //   --category C       fast | slow, for category-jitter (default slow)
@@ -31,7 +30,7 @@
 //   0  campaign completed (the margin itself is a measurement, not a verdict)
 //   1  runtime failure while running the campaign
 //   2  bad CLI usage: unknown flag, design, fault kind, or malformed value,
-//      or a design without a stress stimulus
+//      or an inline network
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -199,7 +198,8 @@ int main(int argc, char** argv) {
     }
     return 0;
   } catch (const std::invalid_argument& error) {
-    // Rejected before any trial ran: a design without a stress stimulus.
+    // Rejected before any trial ran: an unknown or malformed design spec,
+    // or a fault kind without an intensity.
     std::fprintf(stderr, "mrsc_stress: %s\n", error.what());
     return 2;
   } catch (const std::exception& error) {

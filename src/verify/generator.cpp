@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "logic/netlist.hpp"
 #include "sync/dual_rail.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -88,12 +87,12 @@ class RefProgram {
 };
 
 /// Runs the reference model: one warmup cycle on zero input (matching the
-/// harness default warmup_edges = 1), then one output per sample.
+/// driver's default warmup_edges = 1), then one output per sample.
 std::vector<double> evaluate_reference(const RefProgram& prog,
                                        std::vector<double> state,
                                        const std::vector<int>& write_nodes,
                                        int out_node,
-                                       const std::vector<double>& samples) {
+                                       std::span<const double> samples) {
   auto advance = [&](double x) {
     std::vector<double> next(write_nodes.size());
     for (std::size_t i = 0; i < write_nodes.size(); ++i) {
@@ -121,7 +120,8 @@ constexpr ScalePick kScalePicks[] = {{1, 1}, {1, 2}, {3, 2}, {3, 1}};
 
 // --- unsigned synchronous circuits ------------------------------------------
 
-SyncCase make_sync_case(std::uint64_t seed, const GeneratorOptions& opt) {
+SyncCase make_sync_case(std::uint64_t seed, const GeneratorOptions& opt,
+                        ClockedCase& clocked) {
   Rng rng(Rng::stream_seed(seed, kSaltSync));
   SyncCase c;
   sync::CircuitBuilder b;
@@ -217,19 +217,22 @@ SyncCase make_sync_case(std::uint64_t seed, const GeneratorOptions& opt) {
   for (const Entry& e : pool) b.discard(e.sig);
 
   c.circuit = b.compile(c.network, {}, "f");
-  c.in_port = "x";
-  c.out_port = "y";
-  c.samples.resize(opt.cycles);
-  for (double& s : c.samples) s = rng.uniform(0.0, 1.2);
-  c.expected =
-      evaluate_reference(prog, initials, write_nodes, out.node, c.samples);
+  clocked.stimulus.resize(opt.cycles);
+  for (double& s : clocked.stimulus) s = rng.uniform(0.0, 1.2);
+  // The decoder's reference replays the program over any stimulus.
+  clocked.decoder = std::make_shared<analysis::CircuitDecoder>(
+      analysis::CircuitDecoder::clocked(
+          c.circuit, [=, node = out.node](std::span<const double> x) {
+            return evaluate_reference(prog, initials, write_nodes, node, x);
+          }));
   return c;
 }
 
 // --- dual-rail (signed) circuits --------------------------------------------
 
 DualRailCase make_dual_rail_case(std::uint64_t seed,
-                                 const GeneratorOptions& opt) {
+                                 const GeneratorOptions& opt,
+                                 ClockedCase& clocked) {
   Rng rng(Rng::stream_seed(seed, kSaltDual));
   DualRailCase c;
   sync::CircuitBuilder base;
@@ -335,16 +338,20 @@ DualRailCase make_dual_rail_case(std::uint64_t seed,
     c.rail_pairs.emplace_back(c.circuit.state(sync::rail_pos(name)),
                               c.circuit.state(sync::rail_neg(name)));
   }
-  c.samples.resize(opt.cycles);
-  for (double& s : c.samples) s = rng.uniform(-1.0, 1.0);
-  c.expected =
-      evaluate_reference(prog, initials, write_nodes, out.node, c.samples);
+  clocked.stimulus.resize(opt.cycles);
+  for (double& s : clocked.stimulus) s = rng.uniform(-1.0, 1.0);
+  clocked.decoder = std::make_shared<analysis::CircuitDecoder>(
+      analysis::CircuitDecoder::dual_rail(
+          c.circuit, [=, node = out.node](std::span<const double> x) {
+            return evaluate_reference(prog, initials, write_nodes, node, x);
+          }));
   return c;
 }
 
 // --- random FSMs -------------------------------------------------------------
 
-FsmCase make_fsm_case(std::uint64_t seed, const GeneratorOptions& opt) {
+FsmCase make_fsm_case(std::uint64_t seed, const GeneratorOptions& opt,
+                      ClockedCase& clocked) {
   Rng rng(Rng::stream_seed(seed, kSaltFsm));
   FsmCase c;
   fsm::FsmSpec spec;
@@ -366,20 +373,32 @@ FsmCase make_fsm_case(std::uint64_t seed, const GeneratorOptions& opt) {
   spec.validate();
   c.spec = spec;
   c.handles = fsm::build_fsm(c.network, spec);
-  c.inputs.resize(opt.cycles + 2);
-  for (std::size_t& a : c.inputs) a = rng.uniform_below(spec.num_inputs);
+  clocked.stimulus.resize(opt.cycles + 2);
+  for (double& a : clocked.stimulus) {
+    a = static_cast<double>(rng.uniform_below(spec.num_inputs));
+  }
+  clocked.decoder = std::make_shared<analysis::FsmDecoder>(spec, c.handles);
+  clocked.state = c.handles.state;
+  clocked.state.insert(clocked.state.end(), c.handles.state_primed.begin(),
+                       c.handles.state_primed.end());
   return c;
 }
 
 // --- random-width counters ---------------------------------------------------
 
-CounterCase make_counter_case(std::uint64_t seed, const GeneratorOptions& opt) {
+CounterCase make_counter_case(std::uint64_t seed, const GeneratorOptions& opt,
+                              ClockedCase& clocked) {
   Rng rng(Rng::stream_seed(seed, kSaltCounter));
   CounterCase c;
   c.spec.bits = 2 + rng.uniform_below(3);  // 2..4
   c.spec.initial_value = rng.uniform_below(1ULL << c.spec.bits);
   c.handles = dsp::build_counter(c.network, c.spec);
-  c.increments = opt.cycles + 2;
+  clocked.stimulus.assign(opt.cycles + 2, 1.0);
+  clocked.decoder =
+      std::make_shared<analysis::CounterDecoder>(c.spec, c.handles);
+  clocked.state = c.handles.zero_rail;
+  clocked.state.insert(clocked.state.end(), c.handles.one_rail.begin(),
+                       c.handles.one_rail.end());
   return c;
 }
 
@@ -505,16 +524,16 @@ GeneratedCase generate_case(CaseKind kind, std::uint64_t seed,
       result.payload = make_raw_case(seed, options);
       break;
     case CaseKind::kSyncCircuit:
-      result.payload = make_sync_case(seed, options);
+      result.payload = make_sync_case(seed, options, result.clocked);
       break;
     case CaseKind::kDualRailCircuit:
-      result.payload = make_dual_rail_case(seed, options);
+      result.payload = make_dual_rail_case(seed, options, result.clocked);
       break;
     case CaseKind::kFsm:
-      result.payload = make_fsm_case(seed, options);
+      result.payload = make_fsm_case(seed, options, result.clocked);
       break;
     case CaseKind::kCounter:
-      result.payload = make_counter_case(seed, options);
+      result.payload = make_counter_case(seed, options, result.clocked);
       break;
   }
   return result;

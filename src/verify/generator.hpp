@@ -20,8 +20,9 @@
 //                      exclusivity oracle.
 //   kFsm             — a random Mealy machine plus a random input string;
 //                      fsm::evaluate_reference is the golden model.
-//   kCounter         — a random-width dual-rail ripple counter; the
-//                      gate-level logic::Netlist counter is the golden model.
+//   kCounter         — a random-width dual-rail ripple counter; the count
+//                      (initial + increments) mod 2^bits is the golden model,
+//                      itself checked against the gate-level logic::Netlist.
 //
 // Everything is a pure function of (kind, seed, options); the same seed
 // always reproduces the same case, which is what makes shrunk fuzz failures
@@ -29,11 +30,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <variant>
 #include <vector>
 
+#include "analysis/decode.hpp"
 #include "core/network.hpp"
 #include "dsp/counter.hpp"
 #include "fsm/fsm.hpp"
@@ -64,20 +67,25 @@ struct RawCase {
   bool closed = false;
 };
 
+/// What every clocked case carries besides its payload: the decoder that
+/// drives and reads it (its reference is the case's exact model) and the
+/// stimulus it runs.
+struct ClockedCase {
+  std::shared_ptr<const analysis::Decoder> decoder;
+  std::vector<double> stimulus;  ///< one sample per cycle
+  /// Machine state the opt-equivalence oracle pins besides the decoder's
+  /// driven species and clock (FSM states, counter rails).
+  std::vector<core::SpeciesId> state;
+};
+
 struct SyncCase {
   core::ReactionNetwork network;
-  sync::CompiledCircuit circuit;
-  std::string in_port;   ///< "x"
-  std::string out_port;  ///< "y"
-  std::vector<double> samples;   ///< one input sample per cycle
-  std::vector<double> expected;  ///< reference output per cycle
+  sync::CompiledCircuit circuit;  ///< ports "x" and "y"
 };
 
 struct DualRailCase {
   core::ReactionNetwork network;
-  sync::CompiledCircuit circuit;
-  std::vector<double> samples;   ///< signed input samples (port "x")
-  std::vector<double> expected;  ///< signed reference outputs (port "y")
+  sync::CompiledCircuit circuit;  ///< signed ports "x" and "y"
   /// Red (state-holding) species of each dual-rail register pair, for the
   /// rail-exclusivity oracle.
   std::vector<std::pair<core::SpeciesId, core::SpeciesId>> rail_pairs;
@@ -86,15 +94,13 @@ struct DualRailCase {
 struct FsmCase {
   core::ReactionNetwork network;
   fsm::FsmSpec spec;
-  fsm::FsmHandles handles;
-  std::vector<std::size_t> inputs;  ///< random input string
+  fsm::FsmHandles handles;  ///< stimulus: a random input string
 };
 
 struct CounterCase {
   core::ReactionNetwork network;
   dsp::CounterSpec spec;
-  dsp::CounterHandles handles;
-  std::size_t increments = 0;
+  dsp::CounterHandles handles;  ///< stimulus: one increment per cycle
 };
 
 struct GeneratorOptions {
@@ -111,6 +117,7 @@ struct GeneratedCase {
   CaseKind kind = CaseKind::kRawNetwork;
   std::uint64_t seed = 0;
   std::variant<RawCase, SyncCase, DualRailCase, FsmCase, CounterCase> payload;
+  ClockedCase clocked;  ///< no decoder for raw networks
 
   [[nodiscard]] const core::ReactionNetwork& network() const;
 };

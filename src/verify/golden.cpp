@@ -6,7 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "core/network.hpp"
 #include "dsp/counter.hpp"
 #include "dsp/filters.hpp"
@@ -18,28 +18,45 @@ namespace {
 
 using util::format_17g;
 
+/// Drives one example design through its decoder, one row per cycle: the
+/// stimulus (when `stimulus_column` names it), then the decoded columns.
+/// Integers compare exactly; continuous outputs within 1e-5, far above the
+/// integrator tolerance (rel_tol 1e-6) and libm jitter, far below the
+/// molecular accuracy (~1e-2) whose regressions these files exist to catch.
+GoldenTrace decoded_trace(std::string name, const std::string& stimulus_column,
+                          const core::ReactionNetwork& network,
+                          const analysis::Decoder& decoder,
+                          std::span<const double> stimulus) {
+  sim::OdeOptions ode;
+  ode.t_end = decoder.t_end(network.rate_policy(), stimulus.size());
+  const analysis::DecodedRun run =
+      analysis::run_decoded(network, ode, decoder, stimulus);
+  GoldenTrace trace;
+  trace.name = std::move(name);
+  trace.tolerance = decoder.exact ? 0.0 : 1e-5;
+  if (!stimulus_column.empty()) trace.columns = {stimulus_column};
+  trace.columns.insert(trace.columns.end(), decoder.columns.begin(),
+                       decoder.columns.end());
+  for (std::size_t n = 0; n < stimulus.size(); ++n) {
+    std::vector<double> row;
+    if (!stimulus_column.empty()) row.push_back(stimulus[n]);
+    for (const std::vector<double>& column : run.outputs) {
+      row.push_back(column[n]);
+    }
+    trace.rows.push_back(std::move(row));
+  }
+  return trace;
+}
+
 GoldenTrace counter_trace() {
   // Mirrors examples/counter.cpp: 3-bit counter starting at 2, 14 increments.
   core::ReactionNetwork net;
   dsp::CounterSpec spec;
   spec.bits = 3;
   spec.initial_value = 2;
-  const dsp::CounterHandles counter = dsp::build_counter(net, spec);
-
-  constexpr std::size_t kIncrements = 14;
-  analysis::ClockedRunOptions options;
-  options.ode.t_end =
-      analysis::suggest_t_end(spec.clock, net.rate_policy(), kIncrements);
-  const auto run = analysis::run_counter(net, counter, kIncrements, options);
-
-  GoldenTrace trace;
-  trace.name = "counter";
-  trace.tolerance = 0.0;  // decoded integer values: exact
-  trace.columns = {"value"};
-  for (const std::uint64_t v : run.values) {
-    trace.rows.push_back({static_cast<double>(v)});
-  }
-  return trace;
+  const analysis::CounterDecoder decoder(spec, dsp::build_counter(net, spec));
+  return decoded_trace("counter", "", net, decoder,
+                       std::vector<double>(14, 1.0));
 }
 
 GoldenTrace moving_average_trace() {
@@ -47,48 +64,19 @@ GoldenTrace moving_average_trace() {
   auto design = dsp::make_moving_average();
   const std::vector<double> samples = {1.0, 1.0, 2.0, 0.0, 0.5, 1.5,
                                        1.5, 0.0, 0.0, 1.0, 1.0, 1.0};
-  analysis::ClockedRunOptions options;
-  options.ode.t_end = analysis::suggest_t_end(
-      {}, design.network->rate_policy(), samples.size());
-  const auto run = analysis::run_clocked_circuit(
-      *design.network, design.circuit, "x", samples, "y", options);
-
-  GoldenTrace trace;
-  trace.name = "moving_average";
-  // Continuous outputs: 1e-5 is far above the integrator tolerance (rel_tol
-  // 1e-6) and cross-platform libm jitter, far below the molecular accuracy
-  // (~1e-2) whose regressions this file exists to catch.
-  trace.tolerance = 1e-5;
-  trace.columns = {"x", "y"};
-  for (std::size_t n = 0; n < samples.size(); ++n) {
-    trace.rows.push_back({samples[n], run.outputs[n]});
-  }
-  return trace;
+  return decoded_trace("moving_average", "x", *design.network,
+                       analysis::CircuitDecoder::clocked(
+                           design.circuit, dsp::reference_moving_average),
+                       samples);
 }
 
 GoldenTrace sequence_detector_trace() {
   // Mirrors examples/sequence_detector.cpp: the "101" KMP automaton.
   const fsm::FsmSpec spec = fsm::make_sequence_detector("101");
   core::ReactionNetwork net;
-  const fsm::FsmHandles machine = fsm::build_fsm(net, spec);
-  const std::vector<std::size_t> bits = {1, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1};
-  analysis::ClockedRunOptions options;
-  options.ode.t_end =
-      analysis::suggest_t_end(spec.clock, net.rate_policy(), bits.size());
-  const auto run = analysis::run_fsm(net, machine, bits, options);
-
-  GoldenTrace trace;
-  trace.name = "sequence_detector";
-  trace.tolerance = 0.0;  // decoded states / output symbols: exact
-  trace.columns = {"bit", "state", "output"};
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    const double out = run.outputs[i] == fsm::kNoOutput
-                           ? -1.0
-                           : static_cast<double>(run.outputs[i]);
-    trace.rows.push_back({static_cast<double>(bits[i]),
-                          static_cast<double>(run.states[i]), out});
-  }
-  return trace;
+  const analysis::FsmDecoder decoder(spec, fsm::build_fsm(net, spec));
+  const std::vector<double> bits = {1, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1};
+  return decoded_trace("sequence_detector", "bit", net, decoder, bits);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "verify/lint_oracle.hpp"
 
+#include <span>
 #include <string>
 #include <utility>
 
@@ -13,13 +14,6 @@ using compile::PortRole;
 using core::ReactionNetwork;
 using core::SpeciesId;
 
-void add_clock_roots(lint::LintInput& input, const sync::ClockHandles& clock) {
-  for (const SpeciesId id : {clock.phase_r, clock.phase_g, clock.phase_b,
-                             clock.ind_r, clock.ind_g, clock.ind_b}) {
-    input.roots.emplace_back(id, PortRole::kClock);
-  }
-}
-
 /// Rebuilds the analyzer's input from the case handles. Tags are not
 /// carried by generated cases, so tag-indexed checks are skipped — the
 /// stoichiometric screening (LINT-RACE-02) is the detector this oracle
@@ -30,66 +24,35 @@ lint::LintInput lint_input_for(const GeneratedCase& c,
   input.network = &network;
   input.design = std::string(to_string(c.kind)) + "/seed" +
                  std::to_string(c.seed);
-  switch (c.kind) {
-    case CaseKind::kSyncCircuit: {
-      const auto& circuit = std::get<SyncCase>(c.payload).circuit;
-      for (const auto& [name, id] : circuit.inputs) {
-        input.roots.emplace_back(id, PortRole::kInput);
-      }
-      for (const auto& [name, id] : circuit.outputs) {
-        input.roots.emplace_back(id, PortRole::kOutput);
-      }
-      for (const auto& [name, id] : circuit.register_state) {
-        input.roots.emplace_back(id, PortRole::kState);
-      }
-      add_clock_roots(input, circuit.clock);
-      break;
+  const auto add = [&](std::span<const SpeciesId> ids, PortRole role) {
+    for (const SpeciesId id : ids) input.roots.emplace_back(id, role);
+  };
+  const auto* sync_case = std::get_if<SyncCase>(&c.payload);
+  const auto* dual = std::get_if<DualRailCase>(&c.payload);
+  if (sync_case != nullptr || dual != nullptr) {
+    const sync::CompiledCircuit& circuit =
+        sync_case != nullptr ? sync_case->circuit : dual->circuit;
+    for (const auto& [name, id] : circuit.inputs) {
+      input.roots.emplace_back(id, PortRole::kInput);
     }
-    case CaseKind::kDualRailCircuit: {
-      const auto& circuit = std::get<DualRailCase>(c.payload).circuit;
-      for (const auto& [name, id] : circuit.inputs) {
-        input.roots.emplace_back(id, PortRole::kInput);
-      }
-      for (const auto& [name, id] : circuit.outputs) {
-        input.roots.emplace_back(id, PortRole::kOutput);
-      }
-      for (const auto& [name, id] : circuit.register_state) {
-        input.roots.emplace_back(id, PortRole::kState);
-      }
-      add_clock_roots(input, circuit.clock);
-      break;
+    for (const auto& [name, id] : circuit.outputs) {
+      input.roots.emplace_back(id, PortRole::kOutput);
     }
-    case CaseKind::kFsm: {
-      const auto& handles = std::get<FsmCase>(c.payload).handles;
-      for (const SpeciesId id : handles.input) {
-        input.roots.emplace_back(id, PortRole::kInput);
-      }
-      for (const SpeciesId id : handles.output) {
-        input.roots.emplace_back(id, PortRole::kOutput);
-      }
-      for (const SpeciesId id : handles.state) {
-        input.roots.emplace_back(id, PortRole::kState);
-      }
-      for (const SpeciesId id : handles.state_primed) {
-        input.roots.emplace_back(id, PortRole::kState);
-      }
-      add_clock_roots(input, handles.clock);
-      break;
+    for (const auto& [name, id] : circuit.register_state) {
+      input.roots.emplace_back(id, PortRole::kState);
     }
-    case CaseKind::kCounter: {
-      const auto& handles = std::get<CounterCase>(c.payload).handles;
-      input.roots.emplace_back(handles.increment, PortRole::kInput);
-      for (const SpeciesId id : handles.zero_rail) {
-        input.roots.emplace_back(id, PortRole::kState);
-      }
-      for (const SpeciesId id : handles.one_rail) {
-        input.roots.emplace_back(id, PortRole::kState);
-      }
-      add_clock_roots(input, handles.clock);
-      break;
-    }
-    case CaseKind::kRawNetwork:
-      break;
+  } else if (const auto* machine = std::get_if<FsmCase>(&c.payload)) {
+    add(machine->handles.input, PortRole::kInput);
+    add(machine->handles.output, PortRole::kOutput);
+    add(machine->handles.state, PortRole::kState);
+    add(machine->handles.state_primed, PortRole::kState);
+  } else if (const auto* counter = std::get_if<CounterCase>(&c.payload)) {
+    input.roots.emplace_back(counter->handles.increment, PortRole::kInput);
+    add(counter->handles.zero_rail, PortRole::kState);
+    add(counter->handles.one_rail, PortRole::kState);
+  }
+  if (c.clocked.decoder) {
+    add(c.clocked.decoder->clock->species(), PortRole::kClock);
   }
   return input;
 }

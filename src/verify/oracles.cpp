@@ -173,6 +173,23 @@ MaybeViolation check_series_match(const std::string& oracle,
   return std::nullopt;
 }
 
+MaybeViolation check_decoded(const std::string& oracle,
+                             const analysis::DecodedRun& run,
+                             const analysis::Decoder& decoder,
+                             const SeriesTolerance& tol) {
+  for (std::size_t c = 0; c < run.outputs.size(); ++c) {
+    MaybeViolation v =
+        check_series_match(oracle, run.outputs[c], run.expected[c],
+                           decoder.exact ? SeriesTolerance{0.0, 0.0} : tol);
+    if (!v) continue;
+    if (run.outputs.size() > 1) {
+      v->detail = decoder.columns[c] + " " + v->detail;
+    }
+    return v;
+  }
+  return std::nullopt;
+}
+
 MaybeViolation check_mean_in_band(const std::string& oracle,
                                   const runtime::EnsembleResult& ensemble,
                                   std::span<const double> reference,

@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/decode.hpp"
 #include "core/network.hpp"
 #include "runtime/ensemble.hpp"
 #include "sim/trajectory.hpp"
@@ -109,6 +110,14 @@ struct SeriesTolerance {
                                                 std::span<const double> actual,
                                                 std::span<const double> expected,
                                                 const SeriesTolerance& tol);
+
+/// Compares every decoded column of a run with the decoder's reference:
+/// exact for integer-valued decoders, within `tol` otherwise. The detail of
+/// a multi-column decoder names the column.
+[[nodiscard]] MaybeViolation check_decoded(const std::string& oracle,
+                                           const analysis::DecodedRun& run,
+                                           const analysis::Decoder& decoder,
+                                           const SeriesTolerance& tol);
 
 /// CLT tolerance band for ensemble-mean comparisons: the mean of n replicates
 /// deviates from the true mean by ~ stddev/sqrt(n), so the band is

@@ -7,13 +7,12 @@
 #include <exception>
 #include <sstream>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "core/io.hpp"
 #include "logic/netlist.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/ensemble.hpp"
 #include "sim/ode.hpp"
-#include "sync/dual_rail.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "verify/lint_oracle.hpp"
@@ -44,13 +43,25 @@ double robustness_ratio(std::uint64_t seed) {
   return kRatios[seed % 2];
 }
 
-// --- optimization equivalence ------------------------------------------------
-
-void add_clock_roots(std::vector<core::SpeciesId>& roots,
-                     const sync::ClockHandles& clock) {
-  roots.insert(roots.end(), {clock.phase_r, clock.phase_g, clock.phase_b,
-                             clock.ind_r, clock.ind_g, clock.ind_b});
+/// Polled between the oracles of one case, so a stop lands within one
+/// oracle's simulation (each also carries the hook as its `abort`).
+void poll(const VerifyOptions& o) {
+  if (o.abort && o.abort()) throw VerifyAborted();
 }
+
+const sync::ClockHandles* clock_of(const GeneratedCase& c) {
+  return c.clocked.decoder ? &*c.clocked.decoder->clock : nullptr;
+}
+
+std::span<const std::pair<core::SpeciesId, core::SpeciesId>> rails_of(
+    const GeneratedCase& c) {
+  if (const auto* dual = std::get_if<DualRailCase>(&c.payload)) {
+    return dual->rail_pairs;
+  }
+  return {};
+}
+
+// --- optimization equivalence ------------------------------------------------
 
 /// Proves the kO1 pipeline trajectory-preserving on this case's network with
 /// the given interface pinned as roots.
@@ -58,6 +69,7 @@ void check_opt(std::vector<Violation>& out, const ReactionNetwork& network,
                std::span<const core::SpeciesId> roots, std::uint64_t seed,
                const VerifyOptions& o, bool ssa) {
   if (!o.opt_equivalence) return;
+  poll(o);
   OptEquivalenceOptions eq;
   eq.t_end = ssa ? 2.0 : free_run_t_end(network.rate_policy());
   eq.ssa = ssa;
@@ -69,194 +81,97 @@ void check_opt(std::vector<Violation>& out, const ReactionNetwork& network,
   out.insert(out.end(), found.begin(), found.end());
 }
 
-// --- per-kind oracle passes --------------------------------------------------
+// --- clocked cases -----------------------------------------------------------
 
-std::vector<Violation> check_sync(const SyncCase& c, std::uint64_t seed,
-                                  const VerifyOptions& o) {
-  std::vector<Violation> out;
-  analysis::ClockedRunOptions run_options;
-  run_options.ode.t_end = analysis::suggest_t_end(
-      {}, c.network.rate_policy(), c.samples.size());
-  const auto run = analysis::run_clocked_circuit(
-      c.network, c.circuit, c.in_port, c.samples, c.out_port, run_options);
-  add(out, check_series_match("sync_functional", run.outputs, c.expected,
-                              o.functional));
-  const core::SpeciesId driven[] = {c.circuit.input(c.in_port),
-                                    c.circuit.output(c.out_port)};
-  add(out, check_non_negative(c.network, run.ode.trajectory, o.trajectory));
-  add(out, check_conservation(c.network, run.ode.trajectory, o.trajectory,
-                              driven));
-  add(out, check_clock_phase_token(c.circuit.clock, run.ode.trajectory,
-                                   o.trajectory));
-  if (o.robustness && seed % 4 == 0) {
-    ReactionNetwork alt = c.network;
-    core::RatePolicy policy = alt.rate_policy();
-    policy.k_fast = policy.k_slow * robustness_ratio(seed);
-    alt.set_rate_policy(policy);
-    const auto rerun = analysis::run_clocked_circuit(
-        alt, c.circuit, c.in_port, c.samples, c.out_port, run_options);
-    add(out, check_series_match("rate_robustness", rerun.outputs, c.expected,
-                                o.functional_robust));
-  }
-  std::vector<core::SpeciesId> roots;
-  for (const auto& [name, id] : c.circuit.inputs) roots.push_back(id);
-  for (const auto& [name, id] : c.circuit.outputs) roots.push_back(id);
-  add_clock_roots(roots, c.circuit.clock);
-  check_opt(out, c.network, roots, seed, o, /*ssa=*/false);
-  return out;
-}
-
-std::vector<Violation> check_dual(const DualRailCase& c, std::uint64_t seed,
-                                  const VerifyOptions& o) {
-  std::vector<Violation> out;
-  analysis::ClockedRunOptions run_options;
-  run_options.ode.t_end = 2.0 * analysis::suggest_t_end(
-                                    {}, c.network.rate_policy(),
-                                    c.samples.size());
-  std::vector<analysis::PortSamples> inputs(2);
-  inputs[0].port = sync::rail_pos("x");
-  inputs[1].port = sync::rail_neg("x");
-  for (const double v : c.samples) {
-    inputs[0].samples.push_back(v > 0.0 ? v : 0.0);
-    inputs[1].samples.push_back(v < 0.0 ? -v : 0.0);
-  }
-  const std::vector<std::string> out_ports = {sync::rail_pos("y"),
-                                              sync::rail_neg("y")};
-  auto drive = [&](const ReactionNetwork& net) {
-    return analysis::run_clocked_circuit_multi(net, c.circuit, inputs,
-                                               out_ports, run_options);
-  };
-  const auto run = drive(c.network);
-  add(out, check_series_match("dual_functional",
-                              analysis::signed_series(run, "y"), c.expected,
-                              o.functional_dual));
-  const core::SpeciesId driven[] = {c.circuit.input(inputs[0].port),
-                                    c.circuit.input(inputs[1].port),
-                                    c.circuit.output(out_ports[0]),
-                                    c.circuit.output(out_ports[1])};
-  add(out, check_non_negative(c.network, run.ode.trajectory, o.trajectory));
-  add(out, check_conservation(c.network, run.ode.trajectory, o.trajectory,
-                              driven));
-  add(out, check_clock_phase_token(c.circuit.clock, run.ode.trajectory,
-                                   o.trajectory));
-  add(out, check_dual_rail_exclusive(c.network, run.ode.trajectory,
-                                     c.rail_pairs, o.trajectory));
-  if (o.robustness && seed % 4 == 0) {
-    ReactionNetwork alt = c.network;
-    core::RatePolicy policy = alt.rate_policy();
-    policy.k_fast = policy.k_slow * robustness_ratio(seed);
-    alt.set_rate_policy(policy);
-    const auto rerun = drive(alt);
-    add(out, check_series_match("rate_robustness",
-                                analysis::signed_series(rerun, "y"),
-                                c.expected, o.functional_robust));
-  }
-  std::vector<core::SpeciesId> roots;
-  for (const auto& [name, id] : c.circuit.inputs) roots.push_back(id);
-  for (const auto& [name, id] : c.circuit.outputs) roots.push_back(id);
-  add_clock_roots(roots, c.circuit.clock);
-  check_opt(out, c.network, roots, seed, o, /*ssa=*/false);
-  return out;
-}
-
-std::vector<Violation> check_fsm(const FsmCase& c, const VerifyOptions& o) {
-  std::vector<Violation> out;
-  analysis::ClockedRunOptions run_options;
-  run_options.ode.t_end = analysis::suggest_t_end(
-      c.spec.clock, c.network.rate_policy(), c.inputs.size());
-  const auto run = analysis::run_fsm(c.network, c.handles, c.inputs,
-                                     run_options);
-  const fsm::FsmTrace reference = fsm::evaluate_reference(c.spec, c.inputs);
-  for (std::size_t i = 0; i < c.inputs.size(); ++i) {
-    if (run.states[i] != reference.states[i]) {
-      out.push_back({"fsm_reference",
-                     format("cycle %zu: molecular state %zu vs reference %zu",
-                            i, run.states[i], reference.states[i])});
-      break;
-    }
-    if (run.outputs[i] != reference.outputs[i]) {
-      out.push_back(
-          {"fsm_reference",
-           format("cycle %zu: molecular output %zd vs reference %zd", i,
-                  static_cast<std::ptrdiff_t>(run.outputs[i]),
-                  static_cast<std::ptrdiff_t>(reference.outputs[i]))});
-      break;
-    }
-  }
-  // Minimization must preserve behaviour exactly (pure differential, no
-  // simulation involved).
-  const fsm::MinimizationResult minimized = fsm::minimize(c.spec);
-  const fsm::FsmTrace min_trace =
-      fsm::evaluate_reference(minimized.spec, c.inputs);
-  for (std::size_t i = 0; i < c.inputs.size(); ++i) {
-    if (min_trace.outputs[i] != reference.outputs[i]) {
-      out.push_back(
-          {"fsm_minimize",
-           format("cycle %zu: minimized machine output %zd vs original %zd "
-                  "(%zu -> %zu states)",
-                  i, static_cast<std::ptrdiff_t>(min_trace.outputs[i]),
-                  static_cast<std::ptrdiff_t>(reference.outputs[i]),
-                  c.spec.num_states, minimized.spec.num_states)});
-      break;
-    }
-  }
-  std::vector<core::SpeciesId> driven = c.handles.input;
-  driven.insert(driven.end(), c.handles.output.begin(),
-                c.handles.output.end());
-  add(out, check_non_negative(c.network, run.ode.trajectory, o.trajectory));
-  add(out, check_conservation(c.network, run.ode.trajectory, o.trajectory,
-                              driven));
-  add(out, check_clock_phase_token(c.handles.clock, run.ode.trajectory,
-                                   o.trajectory));
-  std::vector<core::SpeciesId> roots = c.handles.state;
-  roots.insert(roots.end(), c.handles.state_primed.begin(),
-               c.handles.state_primed.end());
-  roots.insert(roots.end(), c.handles.input.begin(), c.handles.input.end());
-  roots.insert(roots.end(), c.handles.output.begin(), c.handles.output.end());
-  add_clock_roots(roots, c.handles.clock);
-  check_opt(out, c.network, roots, /*seed=*/0, o, /*ssa=*/false);
-  return out;
-}
-
-std::vector<Violation> check_counter(const CounterCase& c,
+/// The oracles of every clocked kind: drive the decoder's stimulus, check
+/// the decoded output and the trajectory invariants, re-run circuits under
+/// another rate ratio, and prove the optimizer on the case's interface.
+std::vector<Violation> check_clocked(const GeneratedCase& c,
                                      const VerifyOptions& o) {
   std::vector<Violation> out;
-  analysis::ClockedRunOptions run_options;
-  run_options.ode.t_end = analysis::suggest_t_end(
-      c.spec.clock, c.network.rate_policy(), c.increments);
-  const auto run =
-      analysis::run_counter(c.network, c.handles, c.increments, run_options);
-  const logic::Netlist golden =
-      logic::make_counter_netlist(c.spec.bits, c.spec.initial_value);
-  logic::Simulation sim(golden);
-  const logic::NetId enable = *golden.find("enable");
-  for (std::size_t i = 0; i < c.increments; ++i) {
-    sim.set_input(enable, true);
-    sim.evaluate();
-    sim.clock_edge();
-    sim.evaluate();
-    if (run.values[i] != sim.output_word()) {
-      out.push_back(
-          {"counter_reference",
-           format("increment %zu: molecular counter %llu vs gate-level %llu",
-                  i, static_cast<unsigned long long>(run.values[i]),
-                  static_cast<unsigned long long>(sim.output_word()))});
+  const ClockedCase& clocked = c.clocked;
+  const analysis::Decoder& decoder = *clocked.decoder;
+  const ReactionNetwork& network = c.network();
+  const bool circuit = c.kind == CaseKind::kSyncCircuit ||
+                       c.kind == CaseKind::kDualRailCircuit;
+  const bool dual = c.kind == CaseKind::kDualRailCircuit;
+  const char* oracle = c.kind == CaseKind::kSyncCircuit  ? "sync_functional"
+                       : dual                            ? "dual_functional"
+                       : c.kind == CaseKind::kFsm        ? "fsm_reference"
+                                                         : "counter_reference";
+  sim::OdeOptions ode;
+  // Dual-rail circuits normalize their rails every cycle and need the room.
+  ode.t_end = (dual ? 2.0 : 1.0) *
+              decoder.t_end(network.rate_policy(), clocked.stimulus.size());
+  ode.abort = o.abort;
+  const analysis::DecodedRun run =
+      analysis::run_decoded(network, ode, decoder, clocked.stimulus);
+  add(out, check_decoded(oracle, run, decoder,
+                         dual ? o.functional_dual : o.functional));
+  if (const auto* machine = std::get_if<FsmCase>(&c.payload)) {
+    // Minimization must preserve behaviour exactly (pure differential, no
+    // simulation involved).
+    const fsm::MinimizationResult minimized = fsm::minimize(machine->spec);
+    const std::vector<double> outputs =
+        analysis::FsmDecoder(minimized.spec, machine->handles)
+            .reference(clocked.stimulus)[1];
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+      if (outputs[i] != run.expected[1][i]) {
+        out.push_back(
+            {"fsm_minimize",
+             format("cycle %zu: minimized machine output %.0f vs original "
+                    "%.0f (%zu -> %zu states)",
+                    i, outputs[i], run.expected[1][i],
+                    machine->spec.num_states, minimized.spec.num_states)});
+        break;
+      }
+    }
+  }
+  if (const auto* counter = std::get_if<CounterCase>(&c.payload)) {
+    // The decoder's arithmetic reference must agree with the independent
+    // gate-level counter (pure differential, no simulation).
+    const logic::Netlist golden = logic::make_counter_netlist(
+        counter->spec.bits, counter->spec.initial_value);
+    logic::Simulation sim(golden);
+    for (std::size_t i = 0; i < run.expected[0].size(); ++i) {
+      sim.set_input(*golden.find("enable"), clocked.stimulus[i] != 0.0);
+      sim.evaluate();
+      sim.clock_edge();
+      sim.evaluate();
+      const auto gate = static_cast<double>(sim.output_word());
+      if (run.expected[0][i] == gate) continue;
+      out.push_back({"counter_netlist",
+                     format("increment %zu: counter reference %.0f vs "
+                            "gate-level %.0f",
+                            i, run.expected[0][i], gate)});
       break;
     }
   }
-  const core::SpeciesId driven[] = {c.handles.increment};
-  add(out, check_non_negative(c.network, run.ode.trajectory, o.trajectory));
-  add(out, check_conservation(c.network, run.ode.trajectory, o.trajectory,
-                              driven));
-  add(out, check_clock_phase_token(c.handles.clock, run.ode.trajectory,
+  poll(o);
+  add(out, check_non_negative(network, run.ode.trajectory, o.trajectory));
+  add(out, check_conservation(network, run.ode.trajectory, o.trajectory,
+                              decoder.driven));
+  add(out, check_clock_phase_token(*decoder.clock, run.ode.trajectory,
                                    o.trajectory));
-  std::vector<core::SpeciesId> roots = {c.handles.increment};
-  roots.insert(roots.end(), c.handles.zero_rail.begin(),
-               c.handles.zero_rail.end());
-  roots.insert(roots.end(), c.handles.one_rail.begin(),
-               c.handles.one_rail.end());
-  add_clock_roots(roots, c.handles.clock);
-  check_opt(out, c.network, roots, /*seed=*/0, o, /*ssa=*/false);
+  if (dual) {
+    add(out, check_dual_rail_exclusive(network, run.ode.trajectory,
+                                       rails_of(c), o.trajectory));
+  }
+  if (circuit && o.robustness && c.seed % 4 == 0) {
+    poll(o);
+    ReactionNetwork alt = network;
+    core::RatePolicy policy = alt.rate_policy();
+    policy.k_fast = policy.k_slow * robustness_ratio(c.seed);
+    alt.set_rate_policy(policy);
+    const analysis::DecodedRun rerun =
+        analysis::run_decoded(alt, ode, decoder, clocked.stimulus);
+    add(out, check_decoded("rate_robustness", rerun, decoder,
+                           o.functional_robust));
+  }
+  std::vector<core::SpeciesId> roots = decoder.driven;
+  roots.insert(roots.end(), clocked.state.begin(), clocked.state.end());
+  for (const core::SpeciesId id : decoder.clock->species()) roots.push_back(id);
+  check_opt(out, network, roots, circuit ? c.seed : 0, o, /*ssa=*/false);
   return out;
 }
 
@@ -266,7 +181,9 @@ std::vector<Violation> check_raw(const RawCase& c, std::uint64_t seed,
   constexpr double kTEnd = 2.0;
   sim::OdeOptions ode_options;
   ode_options.t_end = kTEnd;
+  ode_options.abort = o.abort;
   const auto ode = sim::simulate_ode(c.network, ode_options);
+  poll(o);
   add(out, check_non_negative(c.network, ode.trajectory, o.trajectory));
   add(out, check_conservation(c.network, ode.trajectory, o.trajectory));
   // No interface to pin: the pipeline may remove anything provably dead.
@@ -284,6 +201,7 @@ std::vector<Violation> check_raw(const RawCase& c, std::uint64_t seed,
   ssa.t_end = kTEnd;
   ssa.omega = o.omega;
   ssa.record_interval = kTEnd;  // final state only
+  ssa.abort = o.abort;
   runtime::EnsembleOptions ensemble_options;
   ensemble_options.replicates = o.ssa_replicates;
   ensemble_options.base_seed = util::Rng::stream_seed(seed, 0xE5);
@@ -291,13 +209,16 @@ std::vector<Violation> check_raw(const RawCase& c, std::uint64_t seed,
 
   ssa.method = sim::SsaMethod::kNextReaction;
   const auto nrm = runtime::run_ssa_ensemble(c.network, ssa, ensemble_options);
+  poll(o);
   ssa.method = sim::SsaMethod::kDirect;
   const auto direct =
       runtime::run_ssa_ensemble(c.network, ssa, ensemble_options);
+  poll(o);
 
   add(out, check_mean_in_band("ode_vs_ssa_mean", nrm,
                               ode.trajectory.final_state(), o.clt));
   add(out, check_ensembles_agree("direct_vs_nrm", direct, nrm, o.clt));
+  poll(o);
 
   // Worker count must not change results: rerun the next-reaction ensemble
   // on four threads and require bitwise identity.
@@ -318,30 +239,6 @@ GeneratedCase with_network(const GeneratedCase& c, ReactionNetwork candidate) {
   std::visit([&](auto& payload) { payload.network = std::move(candidate); },
              copy.payload);
   return copy;
-}
-
-const sync::ClockHandles* clock_of(const GeneratedCase& c) {
-  switch (c.kind) {
-    case CaseKind::kSyncCircuit:
-      return &std::get<SyncCase>(c.payload).circuit.clock;
-    case CaseKind::kDualRailCircuit:
-      return &std::get<DualRailCase>(c.payload).circuit.clock;
-    case CaseKind::kFsm:
-      return &std::get<FsmCase>(c.payload).handles.clock;
-    case CaseKind::kCounter:
-      return &std::get<CounterCase>(c.payload).handles.clock;
-    case CaseKind::kRawNetwork:
-      break;
-  }
-  return nullptr;
-}
-
-std::span<const std::pair<core::SpeciesId, core::SpeciesId>> rails_of(
-    const GeneratedCase& c) {
-  if (c.kind == CaseKind::kDualRailCircuit) {
-    return std::get<DualRailCase>(c.payload).rail_pairs;
-  }
-  return {};
 }
 
 bool is_invariant_oracle(const std::string& oracle) {
@@ -376,39 +273,29 @@ std::vector<Violation> check_trajectory_invariants(
 std::vector<Violation> check_case(const GeneratedCase& c,
                                   const VerifyOptions& options) {
   try {
-    std::vector<Violation> out;
-    switch (c.kind) {
-      case CaseKind::kRawNetwork:
-        out = check_raw(std::get<RawCase>(c.payload), c.seed, options);
-        break;
-      case CaseKind::kSyncCircuit:
-        out = check_sync(std::get<SyncCase>(c.payload), c.seed, options);
-        break;
-      case CaseKind::kDualRailCircuit:
-        out = check_dual(std::get<DualRailCase>(c.payload), c.seed, options);
-        break;
-      case CaseKind::kFsm:
-        out = check_fsm(std::get<FsmCase>(c.payload), options);
-        break;
-      case CaseKind::kCounter:
-        out = check_counter(std::get<CounterCase>(c.payload), options);
-        break;
-    }
+    std::vector<Violation> out =
+        c.kind == CaseKind::kRawNetwork
+            ? check_raw(std::get<RawCase>(c.payload), c.seed, options)
+            : check_clocked(c, options);
     if (options.lint_cross) {
+      poll(options);
       const std::vector<Violation> lint_violations = check_lint_cross(c);
       out.insert(out.end(), lint_violations.begin(), lint_violations.end());
     }
     return out;
+  } catch (const VerifyAborted&) {
+    throw;
   } catch (const std::exception& e) {
-    // A healthy case must simulate; a throw is itself a finding. Fall back
-    // to the harness-free invariant pass so a broken clock is still
-    // attributed to the right oracle.
+    // A stop is the caller's, not the case's. Otherwise a healthy case must
+    // simulate, so a throw is itself a finding: fall back to the
+    // driver-free invariant pass so a broken clock is still attributed to
+    // the right oracle.
+    poll(options);
     std::vector<Violation> out = check_trajectory_invariants(
         c.network(), clock_of(c), rails_of(c), options);
     out.push_back({"harness", e.what()});
     return out;
   }
-  return {};
 }
 
 std::optional<ShrinkResult> shrink_case(const GeneratedCase& c,
@@ -425,27 +312,18 @@ std::optional<ShrinkResult> shrink_case(const GeneratedCase& c,
   replay.differential = !is_invariant_oracle(oracle);
   replay.opt_equivalence = oracle == "opt_equivalence";
 
-  ViolationPredicate violates;
-  if (is_invariant_oracle(oracle)) {
-    // The cheap, exception-free path: free-run + trajectory oracles.
-    violates = [c = c, oracle, replay](const ReactionNetwork& candidate) {
-      const auto found = check_trajectory_invariants(
-          candidate, clock_of(c), rails_of(c), replay);
-      for (const Violation& v : found) {
-        if (v.oracle == oracle) return true;
-      }
-      return false;
-    };
-  } else {
-    // Full replay through the harness (functional/differential oracles).
-    violates = [c = c, oracle, replay](const ReactionNetwork& candidate) {
-      const auto found = check_case(with_network(c, candidate), replay);
-      for (const Violation& v : found) {
-        if (v.oracle == oracle) return true;
-      }
-      return false;
-    };
-  }
+  // Invariant oracles replay on the cheap, exception-free path (free-run +
+  // trajectory oracles); the others replay the case through the driver.
+  const bool invariant = is_invariant_oracle(oracle);
+  const ViolationPredicate violates = [c = c, oracle, replay, invariant](
+                                          const ReactionNetwork& candidate) {
+    const std::vector<Violation> found =
+        invariant ? check_trajectory_invariants(candidate, clock_of(c),
+                                                rails_of(c), replay)
+                  : check_case(with_network(c, candidate), replay);
+    return std::ranges::any_of(
+        found, [&](const Violation& v) { return v.oracle == oracle; });
+  };
   return shrink_network(c.network(), violates, options.shrink_options);
 }
 
@@ -468,6 +346,8 @@ FuzzReport run_fuzz(const VerifyOptions& options) {
       const GeneratedCase c = generate_case(kind, seed, options.generator);
       result.original_reactions = c.network().reaction_count();
       result.violations = check_case(c, options);
+    } catch (const VerifyAborted&) {
+      throw;
     } catch (const std::exception& e) {
       result.violations.push_back({"generator", e.what()});
     }

@@ -59,10 +59,11 @@ struct VerifyOptions {
   /// Shrink failing cases to minimal repros.
   bool shrink = true;
   ShrinkOptions shrink_options;
-  /// Optional deadline/cancel hook, polled before each case. Once it returns
-  /// true run_fuzz throws VerifyAborted: a wall-clock stop fails the whole
-  /// run rather than being reported as a case, so results never depend on
-  /// time.
+  /// Optional deadline/cancel hook, polled before each case, between the
+  /// oracles of one case, and by every simulation of a case. Once it
+  /// returns true run_fuzz (and check_case) throws VerifyAborted: a
+  /// wall-clock stop fails the whole run rather than being reported as a
+  /// case, so results never depend on time.
   std::function<bool()> abort;
 };
 
@@ -92,13 +93,14 @@ struct FuzzReport {
   double wall_seconds = 0.0;
 };
 
-/// Runs every applicable oracle on one generated case. Harness/simulator
+/// Runs every applicable oracle on one generated case. Driver/simulator
 /// exceptions are reported as a violation with oracle "harness" rather than
-/// escaping (a healthy network must be runnable).
+/// escaping (a healthy network must be runnable); an abort throws
+/// VerifyAborted.
 [[nodiscard]] std::vector<Violation> check_case(const GeneratedCase& c,
                                                 const VerifyOptions& options);
 
-/// Free-running (no harness) trajectory invariants on a network: integrates
+/// Free-running (no driver) trajectory invariants on a network: integrates
 /// the ODE for a few clock periods and applies non-negativity, conservation,
 /// and — when handles are given — clock-token uniqueness and rail
 /// exclusivity. Cheap and exception-free on degenerate networks, which makes

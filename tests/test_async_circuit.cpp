@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "analysis/metrics.hpp"
 #include "dsp/filters.hpp"
 #include "sim/ode.hpp"
@@ -14,12 +14,17 @@ using core::ReactionNetwork;
 using sync::Reg;
 using sync::Sig;
 
-analysis::ClockedRunOptions options_for(std::size_t cycles) {
-  analysis::ClockedRunOptions options;
+std::vector<double> run_self_timed(const ReactionNetwork& net,
+                                   const CompiledAsyncCircuit& circuit,
+                                   const std::vector<double>& samples) {
+  sim::OdeOptions ode;
   // A handshake cycle is ~20-40 slow time constants; budget generously (the
   // run stops early once all outputs arrive).
-  options.ode.t_end = 150.0 * static_cast<double>(cycles + 3);
-  return options;
+  ode.t_end = 150.0 * static_cast<double>(samples.size() + 3);
+  return analysis::run_decoded(
+             net, ode, analysis::CircuitDecoder::self_timed(circuit, {}),
+             samples)
+      .outputs[0];
 }
 
 TEST(AsyncCircuit, MinOpRejected) {
@@ -84,10 +89,9 @@ TEST(AsyncCircuit, DelayLineDelaysByOneCycle) {
   const CompiledAsyncCircuit compiled = builder.compile_async(*net, "t");
 
   const std::vector<double> samples = {1.0, 0.5, 1.5};
-  const auto result = analysis::run_async_circuit(
-      *net, compiled, "x", samples, "y", options_for(samples.size()));
+  const auto outputs = run_self_timed(*net, compiled, samples);
   const auto expected = dsp::reference_delay_line(samples, 1);
-  EXPECT_LT(analysis::max_abs_error(result.outputs, expected), 0.05);
+  EXPECT_LT(analysis::max_abs_error(outputs, expected), 0.05);
 }
 
 TEST(AsyncCircuit, MovingAverageSelfTimed) {
@@ -104,10 +108,9 @@ TEST(AsyncCircuit, MovingAverageSelfTimed) {
   const CompiledAsyncCircuit compiled = builder.compile_async(*net, "t");
 
   const std::vector<double> samples = {1.0, 0.0, 1.0, 0.5};
-  const auto result = analysis::run_async_circuit(
-      *net, compiled, "x", samples, "y", options_for(samples.size()));
+  const auto outputs = run_self_timed(*net, compiled, samples);
   const auto expected = dsp::reference_moving_average(samples);
-  EXPECT_LT(analysis::max_abs_error(result.outputs, expected), 0.05);
+  EXPECT_LT(analysis::max_abs_error(outputs, expected), 0.05);
 }
 
 TEST(AsyncCircuit, RateRatioRobust) {
@@ -122,10 +125,9 @@ TEST(AsyncCircuit, RateRatioRobust) {
     net->set_rate_policy(core::RatePolicy{1.0, ratio});
 
     const std::vector<double> samples = {1.0, 0.5};
-    const auto result = analysis::run_async_circuit(
-        *net, compiled, "x", samples, "y", options_for(samples.size()));
+    const auto outputs = run_self_timed(*net, compiled, samples);
     const auto expected = dsp::reference_delay_line(samples, 1);
-    EXPECT_LT(analysis::max_abs_error(result.outputs, expected), 0.08)
+    EXPECT_LT(analysis::max_abs_error(outputs, expected), 0.08)
         << "ratio " << ratio;
   }
 }

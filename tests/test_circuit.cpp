@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "analysis/metrics.hpp"
 #include "dsp/filters.hpp"
 
@@ -97,33 +97,37 @@ TEST(CircuitBuilder, CompiledHandlesAreNamed) {
 
 // --- dynamic behaviour -------------------------------------------------------
 
-analysis::ClockedRunOptions run_options(const ReactionNetwork& net,
-                                        std::size_t cycles) {
-  analysis::ClockedRunOptions options;
-  options.ode.t_end =
-      analysis::suggest_t_end({}, net.rate_policy(), cycles);
-  return options;
+/// The decoded output of port `out` when `x` drives port `in`.
+std::vector<double> run_circuit(const ReactionNetwork& net,
+                                const CompiledCircuit& circuit,
+                                const std::vector<double>& x,
+                                const std::string& in = "x",
+                                std::size_t warmup = 1,
+                                const ClockSpec& clock = {}) {
+  auto decoder = analysis::CircuitDecoder::clocked(circuit, {}, in);
+  decoder.clock_spec = clock;
+  sim::OdeOptions ode;
+  ode.t_end = decoder.t_end(net.rate_policy(), x.size());
+  analysis::DecodeOptions options;
+  options.warmup_edges = warmup;
+  return analysis::run_decoded(net, ode, decoder, x, options).outputs[0];
 }
 
 TEST(SyncCircuit, DelayLineDelaysByOneCycle) {
   auto design = dsp::make_delay_line(1);
   const std::vector<double> x = {1.0, 0.5, 2.0, 0.25};
-  const auto result = analysis::run_clocked_circuit(
-      *design.network, design.circuit, "x", x, "y",
-      run_options(*design.network, x.size()));
+  const auto outputs = run_circuit(*design.network, design.circuit, x);
   const auto expected = dsp::reference_delay_line(x, 1);
-  EXPECT_LT(analysis::max_abs_error(result.outputs, expected), 0.01);
+  EXPECT_LT(analysis::max_abs_error(outputs, expected), 0.01);
 }
 
 TEST(SyncCircuit, TwoStageDelayLine) {
   auto design = dsp::make_delay_line(2);
   const std::vector<double> x = {1.0, 0.5, 2.0, 0.25, 0.75};
-  const auto result = analysis::run_clocked_circuit(
-      *design.network, design.circuit, "x", x, "y",
-      run_options(*design.network, x.size()));
+  const auto outputs = run_circuit(*design.network, design.circuit, x);
   const auto expected = dsp::reference_delay_line(x, 2);
   // Two registers in series double the per-cycle transfer residual.
-  EXPECT_LT(analysis::max_abs_error(result.outputs, expected), 0.02);
+  EXPECT_LT(analysis::max_abs_error(outputs, expected), 0.02);
 }
 
 TEST(SyncCircuit, RegisterInitialValueEmergesFirst) {
@@ -138,12 +142,9 @@ TEST(SyncCircuit, RegisterInitialValueEmergesFirst) {
   auto net = std::make_unique<ReactionNetwork>();
   const CompiledCircuit compiled = builder.compile(*net, {}, "t");
   const std::vector<double> samples = {0.3, 0.4};
-  analysis::ClockedRunOptions options = run_options(*net, samples.size());
-  options.warmup_edges = 0;
-  const auto result = analysis::run_clocked_circuit(*net, compiled, "x",
-                                                    samples, "y", options);
-  EXPECT_NEAR(result.outputs[0], 0.8, 0.01);
-  EXPECT_NEAR(result.outputs[1], 0.3, 0.01);
+  const auto outputs = run_circuit(*net, compiled, samples, "x", 0);
+  EXPECT_NEAR(outputs[0], 0.8, 0.01);
+  EXPECT_NEAR(outputs[1], 0.3, 0.01);
 }
 
 TEST(SyncCircuit, AdderCombinesTwoInputsCycleWise) {
@@ -158,11 +159,10 @@ TEST(SyncCircuit, AdderCombinesTwoInputsCycleWise) {
   auto net = std::make_unique<ReactionNetwork>();
   const CompiledCircuit compiled = builder.compile(*net, {}, "t");
   const std::vector<double> samples = {1.0, 0.5, 0.25};
-  const auto result = analysis::run_clocked_circuit(
-      *net, compiled, "a", samples, "y", run_options(*net, samples.size()));
-  EXPECT_NEAR(result.outputs[0], 1.0, 0.01);
-  EXPECT_NEAR(result.outputs[1], 1.5, 0.01);
-  EXPECT_NEAR(result.outputs[2], 0.75, 0.01);
+  const auto outputs = run_circuit(*net, compiled, samples, "a");
+  EXPECT_NEAR(outputs[0], 1.0, 0.01);
+  EXPECT_NEAR(outputs[1], 1.5, 0.01);
+  EXPECT_NEAR(outputs[2], 0.75, 0.01);
 }
 
 TEST(SyncCircuit, MinOpAndLeftoverDrain) {
@@ -177,11 +177,10 @@ TEST(SyncCircuit, MinOpAndLeftoverDrain) {
   auto net = std::make_unique<ReactionNetwork>();
   const CompiledCircuit compiled = builder.compile(*net, {}, "t");
   const std::vector<double> samples = {1.0, 0.2, 0.8};
-  const auto result = analysis::run_clocked_circuit(
-      *net, compiled, "x", samples, "y", run_options(*net, samples.size()));
-  EXPECT_NEAR(result.outputs[0], 0.5, 0.02);
-  EXPECT_NEAR(result.outputs[1], 0.2, 0.02);
-  EXPECT_NEAR(result.outputs[2], 0.5, 0.02);
+  const auto outputs = run_circuit(*net, compiled, samples);
+  EXPECT_NEAR(outputs[0], 0.5, 0.02);
+  EXPECT_NEAR(outputs[1], 0.2, 0.02);
+  EXPECT_NEAR(outputs[2], 0.5, 0.02);
 }
 
 TEST(SyncCircuit, DiscardDrainsUnusedValues) {
@@ -196,30 +195,25 @@ TEST(SyncCircuit, DiscardDrainsUnusedValues) {
   auto net = std::make_unique<ReactionNetwork>();
   const CompiledCircuit compiled = builder.compile(*net, {}, "t");
   const std::vector<double> samples = {1.0, 1.0, 1.0, 1.0};
-  const auto result = analysis::run_clocked_circuit(
-      *net, compiled, "x", samples, "y", run_options(*net, samples.size()));
+  const auto outputs = run_circuit(*net, compiled, samples);
   const auto expected = dsp::reference_delay_line(samples, 1);
-  EXPECT_LT(analysis::max_abs_error(result.outputs, expected), 0.02);
+  EXPECT_LT(analysis::max_abs_error(outputs, expected), 0.02);
 }
 
 TEST(SyncCircuit, MovingAverageMatchesReference) {
   auto design = dsp::make_moving_average();
   const std::vector<double> x = {1.0, 1.0, 2.0, 0.0, 0.5};
-  const auto result = analysis::run_clocked_circuit(
-      *design.network, design.circuit, "x", x, "y",
-      run_options(*design.network, x.size()));
+  const auto outputs = run_circuit(*design.network, design.circuit, x);
   const auto expected = dsp::reference_moving_average(x);
-  EXPECT_LT(analysis::max_abs_error(result.outputs, expected), 0.01);
+  EXPECT_LT(analysis::max_abs_error(outputs, expected), 0.01);
 }
 
 TEST(SyncCircuit, SecondOrderIirTracksReference) {
   auto design = dsp::make_second_order_iir();
   const std::vector<double> x = {1.0, 0.0, 0.0, 0.0, 1.0, 1.0};
-  const auto result = analysis::run_clocked_circuit(
-      *design.network, design.circuit, "x", x, "y",
-      run_options(*design.network, x.size()));
+  const auto outputs = run_circuit(*design.network, design.circuit, x);
   const auto expected = dsp::reference_second_order_iir(x);
-  EXPECT_LT(analysis::max_abs_error(result.outputs, expected), 0.02);
+  EXPECT_LT(analysis::max_abs_error(outputs, expected), 0.02);
 }
 
 TEST(SyncCircuit, SlowerClockImprovesAccuracy) {
@@ -229,14 +223,9 @@ TEST(SyncCircuit, SlowerClockImprovesAccuracy) {
     clock.phase_stretch = stretch;
     auto design = dsp::make_moving_average(clock);
     const std::vector<double> x = {1.0, 0.0, 1.0, 0.0};
-    analysis::ClockedRunOptions options;
-    options.ode.t_end =
-        analysis::suggest_t_end(clock, design.network->rate_policy(),
-                                x.size());
-    const auto result = analysis::run_clocked_circuit(
-        *design.network, design.circuit, "x", x, "y", options);
-    return analysis::max_abs_error(result.outputs,
-                                   dsp::reference_moving_average(x));
+    return analysis::max_abs_error(
+        run_circuit(*design.network, design.circuit, x, "x", 1, clock),
+        dsp::reference_moving_average(x));
   };
   const double coarse = run_with_stretch(2.0);
   const double fine = run_with_stretch(8.0);

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "logic/netlist.hpp"
 
 namespace mrsc::dsp {
@@ -10,13 +10,26 @@ namespace {
 
 using core::ReactionNetwork;
 
-analysis::ClockedRunOptions options_for(const CounterSpec& spec,
-                                        const ReactionNetwork& net,
-                                        std::size_t increments) {
-  analysis::ClockedRunOptions options;
-  options.ode.t_end =
-      analysis::suggest_t_end(spec.clock, net.rate_policy(), increments);
-  return options;
+struct CounterRun {
+  std::vector<std::uint64_t> values;
+  sim::OdeResult ode;
+};
+
+/// Drives `increments` increment tokens through the counter's decoder.
+CounterRun run_counter(const ReactionNetwork& net, const CounterSpec& spec,
+                       const CounterHandles& handles,
+                       std::size_t increments) {
+  const analysis::CounterDecoder decoder(spec, handles);
+  sim::OdeOptions ode;
+  ode.t_end = decoder.t_end(net.rate_policy(), increments);
+  analysis::DecodedRun run = analysis::run_decoded(
+      net, ode, decoder, std::vector<double>(increments, 1.0));
+  CounterRun out;
+  for (const double v : run.outputs[0]) {
+    out.values.push_back(static_cast<std::uint64_t>(v));
+  }
+  out.ode = std::move(run.ode);
+  return out;
 }
 
 // Golden model: the gate-level counter netlist clocked the same number of
@@ -46,8 +59,7 @@ TEST_P(CounterBitsTest, MatchesGateLevelGoldenModel) {
   spec.bits = GetParam();
   const CounterHandles handles = build_counter(net, spec);
   const std::size_t increments = (std::size_t{1} << spec.bits) + 3;  // wraps
-  const auto result = analysis::run_counter(
-      net, handles, increments, options_for(spec, net, increments));
+  const auto result = run_counter(net, spec, handles, increments);
   const auto golden = golden_counts(spec.bits, 0, increments);
   ASSERT_EQ(result.values.size(), golden.size());
   for (std::size_t i = 0; i < increments; ++i) {
@@ -65,7 +77,7 @@ TEST(Counter, InitialValueRespected) {
   spec.initial_value = 5;
   const CounterHandles handles = build_counter(net, spec);
   const auto result =
-      analysis::run_counter(net, handles, 5, options_for(spec, net, 5));
+      run_counter(net, spec, handles, 5);
   EXPECT_EQ(result.values[0], 6u);
   EXPECT_EQ(result.values[1], 7u);
   EXPECT_EQ(result.values[2], 0u);  // wrap
@@ -92,8 +104,7 @@ TEST(Counter, RailsStayComplementary) {
   spec.bits = 3;
   const CounterHandles handles = build_counter(net, spec);
   const std::size_t increments = 12;
-  const auto result = analysis::run_counter(
-      net, handles, increments, options_for(spec, net, increments));
+  const auto result = run_counter(net, spec, handles, increments);
   const auto final_state = result.ode.trajectory.final_state();
   for (std::size_t bit = 0; bit < spec.bits; ++bit) {
     const double total = final_state[handles.zero_rail[bit].index()] +
@@ -112,7 +123,7 @@ TEST(Counter, RobustAcrossRateRatios) {
     const CounterHandles handles = build_counter(net, spec);
     net.set_rate_policy(core::RatePolicy{1.0, ratio});
     const auto result =
-        analysis::run_counter(net, handles, 6, options_for(spec, net, 6));
+        run_counter(net, spec, handles, 6);
     const auto golden = golden_counts(2, 0, 6);
     EXPECT_EQ(result.values, golden) << "ratio " << ratio;
   }

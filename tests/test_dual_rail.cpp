@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/harness.hpp"
+#include <utility>
+
+#include "analysis/decode.hpp"
 #include "analysis/metrics.hpp"
 #include "dsp/filters.hpp"
 
@@ -11,13 +13,50 @@ namespace {
 
 using core::ReactionNetwork;
 
-analysis::ClockedRunOptions options_for(const ReactionNetwork& net,
-                                        std::size_t cycles) {
-  analysis::ClockedRunOptions options;
-  options.ode.t_end =
-      2.0 * analysis::suggest_t_end({}, net.rate_policy(), cycles);
-  return options;
+/// Drives a dual-rail circuit through `decoder`; dual-rail designs get
+/// twice the usual horizon.
+analysis::DecodedRun run_dual(const ReactionNetwork& net,
+                              const analysis::Decoder& decoder,
+                              const std::vector<double>& x) {
+  sim::OdeOptions ode;
+  ode.t_end = 2.0 * decoder.t_end(net.rate_policy(), x.size());
+  return analysis::run_decoded(net, ode, decoder, x);
 }
+
+/// Injects a fixed amount into both input rails each cycle and reads both
+/// output rails as two columns: the view the normalization test needs.
+class BothRails final : public analysis::Decoder {
+ public:
+  explicit BothRails(const CompiledCircuit& circuit)
+      : x_p_(circuit.input("x_p")),
+        x_n_(circuit.input("x_n")),
+        y_p_(circuit.output("y_p")),
+        y_n_(circuit.output("y_n")) {
+    inject_on = circuit.clock.phase_r;
+    read_on = circuit.clock.phase_g;
+    read_lag = 1;
+    token = circuit.clock.token;
+    columns = {"y_p", "y_n"};
+  }
+  void inject(std::span<double> state, double) const override {
+    state[x_p_.index()] += 1.0;
+    state[x_n_.index()] += 0.6;
+  }
+  void read(std::span<double> state, std::span<double> row) const override {
+    row[0] = std::exchange(state[y_p_.index()], 0.0);
+    row[1] = std::exchange(state[y_n_.index()], 0.0);
+  }
+  void discard(std::span<double> state) const override {
+    state[y_p_.index()] = 0.0;
+    state[y_n_.index()] = 0.0;
+  }
+  analysis::Columns reference(std::span<const double>) const override {
+    return {};
+  }
+
+ private:
+  core::SpeciesId x_p_, x_n_, y_p_, y_n_;
+};
 
 /// Compiles a signed pipeline `y = f(x)` and runs it on a signed input
 /// stream (positive samples drive x_p, negative ones x_n).
@@ -30,17 +69,8 @@ std::vector<double> run_signed(
   auto net = std::make_unique<ReactionNetwork>();
   const CompiledCircuit circuit = base.compile(*net, {}, "t");
 
-  std::vector<analysis::PortSamples> inputs(2);
-  inputs[0].port = "x_p";
-  inputs[1].port = "x_n";
-  for (const double v : x) {
-    inputs[0].samples.push_back(v > 0.0 ? v : 0.0);
-    inputs[1].samples.push_back(v < 0.0 ? -v : 0.0);
-  }
-  const std::vector<std::string> out_ports = {"y_p", "y_n"};
-  const auto result = analysis::run_clocked_circuit_multi(
-      *net, circuit, inputs, out_ports, options_for(*net, x.size()));
-  return analysis::signed_series(result, "y");
+  return run_dual(*net, analysis::CircuitDecoder::dual_rail(circuit, {}), x)
+      .outputs[0];
 }
 
 TEST(DualRail, NegateIsExact) {
@@ -115,14 +145,10 @@ TEST(DualRail, RegisterNormalizesParkedValue) {
   const CompiledCircuit circuit = base.compile(*net, {}, "t");
 
   const std::size_t cycles = 6;
-  std::vector<analysis::PortSamples> inputs(2);
-  inputs[0] = {"x_p", std::vector<double>(cycles, 1.0)};
-  inputs[1] = {"x_n", std::vector<double>(cycles, 0.6)};
-  const std::vector<std::string> out_ports = {"y_p", "y_n"};
-  const auto result = analysis::run_clocked_circuit_multi(
-      *net, circuit, inputs, out_ports, options_for(*net, cycles));
-  const auto& pos = result.outputs.at("y_p");
-  const auto& neg = result.outputs.at("y_n");
+  const auto result = run_dual(*net, BothRails(circuit),
+                               std::vector<double>(cycles, 1.0));
+  const auto& pos = result.outputs[0];
+  const auto& neg = result.outputs[1];
   for (std::size_t i = 1; i < cycles; ++i) {
     EXPECT_NEAR(pos[i] - neg[i], 0.4, 0.02) << "cycle " << i;
     // Normalized: the common part was annihilated in the register.
@@ -134,15 +160,13 @@ TEST(DualRail, RegisterNormalizesParkedValue) {
 TEST(DualRail, FirstDifferenceFilterMatchesReference) {
   auto design = dsp::make_first_difference();
   const std::vector<double> x = {1.0, 0.25, 1.5, 1.5, 0.0, 2.0};
-  std::vector<analysis::PortSamples> inputs(2);
-  inputs[0] = {"x_p", x};
-  inputs[1] = {"x_n", std::vector<double>(x.size(), 0.0)};
-  const std::vector<std::string> out_ports = {"y_p", "y_n"};
-  const auto result = analysis::run_clocked_circuit_multi(
-      *design.network, design.circuit, inputs, out_ports,
-      options_for(*design.network, x.size()));
-  const auto y = analysis::signed_series(result, "y");
-  const auto expected = dsp::reference_first_difference(x);
+  const auto result = run_dual(
+      *design.network,
+      analysis::CircuitDecoder::dual_rail(design.circuit,
+                                          dsp::reference_first_difference),
+      x);
+  const auto& y = result.outputs[0];
+  const auto& expected = result.expected[0];
   EXPECT_LT(analysis::max_abs_error(y, expected), 0.02);
   // The filter genuinely produces negative outputs.
   EXPECT_LT(expected[4], 0.0);
@@ -171,28 +195,21 @@ TEST(DualRail, AnnihilateRegistersValidation) {
   EXPECT_THROW(base.annihilate_registers(r, Reg{5}), std::logic_error);
 }
 
-TEST(MultiRun, ValidatesInputs) {
+TEST(DualRailDecoder, ValidatesItsRails) {
   auto design = dsp::make_first_difference();
-  analysis::ClockedRunOptions options;
-  const std::vector<std::string> out_ports = {"y_p"};
-  const std::vector<analysis::PortSamples> empty;
-  EXPECT_THROW((void)analysis::run_clocked_circuit_multi(
-                   *design.network, design.circuit, empty, out_ports,
-                   options),
+  const auto decoder = analysis::CircuitDecoder::dual_rail(
+      design.circuit, dsp::reference_first_difference);
+  EXPECT_THROW((void)run_dual(*design.network, decoder, {}),
                std::invalid_argument);
-  std::vector<analysis::PortSamples> ragged(2);
-  ragged[0] = {"x_p", {1.0, 2.0}};
-  ragged[1] = {"x_n", {1.0}};
-  EXPECT_THROW((void)analysis::run_clocked_circuit_multi(
-                   *design.network, design.circuit, ragged, out_ports,
-                   options),
+  // A rail pair needs both rails on both ends.
+  EXPECT_THROW(analysis::CircuitDecoder({design.circuit.input("x_p"),
+                                         design.circuit.input("x_n")},
+                                        {design.circuit.output("y_p")}, {}),
                std::invalid_argument);
-}
-
-TEST(MultiRun, SignedSeriesNeedsBothRails) {
-  analysis::MultiRunResult result;
-  result.outputs.emplace("y_p", std::vector<double>{1.0});
-  EXPECT_THROW((void)analysis::signed_series(result, "y"), std::out_of_range);
+  // A single-rail circuit has no rails to decode.
+  auto single = dsp::make_delay_line(1);
+  EXPECT_THROW((void)analysis::CircuitDecoder::dual_rail(single.circuit, {}),
+               std::out_of_range);
 }
 
 }  // namespace

@@ -1,30 +1,30 @@
 #include <gtest/gtest.h>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "analysis/metrics.hpp"
 #include "dsp/filters.hpp"
 
 namespace mrsc::dsp {
 namespace {
 
-analysis::ClockedRunOptions options_for(const core::ReactionNetwork& net,
-                                        std::size_t cycles) {
-  analysis::ClockedRunOptions options;
-  options.ode.t_end =
-      analysis::suggest_t_end({}, net.rate_policy(), cycles);
-  return options;
+std::vector<double> run_fir(const Design& design,
+                            const analysis::Decoder& decoder,
+                            const std::vector<double>& x) {
+  sim::OdeOptions ode;
+  ode.t_end = decoder.t_end(design.network->rate_policy(), x.size());
+  return analysis::run_decoded(*design.network, ode, decoder, x).outputs[0];
+}
+
+std::vector<double> run_unsigned_fir(const Design& design,
+                                     const std::vector<double>& x) {
+  return run_fir(design, analysis::CircuitDecoder::clocked(design.circuit, {}),
+                 x);
 }
 
 std::vector<double> run_signed_fir(const Design& design,
                                    const std::vector<double>& x) {
-  std::vector<analysis::PortSamples> inputs(2);
-  inputs[0] = {"x_p", x};
-  inputs[1] = {"x_n", std::vector<double>(x.size(), 0.0)};
-  const std::vector<std::string> out_ports = {"y_p", "y_n"};
-  const auto result = analysis::run_clocked_circuit_multi(
-      *design.network, design.circuit, inputs, out_ports,
-      options_for(*design.network, x.size()));
-  return analysis::signed_series(result, "y");
+  return run_fir(design,
+                 analysis::CircuitDecoder::dual_rail(design.circuit, {}), x);
 }
 
 TEST(TapValue, DyadicArithmetic) {
@@ -68,10 +68,8 @@ TEST(Fir, UnsignedThreeTapMatchesReference) {
                                        {1, 2, false}};
   const Design design = make_fir(taps);
   const std::vector<double> x = {1.0, 0.5, 2.0, 0.0, 1.0, 0.25};
-  const auto result = analysis::run_clocked_circuit(
-      *design.network, design.circuit, "x", x, "y",
-      options_for(*design.network, x.size()));
-  EXPECT_LT(analysis::max_abs_error(result.outputs, reference_fir(taps, x)),
+  const auto outputs = run_unsigned_fir(design, x);
+  EXPECT_LT(analysis::max_abs_error(outputs, reference_fir(taps, x)),
             0.02);
 }
 
@@ -79,10 +77,8 @@ TEST(Fir, MovingAverageAsFirMatchesDedicatedDesign) {
   const std::vector<DyadicTap> taps = {{1, 1, false}, {1, 1, false}};
   const Design design = make_fir(taps);
   const std::vector<double> x = {1.0, 1.0, 2.0, 0.0};
-  const auto result = analysis::run_clocked_circuit(
-      *design.network, design.circuit, "x", x, "y",
-      options_for(*design.network, x.size()));
-  EXPECT_LT(analysis::max_abs_error(result.outputs,
+  const auto outputs = run_unsigned_fir(design, x);
+  EXPECT_LT(analysis::max_abs_error(outputs,
                                     reference_moving_average(x)),
             0.02);
 }

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "util/rng.hpp"
 
 namespace mrsc::fsm {
@@ -10,13 +10,30 @@ namespace {
 
 using core::ReactionNetwork;
 
-analysis::ClockedRunOptions options_for(const FsmSpec& spec,
-                                        const ReactionNetwork& net,
-                                        std::size_t steps) {
-  analysis::ClockedRunOptions options;
-  options.ode.t_end =
-      analysis::suggest_t_end(spec.clock, net.rate_policy(), steps);
-  return options;
+struct FsmRun {
+  std::vector<std::size_t> states;
+  std::vector<std::size_t> outputs;  ///< kNoOutput when none
+  sim::OdeResult ode;
+};
+
+/// Drives the input string through the machine's decoder.
+FsmRun run_fsm(const ReactionNetwork& net, const FsmSpec& spec,
+               const FsmHandles& handles,
+               const std::vector<std::size_t>& inputs) {
+  const analysis::FsmDecoder decoder(spec, handles);
+  sim::OdeOptions ode;
+  ode.t_end = decoder.t_end(net.rate_policy(), inputs.size());
+  analysis::DecodedRun run = analysis::run_decoded(
+      net, ode, decoder, std::vector<double>(inputs.begin(), inputs.end()));
+  FsmRun out;
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    out.states.push_back(static_cast<std::size_t>(run.outputs[0][k]));
+    out.outputs.push_back(run.outputs[1][k] < 0.0
+                              ? kNoOutput
+                              : static_cast<std::size_t>(run.outputs[1][k]));
+  }
+  out.ode = std::move(run.ode);
+  return out;
 }
 
 TEST(FsmSpec, ValidationCatchesMalformedTables) {
@@ -73,8 +90,7 @@ TEST(FsmMolecular, ParityMachineMatchesReference) {
   ReactionNetwork net;
   const FsmHandles handles = build_fsm(net, spec);
   const std::vector<std::size_t> inputs = {1, 0, 1, 1, 0, 1, 0, 0};
-  const auto run = analysis::run_fsm(net, handles, inputs,
-                                     options_for(spec, net, inputs.size()));
+  const auto run = run_fsm(net, spec, handles, inputs);
   const FsmTrace reference = evaluate_reference(spec, inputs);
   EXPECT_EQ(run.states, reference.states);
   EXPECT_EQ(run.outputs, reference.outputs);
@@ -85,8 +101,7 @@ TEST(FsmMolecular, SequenceDetectorMatchesReference) {
   ReactionNetwork net;
   const FsmHandles handles = build_fsm(net, spec);
   const std::vector<std::size_t> inputs = {1, 0, 1, 0, 1, 1, 0, 1};
-  const auto run = analysis::run_fsm(net, handles, inputs,
-                                     options_for(spec, net, inputs.size()));
+  const auto run = run_fsm(net, spec, handles, inputs);
   const FsmTrace reference = evaluate_reference(spec, inputs);
   EXPECT_EQ(run.states, reference.states);
   EXPECT_EQ(run.outputs, reference.outputs);
@@ -97,8 +112,7 @@ TEST(FsmMolecular, StateTokenIsConserved) {
   ReactionNetwork net;
   const FsmHandles handles = build_fsm(net, spec);
   const std::vector<std::size_t> inputs = {1, 1, 0, 1};
-  const auto run = analysis::run_fsm(net, handles, inputs,
-                                     options_for(spec, net, inputs.size()));
+  const auto run = run_fsm(net, spec, handles, inputs);
   const auto final_state = run.ode.trajectory.final_state();
   double total = 0.0;
   for (std::size_t s = 0; s < handles.state.size(); ++s) {
@@ -137,8 +151,7 @@ TEST_P(RandomFsmTest, MolecularExecutionMatchesReference) {
 
   ReactionNetwork net;
   const FsmHandles handles = build_fsm(net, spec);
-  const auto run = analysis::run_fsm(net, handles, inputs,
-                                     options_for(spec, net, inputs.size()));
+  const auto run = run_fsm(net, spec, handles, inputs);
   const FsmTrace reference = evaluate_reference(spec, inputs);
   EXPECT_EQ(run.states, reference.states) << "seed " << GetParam();
   EXPECT_EQ(run.outputs, reference.outputs) << "seed " << GetParam();
@@ -154,8 +167,7 @@ TEST(FsmMolecular, RobustAcrossRateRatios) {
     ReactionNetwork net;
     const FsmHandles handles = build_fsm(net, base);
     net.set_rate_policy(core::RatePolicy{1.0, ratio});
-    const auto run = analysis::run_fsm(net, handles, inputs,
-                                       options_for(base, net, inputs.size()));
+    const auto run = run_fsm(net, base, handles, inputs);
     EXPECT_EQ(run.states, reference.states) << "ratio " << ratio;
   }
 }
@@ -164,12 +176,12 @@ TEST(FsmHarness, RejectsBadInputs) {
   const FsmSpec spec = make_parity_machine();
   ReactionNetwork net;
   const FsmHandles handles = build_fsm(net, spec);
-  analysis::ClockedRunOptions options;
-  EXPECT_THROW((void)analysis::run_fsm(net, handles, {}, options),
-               std::invalid_argument);
-  const std::vector<std::size_t> bad = {5};
-  EXPECT_THROW((void)analysis::run_fsm(net, handles, bad, options),
-               std::invalid_argument);
+  EXPECT_THROW((void)run_fsm(net, spec, handles, {}), std::invalid_argument);
+  EXPECT_THROW((void)run_fsm(net, spec, handles, {5}), std::invalid_argument);
+  // A symbol must be a whole index.
+  const analysis::FsmDecoder decoder(spec, handles);
+  const double fractional[] = {0.5};
+  EXPECT_THROW((void)decoder.reference(fractional), std::invalid_argument);
 }
 
 TEST(Minimize, DropsUnreachableStates) {
@@ -264,9 +276,7 @@ TEST(Minimize, MinimizedMachineRunsMolecularly) {
   ReactionNetwork net;
   const FsmHandles handles = build_fsm(net, minimized.spec);
   const std::vector<std::size_t> inputs = {1, 1, 0, 1};
-  const auto run = analysis::run_fsm(net, handles, inputs,
-                                     options_for(minimized.spec, net,
-                                                 inputs.size()));
+  const auto run = run_fsm(net, minimized.spec, handles, inputs);
   const FsmTrace reference = evaluate_reference(minimized.spec, inputs);
   EXPECT_EQ(run.states, reference.states);
   EXPECT_EQ(run.outputs, reference.outputs);

@@ -3,7 +3,7 @@
 // form of the paper's robustness claims.
 #include <gtest/gtest.h>
 
-#include "analysis/harness.hpp"
+#include "analysis/decode.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/sweep.hpp"
 #include "async/chain.hpp"
@@ -15,6 +15,18 @@
 namespace mrsc {
 namespace {
 
+/// The moving-average filter's max error over `x`, within `horizon` times
+/// the decoder's suggested t_end.
+double moving_average_error(const dsp::Design& design,
+                            const std::vector<double>& x, double horizon) {
+  const auto decoder = analysis::CircuitDecoder::clocked(
+      design.circuit, dsp::reference_moving_average);
+  sim::OdeOptions ode;
+  ode.t_end = horizon * decoder.t_end(design.network->rate_policy(), x.size());
+  const auto run = analysis::run_decoded(*design.network, ode, decoder, x);
+  return analysis::max_abs_error(run.outputs[0], run.expected[0]);
+}
+
 // T1 operational form: the moving-average filter stays accurate across
 // decades of k_fast/k_slow separation.
 class RateRatioTest : public ::testing::TestWithParam<double> {};
@@ -24,14 +36,7 @@ TEST_P(RateRatioTest, MovingAverageAccurateAtRatio) {
   auto design = dsp::make_moving_average();
   design.network->set_rate_policy(core::RatePolicy{1.0, ratio});
   const std::vector<double> x = {1.0, 0.0, 1.0, 0.5};
-  analysis::ClockedRunOptions options;
-  options.ode.t_end =
-      analysis::suggest_t_end({}, design.network->rate_policy(), x.size());
-  const auto result = analysis::run_clocked_circuit(
-      *design.network, design.circuit, "x", x, "y", options);
-  EXPECT_LT(analysis::max_abs_error(result.outputs,
-                                    dsp::reference_moving_average(x)),
-            0.03)
+  EXPECT_LT(moving_average_error(design, x, 1.0), 0.03)
       << "ratio " << ratio;
 }
 
@@ -45,29 +50,23 @@ TEST(Integration, MovingAverageSurvivesPerReactionJitter) {
   util::Rng rng(2024);
   analysis::apply_rate_jitter(*design.network, 1.5, rng);
   const std::vector<double> x = {1.0, 0.5, 1.5, 0.25};
-  analysis::ClockedRunOptions options;
-  options.ode.t_end = 2.0 * analysis::suggest_t_end(
-                                {}, design.network->rate_policy(), x.size());
-  const auto result = analysis::run_clocked_circuit(
-      *design.network, design.circuit, "x", x, "y", options);
-  EXPECT_LT(analysis::max_abs_error(result.outputs,
-                                    dsp::reference_moving_average(x)),
-            0.05);
+  EXPECT_LT(moving_average_error(design, x, 2.0), 0.05);
 }
 
 TEST(Integration, CounterSurvivesPerReactionJitter) {
   core::ReactionNetwork net;
   dsp::CounterSpec spec;
   spec.bits = 3;
-  const dsp::CounterHandles handles = dsp::build_counter(net, spec);
+  const analysis::CounterDecoder decoder(spec, dsp::build_counter(net, spec));
   util::Rng rng(7);
   analysis::apply_rate_jitter(net, 1.5, rng);
-  analysis::ClockedRunOptions options;
-  options.ode.t_end =
-      2.0 * analysis::suggest_t_end(spec.clock, net.rate_policy(), 10);
-  const auto result = analysis::run_counter(net, handles, 10, options);
-  for (std::size_t i = 0; i < result.values.size(); ++i) {
-    EXPECT_EQ(result.values[i], (i + 1) % 8) << "cycle " << i;
+  sim::OdeOptions ode;
+  ode.t_end = 2.0 * decoder.t_end(net.rate_policy(), 10);
+  const auto result = analysis::run_decoded(net, ode, decoder,
+                                            std::vector<double>(10, 1.0));
+  for (std::size_t i = 0; i < result.outputs[0].size(); ++i) {
+    EXPECT_EQ(result.outputs[0][i], static_cast<double>((i + 1) % 8))
+        << "cycle " << i;
   }
 }
 
@@ -134,13 +133,7 @@ TEST(Integration, RateSweepOnMovingAverage) {
           analysis::apply_rate_jitter(*design.network, jitter, rng);
         }
         const std::vector<double> x = {1.0, 0.0, 0.5};
-        analysis::ClockedRunOptions options;
-        options.ode.t_end =
-            2.0 * analysis::suggest_t_end({}, policy, x.size());
-        const auto result = analysis::run_clocked_circuit(
-            *design.network, design.circuit, "x", x, "y", options);
-        return analysis::max_abs_error(result.outputs,
-                                       dsp::reference_moving_average(x));
+        return moving_average_error(design, x, 2.0);
       });
   ASSERT_EQ(points.size(), 2u);
   for (const auto& point : points) {

@@ -71,73 +71,6 @@ TEST(ScheduledInjector, MultipleEventsInOneStep) {
   EXPECT_DOUBLE_EQ(state[0], 2.0);
 }
 
-TEST(EdgeTriggeredInjector, OneSamplePerRisingEdge) {
-  EdgeTriggeredInjector injector(SpeciesId{0}, 0.2, 0.6, SpeciesId{1},
-                                 {10.0, 20.0});
-  std::vector<double> state = {0.0, 0.0};
-  auto step = [&](double t, double clock) {
-    state[0] = clock;
-    injector.on_step(t, state);
-  };
-  step(0, 0.0);
-  step(1, 0.9);  // edge 1 -> inject 10
-  EXPECT_DOUBLE_EQ(state[1], 10.0);
-  step(2, 0.1);
-  step(3, 0.9);  // edge 2 -> inject 20
-  EXPECT_DOUBLE_EQ(state[1], 30.0);
-  step(4, 0.1);
-  step(5, 0.9);  // edge 3 -> stream exhausted, nothing
-  EXPECT_DOUBLE_EQ(state[1], 30.0);
-  EXPECT_EQ(injector.injected_count(), 2u);
-  EXPECT_EQ(injector.injection_times(), (std::vector<double>{1.0, 3.0}));
-}
-
-TEST(EdgeTriggeredInjector, SkipsWarmupEdges) {
-  EdgeTriggeredInjector injector(SpeciesId{0}, 0.2, 0.6, SpeciesId{1},
-                                 {5.0}, /*skip_edges=*/1);
-  std::vector<double> state = {0.0, 0.0};
-  auto step = [&](double t, double clock) {
-    state[0] = clock;
-    injector.on_step(t, state);
-  };
-  step(0, 0.0);
-  step(1, 0.9);  // warmup edge: skipped
-  EXPECT_DOUBLE_EQ(state[1], 0.0);
-  step(2, 0.1);
-  step(3, 0.9);  // first counted edge
-  EXPECT_DOUBLE_EQ(state[1], 5.0);
-}
-
-TEST(EdgeTriggeredSampler, SamplesAndClears) {
-  EdgeTriggeredSampler sampler(SpeciesId{0}, 0.2, 0.6, SpeciesId{1},
-                               /*clear_after_read=*/true);
-  std::vector<double> state = {0.0, 7.0};
-  auto step = [&](double t, double clock) {
-    state[0] = clock;
-    sampler.on_step(t, state);
-  };
-  step(0, 0.0);
-  step(1, 0.9);
-  ASSERT_EQ(sampler.samples().size(), 1u);
-  EXPECT_DOUBLE_EQ(sampler.samples()[0], 7.0);
-  EXPECT_DOUBLE_EQ(state[1], 0.0);  // cleared
-  state[1] = 3.0;
-  step(2, 0.1);
-  step(3, 0.9);
-  EXPECT_DOUBLE_EQ(sampler.samples()[1], 3.0);
-}
-
-TEST(EdgeTriggeredSampler, NoClearMode) {
-  EdgeTriggeredSampler sampler(SpeciesId{0}, 0.2, 0.6, SpeciesId{1},
-                               /*clear_after_read=*/false);
-  std::vector<double> state = {0.0, 7.0};
-  state[0] = 0.0;
-  sampler.on_step(0, state);
-  state[0] = 0.9;
-  sampler.on_step(1, state);
-  EXPECT_DOUBLE_EQ(state[1], 7.0);
-}
-
 TEST(SteadyStateDetector, DetectsQuiescence) {
   SteadyStateDetector detector(1e-3, 1.0);
   std::vector<double> state = {1.0};

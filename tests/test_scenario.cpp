@@ -11,7 +11,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <variant>
 
 #include "core/io.hpp"
 #include "dsp/filters.hpp"
@@ -117,30 +116,62 @@ TEST(Registry, ResolutionIsDeterministic) {
             core::serialize_network(*b.design.network));
 }
 
-TEST(Registry, ArtifactsCarryTheConstructionHandles) {
+TEST(Registry, DecodersCarryTheConstructionHandles) {
   const scenario::ScenarioRegistry& registry =
       scenario::ScenarioRegistry::global();
 
   const scenario::ResolvedScenario counter = registry.resolve("counter(3)");
-  const auto* counter_art =
-      std::get_if<scenario::CounterArtifacts>(&counter.artifacts);
-  ASSERT_NE(counter_art, nullptr);
-  EXPECT_EQ(counter_art->spec.bits, 3u);
-  EXPECT_EQ(counter_art->handles.one_rail.size(), 3u);
+  const auto* counter_dec =
+      dynamic_cast<const analysis::CounterDecoder*>(counter.decoder.get());
+  ASSERT_NE(counter_dec, nullptr);
+  EXPECT_EQ(counter_dec->spec.bits, 3u);
+  EXPECT_EQ(counter_dec->handles.one_rail.size(), 3u);
 
   const scenario::ResolvedScenario fsm = registry.resolve("fsm_wide(4)");
-  const auto* fsm_art = std::get_if<scenario::FsmArtifacts>(&fsm.artifacts);
-  ASSERT_NE(fsm_art, nullptr);
-  EXPECT_EQ(fsm_art->spec.num_states, 4u);
+  const auto* fsm_dec =
+      dynamic_cast<const analysis::FsmDecoder*>(fsm.decoder.get());
+  ASSERT_NE(fsm_dec, nullptr);
+  EXPECT_EQ(fsm_dec->spec.num_states, 4u);
 
   const scenario::ResolvedScenario chain = registry.resolve("delay_chain(2)");
-  const auto* chain_art =
-      std::get_if<scenario::ChainArtifacts>(&chain.artifacts);
-  ASSERT_NE(chain_art, nullptr);
-  EXPECT_EQ(chain_art->spec.elements, 2u);
+  const auto* chain_dec =
+      dynamic_cast<const analysis::ChainDecoder*>(chain.decoder.get());
+  ASSERT_NE(chain_dec, nullptr);
+  EXPECT_EQ(chain_dec->spec.elements, 2u);
 
-  const scenario::ResolvedScenario iir = registry.resolve("iir");
-  EXPECT_NE(std::get_if<scenario::CircuitArtifacts>(&iir.artifacts), nullptr);
+  for (const char* spec : {"iir", "first_difference", "cascade(3)"}) {
+    EXPECT_NE(dynamic_cast<const analysis::CircuitDecoder*>(
+                  registry.resolve(spec).decoder.get()),
+              nullptr)
+        << spec;
+  }
+}
+
+// Every catalog design -- each fixed name and each generator at its smoke
+// size -- decodes its own stimulus to its reference under dp45.
+TEST(Registry, EveryCatalogDesignDecodesToItsReference) {
+  const scenario::ScenarioRegistry& registry =
+      scenario::ScenarioRegistry::global();
+  for (const std::string& spec : registry.smoke_catalog()) {
+    scenario::ResolvedScenario resolved = registry.resolve(spec);
+    ASSERT_NE(resolved.decoder, nullptr) << spec;
+    const analysis::Decoder& decoder = *resolved.decoder;
+    core::ReactionNetwork& network = *resolved.design.network;
+    decoder.prime(network, decoder.stimulus);
+    sim::OdeOptions ode;
+    ode.t_end = decoder.t_end(network.rate_policy(), decoder.stimulus.size());
+    const analysis::DecodedRun run =
+        analysis::run_decoded(network, ode, decoder, decoder.stimulus);
+    ASSERT_EQ(run.outputs.size(), run.expected.size()) << spec;
+    for (std::size_t c = 0; c < run.outputs.size(); ++c) {
+      ASSERT_EQ(run.outputs[c].size(), run.expected[c].size()) << spec;
+      for (std::size_t k = 0; k < run.outputs[c].size(); ++k) {
+        EXPECT_NEAR(run.outputs[c][k], run.expected[c][k],
+                    decoder.exact ? 0.0 : 0.05)
+            << spec << " " << decoder.columns[c] << " cycle " << k;
+      }
+    }
+  }
 }
 
 TEST(Registry, CascadeEarnsOneCompositionCertificatePerBoundary) {
@@ -187,20 +218,23 @@ TEST(Registry, ComposedDesignsFillARequestedCompileReport) {
   }
 }
 
-TEST(Registry, SingleRailCircuitsCarryTheirReference) {
-  const double samples[] = {1.0, 0.0, 2.0};
+TEST(Registry, CircuitDecodersCarryTheirReference) {
+  const double samples[] = {1.0, 0.0, 2.0, 1.5, 0.5, 1.0, 0.0, 2.0};
   const std::span<const double> x(samples);
-  const auto reference = [](const std::string& spec) {
-    const scenario::ResolvedScenario resolved =
-        scenario::ScenarioRegistry::global().resolve(spec);
-    return std::get<scenario::CircuitArtifacts>(resolved.artifacts).reference;
+  const auto reference = [&](const std::string& spec) {
+    return scenario::ScenarioRegistry::global()
+        .resolve(spec)
+        .decoder->reference(x)[0];
   };
-  EXPECT_EQ(reference("moving_average")(x),
-            dsp::reference_moving_average(x));
-  EXPECT_EQ(reference("iir")(x), dsp::reference_second_order_iir(x));
-  EXPECT_EQ(reference("delay")(x), dsp::reference_delay_line(x, 3));
-  // first_difference's output is dual-rail: no single-series reference.
-  EXPECT_EQ(reference("first_difference"), nullptr);
+  EXPECT_EQ(reference("moving_average"), dsp::reference_moving_average(x));
+  EXPECT_EQ(reference("iir"), dsp::reference_second_order_iir(x));
+  EXPECT_EQ(reference("delay"), dsp::reference_delay_line(x, 3));
+  EXPECT_EQ(reference("first_difference"),
+            dsp::reference_first_difference(x));
+  // A cascade of L two-stage delay lines delays by 2L cycles: each link
+  // hands a layer's output on inside the red phase that produced it.
+  EXPECT_EQ(reference("cascade"), dsp::reference_delay_line(x, 4));
+  EXPECT_EQ(reference("cascade(3)"), dsp::reference_delay_line(x, 6));
 }
 
 // --- .mrsc directive format -------------------------------------------------

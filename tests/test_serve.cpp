@@ -315,13 +315,16 @@ TEST(ServeDispatcher, StressDesignsAreRegistrySpecs) {
   EXPECT_EQ(canonical_key(spaced), canonical_key(tight));
   EXPECT_NE(canonical_key(tight).find("|design=counter(4)|"),
             std::string::npos);
-  // A valid spec without a stress stimulus fails at run time, uncached, with
-  // an error naming it.
+  // Every registry design carries a decoder, composed cascades included:
+  // the campaign runs and its result is cached under the canonical spec.
   const DispatchResult cascade = run_job(
-      parse_job(job_json(R"js("kind":"stress","design":"cascade(3)")js")), {});
-  EXPECT_FALSE(cascade.ok);
-  EXPECT_FALSE(cascade.cacheable);
-  EXPECT_NE(cascade.payload.find("cascade(3)"), std::string::npos)
+      parse_job(job_json(R"js("kind":"stress","design":"cascade( 3 )",)js"
+                         R"js("intensities":[0.02],"trials":1)js")),
+      {});
+  EXPECT_TRUE(cascade.ok) << cascade.payload;
+  EXPECT_TRUE(cascade.cacheable);
+  EXPECT_NE(cascade.payload.find(R"js("design":"cascade(3)")js"),
+            std::string::npos)
       << cascade.payload;
 }
 
@@ -517,11 +520,18 @@ TEST(ServeDispatcher, VerifyJobsStopAtTheirDeadlineOrOnShutdown) {
   EXPECT_FALSE(timed_out.cacheable);
   EXPECT_EQ(timed_out.payload, error_response("verify job timeout"));
 
-  // A 32-seed job runs for seconds; the stop lands while it runs.
+  // A 32-seed job runs for seconds; the stop lands while it runs. Every
+  // simulation of a case carries the stop as its abort hook and the hook is
+  // polled between oracles, so the answer comes within one integrator step
+  // of the request: well under the kStopGrace a shutdown waits (TSan
+  // included; the request itself comes 50 ms in).
+  const auto started = std::chrono::steady_clock::now();
   const DispatchResult cancelled = run_stopped_50ms_in(
       parse_job(job_json(R"("kind":"verify","seeds":32)")));
+  const auto took = std::chrono::steady_clock::now() - started;
   EXPECT_FALSE(cancelled.cacheable);
   EXPECT_EQ(cancelled.payload, cancelled_response());
+  EXPECT_LT(took, std::chrono::milliseconds(kStopGrace) / 4);
 }
 
 // A sim's BatchRunner watches the same token: a long SSA run stopped by

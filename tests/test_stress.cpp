@@ -9,6 +9,7 @@
 
 #include "core/io.hpp"
 #include "core/network.hpp"
+#include "scenario/registry.hpp"
 #include "sim/ode.hpp"
 #include "stress/campaign.hpp"
 #include "stress/fault.hpp"
@@ -250,20 +251,51 @@ TEST(Campaign, SpellingsOfOneSpecGiveTheSameJson) {
   EXPECT_EQ(spaced.get_string("design", ""), "counter(4)");
 }
 
-TEST(Campaign, DesignsWithoutAStimulusAreRejectedByName) {
-  // cascade has no single input/output stimulus, first_difference a
-  // dual-rail output, and a non-registry spec (an inline network's text)
-  // never resolves.
-  for (const char* spec :
-       {"cascade", "cascade(3)", "first_difference", "A -> B"}) {
+TEST(Campaign, DesignsOutsideTheRegistryAreRejectedByName) {
+  // A non-registry spec (an inline network's text) never resolves.
+  CampaignConfig config;
+  config.design = "A -> B";
+  try {
+    (void)run_campaign(config);
+    ADD_FAILURE() << "A -> B ran";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("A -> B"), std::string::npos) << what;
+  }
+}
+
+TEST(Campaign, CascadesAndDualRailDesignsRunThroughTheirDecoders) {
+  // Every registry design carries a decoder: composed cascades are driven
+  // end to end, first_difference through its dual rails.
+  for (const char* spec : {"cascade", "cascade(3)", "first_difference"}) {
     CampaignConfig config;
     config.design = spec;
-    try {
-      (void)run_campaign(config);
-      ADD_FAILURE() << spec << " ran";
-    } catch (const std::invalid_argument& error) {
-      const std::string what = error.what();
-      EXPECT_NE(what.find(spec), std::string::npos) << what;
+    config.intensities = {0.02};
+    config.trials = 1;
+    const CampaignResult result = run_campaign(config);
+    EXPECT_TRUE(result.margin_found) << spec << ": "
+                                     << result.to_value().dump();
+  }
+}
+
+TEST(Campaign, ClockSkewRetimesEveryCatalogDesignsClock) {
+  // The skew prefix must name clock reactions in every design: an unmatched
+  // prefix turns every trial into a sim failure. Composition prefixes a
+  // cascade's species but not its labels, so one prefix covers every layer.
+  for (const std::string& spec :
+       scenario::ScenarioRegistry::global().smoke_catalog()) {
+    CampaignConfig config;
+    config.design = spec;
+    config.fault = FaultKind::kClockSkew;
+    config.intensities = {0.02};
+    config.trials = 1;
+    const CampaignResult result = run_campaign(config);
+    EXPECT_FALSE(result.target.empty()) << spec;
+    ASSERT_EQ(result.intensities.size(), 1u) << spec;
+    EXPECT_EQ(result.intensities[0].sim_failure, 0u)
+        << spec << ": " << result.to_value().dump();
+    if (spec.starts_with("cascade")) {
+      EXPECT_EQ(result.target, "dly_clk.");
     }
   }
 }
