@@ -39,18 +39,9 @@ void PendingRequest::pump() {
     if (n > 0) {
       buffer_.append(chunk, static_cast<std::size_t>(n));
       if (!have_header_ && buffer_.size() >= 4) {
-        expected_ = (static_cast<std::uint32_t>(
-                         static_cast<unsigned char>(buffer_[0]))
-                     << 24) |
-                    (static_cast<std::uint32_t>(
-                         static_cast<unsigned char>(buffer_[1]))
-                     << 16) |
-                    (static_cast<std::uint32_t>(
-                         static_cast<unsigned char>(buffer_[2]))
-                     << 8) |
-                    static_cast<std::uint32_t>(
-                        static_cast<unsigned char>(buffer_[3]));
-        if (expected_ > serve::kMaxFrameBytes) {
+        try {
+          expected_ = serve::frame_length(buffer_.data());
+        } catch (const serve::ProtocolError&) {
           fail("oversized response frame");
           return;
         }

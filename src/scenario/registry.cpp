@@ -386,21 +386,31 @@ ResolvedScenario ScenarioRegistry::resolve(
     resolved.scenario = scenario;
     return resolved;
   }
+  // An inline network runs the standalone pipeline at the requested level:
+  // @roots are its interface, pinned at -O1 and linted as inputs.
   ResolvedScenario resolved;
   resolved.scenario = scenario;
-  resolved.design.owned = std::make_unique<core::ReactionNetwork>(
+  BuiltDesign& design = resolved.design;
+  design.owned = std::make_unique<core::ReactionNetwork>(
       core::parse_network(scenario.network_text));
-  resolved.design.network = resolved.design.owned.get();
+  design.network = design.owned.get();
+  std::vector<SpeciesId> roots;
   for (const std::string& name : scenario.roots) {
-    const auto id = resolved.design.network->find_species(name);
+    const auto id = design.network->find_species(name);
     if (!id) {
-      throw std::invalid_argument("scenario '" + scenario.name +
-                                  "': @roots names no species '" + name +
-                                  "'");
+      throw std::invalid_argument(scenario.name + ": no species named '" +
+                                  name + "'");
     }
-    resolved.design.info.roots.emplace_back(*id, PortRole::kInput);
+    roots.push_back(*id);
   }
-  resolved.design.info.tags_valid = false;
+  const compile::OptimizeResult optimized =
+      compile::optimize_network(*design.network, roots, options.opt);
+  if (options.report != nullptr) *options.report = optimized.report;
+  for (const SpeciesId id : roots) {
+    design.info.roots.emplace_back(optimized.remap[id.index()],
+                                   PortRole::kInput);
+  }
+  design.info.tags_valid = false;
   return resolved;
 }
 
@@ -427,12 +437,6 @@ Scenario load_scenario_argument(const std::string& argument) {
   }
   (void)registry.canonicalize(argument);  // throws the catalog-listing error
   throw std::invalid_argument("unresolvable scenario '" + argument + "'");
-}
-
-ResolvedScenario resolve_scenario_argument(
-    const std::string& argument, const compile::CompileOptions& options) {
-  return ScenarioRegistry::global().resolve(load_scenario_argument(argument),
-                                            options);
 }
 
 }  // namespace mrsc::scenario

@@ -98,8 +98,11 @@ class ScenarioRegistry {
       const std::string& spec, const compile::CompileOptions& options = {}) const;
 
   /// Resolves a parsed file-based scenario record: builds its @design spec
-  /// through the registry, or parses its inline @network text. The record
-  /// itself (name, budgets) passes through untouched.
+  /// through the registry, or parses its inline @network text. An inline
+  /// network honours `options.opt` (at -O1 the standalone pipeline runs
+  /// with its @roots pinned) and fills a requested `options.report`; a
+  /// @roots name that is no species throws std::invalid_argument. The
+  /// record itself (name, budgets) passes through untouched.
   [[nodiscard]] ResolvedScenario resolve(
       const Scenario& scenario,
       const compile::CompileOptions& options = {}) const;
@@ -121,9 +124,5 @@ class ScenarioRegistry {
 /// std::invalid_argument for unknown/malformed specs (usage, exit 2) and
 /// std::runtime_error for unreadable files (runtime, exit 1).
 [[nodiscard]] Scenario load_scenario_argument(const std::string& argument);
-
-/// load_scenario_argument, then ScenarioRegistry::resolve on the record.
-[[nodiscard]] ResolvedScenario resolve_scenario_argument(
-    const std::string& argument, const compile::CompileOptions& options = {});
 
 }  // namespace mrsc::scenario

@@ -15,6 +15,18 @@ namespace {
 
 using util::trim;
 
+// The whole file at `path`; an unreadable path is a runtime failure.
+std::string read_file(const char* what, const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    throw std::runtime_error(std::string(what) + ": cannot open '" + path +
+                             "'");
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 [[noreturn]] void fail(std::size_t line_number, const std::string& message) {
   throw std::invalid_argument("parse_scenario: line " +
                               std::to_string(line_number) + ": " + message);
@@ -341,17 +353,19 @@ Scenario parse_scenario_text(const std::string& text) {
 }
 
 Scenario load_scenario_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("load_scenario: cannot open '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  const std::string text = read_file("load_scenario", path);
   try {
-    return parse_scenario_text(buffer.str());
+    return parse_scenario_text(text);
   } catch (const std::invalid_argument& error) {
     throw std::invalid_argument(path + ": " + error.what());
   }
+}
+
+Scenario load_network_file(const std::string& path) {
+  Scenario scenario;
+  scenario.name = path;
+  scenario.network_text = read_file("load_network", path);
+  return scenario;
 }
 
 }  // namespace mrsc::scenario

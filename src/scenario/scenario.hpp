@@ -81,7 +81,8 @@ struct Scenario {
   /// Inline io-format network text (@network ... @end). Empty when the
   /// design is a registry spec.
   std::string network_text;
-  /// Port species for inline networks (lint roots; all treated as inputs).
+  /// Port species for inline networks (lint roots, all treated as inputs;
+  /// pinned at -O1).
   std::vector<std::string> roots;
   SimBudget sim;
   LintBudget lint;
@@ -98,5 +99,12 @@ struct Scenario {
 /// std::runtime_error (a runtime failure, exit 1); malformed content throws
 /// std::invalid_argument exactly like parse_scenario_text (usage, exit 2).
 [[nodiscard]] Scenario load_scenario_file(const std::string& path);
+
+/// Reads a serialized network file (the io .crn format) as an inline-network
+/// record named by its path: it resolves exactly like a .mrsc @network block
+/// with no @roots and no budgets. An unreadable path throws
+/// std::runtime_error; malformed content throws std::invalid_argument when
+/// the record is resolved.
+[[nodiscard]] Scenario load_network_file(const std::string& path);
 
 }  // namespace mrsc::scenario

@@ -171,9 +171,7 @@ bool read_exact(int fd, char* buffer, std::size_t count, bool eof_ok) {
 
 }  // namespace
 
-bool read_frame(int fd, std::string& payload) {
-  char header[4];
-  if (!read_exact(fd, header, 4, /*eof_ok=*/true)) return false;
+std::uint32_t frame_length(const char* header) {
   const std::uint32_t length =
       (static_cast<std::uint32_t>(static_cast<unsigned char>(header[0]))
        << 24) |
@@ -186,6 +184,13 @@ bool read_frame(int fd, std::string& payload) {
     throw ProtocolError("oversized frame (" + std::to_string(length) +
                         " bytes)");
   }
+  return length;
+}
+
+bool read_frame(int fd, std::string& payload) {
+  char header[4];
+  if (!read_exact(fd, header, 4, /*eof_ok=*/true)) return false;
+  const std::uint32_t length = frame_length(header);
   payload.resize(length);
   if (length != 0) read_exact(fd, payload.data(), length, /*eof_ok=*/false);
   return true;

@@ -88,6 +88,12 @@ class Socket {
 /// on a closed/failed socket or an oversized payload.
 void write_frame(int fd, const std::string& payload);
 
+/// The payload length a frame's 4-byte big-endian prefix at `header`
+/// announces. Throws ProtocolError ("oversized frame (N bytes)") above
+/// kMaxFrameBytes. The one decoder of the prefix: read_frame and the fleet's
+/// non-blocking reader both call it.
+[[nodiscard]] std::uint32_t frame_length(const char* header);
+
 /// Reads one frame. Returns false on clean EOF at a frame boundary; throws
 /// std::runtime_error on mid-frame EOF, socket errors, or oversized lengths.
 [[nodiscard]] bool read_frame(int fd, std::string& payload);

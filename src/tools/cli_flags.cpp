@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "util/strings.hpp"
@@ -122,6 +124,12 @@ FlagParser& FlagParser::positional(std::string& out, const char* extra) {
   return *this;
 }
 
+FlagParser& FlagParser::add(std::vector<Flag> flags) {
+  flags_.insert(flags_.end(), std::make_move_iterator(flags.begin()),
+                std::make_move_iterator(flags.end()));
+  return *this;
+}
+
 FlagParser& FlagParser::usage_on_unknown(void (*usage)()) {
   usage_ = usage;
   return *this;
@@ -156,6 +164,14 @@ bool FlagParser::parse(int argc, char** argv) {
     given_.emplace(flag->name_);
   }
   return true;
+}
+
+int exit_code(const char* tool, const std::exception& error,
+              void (*usage)()) {
+  std::fprintf(stderr, "%s: %s\n", tool, error.what());
+  if (dynamic_cast<const std::invalid_argument*>(&error) == nullptr) return 1;
+  if (usage != nullptr) usage();
+  return 2;
 }
 
 bool write_file(const char* tool, const std::string& path,

@@ -1,6 +1,6 @@
 // The one command-line parser every mrsc_* CLI shares, its number grammar,
-// and the writer for the files those flags name (--json, --out, --csv,
-// --port-file).
+// the writer for the files those flags name (--json, --out, --csv,
+// --port-file), and the exit code of a failure (exit_code).
 //
 // Flag grammar, the same for every CLI:
 //   --name value   a flag that takes a value takes the next argument, even
@@ -28,13 +28,12 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <initializer_list>
 #include <set>
 #include <string>
 #include <vector>
-
-#include "scenario/scenario.hpp"
 
 namespace mrsc::tools {
 
@@ -108,6 +107,9 @@ class FlagParser {
   /// "<tool>: <extra>".
   FlagParser& positional(std::string& out, const char* extra);
 
+  /// Appends rows a group of CLIs shares (SimFlags::add_to).
+  FlagParser& add(std::vector<Flag> flags);
+
   /// Prints `usage` after an unknown option.
   FlagParser& usage_on_unknown(void (*usage)());
 
@@ -126,22 +128,13 @@ class FlagParser {
   GivenFlags given_;
 };
 
-/// Scenario @sim budgets are defaults and explicit flags win: fills each of
-/// --method, --t-end, --record, --omega and --seed that `given` lacks from
-/// `budget` (mrsc_sim and mrsc_batch options).
-template <class Options>
-void apply_sim_budget(const scenario::SimBudget& budget,
-                      const GivenFlags& given, Options& options) {
-  if (!given.contains("--method") && budget.method) {
-    options.method = *budget.method;
-  }
-  if (!given.contains("--t-end") && budget.t_end) options.t_end = *budget.t_end;
-  if (!given.contains("--record") && budget.record) {
-    options.record = *budget.record;
-  }
-  if (!given.contains("--omega") && budget.omega) options.omega = *budget.omega;
-  if (!given.contains("--seed") && budget.seed) options.seed = *budget.seed;
-}
+/// Prints "<tool>: <what>" and returns the exit code of a throw out of a
+/// CLI's work, the same in every CLI: 2 for std::invalid_argument
+/// (malformed content, an unknown name), after which a non-null `usage`
+/// prints too; 1 for anything else (an unreadable input, an unwritable
+/// output, a failed run).
+[[nodiscard]] int exit_code(const char* tool, const std::exception& error,
+                            void (*usage)() = nullptr);
 
 /// Writes `text` to the file at `path`, or to stdout when `path` is "-";
 /// prints "<tool>: cannot write <path>" and returns false when the file

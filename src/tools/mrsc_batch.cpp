@@ -35,16 +35,18 @@
 //                      fallback ladder: a failure steps down one rung, a
 //                      deadline retries the same rung (default 0); recovery
 //                      logs land in --json
-//   --opt              run the -O1 compile pipeline on the loaded network
-//                      first (--species names are pinned as roots); the
-//                      per-pass report is printed and lands in --json
+//   --opt              load the design at -O1 (tools/cli_design.hpp: a
+//                      registry design keeps its ports, a FILE.crn or
+//                      inline network its @roots and the --species names);
+//                      the per-pass report is printed and lands in --json
 //   --json PATH        write the results as one line of compact JSON
 //
 // Exit codes:
 //   0  every job finished ok (possibly after retries)
 //   1  at least one job failed / timed out / was quarantined (at any
 //      --retries), or a runtime error (unreadable file, unwritable --json)
-//   2  bad CLI usage: unknown flag, malformed value, unknown --species name
+//   2  bad CLI usage: unknown flag, malformed value or file, unknown design
+//      or --species name
 #include <algorithm>
 #include <cstdio>
 #include <optional>
@@ -54,13 +56,10 @@
 #include <vector>
 
 #include "analysis/sweep.hpp"
-#include "compile/passes.hpp"
-#include "core/io.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/ensemble.hpp"
-#include "scenario/registry.hpp"
 #include "sim/method.hpp"
-#include "tools/cli_flags.hpp"
+#include "tools/cli_design.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -73,28 +72,16 @@ using util::json::Value;
 constexpr char kTool[] = "mrsc_batch";
 
 struct CliOptions {
-  std::string file;
-  std::string scenario;
   std::string mode = "ensemble";
   std::size_t jobs = 0;  // 0 -> hardware concurrency
   std::size_t replicates = 64;
   double timeout = 0.0;
-  std::uint64_t seed = 1;
-  double t_end = 100.0;
-  std::string method;  // empty -> mode default
-  double omega = 1000.0;
-  double record = 0.0;  // 0 -> t_end / 200
-  double tau = 0.01;
-  double dt = 1e-3;
+  tools::SimFlags sim;  // an empty method is the mode's default
   std::vector<double> ratios = {10.0, 100.0, 1000.0, 10000.0};
   std::vector<double> jitters = {1.0};
-  std::vector<std::string> species;
   std::size_t retries = 0;  // extra attempts beyond the first
-  bool opt = false;
   std::string json;
   tools::GivenFlags given;
-  // Compile report from --opt, embedded in the --json output.
-  std::optional<Value> compile_report;
 };
 
 void usage() {
@@ -114,42 +101,22 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       {"--jobs", options.jobs},
       {"--replicates", options.replicates},
       {"--timeout", options.timeout},
-      {"--seed", options.seed},
-      {"--t-end", options.t_end},
-      {"--method", options.method},
-      {"--omega", options.omega},
-      {"--record", options.record},
-      {"--scenario", options.scenario},
-      {"--tau", options.tau},
-      {"--dt", options.dt},
       {"--ratios", options.ratios},
       {"--jitters", options.jitters},
-      {"--species", options.species},
       {"--retries", options.retries},
-      {"--opt", options.opt},
       {"--json", options.json},
   });
-  flags.positional(options.file, "multiple input files");
+  options.sim.add_to(flags);
   if (!flags.parse(argc, argv)) return false;
   options.given = flags.given();
-  if (options.file.empty() == options.scenario.empty()) {
-    std::fprintf(stderr,
-                 "mrsc_batch: give exactly one of FILE.crn or --scenario\n");
-    usage();
-    return false;
-  }
   if (options.mode != "ensemble" && options.mode != "sweep") {
     std::fprintf(stderr, "mrsc_batch: --mode must be ensemble or sweep\n");
     return false;
   }
-  if (options.t_end <= 0.0 || options.omega <= 0.0 || options.tau <= 0.0 ||
-      options.dt <= 0.0) {
-    std::fprintf(stderr,
-                 "mrsc_batch: --t-end, --omega, --tau, --dt must be > 0\n");
-    return false;
-  }
-  if (options.record < 0.0 || options.timeout < 0.0) {
-    std::fprintf(stderr, "mrsc_batch: --record and --timeout must be >= 0\n");
+  if (!options.sim.check(kTool)) return false;
+  if (options.timeout < 0.0) {
+    std::fprintf(stderr, "mrsc_batch: --timeout must be >= 0 (got %g)\n",
+                 options.timeout);
     return false;
   }
   if (options.replicates == 0) {
@@ -171,32 +138,12 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
   return true;
 }
 
-std::vector<core::SpeciesId> resolve_species(
-    const core::ReactionNetwork& network,
-    const std::vector<std::string>& names) {
-  std::vector<core::SpeciesId> ids;
-  if (names.empty()) {
-    for (std::size_t i = 0; i < network.species_count(); ++i) {
-      ids.push_back(
-          core::SpeciesId{static_cast<core::SpeciesId::underlying_type>(i)});
-    }
-    return ids;
-  }
-  for (const std::string& name : names) {
-    const auto id = network.find_species(name);
-    if (!id) {
-      throw std::invalid_argument("unknown species '" + name + "'");
-    }
-    ids.push_back(*id);
-  }
-  return ids;
-}
-
 // Starts a --json report: the mode, then the --opt compile report if any.
-Value report_header(const char* mode, const CliOptions& cli) {
+Value report_header(const char* mode, const tools::LoadedDesign& loaded,
+                    const CliOptions& cli) {
   Value json;
   json.set("mode", Value(mode));
-  if (cli.compile_report) json.set("compile", *cli.compile_report);
+  if (cli.sim.opt) json.set("compile", loaded.report.to_value());
   return json;
 }
 
@@ -210,35 +157,27 @@ bool write_report(const CliOptions& cli, const Value& json) {
   return write_file(kTool, cli.json, json.dump() + "\n", "results");
 }
 
-int run_ensemble(const core::ReactionNetwork& network,
-                 const CliOptions& cli) {
-  sim::SsaOptions ssa;
-  ssa.t_end = cli.t_end;
-  ssa.omega = cli.omega;
-  ssa.tau = cli.tau;
-  ssa.record_interval = cli.record > 0.0 ? cli.record : cli.t_end / 200.0;
-  const std::string method = cli.method.empty() ? "nrm" : cli.method;
+int run_ensemble(const tools::LoadedDesign& loaded, const CliOptions& cli) {
+  const core::ReactionNetwork& network = loaded.network();
+  const std::string method = cli.sim.method.empty() ? "nrm" : cli.sim.method;
   const std::optional<sim::SimMethod> parsed = sim::parse_method(method);
   const auto* ssa_method =
       parsed ? std::get_if<sim::SsaMethod>(&*parsed) : nullptr;
   if (ssa_method == nullptr) {
-    std::fprintf(stderr,
-                 "mrsc_batch: ensemble --method must be ssa|nrm|tau\n");
-    return 2;
+    throw std::invalid_argument("ensemble --method must be ssa|nrm|tau");
   }
-  ssa.method = *ssa_method;
+  const sim::SsaOptions ssa = cli.sim.ssa(*ssa_method);
 
   runtime::EnsembleOptions options;
   options.replicates = cli.replicates;
-  options.base_seed = cli.seed;
+  options.base_seed = cli.sim.seed;
   options.batch.threads = cli.jobs;
   options.batch.timeout_seconds = cli.timeout;
   options.batch.max_attempts = cli.retries + 1;
 
   const runtime::EnsembleResult result =
       runtime::run_ssa_ensemble(network, ssa, options);
-  const std::vector<core::SpeciesId> report =
-      resolve_species(network, cli.species);
+  const std::vector<core::SpeciesId> report = loaded.reported();
 
   std::printf(
       "ensemble: %zu replicates (%s, omega=%g, t_end=%g) on %zu worker(s)\n"
@@ -271,7 +210,7 @@ int run_ensemble(const core::ReactionNetwork& network,
   }
 
   if (!cli.json.empty()) {
-    Value json = report_header("ensemble", cli);
+    Value json = report_header("ensemble", loaded, cli);
     json.set("replicates", Value(options.replicates));
     json.set("base_seed", Value(options.base_seed));
     json.set("method", Value(method));
@@ -307,20 +246,16 @@ int run_ensemble(const core::ReactionNetwork& network,
   return result.ok == result.replicates.size() ? 0 : 1;
 }
 
-int run_sweep(const core::ReactionNetwork& network, const CliOptions& cli) {
+int run_sweep(const tools::LoadedDesign& loaded, const CliOptions& cli) {
+  const core::ReactionNetwork& network = loaded.network();
   const std::optional<sim::SimMethod> parsed =
-      sim::parse_method(cli.method.empty() ? "dp45" : cli.method);
+      sim::parse_method(cli.sim.method.empty() ? "dp45" : cli.sim.method);
   const auto* ode_method =
       parsed ? std::get_if<sim::OdeMethod>(&*parsed) : nullptr;
   if (ode_method == nullptr) {
-    std::fprintf(stderr, "mrsc_batch: sweep --method must be dp45|rk4|be\n");
-    return 2;
+    throw std::invalid_argument("sweep --method must be dp45|rk4|be");
   }
-  sim::OdeOptions ode;
-  ode.t_end = cli.t_end;
-  ode.dt = cli.dt;
-  ode.record_interval = cli.record > 0.0 ? cli.record : cli.t_end / 200.0;
-  ode.method = *ode_method;
+  const sim::OdeOptions ode = cli.sim.ode(*ode_method);
 
   // One jittered network copy per grid point; the jobs reference them.
   struct GridPoint {
@@ -332,7 +267,7 @@ int run_sweep(const core::ReactionNetwork& network, const CliOptions& cli) {
   for (const double ratio : cli.ratios) {
     for (const double jitter : cli.jitters) {
       grid.push_back({ratio, jitter,
-                      util::Rng::stream_seed(cli.seed, grid.size())});
+                      util::Rng::stream_seed(cli.sim.seed, grid.size())});
     }
   }
   std::vector<core::ReactionNetwork> networks(grid.size(), network);
@@ -356,8 +291,7 @@ int run_sweep(const core::ReactionNetwork& network, const CliOptions& cli) {
   batch.max_attempts = cli.retries + 1;
   runtime::BatchRunner runner(batch);
   const std::vector<runtime::JobResult> results = runner.run(jobs);
-  const std::vector<core::SpeciesId> report =
-      resolve_species(network, cli.species);
+  const std::vector<core::SpeciesId> report = loaded.reported();
 
   std::printf("sweep: %zu points on %zu worker(s)\n", grid.size(),
               runner.options().threads);
@@ -393,7 +327,7 @@ int run_sweep(const core::ReactionNetwork& network, const CliOptions& cli) {
   }
 
   if (!cli.json.empty()) {
-    Value json = report_header("sweep", cli);
+    Value json = report_header("sweep", loaded, cli);
     Value points;
     points.make_array();
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -415,66 +349,20 @@ int run_sweep(const core::ReactionNetwork& network, const CliOptions& cli) {
   return failures == 0 ? 0 : 1;
 }
 
+int run(CliOptions& cli) {
+  const tools::LoadedDesign loaded = cli.sim.load(cli.given);
+  return cli.mode == "ensemble" ? run_ensemble(loaded, cli)
+                                : run_sweep(loaded, cli);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   CliOptions cli;
   if (!parse_cli(argc, argv, cli)) return 2;
-  core::ReactionNetwork network;
-  std::string label = cli.file;
-  if (!cli.scenario.empty()) {
-    try {
-      scenario::ResolvedScenario resolved =
-          scenario::resolve_scenario_argument(cli.scenario);
-      network = std::move(*resolved.design.network);
-      label = resolved.scenario.name;
-      tools::apply_sim_budget(resolved.scenario.sim, cli.given, cli);
-      std::printf("scenario %s: %zu species, %zu reactions\n", label.c_str(),
-                  network.species_count(), network.reaction_count());
-    } catch (const std::invalid_argument& error) {
-      std::fprintf(stderr, "mrsc_batch: %s\n", error.what());
-      return 2;
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "mrsc_batch: %s\n", error.what());
-      return 1;
-    }
-  }
   try {
-    if (!cli.file.empty()) {
-      network = core::load_network(cli.file);
-      std::printf("loaded %s: %zu species, %zu reactions\n", cli.file.c_str(),
-                  network.species_count(), network.reaction_count());
-    }
-    if (cli.opt) {
-      // Resolve --species against the unoptimized network and pin them as
-      // roots so everything the user asked to see survives optimization.
-      std::vector<core::SpeciesId> roots;
-      for (const std::string& name : cli.species) {
-        const auto id = network.find_species(name);
-        if (!id) {
-          std::fprintf(stderr, "mrsc_batch: --species: no species named '%s'\n",
-                       name.c_str());
-          return 2;
-        }
-        roots.push_back(*id);
-      }
-      auto optimized = compile::optimize_network(network, roots);
-      optimized.report.design = label;
-      std::printf("%s", optimized.report.to_table().c_str());
-      cli.compile_report = optimized.report.to_value();
-    }
-    // A --species typo is bad usage (exit 2), not a job failure (exit 1):
-    // validate the names before any simulation runs.
-    try {
-      (void)resolve_species(network, cli.species);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "mrsc_batch: --species: %s\n", error.what());
-      return 2;
-    }
-    return cli.mode == "ensemble" ? run_ensemble(network, cli)
-                                  : run_sweep(network, cli);
+    return run(cli);
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "mrsc_batch: %s\n", error.what());
-    return 1;
+    return tools::exit_code(kTool, error, usage);
   }
 }

@@ -1,5 +1,6 @@
 // mrsc_compile — lower a design (or optimize a .crn file) through the shared
-// compile pipeline and report what every pass did.
+// compile pipeline and report what every pass did. Every source loads
+// through tools::load_design (tools/cli_design.hpp).
 //
 //   mrsc_compile FILE.crn [options]
 //   mrsc_compile --design NAME [options]
@@ -10,14 +11,17 @@
 //                      --list-scenarios for the catalog)
 //   --scenario SPEC    compile a registry scenario: a design spec
 //                      ("counter", "cascade(3)") or a .mrsc scenario file
+//                      (an inline @network runs the standalone pipeline
+//                      with its @roots pinned)
 //   --list-scenarios   print the scenario catalog (fixed designs, parametric
 //                      generators with their ranges, smoke set) and exit
 //   --opt 0|1          optimization level               (default 1)
 //   --assume-zero A,B  input ports promised to stay zero; their dead cone
 //                      is eliminated at -O1 (built-in circuit designs only)
-//   --roots A,B        extra species pinned alive (FILE mode; ports and
-//                      clock species of built-in designs are pinned
-//                      automatically)
+//   --roots A,B        extra species pinned alive in a FILE.crn or inline
+//                      network; registry designs pin their ports, register
+//                      state and clock species themselves. Every name must
+//                      be a species of the design
 //   --json PATH        write the per-pass CompileReport as JSON
 //   --out PATH         write the compiled/optimized network as .crn text
 //                      ( - = stdout)
@@ -25,19 +29,17 @@
 //                      network and print its report; lint errors make the
 //                      exit code 1
 //
-// Prints the per-pass table on stdout; exits nonzero on error.
+// Prints the per-pass table on stdout. Exits 0 on success, 1 on a runtime
+// failure (unreadable input, unwritable --json/--out, a validation failure,
+// lint errors under --lint), 2 on bad usage (unknown flag, design or
+// species, malformed file).
 #include <cstdio>
-#include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "compile/passes.hpp"
-#include "compile/report.hpp"
 #include "core/io.hpp"
 #include "lint/lint.hpp"
-#include "scenario/registry.hpp"
-#include "tools/cli_flags.hpp"
+#include "tools/cli_design.hpp"
 
 namespace {
 
@@ -47,9 +49,7 @@ using tools::write_file;
 constexpr char kTool[] = "mrsc_compile";
 
 struct CliOptions {
-  std::string file;
-  std::string design;
-  std::string scenario;
+  tools::DesignSource source;
   bool list_scenarios = false;
   int opt = 1;
   std::vector<std::string> assume_zero;
@@ -73,8 +73,8 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
   tools::FlagParser flags(kTool, {
       {"--lint", options.lint},
       {"--list-scenarios", options.list_scenarios},
-      {"--design", options.design},
-      {"--scenario", options.scenario},
+      {"--design", options.source.design},
+      {"--scenario", options.source.scenario},
       {"--opt",
        [&](const char* value) {
          return tools::parse_opt_level(kTool, value, options.opt);
@@ -84,19 +84,8 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       {"--json", options.json},
       {"--out", options.out},
   });
-  flags.positional(options.file, "more than one input file");
-  if (!flags.parse(argc, argv)) return false;
-  if (options.list_scenarios) return true;
-  const int sources = (options.file.empty() ? 0 : 1) +
-                      (options.design.empty() ? 0 : 1) +
-                      (options.scenario.empty() ? 0 : 1);
-  if (sources != 1) {
-    std::fprintf(stderr,
-                 "mrsc_compile: give exactly one of FILE.crn, --design, or "
-                 "--scenario\n");
-    return false;
-  }
-  return true;
+  flags.positional(options.source.file, "more than one input file");
+  return flags.parse(argc, argv);
 }
 
 void print_scenario_catalog() {
@@ -133,55 +122,10 @@ int main(int argc, char** argv) {
     return 0;
   }
   try {
-    compile::CompileReport report;
-    compile::CompileOptions compile_options;
-    compile_options.opt =
-        cli.opt == 0 ? compile::OptLevel::kO0 : compile::OptLevel::kO1;
-    compile_options.assume_zero_inputs = cli.assume_zero;
-    compile_options.report = &report;
-
-    scenario::BuiltDesign compiled;
-    if (!cli.scenario.empty()) {
-      scenario::ResolvedScenario resolved;
-      try {
-        resolved =
-            scenario::resolve_scenario_argument(cli.scenario, compile_options);
-      } catch (const std::invalid_argument& error) {
-        std::fprintf(stderr, "mrsc_compile: %s\n", error.what());
-        return 2;
-      }
-      report.design = resolved.scenario.name;
-      compiled = std::move(resolved.design);
-    } else if (!cli.design.empty()) {
-      report.design = cli.design;
-      compiled = std::move(
-          scenario::ScenarioRegistry::global()
-              .resolve(cli.design, compile_options)
-              .design);
-    } else {
-      report.design = cli.file;
-      compiled.owned = std::make_unique<core::ReactionNetwork>(
-          core::load_network(cli.file));
-      compiled.network = compiled.owned.get();
-      std::vector<core::SpeciesId> roots;
-      for (const std::string& name : cli.roots) {
-        const auto id = compiled.network->find_species(name);
-        if (!id) {
-          throw std::invalid_argument("--roots: no species named '" + name +
-                                      "'");
-        }
-        roots.push_back(*id);
-      }
-      if (cli.opt == 0) {
-        // Nothing to do, but still report the (identity) stats.
-        report.before = core::compute_stats(*compiled.network);
-        report.after = report.before;
-      } else {
-        auto result = compile::optimize_network(*compiled.network, roots);
-        result.report.design = report.design;
-        report = std::move(result.report);
-      }
-    }
+    const tools::LoadedDesign loaded =
+        tools::load_design(cli.source, cli.opt, cli.roots, cli.assume_zero);
+    const compile::CompileReport& report = loaded.report;
+    const scenario::BuiltDesign& compiled = loaded.resolved.design;
 
     std::printf("%s", report.to_table().c_str());
     const auto& b = report.before;
@@ -212,7 +156,6 @@ int main(int argc, char** argv) {
     }
     return 0;
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "mrsc_compile: %s\n", error.what());
-    return 1;
+    return tools::exit_code(kTool, error, usage);
   }
 }

@@ -224,13 +224,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     return 0;
-  } catch (const std::invalid_argument& error) {
+  } catch (const std::exception& error) {
     // Specs the local registry/validator rejects are bad usage, same
     // contract as the other CLIs.
-    std::fprintf(stderr, "mrsc_fleet: %s\n", error.what());
-    return 2;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "mrsc_fleet: %s\n", error.what());
-    return 1;
+    return tools::exit_code(kTool, error);
   }
 }

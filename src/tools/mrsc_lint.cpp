@@ -11,11 +11,14 @@
 //                      "cascade(3)") or a .mrsc scenario file; the
 //                      scenario's lint budget supplies default --checks and
 //                      --werror (explicit flags win)
-//   --roots A,B        species treated as design ports (FILE mode; built-in
-//                      designs carry their port roster automatically)
+//   --roots A,B        species treated as design ports of a FILE.crn or
+//                      inline network (registry designs carry their port
+//                      roster automatically); every name must be a species
+//                      of the design
 //   --opt 0|1          optimization level to lint at (default 0: the
 //                      unoptimized network keeps its emission tags, so
-//                      every check can run)
+//                      every check can run); every source, FILE.crn
+//                      included, loads through tools::load_design
 //   --checks a,b       run only the named checks (default: all)
 //   --json PATH        write the LintReport(s) as JSON ("-" for stdout)
 //   --werror           treat warnings as errors for the exit code
@@ -23,17 +26,15 @@
 //
 // Exit code contract (asserted by ctest):
 //   0  every selected check ran clean
-//   1  at least one error (or, with --werror, warning) fired
-//   2  usage error / unknown design / unknown check
+//   1  at least one error (or, with --werror, warning) fired, or a runtime
+//      failure: unreadable input, unwritable --json
+//   2  usage error: unknown flag, design, species or check, malformed file
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/io.hpp"
 #include "lint/lint.hpp"
-#include "scenario/registry.hpp"
-#include "tools/cli_flags.hpp"
+#include "tools/cli_design.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -44,9 +45,7 @@ using tools::write_file;
 constexpr char kTool[] = "mrsc_lint";
 
 struct CliOptions {
-  std::string file;
-  std::string design;
-  std::string scenario;
+  tools::DesignSource source;
   std::vector<std::string> roots;
   int opt = 0;
   std::vector<std::string> checks;
@@ -74,8 +73,8 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
   tools::FlagParser flags(kTool, {
       {"--werror", options.werror},
       {"--quiet", options.quiet},
-      {"--design", options.design},
-      {"--scenario", options.scenario},
+      {"--design", options.source.design},
+      {"--scenario", options.source.scenario},
       {"--opt",
        [&](const char* value) {
          return tools::parse_opt_level(kTool, value, options.opt);
@@ -84,54 +83,27 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
       {"--roots", options.roots},
       {"--json", options.json},
   });
-  flags.positional(options.file, "more than one input file");
-  if (!flags.parse(argc, argv)) return false;
-  const int sources = (options.file.empty() ? 0 : 1) +
-                      (options.design.empty() ? 0 : 1) +
-                      (options.scenario.empty() ? 0 : 1);
-  if (sources != 1) {
-    std::fprintf(stderr,
-                 "mrsc_lint: give exactly one of FILE.crn, --design, or "
-                 "--scenario\n");
-    return false;
-  }
-  return true;
+  flags.positional(options.source.file, "more than one input file");
+  return flags.parse(argc, argv);
 }
 
-lint::LintReport lint_file(const CliOptions& cli) {
-  const core::ReactionNetwork network = core::load_network(cli.file);
-  lint::LintInput input;
-  input.network = &network;
-  input.design = cli.file;
-  for (const std::string& name : cli.roots) {
-    const auto id = network.find_species(name);
-    if (!id) {
-      throw std::invalid_argument("--roots: no species named '" + name + "'");
-    }
-    input.roots.emplace_back(*id, compile::PortRole::kInput);
-  }
+// Lints one design source at --opt. A scenario's lint budget supplies
+// default --checks and --werror (explicit flags win); `clean` receives the
+// exit-code verdict.
+lint::LintReport lint_design(const tools::DesignSource& source,
+                             const CliOptions& cli, bool& clean) {
+  const tools::LoadedDesign loaded =
+      tools::load_design(source, cli.opt, cli.roots);
+  const scenario::ResolvedScenario& resolved = loaded.resolved;
+  lint::LintInput input = lint::LintInput::from_design(
+      loaded.network(), resolved.design.info, resolved.scenario.name);
+  input.composition = resolved.design.composition.get();
   lint::LintOptions lint_options;
-  lint_options.checks = cli.checks;
-  return lint::run_lint(input, lint_options);
-}
-
-lint::LintReport lint_one(const std::string& design_name,
-                          const CliOptions& cli) {
-  compile::CompileOptions compile_options;
-  compile_options.opt =
-      cli.opt == 0 ? compile::OptLevel::kO0 : compile::OptLevel::kO1;
-  const scenario::ResolvedScenario resolved =
-      scenario::ScenarioRegistry::global().resolve(design_name,
-                                                   compile_options);
-  const scenario::BuiltDesign& design = resolved.design;
-
-  lint::LintInput input =
-      lint::LintInput::from_design(*design.network, design.info, design_name);
-  input.composition = design.composition.get();
-
-  lint::LintOptions lint_options;
-  lint_options.checks = cli.checks;
-  return lint::run_lint(input, lint_options);
+  lint_options.checks =
+      cli.checks.empty() ? resolved.scenario.lint.checks : cli.checks;
+  lint::LintReport report = lint::run_lint(input, lint_options);
+  clean = report.clean(cli.werror || resolved.scenario.lint.werror);
+  return report;
 }
 
 }  // namespace
@@ -143,69 +115,36 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    if (!cli.file.empty()) {
-      const lint::LintReport report = lint_file(cli);
-      std::printf("%s", report.to_text(!cli.quiet).c_str());
-      if (!cli.json.empty() &&
-          !write_file(kTool, cli.json, report.to_value().dump() + "\n")) {
-        return 2;
+    // "--design all" lints every fixed design and writes the array of
+    // reports; any other source writes its one report.
+    const bool all = cli.source.design == "all";
+    std::vector<tools::DesignSource> sources;
+    if (all) {
+      for (const std::string& name :
+           scenario::ScenarioRegistry::global().fixed_names()) {
+        sources.push_back(cli.source);
+        sources.back().design = name;
       }
-      return report.clean(cli.werror) ? 0 : 1;
-    }
-
-    if (!cli.scenario.empty()) {
-      compile::CompileOptions compile_options;
-      compile_options.opt =
-          cli.opt == 0 ? compile::OptLevel::kO0 : compile::OptLevel::kO1;
-      const scenario::ResolvedScenario resolved =
-          scenario::resolve_scenario_argument(cli.scenario, compile_options);
-      lint::LintInput input =
-          lint::LintInput::from_design(*resolved.design.network,
-                                       resolved.design.info,
-                                       resolved.scenario.name);
-      input.composition = resolved.design.composition.get();
-      lint::LintOptions lint_options;
-      lint_options.checks = cli.checks.empty() ? resolved.scenario.lint.checks
-                                               : cli.checks;
-      const lint::LintReport report = lint::run_lint(input, lint_options);
-      std::printf("%s", report.to_text(!cli.quiet).c_str());
-      if (!cli.json.empty() &&
-          !write_file(kTool, cli.json, report.to_value().dump() + "\n")) {
-        return 2;
-      }
-      const bool werror = cli.werror || resolved.scenario.lint.werror;
-      return report.clean(werror) ? 0 : 1;
-    }
-
-    std::vector<std::string> designs;
-    if (cli.design == "all") {
-      designs = scenario::ScenarioRegistry::global().fixed_names();
     } else {
-      designs.push_back(cli.design);
+      sources.push_back(cli.source);
     }
 
     util::json::Value reports;
     bool dirty = false;
-    for (std::size_t i = 0; i < designs.size(); ++i) {
-      const lint::LintReport report = lint_one(designs[i], cli);
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      bool clean = true;
+      const lint::LintReport report = lint_design(sources[i], cli, clean);
       std::printf("%s", report.to_text(!cli.quiet).c_str());
-      if (i + 1 < designs.size()) std::printf("\n");
-      if (!report.clean(cli.werror)) dirty = true;
+      if (i + 1 < sources.size()) std::printf("\n");
+      if (!clean) dirty = true;
       reports.array().push_back(report.to_value());
     }
-    // One design writes its report; "all" writes the array of them.
-    const util::json::Value& json =
-        designs.size() > 1 ? reports : reports.as_array().front();
+    const util::json::Value& json = all ? reports : reports.as_array().front();
     if (!cli.json.empty() && !write_file(kTool, cli.json, json.dump() + "\n")) {
-      return 2;
+      return 1;
     }
     return dirty ? 1 : 0;
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "mrsc_lint: %s\n", error.what());
-    usage();
-    return 2;
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "mrsc_lint: %s\n", error.what());
-    return 2;
+    return tools::exit_code(kTool, error, usage);
   }
 }

@@ -295,12 +295,8 @@ int main(int argc, char** argv) {
   if (!cli.corpus_file.empty()) {
     try {
       entries = load_corpus_file(cli.corpus_file);
-    } catch (const std::invalid_argument& error) {
-      std::fprintf(stderr, "mrsc_loadgen: %s\n", error.what());
-      return 2;
     } catch (const std::exception& error) {
-      std::fprintf(stderr, "mrsc_loadgen: %s\n", error.what());
-      return 1;
+      return tools::exit_code(kTool, error);
     }
   } else {
     for (const std::string& design : cli.designs) {

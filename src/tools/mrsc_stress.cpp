@@ -181,12 +181,8 @@ int main(int argc, char** argv) {
       if (!cli.given.contains("--trials") && budget.trials) {
         cli.config.trials = *budget.trials;
       }
-    } catch (const std::invalid_argument& error) {
-      std::fprintf(stderr, "mrsc_stress: %s\n", error.what());
-      return 2;
     } catch (const std::exception& error) {
-      std::fprintf(stderr, "mrsc_stress: %s\n", error.what());
-      return 1;
+      return tools::exit_code(kTool, error);
     }
   }
   try {
@@ -197,13 +193,9 @@ int main(int argc, char** argv) {
       std::printf("%s", result.to_table().c_str());
     }
     return 0;
-  } catch (const std::invalid_argument& error) {
-    // Rejected before any trial ran: an unknown or malformed design spec,
-    // or a fault kind without an intensity.
-    std::fprintf(stderr, "mrsc_stress: %s\n", error.what());
-    return 2;
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "mrsc_stress: %s\n", error.what());
-    return 1;
+    // An unknown or malformed design spec, or a fault kind without an
+    // intensity, throws std::invalid_argument before any trial runs.
+    return tools::exit_code(kTool, error);
   }
 }

@@ -13,11 +13,12 @@
 //
 //   mrsc_verify --scenario SPEC [options]
 //
-// resolves the scenario ("counter", "cascade(3)", or a .mrsc file) through
-// the registry and sweeps the optimized-vs-unoptimized equivalence oracle
-// over its network with the design's ports pinned as roots, one run per
-// seed in [start-seed, start-seed + seeds); the seed is the base seed of the
-// run's SSA-ensemble leg. The scenario's verify budget supplies
+// loads the scenario ("counter", "cascade(3)", or a .mrsc file) through
+// tools::load_design, the loader every design-reading CLI shares, and
+// sweeps the optimized-vs-unoptimized equivalence oracle over its network
+// with the design's ports pinned as roots, one run per seed in
+// [start-seed, start-seed + seeds); the seed is the base seed of the run's
+// SSA-ensemble leg. The scenario's verify budget supplies
 // default --seeds/--start-seed (explicit flags win; bare specs default to
 // seeds=3, start-seed=1).
 //
@@ -42,8 +43,7 @@
 #include <string>
 #include <vector>
 
-#include "scenario/registry.hpp"
-#include "tools/cli_flags.hpp"
+#include "tools/cli_design.hpp"
 #include "util/json.hpp"
 #include "verify/golden.hpp"
 #include "verify/opt_equivalence.hpp"
@@ -126,13 +126,10 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
 // shapes the oracle run (horizon, sampling grid, omega); its verify budget
 // sets the seed sweep.
 int run_scenario_verify(const CliOptions& cli) {
-  scenario::ResolvedScenario resolved;
-  try {
-    resolved = scenario::resolve_scenario_argument(cli.scenario);
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "mrsc_verify: %s\n", error.what());
-    return 2;
-  }
+  tools::DesignSource source;
+  source.scenario = cli.scenario;
+  const tools::LoadedDesign loaded = tools::load_design(source, 0);
+  const scenario::ResolvedScenario& resolved = loaded.resolved;
   const scenario::VerifyBudget& budget = resolved.scenario.verify;
   const std::size_t seeds =
       cli.given.contains("--seeds") ? cli.verify.seeds
@@ -267,7 +264,6 @@ int main(int argc, char** argv) {
     }
     return report.failed == 0 ? 0 : 1;
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "mrsc_verify: %s\n", error.what());
-    return 1;
+    return tools::exit_code(kTool, error);
   }
 }

@@ -5,6 +5,7 @@
 // shard in the list, under injected proxy faults, with a drained shard,
 // and with a shard killed mid-run.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <chrono>
@@ -442,6 +443,68 @@ TEST(FleetChaos, TruncatedResponseFailsTheRequestCleanly) {
   ASSERT_EQ(request.state(), PendingRequest::State::kFailed);
   EXPECT_NE(request.error().find("mid-frame"), std::string::npos)
       << request.error();
+}
+
+// A peer that reads each request frame and answers it with the length
+// prefix 0xFFFFFFFF, far above serve::kMaxFrameBytes.
+class OversizedPeer {
+ public:
+  OversizedPeer()
+      : listener_(serve::listen_on("127.0.0.1", 0, port_)),
+        thread_([this] { answer_all(); }) {}
+  ~OversizedPeer() {
+    listener_.shutdown_both();
+    thread_.join();
+  }
+  [[nodiscard]] Endpoint endpoint() const { return {"127.0.0.1", port_}; }
+
+ private:
+  void answer_all() {
+    for (;;) {
+      const serve::Socket peer = serve::accept_on(listener_.fd());
+      if (!peer.valid()) return;
+      std::string request;
+      try {
+        if (!serve::read_frame(peer.fd(), request)) continue;
+      } catch (const std::exception&) {
+        continue;
+      }
+      const char prefix[4] = {'\xFF', '\xFF', '\xFF', '\xFF'};
+      (void)::send(peer.fd(), prefix, sizeof prefix, MSG_NOSIGNAL);
+      // Hold the connection until the client gives up on it.
+      char sink[64];
+      while (::recv(peer.fd(), sink, sizeof sink, 0) > 0) {
+      }
+    }
+  }
+
+  std::uint16_t port_ = 0;
+  serve::Socket listener_;
+  std::thread thread_;
+};
+
+TEST(FleetChaos, OversizedResponseFrameFailsTheAttemptNotTheSlice) {
+  OversizedPeer bogus;
+  PendingRequest request(bogus.endpoint(), R"({"op":"ping"})");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (request.state() == PendingRequest::State::kPending &&
+         std::chrono::steady_clock::now() < deadline) {
+    wait_any({&request}, 50.0);
+  }
+  ASSERT_EQ(request.state(), PendingRequest::State::kFailed);
+  EXPECT_EQ(request.error(), "oversized response frame");
+
+  // The bogus peer is shard 0, where the primary routes first; the slice
+  // must still complete on the healthy shard.
+  ShardProcess live;
+  FleetClient fleet(fast_policy({bogus.endpoint(), live.endpoint()}));
+  const std::vector<std::string> responses =
+      fleet.execute({R"({"op":"ping"})"});
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0], R"({"status":"ok","op":"ping"})");
+  EXPECT_GE(fleet.counters().failures, 1u)
+      << "the oversized answer must count as a transport failure";
 }
 
 // -------------------------------------------------------------- hedging --

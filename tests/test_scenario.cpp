@@ -1,5 +1,6 @@
 // Scenario layer: spec grammar, .mrsc directive parsing, registry
-// resolution, and the CLI-argument resolver.
+// resolution, the CLI-argument resolver, and the design loader the CLIs
+// share (tools/cli_design.hpp).
 //
 // The registry is the single resolver behind every CLI's --scenario flag and
 // the serve cache key, so these tests pin the contracts the rest of the
@@ -8,9 +9,12 @@
 // failure is a std::invalid_argument (the CLIs' exit-2 class).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/io.hpp"
 #include "dsp/filters.hpp"
@@ -18,6 +22,7 @@
 #include "scenario/registry.hpp"
 #include "scenario/scenario.hpp"
 #include "tools/builtin_designs.hpp"
+#include "tools/cli_design.hpp"
 
 namespace {
 
@@ -299,6 +304,51 @@ TEST(ScenarioText, ParsesInlineNetworks) {
   ASSERT_EQ(resolved.design.info.roots.size(), 1u);
 }
 
+TEST(ScenarioText, InlineNetworksFillTheReportAtBothLevels) {
+  // C is never produced and starts empty: -O1 drops it unless it is a root.
+  scenario::Scenario parsed = scenario::parse_scenario_text(
+      "@scenario dead_end\n"
+      "@network\n"
+      "@species A 1\n"
+      "@species B 0\n"
+      "@species C 0\n"
+      "slow : A -> B\n"
+      "slow : C -> A\n"
+      "@end\n"
+      "@roots A\n");
+  const scenario::ScenarioRegistry& registry =
+      scenario::ScenarioRegistry::global();
+  for (const compile::OptLevel opt :
+       {compile::OptLevel::kO0, compile::OptLevel::kO1}) {
+    compile::CompileReport report;
+    compile::CompileOptions options;
+    options.opt = opt;
+    options.report = &report;
+    const scenario::ResolvedScenario resolved =
+        registry.resolve(parsed, options);
+    const core::ReactionNetwork& network = *resolved.design.network;
+    const std::string context =
+        "opt " + std::to_string(static_cast<int>(opt));
+    EXPECT_EQ(report.before.species, 3u) << context;
+    EXPECT_EQ(report.before.reactions, 2u) << context;
+    EXPECT_EQ(report.after.species, network.species_count()) << context;
+    EXPECT_EQ(report.after.reactions, network.reaction_count()) << context;
+    EXPECT_EQ(report.passes.empty(), opt == compile::OptLevel::kO0)
+        << context;
+    ASSERT_EQ(resolved.design.info.roots.size(), 1u) << context;
+    EXPECT_EQ(network.species_name(resolved.design.info.roots[0].first), "A")
+        << context;
+  }
+  compile::CompileOptions o1;
+  o1.opt = compile::OptLevel::kO1;
+  EXPECT_EQ(registry.resolve(parsed, o1).design.network->species_count(), 2u);
+  // A pinned C survives -O1.
+  parsed.roots.push_back("C");
+  EXPECT_EQ(registry.resolve(parsed, o1).design.network->species_count(), 3u);
+  parsed.roots.push_back("D");
+  EXPECT_THROW((void)registry.resolve(parsed, o1), std::invalid_argument);
+}
+
 TEST(ScenarioText, ErrorsNameTheOffendingLine) {
   // First directive must be the header.
   EXPECT_THROW((void)scenario::parse_scenario_text("@design counter\n"),
@@ -378,12 +428,17 @@ TEST(ScenarioText, NumbersMustBeFinite) {
 
 // --- the CLI-argument resolver ----------------------------------------------
 
+scenario::ResolvedScenario resolve_argument(const std::string& argument) {
+  return scenario::ScenarioRegistry::global().resolve(
+      scenario::load_scenario_argument(argument));
+}
+
 TEST(ResolveArgument, ServesRegistrySpecsAndScenarioFiles) {
   const scenario::ResolvedScenario spec =
-      scenario::resolve_scenario_argument("counter(2)");
+      resolve_argument("counter(2)");
   EXPECT_EQ(spec.scenario.name, "counter(2)");
 
-  const scenario::ResolvedScenario file = scenario::resolve_scenario_argument(
+  const scenario::ResolvedScenario file = resolve_argument(
       std::string(MRSC_SCENARIO_DATA_DIR) + "/smoke_scenario.mrsc");
   EXPECT_EQ(file.scenario.name, "smoke_counter");
   EXPECT_EQ(file.scenario.design, "counter(2)");
@@ -392,16 +447,108 @@ TEST(ResolveArgument, ServesRegistrySpecsAndScenarioFiles) {
 
 TEST(ResolveArgument, SeparatesUsageFromRuntimeFailures) {
   // Unknown registry spec: a usage error (exit 2 in the CLIs).
-  EXPECT_THROW((void)scenario::resolve_scenario_argument("banana"),
+  EXPECT_THROW((void)resolve_argument("banana"),
                std::invalid_argument);
   // Malformed .mrsc content: also usage.
-  EXPECT_THROW((void)scenario::resolve_scenario_argument(
+  EXPECT_THROW((void)resolve_argument(
                    std::string(MRSC_SCENARIO_DATA_DIR) +
                    "/bad_scenario.mrsc"),
                std::invalid_argument);
   // Unreadable path: a runtime failure (exit 1).
-  EXPECT_THROW((void)scenario::resolve_scenario_argument(
+  EXPECT_THROW((void)resolve_argument(
                    "/nonexistent/dir/missing.mrsc"),
+               std::runtime_error);
+}
+
+scenario::ResolvedScenario resolve_network_file(const std::string& path) {
+  return scenario::ScenarioRegistry::global().resolve(
+      scenario::load_network_file(path));
+}
+
+TEST(ResolveArgument, NetworkFilesAreInlineNetworks) {
+  const std::string path =
+      std::string(MRSC_SCENARIO_DATA_DIR) + "/quoted_species.crn";
+  const scenario::ResolvedScenario resolved = resolve_network_file(path);
+  EXPECT_EQ(resolved.scenario.name, path);
+  EXPECT_TRUE(resolved.scenario.design.empty());
+  EXPECT_EQ(resolved.decoder, nullptr);
+  EXPECT_EQ(core::serialize_network(*resolved.design.network),
+            core::serialize_network(core::load_network(path)));
+  // Malformed content is usage; an unreadable path is a runtime failure.
+  EXPECT_THROW((void)resolve_network_file(std::string(MRSC_SCENARIO_DATA_DIR) +
+                                           "/malformed.crn"),
+               std::invalid_argument);
+  EXPECT_THROW((void)resolve_network_file("/nonexistent.crn"),
+               std::runtime_error);
+}
+
+// --- the CLIs' design loader ------------------------------------------------
+
+tools::DesignSource file_source(const std::string& path) {
+  tools::DesignSource source;
+  source.file = path;
+  return source;
+}
+
+tools::DesignSource scenario_source(const std::string& spec) {
+  tools::DesignSource source;
+  source.scenario = spec;
+  return source;
+}
+
+TEST(LoadDesign, RegistryDesignsKeepTheirPortsAtO1) {
+  // The network mrsc_compile --scenario counter --opt 1 writes: every one
+  // of its 28 species, ports, primed rails and carry chain included.
+  const std::vector<std::string> pinned = {"ctr_O2"};
+  const tools::LoadedDesign loaded = tools::load_design(
+      scenario_source("counter"), 1, pinned);
+  EXPECT_EQ(loaded.network().species_count(), 28u);
+  EXPECT_EQ(loaded.report.design, "counter");
+  EXPECT_EQ(loaded.report.after.species, 28u);
+  ASSERT_EQ(loaded.pinned.size(), 1u);
+  EXPECT_EQ(loaded.network().species_name(loaded.pinned[0]), "ctr_O2");
+  EXPECT_EQ(loaded.reported(), loaded.pinned);
+}
+
+TEST(LoadDesign, FilesPinTheNamedSpeciesAtO1) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "mrsc_load_design_dead.crn";
+  std::ofstream(path) << "@species A 1\n@species B 0\n@species C 0\n"
+                         "slow : A -> B\nslow : C -> A\n";
+  const tools::DesignSource source = file_source(path.string());
+  const tools::LoadedDesign plain =
+      tools::load_design(source, 1);
+  EXPECT_EQ(plain.network().species_count(), 2u);
+  EXPECT_EQ(plain.reported().size(), 2u);
+  EXPECT_EQ(plain.report.design, path.string());
+  const std::vector<std::string> pinned = {"C", "B"};
+  const tools::LoadedDesign kept =
+      tools::load_design(source, 1, pinned);
+  EXPECT_EQ(kept.network().species_count(), 3u);
+  ASSERT_EQ(kept.pinned.size(), 2u);
+  EXPECT_EQ(kept.network().species_name(kept.pinned[0]), "C");
+  EXPECT_EQ(kept.network().species_name(kept.pinned[1]), "B");
+  std::filesystem::remove(path);
+}
+
+TEST(LoadDesign, OneSourceAndKnownNamesOrUsage) {
+  const std::string crn =
+      std::string(MRSC_SCENARIO_DATA_DIR) + "/quoted_species.crn";
+  EXPECT_THROW((void)tools::load_design(tools::DesignSource{}, 0),
+               std::invalid_argument);
+  tools::DesignSource both = file_source(crn);
+  both.scenario = "counter";
+  EXPECT_THROW((void)tools::load_design(both, 0), std::invalid_argument);
+  const std::vector<std::string> unknown = {"no_such_species"};
+  EXPECT_THROW((void)tools::load_design(file_source(crn), 0, unknown),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)tools::load_design(scenario_source("counter"), 0, unknown),
+      std::invalid_argument);
+  tools::DesignSource design;
+  design.design = "banana";
+  EXPECT_THROW((void)tools::load_design(design, 0), std::invalid_argument);
+  EXPECT_THROW((void)tools::load_design(file_source("/nonexistent.crn"), 0),
                std::runtime_error);
 }
 
