@@ -154,12 +154,10 @@ FinalizeResult LoweringContext::finalize(const CompileOptions& options,
 
   FinalizeResult result;
   const std::size_t reactions_before = network_.reaction_count();
-  if (options.validate || options.opt != OptLevel::kO0 || options.report) {
-    const PassManager manager =
-        PassManager::standard(options.opt, options.validate);
-    result.remap = manager.run(network_, inputs, options.report);
-    result.optimized = options.opt >= OptLevel::kO1;
-  }
+  const PassManager manager =
+      PassManager::standard(options.opt, /*validate=*/true);
+  result.remap = manager.run(network_, inputs, options.report);
+  result.optimized = options.opt >= OptLevel::kO1;
 
   if (options.design_info != nullptr) {
     DesignInfo& info = *options.design_info;

@@ -26,7 +26,7 @@
 namespace mrsc::compile {
 
 /// How hard the pipeline tries. kO0 leaves the network byte-identical to
-/// what the front-end emitted (validation may still run); kO1 runs every
+/// what the front-end emitted (validation still runs); kO1 runs every
 /// exact network-shrinking pass.
 enum class OptLevel : std::uint8_t { kO0 = 0, kO1 = 1 };
 
@@ -65,8 +65,6 @@ struct DesignInfo {
 /// Options threaded from a front-end `compile()` call into the pipeline.
 struct CompileOptions {
   OptLevel opt = OptLevel::kO0;
-  /// Run the structural validation pass over the lowered network.
-  bool validate = true;
   /// Input ports the caller promises never to drive. They are dropped from
   /// the root set, so dead-species elimination may delete their entire
   /// downstream cone. Ignored at kO0.
@@ -133,9 +131,9 @@ class PassManager {
   PassManager& add(std::unique_ptr<Pass> pass);
 
   /// The stock pipeline for an optimization level: validation (if asked)
-  /// followed by the exact shrinking passes at kO1.
-  [[nodiscard]] static PassManager standard(OptLevel level,
-                                            bool validate = true);
+  /// followed by the exact shrinking passes at kO1. Every front-end
+  /// `compile()` validates; `optimize_network` does not.
+  [[nodiscard]] static PassManager standard(OptLevel level, bool validate);
 
   /// Runs every pass. Returns the original-id -> final-id species map
   /// (identity when nothing renumbered). Appends per-pass stats to

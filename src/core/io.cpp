@@ -1,6 +1,5 @@
 #include "core/io.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -161,16 +160,6 @@ ReactionNetwork parse_network(std::string_view text) {
     }
   }
   return network;
-}
-
-ReactionNetwork load_network(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    throw std::runtime_error("load_network: cannot open '" + path + "'");
-  }
-  std::ostringstream content;
-  content << file.rdbuf();
-  return parse_network(content.str());
 }
 
 }  // namespace mrsc::core

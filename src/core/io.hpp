@@ -34,7 +34,4 @@ namespace mrsc::core {
 /// on malformed input.
 [[nodiscard]] ReactionNetwork parse_network(std::string_view text);
 
-/// Reads and parses a network file; throws on I/O or parse failure.
-[[nodiscard]] ReactionNetwork load_network(const std::string& path);
-
 }  // namespace mrsc::core

@@ -53,7 +53,7 @@ FleetClient::FleetClient(FleetOptions options) : options_(std::move(options)) {
   }
   shards_.reserve(options_.shards.size());
   for (const Endpoint& endpoint : options_.shards) {
-    shards_.push_back(std::make_unique<Shard>(endpoint, options_.health));
+    shards_.push_back(std::make_unique<Shard>(endpoint));
   }
 }
 

@@ -55,8 +55,6 @@ struct FleetOptions {
   /// answers first. At most one hedge fires per slice.
   double hedge_ms = 0.0;
 
-  HealthThresholds health;
-
   /// Test hook: replaces the real backoff sleep. Null → thread sleep.
   std::function<void(double ms)> sleep_hook;
 };
@@ -103,8 +101,7 @@ class FleetClient {
     Endpoint endpoint;
     HealthTracker health;
     std::atomic<int> outstanding{0};
-    explicit Shard(Endpoint e, HealthThresholds thresholds)
-        : endpoint(std::move(e)), health(thresholds) {}
+    explicit Shard(Endpoint e) : endpoint(std::move(e)) {}
   };
 
   /// Picks the shard for the next request: least-outstanding healthy

@@ -54,9 +54,9 @@ void HealthTracker::record_bad() {
     skips_ = 0;
     return;
   }
-  if (consecutive_bad_ >= thresholds_.quarantine_after) {
+  if (consecutive_bad_ >= kQuarantineAfter) {
     state_ = ShardHealth::kQuarantined;
-  } else if (consecutive_bad_ >= thresholds_.degrade_after) {
+  } else if (consecutive_bad_ >= kDegradeAfter) {
     state_ = ShardHealth::kDegraded;
   }
 }
@@ -69,7 +69,7 @@ bool HealthTracker::consider_probe() {
   std::lock_guard lock(mutex_);
   if (state_ != ShardHealth::kQuarantined) return false;
   ++skips_;
-  if (skips_ < thresholds_.probe_after) return false;
+  if (skips_ < kProbeAfter) return false;
   skips_ = 0;
   state_ = ShardHealth::kProbing;
   return true;

@@ -34,9 +34,9 @@ struct BackoffPolicy {
 
 /// Shard health as the router sees it.
 ///
-///   healthy ──(degrade_after consecutive bad events)──▶ degraded
-///   degraded ─(quarantine_after consecutive bad)──────▶ quarantined
-///   quarantined ─(skipped probe_after times)──────────▶ probing
+///   healthy ──(kDegradeAfter consecutive bad events)──▶ degraded
+///   degraded ─(kQuarantineAfter consecutive bad)──────▶ quarantined
+///   quarantined ─(skipped kProbeAfter times)──────────▶ probing
 ///   probing ──(success)──▶ healthy    ──(failure)──▶ quarantined
 ///
 /// "Bad event" is a transport failure, a timeout, or an overload/draining
@@ -51,18 +51,15 @@ enum class ShardHealth : std::uint8_t {
 
 [[nodiscard]] const char* to_string(ShardHealth health);
 
-struct HealthThresholds {
-  std::uint32_t degrade_after = 2;     ///< consecutive bad → degraded
-  std::uint32_t quarantine_after = 4;  ///< consecutive bad → quarantined
-  std::uint32_t probe_after = 8;       ///< routing skips → probing
-};
-
 /// Per-shard health tracker; self-locked so router threads and request
 /// threads can feed it concurrently.
 class HealthTracker {
  public:
-  explicit HealthTracker(HealthThresholds thresholds = {})
-      : thresholds_(thresholds) {}
+  /// Transition thresholds of the diagram above: consecutive bad events
+  /// to degrade and to quarantine, routing skips to earn a probe.
+  static constexpr std::uint32_t kDegradeAfter = 2;
+  static constexpr std::uint32_t kQuarantineAfter = 4;
+  static constexpr std::uint32_t kProbeAfter = 8;
 
   [[nodiscard]] ShardHealth state() const;
 
@@ -76,7 +73,7 @@ class HealthTracker {
   void record_overload();
 
   /// The router calls this each time it skips a quarantined shard. Every
-  /// probe_after skips the shard earns one probe: the tracker flips to
+  /// kProbeAfter skips the shard earns one probe: the tracker flips to
   /// kProbing and returns true, telling the router to send this one
   /// request there after all.
   [[nodiscard]] bool consider_probe();
@@ -85,7 +82,6 @@ class HealthTracker {
   void record_bad();
 
   mutable std::mutex mutex_;
-  HealthThresholds thresholds_;
   ShardHealth state_ = ShardHealth::kHealthy;
   std::uint32_t consecutive_bad_ = 0;
   std::uint32_t skips_ = 0;

@@ -20,24 +20,21 @@ namespace mrsc::lint {
 namespace detail {
 
 std::vector<std::vector<double>> conservation_basis(
-    const core::ReactionNetwork& network, const LintOptions& options,
-    std::vector<std::string>* notes) {
-  if (options.conservation_exact) {
-    try {
-      const auto exact =
-          util::integer_left_nullspace(network.stoichiometric_matrix());
-      std::vector<std::vector<double>> basis;
-      basis.reserve(exact.size());
-      for (const auto& law : exact) {
-        basis.emplace_back(law.begin(), law.end());
-      }
-      return basis;
-    } catch (const std::overflow_error&) {
-      if (notes != nullptr) {
-        notes->push_back(
-            "exact rational elimination overflowed int64; falling back to "
-            "the floating-point nullspace (laws are approximate)");
-      }
+    const core::ReactionNetwork& network, std::vector<std::string>* notes) {
+  try {
+    const auto exact =
+        util::integer_left_nullspace(network.stoichiometric_matrix());
+    std::vector<std::vector<double>> basis;
+    basis.reserve(exact.size());
+    for (const auto& law : exact) {
+      basis.emplace_back(law.begin(), law.end());
+    }
+    return basis;
+  } catch (const std::overflow_error&) {
+    if (notes != nullptr) {
+      notes->push_back(
+          "exact rational elimination overflowed int64; falling back to "
+          "the floating-point nullspace (laws are approximate)");
     }
   }
   return analysis::conservation_laws(network);
@@ -92,11 +89,10 @@ class ConservationCheck final : public Check {
   }
 
   [[nodiscard]] std::string run(const LintInput& input,
-                                const LintOptions& options,
                                 LintReport& report) const override {
     const core::ReactionNetwork& network = *input.network;
     std::vector<std::string> notes;
-    const auto basis = detail::conservation_basis(network, options, &notes);
+    const auto basis = detail::conservation_basis(network, &notes);
 
     Diagnostic info;
     info.id = "LINT-CONS-00";

@@ -53,7 +53,6 @@ class DualRailCheck final : public Check {
   }
 
   [[nodiscard]] std::string run(const LintInput& input,
-                                const LintOptions& options,
                                 LintReport& report) const override {
     const core::ReactionNetwork& network = *input.network;
     const std::vector<RailPair> pairs = find_rail_pairs(network);
@@ -83,8 +82,7 @@ class DualRailCheck final : public Check {
     }
 
     std::vector<std::string> basis_notes;
-    const auto basis =
-        detail::conservation_basis(network, options, &basis_notes);
+    const auto basis = detail::conservation_basis(network, &basis_notes);
     const auto covered =
         detail::conservation_coverage(basis, network.species_count());
     // Input-port rails are exempt: the harness injects into them from

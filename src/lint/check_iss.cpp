@@ -73,7 +73,6 @@ class IssCompositionCheck final : public Check {
   }
 
   [[nodiscard]] std::string run(const LintInput& input,
-                                const LintOptions& options,
                                 LintReport& report) const override {
     if (input.composition == nullptr || input.composition->layers.empty()) {
       return "no composition record (monolithic design)";
@@ -179,8 +178,7 @@ class IssCompositionCheck final : public Check {
       }
       if (!processed) {
         std::vector<std::string> notes;
-        const auto basis =
-            detail::conservation_basis(network, options, &notes);
+        const auto basis = detail::conservation_basis(network, &notes);
         const auto covered = detail::conservation_coverage(
             basis, network.species_count());
         processed = covered[binding.downstream.index()];

@@ -38,9 +38,7 @@ class PhaseRaceCheck final : public Check {
   }
 
   [[nodiscard]] std::string run(const LintInput& input,
-                                const LintOptions& options,
                                 LintReport& report) const override {
-    (void)options;
     const core::ReactionNetwork& network = *input.network;
 
     // RACE-02: catalysts must appear with equal stoichiometry on both

@@ -25,9 +25,7 @@ class ReachabilityCheck final : public Check {
   }
 
   [[nodiscard]] std::string run(const LintInput& input,
-                                const LintOptions& options,
                                 LintReport& report) const override {
-    (void)options;
     const core::ReactionNetwork& network = *input.network;
 
     for (const core::SpeciesId id : compile::untouched_species(network)) {

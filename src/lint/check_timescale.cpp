@@ -9,10 +9,10 @@
 //
 //   ratio = min effective fast rate / max effective slow rate
 //
-//   LINT-TIME-01 (error)    ratio below timescale_error_ratio (default 10):
-//                           the fast/slow abstraction is broken.
-//   LINT-TIME-02 (warning)  ratio below timescale_warn_ratio (default 100):
-//                           separation exists but leaves little margin.
+//   LINT-TIME-01 (error)    ratio below kErrorRatio (10): the fast/slow
+//                           abstraction is broken.
+//   LINT-TIME-02 (warning)  ratio below kWarnRatio (100): separation exists
+//                           but leaves little margin.
 #include <cstdio>
 #include <limits>
 
@@ -22,6 +22,11 @@ namespace mrsc::lint {
 
 namespace {
 
+/// The paper's scheme degrades to plain races at ~10x separation;
+/// comfortable separation starts around 100x.
+constexpr double kErrorRatio = 10.0;
+constexpr double kWarnRatio = 100.0;
+
 class TimescaleCheck final : public Check {
  public:
   [[nodiscard]] const char* name() const override { return "timescale"; }
@@ -30,7 +35,6 @@ class TimescaleCheck final : public Check {
   }
 
   [[nodiscard]] std::string run(const LintInput& input,
-                                const LintOptions& options,
                                 LintReport& report) const override {
     const core::ReactionNetwork& network = *input.network;
     double min_fast = std::numeric_limits<double>::infinity();
@@ -56,7 +60,7 @@ class TimescaleCheck final : public Check {
       return "network has no slow/fast category pair to separate";
     }
     const double ratio = min_fast / max_slow;
-    if (ratio >= options.timescale_warn_ratio) return {};
+    if (ratio >= kWarnRatio) return {};
 
     char detail[160];
     std::snprintf(detail, sizeof(detail),
@@ -64,14 +68,14 @@ class TimescaleCheck final : public Check {
                   min_fast, max_slow, ratio);
     Diagnostic d;
     d.check = name();
-    if (ratio < options.timescale_error_ratio) {
+    if (ratio < kErrorRatio) {
       d.id = "LINT-TIME-01";
       d.severity = Severity::kError;
       char msg[160];
       std::snprintf(msg, sizeof(msg),
                     "fast/slow separation ratio %.6g is below the %.6g "
                     "floor: the rate-category abstraction is broken",
-                    ratio, options.timescale_error_ratio);
+                    ratio, kErrorRatio);
       d.message = msg;
     } else {
       d.id = "LINT-TIME-02";
@@ -80,7 +84,7 @@ class TimescaleCheck final : public Check {
       std::snprintf(msg, sizeof(msg),
                     "fast/slow separation ratio %.6g is below the "
                     "comfortable %.6g margin",
-                    ratio, options.timescale_warn_ratio);
+                    ratio, kWarnRatio);
       d.message = msg;
     }
     d.notes.emplace_back(detail);

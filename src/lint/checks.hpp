@@ -21,12 +21,11 @@ std::unique_ptr<Check> make_iss_check();
 namespace detail {
 
 /// Conservation-law basis as floating-point weight vectors (indexed by
-/// SpeciesId). Tries the exact rational left-nullspace when
-/// `options.conservation_exact`; on overflow falls back to the numeric
-/// basis and appends an explanatory note to `notes`.
+/// SpeciesId). Tries the exact rational left-nullspace first; on int64
+/// overflow falls back to the floating-point basis from
+/// analysis/conservation.hpp and appends an explanatory note to `notes`.
 std::vector<std::vector<double>> conservation_basis(
-    const core::ReactionNetwork& network, const LintOptions& options,
-    std::vector<std::string>* notes);
+    const core::ReactionNetwork& network, std::vector<std::string>* notes);
 
 /// covered[s]: species s has a nonzero weight in some basis vector.
 std::vector<bool> conservation_coverage(

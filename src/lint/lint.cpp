@@ -70,7 +70,7 @@ LintReport run_lint(const LintInput& input, const LintOptions& options,
                   check->name()) == options.checks.end()) {
       continue;
     }
-    const std::string skip_reason = check->run(input, options, report);
+    const std::string skip_reason = check->run(input, report);
     if (skip_reason.empty()) {
       report.checks_run.emplace_back(check->name());
     } else {

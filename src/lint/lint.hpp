@@ -66,22 +66,11 @@ struct LintInput {
       compile::PortRole role) const;
 };
 
-/// Tuning knobs threaded into every check.
+/// Which checks run_lint runs.
 struct LintOptions {
   /// Registry names of the checks to run; empty means all. Unknown names
   /// make run_lint throw std::invalid_argument.
   std::vector<std::string> checks;
-
-  /// The fast/slow effective-rate ratio below which the timescale check
-  /// errors (the paper's scheme degrades to plain races at ~10x) and warns
-  /// (comfortable separation starts around 100x).
-  double timescale_error_ratio = 10.0;
-  double timescale_warn_ratio = 100.0;
-
-  /// Try the exact rational left-nullspace first; on int64 overflow the
-  /// conservation-based checks fall back to the floating-point basis from
-  /// analysis/conservation.hpp (and say so in a note).
-  bool conservation_exact = true;
 };
 
 /// One registered static check.
@@ -93,7 +82,6 @@ class Check {
   /// Appends diagnostics to `report`. Returns an empty string when the
   /// check ran, else a human-readable reason it had to be skipped.
   [[nodiscard]] virtual std::string run(const LintInput& input,
-                                        const LintOptions& options,
                                         LintReport& report) const = 0;
 };
 

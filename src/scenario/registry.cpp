@@ -54,10 +54,9 @@ BuiltDesign build_machine_design(const Spec& spec, Build build,
                                  DecoderPtr& decoder) {
   BuiltDesign design;
   options.design_info = &design.info;
-  design.owned = std::make_unique<core::ReactionNetwork>();
+  design.network = std::make_unique<core::ReactionNetwork>();
   decoder = std::make_shared<MachineDecoder>(
-      spec, build(*design.owned, spec, options));
-  design.network = design.owned.get();
+      spec, build(*design.network, spec, options));
   return design;
 }
 
@@ -75,8 +74,7 @@ BuiltDesign build_circuit_design(Factory&& factory,
   BuiltDesign design;
   options.design_info = &design.info;
   dsp::Design compiled = factory(options);
-  design.owned = std::move(compiled.network);
-  design.network = design.owned.get();
+  design.network = std::move(compiled.network);
   if (!options.assume_zero_inputs.empty()) return design;
   decoder = std::make_shared<analysis::CircuitDecoder>(
       dual_rail ? analysis::CircuitDecoder::dual_rail(compiled.circuit,
@@ -102,12 +100,11 @@ BuiltDesign build_chain_design(std::size_t elements,
                                const compile::CompileOptions& options,
                                DecoderPtr& decoder) {
   BuiltDesign design;
-  design.owned = std::make_unique<core::ReactionNetwork>();
+  design.network = std::make_unique<core::ReactionNetwork>();
   async::ChainSpec spec;
   spec.elements = elements;
   const async::ChainHandles handles =
-      async::build_delay_chain(*design.owned, spec);
-  design.network = design.owned.get();
+      async::build_delay_chain(*design.network, spec);
   design.info.roots.emplace_back(handles.input, PortRole::kInput);
   design.info.roots.emplace_back(handles.output, PortRole::kOutput);
   for (const auto* color : {&handles.red, &handles.green, &handles.blue}) {
@@ -174,11 +171,10 @@ BuiltDesign build_cascade_design(std::size_t layers,
   }
 
   BuiltDesign design;
-  design.owned = std::make_unique<core::ReactionNetwork>();
-  design.network = design.owned.get();
-  design.owned->set_rate_policy(built.front().network->rate_policy());
+  design.network = std::make_unique<core::ReactionNetwork>();
+  design.network->set_rate_policy(built.front().network->rate_policy());
 
-  compile::CascadeComposer composer(*design.owned);
+  compile::CascadeComposer composer(*design.network);
   std::vector<std::vector<SpeciesId>> maps(layers);
   for (std::size_t i = 0; i < layers; ++i) {
     const std::string prefix(1, static_cast<char>('A' + i));
@@ -391,9 +387,8 @@ ResolvedScenario ScenarioRegistry::resolve(
   ResolvedScenario resolved;
   resolved.scenario = scenario;
   BuiltDesign& design = resolved.design;
-  design.owned = std::make_unique<core::ReactionNetwork>(
+  design.network = std::make_unique<core::ReactionNetwork>(
       core::parse_network(scenario.network_text));
-  design.network = design.owned.get();
   std::vector<SpeciesId> roots;
   for (const std::string& name : scenario.roots) {
     const auto id = design.network->find_species(name);

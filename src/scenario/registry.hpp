@@ -32,8 +32,7 @@ namespace mrsc::scenario {
 /// A compiled design plus the analyzer-facing metadata. (tools::BuiltDesign
 /// is an alias of this struct; the registry is its single producer.)
 struct BuiltDesign {
-  std::unique_ptr<core::ReactionNetwork> owned;
-  core::ReactionNetwork* network = nullptr;
+  std::unique_ptr<core::ReactionNetwork> network;
   compile::DesignInfo info;
   /// Non-null only for composed designs (cascade family).
   std::unique_ptr<compile::Composition> composition;

@@ -304,7 +304,7 @@ DispatchResult run_sim(const JobRequest& request,
       design_for(request, hooks);
 
   runtime::SimJob job;
-  job.network = design->built.network;
+  job.network = design->built.network.get();
   job.compiled = &design->system;
   const sim::SimMethod method = sim_method(request.method).value();
   if (const auto* ode_method = std::get_if<sim::OdeMethod>(&method)) {

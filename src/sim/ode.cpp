@@ -286,6 +286,10 @@ OdeResult run_dp45(const CompiledSystem& system, const OdeOptions& options,
   return result;
 }
 
+/// Backward Euler's Newton iteration converges once the residual's max-norm
+/// falls below this.
+constexpr double kNewtonTolerance = 1e-10;
+
 OdeResult run_backward_euler(const CompiledSystem& system,
                              const OdeOptions& options,
                              std::vector<double> x,
@@ -313,7 +317,7 @@ OdeResult run_backward_euler(const CompiledSystem& system,
         residual[i] = z[i] - x[i] - h * f[i];
         residual_norm = std::max(residual_norm, std::abs(residual[i]));
       }
-      if (residual_norm < options.newton_tol) {
+      if (residual_norm < kNewtonTolerance) {
         converged = true;
         break;
       }

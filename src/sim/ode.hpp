@@ -51,9 +51,8 @@ struct OdeOptions {
   /// Hard cap on accepted steps (guards against runaway stiff runs).
   std::size_t max_steps = 200'000'000;
 
-  // Newton controls for kBackwardEuler.
+  /// Newton iteration cap for kBackwardEuler.
   std::uint32_t newton_max_iters = 12;
-  double newton_tol = 1e-10;
 
   /// Cooperative cancellation hook, polled after every accepted step. When it
   /// returns true the run stops and the result carries `aborted = true`. The

@@ -88,7 +88,8 @@ std::string drive_trial(const TrialPlan& plan, const FaultSpec& spec,
   const analysis::DecodedRun run = analysis::run_decoded(
       faulted.network, ode, decoder, decoder.stimulus, options);
   const verify::MaybeViolation violation =
-      verify::check_decoded("stress", run, decoder, {});
+      verify::check_decoded("stress", run, decoder,
+                            verify::kFunctionalTolerance);
   return violation ? violation->detail : "";
 }
 

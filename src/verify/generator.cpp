@@ -24,6 +24,11 @@ constexpr std::uint64_t kSaltDual = 0x6472;
 constexpr std::uint64_t kSaltFsm = 0x6673;
 constexpr std::uint64_t kSaltCounter = 0x6374;
 
+/// Sync/dual-rail circuits: upper bounds on registers and on random
+/// combinational ops (each case draws 1..bound of both).
+constexpr std::size_t kMaxRegisters = 2;
+constexpr std::size_t kMaxOps = 5;
+
 // --- reference-model expression program -------------------------------------
 //
 // The random DAG is recorded twice: once as CircuitBuilder calls (which lower
@@ -141,8 +146,7 @@ SyncCase make_sync_case(std::uint64_t seed, const GeneratorOptions& opt,
 
   pool.push_back({b.input("x"), prog.push({.kind = Node::Kind::kInput})});
 
-  const std::size_t n_regs =
-      1 + rng.uniform_below(std::max<std::size_t>(opt.max_registers, 1));
+  const std::size_t n_regs = 1 + rng.uniform_below(kMaxRegisters);
   std::vector<sync::Reg> regs;
   std::vector<double> initials;
   for (std::size_t i = 0; i < n_regs; ++i) {
@@ -154,7 +158,7 @@ SyncCase make_sync_case(std::uint64_t seed, const GeneratorOptions& opt,
          prog.push({.kind = Node::Kind::kRead, .reg = static_cast<int>(i)})});
   }
 
-  const std::size_t n_ops = 1 + rng.uniform_below(std::max<std::size_t>(opt.max_ops, 1));
+  const std::size_t n_ops = 1 + rng.uniform_below(kMaxOps);
   for (std::size_t k = 0; k < n_ops; ++k) {
     std::uint64_t choice = rng.uniform_below(4);
     if (pool.size() < 2 && choice <= 1) choice = 3;
@@ -253,8 +257,7 @@ DualRailCase make_dual_rail_case(std::uint64_t seed,
 
   pool.push_back({b.input("x"), prog.push({.kind = Node::Kind::kInput})});
 
-  const std::size_t n_regs =
-      1 + rng.uniform_below(std::max<std::size_t>(opt.max_registers, 1));
+  const std::size_t n_regs = 1 + rng.uniform_below(kMaxRegisters);
   std::vector<sync::DReg> regs;
   std::vector<std::string> reg_names;
   std::vector<double> initials;
@@ -269,7 +272,7 @@ DualRailCase make_dual_rail_case(std::uint64_t seed,
          prog.push({.kind = Node::Kind::kRead, .reg = static_cast<int>(i)})});
   }
 
-  const std::size_t n_ops = 1 + rng.uniform_below(std::max<std::size_t>(opt.max_ops, 1));
+  const std::size_t n_ops = 1 + rng.uniform_below(kMaxOps);
   for (std::size_t k = 0; k < n_ops; ++k) {
     std::uint64_t choice = rng.uniform_below(5);
     if (pool.size() < 2 && choice <= 1) choice = 2 + rng.uniform_below(3);

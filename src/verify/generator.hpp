@@ -107,10 +107,6 @@ struct GeneratorOptions {
   /// Clocked cases: input samples (= clock cycles) per run. Small values keep
   /// a fuzz campaign cheap; the per-cycle invariants do not need long runs.
   std::size_t cycles = 3;
-  /// Sync/dual-rail circuits: upper bound on random combinational ops.
-  std::size_t max_ops = 5;
-  /// Sync/dual-rail circuits: upper bound on registers (>= 1).
-  std::size_t max_registers = 2;
 };
 
 struct GeneratedCase {

@@ -13,8 +13,9 @@
 //      compares every surviving species pointwise, and checks every removed
 //      species stays at zero in the *original* run, and
 //   3. (optionally) runs matched SSA ensembles on both networks and requires
-//      per-species final means to agree within a CLT band — the stochastic
-//      semantics must be preserved too, not just the ODE limit.
+//      per-species final means to agree within a CLT band (z = kCltZ, no
+//      bias) — the stochastic semantics must be preserved too, not just the
+//      ODE limit.
 //
 // The fuzz driver applies it to every generated case, which is what the
 // "optimizations are trajectory-preserving" guarantee in docs/COMPILE.md
@@ -33,19 +34,11 @@ struct OptEquivalenceOptions {
   /// Free-run ODE horizon and sampling grid (both networks use the same).
   double t_end = 2.0;
   double record_interval = 0.05;
-  /// Pointwise tolerance for surviving-species trajectories. The networks
-  /// are mathematically identical, so only floating-point re-association
-  /// from coalesced rate sums separates them.
-  double abs_tol = 1e-6;
-  /// Eliminated species must stay below this in the original run (they are
-  /// provably identically zero; RK4 keeps exact zeros exact).
-  double removed_tol = 1e-9;
   /// Run the SSA-ensemble leg (costs 2 * replicates short runs).
   bool ssa = false;
   double omega = 200.0;
   std::size_t replicates = 8;
   std::uint64_t base_seed = 1;
-  CltBand clt{6.0, 0.0};
 };
 
 /// Optimizes a copy of `network` at kO1 with `roots` pinned and proves the

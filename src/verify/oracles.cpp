@@ -11,21 +11,45 @@ namespace {
 
 using util::format;
 
+// Thresholds of the trajectory-shaped invariant oracles; docs/VERIFY.md
+// records the rationale for each value.
+
+/// ODE integration may undershoot zero by O(abs_tol); anything beyond this
+/// is a real negativity.
+constexpr double kNegativity = 1e-6;
+/// Conservation drift allowed, relative to the law's initial magnitude, plus
+/// an absolute slack for laws starting near zero.
+constexpr double kConservationRel = 1e-3;
+constexpr double kConservationAbs = 1e-6;
+/// A clock phase counts as "high" above this fraction of the token.
+constexpr double kPhaseHigh = 0.6;
+/// Fraction of the trajectory to skip before applying clock/rail checks
+/// (startup transient while the sharpened clock finds its limit cycle).
+constexpr double kWarmupFraction = 0.15;
+/// Liveness floor: the fraction of post-warmup samples with exactly one
+/// phase high must be at least this (transfer windows are brief).
+constexpr double kMinSinglePhaseDuty = 0.3;
+/// A parked dual-rail pair is "unnormalized" when min(p, n) exceeds this;
+/// allowed only transiently (see kRailOverlapDuty).
+constexpr double kRailOverlap = 0.1;
+/// Max fraction of post-warmup samples where a rail pair may overlap
+/// (values legitimately co-exist mid-cycle before annihilation wins).
+constexpr double kRailOverlapDuty = 0.6;
+
 /// First sample index past the startup transient.
-std::size_t warmup_start(const sim::Trajectory& trajectory, double fraction) {
+std::size_t warmup_start(const sim::Trajectory& trajectory) {
   return static_cast<std::size_t>(
-      static_cast<double>(trajectory.sample_count()) * fraction);
+      static_cast<double>(trajectory.sample_count()) * kWarmupFraction);
 }
 
 }  // namespace
 
 MaybeViolation check_non_negative(const core::ReactionNetwork& network,
-                                  const sim::Trajectory& trajectory,
-                                  const TrajectoryTolerances& tol) {
+                                  const sim::Trajectory& trajectory) {
   for (std::size_t k = 0; k < trajectory.sample_count(); ++k) {
     const auto state = trajectory.state(k);
     for (std::size_t i = 0; i < state.size(); ++i) {
-      if (state[i] < -tol.negativity) {
+      if (state[i] < -kNegativity) {
         return Violation{
             "non_negative",
             format("species %s = %.3e at t=%.3f (tolerance -%.0e)",
@@ -34,7 +58,7 @@ MaybeViolation check_non_negative(const core::ReactionNetwork& network,
                            core::SpeciesId(static_cast<std::uint32_t>(i)))
                        .c_str(),
                    state[i],
-                   trajectory.time(k), tol.negativity)};
+                   trajectory.time(k), kNegativity)};
       }
     }
   }
@@ -43,7 +67,6 @@ MaybeViolation check_non_negative(const core::ReactionNetwork& network,
 
 MaybeViolation check_conservation(const core::ReactionNetwork& network,
                                   const sim::Trajectory& trajectory,
-                                  const TrajectoryTolerances& tol,
                                   std::span<const core::SpeciesId> driven) {
   if (trajectory.empty()) return std::nullopt;
   std::vector<bool> is_driven(network.species_count(), false);
@@ -61,7 +84,7 @@ MaybeViolation check_conservation(const core::ReactionNetwork& network,
     const double initial =
         analysis::conserved_quantity(laws[li], trajectory.state(0));
     const double band =
-        tol.conservation_rel * std::abs(initial) + tol.conservation_abs;
+        kConservationRel * std::abs(initial) + kConservationAbs;
     for (std::size_t k = 1; k < trajectory.sample_count(); ++k) {
       const double q =
           analysis::conserved_quantity(laws[li], trajectory.state(k));
@@ -77,10 +100,9 @@ MaybeViolation check_conservation(const core::ReactionNetwork& network,
 }
 
 MaybeViolation check_clock_phase_token(const sync::ClockHandles& clock,
-                                       const sim::Trajectory& trajectory,
-                                       const TrajectoryTolerances& tol) {
-  const double high = tol.phase_high * clock.token;
-  const std::size_t start = warmup_start(trajectory, tol.warmup_fraction);
+                                       const sim::Trajectory& trajectory) {
+  const double high = kPhaseHigh * clock.token;
+  const std::size_t start = warmup_start(trajectory);
   std::size_t single = 0;
   std::size_t considered = 0;
   const core::SpeciesId phases[3] = {clock.phase_r, clock.phase_g,
@@ -106,12 +128,12 @@ MaybeViolation check_clock_phase_token(const sync::ClockHandles& clock,
   if (considered > 0) {
     const double duty =
         static_cast<double>(single) / static_cast<double>(considered);
-    if (duty < tol.min_single_phase_duty) {
+    if (duty < kMinSinglePhaseDuty) {
       return Violation{
           "clock_phase_token",
           format("exactly-one-phase-high duty %.2f below floor %.2f — "
                  "phase token lost or clock stalled",
-                 duty, tol.min_single_phase_duty)};
+                 duty, kMinSinglePhaseDuty)};
     }
   }
   return std::nullopt;
@@ -119,9 +141,8 @@ MaybeViolation check_clock_phase_token(const sync::ClockHandles& clock,
 
 MaybeViolation check_dual_rail_exclusive(
     const core::ReactionNetwork& network, const sim::Trajectory& trajectory,
-    std::span<const std::pair<core::SpeciesId, core::SpeciesId>> rail_pairs,
-    const TrajectoryTolerances& tol) {
-  const std::size_t start = warmup_start(trajectory, tol.warmup_fraction);
+    std::span<const std::pair<core::SpeciesId, core::SpeciesId>> rail_pairs) {
+  const std::size_t start = warmup_start(trajectory);
   for (const auto& [pos, neg] : rail_pairs) {
     std::size_t overlapping = 0;
     std::size_t considered = 0;
@@ -130,7 +151,7 @@ MaybeViolation check_dual_rail_exclusive(
     for (std::size_t k = start; k < trajectory.sample_count(); ++k) {
       const double common =
           std::min(trajectory.value(k, pos), trajectory.value(k, neg));
-      if (common > tol.rail_overlap) ++overlapping;
+      if (common > kRailOverlap) ++overlapping;
       if (common > worst) {
         worst = common;
         worst_t = trajectory.time(k);
@@ -140,7 +161,7 @@ MaybeViolation check_dual_rail_exclusive(
     if (considered == 0) continue;
     const double duty =
         static_cast<double>(overlapping) / static_cast<double>(considered);
-    if (duty > tol.rail_overlap_duty) {
+    if (duty > kRailOverlapDuty) {
       return Violation{
           "dual_rail_exclusive",
           format("rail pair (%s, %s) unnormalized for %.0f%% of the run "
@@ -156,13 +177,13 @@ MaybeViolation check_dual_rail_exclusive(
 MaybeViolation check_series_match(const std::string& oracle,
                                   std::span<const double> actual,
                                   std::span<const double> expected,
-                                  const SeriesTolerance& tol) {
+                                  double tol) {
   if (actual.size() != expected.size()) {
     return Violation{oracle, format("series length %zu != reference %zu",
                                     actual.size(), expected.size())};
   }
   for (std::size_t i = 0; i < actual.size(); ++i) {
-    const double band = tol.abs + tol.rel * std::abs(expected[i]);
+    const double band = tol + tol * std::abs(expected[i]);
     if (std::abs(actual[i] - expected[i]) > band) {
       return Violation{
           oracle, format("cycle %zu: measured %.4f vs reference %.4f "
@@ -176,11 +197,11 @@ MaybeViolation check_series_match(const std::string& oracle,
 MaybeViolation check_decoded(const std::string& oracle,
                              const analysis::DecodedRun& run,
                              const analysis::Decoder& decoder,
-                             const SeriesTolerance& tol) {
+                             double tol) {
   for (std::size_t c = 0; c < run.outputs.size(); ++c) {
     MaybeViolation v =
         check_series_match(oracle, run.outputs[c], run.expected[c],
-                           decoder.exact ? SeriesTolerance{0.0, 0.0} : tol);
+                           decoder.exact ? 0.0 : tol);
     if (!v) continue;
     if (run.outputs.size() > 1) {
       v->detail = decoder.columns[c] + " " + v->detail;
@@ -193,7 +214,7 @@ MaybeViolation check_decoded(const std::string& oracle,
 MaybeViolation check_mean_in_band(const std::string& oracle,
                                   const runtime::EnsembleResult& ensemble,
                                   std::span<const double> reference,
-                                  const CltBand& band) {
+                                  double bias) {
   if (ensemble.ok == 0) {
     return Violation{oracle, "no successful replicates in ensemble"};
   }
@@ -201,14 +222,14 @@ MaybeViolation check_mean_in_band(const std::string& oracle,
   for (std::size_t i = 0;
        i < ensemble.final_stats.size() && i < reference.size(); ++i) {
     const auto& stats = ensemble.final_stats[i];
-    const double tol = band.z * stats.stddev / std::sqrt(n) + band.bias;
+    const double tol = kCltZ * stats.stddev / std::sqrt(n) + bias;
     if (std::abs(stats.mean - reference[i]) > tol) {
       return Violation{
           oracle,
           format("species %s: ensemble mean %.4f vs reference %.4f "
                  "(band %.4f = %.1f*%.4f/sqrt(%zu)+%.3f)",
-                 stats.name.c_str(), stats.mean, reference[i], tol, band.z,
-                 stats.stddev, ensemble.ok, band.bias)};
+                 stats.name.c_str(), stats.mean, reference[i], tol, kCltZ,
+                 stats.stddev, ensemble.ok, bias)};
     }
   }
   return std::nullopt;
@@ -217,7 +238,7 @@ MaybeViolation check_mean_in_band(const std::string& oracle,
 MaybeViolation check_ensembles_agree(const std::string& oracle,
                                      const runtime::EnsembleResult& a,
                                      const runtime::EnsembleResult& b,
-                                     const CltBand& band) {
+                                     double bias) {
   if (a.ok == 0 || b.ok == 0) {
     return Violation{oracle, "ensemble with no successful replicates"};
   }
@@ -228,7 +249,7 @@ MaybeViolation check_ensembles_agree(const std::string& oracle,
     const double sem = std::sqrt(
         sa.stddev * sa.stddev / static_cast<double>(a.ok) +
         sb.stddev * sb.stddev / static_cast<double>(b.ok));
-    const double tol = band.z * sem + band.bias;
+    const double tol = kCltZ * sem + bias;
     if (std::abs(sa.mean - sb.mean) > tol) {
       return Violation{
           oracle, format("species %s: means %.4f vs %.4f differ beyond "

@@ -67,13 +67,14 @@ core::ReactionNetwork prune_unreferenced_species(
 }
 
 ShrinkResult shrink_network(const core::ReactionNetwork& network,
-                            const ViolationPredicate& violates,
-                            const ShrinkOptions& options) {
+                            const ViolationPredicate& violates) {
+  // Hard cap on predicate evaluations (each one is a simulation).
+  constexpr std::size_t kMaxEvaluations = 200;
   ShrinkResult result;
   result.original_reactions = network.reaction_count();
   std::size_t evaluations = 0;
   auto still_fails = [&](const core::ReactionNetwork& candidate) {
-    if (evaluations >= options.max_evaluations) return false;
+    if (evaluations >= kMaxEvaluations) return false;
     ++evaluations;
     try {
       return violates(candidate);
@@ -95,7 +96,7 @@ ShrinkResult shrink_network(const core::ReactionNetwork& network,
   std::vector<bool> keep(network.reaction_count(), true);
   std::size_t live = count_kept(keep);
   std::size_t chunk = std::max<std::size_t>(1, live / 2);
-  while (evaluations < options.max_evaluations) {
+  while (evaluations < kMaxEvaluations) {
     bool progress = false;
     // Walk the currently-kept reactions in blocks of `chunk`, trying to drop
     // each block wholesale.
@@ -130,14 +131,11 @@ ShrinkResult shrink_network(const core::ReactionNetwork& network,
   }
 
   core::ReactionNetwork shrunk = subnetwork(network, keep);
-  if (options.prune_species) {
-    core::ReactionNetwork pruned = prune_unreferenced_species(shrunk);
-    // Pruning remaps species ids; only keep it if the predicate still fires
-    // (handle-based predicates will throw or pass, reverting the prune).
-    if (pruned.species_count() < shrunk.species_count() &&
-        still_fails(pruned)) {
-      shrunk = std::move(pruned);
-    }
+  core::ReactionNetwork pruned = prune_unreferenced_species(shrunk);
+  // Pruning remaps species ids; only keep it if the predicate still fires
+  // (handle-based predicates will throw or pass, reverting the prune).
+  if (pruned.species_count() < shrunk.species_count() && still_fails(pruned)) {
+    shrunk = std::move(pruned);
   }
   result.final_reactions = shrunk.reaction_count();
   result.network = std::move(shrunk);

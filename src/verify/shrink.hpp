@@ -24,15 +24,6 @@ namespace mrsc::verify {
 using ViolationPredicate =
     std::function<bool(const core::ReactionNetwork&)>;
 
-struct ShrinkOptions {
-  /// Hard cap on predicate evaluations (each one is a simulation).
-  std::size_t max_evaluations = 200;
-  /// Also drop species untouched by any remaining reaction (re-verifying the
-  /// predicate; species ids are remapped, so this is skipped automatically
-  /// when the predicate relies on fixed species handles and stops failing).
-  bool prune_species = true;
-};
-
 struct ShrinkResult {
   core::ReactionNetwork network;  ///< the minimized failing network
   std::size_t original_reactions = 0;
@@ -53,9 +44,12 @@ struct ShrinkResult {
 [[nodiscard]] core::ReactionNetwork prune_unreferenced_species(
     const core::ReactionNetwork& network);
 
-/// Minimizes `network` under `violates`.
+/// Minimizes `network` under `violates` within a fixed budget of predicate
+/// evaluations (each one is a simulation). Finally drops species untouched
+/// by any remaining reaction, re-verifying the predicate; species ids are
+/// remapped, so the prune is reverted when the predicate relies on fixed
+/// species handles and stops failing.
 [[nodiscard]] ShrinkResult shrink_network(const core::ReactionNetwork& network,
-                                          const ViolationPredicate& violates,
-                                          const ShrinkOptions& options = {});
+                                          const ViolationPredicate& violates);
 
 }  // namespace mrsc::verify

@@ -36,6 +36,17 @@ double free_run_t_end(const core::RatePolicy& policy) {
   return 3.5 * period_guess;
 }
 
+/// Circuit-vs-reference tolerances of dual-rail circuits and of the
+/// rate-robustness re-run, wider than the single-rail kFunctionalTolerance
+/// (docs/VERIFY.md gives the rationale).
+constexpr double kDualFunctionalTolerance = 0.08;
+constexpr double kRobustFunctionalTolerance = 0.12;
+
+/// Bias of the ODE-vs-SSA and direct-vs-NRM CLT bands: absorbs the
+/// O(1/omega) systematic gap between an SSA mean and the deterministic ODE
+/// limit.
+constexpr double kFiniteOmegaBias = 0.05;
+
 /// An alternative fast/slow ratio for the rate-robustness oracle, sampled
 /// per seed (the default policy is 1000).
 double robustness_ratio(std::uint64_t seed) {
@@ -76,7 +87,6 @@ void check_opt(std::vector<Violation>& out, const ReactionNetwork& network,
   eq.omega = o.omega;
   eq.replicates = std::min<std::size_t>(o.ssa_replicates, 8);
   eq.base_seed = util::Rng::stream_seed(seed, 0xEC);
-  eq.clt = CltBand{o.clt.z, 0.0};
   const auto found = check_optimization_equivalence(network, roots, eq);
   out.insert(out.end(), found.begin(), found.end());
 }
@@ -107,7 +117,8 @@ std::vector<Violation> check_clocked(const GeneratedCase& c,
   const analysis::DecodedRun run =
       analysis::run_decoded(network, ode, decoder, clocked.stimulus);
   add(out, check_decoded(oracle, run, decoder,
-                         dual ? o.functional_dual : o.functional));
+                         dual ? kDualFunctionalTolerance
+                              : kFunctionalTolerance));
   if (const auto* machine = std::get_if<FsmCase>(&c.payload)) {
     // Minimization must preserve behaviour exactly (pure differential, no
     // simulation involved).
@@ -148,14 +159,12 @@ std::vector<Violation> check_clocked(const GeneratedCase& c,
     }
   }
   poll(o);
-  add(out, check_non_negative(network, run.ode.trajectory, o.trajectory));
-  add(out, check_conservation(network, run.ode.trajectory, o.trajectory,
-                              decoder.driven));
-  add(out, check_clock_phase_token(*decoder.clock, run.ode.trajectory,
-                                   o.trajectory));
+  add(out, check_non_negative(network, run.ode.trajectory));
+  add(out, check_conservation(network, run.ode.trajectory, decoder.driven));
+  add(out, check_clock_phase_token(*decoder.clock, run.ode.trajectory));
   if (dual) {
-    add(out, check_dual_rail_exclusive(network, run.ode.trajectory,
-                                       rails_of(c), o.trajectory));
+    add(out,
+        check_dual_rail_exclusive(network, run.ode.trajectory, rails_of(c)));
   }
   if (circuit && o.robustness && c.seed % 4 == 0) {
     poll(o);
@@ -166,7 +175,7 @@ std::vector<Violation> check_clocked(const GeneratedCase& c,
     const analysis::DecodedRun rerun =
         analysis::run_decoded(alt, ode, decoder, clocked.stimulus);
     add(out, check_decoded("rate_robustness", rerun, decoder,
-                           o.functional_robust));
+                           kRobustFunctionalTolerance));
   }
   std::vector<core::SpeciesId> roots = decoder.driven;
   roots.insert(roots.end(), clocked.state.begin(), clocked.state.end());
@@ -184,8 +193,8 @@ std::vector<Violation> check_raw(const RawCase& c, std::uint64_t seed,
   ode_options.abort = o.abort;
   const auto ode = sim::simulate_ode(c.network, ode_options);
   poll(o);
-  add(out, check_non_negative(c.network, ode.trajectory, o.trajectory));
-  add(out, check_conservation(c.network, ode.trajectory, o.trajectory));
+  add(out, check_non_negative(c.network, ode.trajectory));
+  add(out, check_conservation(c.network, ode.trajectory));
   // No interface to pin: the pipeline may remove anything provably dead.
   // Closed cases have bounded dynamics, so they also get the SSA leg.
   check_opt(out, c.network, /*roots=*/{}, seed, o,
@@ -216,8 +225,9 @@ std::vector<Violation> check_raw(const RawCase& c, std::uint64_t seed,
   poll(o);
 
   add(out, check_mean_in_band("ode_vs_ssa_mean", nrm,
-                              ode.trajectory.final_state(), o.clt));
-  add(out, check_ensembles_agree("direct_vs_nrm", direct, nrm, o.clt));
+                              ode.trajectory.final_state(), kFiniteOmegaBias));
+  add(out,
+      check_ensembles_agree("direct_vs_nrm", direct, nrm, kFiniteOmegaBias));
   poll(o);
 
   // Worker count must not change results: rerun the next-reaction ensemble
@@ -250,22 +260,19 @@ bool is_invariant_oracle(const std::string& oracle) {
 
 std::vector<Violation> check_trajectory_invariants(
     const ReactionNetwork& network, const sync::ClockHandles* clock,
-    std::span<const std::pair<core::SpeciesId, core::SpeciesId>> rail_pairs,
-    const VerifyOptions& options) {
+    std::span<const std::pair<core::SpeciesId, core::SpeciesId>> rail_pairs) {
   std::vector<Violation> out;
   sim::OdeOptions ode_options;
   ode_options.t_end =
       clock != nullptr ? free_run_t_end(network.rate_policy()) : 2.0;
   const auto ode = sim::simulate_ode(network, ode_options);
-  add(out, check_non_negative(network, ode.trajectory, options.trajectory));
-  add(out, check_conservation(network, ode.trajectory, options.trajectory));
+  add(out, check_non_negative(network, ode.trajectory));
+  add(out, check_conservation(network, ode.trajectory));
   if (clock != nullptr) {
-    add(out, check_clock_phase_token(*clock, ode.trajectory,
-                                     options.trajectory));
+    add(out, check_clock_phase_token(*clock, ode.trajectory));
   }
   if (!rail_pairs.empty()) {
-    add(out, check_dual_rail_exclusive(network, ode.trajectory, rail_pairs,
-                                       options.trajectory));
+    add(out, check_dual_rail_exclusive(network, ode.trajectory, rail_pairs));
   }
   return out;
 }
@@ -291,8 +298,8 @@ std::vector<Violation> check_case(const GeneratedCase& c,
     // driver-free invariant pass so a broken clock is still attributed to
     // the right oracle.
     poll(options);
-    std::vector<Violation> out = check_trajectory_invariants(
-        c.network(), clock_of(c), rails_of(c), options);
+    std::vector<Violation> out =
+        check_trajectory_invariants(c.network(), clock_of(c), rails_of(c));
     out.push_back({"harness", e.what()});
     return out;
   }
@@ -319,12 +326,12 @@ std::optional<ShrinkResult> shrink_case(const GeneratedCase& c,
                                           const ReactionNetwork& candidate) {
     const std::vector<Violation> found =
         invariant ? check_trajectory_invariants(candidate, clock_of(c),
-                                                rails_of(c), replay)
+                                                rails_of(c))
                   : check_case(with_network(c, candidate), replay);
     return std::ranges::any_of(
         found, [&](const Violation& v) { return v.oracle == oracle; });
   };
-  return shrink_network(c.network(), violates, options.shrink_options);
+  return shrink_network(c.network(), violates);
 }
 
 FuzzReport run_fuzz(const VerifyOptions& options) {

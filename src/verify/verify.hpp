@@ -31,13 +31,6 @@ struct VerifyOptions {
   /// Case kinds to draw from (round-robin); empty = all five.
   std::vector<CaseKind> kinds;
   GeneratorOptions generator;
-  TrajectoryTolerances trajectory;
-  /// Circuit-vs-reference tolerances (see docs/VERIFY.md for the rationale).
-  SeriesTolerance functional{0.06, 0.06};
-  SeriesTolerance functional_dual{0.08, 0.08};
-  SeriesTolerance functional_robust{0.12, 0.12};
-  /// CLT z and finite-omega bias for the ODE-vs-SSA mean band.
-  CltBand clt{6.0, 0.05};
   std::size_t ssa_replicates = 16;
   double omega = 300.0;
   /// Worker threads for the case sweep (cases are independent).
@@ -58,7 +51,6 @@ struct VerifyOptions {
   bool lint_cross = true;
   /// Shrink failing cases to minimal repros.
   bool shrink = true;
-  ShrinkOptions shrink_options;
   /// Optional deadline/cancel hook, polled before each case, between the
   /// oracles of one case, and by every simulation of a case. Once it
   /// returns true run_fuzz (and check_case) throws VerifyAborted: a
@@ -107,8 +99,7 @@ struct FuzzReport {
 /// it the shrinker's preferred predicate.
 [[nodiscard]] std::vector<Violation> check_trajectory_invariants(
     const core::ReactionNetwork& network, const sync::ClockHandles* clock,
-    std::span<const std::pair<core::SpeciesId, core::SpeciesId>> rail_pairs,
-    const VerifyOptions& options);
+    std::span<const std::pair<core::SpeciesId, core::SpeciesId>> rail_pairs);
 
 /// Minimizes the case's network while a violation of oracle `oracle` keeps
 /// reproducing. Returns nullopt when the case kind/oracle combination has no

@@ -81,7 +81,7 @@ TEST(FleetBackoff, SlicesDecorrelate) {
 // --------------------------------------------------------------- health --
 
 TEST(FleetHealth, TransitionsAtExactThresholdBoundaries) {
-  // degrade_after=2, quarantine_after=4 (defaults): the table walks the
+  // kDegradeAfter=2, kQuarantineAfter=4: the table walks the
   // counter one event at a time and pins the state at every boundary.
   HealthTracker tracker;
   EXPECT_EQ(tracker.state(), ShardHealth::kHealthy);
@@ -103,16 +103,21 @@ TEST(FleetHealth, TransitionsAtExactThresholdBoundaries) {
 }
 
 TEST(FleetHealth, QuarantineEarnsAProbeAfterExactlyProbeAfterSkips) {
-  HealthThresholds thresholds;
-  thresholds.probe_after = 3;
-  HealthTracker tracker(thresholds);
-  for (std::uint32_t i = 0; i < thresholds.quarantine_after; ++i) {
+  static_assert(HealthTracker::kProbeAfter == 8);
+  HealthTracker tracker;
+  for (std::uint32_t i = 0; i < HealthTracker::kQuarantineAfter; ++i) {
     tracker.record_failure();
   }
   ASSERT_EQ(tracker.state(), ShardHealth::kQuarantined);
-  EXPECT_FALSE(tracker.consider_probe());  // skip 1
-  EXPECT_FALSE(tracker.consider_probe());  // skip 2
-  EXPECT_TRUE(tracker.consider_probe());   // skip 3: probe granted
+  // Skips 1..7 earn nothing; skip 8 is granted the probe.
+  const auto skip_to_probe = [&tracker] {
+    for (std::uint32_t skip = 1; skip < HealthTracker::kProbeAfter; ++skip) {
+      EXPECT_FALSE(tracker.consider_probe()) << "skip " << skip;
+      EXPECT_EQ(tracker.state(), ShardHealth::kQuarantined);
+    }
+    EXPECT_TRUE(tracker.consider_probe());
+  };
+  skip_to_probe();
   EXPECT_EQ(tracker.state(), ShardHealth::kProbing);
   // While probing, no further probes are granted.
   EXPECT_FALSE(tracker.consider_probe());
@@ -120,9 +125,7 @@ TEST(FleetHealth, QuarantineEarnsAProbeAfterExactlyProbeAfterSkips) {
   // Probe failure: straight back to quarantine, skip counter fresh.
   tracker.record_failure();
   EXPECT_EQ(tracker.state(), ShardHealth::kQuarantined);
-  EXPECT_FALSE(tracker.consider_probe());
-  EXPECT_FALSE(tracker.consider_probe());
-  EXPECT_TRUE(tracker.consider_probe());
+  skip_to_probe();
   // Probe success: healthy again.
   tracker.record_success();
   EXPECT_EQ(tracker.state(), ShardHealth::kHealthy);

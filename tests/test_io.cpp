@@ -11,6 +11,8 @@
 #include "dsp/counter.hpp"
 #include "dsp/filters.hpp"
 #include "fsm/fsm.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/scenario.hpp"
 
 namespace mrsc::core {
 namespace {
@@ -96,20 +98,26 @@ TEST(NetworkIo, ParseRejectsBadReaction) {
   EXPECT_THROW((void)parse_network("fast : A B\n"), std::invalid_argument);
 }
 
+// A .crn file is read by scenario::load_network_file and parsed when the
+// registry resolves it, the path every CLI takes.
 TEST(NetworkIo, SaveAndLoadFile) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "mrsc_io_test.crn").string();
   const ReactionNetwork original = sample_network();
   std::ofstream(path) << serialize_network(original);
-  const ReactionNetwork loaded = load_network(path);
+  const scenario::ResolvedScenario resolved =
+      scenario::ScenarioRegistry::global().resolve(
+          scenario::load_network_file(path));
+  const ReactionNetwork& loaded = *resolved.design.network;
   EXPECT_EQ(loaded.species_count(), original.species_count());
   EXPECT_EQ(loaded.reaction_count(), original.reaction_count());
   std::remove(path.c_str());
 }
 
 TEST(NetworkIo, LoadMissingFileThrows) {
-  EXPECT_THROW((void)load_network("/nonexistent/path/to/net.crn"),
-               std::runtime_error);
+  EXPECT_THROW(
+      (void)scenario::load_network_file("/nonexistent/path/to/net.crn"),
+      std::runtime_error);
 }
 
 TEST(NetworkIo, RateMultiplierRoundTrips) {

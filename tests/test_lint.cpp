@@ -11,7 +11,9 @@
 //      over a seed sweep of generated cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <stop_token>
 #include <string>
@@ -152,16 +154,55 @@ TEST(LintCorruption, CollapsedRatePolicyTripsTimescale) {
   EXPECT_TRUE(report.has("LINT-TIME-01")) << report.to_text();
 }
 
+/// The ratio the timescale check measures: min effective fast rate / max
+/// effective slow rate, rate multipliers included.
+double separation_ratio(const core::ReactionNetwork& network) {
+  double min_fast = std::numeric_limits<double>::infinity();
+  double max_slow = 0.0;
+  for (std::size_t r = 0; r < network.reaction_count(); ++r) {
+    const core::ReactionId id{
+        static_cast<core::ReactionId::underlying_type>(r)};
+    const double rate = network.effective_rate(id);
+    const core::RateCategory category = network.reaction(id).category();
+    if (category == core::RateCategory::kFast) {
+      min_fast = std::min(min_fast, rate);
+    } else if (category == core::RateCategory::kSlow) {
+      max_slow = std::max(max_slow, rate);
+    }
+  }
+  return min_fast / max_slow;
+}
+
+bool has_timescale_diagnostic(const lint::LintReport& report) {
+  return report.has("LINT-TIME-01") || report.has("LINT-TIME-02");
+}
+
 TEST(LintCorruption, ThinMarginWarnsTimescale) {
-  const scenario::BuiltDesign design = build("counter");
-  lint::LintOptions options;
-  // Pin the thresholds around the design's actual ratio so the warning
-  // band is exercised regardless of the default policy's numbers.
-  options.timescale_error_ratio = 1e-9;
-  options.timescale_warn_ratio = 1e9;
-  const lint::LintReport report =
-      lint::run_lint(input_for(design, "counter"), options);
-  EXPECT_TRUE(report.has("LINT-TIME-02")) << report.to_text();
+  scenario::BuiltDesign design = build("counter");
+  core::RatePolicy policy = design.network->rate_policy();
+  const auto lint_at = [&](double fast_over_slow) {
+    policy.k_fast = fast_over_slow * policy.k_slow;
+    design.network->set_rate_policy(policy);
+    return lint::run_lint(input_for(design, "counter"));
+  };
+  // The counter's extreme fast and slow reactions carry no multiplier, so
+  // its separation is the policy's ratio: 30x lies between the 10x error
+  // floor and the 100x comfortable margin.
+  const lint::LintReport thin = lint_at(30.0);
+  ASSERT_GT(separation_ratio(*design.network), 10.0);
+  ASSERT_LT(separation_ratio(*design.network), 100.0);
+  EXPECT_TRUE(thin.has("LINT-TIME-02")) << thin.to_text();
+  EXPECT_FALSE(thin.has("LINT-TIME-01")) << thin.to_text();
+  // The floor itself still only warns.
+  const lint::LintReport at_floor = lint_at(10.0);
+  EXPECT_TRUE(at_floor.has("LINT-TIME-02")) << at_floor.to_text();
+  EXPECT_FALSE(at_floor.has("LINT-TIME-01")) << at_floor.to_text();
+
+  // At a ratio of 100 or more the check is quiet.
+  const lint::LintReport comfortable = lint_at(100.0);
+  ASSERT_GE(separation_ratio(*design.network), 100.0);
+  EXPECT_FALSE(has_timescale_diagnostic(comfortable))
+      << comfortable.to_text();
 }
 
 TEST(LintCorruption, RailCoProductionTripsDualRail) {

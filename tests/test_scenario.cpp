@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -472,8 +473,11 @@ TEST(ResolveArgument, NetworkFilesAreInlineNetworks) {
   EXPECT_EQ(resolved.scenario.name, path);
   EXPECT_TRUE(resolved.scenario.design.empty());
   EXPECT_EQ(resolved.decoder, nullptr);
+  std::ifstream file(path);
+  std::ostringstream text;
+  text << file.rdbuf();
   EXPECT_EQ(core::serialize_network(*resolved.design.network),
-            core::serialize_network(core::load_network(path)));
+            core::serialize_network(core::parse_network(text.str())));
   // Malformed content is usage; an unreadable path is a runtime failure.
   EXPECT_THROW((void)resolve_network_file(std::string(MRSC_SCENARIO_DATA_DIR) +
                                            "/malformed.crn"),

@@ -3,12 +3,17 @@
 // of a minimal reproducing network.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/decode.hpp"
 #include "core/builder.hpp"
 #include "core/io.hpp"
+#include "sim/trajectory.hpp"
 #include "stress/fault.hpp"
+#include "sync/clock.hpp"
 #include "verify/generator.hpp"
 #include "verify/oracles.hpp"
 #include "verify/shrink.hpp"
@@ -187,7 +192,7 @@ TEST(Shrink, ReducesToTheOneGuiltyReaction) {
     return false;
   };
   (void)guilty;
-  const ShrinkResult result = shrink_network(net, violates, {});
+  const ShrinkResult result = shrink_network(net, violates);
   EXPECT_TRUE(result.reproduced);
   EXPECT_EQ(result.final_reactions, 1u);
   EXPECT_EQ(result.original_reactions, 10u);
@@ -199,7 +204,7 @@ TEST(Shrink, NonReproducingPredicateReportsItself) {
   b.species("A", 1.0);
   b.reaction("A -> A", 1.0);
   const ShrinkResult result =
-      shrink_network(net, [](const ReactionNetwork&) { return false; }, {});
+      shrink_network(net, [](const ReactionNetwork&) { return false; });
   EXPECT_FALSE(result.reproduced);
   EXPECT_EQ(result.final_reactions, result.original_reactions);
 }
@@ -222,7 +227,7 @@ TEST(Oracles, SeriesMismatchNamesTheCycle) {
   const std::vector<double> actual = {1.0, 2.0, 9.0};
   const std::vector<double> expected = {1.0, 2.0, 3.0};
   const auto v =
-      check_series_match("demo", actual, expected, SeriesTolerance{0.1, 0.1});
+      check_series_match("demo", actual, expected, 0.1);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->oracle, "demo");
   EXPECT_NE(v->detail.find("2"), std::string::npos);  // failing index
@@ -231,9 +236,122 @@ TEST(Oracles, SeriesMismatchNamesTheCycle) {
 TEST(Oracles, MatchingSeriesPasses) {
   const std::vector<double> actual = {1.0, 2.001, 3.0};
   const std::vector<double> expected = {1.0, 2.0, 3.0};
-  EXPECT_FALSE(check_series_match("demo", actual, expected,
-                                  SeriesTolerance{0.01, 0.01})
-                   .has_value());
+  EXPECT_FALSE(
+      check_series_match("demo", actual, expected, 0.01).has_value());
+}
+
+/// A decoder with nothing to drive: check_decoded only reads `exact` and
+/// `columns`.
+class StubDecoder final : public analysis::Decoder {
+ public:
+  void inject(std::span<double> /*state*/, double /*sample*/) const override {}
+  void read(std::span<double> /*state*/,
+            std::span<double> /*row*/) const override {}
+  [[nodiscard]] analysis::Columns reference(
+      std::span<const double> /*stimulus*/) const override {
+    return {};
+  }
+};
+
+/// One sample per row, at unit time steps.
+sim::Trajectory trajectory_of(const std::vector<std::vector<double>>& rows) {
+  sim::Trajectory trajectory(rows.front().size());
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    trajectory.append(static_cast<double>(k), rows[k]);
+  }
+  return trajectory;
+}
+
+// Each trajectory-oracle threshold, probed 1% inside and 1% outside its value
+// (docs/VERIFY.md gives the rationale of each). The literals below are
+// derived from the thresholds, so moving any one of them fails this test.
+TEST(Oracles, InvariantThresholdsHoldAtTheirBoundaries) {
+  ReactionNetwork net;
+  core::NetworkBuilder b(net);
+  b.species("A", 0.0);
+  b.species("B", 0.0);
+  b.species("C", 0.0);
+  b.reaction("A -> B", 1.0);  // laws: A + B and C
+
+  // Negativity floor: -1e-6.
+  EXPECT_FALSE(
+      check_non_negative(net, trajectory_of({{-0.99e-6, 0, 0}})).has_value());
+  EXPECT_TRUE(
+      check_non_negative(net, trajectory_of({{-1.01e-6, 0, 0}})).has_value());
+
+  // Conservation band: 1e-3 * |initial| + 1e-6. A law starting at 0 probes
+  // the absolute slack, one starting at 1000 the relative part.
+  const auto drifts = [&](double initial, double later) {
+    return check_conservation(net,
+                              trajectory_of({{initial, 0, 0}, {later, 0, 0}}))
+        .has_value();
+  };
+  EXPECT_FALSE(drifts(0.0, 0.99e-6));
+  EXPECT_TRUE(drifts(0.0, 1.01e-6));
+  EXPECT_FALSE(drifts(1000.0, 1000.99));
+  EXPECT_TRUE(drifts(1000.0, 1001.01));
+
+  // Clock phase token at token 2: a phase is high above 0.6 * 2 = 1.2, the
+  // one-phase-high duty floor is 0.3, and the first 15% of the samples are
+  // warm-up. 1176 samples leave samples 176.. (1000 of them) after it.
+  using Rows = std::vector<std::vector<double>>;
+  sync::ClockHandles clock;
+  clock.phase_r = core::SpeciesId{0};
+  clock.phase_g = core::SpeciesId{1};
+  clock.phase_b = core::SpeciesId{2};
+  clock.token = 2.0;
+  const auto clock_fails = [&](const auto& edit) {
+    Rows rows(1176, {2.0, 0.0, 0.0});
+    edit(rows);
+    return check_clock_phase_token(clock, trajectory_of(rows)).has_value();
+  };
+  EXPECT_FALSE(clock_fails([](Rows& rows) { rows[600][1] = 1.188; }));
+  EXPECT_TRUE(clock_fails([](Rows& rows) { rows[600][1] = 1.212; }));
+  EXPECT_FALSE(clock_fails([](Rows& rows) { rows[175][1] = 2.0; }));
+  EXPECT_TRUE(clock_fails([](Rows& rows) { rows[176][1] = 2.0; }));
+  const auto single_phase_tail = [](std::size_t tail) {
+    return [tail](Rows& rows) {
+      for (std::size_t k = 0; k + tail < rows.size(); ++k) rows[k][0] = 0.0;
+    };
+  };
+  EXPECT_FALSE(clock_fails(single_phase_tail(301)));  // duty 0.301
+  EXPECT_TRUE(clock_fails(single_phase_tail(299)));   // duty 0.299
+
+  // Rail exclusivity: a pair overlaps where min(p, n) > 0.1, and fails when
+  // it overlaps on more than 60% of the post-warm-up samples.
+  const std::vector<std::pair<core::SpeciesId, core::SpeciesId>> pairs = {
+      {core::SpeciesId{0}, core::SpeciesId{1}}};
+  const auto rails_fail = [&](std::size_t overlapping, double common) {
+    Rows rows(1176, {1.0, 0.0, 0.0});
+    for (std::size_t k = rows.size() - overlapping; k < rows.size(); ++k) {
+      rows[k] = {common, common, 0.0};
+    }
+    return check_dual_rail_exclusive(net, trajectory_of(rows), pairs)
+        .has_value();
+  };
+  EXPECT_FALSE(rails_fail(1000, 0.099));
+  EXPECT_TRUE(rails_fail(1000, 0.101));
+  EXPECT_FALSE(rails_fail(599, 0.2));
+  EXPECT_TRUE(rails_fail(601, 0.2));
+
+  // Functional series: |a - e| <= tol + tol * |e|, tol = 0.06 for
+  // single-rail decoders (bands 0.06 at e = 0 and 0.66 at e = 10) and 0 for
+  // exact ones.
+  StubDecoder decoder;
+  decoder.columns = {"out"};
+  analysis::DecodedRun run;
+  run.expected = {{0.0, 10.0}};
+  const auto series_fails = [&](double at_zero, double at_ten, bool exact) {
+    run.outputs = {{at_zero, at_ten}};
+    decoder.exact = exact;
+    return check_decoded("demo", run, decoder, kFunctionalTolerance)
+        .has_value();
+  };
+  EXPECT_FALSE(series_fails(0.0594, 10.6534, false));
+  EXPECT_TRUE(series_fails(0.0606, 10.0, false));
+  EXPECT_TRUE(series_fails(0.0, 10.6666, false));
+  EXPECT_FALSE(series_fails(0.0, 10.0, true));
+  EXPECT_TRUE(series_fails(0.0, 10.0 + 1e-9, true));
 }
 
 TEST(RunFuzz, CleanSweepOverAllKinds) {
