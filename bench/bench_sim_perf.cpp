@@ -6,9 +6,6 @@
 // in for the authors' testbed characterization.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,14 +20,11 @@
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
 #include "sync/clock.hpp"
-#include "tools/cli_flags.hpp"
-#include "util/json.hpp"
 #include "util/matrix.hpp"
 
 namespace {
 
 using namespace mrsc;
-using util::json::Value;
 
 core::ReactionNetwork chain_network(std::size_t elements) {
   core::ReactionNetwork net;
@@ -284,19 +278,13 @@ BENCHMARK(BM_CompileMovingAverage);
 // the fired reaction's dependents and then sums and scans the nonzero
 // propensities on every event: the regime the compiled engine's hoisted
 // scale factors, CSR kernels, dependency graph and active set target.
-sim::SsaOptions ensemble_ssa_options() {
+void BM_SsaEnsemble(benchmark::State& state) {
+  const core::ReactionNetwork net = chain_network(8);
   sim::SsaOptions ssa;
   ssa.t_end = 10.0;
   ssa.omega = 200.0;
   ssa.record_interval = 1.0;
   ssa.method = sim::SsaMethod::kDirect;
-  return ssa;
-}
-
-core::ReactionNetwork ensemble_network() { return chain_network(8); }
-
-void BM_SsaEnsemble(benchmark::State& state) {
-  const core::ReactionNetwork net = ensemble_network();
   runtime::EnsembleOptions options;
   options.replicates = 32;
   options.base_seed = 1;
@@ -304,7 +292,7 @@ void BM_SsaEnsemble(benchmark::State& state) {
   std::size_t ok = 0;
   for (auto _ : state) {
     const runtime::EnsembleResult result =
-        runtime::run_ssa_ensemble(net, ensemble_ssa_options(), options);
+        runtime::run_ssa_ensemble(net, ssa, options);
     ok = result.ok;
     benchmark::DoNotOptimize(result.final_stats.data());
   }
@@ -347,65 +335,6 @@ BENCHMARK(BM_CompiledSystemBuild)
     ->Arg(16)
     ->Unit(benchmark::kMicrosecond);
 
-/// Measures a 64-replicate ensemble at 1/2/4/8 workers and writes
-/// BENCH_runtime.json (path overridable via MRSC_BENCH_RUNTIME_JSON), so the
-/// perf trajectory of the batch runtime has a tracked baseline. False when
-/// the file cannot be written.
-bool write_runtime_baseline() {
-  const char* path_env = std::getenv("MRSC_BENCH_RUNTIME_JSON");
-  const std::string path = path_env ? path_env : "BENCH_runtime.json";
-  const core::ReactionNetwork net = ensemble_network();
-
-  struct Measurement {
-    double wall = 0.0;
-    std::size_t ok = 0;
-  };
-  auto measure = [&](std::size_t workers) {
-    runtime::EnsembleOptions options;
-    options.replicates = 64;
-    options.base_seed = 1;
-    options.batch.threads = workers;
-    const auto start = std::chrono::steady_clock::now();
-    const runtime::EnsembleResult result =
-        runtime::run_ssa_ensemble(net, ensemble_ssa_options(), options);
-    Measurement m;
-    m.wall = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           start)
-                 .count();
-    m.ok = result.ok;
-    return m;
-  };
-
-  Value points;
-  const std::size_t worker_counts[] = {1, 2, 4, 8};
-  std::printf("\nbatch runtime baseline (64-replicate SSA ensemble):\n");
-  std::printf("  %-8s %-12s %s\n", "workers", "wall [s]", "jobs/sec");
-  for (const std::size_t workers : worker_counts) {
-    const Measurement m = measure(workers);
-    const double throughput = 64.0 / m.wall;
-    std::printf("  %-8zu %-12.3f %-12.1f (%zu ok)\n", workers, m.wall,
-                throughput, m.ok);
-    Value point;
-    point.set("workers", Value(std::uint64_t{workers}));
-    point.set("wall_seconds", Value(m.wall));
-    point.set("jobs_per_sec", Value(throughput));
-    point.set("ok", Value(std::uint64_t{m.ok}));
-    points.array().push_back(std::move(point));
-  }
-  Value json;
-  json.set("benchmark", Value("ssa_ensemble_64"));
-  json.set("replicates", Value(std::uint64_t{64}));
-  json.set("points", std::move(points));
-  return tools::write_file("bench_sim_perf", path, json.dump() + "\n",
-                           "baseline");
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return write_runtime_baseline() ? 0 : 1;
-}
+BENCHMARK_MAIN();

@@ -34,14 +34,6 @@ double max_abs_error(std::span<const double> a, std::span<const double> b) {
   return worst;
 }
 
-double max_relative_error(std::span<const double> a, std::span<const double> b,
-                          double floor) {
-  check_sizes(a, b);
-  double scale = floor;
-  for (const double v : b) scale = std::max(scale, std::abs(v));
-  return max_abs_error(a, b) / scale;
-}
-
 std::vector<bool> digitize(std::span<const double> series, double low,
                            double high) {
   if (!(low < high)) {
@@ -56,18 +48,6 @@ std::vector<bool> digitize(std::span<const double> series, double low,
     bits.push_back(state);
   }
   return bits;
-}
-
-std::size_t hamming_distance(const std::vector<bool>& a,
-                             const std::vector<bool>& b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("hamming_distance: size mismatch");
-  }
-  std::size_t distance = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) ++distance;
-  }
-  return distance;
 }
 
 double mean(std::span<const double> series) {

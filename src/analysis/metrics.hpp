@@ -14,21 +14,11 @@ namespace mrsc::analysis {
 [[nodiscard]] double max_abs_error(std::span<const double> a,
                                    std::span<const double> b);
 
-/// max |a-b| / max(|b|, floor): relative worst-case error against reference
-/// `b`, guarded against tiny references.
-[[nodiscard]] double max_relative_error(std::span<const double> a,
-                                        std::span<const double> b,
-                                        double floor = 1e-9);
-
 /// Thresholds an analog series into bits with hysteresis: 1 once the value
 /// exceeds `high`, back to 0 once it drops below `low`. The initial logic
 /// value is `value >= high` of the first sample.
 [[nodiscard]] std::vector<bool> digitize(std::span<const double> series,
                                          double low, double high);
-
-/// Number of positions where two bit sequences differ.
-[[nodiscard]] std::size_t hamming_distance(const std::vector<bool>& a,
-                                           const std::vector<bool>& b);
 
 /// Mean of a series.
 [[nodiscard]] double mean(std::span<const double> series);

@@ -122,10 +122,6 @@ double ReactionNetwork::effective_rate(const Reaction& reaction) const {
          reaction.rate_multiplier();
 }
 
-void ReactionNetwork::clear_rate_multipliers() {
-  for (Reaction& r : reactions_) r.set_rate_multiplier(1.0);
-}
-
 util::Matrix ReactionNetwork::stoichiometric_matrix() const {
   util::Matrix s(species_.size(), reactions_.size());
   for (std::size_t j = 0; j < reactions_.size(); ++j) {

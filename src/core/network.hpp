@@ -71,9 +71,6 @@ class ReactionNetwork {
   [[nodiscard]] double effective_rate(ReactionId id) const;
   [[nodiscard]] double effective_rate(const Reaction& reaction) const;
 
-  /// Resets every per-reaction rate multiplier to 1.
-  void clear_rate_multipliers();
-
   // --- whole-network queries ----------------------------------------------
 
   /// Stoichiometric matrix S (species x reactions): S(i,j) = net change of

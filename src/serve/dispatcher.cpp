@@ -1,5 +1,6 @@
 #include "serve/dispatcher.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -50,6 +51,57 @@ std::uint64_t u64_field(const util::json::Value& v, const std::string& key,
 /// The sim method table's names, plus serve's `ode` for dp45.
 std::optional<sim::SimMethod> sim_method(std::string_view name) {
   return sim::parse_method(name == "ode" ? "dp45" : name);
+}
+
+std::string join(const std::vector<std::string>& names, char separator) {
+  std::string out;
+  for (const std::string& name : names) {
+    if (!out.empty()) out += separator;
+    out += name;
+  }
+  return out;
+}
+
+/// Lint `checks` in canonical form: each named check once, in registry
+/// order, so every spelling of one selection shares a key. Empty (all
+/// checks) stays empty.
+std::string canonical_checks(const std::string& csv) {
+  if (csv.empty()) return csv;
+  std::vector<std::string> selected = lint::check_names();
+  const std::vector<std::string> wanted = util::split_commas(csv);
+  for (const std::string& name : wanted) {
+    if (std::ranges::find(selected, name) == selected.end()) {
+      reject("unknown check '" + name + "' (expected " +
+             join(selected, '|') + ")");
+    }
+  }
+  std::erase_if(selected, [&wanted](const std::string& name) {
+    return std::ranges::find(wanted, name) == wanted.end();
+  });
+  return join(selected, ',');
+}
+
+/// Verify `kinds` with each name in its canonical spelling ("fsm," is
+/// "fsm"). The order stays: verify assigns case kinds round-robin.
+std::string canonical_kinds(const std::string& csv) {
+  if (csv.empty()) return csv;
+  std::vector<std::string> names;
+  for (const verify::CaseKind kind : verify::parse_kinds(csv)) {
+    names.emplace_back(verify::to_string(kind));
+  }
+  return join(names, ',');
+}
+
+/// Rejects a stress `fault` that names no kind or a kind with no intensity
+/// to sweep.
+void check_fault(const std::string& name) {
+  const std::optional<stress::FaultKind> fault =
+      stress::parse_fault_kind(name);
+  if (!fault || !stress::sweepable(*fault)) {
+    reject("fault '" + name +
+           "' is not a swept fault kind (expected rate-jitter|"
+           "category-jitter|clock-skew|leak|injection|loss|initial-noise)");
+  }
 }
 
 std::string intensities_csv(const std::vector<double>& intensities) {
@@ -140,6 +192,7 @@ JobRequest parse_job(const util::json::Value& request) {
 
   job.werror = request.get_bool("werror", false);
   job.checks = request.get_string("checks", "");
+  if (job.kind == JobKind::kLint) job.checks = canonical_checks(job.checks);
 
   job.seeds = u64_field(request, "seeds", job.seeds);
   if (job.seeds == 0 || job.seeds > kMaxVerifySeeds) {
@@ -148,10 +201,14 @@ JobRequest parse_job(const util::json::Value& request) {
   }
   job.start_seed = u64_field(request, "start_seed", job.start_seed);
   job.case_kinds = request.get_string("kinds", "");
+  if (job.kind == JobKind::kVerify) {
+    job.case_kinds = canonical_kinds(job.case_kinds);
+  }
   job.differential = request.get_bool("differential", false);
   job.opt_equivalence = request.get_bool("opt_equivalence", false);
 
   job.fault = request.get_string("fault", job.fault);
+  if (job.kind == JobKind::kStress) check_fault(job.fault);
   job.trials = u64_field(request, "trials", job.trials);
   if (job.trials == 0 || job.trials > kMaxStressTrials) {
     reject("field 'trials' must be in [1, " +
@@ -425,13 +482,9 @@ DispatchResult run_lint_job(const JobRequest& request,
 
 DispatchResult run_stress(const JobRequest& request,
                           const DispatchHooks& hooks) {
-  const std::optional<stress::FaultKind> fault =
-      stress::parse_fault_kind(request.fault);
-  if (!fault) reject("unknown fault kind '" + request.fault + "'");
-
   stress::CampaignConfig config;
   config.design = request.design;
-  config.fault = *fault;
+  config.fault = stress::parse_fault_kind(request.fault).value();
   config.intensities = request.intensities;
   config.trials = request.trials;
   config.base_seed = request.seed;

@@ -55,12 +55,16 @@ struct JobRequest {
 
   // lint
   bool werror = false;
-  std::string checks;  ///< comma-separated registry names; empty = all
+  /// Comma-separated registry names, each once and in registry order;
+  /// empty = all.
+  std::string checks;
 
   // verify
   std::size_t seeds = 4;
   std::uint64_t start_seed = 0;
-  std::string case_kinds;  ///< comma-separated generator kinds; empty = all
+  /// Comma-separated generator kinds in request order (verify assigns
+  /// them round-robin); empty = all.
+  std::string case_kinds;
   bool differential = false;
   bool opt_equivalence = false;
 

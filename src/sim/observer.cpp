@@ -33,14 +33,16 @@ void EdgeDetector::on_step(double t, std::span<double> state) {
   }
 }
 
-ScheduledInjector::ScheduledInjector(std::vector<Event> events)
+FaultEventObserver::FaultEventObserver(std::vector<FaultEvent> events)
     : events_(std::move(events)) {
-  std::ranges::sort(events_, {}, &Event::time);
+  std::ranges::stable_sort(events_, {}, &FaultEvent::time);
 }
 
-void ScheduledInjector::on_step(double t, std::span<double> state) {
+void FaultEventObserver::on_step(double t, std::span<double> state) {
   while (next_ < events_.size() && events_[next_].time <= t) {
-    state[events_[next_].species.index()] += events_[next_].amount;
+    const FaultEvent& event = events_[next_];
+    double& value = state[event.species.index()];
+    value = std::max(0.0, event.scale * value + event.add);
     ++next_;
   }
 }

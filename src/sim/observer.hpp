@@ -6,7 +6,6 @@
 // each clock cycle), or stop the run early.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -53,25 +52,33 @@ class EdgeDetector : public Observer {
   std::vector<double> falling_;
 };
 
-/// Injects scheduled amounts into species at fixed times (adds to the current
-/// concentration, modelling a fast injection of molecules).
-class ScheduledInjector : public Observer {
- public:
-  struct Event {
-    double time;
-    core::SpeciesId species;
-    double amount;
-  };
+/// A scheduled state change: at `time` the species' concentration x becomes
+/// `max(0, scale * x + add)`. An injection adds (`add`), a loss scales
+/// (`scale` = 1 - fraction).
+struct FaultEvent {
+  double time = 0.0;
+  core::SpeciesId species;
+  double add = 0.0;
+  double scale = 1.0;
+};
 
+/// The one observer that changes the state at scheduled times: at the first
+/// accepted step at or past each event's time it applies the event. Events
+/// with equal times apply in the order given.
+class FaultEventObserver final : public Observer {
+ public:
   /// Events need not be pre-sorted.
-  explicit ScheduledInjector(std::vector<Event> events);
+  explicit FaultEventObserver(std::vector<FaultEvent> events);
 
   void on_step(double t, std::span<double> state) override;
 
-  [[nodiscard]] std::size_t injected_count() const { return next_; }
+  [[nodiscard]] std::size_t applied_count() const { return next_; }
+
+  /// Re-arms the observer for a fresh attempt (fallback-ladder retries).
+  void reset() { next_ = 0; }
 
  private:
-  std::vector<Event> events_;
+  std::vector<FaultEvent> events_;
   std::size_t next_ = 0;
 };
 
@@ -97,21 +104,6 @@ class SteadyStateDetector : public Observer {
   std::vector<double> last_state_;
   bool reached_ = false;
   double reached_time_ = 0.0;
-};
-
-/// Adapts a callable into an Observer (for ad-hoc test probes).
-class CallbackObserver : public Observer {
- public:
-  using Callback = std::function<void(double, std::span<double>)>;
-  explicit CallbackObserver(Callback callback)
-      : callback_(std::move(callback)) {}
-
-  void on_step(double t, std::span<double> state) override {
-    callback_(t, state);
-  }
-
- private:
-  Callback callback_;
 };
 
 }  // namespace mrsc::sim

@@ -46,10 +46,8 @@ class Trajectory {
   /// Linear interpolation of species `id` at time `t` (clamped to range).
   [[nodiscard]] double value_at(double t, core::SpeciesId id) const;
 
-  /// Extremum of species `id` over the [t_lo, t_hi] window (sample-based).
+  /// Maximum of species `id` over the [t_lo, t_hi] window (sample-based).
   [[nodiscard]] double max_in_window(core::SpeciesId id, double t_lo,
-                                     double t_hi) const;
-  [[nodiscard]] double min_in_window(core::SpeciesId id, double t_lo,
                                      double t_hi) const;
 
   /// Full time series of one species.

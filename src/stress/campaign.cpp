@@ -81,7 +81,7 @@ std::string drive_trial(const TrialPlan& plan, const FaultSpec& spec,
                         const sim::OdeOptions& ode) {
   const FaultSpec specs[] = {spec};
   FaultedNetwork faulted = apply_faults(*plan.resolved.design.network, specs);
-  FaultEventObserver events(std::move(faulted.events));
+  sim::FaultEventObserver events(std::move(faulted.events));
   analysis::DecodeOptions options;
   options.extra_observers = {&events};
   const analysis::Decoder& decoder = *plan.resolved.decoder;
@@ -177,6 +177,11 @@ std::vector<double> default_intensities(FaultKind kind) {
       // Jitter-family kinds: sigma of ln(rate multiplier).
       return {0.02, 0.05, 0.1, 0.2, 0.4};
   }
+}
+
+bool sweepable(FaultKind kind) {
+  return kind != FaultKind::kRateJitterReaction &&
+         kind != FaultKind::kStoichiometry;
 }
 
 std::string CampaignResult::to_table() const {

@@ -111,6 +111,10 @@ struct CampaignResult {
 /// Default intensity grid for a fault kind (ascending).
 [[nodiscard]] std::vector<double> default_intensities(FaultKind kind);
 
+/// False for the discrete kinds (kRateJitterReaction, kStoichiometry):
+/// they have no intensity to sweep, and run_campaign rejects them.
+[[nodiscard]] bool sweepable(FaultKind kind);
+
 /// Runs the sweep. Throws std::invalid_argument, before any trial, for a
 /// spec the registry rejects (the message names the spec) and for fault
 /// kinds with no intensity knob (kRateJitterReaction, kStoichiometry: use

@@ -242,23 +242,6 @@ FaultedNetwork apply_faults(const core::ReactionNetwork& network,
   return out;
 }
 
-FaultEventObserver::FaultEventObserver(std::vector<FaultEvent> events)
-    : events_(std::move(events)) {
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const FaultEvent& a, const FaultEvent& b) {
-                     return a.time < b.time;
-                   });
-}
-
-void FaultEventObserver::on_step(double t, std::span<double> state) {
-  while (next_ < events_.size() && events_[next_].time <= t) {
-    const FaultEvent& event = events_[next_];
-    double& value = state[event.species.index()];
-    value = std::max(0.0, event.scale * value + event.add);
-    ++next_;
-  }
-}
-
 core::ReactionNetwork with_stoichiometry_fault(
     const core::ReactionNetwork& network, core::ReactionId target) {
   if (target.index() >= network.reaction_count()) {

@@ -16,7 +16,7 @@
 //                      on matching species (imperfect molecular parts)
 //   injection / loss — a bolus of spurious molecules added to, or a fraction
 //                      removed from, one species at a chosen time (realized
-//                      by `FaultEventObserver` during the run)
+//                      by `sim::FaultEventObserver` during the run)
 //   initial noise    — log-normal noise on nonzero initial conditions
 //   stoichiometry    — one reaction's first product duplicated (the
 //                      single-gate hardware defect; promoted from the
@@ -93,19 +93,11 @@ struct FaultSpec {
   static FaultSpec stoichiometry(std::string label);
 };
 
-/// A scheduled state perturbation applied during simulation.
-struct FaultEvent {
-  double time = 0.0;
-  core::SpeciesId species;
-  double add = 0.0;    ///< amount added (injection)
-  double scale = 1.0;  ///< multiplicative factor (loss: 1 - fraction)
-};
-
 /// A faulted copy of a network plus the events that must be realized at run
 /// time (empty unless injection/loss specs were present).
 struct FaultedNetwork {
   core::ReactionNetwork network;
-  std::vector<FaultEvent> events;
+  std::vector<sim::FaultEvent> events;
 };
 
 /// Applies `specs` in order to a copy of `network`. Deterministic: reactions
@@ -114,27 +106,6 @@ struct FaultedNetwork {
 /// or species name.
 [[nodiscard]] FaultedNetwork apply_faults(const core::ReactionNetwork& network,
                                           std::span<const FaultSpec> specs);
-
-/// Realizes FaultEvents during an ODE run: at the first accepted step past
-/// each event's time, the target concentration becomes
-/// `scale * x + add` (clamped at zero). Attach via
-/// `analysis::DecodeOptions::extra_observers` or any observer span.
-class FaultEventObserver final : public sim::Observer {
- public:
-  /// Events need not be pre-sorted.
-  explicit FaultEventObserver(std::vector<FaultEvent> events);
-
-  void on_step(double t, std::span<double> state) override;
-
-  [[nodiscard]] std::size_t applied_count() const { return next_; }
-
-  /// Re-arms the observer for a fresh attempt (fallback-ladder retries).
-  void reset() { next_ = 0; }
-
- private:
-  std::vector<FaultEvent> events_;
-  std::size_t next_ = 0;
-};
 
 /// Returns a copy of `network` with reaction `target`'s first product
 /// stoichiometry incremented by one (a product-duplication fault; a reaction

@@ -63,6 +63,7 @@
 #include <vector>
 
 #include "runtime/batch.hpp"
+#include "runtime/ensemble.hpp"
 #include "scenario/registry.hpp"
 #include "serve/dispatcher.hpp"
 #include "serve/protocol.hpp"
@@ -263,15 +264,6 @@ std::vector<std::string> fetch_catalog_designs(const CliOptions& options) {
   return designs;
 }
 
-double percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const double rank = p * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(rank));
-  const auto hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - std::floor(rank);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -404,9 +396,9 @@ int main(int argc, char** argv) {
       lat.empty() ? 0.0
                   : std::accumulate(lat.begin(), lat.end(), 0.0) /
                         static_cast<double>(lat.size());
-  const double p50 = percentile(lat, 0.50);
-  const double p90 = percentile(lat, 0.90);
-  const double p99 = percentile(lat, 0.99);
+  const double p50 = runtime::quantile_sorted(lat, 0.50);
+  const double p90 = runtime::quantile_sorted(lat, 0.90);
+  const double p99 = runtime::quantile_sorted(lat, 0.99);
   const double achieved =
       wall > 0.0 ? static_cast<double>(tally.sent) / wall : 0.0;
 

@@ -132,8 +132,7 @@ bool parse_cli(int argc, char** argv, CliOptions& options) {
                  "exclusive\n");
     return false;
   }
-  if (options.config.fault == stress::FaultKind::kRateJitterReaction ||
-      options.config.fault == stress::FaultKind::kStoichiometry) {
+  if (!stress::sweepable(options.config.fault)) {
     std::fprintf(stderr,
                  "mrsc_stress: --fault %s has no intensity knob; campaigns "
                  "sweep continuous fault kinds only\n",

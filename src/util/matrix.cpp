@@ -19,26 +19,6 @@ void Matrix::set_identity() {
   for (std::size_t i = 0; i < rows_; ++i) (*this)(i, i) = 1.0;
 }
 
-std::vector<double> Matrix::multiply(std::span<const double> v) const {
-  if (v.size() != cols_) {
-    throw std::invalid_argument("Matrix::multiply: dimension mismatch");
-  }
-  std::vector<double> out(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    const double* row = &data_[r * cols_];
-    for (std::size_t c = 0; c < cols_; ++c) acc += row[c] * v[c];
-    out[r] = acc;
-  }
-  return out;
-}
-
-double Matrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double x : data_) acc += x * x;
-  return std::sqrt(acc);
-}
-
 LuFactorization::LuFactorization(const Matrix& a)
     : n_(a.rows()), lu_(a), pivot_(a.rows()) {
   if (a.rows() != a.cols()) {
@@ -66,7 +46,6 @@ LuFactorization::LuFactorization(const Matrix& a)
         std::swap(lu_(best, c), lu_(col, c));
       }
       std::swap(pivot_[best], pivot_[col]);
-      pivot_sign_ = -pivot_sign_;
     }
     const double inv_pivot = 1.0 / lu_(col, col);
     for (std::size_t r = col + 1; r < n_; ++r) {
@@ -78,12 +57,6 @@ LuFactorization::LuFactorization(const Matrix& a)
       }
     }
   }
-}
-
-std::vector<double> LuFactorization::solve(std::span<const double> b) const {
-  std::vector<double> x(b.begin(), b.end());
-  solve_in_place(x);
-  return x;
 }
 
 void LuFactorization::solve_in_place(std::span<double> b) const {
@@ -106,12 +79,6 @@ void LuFactorization::solve_in_place(std::span<double> b) const {
     y[ii] = acc / lu_(ii, ii);
   }
   std::ranges::copy(y, b.begin());
-}
-
-double LuFactorization::determinant() const {
-  double det = pivot_sign_;
-  for (std::size_t i = 0; i < n_; ++i) det *= lu_(i, i);
-  return det;
 }
 
 }  // namespace mrsc::util

@@ -38,12 +38,6 @@ class Matrix {
   /// Sets this matrix to the identity (must be square).
   void set_identity();
 
-  /// Returns `this * v`. `v.size()` must equal `cols()`.
-  [[nodiscard]] std::vector<double> multiply(std::span<const double> v) const;
-
-  /// Frobenius norm.
-  [[nodiscard]] double frobenius_norm() const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -59,22 +53,14 @@ class LuFactorization {
   /// Factorizes `a` (copied; `a` itself is not modified).
   explicit LuFactorization(const Matrix& a);
 
-  /// Solves `A x = b`; returns x. `b.size()` must equal the matrix dimension.
-  [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
-
-  /// Solves in place.
+  /// Solves `A x = b` in place: `b` holds x on return. `b.size()` must
+  /// equal the matrix dimension.
   void solve_in_place(std::span<double> b) const;
-
-  [[nodiscard]] std::size_t dimension() const { return n_; }
-
-  /// Determinant of the factorized matrix (product of pivots, sign-adjusted).
-  [[nodiscard]] double determinant() const;
 
  private:
   std::size_t n_ = 0;
   Matrix lu_;
   std::vector<std::size_t> pivot_;
-  int pivot_sign_ = 1;
 };
 
 }  // namespace mrsc::util

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "async/chain.hpp"
 #include "core/builder.hpp"
 #include "sim/ode.hpp"
@@ -86,10 +88,20 @@ TEST(MergeNetwork, TwoClocksCoexistAndOscillate) {
   const sim::OdeResult run = sim::simulate_ode(combined, options);
   const SpeciesId ga = *combined.find_species("a_clk_G");
   const SpeciesId gb = *combined.find_species("b_clk_G");
+  // Minimum over the samples in t in [100, 200].
+  const auto late_min = [&](SpeciesId id) {
+    double low = 1e300;
+    for (std::size_t k = 0; k < run.trajectory.sample_count(); ++k) {
+      if (run.trajectory.time(k) >= 100.0) {
+        low = std::min(low, run.trajectory.value(k, id));
+      }
+    }
+    return low;
+  };
   EXPECT_GT(run.trajectory.max_in_window(ga, 100.0, 200.0), 0.8);
-  EXPECT_LT(run.trajectory.min_in_window(ga, 100.0, 200.0), 0.1);
+  EXPECT_LT(late_min(ga), 0.1);
   EXPECT_GT(run.trajectory.max_in_window(gb, 100.0, 200.0), 0.8);
-  EXPECT_LT(run.trajectory.min_in_window(gb, 100.0, 200.0), 0.1);
+  EXPECT_LT(late_min(gb), 0.1);
 }
 
 TEST(UntouchedSpecies, FindsIsolatedSpecies) {

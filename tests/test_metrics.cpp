@@ -26,16 +26,6 @@ TEST(Metrics, MaxAbsError) {
   EXPECT_DOUBLE_EQ(max_abs_error(a, b), 3.0);
 }
 
-TEST(Metrics, MaxRelativeError) {
-  const std::vector<double> a = {0.0, 11.0};
-  const std::vector<double> b = {0.0, 10.0};
-  EXPECT_DOUBLE_EQ(max_relative_error(a, b), 0.1);
-  // Floor guards tiny references.
-  const std::vector<double> tiny_ref = {0.0, 0.0};
-  const std::vector<double> tiny_a = {1e-12, 0.0};
-  EXPECT_LE(max_relative_error(tiny_a, tiny_ref, 1e-9), 1e-3);
-}
-
 TEST(Metrics, SizeMismatchThrows) {
   const std::vector<double> a = {1.0};
   const std::vector<double> b = {1.0, 2.0};
@@ -61,14 +51,6 @@ TEST(Metrics, DigitizeInitialHigh) {
 TEST(Metrics, DigitizeBadThresholdsThrow) {
   const std::vector<double> wave = {0.5};
   EXPECT_THROW((void)digitize(wave, 0.6, 0.2), std::invalid_argument);
-}
-
-TEST(Metrics, HammingDistance) {
-  const std::vector<bool> a = {true, false, true};
-  const std::vector<bool> b = {true, true, false};
-  EXPECT_EQ(hamming_distance(a, b), 2u);
-  const std::vector<bool> short_one = {true};
-  EXPECT_THROW((void)hamming_distance(a, short_one), std::invalid_argument);
 }
 
 TEST(Metrics, MeanAndStddev) {

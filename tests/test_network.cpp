@@ -98,8 +98,6 @@ TEST(ReactionNetwork, EffectiveRateUsesPolicyAndMultiplier) {
 
   net.reaction_mutable(slow).set_rate_multiplier(0.5);
   EXPECT_DOUBLE_EQ(net.effective_rate(slow), 1.0);
-  net.clear_rate_multipliers();
-  EXPECT_DOUBLE_EQ(net.effective_rate(slow), 2.0);
 }
 
 TEST(ReactionNetwork, StoichiometricMatrix) {

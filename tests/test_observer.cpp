@@ -50,25 +50,42 @@ TEST(EdgeDetector, InvalidThresholdsThrow) {
   EXPECT_THROW(EdgeDetector(SpeciesId{0}, 0.5, 0.5), std::invalid_argument);
 }
 
-TEST(ScheduledInjector, InjectsAtTimes) {
-  ScheduledInjector injector({{2.0, SpeciesId{0}, 1.5},
-                              {1.0, SpeciesId{0}, 0.5}});
+TEST(FaultEventObserver, InjectsAtTimes) {
+  FaultEventObserver events(
+      {{.time = 2.0, .species = SpeciesId{0}, .add = 1.5},
+       {.time = 1.0, .species = SpeciesId{0}, .add = 0.5}});
   std::vector<double> state = {0.0};
-  injector.on_step(0.5, state);
+  events.on_step(0.5, state);
   EXPECT_DOUBLE_EQ(state[0], 0.0);
-  injector.on_step(1.1, state);
+  events.on_step(1.1, state);
   EXPECT_DOUBLE_EQ(state[0], 0.5);  // events are sorted by time
-  injector.on_step(3.0, state);
+  events.on_step(3.0, state);
   EXPECT_DOUBLE_EQ(state[0], 2.0);
-  EXPECT_EQ(injector.injected_count(), 2u);
+  EXPECT_EQ(events.applied_count(), 2u);
 }
 
-TEST(ScheduledInjector, MultipleEventsInOneStep) {
-  ScheduledInjector injector({{1.0, SpeciesId{0}, 1.0},
-                              {1.5, SpeciesId{0}, 1.0}});
+TEST(FaultEventObserver, MultipleEventsInOneStep) {
+  FaultEventObserver events(
+      {{.time = 1.0, .species = SpeciesId{0}, .add = 1.0},
+       {.time = 1.5, .species = SpeciesId{0}, .add = 1.0}});
   std::vector<double> state = {0.0};
-  injector.on_step(2.0, state);
+  events.on_step(2.0, state);
   EXPECT_DOUBLE_EQ(state[0], 2.0);
+}
+
+TEST(FaultEventObserver, EqualTimesApplyInOrderAndClampAtZero) {
+  // max(0, 1 - 5) = 0, then 0.5 * 0 + 1 = 1; the other order would read 0.
+  FaultEventObserver events(
+      {{.time = 1.0, .species = SpeciesId{0}, .add = -5.0},
+       {.time = 1.0, .species = SpeciesId{0}, .add = 1.0, .scale = 0.5}});
+  std::vector<double> state = {1.0};
+  events.on_step(1.0, state);
+  EXPECT_DOUBLE_EQ(state[0], 1.0);
+  // reset() re-arms every event for a retry.
+  events.reset();
+  events.on_step(1.0, state);
+  EXPECT_DOUBLE_EQ(state[0], 1.0);
+  EXPECT_EQ(events.applied_count(), 2u);
 }
 
 TEST(SteadyStateDetector, DetectsQuiescence) {
@@ -91,19 +108,6 @@ TEST(SteadyStateDetector, DetectsQuiescence) {
 TEST(SteadyStateDetector, InvalidParamsThrow) {
   EXPECT_THROW(SteadyStateDetector(0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(SteadyStateDetector(1.0, -1.0), std::invalid_argument);
-}
-
-TEST(CallbackObserver, ForwardsCalls) {
-  double seen_t = -1.0;
-  CallbackObserver observer(
-      [&](double t, std::span<double> state) {
-        seen_t = t;
-        state[0] += 1.0;
-      });
-  std::vector<double> state = {0.0};
-  observer.on_step(2.5, state);
-  EXPECT_DOUBLE_EQ(seen_t, 2.5);
-  EXPECT_DOUBLE_EQ(state[0], 1.0);
 }
 
 }  // namespace

@@ -171,7 +171,7 @@ TEST(OdeSimulation, RecordEveryStepWhenIntervalZero) {
 TEST(OdeSimulation, ObserverInjectionChangesState) {
   const ReactionNetwork net = decay_network(1.0);
   const SpeciesId a = *net.find_species("A");
-  ScheduledInjector injector({{1.0, a, 5.0}});
+  FaultEventObserver injector({{.time = 1.0, .species = a, .add = 5.0}});
   Observer* observers[] = {&injector};
   OdeOptions options;
   options.t_end = 1.2;
@@ -535,11 +535,12 @@ TEST(Dp45Fsal, MatchesReferenceWithObservers) {
   OdeOptions options = dp45_options();
   options.t_end = 4.0;
   {
-    ScheduledInjector reference_injector({{1.0, first, 0.5}});
+    FaultEventObserver reference_injector(
+        {{.time = 1.0, .species = first, .add = 0.5}});
     Observer* reference_observers[] = {&reference_injector};
     const OdeResult reference = reference_dp45(
         system, options, net.initial_state(), reference_observers);
-    ScheduledInjector injector({{1.0, first, 0.5}});
+    FaultEventObserver injector({{.time = 1.0, .species = first, .add = 0.5}});
     Observer* observers[] = {&injector};
     const OdeResult run =
         simulate_ode(system, options, net.initial_state(), observers);

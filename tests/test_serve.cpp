@@ -451,6 +451,58 @@ TEST(ServeDispatcher, ScenarioSpecsAreCanonicalizedInTheKey) {
       std::invalid_argument);
 }
 
+TEST(ServeDispatcher, LintChecksAreCanonicalizedInTheKey) {
+  // Each check once, in registry order: every spelling of one selection
+  // shares a key, and the canonical spelling keeps its own.
+  const std::string canonical = canonical_key(parse_job(job_json(
+      R"("kind":"lint","checks":"conservation,timescale")")));
+  EXPECT_NE(canonical.find("|checks=conservation,timescale|"),
+            std::string::npos)
+      << canonical;
+  EXPECT_EQ(canonical, canonical_key(parse_job(job_json(
+                           R"("kind":"lint","checks":"timescale,conservation")"))));
+  EXPECT_EQ(canonical,
+            canonical_key(parse_job(job_json(
+                R"("kind":"lint","checks":"timescale,conservation,timescale")"))));
+  EXPECT_NE(canonical_key(parse_job(job_json(R"("kind":"lint")")))
+                .find("|checks=|"),
+            std::string::npos);
+  EXPECT_THROW((void)parse_job(job_json(R"("kind":"lint","checks":"nope")")),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)parse_job(job_json(R"("kind":"lint","checks":"conservation,,")")),
+      std::invalid_argument);
+}
+
+TEST(ServeDispatcher, VerifyKindsKeepTheirOrder) {
+  // Verify assigns case kinds round-robin, so order is part of the job;
+  // only the spelling is normalized.
+  const auto key = [](const std::string& kinds) {
+    return canonical_key(parse_job(
+        job_json(R"("kind":"verify","kinds":")" + kinds + '"')));
+  };
+  EXPECT_EQ(key("fsm,"), key("fsm"));
+  EXPECT_NE(key("fsm").find("|kinds=fsm|"), std::string::npos);
+  EXPECT_NE(key("raw,fsm").find("|kinds=raw,fsm|"), std::string::npos);
+  EXPECT_NE(key("raw,fsm"), key("fsm,raw"));
+  EXPECT_THROW((void)key("banana"), std::invalid_argument);
+  EXPECT_THROW((void)key(","), std::invalid_argument);
+}
+
+TEST(ServeDispatcher, StressFaultsAreCheckedAtParseTime) {
+  for (const char* fault : {"banana", "reaction-jitter", "stoichiometry"}) {
+    EXPECT_THROW((void)parse_job(job_json(
+                     std::string(R"("kind":"stress","fault":")") + fault +
+                     '"')),
+                 std::invalid_argument)
+        << fault;
+  }
+  EXPECT_NE(canonical_key(parse_job(job_json(
+                R"("kind":"stress","fault":"clock-skew")")))
+                .find("|fault=clock-skew|"),
+            std::string::npos);
+}
+
 // ------------------------------------------------- dispatcher directly --
 
 TEST(ServeDispatcher, SimJobIsDeterministic) {
@@ -981,6 +1033,26 @@ TEST(ServeServer, BadRequestsGetErrorResponsesAndAreCounted) {
                 .get_string("status", ""),
             "error");
   EXPECT_EQ(fixture.stat("requests", "protocol_errors"), 3.0);
+}
+
+TEST(ServeServer, BadChecksKindsAndFaultsAreParseErrors) {
+  // Answered before a run slot or a design build: each is a protocol error
+  // and the design cache never misses.
+  ServerFixture fixture;
+  for (const char* body :
+       {R"("kind":"lint","checks":"nope")",
+        R"("kind":"verify","kinds":"banana")",
+        R"("kind":"stress","fault":"banana")",
+        R"("kind":"stress","fault":"reaction-jitter")",
+        R"("kind":"stress","fault":"stoichiometry")"}) {
+    EXPECT_EQ(fixture.request(std::string(R"({"op":"job",)") + body + "}")
+                  .get_string("status", ""),
+              "error")
+        << body;
+  }
+  EXPECT_EQ(fixture.stat("requests", "protocol_errors"), 5.0);
+  EXPECT_EQ(fixture.stat("designs", "misses"), 0.0);
+  EXPECT_EQ(fixture.stat("cache", "misses"), 0.0);
 }
 
 TEST(ServeServer, OverloadRejectionIsDeterministic) {

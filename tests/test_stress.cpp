@@ -135,7 +135,7 @@ TEST(FaultEvents, InjectionAndLossFireAtTheirTimes) {
                              FaultSpec::loss("X", 0.5, 3.0)};
   FaultedNetwork faulted = apply_faults(net, specs);
   ASSERT_EQ(faulted.events.size(), 2u);
-  FaultEventObserver events(std::move(faulted.events));
+  sim::FaultEventObserver events(std::move(faulted.events));
   sim::Observer* observers[] = {&events};
   sim::OdeOptions options;
   options.t_end = 5.0;
