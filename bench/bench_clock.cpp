@@ -55,13 +55,12 @@ ClockMeasurement measure(const sync::ClockSpec& spec,
     m.period_stddev = periods.size() >= 2 ? analysis::stddev(periods) : 0.0;
   }
   const double settle = t_end * 0.3;
-  m.amplitude =
-      run.trajectory.max_in_window(clock.phase_g, settle, t_end);
   for (std::size_t k = 0; k < run.trajectory.sample_count(); ++k) {
     if (run.trajectory.time(k) < settle) continue;
     double values[3] = {run.trajectory.value(k, clock.phase_r),
                         run.trajectory.value(k, clock.phase_g),
                         run.trajectory.value(k, clock.phase_b)};
+    m.amplitude = std::max(m.amplitude, values[1]);
     std::sort(std::begin(values), std::end(values));
     m.worst_overlap = std::max(m.worst_overlap, values[1]);
   }

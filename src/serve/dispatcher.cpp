@@ -63,11 +63,12 @@ std::string join(const std::vector<std::string>& names, char separator) {
 }
 
 /// Lint `checks` in canonical form: each named check once, in registry
-/// order, so every spelling of one selection shares a key. Empty (all
-/// checks) stays empty.
+/// order, so every spelling of one selection shares a key. Empty and a
+/// selection that names every check are both "" (all checks).
 std::string canonical_checks(const std::string& csv) {
   if (csv.empty()) return csv;
   std::vector<std::string> selected = lint::check_names();
+  const std::size_t every = selected.size();
   const std::vector<std::string> wanted = util::split_commas(csv);
   for (const std::string& name : wanted) {
     if (std::ranges::find(selected, name) == selected.end()) {
@@ -78,7 +79,7 @@ std::string canonical_checks(const std::string& csv) {
   std::erase_if(selected, [&wanted](const std::string& name) {
     return std::ranges::find(wanted, name) == wanted.end();
   });
-  return join(selected, ',');
+  return selected.size() == every ? "" : join(selected, ',');
 }
 
 /// Verify `kinds` with each name in its canonical spelling ("fsm," is

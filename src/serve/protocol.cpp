@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -134,30 +135,70 @@ void write_frame(int fd, const std::string& payload) {
       static_cast<unsigned char>(length >> 8),
       static_cast<unsigned char>(length),
   };
-  std::string frame(reinterpret_cast<char*>(header), 4);
-  frame += payload;
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n =
-        ::send(fd, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
+  // Prefix and payload leave in one sendmsg, without copying the payload.
+  iovec parts[2] = {{header, sizeof header},
+                    {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr message{};
+  message.msg_iov = parts;
+  message.msg_iovlen = 2;
+  while (message.msg_iovlen > 0) {
+    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw ProtocolError(std::string("send: ") + std::strerror(errno));
     }
-    sent += static_cast<std::size_t>(n);
+    // Step past what a partial write took.
+    auto sent = static_cast<std::size_t>(n);
+    while (message.msg_iovlen > 0 && sent >= message.msg_iov->iov_len) {
+      sent -= message.msg_iov->iov_len;
+      ++message.msg_iov;
+      --message.msg_iovlen;
+    }
+    if (message.msg_iovlen > 0) {
+      message.msg_iov->iov_base =
+          static_cast<char*>(message.msg_iov->iov_base) + sent;
+      message.msg_iov->iov_len -= sent;
+    }
   }
 }
 
 namespace {
 
+/// How long a frame read polls its socket before it blocks in recv. On
+/// loopback a blocked recv costs a sleep and a wake-up, most of a cached
+/// answer's latency; a peer that answers within the window is read without
+/// either. A silent peer costs at most one window of CPU per frame read.
+constexpr std::chrono::microseconds kPollWindow{50};
+
+/// The poll window of one frame read, opened by its first empty poll.
+struct PollWindow {
+  std::chrono::steady_clock::time_point end{};
+  bool open = true;  ///< false once the window has passed: recv blocks
+};
+
 /// Reads exactly `count` bytes. Returns false on EOF before the first byte
 /// when `eof_ok`; throws on mid-read EOF or errors.
-bool read_exact(int fd, char* buffer, std::size_t count, bool eof_ok) {
+bool read_exact(int fd, char* buffer, std::size_t count, bool eof_ok,
+                PollWindow& window) {
   std::size_t got = 0;
   while (got < count) {
-    const ssize_t n = ::recv(fd, buffer + got, count - got, 0);
+    const ssize_t n = ::recv(fd, buffer + got, count - got,
+                             window.open ? MSG_DONTWAIT : 0);
     if (n < 0) {
       if (errno == EINTR) continue;
+      if (window.open && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        const auto now = std::chrono::steady_clock::now();
+        if (window.end == std::chrono::steady_clock::time_point{}) {
+          window.end = now + kPollWindow;
+        } else if (now >= window.end) {
+          window.open = false;
+          continue;
+        }
+        // A yield, not a pause: on one CPU it hands the core to the peer
+        // this thread waits for.
+        std::this_thread::yield();
+        continue;
+      }
       throw ProtocolError(std::string("recv: ") + std::strerror(errno));
     }
     if (n == 0) {
@@ -188,11 +229,14 @@ std::uint32_t frame_length(const char* header) {
 }
 
 bool read_frame(int fd, std::string& payload) {
+  PollWindow window;
   char header[4];
-  if (!read_exact(fd, header, 4, /*eof_ok=*/true)) return false;
+  if (!read_exact(fd, header, 4, /*eof_ok=*/true, window)) return false;
   const std::uint32_t length = frame_length(header);
   payload.resize(length);
-  if (length != 0) read_exact(fd, payload.data(), length, /*eof_ok=*/false);
+  if (length != 0) {
+    read_exact(fd, payload.data(), length, /*eof_ok=*/false, window);
+  }
   return true;
 }
 

@@ -84,8 +84,9 @@ class Socket {
 /// shut down or closed — the server's accept loop treats that as "stop".
 [[nodiscard]] Socket accept_on(int listener_fd);
 
-/// Writes one frame, looping over partial writes. Throws std::runtime_error
-/// on a closed/failed socket or an oversized payload.
+/// Writes one frame as one sendmsg of prefix and payload, looping over
+/// partial writes. Throws std::runtime_error on a closed/failed socket or an
+/// oversized payload.
 void write_frame(int fd, const std::string& payload);
 
 /// The payload length a frame's 4-byte big-endian prefix at `header`
@@ -96,6 +97,8 @@ void write_frame(int fd, const std::string& payload);
 
 /// Reads one frame. Returns false on clean EOF at a frame boundary; throws
 /// std::runtime_error on mid-frame EOF, socket errors, or oversized lengths.
+/// Polls the socket for a short fixed window (kPollWindow in protocol.cpp)
+/// before it blocks; docs/SERVE.md, "Waiting for a frame", says why.
 [[nodiscard]] bool read_frame(int fd, std::string& payload);
 
 /// Convenience synchronous client: one connection, request/response.

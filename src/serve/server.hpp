@@ -12,7 +12,10 @@
 // Responses travel back on the same connection, strictly request-ordered
 // (clients that want concurrency open more connections, as mrsc_loadgen
 // does). `stats` reports the jobs waiting for a slot as `queue.depth` and
-// the running ones as `queue.in_flight`.
+// the running ones as `queue.in_flight`. A connection thread waiting for
+// its next request polls the socket for a short window before it sleeps in
+// recv (read_frame), so a client that sends at once is read without a
+// wake-up.
 //
 // Shutdown: the server owns one std::stop_source. stop() requests it, and
 // every running job (through DispatchHooks::stop), slot waiter and sleep

@@ -74,9 +74,6 @@ class FaultEventObserver final : public Observer {
 
   [[nodiscard]] std::size_t applied_count() const { return next_; }
 
-  /// Re-arms the observer for a fresh attempt (fallback-ladder retries).
-  void reset() { next_ = 0; }
-
  private:
   std::vector<FaultEvent> events_;
   std::size_t next_ = 0;

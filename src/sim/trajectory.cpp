@@ -47,19 +47,6 @@ double Trajectory::value_at(double t, core::SpeciesId id) const {
   return (1.0 - w) * value(lo, id) + w * value(hi, id);
 }
 
-double Trajectory::max_in_window(core::SpeciesId id, double t_lo,
-                                 double t_hi) const {
-  double best = -1e300;
-  for (std::size_t k = 0; k < times_.size(); ++k) {
-    if (times_[k] < t_lo || times_[k] > t_hi) continue;
-    best = std::max(best, value(k, id));
-  }
-  if (best == -1e300) {
-    throw std::invalid_argument("max_in_window: no samples in window");
-  }
-  return best;
-}
-
 std::vector<double> Trajectory::series(core::SpeciesId id) const {
   std::vector<double> out(times_.size());
   for (std::size_t k = 0; k < times_.size(); ++k) out[k] = value(k, id);

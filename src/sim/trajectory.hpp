@@ -46,10 +46,6 @@ class Trajectory {
   /// Linear interpolation of species `id` at time `t` (clamped to range).
   [[nodiscard]] double value_at(double t, core::SpeciesId id) const;
 
-  /// Maximum of species `id` over the [t_lo, t_hi] window (sample-based).
-  [[nodiscard]] double max_in_window(core::SpeciesId id, double t_lo,
-                                     double t_hi) const;
-
   /// Full time series of one species.
   [[nodiscard]] std::vector<double> series(core::SpeciesId id) const;
 

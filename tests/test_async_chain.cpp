@@ -4,6 +4,7 @@
 
 #include "sim/ode.hpp"
 #include "sim/ssa.hpp"
+#include "trajectory_window.hpp"
 
 namespace mrsc::async {
 namespace {
@@ -95,7 +96,7 @@ TEST(AsyncChain, TransfersAreCrisp) {
                                     handles.blue[0], handles.red[1],
                                     handles.green[1], handles.blue[1]};
   for (const core::SpeciesId stage : stages) {
-    EXPECT_GT(result.trajectory.max_in_window(stage, 0.0, options.t_end),
+    EXPECT_GT(max_in_window(result.trajectory, stage, 0.0, options.t_end),
               0.9);
   }
 }

@@ -5,6 +5,7 @@
 #include "analysis/metrics.hpp"
 #include "sim/observer.hpp"
 #include "sim/ode.hpp"
+#include "trajectory_window.hpp"
 
 namespace mrsc::sync {
 namespace {
@@ -191,7 +192,7 @@ TEST(Clock, TokenAmountSetsAmplitude) {
   options.record_interval = 0.2;
   const sim::OdeResult result = sim::simulate_ode(net, options);
   EXPECT_GT(
-      result.trajectory.max_in_window(handles.phase_g, 50.0, 200.0), 1.8);
+      max_in_window(result.trajectory, handles.phase_g, 50.0, 200.0), 1.8);
 }
 
 TEST(Clock, InvalidSpecsThrow) {

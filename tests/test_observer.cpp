@@ -75,17 +75,18 @@ TEST(FaultEventObserver, MultipleEventsInOneStep) {
 
 TEST(FaultEventObserver, EqualTimesApplyInOrderAndClampAtZero) {
   // max(0, 1 - 5) = 0, then 0.5 * 0 + 1 = 1; the other order would read 0.
-  FaultEventObserver events(
-      {{.time = 1.0, .species = SpeciesId{0}, .add = -5.0},
-       {.time = 1.0, .species = SpeciesId{0}, .add = 1.0, .scale = 0.5}});
+  const std::vector<FaultEvent> list = {
+      {.time = 1.0, .species = SpeciesId{0}, .add = -5.0},
+      {.time = 1.0, .species = SpeciesId{0}, .add = 1.0, .scale = 0.5}};
+  FaultEventObserver events(list);
   std::vector<double> state = {1.0};
   events.on_step(1.0, state);
   EXPECT_DOUBLE_EQ(state[0], 1.0);
-  // reset() re-arms every event for a retry.
-  events.reset();
-  events.on_step(1.0, state);
+  // A retry builds a fresh observer, which applies every event again.
+  FaultEventObserver retry(list);
+  retry.on_step(1.0, state);
   EXPECT_DOUBLE_EQ(state[0], 1.0);
-  EXPECT_EQ(events.applied_count(), 2u);
+  EXPECT_EQ(retry.applied_count(), 2u);
 }
 
 TEST(SteadyStateDetector, DetectsQuiescence) {

@@ -5,6 +5,8 @@
 // arrival order, concurrent submitters, cooperative shutdown).
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 
 #include <atomic>
@@ -12,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <chrono>
+#include <csignal>
 #include <cmath>
 #include <cstring>
 #include <mutex>
@@ -21,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "lint/lint.hpp"
 #include "scenario/registry.hpp"
 #include "serve/cache.hpp"
 #include "serve/design_cache.hpp"
@@ -472,6 +476,28 @@ TEST(ServeDispatcher, LintChecksAreCanonicalizedInTheKey) {
   EXPECT_THROW(
       (void)parse_job(job_json(R"("kind":"lint","checks":"conservation,,")")),
       std::invalid_argument);
+
+  // A selection that names every check, in any order, is the default
+  // selection: one key, one cache entry, one answer.
+  std::string every;
+  for (const std::string& name : lint::check_names()) {
+    every = every.empty() ? name : name + "," + every;
+  }
+  const std::string named =
+      R"({"op":"job","kind":"lint","design":"counter","checks":")" + every +
+      R"("})";
+  const std::string omitted = R"({"op":"job","kind":"lint","design":"counter"})";
+  EXPECT_EQ(canonical_key(parse_job(json::parse(named))),
+            canonical_key(parse_job(json::parse(omitted))));
+  ServerOptions options;
+  options.workers = 1;
+  Server server(options);
+  server.start();
+  Client client("127.0.0.1", server.port());
+  EXPECT_EQ(client.request_raw(named), client.request_raw(omitted));
+  const json::Value stats = client.request(R"({"op":"stats"})");
+  EXPECT_EQ(stats.find("cache")->get_u64("misses", 0), 1u);
+  EXPECT_EQ(stats.find("cache")->get_u64("hits", 0), 1u);
 }
 
 TEST(ServeDispatcher, VerifyKindsKeepTheirOrder) {
@@ -780,6 +806,116 @@ TEST(ServeDispatcher, CanonicalResponses) {
   const json::Value error = json::parse(error_response("boom"));
   EXPECT_EQ(error.get_string("status", ""), "error");
   EXPECT_EQ(error.get_string("error", ""), "boom");
+}
+
+// ------------------------------------------------------------- framing --
+
+/// Both ends of a connected AF_UNIX stream socket pair.
+struct SocketPair {
+  SocketPair() {
+    int fds[2] = {-1, -1};
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+      throw std::runtime_error(std::string("socketpair: ") +
+                               std::strerror(errno));
+    }
+    near = Socket(fds[0]);
+    far = Socket(fds[1]);
+  }
+  Socket near;
+  Socket far;
+};
+
+/// Sends raw bytes on `fd`, which is blocking, ignoring the frame format.
+void send_bytes(int fd, const std::string& bytes) {
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+TEST(ServeProtocol, LargeFrameSurvivesPartialWrites) {
+  // 4 MiB is far past a socketpair's send buffer, so the writer blocks many
+  // times. A no-op signal sent to it meanwhile (no SA_RESTART) cuts a
+  // blocked sendmsg short or fails it with EINTR; write_frame must resume
+  // exactly where the kernel stopped.
+  struct sigaction quiet {};
+  quiet.sa_handler = [](int) {};
+  struct sigaction previous {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &quiet, &previous), 0);
+
+  SocketPair pair;
+  std::string payload(4u << 20, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>((i * 131) ^ (i >> 11));
+  }
+  std::atomic<bool> written{false};
+  std::string write_error;
+  std::thread writer([&] {
+    try {
+      write_frame(pair.near.fd(), payload);
+    } catch (const std::exception& error) {
+      write_error = error.what();
+    }
+    written = true;
+  });
+  std::string received;
+  bool read_ok = false;
+  std::thread reader([&] {
+    read_ok = read_frame(pair.far.fd(), received);
+    // A writer that sends more than one frame now fails with EPIPE
+    // instead of blocking forever.
+    pair.far.close();
+  });
+  while (!written) {
+    ::pthread_kill(writer.native_handle(), SIGUSR1);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  writer.join();
+  reader.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+
+  EXPECT_EQ(write_error, "");
+  ASSERT_TRUE(read_ok);
+  EXPECT_TRUE(received == payload) << "the 4 MiB payload came back altered";
+}
+
+TEST(ServeProtocol, PeerCloseDuringThePollWindowEndsTheRead) {
+  {
+    // Close at a frame boundary: a clean EOF.
+    SocketPair pair;
+    std::thread closer([&pair] {
+      std::this_thread::sleep_for(std::chrono::microseconds(10));
+      pair.far.close();
+    });
+    std::string payload;
+    EXPECT_FALSE(read_frame(pair.near.fd(), payload));
+    closer.join();
+  }
+  {
+    // Close after 3 of 10 promised bytes: a framing error.
+    SocketPair pair;
+    send_bytes(pair.far.fd(), std::string("\x00\x00\x00\x0a" "abc", 7));
+    std::thread closer([&pair] {
+      std::this_thread::sleep_for(std::chrono::microseconds(10));
+      pair.far.close();
+    });
+    std::string payload;
+    EXPECT_THROW((void)read_frame(pair.near.fd(), payload), ProtocolError);
+    closer.join();
+  }
+}
+
+TEST(ServeProtocol, PayloadThatArrivesAfterThePollWindowIsReadWhole) {
+  SocketPair pair;
+  const std::string payload = R"({"op":"ping"})";
+  std::thread writer([&pair, &payload] {
+    send_bytes(pair.far.fd(), std::string("\x00\x00\x00", 3) +
+                                  static_cast<char>(payload.size()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    send_bytes(pair.far.fd(), payload);
+  });
+  std::string received;
+  EXPECT_TRUE(read_frame(pair.near.fd(), received));
+  EXPECT_EQ(received, payload);
+  writer.join();
 }
 
 // ------------------------------------------------------- client/server --
@@ -1405,6 +1541,29 @@ TEST(ServeServer, StopDoesNotWaitOnAPeerThatNeverReads) {
   const std::chrono::duration<double> stop_time =
       std::chrono::steady_clock::now() - start;
   EXPECT_LT(stop_time, kStopGrace + std::chrono::seconds(1));
+}
+
+/// CPU seconds this process has used, user plus system, all threads.
+double process_cpu_seconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+TEST(ServeServer, IdleConnectionStopsSpinning) {
+  // The connection thread polls for its next request only briefly, then
+  // blocks: an idle connection costs next to no CPU.
+  ServerFixture fixture;
+  Client client("127.0.0.1", fixture.server->port());
+  ASSERT_EQ(client.request_raw(R"({"op":"ping"})"),
+            R"({"status":"ok","op":"ping"})");
+  const double before = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LT(process_cpu_seconds() - before, 0.030);
 }
 
 TEST(ServeServer, StartAfterStopThrows) {

@@ -135,19 +135,20 @@ TEST(FaultEvents, InjectionAndLossFireAtTheirTimes) {
                              FaultSpec::loss("X", 0.5, 3.0)};
   FaultedNetwork faulted = apply_faults(net, specs);
   ASSERT_EQ(faulted.events.size(), 2u);
-  sim::FaultEventObserver events(std::move(faulted.events));
-  sim::Observer* observers[] = {&events};
   sim::OdeOptions options;
   options.t_end = 5.0;
-  const sim::OdeResult run =
-      sim::simulate_ode(faulted.network, options, faulted.network.initial_state(),
-                        std::span<sim::Observer* const>(observers, 1));
-  EXPECT_EQ(events.applied_count(), 2u);
-  // (1.0 + 0.5) * (1 - 0.5) = 0.75
-  EXPECT_NEAR(run.trajectory.final_state()[0], 0.75, 1e-9);
-  // reset() re-arms the observer for a fallback-ladder retry.
-  events.reset();
-  EXPECT_EQ(events.applied_count(), 0u);
+  // Each attempt builds a fresh observer, as a fallback-ladder retry in
+  // stress::run_trial does, so a second run fires both events again.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    sim::FaultEventObserver events(faulted.events);
+    sim::Observer* observers[] = {&events};
+    const sim::OdeResult run = sim::simulate_ode(
+        faulted.network, options, faulted.network.initial_state(),
+        std::span<sim::Observer* const>(observers, 1));
+    EXPECT_EQ(events.applied_count(), 2u);
+    // (1.0 + 0.5) * (1 - 0.5) = 0.75
+    EXPECT_NEAR(run.trajectory.final_state()[0], 0.75, 1e-9);
+  }
 }
 
 TEST(FaultEvents, UnknownSpeciesThrows) {

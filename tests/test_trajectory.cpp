@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "trajectory_window.hpp"
 namespace mrsc::sim {
 namespace {
 
@@ -59,9 +60,9 @@ TEST(Trajectory, InterpolationClampsOutOfRange) {
 
 TEST(Trajectory, WindowExtrema) {
   const Trajectory t = sample_trajectory();
-  EXPECT_DOUBLE_EQ(t.max_in_window(SpeciesId{0}, 0.0, 2.0), 1.0);
-  EXPECT_DOUBLE_EQ(t.max_in_window(SpeciesId{0}, 0.9, 2.0), 0.5);
-  EXPECT_THROW((void)t.max_in_window(SpeciesId{0}, 5.0, 6.0),
+  EXPECT_DOUBLE_EQ(max_in_window(t, SpeciesId{0}, 0.0, 2.0), 1.0);
+  EXPECT_DOUBLE_EQ(max_in_window(t, SpeciesId{0}, 0.9, 2.0), 0.5);
+  EXPECT_THROW((void)max_in_window(t, SpeciesId{0}, 5.0, 6.0),
                std::invalid_argument);
 }
 
